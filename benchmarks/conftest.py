@@ -7,6 +7,12 @@ per session, shared, and memoised on disk (``.trace_cache/``, see
 :mod:`repro.traces.trace_cache`): the first session pays the full generation,
 later sessions reload in seconds.  Set ``REPRO_TRACE_CACHE=off`` to force
 regeneration.
+
+Benchmark modules merge their numbers into a tracked ``BENCH_*.json`` at the
+repository root (their ``RESULTS_PATH``).  Only ``slow``-marked tests update
+those files; a benchmark cheap enough for the tier-1 default run records
+under pytest's temporary directory instead, so tier-1 leaves ``git status``
+clean (see ``_untracked_results_outside_slow_runs``).
 """
 
 import os
@@ -49,6 +55,15 @@ def bench_env(kernel_backend=None):
         "kernel_backend": kernels.get_backend(kernel_backend).NAME,
         "numpy_version": kernels.numpy_version(),
     }
+
+
+@pytest.fixture(autouse=True)
+def _untracked_results_outside_slow_runs(request, monkeypatch, tmp_path_factory):
+    """Point a non-``slow`` test's ``RESULTS_PATH`` at pytest's temp dir."""
+    tracked = getattr(request.module, "RESULTS_PATH", None)
+    if tracked is not None and request.node.get_closest_marker("slow") is None:
+        scratch = tmp_path_factory.getbasetemp() / os.path.basename(tracked)
+        monkeypatch.setattr(request.module, "RESULTS_PATH", str(scratch))
 
 
 @pytest.fixture(scope="session")

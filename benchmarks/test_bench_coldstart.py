@@ -19,7 +19,8 @@ measured ratios land well above them on an idle machine):
   stream.
 
 Results merge into ``BENCH_coldstart.json`` at the repository root (same
-pattern as ``BENCH_replay.json``).
+pattern as ``BENCH_replay.json``: the ``slow`` runs write the tracked file,
+the tier-1 ones record under pytest's temp dir — see ``conftest.py``).
 """
 
 import gc

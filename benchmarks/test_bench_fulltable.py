@@ -17,7 +17,9 @@ with the DFZ-shaped synthetic table from :mod:`repro.traces.fulltable`:
   byte-identical expansion parity against ``compute_table_reference`` at a
   30k sub-table (the reference is per-prefix and would take minutes at 1M);
 * **burst replay** — a 200k-prefix withdrawal burst from one feed replayed
-  through the fully-loaded speaker.
+  through the fully-loaded speaker, plus what *acting* on it costs per
+  inferred link: the provision-time backup-profile index's lookup against
+  the per-prefix walk it replaced (``tests/oracles/reroute_walk.py``).
 
 All tests are ``slow`` + ``fulltable``; run them with
 ``pytest -m fulltable benchmarks/test_bench_fulltable.py``.  Scale down via
@@ -30,6 +32,8 @@ import json
 import os
 import pickle
 import random
+import statistics
+import sys
 import time
 
 import pytest
@@ -40,10 +44,14 @@ from repro.bgp.prefix import random_addresses
 from repro.bgp.speaker import BGPSpeaker
 from repro.bgp.trie import PrefixTrie
 from repro.bgp.trie_reference import ReferencePrefixTrie
-from repro.core.backup import BackupComputer
+from repro.core.backup import BackupComputer, BackupProfileIndex
 from repro.traces.fulltable import FullTableConfig, FullTableGenerator
 
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(_REPO_ROOT, "tests"))
+
+from oracles.reroute_walk import backups_for_link  # noqa: E402
+
 RESULTS_PATH = os.path.join(_REPO_ROOT, "BENCH_fulltable.json")
 
 #: Table scale; override with ``REPRO_FULLTABLE_PREFIXES`` for reduced runs.
@@ -258,6 +266,33 @@ def test_bench_fulltable_burst_replay(built):
     count = min(200_000, len(table))
     burst = table.burst(peer_as, count, start_time=1.0)
 
+    # What a reroute for this burst reads, built from the pre-burst table as
+    # provision() would: per inferred link, the index lookup that replaced
+    # the walk over the predicted (here: the withdrawn) prefixes.
+    index = BackupProfileIndex()
+    backup_table = BackupComputer().compute_table(
+        _LOCAL_AS, built.best, built.speaker.alternate_routes,
+        built.speaker.loc_rib.candidate_map, index=index,
+    )
+    weight = {
+        link: sum(profile.prefix_count for profile in profiles)
+        for link, profiles in index.by_link.items()
+    }
+    heaviest = sorted(weight, key=lambda link: (-weight[link], link))[:8]
+    predicted = table.prefixes[:count]
+    lookup_ms, walk_ms = [], []
+    for link in heaviest:
+        started = time.perf_counter()
+        by_index = index.next_hops(link)
+        lookup_ms.append((time.perf_counter() - started) * 1e3)
+        assert sum(by_index.values()) == sum(
+            1 for per_link in backup_table.values() if link in per_link
+        )
+        started = time.perf_counter()
+        backups_for_link(backup_table, link, predicted)
+        walk_ms.append((time.perf_counter() - started) * 1e3)
+    del backup_table
+
     started = time.perf_counter()
     changes = built.speaker.receive_columnar(burst)
     burst_seconds = time.perf_counter() - started
@@ -279,5 +314,11 @@ def test_bench_fulltable_burst_replay(built):
             "burst_seconds": round(burst_seconds, 3),
             "withdrawals_per_second": round(count / burst_seconds),
             "best_route_changes": len(changes),
+            "index_profiles": len(set(index.profile_of.values())),
+            "index_links": len(index.by_link),
+            "reroute_links_timed": len(heaviest),
+            "index_lookup_ms_per_link_median": round(statistics.median(lookup_ms), 4),
+            "index_lookup_ms_per_link_max": round(max(lookup_ms), 4),
+            "walk_ms_per_link_median": round(statistics.median(walk_ms), 2),
         },
     )

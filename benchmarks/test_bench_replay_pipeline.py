@@ -13,9 +13,10 @@ the actual measured ratios land well above them on an idle machine):
 * reloading the benchmark corpus from the on-disk trace cache versus
   generating it.
 
-Every test merges its numbers into ``BENCH_replay.json`` at the repository
-root, so the perf trajectory of the replay pipeline is recorded run over
-run.
+Every ``slow`` test merges its numbers into ``BENCH_replay.json`` at the
+repository root, so the perf trajectory of the replay pipeline is recorded
+run over run; the tests cheap enough for tier-1 record under pytest's temp
+dir instead (see ``conftest.py``), leaving the checkout untouched.
 """
 
 import gc

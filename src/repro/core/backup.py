@@ -27,6 +27,8 @@ from repro.bgp.trie import PrefixTrie
 __all__ = [
     "AggregatedBackupTable",
     "BackupComputer",
+    "BackupProfile",
+    "BackupProfileIndex",
     "BackupSelection",
     "ReroutingPolicy",
 ]
@@ -112,6 +114,104 @@ class BackupSelection:
     def depth(self) -> int:
         """Length of the backup AS path."""
         return len(self.as_path)
+
+
+#: One backup per protected link, in table order: ``(link, next_hop, path)``.
+Winners = Tuple[Tuple[Link, int, ASPath], ...]
+
+
+def _winners_of(per_link: Mapping[Link, BackupSelection]) -> Winners:
+    return tuple(
+        (link, selection.next_hop, selection.as_path)
+        for link, selection in per_link.items()
+    )
+
+
+class BackupProfile:
+    """One distinct tuple of per-link backups, shared by ``prefix_count`` prefixes."""
+
+    __slots__ = ("winners", "next_hops", "prefix_count")
+
+    def __init__(self, winners: Winners) -> None:
+        self.winners = winners
+        self.next_hops: Dict[Link, int] = {link: hop for link, hop, _ in winners}
+        self.prefix_count = 0
+
+    def next_hop_for(self, link: Link, shared_endpoints: FrozenSet[int]) -> int:
+        """The backup next-hop for traffic crossing the protected ``link``.
+
+        ``shared_endpoints`` are the ASes common to all links of an aggregated
+        inference: the first backup of the profile whose path avoids them is
+        preferred (§4.2 safety rule) over the one provisioned for ``link``.
+        """
+        if shared_endpoints:
+            for _, hop, path in self.winners:
+                if shared_endpoints.isdisjoint(path.asns):
+                    return hop
+        return self.next_hops[link]
+
+
+class BackupProfileIndex:
+    """``link -> backup profiles protecting it`` over a provisioned table.
+
+    Profiles are interned by value and carry their prefix count: a reroute
+    reads a link's few hundred profiles instead of walking the predicted
+    prefixes, and moving one prefix between profiles is O(1).
+    """
+
+    def __init__(self) -> None:
+        self._interned: Dict[Winners, BackupProfile] = {}
+        #: Prefix -> its profile, and protected link -> the profiles holding a
+        #: backup for it (``prefix_count`` >= 1 each); read-only for callers.
+        self.profile_of: Dict[Prefix, BackupProfile] = {}
+        self.by_link: Dict[Link, Set[BackupProfile]] = {}
+
+    def profile_for(self, winners: Winners) -> Optional[BackupProfile]:
+        """The interned profile equal to ``winners`` (``None`` when empty)."""
+        if not winners:
+            return None
+        profile = self._interned.get(winners)
+        if profile is None:
+            profile = self._interned[winners] = BackupProfile(winners)
+        return profile
+
+    def assign(self, prefix: Prefix, profile: Optional[BackupProfile]) -> None:
+        """Move ``prefix`` onto ``profile``; unshared profiles leave the index."""
+        old = self.profile_of.get(prefix)
+        if old is profile:
+            return
+        if old is not None:
+            old.prefix_count -= 1
+            if not old.prefix_count:
+                del self._interned[old.winners]
+                for link in old.next_hops:
+                    profiles = self.by_link[link]
+                    profiles.remove(old)
+                    if not profiles:
+                        del self.by_link[link]
+        if profile is None:
+            del self.profile_of[prefix]
+            return
+        self.profile_of[prefix] = profile
+        profile.prefix_count += 1
+        if profile.prefix_count == 1:
+            for link in profile.next_hops:
+                self.by_link.setdefault(link, set()).add(profile)
+
+    def assign_selections(self, prefix: Prefix, per_link: Mapping[Link, BackupSelection]) -> None:
+        """Move ``prefix`` onto the profile of its backup-table entry."""
+        self.assign(prefix, self.profile_for(_winners_of(per_link)))
+
+    def next_hops(
+        self, link: Link, shared_endpoints: FrozenSet[int] = frozenset()
+    ) -> Dict[int, int]:
+        """Backup next-hop -> number of prefixes protecting ``link`` with it."""
+        link = _canonical(link)
+        counts: Dict[int, int] = {}
+        for profile in self.by_link.get(link, ()):
+            hop = profile.next_hop_for(link, shared_endpoints)
+            counts[hop] = counts.get(hop, 0) + profile.prefix_count
+        return counts
 
 
 class AggregatedBackupTable:
@@ -334,13 +434,24 @@ class BackupComputer:
                     continue
             if usage is not None:
                 usage[entry.next_hop] = usage.get(entry.next_hop, 0) + 1
-            return BackupSelection(
-                prefix=prefix,
-                protected_link=protected_link,
-                next_hop=entry.next_hop,
-                as_path=entry.as_path,
-            )
+            return _make_selection(prefix, protected_link, entry.next_hop, entry.as_path)
         return None
+
+    def select_all(
+        self,
+        local_as: int,
+        prefix: Prefix,
+        primary_path: ASPath,
+        alternates: Sequence[RibEntry],
+        usage: Optional[Dict[int, int]] = None,
+    ) -> Dict[Link, BackupSelection]:
+        """The backup of every protected link of one prefix that has one."""
+        per_link: Dict[Link, BackupSelection] = {}
+        for link in self.protected_links(primary_path, local_as):
+            selection = self.select(prefix, link, alternates, usage)
+            if selection is not None:
+                per_link[link] = selection
+        return per_link
 
     # -- table-wide computation -------------------------------------------------
 
@@ -350,6 +461,7 @@ class BackupComputer:
         best_routes: Mapping[Prefix, RibEntry],
         alternates_of: Callable[[Prefix], Sequence[RibEntry]],
         candidates_of: Optional[Callable[[Prefix], Mapping[int, RibEntry]]] = None,
+        index: Optional[BackupProfileIndex] = None,
     ) -> Dict[Prefix, Dict[Link, BackupSelection]]:
         """Backups for every prefix and every protected link of its best path.
 
@@ -385,56 +497,60 @@ class BackupComputer:
             ``alternates_of`` runs once per profile instead of once per
             prefix; selections are unchanged because members of a profile
             share their candidate objects and insertion order.
+        index:
+            Optional fresh :class:`BackupProfileIndex` to fill alongside the
+            table: one interned profile per ranked group, so the build costs
+            O(profiles x links) plus one dict store per prefix.
         """
         if self.policy.capacity_limits:
-            return self.compute_table_reference(local_as, best_routes, alternates_of)
-        # profile key -> {canonical link: (next_hop, backup path) | None}
-        groups: Dict[Tuple, Dict[Link, Optional[Tuple[int, ASPath]]]] = {}
-        table: Dict[Prefix, Dict[Link, BackupSelection]] = {}
+            table = self.compute_table_reference(local_as, best_routes, alternates_of)
+            if index is not None:
+                for prefix, per_link in table.items():
+                    index.assign_selections(prefix, per_link)
+            return table
+        # profile key -> (winners, their interned backup profile)
+        groups: Dict[Tuple, Tuple[Winners, Optional[BackupProfile]]] = {}
+        table = {}
         for prefix, best in best_routes.items():
-            # Identity of the attribute objects (not their values): two
-            # profiles sharing attribute objects are exactly the groups the
-            # speaker's interned table loads produce, and object identity
-            # keys in O(1) where structural comparison would re-walk paths.
-            if candidates_of is not None:
-                candidates = candidates_of(prefix)
-                key = (
-                    best.peer_as,
-                    id(best.attributes),
-                    tuple(
-                        (peer, id(entry.attributes))
-                        for peer, entry in candidates.items()
-                    ),
-                )
-            else:
-                alternates = alternates_of(prefix)
-                key = (
-                    best.peer_as,
-                    id(best.attributes),
-                    tuple(
-                        (entry.peer_as, id(entry.attributes)) for entry in alternates
-                    ),
-                )
-            winners = groups.get(key)
-            if winners is None:
-                if candidates_of is not None:
+            key, alternates = self._profile_key(prefix, best, alternates_of, candidates_of)
+            group = groups.get(key)
+            if group is None:
+                if alternates is None:
                     alternates = alternates_of(prefix)
-                winners = groups[key] = {}
-                for link in self.protected_links(best.as_path, local_as):
-                    selection = self.select(prefix, link, alternates)
-                    winners[link] = (
-                        (selection.next_hop, selection.as_path)
-                        if selection is not None
-                        else None
-                    )
-            per_link = {
-                link: _make_selection(prefix, link, winner[0], winner[1])
-                for link, winner in winners.items()
-                if winner is not None
-            }
-            if per_link:
-                table[prefix] = per_link
+                winners = _winners_of(self.select_all(local_as, prefix, best.as_path, alternates))
+                profile = index.profile_for(winners) if index is not None else None
+                group = groups[key] = (winners, profile)
+            winners, profile = group
+            if winners:
+                table[prefix] = {
+                    link: _make_selection(prefix, link, next_hop, as_path)
+                    for link, next_hop, as_path in winners
+                }
+                if profile is not None:
+                    index.assign(prefix, profile)
         return table
+
+    @staticmethod
+    def _profile_key(
+        prefix: Prefix,
+        best: RibEntry,
+        alternates_of: Callable[[Prefix], Sequence[RibEntry]],
+        candidates_of: Optional[Callable[[Prefix], Mapping[int, RibEntry]]],
+    ) -> Tuple[Tuple, Optional[Sequence[RibEntry]]]:
+        """Grouping key of a prefix's candidate profile (and its alternates,
+        when the key had to fetch them): the *identity* of the attribute
+        objects, not their values.  Profiles sharing attribute objects are
+        exactly the groups the speaker's interned table loads produce, and
+        identity keys in O(1) where structural comparison would re-walk paths.
+        """
+        if candidates_of is not None:
+            alternates = None
+            members = candidates_of(prefix).items()
+        else:
+            alternates = alternates_of(prefix)
+            members = [(entry.peer_as, entry) for entry in alternates]
+        profile = tuple((peer, id(entry.attributes)) for peer, entry in members)
+        return (best.peer_as, id(best.attributes), profile), alternates
 
     def compute_table_aggregated(
         self,
@@ -477,45 +593,17 @@ class BackupComputer:
         # Pass 1: profile-grouped ranking, identical to compute_table, but
         # record each prefix's profile id instead of fanning selections out.
         pid_of_key: Dict[Tuple, int] = {}
-        winners_of: List[Dict[Link, Optional[Tuple[int, ASPath]]]] = []
-        live_of: List[int] = []
+        winners_of: List[Winners] = []
         profile_of: Dict[Prefix, int] = {}
         for prefix, best in best_routes.items():
-            if candidates_of is not None:
-                candidates = candidates_of(prefix)
-                key = (
-                    best.peer_as,
-                    id(best.attributes),
-                    tuple(
-                        (peer, id(entry.attributes))
-                        for peer, entry in candidates.items()
-                    ),
-                )
-            else:
-                alternates = alternates_of(prefix)
-                key = (
-                    best.peer_as,
-                    id(best.attributes),
-                    tuple(
-                        (entry.peer_as, id(entry.attributes)) for entry in alternates
-                    ),
-                )
+            key, alternates = self._profile_key(prefix, best, alternates_of, candidates_of)
             pid = pid_of_key.get(key)
             if pid is None:
-                if candidates_of is not None:
+                if alternates is None:
                     alternates = alternates_of(prefix)
-                winners: Dict[Link, Optional[Tuple[int, ASPath]]] = {}
-                for link in self.protected_links(best.as_path, local_as):
-                    selection = self.select(prefix, link, alternates)
-                    winners[link] = (
-                        (selection.next_hop, selection.as_path)
-                        if selection is not None
-                        else None
-                    )
-                pid = len(winners_of)
-                pid_of_key[key] = pid
+                pid = pid_of_key[key] = len(winners_of)
+                winners = _winners_of(self.select_all(local_as, prefix, best.as_path, alternates))
                 winners_of.append(winners)
-                live_of.append(sum(1 for winner in winners.values() if winner is not None))
             profile_of[prefix] = pid
         # Pass 2: subtree collapse.  Walking the prefixes in sorted order
         # means every ancestor is seen before its descendants, so a stack of
@@ -529,13 +617,11 @@ class BackupComputer:
             pid = profile_of[prefix]
             while stack and not stack[-1][0].contains(prefix):
                 stack.pop()
-            source += live_of[pid]
+            source += len(winners_of[pid])
             if not (stack and stack[-1][1] == pid):
-                winners = winners_of[pid]
                 entries[prefix] = {
-                    link: _make_selection(prefix, link, winner[0], winner[1])
-                    for link, winner in winners.items()
-                    if winner is not None
+                    link: _make_selection(prefix, link, next_hop, as_path)
+                    for link, next_hop, as_path in winners_of[pid]
                 }
             stack.append((prefix, pid))
         return AggregatedBackupTable(entries, len(best_routes), source)
@@ -556,23 +642,9 @@ class BackupComputer:
         usage: Dict[int, int] = {}
         table: Dict[Prefix, Dict[Link, BackupSelection]] = {}
         for prefix, best in best_routes.items():
-            alternates = alternates_of(prefix)
-            per_link: Dict[Link, BackupSelection] = {}
-            for link in self.protected_links(best.as_path, local_as):
-                selection = self.select(prefix, link, alternates, usage)
-                if selection is not None:
-                    per_link[link] = selection
+            per_link = self.select_all(
+                local_as, prefix, best.as_path, alternates_of(prefix), usage
+            )
             if per_link:
                 table[prefix] = per_link
         return table
-
-    def backup_next_hops_by_link(
-        self, table: Mapping[Prefix, Mapping[Link, BackupSelection]]
-    ) -> Dict[Link, Dict[int, int]]:
-        """Summarise a backup table as link -> {next_hop: number of prefixes}."""
-        summary: Dict[Link, Dict[int, int]] = {}
-        for per_link in table.values():
-            for link, selection in per_link.items():
-                counts = summary.setdefault(link, {})
-                counts[selection.next_hop] = counts.get(selection.next_hop, 0) + 1
-        return summary

@@ -337,9 +337,10 @@ class TagEncoder:
         """Wildcard rules rerouting all traffic crossing ``link``.
 
         ``backups_by_next_hop`` maps backup next-hop AS -> number of prefixes
-        expected to move there (only used for rule descriptions).  One rule is
-        emitted per (position where the link is encoded, backup next-hop), as
-        in §6.5.
+        protecting ``link`` through it at provision time
+        (:meth:`~repro.core.backup.BackupProfileIndex.next_hops`; the count
+        only feeds the rule descriptions).  One rule is emitted per (position
+        where the link is encoded, backup next-hop), as in §6.5.
         """
         link = _canonical(link)
         rules: List[WildcardRule] = []

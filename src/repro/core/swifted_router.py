@@ -16,8 +16,11 @@
 Upon an accepted inference the router installs one high-priority rule per
 (inferred link position, backup next-hop) — rerouting every affected prefix
 at once — and records a :class:`RerouteAction` with the modelled data-plane
-update latency.  When BGP has re-converged (the burst ends), the SWIFT rules
-are withdrawn and forwarding falls back to the BGP-derived state (§3).
+update latency.  A link's backup next-hops come from a provision-time
+:class:`~repro.core.backup.BackupProfileIndex`, not from the predicted
+prefixes — the tags carry the per-prefix state (§5) — so a reroute costs
+O(rules).  When BGP has re-converged (the burst ends), the SWIFT rules are
+withdrawn and forwarding falls back to the BGP-derived state (§3).
 
 Message streams should be fed through :meth:`SwiftedRouter.receive_batch`
 where possible: the speaker applies the whole batch before running best-path
@@ -28,9 +31,9 @@ overhead off the burst hot path.
 Re-provisioning is *incremental*: :meth:`SwiftedRouter.provision` keeps the
 per-session :class:`~repro.core.inference.InferenceEngine`\\ s (and their
 link/prefix indexes) alive, patching them from the speaker's route-change
-stream, and only recomputes backup selections for prefixes whose best route
-actually changed since the last call.  A warm re-provision therefore costs
-O(changes), not O(RIB) — the paper's "re-runs it periodically / upon
+stream, and only looks up, recomputes and re-indexes the prefixes whose
+candidate routes changed since the last call.  A warm re-provision therefore
+costs O(changes), not O(RIB) — the paper's "re-runs it periodically / upon
 significant RIB changes" loop becomes cheap enough to run after every quiet
 period.  Pass ``full_rebuild=True`` to force the from-scratch path (also
 taken automatically when the rerouting policy carries capacity limits, whose
@@ -48,7 +51,7 @@ from repro.bgp.prefix import Prefix
 from repro.bgp.rib import RibEntry, RouteChange, RouteChangeKind
 from repro.bgp.speaker import BestRouteChange, BGPSpeaker
 from repro.core import kernels
-from repro.core.backup import BackupComputer, BackupSelection, ReroutingPolicy
+from repro.core.backup import BackupComputer, BackupProfileIndex, BackupSelection, ReroutingPolicy
 from repro.core.encoding import EncodedTags, EncoderConfig, TagEncoder, WildcardRule
 from repro.core.history import HistoryModel
 from repro.core.inference import InferenceConfig, InferenceEngine, InferenceResult
@@ -118,11 +121,8 @@ class SwiftedRouter:
         self._engines: Dict[int, InferenceEngine] = {}
         self._encoded: Optional[EncodedTags] = None
         self._backup_table: Dict[Prefix, Dict[Link, BackupSelection]] = {}
-        # Per-prefix metadata mirroring the backup table: for every selection,
-        # (next_hop, links of its path, ASes of its path) — precomputed once
-        # per provision so inference-time fallback scans avoid re-deriving
-        # path links per prefix (see _backups_for_link).
-        self._backup_aux: Dict[Prefix, Tuple[Tuple[int, FrozenSet[Link], FrozenSet[int]], ...]] = {}
+        # What a reroute reads instead of the backup table (_apply_inference).
+        self._backup_index = BackupProfileIndex()
         # Best-path snapshot at the last encode, for per-prefix delta
         # re-encoding on warm provisions.
         self._encoded_paths: Dict[Prefix, ASPath] = {}
@@ -226,8 +226,9 @@ class SwiftedRouter:
         Must be called after the initial routes are loaded and before the
         burst arrives; a real deployment re-runs it periodically / upon
         significant RIB changes.  Re-runs are incremental: engines stay alive
-        and are patched from the recorded route-change stream, and backup /
-        tag computation only re-runs for prefixes whose best route changed.
+        and are patched from the recorded route-change stream, and only the
+        dirty prefixes are looked up in the Loc-RIB (never scanned here), get
+        backups and tags recomputed and move between backup-index profiles.
         ``full_rebuild=True`` forces the from-scratch path; rerouting
         policies with capacity limits always take it, because their global
         usage accounting cannot be patched per prefix.
@@ -239,9 +240,7 @@ class SwiftedRouter:
             and peers == self._provisioned_peers
             and not self.config.policy.capacity_limits
         )
-        best_routes: Dict[Prefix, RibEntry] = {
-            entry.prefix: entry for entry in self.speaker.loc_rib.best_entries()
-        }
+        loc_rib = self.speaker.loc_rib
         if incremental:
             dirty = self._provision_dirty
             self.last_provision_stats = {
@@ -256,32 +255,25 @@ class SwiftedRouter:
             if dirty:
                 # Recompute backups only for the dirty prefixes, collecting
                 # the per-prefix encoding deltas as we go.
-                changes: List[
-                    Tuple[Prefix, Optional[ASPath], Optional[ASPath], Tuple[int, ...], Dict[Link, BackupSelection]]
-                ] = []
+                changes: List[tuple] = []  # encode_delta's per-prefix input
+                index = self._backup_index
                 for prefix in dirty:
-                    old_path = self._encoded_paths.get(prefix)
-                    old_hops = tuple(
-                        item[0] for item in self._backup_aux.get(prefix, ())
-                    )
-                    best = best_routes.get(prefix)
-                    if best is None:
-                        self._backup_table.pop(prefix, None)
-                        self._backup_aux.pop(prefix, None)
-                        self._encoded_paths.pop(prefix, None)
-                        changes.append((prefix, old_path, None, old_hops, {}))
-                        continue
-                    per_link = self._compute_prefix_backups(prefix, best)
+                    old_path = self._encoded_paths.pop(prefix, None)
+                    old_profile = index.profile_of.get(prefix)
+                    old_hops = [hop for _, hop, _ in old_profile.winners] if old_profile else ()
+                    best = loc_rib.best(prefix)
+                    new_path, per_link = None, {}
+                    if best is not None:
+                        new_path = self._encoded_paths[prefix] = best.as_path
+                        per_link = self.backup_computer.select_all(
+                            self.local_as, prefix, new_path, self.speaker.alternate_routes(prefix)
+                        )
                     if per_link:
                         self._backup_table[prefix] = per_link
-                        self._backup_aux[prefix] = self._aux_of(per_link)
                     else:
                         self._backup_table.pop(prefix, None)
-                        self._backup_aux.pop(prefix, None)
-                    self._encoded_paths[prefix] = best.as_path
-                    changes.append(
-                        (prefix, old_path, best.as_path, old_hops, per_link)
-                    )
+                    index.assign_selections(prefix, per_link)
+                    changes.append((prefix, old_path, new_path, old_hops, per_link))
                 assert self._encoded is not None
                 delta = self.encoder.encode_delta(
                     self._encoded, changes, neighbors=self.speaker.peer_ases
@@ -289,24 +281,23 @@ class SwiftedRouter:
                 if delta is None:
                     # The identifier allocation moved: fall back to a full
                     # re-encode (backups above are already patched).
-                    self._reencode(best_routes)
+                    self._reencode({entry.prefix: entry for entry in loc_rib.best_entries()})
                     self.last_provision_stats["full_reencode"] = 1
                 else:
                     self._encoded, tag_patch = delta
                     self.forwarding.update_tags(tag_patch)
                     self.last_provision_stats["tag_patch"] = len(tag_patch)
         else:
+            best_routes = {entry.prefix: entry for entry in loc_rib.best_entries()}
             self.last_provision_stats = {"mode": 0, "dirty_prefixes": len(best_routes)}
+            self._backup_index = BackupProfileIndex()
             self._backup_table = self.backup_computer.compute_table(
                 self.local_as,
                 best_routes,
                 self.speaker.alternate_routes,
-                candidates_of=self.speaker.loc_rib.candidate_map,
+                candidates_of=loc_rib.candidate_map,
+                index=self._backup_index,
             )
-            self._backup_aux = {
-                prefix: self._aux_of(per_link)
-                for prefix, per_link in self._backup_table.items()
-            }
             self._reencode(best_routes)
 
         self._refresh_engines(rebuild=not incremental)
@@ -353,32 +344,6 @@ class SwiftedRouter:
         for peer_as in list(self._engines):
             if peer_as not in live_peers:
                 del self._engines[peer_as]
-
-    def _compute_prefix_backups(
-        self, prefix: Prefix, best: RibEntry
-    ) -> Dict[Link, BackupSelection]:
-        """Backup selections for one prefix (capacity-free incremental path)."""
-        alternates = self.speaker.alternate_routes(prefix)
-        per_link: Dict[Link, BackupSelection] = {}
-        for link in self.backup_computer.protected_links(best.as_path, self.local_as):
-            selection = self.backup_computer.select(prefix, link, alternates)
-            if selection is not None:
-                per_link[link] = selection
-        return per_link
-
-    @staticmethod
-    def _aux_of(
-        per_link: Mapping[Link, BackupSelection]
-    ) -> Tuple[Tuple[int, FrozenSet[Link], FrozenSet[int]], ...]:
-        """Per-selection (next_hop, path links, path ASes) in table order."""
-        return tuple(
-            (
-                selection.next_hop,
-                frozenset(selection.as_path.links()),
-                frozenset(selection.as_path.asns),
-            )
-            for selection in per_link.values()
-        )
 
     def _install_default_rules(self) -> None:
         """Default stage-2 rules: forward on the primary next-hop of the tag."""
@@ -510,16 +475,19 @@ class SwiftedRouter:
     def _apply_inference(
         self, peer_as: int, result: InferenceResult
     ) -> Optional[RerouteAction]:
+        """Install the reroute rules of one accepted inference.
+
+        Each inferred link's backup next-hops come from the backup index, at
+        a cost independent of how many prefixes were predicted.  A link no
+        provisioned prefix protects (e.g. deeper than ``max_backup_depth``)
+        has no entry: nothing is installed, no action returned or recorded.
+        """
         assert self._encoded is not None
         rules: List[WildcardRule] = []
-        shared_endpoints = result.shared_endpoints
         for link in result.inferred_links:
-            backups = self._backups_for_link(
-                link, result.prediction.predicted_prefixes, shared_endpoints
-            )
-            if not backups:
-                continue
-            rules.extend(self.encoder.reroute_rules(self._encoded, link, backups))
+            backups = self._backup_index.next_hops(link, result.shared_endpoints)
+            if backups:
+                rules.extend(self.encoder.reroute_rules(self._encoded, link, backups))
         if not rules:
             return None
         self.forwarding.install_rules(rules, priority=SWIFT_RULE_PRIORITY)
@@ -534,53 +502,6 @@ class SwiftedRouter:
         )
         self.reroutes.append(action)
         return action
-
-    def _backups_for_link(
-        self,
-        link: Link,
-        prefixes: FrozenSet[Prefix],
-        shared_endpoints: FrozenSet[int] = frozenset(),
-    ) -> Dict[int, int]:
-        """Backup next-hops (and prefix counts) for traffic crossing ``link``.
-
-        When the inference aggregated several links, ``shared_endpoints`` are
-        the ASes common to all of them; backups whose path traverses one of
-        those endpoints are avoided when possible (§4.2 safety rule), falling
-        back to the pre-computed selection otherwise.
-        """
-        link = link if link[0] <= link[1] else (link[1], link[0])
-        counts: Dict[int, int] = {}
-        backup_table = self._backup_table
-        backup_aux = self._backup_aux
-        for prefix in prefixes:
-            per_link = backup_table.get(prefix)
-            if not per_link:
-                continue
-            # The provision-time aux table mirrors per_link.values(): one
-            # (next_hop, path links, path ASes) triple per selection, so the
-            # fallback scans below are set lookups instead of re-deriving
-            # every backup path's links per prefix per inference.
-            aux = backup_aux.get(prefix)
-            if aux is None:
-                aux = backup_aux[prefix] = self._aux_of(per_link)
-            selection = per_link.get(link)
-            next_hop = selection.next_hop if selection is not None else None
-            if next_hop is None:
-                # Fall back to any backup of the prefix avoiding the inferred
-                # link (e.g. the link was not individually protected).
-                for candidate_hop, path_links, _ in aux:
-                    if link not in path_links:
-                        next_hop = candidate_hop
-                        break
-            if next_hop is not None and shared_endpoints:
-                for candidate_hop, _, path_asns in aux:
-                    if not (shared_endpoints & path_asns):
-                        next_hop = candidate_hop
-                        break
-            if next_hop is None:
-                continue
-            counts[next_hop] = counts.get(next_hop, 0) + 1
-        return counts
 
     def clear_reroutes(self) -> int:
         """Remove the SWIFT rules (BGP has re-converged, §3 "fall back")."""
@@ -601,6 +522,11 @@ class SwiftedRouter:
     def backup_table(self) -> Dict[Prefix, Dict[Link, BackupSelection]]:
         """The per-prefix, per-link backup table."""
         return self._backup_table
+
+    @property
+    def backup_index(self) -> BackupProfileIndex:
+        """The per-link backup-profile index reroutes are answered from."""
+        return self._backup_index
 
     def engine_for(self, peer_as: int) -> InferenceEngine:
         """The inference engine watching the session with ``peer_as``."""

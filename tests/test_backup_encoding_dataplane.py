@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.bgp.attributes import ASPath, PathAttributes
 from repro.bgp.prefix import Prefix, prefix_block
 from repro.bgp.rib import RibEntry
-from repro.core.backup import BackupComputer, ReroutingPolicy
+from repro.core.backup import BackupComputer, BackupProfileIndex, ReroutingPolicy
 from repro.core.encoding import EncoderConfig, TagEncoder, WildcardRule
 from repro.dataplane.fib import PerPrefixFib, TwoStageForwardingTable
 from repro.dataplane.packet import Packet
@@ -97,10 +97,10 @@ class TestBackupComputer:
             PFX[0]: [_entry(PFX[0], [3, 6])],
             PFX[1]: [_entry(PFX[1], [3, 6])],
         }
-        table = computer.compute_table(1, best, lambda p: alternates[p])
+        index = BackupProfileIndex()
+        table = computer.compute_table(1, best, lambda p: alternates[p], index=index)
         assert (5, 6) in table[PFX[0]]
-        summary = computer.backup_next_hops_by_link(table)
-        assert summary[(5, 6)] == {3: 2}
+        assert index.next_hops((5, 6)) == {3: 2}
 
 
 def _fig1_paths(count=2000):
