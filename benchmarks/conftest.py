@@ -9,20 +9,27 @@ later sessions reload in seconds.  Set ``REPRO_TRACE_CACHE=off`` to force
 regeneration.
 
 Benchmark modules merge their numbers into a tracked ``BENCH_*.json`` at the
-repository root (their ``RESULTS_PATH``).  Only ``slow``-marked tests update
-those files; a benchmark cheap enough for the tier-1 default run records
-under pytest's temporary directory instead, so tier-1 leaves ``git status``
-clean (see ``_untracked_results_outside_slow_runs``).
+repository root (their ``RESULTS_PATH``) through the one :func:`record`
+here.  Only ``slow``-marked tests update those files; a benchmark cheap
+enough for the tier-1 default run records under pytest's temporary directory
+instead, so tier-1 leaves ``git status`` clean (see
+``_untracked_results_outside_slow_runs``).
 """
 
+import gc
+import json
 import os
 import sys
+from contextlib import contextmanager
 
 import pytest
 
-_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-if _SRC not in sys.path:
-    sys.path.insert(0, _SRC)
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# ``src`` for the package, ``tests`` for the oracles the benchmarks time
+# against (``from oracles.x import ...``, as the tests do).
+for _path in (os.path.join(_ROOT, "tests"), os.path.join(_ROOT, "src")):
+    if _path not in sys.path:
+        sys.path.insert(0, _path)
 
 from repro.core import kernels  # noqa: E402
 from repro.experiments import cached_corpus  # noqa: E402
@@ -55,6 +62,38 @@ def bench_env(kernel_backend=None):
         "kernel_backend": kernels.get_backend(kernel_backend).NAME,
         "numpy_version": kernels.numpy_version(),
     }
+
+
+def record(path, key, payload):
+    """Merge one benchmark's ``payload`` under ``key`` into the JSON at ``path``.
+
+    Callers pass their module's ``RESULTS_PATH`` *at call time*: outside
+    ``slow`` runs the fixture below has pointed it at a scratch file.
+    """
+    data = {}
+    if os.path.exists(path):
+        try:
+            with open(path) as handle:
+                data = json.load(handle)
+        except (OSError, ValueError):
+            data = {}
+    data[key] = payload
+    with open(path, "w") as handle:
+        json.dump(data, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+
+
+@contextmanager
+def gc_paused():
+    """Suspend the cyclic GC during a timed section (collect right before)."""
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 @pytest.fixture(autouse=True)

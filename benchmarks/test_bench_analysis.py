@@ -15,33 +15,17 @@ records under pytest's temp dir, not into the tracked ``BENCH_analysis.json``
 hand from such a run when the gate's cost is worth re-recording.
 """
 
-import json
 import os
 import time
 
 import pytest
 
-from conftest import bench_env
+from conftest import bench_env, record
 
 from repro.analysis import run_analysis
 
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RESULTS_PATH = os.path.join(_REPO_ROOT, "BENCH_analysis.json")
-
-
-def _record(key, payload):
-    """Merge one benchmark's results into BENCH_analysis.json."""
-    data = {}
-    if os.path.exists(RESULTS_PATH):
-        try:
-            with open(RESULTS_PATH) as handle:
-                data = json.load(handle)
-        except (OSError, ValueError):
-            data = {}
-    data[key] = payload
-    with open(RESULTS_PATH, "w") as handle:
-        json.dump(data, handle, indent=2, sort_keys=True)
-        handle.write("\n")
 
 
 @pytest.mark.analysis
@@ -64,7 +48,7 @@ def test_bench_analysis_full_pass():
         "files_per_second": round(report.files_scanned / elapsed, 1),
         **bench_env(),
     }
-    _record("analysis.full_pass", payload)
+    record(RESULTS_PATH, "analysis.full_pass", payload)
     print()
     print(
         f"  analysis: {report.files_scanned} files x {len(report.rules)} rules "

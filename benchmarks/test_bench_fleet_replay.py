@@ -20,17 +20,14 @@ Results merge into ``BENCH_fleet.json`` at the repository root (same
 pattern as ``BENCH_replay.json`` / ``BENCH_coldstart.json``).
 """
 
-import gc
-import json
 import os
 import pickle
 import tempfile
 import time
-from contextlib import contextmanager
 
 import pytest
 
-from conftest import available_cpus, bench_env
+from conftest import available_cpus, bench_env, gc_paused, record
 
 from repro.core.history import TriggeringSchedule
 from repro.core.inference import InferenceConfig
@@ -66,37 +63,10 @@ _FLEET_SWIFT_CONFIG = SwiftConfig(
 )
 
 
-def _record(key, payload):
-    """Merge one benchmark's results into BENCH_fleet.json."""
-    data = {}
-    if os.path.exists(RESULTS_PATH):
-        try:
-            with open(RESULTS_PATH) as handle:
-                data = json.load(handle)
-        except (OSError, ValueError):
-            data = {}
-    data[key] = payload
-    with open(RESULTS_PATH, "w") as handle:
-        json.dump(data, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-@contextmanager
-def _gc_paused():
-    gc.collect()
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
-
-
 def _best_seconds(fn, runs=3):
     best = float("inf")
     for _ in range(runs):
-        with _gc_paused():
+        with gc_paused():
             begin = time.perf_counter()
             fn()
             best = min(best, time.perf_counter() - begin)
@@ -117,7 +87,8 @@ def test_bench_fleet_vs_sequential_replay():
     )
     cpus = available_cpus()
     speedup = sequential.wall_seconds / fleet.wall_seconds
-    _record(
+    record(
+        RESULTS_PATH,
         "fleet.swifted_4_workers",
         {
             "sessions": fleet.session_count,
@@ -197,7 +168,8 @@ def test_bench_mmap_reload_vs_pickle():
         os.unlink(cols_path)
 
     speedup = pickle_seconds / mmap_seconds
-    _record(
+    record(
+        RESULTS_PATH,
         "reload.mmap_vs_pickle",
         {
             "messages": stream.message_count,

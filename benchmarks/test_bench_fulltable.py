@@ -28,29 +28,25 @@ full default scale).  Results merge into ``BENCH_fulltable.json`` at the
 repository root (same pattern as ``BENCH_fleet.json``).
 """
 
-import json
 import os
 import pickle
 import random
 import statistics
-import sys
 import time
 
 import pytest
 
-from conftest import bench_env
+from conftest import bench_env, record
+from oracles.reroute_walk import backups_for_link
+from oracles.trie_reference import ReferencePrefixTrie
 
 from repro.bgp.prefix import random_addresses
 from repro.bgp.speaker import BGPSpeaker
 from repro.bgp.trie import PrefixTrie
-from repro.bgp.trie_reference import ReferencePrefixTrie
 from repro.core.backup import BackupComputer, BackupProfileIndex
 from repro.traces.fulltable import FullTableConfig, FullTableGenerator
 
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.join(_REPO_ROOT, "tests"))
-
-from oracles.reroute_walk import backups_for_link  # noqa: E402
 
 RESULTS_PATH = os.path.join(_REPO_ROOT, "BENCH_fulltable.json")
 
@@ -68,21 +64,6 @@ _PARITY_PREFIX_COUNT = min(30_000, _PREFIX_COUNT)
 _TRIE_SAMPLE = max(1, min(30_000, _PREFIX_COUNT // 33))
 
 pytestmark = [pytest.mark.slow, pytest.mark.fulltable]
-
-
-def _record(key, payload):
-    """Merge one benchmark's results into BENCH_fulltable.json."""
-    data = {}
-    if os.path.exists(RESULTS_PATH):
-        try:
-            with open(RESULTS_PATH) as handle:
-                data = json.load(handle)
-        except (OSError, ValueError):
-            data = {}
-    data[key] = payload
-    with open(RESULTS_PATH, "w") as handle:
-        json.dump(data, handle, indent=2, sort_keys=True)
-        handle.write("\n")
 
 
 class _BuiltTable:
@@ -172,7 +153,8 @@ def test_bench_fulltable_build_and_lpm(built):
     )
     assert total_seconds < 600.0
 
-    _record(
+    record(
+        RESULTS_PATH,
         "fulltable.build_and_lpm",
         {
             "prefixes": len(table),
@@ -243,7 +225,8 @@ def test_bench_fulltable_backup_aggregation(built):
         parity_reference
     ), "aggregated expansion must be byte-identical to the reference"
 
-    _record(
+    record(
+        RESULTS_PATH,
         "fulltable.backup_aggregation",
         {
             "protected_prefixes": aggregated.protected_prefix_count,
@@ -305,7 +288,8 @@ def test_bench_fulltable_burst_replay(built):
     if len(table.peers) > 1:
         assert not losses
 
-    _record(
+    record(
+        RESULTS_PATH,
         "fulltable.burst_replay",
         {
             "prefixes": len(table),

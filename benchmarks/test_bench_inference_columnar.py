@@ -17,21 +17,19 @@ Two costs of an engine-dominated SWIFTED month-slice replay are measured
   refactor — and numpy ``>= 5x``, the vectorised-kernel acceptance bar.
   Identical ``InferenceResult`` sequences are asserted before timing.
 * **SWIFTED replay end to end** — the same slice through
-  :func:`~repro.experiments.month_replay.replay_stream` column-native
-  versus ``column_native=False`` (runs materialised, ``receive_batch``),
-  with byte-identical ``MonthReplayResult.signature()`` asserted and a
-  construction probe proving the native path materialises **zero**
-  ``BGPMessage`` objects.  The end-to-end ratio is smaller than the engine
-  ratio because the speaker's RIB work is shared by both paths; both are
-  recorded.
+  :func:`~repro.experiments.month_replay.replay_stream` (column-native)
+  versus the object-path oracle driver ``tests/oracles/object_replay.py``
+  (runs materialised, ``receive_batch``), with byte-identical
+  ``MonthReplayResult.signature()`` asserted and a construction probe
+  proving the native path materialises **zero** ``BGPMessage`` objects.
+  The end-to-end ratio is smaller than the engine ratio because the
+  speaker's RIB work is shared by both paths; both are recorded.
 
 Results merge into ``BENCH_inference.json`` at the repository root with the
 shared environment fields (``cpus``, ``kernel_backend``, ``numpy_version``
 — see :func:`conftest.bench_env`), same pattern as ``BENCH_fleet.json``.
 """
 
-import gc
-import json
 import os
 import time
 from contextlib import contextmanager
@@ -39,7 +37,8 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import bench_env
+from conftest import bench_env, gc_paused, record
+from oracles.object_replay import replay_stream_objects
 
 from repro.core import kernels
 from repro.core.burst_detection import BurstDetectorConfig
@@ -82,37 +81,10 @@ _ENGINE_CONFIG = InferenceConfig(
 _SWIFT_CONFIG = SwiftConfig(inference=_ENGINE_CONFIG)
 
 
-def _record(key, payload):
-    """Merge one benchmark's results into BENCH_inference.json."""
-    data = {}
-    if os.path.exists(RESULTS_PATH):
-        try:
-            with open(RESULTS_PATH) as handle:
-                data = json.load(handle)
-        except (OSError, ValueError):
-            data = {}
-    data[key] = payload
-    with open(RESULTS_PATH, "w") as handle:
-        json.dump(data, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-@contextmanager
-def _gc_paused():
-    gc.collect()
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
-
-
 def _best_seconds(fn, runs=5):
     best = float("inf")
     for _ in range(runs):
-        with _gc_paused():
+        with gc_paused():
             begin = time.perf_counter()
             fn()
             best = min(best, time.perf_counter() - begin)
@@ -130,7 +102,7 @@ def _best_feed_seconds(setup, feed, runs=5):
     best = float("inf")
     for _ in range(runs):
         state = setup()
-        with _gc_paused():
+        with gc_paused():
             begin = time.perf_counter()
             feed(state)
             best = min(best, time.perf_counter() - begin)
@@ -234,7 +206,7 @@ def test_bench_engine_stack_columnar_vs_materialised():
         payload[f"columnar_seconds.{backend}"] = round(seconds, 4)
         payload[f"speedup.{backend}"] = round(speedup, 2)
         print(f"  {backend}: {seconds:.3f} s ({speedup:.2f}x)")
-    _record("engine_stack.columnar_vs_object", payload)
+    record(RESULTS_PATH, "engine_stack.columnar_vs_object", payload)
 
     for backend in backends:
         assert speedups[backend] >= _BACKEND_FLOORS[backend], (
@@ -244,19 +216,18 @@ def test_bench_engine_stack_columnar_vs_materialised():
 
 
 @pytest.mark.slow
-def test_bench_swifted_replay_column_native_end_to_end():
+def test_bench_swifted_replay_columnar_end_to_end():
     """Full SWIFTED replay of the slice, native vs materialising."""
     stream, rib, peer_as = _slice_inputs()
 
     def replay(native):
-        return replay_stream(
+        return (replay_stream if native else replay_stream_objects)(
             stream,
             rib,
             peer_as=peer_as,
             swifted=True,
             swift_config=_SWIFT_CONFIG,
             collect_events=True,
-            column_native=native,
         )
 
     with _construction_probe() as calls:
@@ -271,17 +242,18 @@ def test_bench_swifted_replay_column_native_end_to_end():
     native_seconds = min(replay(True).wall_seconds for _ in range(3))
     materialised_seconds = min(replay(False).wall_seconds for _ in range(3))
     speedup = materialised_seconds / max(native_seconds, 1e-9)
-    _record(
-        "swifted_replay.column_native_vs_materialising",
+    record(
+        RESULTS_PATH,
+        "swifted_replay.columnar_vs_object",
         {
             "messages": native.message_count,
             "reroutes": native.reroutes,
             "losses": native.losses,
             **bench_env(),
-            "materialising_seconds": round(materialised_seconds, 4),
-            "column_native_seconds": round(native_seconds, 4),
+            "object_seconds": round(materialised_seconds, 4),
+            "columnar_seconds": round(native_seconds, 4),
             "speedup": round(speedup, 2),
-            "messages_materialised_native": 0,
+            "messages_materialised_columnar": 0,
             "byte_identical": True,
         },
     )

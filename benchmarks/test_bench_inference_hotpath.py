@@ -18,6 +18,8 @@ import time
 
 import pytest
 
+from oracles.fit_score_reference import ReferenceFitScoreCalculator, reference_engine
+
 from repro.bgp.attributes import ASPath
 from repro.bgp.messages import Update
 from repro.bgp.prefix import prefix_block
@@ -25,7 +27,6 @@ from repro.core.burst_detection import BurstDetectorConfig
 from repro.core.fit_score import FitScoreCalculator, FitScoreConfig, LinkPrefixIndex
 from repro.core.history import TriggeringSchedule
 from repro.core.inference import InferenceConfig, InferenceEngine
-from repro.core.reference import ReferenceFitScoreCalculator
 
 PREFIXES_PER_ORIGIN = 150
 ORIGINS = 200  # 30k prefixes over ~400 links
@@ -124,13 +125,7 @@ def test_bench_per_trigger_inference_path():
         return time.perf_counter() - begin, engine.results
 
     def run_reference():
-        engine = InferenceEngine(
-            rib,
-            config=config,
-            calculator_factory=lambda current: ReferenceFitScoreCalculator(
-                current, config=config.fit_score
-            ),
-        )
+        engine = reference_engine(rib, config=config)
         begin = time.perf_counter()
         engine.process_batch(messages)
         return time.perf_counter() - begin, engine.results

@@ -19,7 +19,6 @@ environment fields every ``BENCH_*.json`` carries (see
 :func:`conftest.bench_env`), same pattern as ``BENCH_fleet.json``.
 """
 
-import json
 import os
 import subprocess
 import sys
@@ -27,7 +26,7 @@ import time
 
 import pytest
 
-from conftest import bench_env
+from conftest import bench_env, record
 
 from repro.ingest import IngestConfig, IngestDaemon, Manifest, SyntheticFeed, recover_feed
 from repro.traces.synthetic import SyntheticTraceConfig, SyntheticTraceGenerator
@@ -47,21 +46,6 @@ _THROUGHPUT_CONFIG = SyntheticTraceConfig(
     noise_rate_per_second=0.05,
     seed=23,
 )
-
-
-def _record(key, payload):
-    """Merge one benchmark's results into BENCH_ingest.json."""
-    data = {}
-    if os.path.exists(RESULTS_PATH):
-        try:
-            with open(RESULTS_PATH) as handle:
-                data = json.load(handle)
-        except (OSError, ValueError):
-            data = {}
-    data[key] = payload
-    with open(RESULTS_PATH, "w") as handle:
-        json.dump(data, handle, indent=2, sort_keys=True)
-        handle.write("\n")
 
 
 @pytest.mark.slow
@@ -99,7 +83,7 @@ def test_bench_ingest_throughput(tmp_path):
         "rows_per_second": round(rows / elapsed, 1),
         **bench_env(),
     }
-    _record("ingest.throughput", payload)
+    record(RESULTS_PATH, "ingest.throughput", payload)
     print()
     print(
         f"  ingest: {rows} rows / {len(feeds)} feeds in {elapsed:.2f}s "
@@ -150,7 +134,7 @@ def test_bench_ingest_recovery_after_kill(tmp_path):
         "recovery_seconds": round(elapsed, 4),
         **bench_env(),
     }
-    _record("ingest.recovery_after_kill", payload)
+    record(RESULTS_PATH, "ingest.recovery_after_kill", payload)
     print()
     print(
         f"  recovery: {payload['feeds']} feeds, {recovered_rows} sealed rows "

@@ -19,15 +19,12 @@ run over run; the tests cheap enough for tier-1 record under pytest's temp
 dir instead (see ``conftest.py``), leaving the checkout untouched.
 """
 
-import gc
-import json
 import os
 import time
-from contextlib import contextmanager
 
 import pytest
 
-from conftest import bench_env
+from conftest import bench_env, gc_paused, record
 
 from repro.bgp.attributes import ASPath, PathAttributes
 from repro.bgp.messages import Update
@@ -41,45 +38,12 @@ _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RESULTS_PATH = os.path.join(_REPO_ROOT, "BENCH_replay.json")
 
 
-def _record(key, payload):
-    """Merge one benchmark's results into BENCH_replay.json."""
-    data = {}
-    if os.path.exists(RESULTS_PATH):
-        try:
-            with open(RESULTS_PATH) as handle:
-                data = json.load(handle)
-        except (OSError, ValueError):
-            data = {}
-    data[key] = payload
-    with open(RESULTS_PATH, "w") as handle:
-        json.dump(data, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-@contextmanager
-def _gc_paused():
-    """Suspend the cyclic GC during a timed section (collect right before).
-
-    Benchmarks run after other tests in the same process; without this the
-    collector's pauses land arbitrarily inside whichever variant happens to
-    allocate when a threshold trips, skewing the ratios.
-    """
-    gc.collect()
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
-
-
 def _best_of(runs, build, replay):
     """Best wall time of ``replay`` over freshly built state, in seconds."""
     best = float("inf")
     for _ in range(runs):
         state = build()
-        with _gc_paused():
+        with gc_paused():
             begin = time.perf_counter()
             replay(state)
             best = min(best, time.perf_counter() - begin)
@@ -167,7 +131,8 @@ def test_bench_batched_speaker_exploration_burst():
     messages = _exploration_burst()
     per_message_seconds, batched_seconds = _speaker_speedup(messages)
     speedup = per_message_seconds / batched_seconds
-    _record(
+    record(
+        RESULTS_PATH,
         "batched_speaker.exploration_burst",
         {
             "messages": len(messages),
@@ -191,7 +156,8 @@ def test_bench_batched_speaker_withdrawal_burst():
     messages = _withdrawal_burst()
     per_message_seconds, batched_seconds = _speaker_speedup(messages)
     speedup = per_message_seconds / batched_seconds
-    _record(
+    record(
+        RESULTS_PATH,
         "batched_speaker.withdrawal_burst",
         {
             "messages": len(messages),
@@ -237,32 +203,33 @@ def _churn(router, s6, moved=200):
 
 def test_bench_warm_vs_cold_provision():
     router, s6 = _loaded_router()
-    with _gc_paused():
+    with gc_paused():
         begin = time.perf_counter()
         router.provision()
         cold_initial = time.perf_counter() - begin
 
     _churn(router, s6)
-    with _gc_paused():
+    with gc_paused():
         begin = time.perf_counter()
         router.provision()
         warm_delta = time.perf_counter() - begin
     assert router.last_provision_stats["mode"] == 1
 
-    with _gc_paused():
+    with gc_paused():
         begin = time.perf_counter()
         router.provision()
         warm_clean = time.perf_counter() - begin
 
     _churn(router, s6)
-    with _gc_paused():
+    with gc_paused():
         begin = time.perf_counter()
         router.provision(full_rebuild=True)
         cold_rebuild = time.perf_counter() - begin
 
     delta_speedup = cold_rebuild / warm_delta
     clean_speedup = cold_rebuild / warm_clean
-    _record(
+    record(
+        RESULTS_PATH,
         "incremental_provision",
         {
             "prefixes": len(s6),
@@ -322,12 +289,12 @@ def test_bench_trace_memoisation():
     if path and os.path.exists(path):
         os.unlink(path)
 
-    with _gc_paused():
+    with gc_paused():
         begin = time.perf_counter()
         generated = cached_corpus(**kwargs)
         generate_seconds = time.perf_counter() - begin
 
-    with _gc_paused():
+    with gc_paused():
         begin = time.perf_counter()
         reloaded = cached_corpus(**kwargs)
         reload_seconds = time.perf_counter() - begin
@@ -337,7 +304,8 @@ def test_bench_trace_memoisation():
         burst.peer_as for burst in generated
     ]
     speedup = generate_seconds / reload_seconds
-    _record(
+    record(
+        RESULTS_PATH,
         "trace_memoisation.corpus",
         {
             "bursts": len(generated),

@@ -7,7 +7,7 @@ Walks the whole full-table pipeline at a configurable scale:
 2. stream every peer's full feed through the columnar substrate into a
    :class:`repro.bgp.speaker.BGPSpeaker`,
 3. bulk-build the path-compressed Loc-RIB trie and answer longest-prefix-match
-   queries from it, comparing its footprint against the per-bit reference trie,
+   queries from it,
 4. compute the covering-prefix *aggregated* backup table, which stores one
    entry per profile-change point instead of one per prefix.
 
@@ -28,8 +28,6 @@ sys.path.insert(0, "src")
 
 from repro.bgp.prefix import random_addresses
 from repro.bgp.speaker import BGPSpeaker
-from repro.bgp.trie import PrefixTrie
-from repro.bgp.trie_reference import ReferencePrefixTrie
 from repro.core.backup import BackupComputer
 from repro.traces.fulltable import FullTableConfig, FullTableGenerator
 
@@ -65,23 +63,6 @@ def main() -> None:
         f"bulk-built compressed Loc-RIB trie in {time.perf_counter() - started:.2f}s: "
         f"{best_trie.node_count():,} nodes, "
         f"{best_trie.memory_bytes() / 1e6:.1f} MB for {len(best_trie):,} routes"
-    )
-
-    # Footprint vs the per-bit reference on a sparse sample (a full per-bit
-    # build at internet scale is exactly the explosion we are avoiding).
-    rng = random.Random(7)
-    sample_size = min(10_000, len(table))
-    indexes = sorted(rng.sample(range(len(table)), sample_size))
-    sample = [(table.prefixes[index], index) for index in indexes]
-    compressed = PrefixTrie()
-    compressed.build_from_sorted(sample)
-    reference = ReferencePrefixTrie()
-    for prefix, value in sample:
-        reference.insert(prefix, value)
-    print(
-        f"{sample_size:,}-prefix sample: per-bit reference holds "
-        f"{reference.memory_bytes() / compressed.memory_bytes():.1f}x the memory "
-        f"({reference.node_count():,} vs {compressed.node_count():,} nodes)"
     )
 
     addresses = random_addresses(

@@ -88,7 +88,7 @@ def main() -> None:
         for index, prefix in enumerate(affected)
     ]
 
-    actions = router.receive_all(burst)
+    actions = router.receive_batch(burst)
     action = actions[0]
     timing = FibUpdateTimingModel()
     print("\n--- SWIFT fast-reroute fired ---")

@@ -57,7 +57,7 @@ def main() -> None:
     session_prefixes = list(rib)
     for index, burst in enumerate(bursts):
         engine = InferenceEngine(rib, config=InferenceConfig())
-        engine.process_stream(burst.messages)
+        engine.process_batch(burst.messages)
         result = engine.accepted_inference
         if result is None:
             print(f"burst {index}: {burst.size} withdrawals - below the triggering "

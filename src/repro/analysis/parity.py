@@ -1,13 +1,15 @@
 """Rule ``parity-pair``: reference/optimized twins must not drift apart.
 
 The repo's correctness story leans on *parity pairs*: a reference
-implementation kept verbatim next to the optimized production path, with
-byte-identical-output tests bridging them.  Those tests only hold while the
+implementation kept verbatim beside the optimized production path — as a
+test oracle under ``tests/oracles/``, or in the package where it is also a
+production fallback — with byte-identical-output tests bridging them.  Those tests only hold while the
 two surfaces stay call-compatible — a renamed parameter or changed default
 on one side silently turns the parity suite into a partial check.  This
 rule pins the surfaces themselves:
 
-* **class pairs** — every public method of the reference class must exist
+* **class pairs** — every public method of the reference class (the
+  oracles, protocol methods the inference engine calls included) must exist
   on the optimized twin with a matching signature (parameter names, order
   and defaults; annotations are deliberately ignored — the twins annotate
   differently and annotations never change call compatibility).  The twin
@@ -60,13 +62,13 @@ class MethodPair:
 
 DEFAULT_CLASS_PAIRS: Tuple[ClassPair, ...] = (
     ClassPair(
-        "src/repro/core/reference.py",
+        "tests/oracles/fit_score_reference.py",
         "ReferenceFitScoreCalculator",
         "src/repro/core/fit_score.py",
         "FitScoreCalculator",
     ),
     ClassPair(
-        "src/repro/bgp/trie_reference.py",
+        "tests/oracles/trie_reference.py",
         "ReferencePrefixTrie",
         "src/repro/bgp/trie.py",
         "PrefixTrie",
@@ -169,7 +171,7 @@ def _compatible(
 class ParityChecker(Checker):
     name = "parity-pair"
     description = (
-        "reference/optimized twins (reference.py classes, kernel backends, "
+        "reference/optimized twins (tests/oracles classes, kernel backends, "
         "*_reference methods) keep matching public signatures"
     )
 

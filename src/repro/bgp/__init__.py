@@ -31,7 +31,6 @@ from repro.bgp.rib import AdjRibIn, LocRib, RibEntry, RouteChange
 from repro.bgp.session import MessageStream, PeeringSession, SessionState
 from repro.bgp.speaker import BGPSpeaker
 from repro.bgp.trie import PrefixTrie
-from repro.bgp.trie_reference import ReferencePrefixTrie
 
 __all__ = [
     "AdjRibIn",
@@ -50,7 +49,6 @@ __all__ = [
     "Prefix",
     "PrefixError",
     "PrefixTrie",
-    "ReferencePrefixTrie",
     "RibEntry",
     "RouteChange",
     "SessionState",

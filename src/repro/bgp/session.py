@@ -286,13 +286,6 @@ class PeeringSession:
                 observer(self, changes)
         return changes
 
-    def process_all(self, messages: Iterable[BGPMessage]) -> List[RouteChange]:
-        """Process a sequence of messages, returning the concatenated changes."""
-        all_changes: List[RouteChange] = []
-        for message in messages:
-            all_changes.extend(self.process(message))
-        return all_changes
-
     def process_batch(
         self, messages: Iterable[BGPMessage]
     ) -> List[List[RouteChange]]:

@@ -203,17 +203,6 @@ class BGPSpeaker:
         """
         return SpeakerBatch(self)
 
-    def receive_all(self, messages: Iterable[BGPMessage]) -> List[BestRouteChange]:
-        """Process a stream of messages with batched (coalesced) semantics.
-
-        Delegates to :meth:`receive_batch`: the final Loc-RIB and the
-        loss-of-reachability / recovery events match per-message replay, but
-        intermediate next-hop flaps inside the stream are merged into one
-        ``pre-batch -> final`` change per prefix.  Callers that need every
-        intermediate change must call :meth:`receive` per message.
-        """
-        return self.receive_batch(messages)
-
     def receive_columnar(self, source, kernel=None) -> List[BestRouteChange]:
         """Process a columnar trace (or an iterable of columnar runs).
 
@@ -400,10 +389,6 @@ class SpeakerBatch:
         # down transition / installed by an up transition.
         self._transitions: List[Tuple[Prefix, bool, Optional[RibEntry]]] = []
         self._committed = False
-
-    def add(self, message: BGPMessage) -> None:
-        """Apply one message's RIB changes, deferring best-path selection."""
-        self.add_run(message.peer_as, (message,))
 
     def add_run(
         self, peer_as: Optional[int], messages: Sequence[BGPMessage]

@@ -2,8 +2,8 @@
 
 The data-plane models (two-stage forwarding table, vanilla-router FIB), the
 RIBs and the covering-prefix backup aggregation all need longest-prefix-match
-semantics.  The original per-bit trie (kept as
-:class:`repro.bgp.trie_reference.ReferencePrefixTrie`) allocates one node per
+semantics.  The original per-bit trie (kept as the test oracle
+``tests/oracles/trie_reference.py``) allocates one node per
 significant bit and walks per-prefix bit tuples — at DFZ scale that is
 several nodes per route plus a memoised bit decomposition per prefix, which
 makes the trie itself the first casualty of internet scale.
@@ -91,7 +91,7 @@ class PrefixTrie(Generic[V]):
 
     Provides dictionary-like exact operations plus longest-prefix-match
     queries on 32-bit addresses.  Iteration order is sorted by prefix.
-    Drop-in compatible with the per-bit reference twin; see the module
+    Drop-in compatible with the per-bit test oracle; see the module
     docstring for the structural differences.
     """
 
@@ -456,7 +456,7 @@ class PrefixTrie(Generic[V]):
         references shared with the caller (the RIB, the FIB, the backup
         table) and span keys are packed machine integers, so nothing else
         is private to the trie.  Directly comparable with the per-bit
-        reference twin's measurement, which additionally owns the memoised
+        test oracle's measurement, which additionally owns the memoised
         bit decompositions its walks require.
         """
         total = 0

@@ -107,8 +107,8 @@ class SwiftController:
             return None
         return self._program_switch(action)
 
-    def receive_all(self, messages: Sequence[BGPMessage]) -> List[float]:
-        """Relay a stream of messages; returns every reroute completion time.
+    def receive_batch(self, messages: Sequence[BGPMessage]) -> List[float]:
+        """Relay a batch of messages; returns every reroute completion time.
 
         The messages are handed to the router as one batch (the controller of
         §7 drains its BGP socket in bulk anyway); switch programming happens
@@ -122,7 +122,7 @@ class SwiftController:
     def receive_columnar(self, source) -> List[float]:
         """Relay a columnar trace; returns every reroute completion time.
 
-        Same semantics as :meth:`receive_all` over the materialised stream,
+        Same semantics as :meth:`receive_batch` over the materialised stream,
         but the router consumes the trace's same-peer runs directly
         (:meth:`~repro.core.swifted_router.SwiftedRouter.receive_columnar`).
         """

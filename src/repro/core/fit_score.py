@@ -364,11 +364,6 @@ class FitScoreCalculator:
         """O(1) construction over an already-maintained index (no RIB scan)."""
         return cls(config=config, index=index, kernel=kernel)
 
-    @property
-    def index(self) -> LinkPrefixIndex:
-        """The (possibly shared) link/prefix index backing this calculator."""
-        return self._index
-
     # -- feeding the stream ----------------------------------------------------
 
     def _sync_counts(self) -> None:

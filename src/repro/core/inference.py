@@ -54,9 +54,8 @@ __all__ = [
 Link = Tuple[int, int]
 
 #: Signature of a pluggable calculator factory: given the engine's current
-#: RIB view it returns a fit-score calculator.  Used by the parity tests and
-#: speedup benchmarks to run the reference (full-scan) implementation through
-#: the exact same engine logic.
+#: RIB view it returns a fit-score calculator — the one substitution seam of
+#: the engine (see :class:`InferenceEngine`).
 CalculatorFactory = Callable[[Mapping[Prefix, ASPath]], FitScoreCalculator]
 
 
@@ -164,10 +163,18 @@ class InferenceEngine:
         When provided, the implicit first AS link between the local router
         and the session peer is also considered by the scoring.
     calculator_factory:
-        Optional hook replacing the O(1) overlay calculator with a custom
-        one (called with the engine's current RIB view at every burst start).
-        Exists for the reference-parity tests and benchmarks; production use
-        should leave it unset.
+        The engine's single substitution seam: called with the engine's
+        current RIB view at every burst start, its product scores the burst
+        instead of the O(1) overlay calculator.  The engine calls that
+        product directly and never asks what it is, so it must implement the
+        calculator protocol in full — ``record_withdrawals``,
+        ``record_withdrawal_rows``, ``record_run``, ``record_update``,
+        ``all_scores``, ``score_from_counts``, ``prefixes_via_links`` and
+        ``withdrawn_within``, with :class:`FitScoreCalculator`'s signatures
+        and return values — and ``record_update`` must also move the prefix
+        in :attr:`index` (the default calculator does so by sharing it).
+        ``tests/oracles/fit_score_reference.py`` is the worked example;
+        production use leaves this unset.
     """
 
     def __init__(
@@ -189,7 +196,6 @@ class InferenceEngine:
         self._kernel = kernels.get_backend(self.config.kernel_backend)
         self.detector = BurstDetector(self.config.detector, kernel=self._kernel)
         self._calculator: Optional[FitScoreCalculator] = None
-        self._calculator_shares_index = False
         self._burst_start: Optional[float] = None
         self._withdrawals_in_burst = 0
         self._next_trigger: Optional[int] = self.config.schedule.first_trigger
@@ -251,18 +257,19 @@ class InferenceEngine:
 
         if message.announcements:
             # Keep the RIB view and the link/prefix index current; during a
-            # burst the calculator also follows the implicit withdrawals
-            # carried by path changes.
+            # burst the calculator follows the implicit withdrawals carried
+            # by path changes and patches the index itself.
+            apply = (
+                self._calculator.record_update
+                if self._in_burst
+                else self._index.set_path
+            )
+            rib = self._rib
             for announcement in message.announcements:
                 prefix = announcement.prefix
                 path = announcement.attributes.as_path
-                if self._in_burst:
-                    self._calculator.record_update(prefix, path)
-                    if not self._calculator_shares_index:
-                        self._index.set_path(prefix, path)
-                else:
-                    self._index.set_path(prefix, path)
-                self._rib[prefix] = path
+                apply(prefix, path)
+                rib[prefix] = path
 
         if (
             self._in_burst
@@ -288,12 +295,6 @@ class InferenceEngine:
             if result is not None:
                 accepted.append(result)
         return accepted
-
-    def process_stream(
-        self, messages: Iterable[BGPMessage]
-    ) -> List[InferenceResult]:
-        """Feed a whole stream; returns every accepted inference."""
-        return self.process_batch(messages)
 
     def process_columnar_run(self, run) -> List[InferenceResult]:
         """Feed a same-peer columnar run straight from its columns.
@@ -435,21 +436,19 @@ class InferenceEngine:
 
     # -- columnar internals -------------------------------------------------
 
-    def _fold_announcements(
-        self, trace, a_low: int, a_high: int, calculator=None, record: bool = True
-    ) -> None:
+    def _fold_announcements(self, trace, a_low: int, a_high: int, apply=None) -> None:
         """Fold [a_low, a_high) of the announcement columns into the RIB view.
 
         The one decode-and-fold loop every columnar span shares (the per-row
         quiet loop keeps its own inlined copy for speed): each announcement's
-        interned (prefix, AS path) pair lands in the engine RIB, the
-        persistent index is patched — directly, or through ``calculator``'s
-        :meth:`~repro.core.fit_score.FitScoreCalculator.record_update` when
-        one is given (in-burst, where the implicit-withdrawal bookkeeping
-        must run first and a calculator sharing the index patches it itself).
-        ``record=False`` is the post-:meth:`_record_span` mode: the
-        calculator already recorded the window, so only the RIB mirror (and
-        the index, for a non-sharing calculator) remains.
+        interned (prefix, AS path) pair is handed to ``apply`` and lands in
+        the engine RIB.  ``apply`` is what patches the persistent index: its
+        ``set_path`` in quiet time, the burst calculator's
+        :meth:`~repro.core.fit_score.FitScoreCalculator.record_update`
+        in-burst (the implicit-withdrawal bookkeeping runs first, then the
+        calculator moves the prefix in the index).  ``None`` after
+        :meth:`_record_span`: the calculator already recorded the window, so
+        only the RIB mirror remains.
         """
         if a_high <= a_low:
             return
@@ -460,18 +459,11 @@ class InferenceEngine:
         ann_prefix = trace.ann_prefix
         ann_attr = trace.ann_attr
         rib = self._rib
-        set_path = (
-            None
-            if calculator is not None and self._calculator_shares_index
-            else self._index.set_path
-        )
         for index in range(a_low, a_high):
             prefix = prefix_at(ann_prefix[index])
             path = path_at(attr_path[ann_attr[index]])
-            if calculator is not None and record:
-                calculator.record_update(prefix, path)
-            if set_path is not None:
-                set_path(prefix, path)
+            if apply is not None:
+                apply(prefix, path)
             rib[prefix] = path
 
     def _columnar_span(
@@ -499,7 +491,7 @@ class InferenceEngine:
         w = wd_end[lo - 1] if lo else 0
         a = ann_end[lo - 1] if lo else 0
         if not self._recent_withdrawals and wd_end[hi - 1] == w:
-            self._fold_announcements(trace, a, ann_end[hi - 1])
+            self._fold_announcements(trace, a, ann_end[hi - 1], self._index.set_path)
             return
         pool = trace.pool
         prefix_at = pool.prefix_at
@@ -576,7 +568,7 @@ class InferenceEngine:
                 # Buffer drained and no withdrawals left in the span: the
                 # remaining rows are pure announcement traffic — fold them
                 # in one pass over the announcement columns.
-                self._fold_announcements(trace, a, ann_end[hi - 1])
+                self._fold_announcements(trace, a, ann_end[hi - 1], set_path)
                 return
             while w < w_high:
                 buffered_append((timestamp, prefix_at(wd_prefix[w])))
@@ -633,15 +625,9 @@ class InferenceEngine:
             # the trigger row must not be visible to the inference.
             self._withdrawals_in_burst += self._record_span(run, position, row)
             w_low = wd_end[row - 1] if row else 0
-            record_rows = getattr(self._calculator, "record_withdrawal_rows", None)
-            if record_rows is not None:
-                self._withdrawals_in_burst += record_rows(
-                    pool, trace.wd_prefix, w_low, wd_end[row]
-                )
-            else:
-                self._withdrawals_in_burst += self._calculator.record_withdrawals(
-                    pool.prefixes_at(trace.wd_prefix[w_low : wd_end[row]])
-                )
+            self._withdrawals_in_burst += self._calculator.record_withdrawal_rows(
+                pool, trace.wd_prefix, w_low, wd_end[row]
+            )
             result = self._maybe_infer(times[row])
             if result is not None:
                 accepted.append(result)
@@ -649,7 +635,7 @@ class InferenceEngine:
                 trace,
                 ann_end[row - 1] if row else 0,
                 ann_end[row],
-                calculator=self._calculator,
+                self._calculator.record_update,
             )
             position = row + 1
 
@@ -658,10 +644,10 @@ class InferenceEngine:
 
         Returns the withdrawal entries processed (the burst-counter
         increment).  The calculator handles its own withdrawal/announcement
-        interleaving (:meth:`~repro.core.fit_score.FitScoreCalculator.record_run`);
-        the engine then folds the span's announcements into its RIB view —
-        and into the persistent index when the calculator does not share it
-        — exactly as the announcement branch of :meth:`process_message` does.
+        interleaving (:meth:`~repro.core.fit_score.FitScoreCalculator.record_run`,
+        which also patches the persistent index); the engine then folds the
+        span's announcements into its RIB view, as the announcement branch
+        of :meth:`process_message` does.
         """
         if hi <= lo:
             return 0
@@ -671,11 +657,7 @@ class InferenceEngine:
         trace = run.trace
         ann_end = trace.ann_end
         self._fold_announcements(
-            trace,
-            ann_end[lo - 1] if lo else 0,
-            ann_end[hi - 1],
-            calculator=self._calculator,
-            record=False,
+            trace, ann_end[lo - 1] if lo else 0, ann_end[hi - 1]
         )
         return processed
 
@@ -705,22 +687,14 @@ class InferenceEngine:
         if event.kind == "start":
             self._start_burst(event.timestamp)
             if w_high > w_low:
-                record_rows = getattr(
-                    self._calculator, "record_withdrawal_rows", None
+                self._withdrawals_in_burst += self._calculator.record_withdrawal_rows(
+                    trace.pool, trace.wd_prefix, w_low, w_high
                 )
-                if record_rows is not None:
-                    self._withdrawals_in_burst += record_rows(
-                        trace.pool, trace.wd_prefix, w_low, w_high
-                    )
-                else:
-                    self._withdrawals_in_burst += self._calculator.record_withdrawals(
-                        trace.pool.prefixes_at(trace.wd_prefix[w_low:w_high])
-                    )
                 result = self._maybe_infer(timestamp)
                 if result is not None:
                     accepted.append(result)
             self._fold_announcements(
-                trace, a_low, a_high, calculator=self._calculator
+                trace, a_low, a_high, self._calculator.record_update
             )
         else:
             self._end_burst(event.timestamp)
@@ -728,20 +702,16 @@ class InferenceEngine:
             wd_prefix = trace.wd_prefix
             for index in range(w_low, w_high):
                 buffered.append((timestamp, prefix_at(wd_prefix[index])))
-            self._fold_announcements(trace, a_low, a_high)
+            self._fold_announcements(trace, a_low, a_high, self._index.set_path)
 
     def _start_burst(self, timestamp: float) -> None:
         if self._calculator_factory is not None:
             self._calculator = self._calculator_factory(self._rib)
-            self._calculator_shares_index = (
-                getattr(self._calculator, "index", None) is self._index
-            )
         else:
             # O(1): overlay the live index instead of rescanning the RIB.
             self._calculator = FitScoreCalculator.from_index(
                 self._index, config=self.config.fit_score, kernel=self._kernel
             )
-            self._calculator_shares_index = True
         self._burst_start = (
             self._recent_withdrawals[0][0] if self._recent_withdrawals else timestamp
         )
@@ -759,7 +729,6 @@ class InferenceEngine:
         if self.history is not None and self._withdrawals_in_burst > 0:
             self.history.record_burst(self._withdrawals_in_burst)
         self._calculator = None
-        self._calculator_shares_index = False
         self._burst_start = None
         self._withdrawals_in_burst = 0
         self._next_trigger = self.config.schedule.first_trigger
@@ -791,15 +760,9 @@ class InferenceEngine:
 
         inferred_links, best_scores = self._aggregate(calculator, scores)
         predicted = calculator.prefixes_via_links(inferred_links)
-        withdrawn_within = getattr(calculator, "withdrawn_within", None)
-        already_withdrawn = (
-            withdrawn_within(predicted)
-            if withdrawn_within is not None
-            else calculator.withdrawn_prefixes & predicted
-        )
         prediction = PrefixPrediction(
             predicted_prefixes=predicted,
-            already_withdrawn=already_withdrawn,
+            already_withdrawn=calculator.withdrawn_within(predicted),
         )
 
         accepted = accept_always or self._accept(prediction)
@@ -852,9 +815,7 @@ class InferenceEngine:
         """
         best_single = scores[0]
         tolerance = self.config.score_tolerance
-        # Calculators without the incremental hook (e.g. the retained seed
-        # reference implementation) fall back to the full re-summation.
-        score_from_counts = getattr(calculator, "score_from_counts", None)
+        score_from_counts = calculator.score_from_counts
 
         aggregate_links: List[Link] = [best_single.links[0]]
         aggregate_score = best_single
@@ -870,14 +831,11 @@ class InferenceEngine:
             if not shared:
                 continue
             trial_links = aggregate_links + [link]
-            if score_from_counts is not None:
-                trial_score = score_from_counts(
-                    trial_links,
-                    aggregate_withdrawn + candidate.withdrawn_count,
-                    aggregate_routed + candidate.still_routed_count,
-                )
-            else:
-                trial_score = calculator.score_set(trial_links)
+            trial_score = score_from_counts(
+                trial_links,
+                aggregate_withdrawn + candidate.withdrawn_count,
+                aggregate_routed + candidate.still_routed_count,
+            )
             if trial_score.fit_score > aggregate_score.fit_score + tolerance:
                 aggregate_links = trial_links
                 aggregate_score = trial_score

@@ -7,7 +7,7 @@ defined here, with two interchangeable backends:
 
 * :mod:`repro.core.kernels.stdlib` — the bisect/Counter logic the stack
   shipped with, extracted verbatim.  Always available; the parity reference
-  in the ``reference.py`` tradition.
+  the other backend is checked against.
 * :mod:`repro.core.kernels.numpy` — whole-run ``np.cumsum`` /
   ``np.bincount`` / ``np.searchsorted`` / boolean-mask kernels over
   zero-copy ``np.frombuffer`` views of the existing column buffers.  numpy

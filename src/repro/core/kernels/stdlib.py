@@ -3,8 +3,9 @@
 Extracted verbatim from :meth:`BurstDetector.observe_run`, the
 :meth:`FitScoreCalculator.record_run` fast path, the engine's span walking
 and :meth:`ColumnarTrace.iter_batches` — this module is the *parity
-reference* every other backend is checked against, in the tradition of
-``repro/core/reference.py``.  It is always importable (no third-party
+reference* every other backend is checked against — the one reference
+twin that ships in the package, because it is also the only backend that
+runs where numpy is absent.  It is always importable (no third-party
 dependencies) and is what :func:`repro.core.kernels.get_backend` falls back
 to when numpy is absent.
 

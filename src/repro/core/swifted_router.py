@@ -421,10 +421,6 @@ class SwiftedRouter:
             self._feeding_engines = False
         return actions
 
-    def receive_all(self, messages: Iterable[BGPMessage]) -> List[RerouteAction]:
-        """Process a stream of messages; returns every reroute action."""
-        return self.receive_batch(messages)
-
     def receive_columnar(self, source, kernel=None) -> List[RerouteAction]:
         """Process a columnar trace (or iterable of columnar runs).
 

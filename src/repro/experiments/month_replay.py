@@ -131,23 +131,6 @@ class MonthReplayResult:
         )
 
 
-def _materialising(receive_batch):
-    """Adapt ``receive_batch`` to chunk-of-runs input (the object-path twin).
-
-    Expands every run of a chunk into message objects before handing them to
-    the batched object path — what ``receive_columnar`` replaces.  Kept as
-    the explicit ``column_native=False`` comparator for parity tests and
-    benchmarks.
-    """
-
-    def receive(chunk: List[ColumnarRun]):
-        return receive_batch(
-            [message for run in chunk for message in run]
-        )
-
-    return receive
-
-
 def _chunked_runs(
     stream: ColumnarTrace, chunk_messages: int, kernel=None
 ) -> Iterator[List[ColumnarRun]]:
@@ -221,10 +204,10 @@ class StreamReplayer:
     arms the zero-object columnar path (speaker *and* inference engines
     consume the raw columns; no ``BGPMessage`` is built anywhere).
 
-    ``column_native=False`` replays the same chunks through the
-    materialising object path instead (each chunk's runs are expanded into
-    messages and fed to ``receive_batch``) — the comparator the columnar
-    parity matrix and the inference benchmarks measure against.
+    Every chunk reaches the router (or bare speaker) through
+    :meth:`_receive`; the parity matrix's object-path comparator
+    (``tests/oracles/object_replay.py``) overrides that one method to feed
+    the chunk's materialised messages to ``receive_batch`` instead.
 
     In SWIFTED mode a second, quiet session (``backup_session``) announces
     a surviving two-hop alternate for every prefix at a lower LOCAL_PREF —
@@ -257,7 +240,6 @@ class StreamReplayer:
         local_pref: int = 100,
         backup_session: bool = True,
         collect_events: bool = False,
-        column_native: bool = True,
         kernel_backend: Optional[str] = None,
     ) -> None:
         self.peer_as = peer_as
@@ -296,7 +278,6 @@ class StreamReplayer:
                         prefix = change.prefix
                         recovery_counter[(prefix.network, prefix.length)] += 1
 
-        kernel = self._kernel
         if swifted:
             if kernel_backend is not None:
                 # The engines resolve their backend from InferenceConfig;
@@ -327,10 +308,6 @@ class StreamReplayer:
             speaker = router.speaker
             speaker.add_best_route_listener(count_events)
             router.provision()
-            if column_native:
-                receive = lambda chunk: router.receive_columnar(chunk, kernel=kernel)
-            else:
-                receive = _materialising(router.receive_batch)
             self.router: Optional[SwiftedRouter] = router
         else:
             speaker = BGPSpeaker(local_as)
@@ -354,13 +331,13 @@ class StreamReplayer:
                 for prefix, path in sorted(rib.items())
             )
             speaker.add_best_route_listener(count_events)
-            if column_native:
-                receive = lambda chunk: speaker.receive_columnar(chunk, kernel=kernel)
-            else:
-                receive = _materialising(speaker.receive_batch)
             self.router = None
         self.speaker = speaker
-        self._receive = receive
+
+    def _receive(self, chunk: List[ColumnarRun]):
+        """Hand one chunk of same-peer runs to the router (or bare speaker)."""
+        sink = self.router if self.swifted else self.speaker
+        return sink.receive_columnar(chunk, kernel=self._kernel)
 
     def feed(self, stream: ColumnarTrace) -> None:
         """Replay one columnar stream (or stream window) through the router."""
@@ -428,7 +405,6 @@ def replay_stream(
     local_pref: int = 100,
     backup_session: bool = True,
     collect_events: bool = False,
-    column_native: bool = True,
     kernel_backend: Optional[str] = None,
 ) -> MonthReplayResult:
     """Replay one session's columnar stream through a router.
@@ -447,7 +423,6 @@ def replay_stream(
         local_pref=local_pref,
         backup_session=backup_session,
         collect_events=collect_events,
-        column_native=column_native,
         kernel_backend=kernel_backend,
     )
     replayer.feed(stream)
@@ -461,7 +436,6 @@ def run(
     swift_config: Optional[SwiftConfig] = None,
     chunk_messages: int = 50000,
     swifted: bool = True,
-    column_native: bool = True,
     kernel_backend: Optional[str] = None,
     validate: Optional[str] = None,
 ) -> MonthReplayResult:
@@ -495,7 +469,6 @@ def run(
         swift_config=swift_config,
         chunk_messages=chunk_messages,
         swifted=swifted,
-        column_native=column_native,
         kernel_backend=kernel_backend,
     )
 

@@ -132,6 +132,15 @@ class SessionJob:
             rib_path=path_column.tobytes(),
         )
 
+    def unpack(self, validate: Optional[str] = None) -> Tuple[ColumnarTrace, dict]:
+        """Rebuild the session's ``(stream, rib)`` from the job's buffers."""
+        stream = ColumnarTrace.from_payload(self.payload, validate=validate)
+        prefix_column = array("I")
+        prefix_column.frombytes(self.rib_prefix)
+        path_column = array("I")
+        path_column.frombytes(self.rib_path)
+        return stream, decode_rib(prefix_column, path_column, stream.pool)
+
 
 @dataclass(frozen=True)
 class _ReplayOptions:
@@ -143,7 +152,6 @@ class _ReplayOptions:
     chunk_messages: int = 50000
     local_pref: int = 100
     backup_session: bool = True
-    column_native: bool = True
     kernel_backend: Optional[str] = None
     fault_plan: Optional[faults.FaultPlan] = None
     validate: Optional[str] = None
@@ -196,12 +204,7 @@ def _replay_job(
                 attempt=attempt,
                 in_worker=in_worker,
             )
-        stream = ColumnarTrace.from_payload(job.payload, validate=options.validate)
-        prefix_column = array("I")
-        prefix_column.frombytes(job.rib_prefix)
-        path_column = array("I")
-        path_column.frombytes(job.rib_path)
-        rib = decode_rib(prefix_column, path_column, stream.pool)
+        stream, rib = job.unpack(validate=options.validate)
         return replay_stream(
             stream,
             rib,
@@ -213,7 +216,6 @@ def _replay_job(
             local_pref=options.local_pref,
             backup_session=options.backup_session,
             collect_events=True,
-            column_native=options.column_native,
             kernel_backend=options.kernel_backend,
         )
     finally:
@@ -386,7 +388,6 @@ def replay_jobs(
     local_pref: int = 100,
     backup_session: bool = True,
     mp_context: Optional[str] = None,
-    column_native: bool = True,
     kernel_backend: Optional[str] = None,
     strict: bool = True,
     retry: Union[None, int, RetryPolicy] = None,
@@ -406,10 +407,7 @@ def replay_jobs(
     ``workers=1`` replays inline through the same worker body, which is the
     sequential baseline the parity tests compare against.  ``mp_context``
     picks the multiprocessing start method (``"fork"`` where available,
-    else the platform default).  ``column_native=False`` drives every
-    worker through the materialising object path instead of the
-    column-native one — the comparator of the columnar parity matrix
-    (``tests/test_columnar_inference.py``).  ``kernel_backend`` selects the
+    else the platform default).  ``kernel_backend`` selects the
     column-kernel backend in every worker (``None`` auto-selects: numpy
     when importable, stdlib otherwise; see :mod:`repro.core.kernels`) —
     backends never change the result signature, only replay speed.
@@ -446,7 +444,6 @@ def replay_jobs(
         chunk_messages=chunk_messages,
         local_pref=local_pref,
         backup_session=backup_session,
-        column_native=column_native,
         kernel_backend=kernel_backend,
         fault_plan=fault_plan,
         validate=validate,

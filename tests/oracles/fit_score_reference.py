@@ -1,4 +1,4 @@
-"""Reference (pre-index) fit-score implementation, kept for parity checks.
+"""Test oracle: the full-scan (pre-index) fit-score implementation.
 
 :class:`ReferenceFitScoreCalculator` is the original full-scan implementation
 of the fit-score bookkeeping: it is seeded by scanning the entire RIB at
@@ -8,16 +8,25 @@ known prefix.  The production path
 :class:`~repro.core.fit_score.LinkPrefixIndex`) replaced it because both of
 those costs are O(RIB) and sit on the inference hot path.
 
-The class is retained — verbatim in behaviour — for two purposes:
+The scoring is kept verbatim; around it the class implements the whole
+calculator protocol :class:`~repro.core.inference.InferenceEngine` calls
+(``core/README.md``), so the engine never has to ask which calculator it was
+given:
 
-* the parity tests plug it into :class:`~repro.core.inference.InferenceEngine`
-  via ``calculator_factory`` and assert that the engine emits *identical*
+* the parity tests plug it in via ``calculator_factory``
+  (:func:`reference_engine`) and assert that the engine emits *identical*
   :class:`~repro.core.inference.InferenceResult` sequences with either
   implementation;
 * the hot-path benchmarks measure the speedup of the index-based path
-  against it.
+  against it;
+* the ``parity-pair`` lint holds its public signatures to
+  ``FitScoreCalculator``'s.
 
-Do not use it in production code.
+The one duty the production calculator performs as a side effect of sharing
+the engine's index — an in-burst announcement moves the prefix in the
+engine's persistent :class:`~repro.core.fit_score.LinkPrefixIndex` — is
+explicit here: pass that index as ``mirror`` and :meth:`record_update`
+patches it.
 """
 
 from __future__ import annotations
@@ -26,9 +35,10 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence,
 
 from repro.bgp.attributes import ASPath
 from repro.bgp.prefix import Prefix
-from repro.core.fit_score import FitScoreConfig, LinkScore
+from repro.core.fit_score import FitScoreConfig, LinkPrefixIndex, LinkScore
+from repro.core.inference import InferenceConfig, InferenceEngine
 
-__all__ = ["ReferenceFitScoreCalculator"]
+__all__ = ["ReferenceFitScoreCalculator", "reference_engine"]
 
 Link = Tuple[int, int]
 
@@ -47,8 +57,10 @@ class ReferenceFitScoreCalculator:
         config: Optional[FitScoreConfig] = None,
         local_as: Optional[int] = None,
         peer_as: Optional[int] = None,
+        mirror: Optional[LinkPrefixIndex] = None,
     ) -> None:
         self.config = config or FitScoreConfig()
+        self._mirror = mirror
         self._local_prefix_link: Optional[Link] = None
         if local_as is not None and peer_as is not None:
             self._local_prefix_link = _canonical((local_as, peer_as))
@@ -85,12 +97,16 @@ class ReferenceFitScoreCalculator:
             self._routed_for_link[link] = max(0, self._routed_for_link.get(link, 0) - 1)
 
     def record_withdrawals(self, prefixes: Iterable[Prefix]) -> int:
-        """Batched :meth:`record_withdrawal` (engine compatibility shim)."""
+        """Batched :meth:`record_withdrawal`; returns the prefixes processed."""
         processed = 0
         for prefix in prefixes:
             processed += 1
             self.record_withdrawal(prefix)
         return processed
+
+    def record_withdrawal_rows(self, pool, wd_prefix, lo: int, hi: int) -> int:
+        """Record ``wd_prefix[lo:hi]``: materialise the window and delegate."""
+        return self.record_withdrawals(pool.prefixes_at(wd_prefix[lo:hi]))
 
     def record_run(self, run, start=None, stop=None) -> int:
         """Columnar-run shim mirroring :meth:`FitScoreCalculator.record_run`.
@@ -146,6 +162,8 @@ class ReferenceFitScoreCalculator:
         self._links_of_prefix[prefix] = new_links
         for link in new_links:
             self._routed_for_link[link] = self._routed_for_link.get(link, 0) + 1
+        if self._mirror is not None:
+            self._mirror.set_path(prefix, new_path)
 
     # -- queries ----------------------------------------------------------------
 
@@ -158,6 +176,10 @@ class ReferenceFitScoreCalculator:
     def withdrawn_prefixes(self) -> FrozenSet[Prefix]:
         """The set of currently-withdrawn prefixes."""
         return frozenset(self._withdrawn_prefixes)
+
+    def withdrawn_within(self, prefixes) -> FrozenSet[Prefix]:
+        """``withdrawn_prefixes & prefixes`` for a set-like ``prefixes``."""
+        return frozenset(self._withdrawn_prefixes.intersection(prefixes))
 
     def tracked_links(self) -> List[Link]:
         """Every link appearing in at least one known path."""
@@ -224,6 +246,17 @@ class ReferenceFitScoreCalculator:
             still_routed_count=routed,
         )
 
+    def score_from_counts(
+        self, links: Sequence[Link], withdrawn: int, routed: int
+    ) -> LinkScore:
+        """The engine's incremental-aggregation hook, answered the slow way.
+
+        The running sums the engine hands over are ignored: the oracle
+        re-sums every member link (:meth:`score_set`), which is what checks
+        the production calculator's arithmetic shortcut.
+        """
+        return self.score_set(links)
+
     def all_scores(self, min_withdrawn: int = 1) -> List[LinkScore]:
         """Scores of every link with at least ``min_withdrawn`` withdrawals."""
         scores = [
@@ -265,3 +298,35 @@ class ReferenceFitScoreCalculator:
             return 0.0
         w_ws, w_ps = self.config.ws_weight, self.config.ps_weight
         return (ws ** w_ws * ps ** w_ps) ** (1.0 / (w_ws + w_ps))
+
+
+def reference_engine(
+    rib: Mapping[Prefix, ASPath],
+    config: Optional[InferenceConfig] = None,
+    local_as: Optional[int] = None,
+    peer_as: Optional[int] = None,
+) -> InferenceEngine:
+    """An :class:`InferenceEngine` that scores every burst with the oracle.
+
+    The factory closes over the engine so each burst's oracle mirrors its
+    announcements into that engine's own persistent index.
+    """
+    config = config or InferenceConfig()
+
+    def factory(current_rib: Mapping[Prefix, ASPath]) -> ReferenceFitScoreCalculator:
+        return ReferenceFitScoreCalculator(
+            current_rib,
+            config=config.fit_score,
+            local_as=local_as,
+            peer_as=peer_as,
+            mirror=engine.index,
+        )
+
+    engine = InferenceEngine(
+        rib,
+        config=config,
+        local_as=local_as,
+        peer_as=peer_as,
+        calculator_factory=factory,
+    )
+    return engine

@@ -1,4 +1,4 @@
-"""Per-bit binary prefix trie: the parity reference for ``bgp/trie.py``.
+"""Test oracle: the per-bit binary prefix trie ``bgp/trie.py`` replaced.
 
 This is the original one-node-per-bit trie, kept verbatim (modulo the
 memoised bit extraction) as the always-obviously-correct twin of the
@@ -9,7 +9,7 @@ static-analysis rule pins the two public surfaces together.
 
 Do not optimise this module: a /24 costs ~25 nodes here by design, which is
 exactly why it cannot host an internet-scale table (and why the compressed
-twin exists).  It remains the right tool for tests and tiny tables.
+twin exists).
 """
 
 from __future__ import annotations

@@ -11,15 +11,17 @@ nothing observable.  Asserted here as a matrix over
   (stdlib always; numpy when importable),
 
 comparing ``FleetReplayResult.signature()`` *byte-for-byte* (pickled) between
-the column-native path and the materialising object path
-(``column_native=False``), plus a construction probe proving the native
-SWIFTED path materialises zero ``BGPMessage`` objects.
+the column-native path and the materialising object path (the test-side
+driver ``tests/oracles/object_replay.py``), plus a construction probe proving
+the native SWIFTED path materialises zero ``BGPMessage`` objects.
 """
 
 import os
 import pickle
 
 import pytest
+
+from oracles.object_replay import replay_jobs_objects
 
 from repro.core import kernels
 from repro.core.history import TriggeringSchedule
@@ -74,28 +76,35 @@ def job_matrix(tmp_path_factory):
             os.environ["REPRO_TRACE_CACHE"] = previous
 
 
-def _signature_bytes(jobs, swifted, column_native, kernel_backend=None):
+def _signature_bytes(jobs, swifted, kernel_backend=None):
+    """Column-native replay: ``(result, pickled signature)``."""
     result = replay_jobs(
         jobs,
         workers=1,
         swifted=swifted,
         swift_config=_SWIFT if swifted else None,
-        column_native=column_native,
         kernel_backend=kernel_backend,
     )
     return result, pickle.dumps(result.signature())
 
 
+def _materialised_bytes(jobs, swifted):
+    """Pickled signature of the same replay through the object-path oracle."""
+    result = replay_jobs_objects(
+        jobs, swifted=swifted, swift_config=_SWIFT if swifted else None
+    )
+    return pickle.dumps(result.signature())
+
+
 class TestColumnarEnginePathParityMatrix:
     @pytest.mark.parametrize("temperature", ["cold", "warm"])
     @pytest.mark.parametrize("swifted", [True, False], ids=["swifted", "speaker_only"])
-    def test_signature_byte_identical_to_materialising_path(
+    def test_signature_byte_identical_to_object_path(
         self, job_matrix, temperature, swifted
     ):
         jobs = job_matrix[0] if temperature == "cold" else job_matrix[1]
-        native, native_bytes = _signature_bytes(jobs, swifted, column_native=True)
-        _, materialised_bytes = _signature_bytes(jobs, swifted, column_native=False)
-        assert native_bytes == materialised_bytes
+        native, native_bytes = _signature_bytes(jobs, swifted)
+        assert native_bytes == _materialised_bytes(jobs, swifted)
         if swifted:
             assert native.reroutes > 0, "the corpus must exercise the reroute path"
         else:
@@ -104,22 +113,20 @@ class TestColumnarEnginePathParityMatrix:
     @pytest.mark.kernels
     @pytest.mark.parametrize("temperature", ["cold", "warm"])
     @pytest.mark.parametrize("swifted", [True, False], ids=["swifted", "speaker_only"])
-    def test_every_kernel_backend_matches_materialising_path(
+    def test_every_kernel_backend_matches_object_path(
         self, job_matrix, temperature, swifted
     ):
         """backend x router-mode x cache-temperature, byte-for-byte."""
         jobs = job_matrix[0] if temperature == "cold" else job_matrix[1]
-        _, materialised_bytes = _signature_bytes(jobs, swifted, column_native=False)
+        materialised_bytes = _materialised_bytes(jobs, swifted)
         for backend in kernels.available_backends():
-            _, native_bytes = _signature_bytes(
-                jobs, swifted, column_native=True, kernel_backend=backend
-            )
+            _, native_bytes = _signature_bytes(jobs, swifted, kernel_backend=backend)
             assert native_bytes == materialised_bytes, (backend, swifted, temperature)
 
     def test_cold_and_warm_payloads_replay_identically(self, job_matrix):
         cold, warm = job_matrix
-        _, cold_bytes = _signature_bytes(cold, swifted=True, column_native=True)
-        _, warm_bytes = _signature_bytes(warm, swifted=True, column_native=True)
+        _, cold_bytes = _signature_bytes(cold, swifted=True)
+        _, warm_bytes = _signature_bytes(warm, swifted=True)
         assert cold_bytes == warm_bytes
 
     def test_native_swifted_path_materialises_no_messages(self, job_matrix):
@@ -133,12 +140,10 @@ class TestColumnarEnginePathParityMatrix:
 
         columnar.ColumnarTrace.message_at = counting
         try:
-            native, _ = _signature_bytes(
-                job_matrix[0], swifted=True, column_native=True
-            )
+            native, _ = _signature_bytes(job_matrix[0], swifted=True)
             assert native.message_count > 0
             assert calls == []
-            _signature_bytes(job_matrix[0], swifted=True, column_native=False)
+            _materialised_bytes(job_matrix[0], swifted=True)
             assert len(calls) == native.message_count
         finally:
             columnar.ColumnarTrace.message_at = original

@@ -238,7 +238,7 @@ class TestInferenceEngine:
     def test_inference_fires_and_localises(self):
         rib = fig1_session_rib()
         engine = InferenceEngine(rib, config=self._config())
-        results = engine.process_stream(_burst_messages(S7))
+        results = engine.process_batch(_burst_messages(S7))
         assert results, "an inference should have been accepted"
         result = results[0]
         assert (6, 7) in result.inferred_links
@@ -247,13 +247,13 @@ class TestInferenceEngine:
     def test_no_inference_without_burst(self):
         rib = fig1_session_rib()
         engine = InferenceEngine(rib, config=self._config(start_threshold=10 ** 6))
-        results = engine.process_stream(_burst_messages(S7))
+        results = engine.process_batch(_burst_messages(S7))
         assert results == []
 
     def test_detection_window_withdrawals_are_replayed(self):
         rib = fig1_session_rib()
         engine = InferenceEngine(rib, config=self._config(start_threshold=60, trigger=80))
-        engine.process_stream(_burst_messages(S6))
+        engine.process_batch(_burst_messages(S6))
         # The burst starts after 60 withdrawals but the counter includes them.
         assert engine.results
         assert engine.results[0].withdrawals_seen >= 80
@@ -267,7 +267,7 @@ class TestInferenceEngine:
             ),
         )
         engine = InferenceEngine(rib, config=config)
-        engine.process_stream(_burst_messages(S6 + S7 + S8))
+        engine.process_batch(_burst_messages(S6 + S7 + S8))
         accepted = engine.accepted_inference
         assert accepted is not None
         # The first try at 50 withdrawals predicts >200 prefixes (all of S6,
@@ -278,7 +278,7 @@ class TestInferenceEngine:
         rib = fig1_session_rib()
         engine = InferenceEngine(rib, config=self._config(start_threshold=10, trigger=10 ** 6))
         messages = _burst_messages(S6 + S8)
-        engine.process_stream(messages[:40])
+        engine.process_batch(messages[:40])
         result = engine.force_inference(timestamp=200.0)
         assert result is not None
         links = set(result.inferred_links)
@@ -289,7 +289,7 @@ class TestInferenceEngine:
         engine = InferenceEngine(rib, config=self._config())
         seen = []
         engine.add_listener(lambda result: seen.append(result))
-        engine.process_stream(_burst_messages(S7))
+        engine.process_batch(_burst_messages(S7))
         assert len(seen) == 1
 
     def test_updates_reduce_prediction(self):
@@ -312,7 +312,7 @@ class TestInferenceEngine:
                 )
             )
         messages.sort(key=lambda m: m.timestamp)
-        results = engine.process_stream(messages)
+        results = engine.process_batch(messages)
         assert results
         predicted = results[0].prediction.predicted_prefixes
         # S2's prefixes do not cross the inferred region and must not be rerouted.
@@ -329,7 +329,7 @@ class TestInferenceEngine:
         for prefix in S6:
             rib[prefix] = ASPath([2, 5, 6])
         engine = InferenceEngine(rib, config=self._config(start_threshold=30, trigger=110))
-        engine.process_stream(_burst_messages(S7 + S8))
+        engine.process_batch(_burst_messages(S7 + S8))
         result = engine.accepted_inference
         assert result is not None
         links = set(result.inferred_links)

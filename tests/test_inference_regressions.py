@@ -22,6 +22,8 @@ columnar chunks.
 
 import pytest
 
+from oracles.fit_score_reference import ReferenceFitScoreCalculator, reference_engine
+
 from repro.bgp.attributes import ASPath, PathAttributes
 from repro.bgp.messages import Update
 from repro.bgp.prefix import prefix_block
@@ -29,7 +31,6 @@ from repro.core.burst_detection import BurstDetectorConfig
 from repro.core.fit_score import FitScoreConfig, LinkPrefixIndex
 from repro.core.history import HistoryModel, TriggeringSchedule
 from repro.core.inference import InferenceConfig, InferenceEngine
-from repro.core.reference import ReferenceFitScoreCalculator
 from repro.traces.columnar import ColumnarRun, ColumnarTrace
 
 S6 = prefix_block("60.0.0.0/24", 100)   # origin AS 6, path 2 5 6
@@ -149,6 +150,15 @@ class TestStaleBufferedWithdrawals:
 class TestReferenceParity:
     """The index-based engine matches the reference full-scan engine."""
 
+    _CONFIG = InferenceConfig(
+        detector=BurstDetectorConfig(
+            window_seconds=10.0, start_threshold=30, stop_threshold=1
+        ),
+        schedule=TriggeringSchedule(
+            steps=((60, 90), (110, 10 ** 6)), unconditional_after=150
+        ),
+    )
+
     @staticmethod
     def _parity_stream():
         """A synthetic burst exercising every hot-path code path.
@@ -193,30 +203,15 @@ class TestReferenceParity:
         return messages
 
     def test_identical_inference_result_sequences(self):
-        config = InferenceConfig(
-            detector=BurstDetectorConfig(
-                window_seconds=10.0, start_threshold=30, stop_threshold=1
-            ),
-            schedule=TriggeringSchedule(
-                steps=((60, 90), (110, 10 ** 6)), unconditional_after=150
-            ),
-        )
+        config = self._CONFIG
         rib = session_rib()
         messages = self._parity_stream()
 
         incremental = InferenceEngine(rib, config=config, local_as=1, peer_as=2)
-        reference = InferenceEngine(
-            rib,
-            config=config,
-            local_as=1,
-            peer_as=2,
-            calculator_factory=lambda current_rib: ReferenceFitScoreCalculator(
-                current_rib, config=config.fit_score, local_as=1, peer_as=2
-            ),
-        )
+        reference = reference_engine(rib, config=config, local_as=1, peer_as=2)
 
-        accepted_incremental = incremental.process_stream(messages)
-        accepted_reference = reference.process_stream(messages)
+        accepted_incremental = incremental.process_batch(messages)
+        accepted_reference = reference.process_batch(messages)
 
         # Every emitted result — accepted *and* rejected — must be identical.
         assert incremental.results == reference.results
@@ -230,14 +225,7 @@ class TestReferenceParity:
         """The column-native path matches per-message replay for *both*
         calculator implementations (``record_run`` on each), across run
         splits that land mid-burst."""
-        config = InferenceConfig(
-            detector=BurstDetectorConfig(
-                window_seconds=10.0, start_threshold=30, stop_threshold=1
-            ),
-            schedule=TriggeringSchedule(
-                steps=((60, 90), (110, 10 ** 6)), unconditional_after=150
-            ),
-        )
+        config = self._CONFIG
         rib = session_rib()
         messages = self._parity_stream()
         trace = ColumnarTrace.from_messages(messages)
@@ -247,15 +235,7 @@ class TestReferenceParity:
 
         for max_run in (None, 7):
             columnar = InferenceEngine(rib, config=config, local_as=1, peer_as=2)
-            reference = InferenceEngine(
-                rib,
-                config=config,
-                local_as=1,
-                peer_as=2,
-                calculator_factory=lambda current_rib: ReferenceFitScoreCalculator(
-                    current_rib, config=config.fit_score, local_as=1, peer_as=2
-                ),
-            )
+            reference = reference_engine(rib, config=config, local_as=1, peer_as=2)
             columnar_accepted = []
             reference_accepted = []
             for run in trace.iter_batches(max_run=max_run):
@@ -268,6 +248,42 @@ class TestReferenceParity:
             assert columnar.current_rib() == baseline.current_rib()
             assert reference.current_rib() == baseline.current_rib()
             assert columnar.detector.events == baseline.detector.events
+
+    @pytest.mark.parametrize("feed", ["per_message", "columnar_split_mid_burst"])
+    def test_oracle_keeps_the_engine_index_current(self, feed):
+        """In-burst announcements reach the engine's persistent index through
+        the burst calculator alone — the production one shares the index, the
+        oracle mirrors into it — so after two bursts both engines hold the
+        same index and RIB view, with the re-routed prefixes on their new
+        links."""
+        config = self._CONFIG
+        rib = session_rib()
+        messages = self._parity_stream()
+        production = InferenceEngine(rib, config=config, local_as=1, peer_as=2)
+        oracle = reference_engine(rib, config=config, local_as=1, peer_as=2)
+        for engine in (production, oracle):
+            if feed == "per_message":
+                for message in messages:
+                    engine.process_message(message)
+            else:
+                trace = ColumnarTrace.from_messages(messages)
+                for run in trace.iter_batches(max_run=7):
+                    engine.process_columnar_run(run)
+
+        def index_state(engine):
+            index = engine.index
+            return (
+                index.links_of_prefix,
+                index.routed_for_link,
+                index.prefixes_of_link,
+            )
+
+        assert len(oracle.detector.events) >= 3, "two bursts must have started"
+        assert index_state(oracle) == index_state(production)
+        assert oracle.current_rib() == production.current_rib()
+        # The two prefixes announced mid-burst moved off (5, 6) in the index.
+        assert oracle.index.links_of_prefix[S7[0]] == ((1, 2), (2, 3), (3, 7))
+        assert S6[10] not in oracle.index.prefixes_of_link[(5, 6)]
 
     def test_calculator_parity_on_shared_queries(self):
         """Spot-check calculator-level queries against the reference."""

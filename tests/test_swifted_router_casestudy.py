@@ -65,7 +65,7 @@ class TestSwiftedRouter:
             Update.withdraw(10.0 + index * 0.001, 2, prefix)
             for index, prefix in enumerate(order)
         ]
-        actions = router.receive_all(messages)
+        actions = router.receive_batch(messages)
         assert len(actions) == 1
         action = actions[0]
         assert any(link == (5, 6) or link == (2, 5) for link in action.inferred_links)
@@ -89,7 +89,7 @@ class TestSwiftedRouter:
             Update.withdraw(10.0 + index, 2, prefix)
             for index, prefix in enumerate(s6[:20])
         ]
-        assert router.receive_all(messages) == []
+        assert router.receive_batch(messages) == []
 
 
 class TestCaseStudy:

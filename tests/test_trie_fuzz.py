@@ -23,9 +23,10 @@ import random
 
 import pytest
 
+from oracles.trie_reference import ReferencePrefixTrie
+
 from repro.bgp.prefix import Prefix
 from repro.bgp.trie import PrefixTrie
-from repro.bgp.trie_reference import ReferencePrefixTrie
 
 _TRIALS = 8
 _BATCHES = 6
