@@ -8,12 +8,20 @@ helpers used across the code base.
 
 The implementation deliberately avoids :mod:`ipaddress` so that creating
 hundreds of thousands of prefixes (a full Internet table is ~650k routes)
-stays cheap; a prefix is just an ``(int, int)`` pair internally.
+stays cheap: a prefix *is* a ``(network, length)`` tuple — a ``tuple``
+subclass with no instance state of its own — so hashing, equality and
+ordering run in C.  Every RIB, index and FIB in the pipeline is a dict or
+set keyed by prefixes, and a Python-level ``__hash__`` was a third of the
+speaker's function calls.  The layout matters as much as the language: the
+tuple hash spreads consecutive /24s over the whole table, where a packed
+``(network << 6) | length`` int leaves the low bits constant and clusters
+open addressing.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 __all__ = [
     "Prefix",
@@ -51,12 +59,17 @@ def _int_to_dotted(value: int) -> str:
     return ".".join(str((value >> shift) & 0xFF) for shift in (24, 16, 8, 0))
 
 
-class Prefix:
+class Prefix(tuple):
     """An IPv4 prefix such as ``203.0.113.0/24``.
 
     Instances are immutable, hashable and totally ordered (first by network
     address, then by prefix length), which makes them usable as dictionary
-    keys and sortable for deterministic output.
+    keys and sortable for deterministic output.  All three come from the
+    ``(network, length)`` tuple underneath: the class defines no
+    ``__hash__``, ``__eq__`` or ordering method, so a dict or set probe
+    never enters the interpreter.  The price is that a prefix also compares
+    equal to the bare tuple ``(network, length)`` — do not key one container
+    by both prefixes and 2-int tuples such as AS links.
 
     Parameters
     ----------
@@ -67,20 +80,14 @@ class Prefix:
         Prefix length in ``[0, 32]``.
     """
 
-    __slots__ = ("_network", "_length", "_hash", "_bits")
+    __slots__ = ()
 
-    def __init__(self, network: int, length: int) -> None:
+    def __new__(cls, network: int, length: int) -> "Prefix":
         if not 0 <= length <= 32:
             raise PrefixError(f"prefix length {length} out of range [0, 32]")
         if not 0 <= network <= _MAX_IPV4:
             raise PrefixError(f"network {network:#x} out of IPv4 range")
-        mask = _mask_for(length)
-        self._network = network & mask
-        self._length = length
-        # Prefixes are dictionary keys on every RIB hot path; pre-computing
-        # the (immutable) hash once saves a tuple build per lookup.
-        self._hash = hash((self._network, length))
-        self._bits: Optional[Tuple[int, ...]] = None
+        return tuple.__new__(cls, (network & _mask_for(length), length))
 
     # -- constructors -----------------------------------------------------
 
@@ -99,133 +106,81 @@ class Prefix:
 
     # -- accessors --------------------------------------------------------
 
-    @property
-    def network(self) -> int:
-        """Network address as a 32-bit integer."""
-        return self._network
-
-    @property
-    def length(self) -> int:
-        """Prefix length."""
-        return self._length
+    network = property(itemgetter(0), doc="Network address as a 32-bit integer.")
+    length = property(itemgetter(1), doc="Prefix length.")
 
     @property
     def netmask(self) -> int:
         """Netmask as a 32-bit integer."""
-        return _mask_for(self._length)
+        return _mask_for(self[1])
 
     @property
     def num_addresses(self) -> int:
         """Number of addresses covered by this prefix."""
-        return 1 << (32 - self._length)
+        return 1 << (32 - self[1])
 
     @property
     def first_address(self) -> int:
         """Lowest address in the prefix (the network address)."""
-        return self._network
+        return self[0]
 
     @property
     def last_address(self) -> int:
         """Highest address in the prefix (the broadcast address)."""
-        return self._network | (~self.netmask & _MAX_IPV4)
+        return self[0] | (~self.netmask & _MAX_IPV4)
 
     def contains_address(self, address: int) -> bool:
         """Return ``True`` if ``address`` (an int) falls inside this prefix."""
-        return (address & self.netmask) == self._network
+        return (address & self.netmask) == self[0]
 
     def contains(self, other: "Prefix") -> bool:
         """Return ``True`` if ``other`` is equal to or more specific than us."""
-        if other._length < self._length:
+        if other[1] < self[1]:
             return False
-        return (other._network & self.netmask) == self._network
+        return (other[0] & self.netmask) == self[0]
 
     def supernet(self) -> "Prefix":
         """Return the immediately covering prefix (one bit shorter)."""
-        if self._length == 0:
+        network, length = self
+        if length == 0:
             raise PrefixError("0.0.0.0/0 has no supernet")
-        return Prefix(self._network, self._length - 1)
+        return Prefix(network, length - 1)
 
     def subnets(self) -> Tuple["Prefix", "Prefix"]:
         """Split this prefix into its two halves (one bit longer each)."""
-        if self._length == 32:
+        network, length = self
+        if length == 32:
             raise PrefixError("/32 prefixes cannot be subdivided")
-        child_length = self._length + 1
-        low = Prefix(self._network, child_length)
-        high = Prefix(self._network | (1 << (32 - child_length)), child_length)
+        child_length = length + 1
+        low = Prefix(network, child_length)
+        high = Prefix(network | (1 << (32 - child_length)), child_length)
         return low, high
 
     def bits(self) -> str:
         """Return the significant bits of the prefix as a ``'0'``/``'1'`` string."""
-        if self._length == 0:
+        network, length = self
+        if length == 0:
             return ""
-        return format(self._network >> (32 - self._length), f"0{self._length}b")
-
-    def significant_bits(self) -> Tuple[int, ...]:
-        """The significant bits as a tuple of ints, most significant first.
-
-        Memoised on the instance: per-bit trie walks touch every bit of a
-        prefix on each insert/remove/exact lookup, and rebuilding the bit
-        list per call dominated those operations at table scale.
-        """
-        bits = self._bits
-        if bits is None:
-            network, length = self._network, self._length
-            bits = self._bits = tuple(
-                (network >> shift) & 1 for shift in range(31, 31 - length, -1)
-            )
-        return bits
+        return format(network >> (32 - length), f"0{length}b")
 
     # -- dunder protocol ---------------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Prefix):
-            return NotImplemented
-        return self._network == other._network and self._length == other._length
-
-    def __lt__(self, other: "Prefix") -> bool:
-        if not isinstance(other, Prefix):
-            return NotImplemented
-        return (self._network, self._length) < (other._network, other._length)
-
-    def __le__(self, other: "Prefix") -> bool:
-        if not isinstance(other, Prefix):
-            return NotImplemented
-        return (self._network, self._length) <= (other._network, other._length)
-
-    def __gt__(self, other: "Prefix") -> bool:
-        if not isinstance(other, Prefix):
-            return NotImplemented
-        return (self._network, self._length) > (other._network, other._length)
-
-    def __ge__(self, other: "Prefix") -> bool:
-        if not isinstance(other, Prefix):
-            return NotImplemented
-        return (self._network, self._length) >= (other._network, other._length)
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __reduce__(self):
         # Restore via the trusted fast path: the stored fields were already
         # validated and masked at construction, and trace caches serialise
         # millions of prefixes.
-        return (_restore_prefix, (self._network, self._length))
+        return (_restore_prefix, tuple(self))
 
     def __repr__(self) -> str:
         return f"Prefix({str(self)!r})"
 
     def __str__(self) -> str:
-        return f"{_int_to_dotted(self._network)}/{self._length}"
+        return f"{_int_to_dotted(self[0])}/{self[1]}"
 
 
 def _restore_prefix(network: int, length: int) -> "Prefix":
     """Unpickle fast path: rebuild a prefix from already-validated fields."""
-    prefix = Prefix.__new__(Prefix)
-    prefix._network = network
-    prefix._length = length
-    prefix._hash = hash((network, length))
-    prefix._bits = None
-    return prefix
+    return tuple.__new__(Prefix, (network, length))
 
 
 def _mask_for(length: int) -> int:

@@ -123,23 +123,19 @@ class RouteChange:
 class AdjRibIn:
     """Per-peer RIB holding the routes announced on one session.
 
-    Mirrors the RIB a border router maintains per eBGP neighbor.  SWIFT's
-    Path Share metric P(l, t) — "prefixes whose paths still traverse l at t" —
-    is answered from this structure via :meth:`prefixes_via_link`.
+    Mirrors the RIB a border router maintains per eBGP neighbor: the route
+    table is the only state kept current on announce/withdraw (plus the LPM
+    trie once something asks for it).  The link queries
+    (:meth:`prefixes_via_link`, :meth:`link_prefix_counts`, ...) scan that
+    table — they serve tests and tooling.  SWIFT's Path Share metric
+    P(l, t) is *not* answered from here: the inference engine maintains its
+    own burst-aware :class:`~repro.core.fit_score.LinkPrefixIndex`, the one
+    link -> prefix index the pipeline keeps in sync per message.
     """
 
     def __init__(self, peer_as: int) -> None:
         self.peer_as = peer_as
         self._routes: Dict[Prefix, RibEntry] = {}
-        # Reverse index: canonical AS link -> set of prefixes whose current
-        # path traverses the link.  Kept in sync on every announce/withdraw
-        # so the inference engine can query path shares in O(1).
-        self._link_index: Dict[Tuple[int, int], set] = {}
-        # While a bulk run is open, link-index maintenance is deferred:
-        # maps each touched prefix to its pre-run entry, so end_bulk() can
-        # apply one net old->final index transition per prefix instead of
-        # churning the index at every intermediate path change.
-        self._bulk_original: Optional[Dict[Prefix, Optional[RibEntry]]] = None
         # LPM view over _routes, built lazily on the first longest-prefix
         # query (bulk-loaded from the sorted route table) and maintained
         # incrementally afterwards.  ``None`` means "not materialised yet"
@@ -147,35 +143,6 @@ class AdjRibIn:
         self._prefix_trie: Optional[PrefixTrie[RibEntry]] = None
 
     # -- mutation ---------------------------------------------------------
-
-    def begin_bulk(self) -> None:
-        """Start a bulk run: link-index updates are coalesced per prefix.
-
-        Between :meth:`begin_bulk` and :meth:`end_bulk` the link index is
-        stale for the touched prefixes (route lookups stay exact); readers
-        that need path shares mid-run must close the bulk first.  Used by
-        :meth:`repro.bgp.session.PeeringSession.process_batch`, where a
-        path-exploration run may rewrite a prefix's path many times but only
-        the net transition is observable.
-        """
-        if self._bulk_original is None:
-            self._bulk_original = {}
-
-    def end_bulk(self) -> None:
-        """Close a bulk run, applying the net link-index transitions."""
-        original = self._bulk_original
-        if original is None:
-            return
-        self._bulk_original = None
-        routes = self._routes
-        for prefix, old in original.items():
-            new = routes.get(prefix)
-            if old is new:
-                continue
-            if old is not None:
-                self._unindex(old)
-            if new is not None:
-                self._index(new)
 
     def announce(
         self, prefix: Prefix, attributes: PathAttributes, timestamp: float = 0.0
@@ -188,18 +155,9 @@ class AdjRibIn:
             peer_as=self.peer_as,
             learned_at=timestamp,
         )
-        bulk = self._bulk_original
-        if bulk is not None:
-            if prefix not in bulk:
-                bulk[prefix] = old
-        else:
-            if old is not None:
-                self._unindex(old)
         self._routes[prefix] = entry
         if self._prefix_trie is not None:
             self._prefix_trie.insert(prefix, entry)
-        if bulk is None:
-            self._index(entry)
         kind = RouteChangeKind.UPDATED if old is not None else RouteChangeKind.NEW
         return RouteChange(kind=kind, prefix=prefix, old=old, new=entry)
 
@@ -210,21 +168,12 @@ class AdjRibIn:
             return RouteChange(kind=RouteChangeKind.UNCHANGED, prefix=prefix)
         if self._prefix_trie is not None:
             self._prefix_trie.remove(prefix)
-        bulk = self._bulk_original
-        if bulk is not None:
-            if prefix not in bulk:
-                bulk[prefix] = old
-        else:
-            self._unindex(old)
         return RouteChange(kind=RouteChangeKind.WITHDRAWN, prefix=prefix, old=old)
 
     def clear(self) -> None:
         """Drop every route (session reset)."""
         self._routes.clear()
-        self._link_index.clear()
         self._prefix_trie = None
-        if self._bulk_original is not None:
-            self._bulk_original = {}
 
     # -- queries ----------------------------------------------------------
 
@@ -279,25 +228,28 @@ class AdjRibIn:
 
     def prefixes_via_link(self, link: Tuple[int, int]) -> frozenset:
         """Prefixes whose current AS path traverses the (undirected) link."""
-        canonical = link if link[0] <= link[1] else (link[1], link[0])
-        members = self._link_index.get(canonical)
-        return frozenset(members) if members else frozenset()
+        return frozenset(
+            prefix
+            for prefix, entry in self._routes.items()
+            if entry.as_path.traverses(link)
+        )
 
     def prefix_count_via_link(self, link: Tuple[int, int]) -> int:
         """Number of prefixes currently routed over the link."""
-        canonical = link if link[0] <= link[1] else (link[1], link[0])
-        members = self._link_index.get(canonical)
-        return len(members) if members else 0
+        return len(self.prefixes_via_link(link))
 
     def links(self) -> Iterator[Tuple[int, int]]:
         """Iterate over every AS link traversed by at least one route."""
-        for link, members in self._link_index.items():
-            if members:
-                yield link
+        return iter(self.link_prefix_counts())
 
     def link_prefix_counts(self) -> Dict[Tuple[int, int], int]:
         """Snapshot mapping link -> number of prefixes routed over it."""
-        return {link: len(members) for link, members in self._link_index.items() if members}
+        counts: Dict[Tuple[int, int], int] = {}
+        for entry in self._routes.values():
+            # set(): a looped path crosses a link twice, the prefix counts once.
+            for link in set(entry.as_path.links()):
+                counts[link] = counts.get(link, 0) + 1
+        return counts
 
     def prefixes_via_as(self, asn: int) -> frozenset:
         """Prefixes whose current AS path visits the AS ``asn``."""
@@ -306,21 +258,6 @@ class AdjRibIn:
             if entry.as_path.traverses_as(asn):
                 result.add(prefix)
         return frozenset(result)
-
-    # -- internals --------------------------------------------------------
-
-    def _index(self, entry: RibEntry) -> None:
-        for link in entry.as_path.links():
-            self._link_index.setdefault(link, set()).add(entry.prefix)
-
-    def _unindex(self, entry: RibEntry) -> None:
-        for link in entry.as_path.links():
-            members = self._link_index.get(link)
-            if members is None:
-                continue
-            members.discard(entry.prefix)
-            if not members:
-                del self._link_index[link]
 
 
 #: Shared empty mapping returned by ``LocRib.candidate_map`` for unknown

@@ -294,13 +294,10 @@ class PeeringSession:
         Returns one change list per message (same order), so callers that
         need message boundaries — e.g. the batched speaker tracking
         reachability transitions — keep them.  Semantically identical to
-        calling :meth:`process` per message, with three bulk-mode
-        amortisations: the stream records the run in one extend, the
+        calling :meth:`process` per message, with two bulk-mode
+        amortisations: the stream records the run in one extend, and the
         statistics counters fold in once at the end (an observer reading
-        ``stats`` mid-run sees the pre-run values), and the Adj-RIB-In's
-        link index applies one net transition per touched prefix instead of
-        churning at every intermediate path change — so an observer
-        querying path shares mid-run sees the pre-run index.
+        ``stats`` mid-run sees the pre-run values).
         """
         if not isinstance(messages, (list, tuple)):
             messages = list(messages)
@@ -316,7 +313,6 @@ class PeeringSession:
         withdrawals = 0
         announcements = 0
         last_at = stats.last_message_at
-        rib_in.begin_bulk()
         append_result = per_message.append
         for message in messages:
             count += 1
@@ -344,7 +340,6 @@ class PeeringSession:
             for observer in observers:
                 observer(self, message, changes)
             append_result(changes)
-        rib_in.end_bulk()
         stats.messages_received += count
         stats.withdrawals_received += withdrawals
         stats.announcements_received += announcements
@@ -422,7 +417,6 @@ class PeeringSession:
         # 3 = NOTIFICATION; see repro.traces.columnar).
         w = wd_end[start - 1] if start else 0
         a = ann_end[start - 1] if start else 0
-        rib_in.begin_bulk()
         if kernel.VECTORISED:
             # Sparse walk: rows that are UPDATEs without prefixes only
             # contribute an empty change list and a timestamp — the column
@@ -502,7 +496,6 @@ class PeeringSession:
                     a += 1
                     announcements += 1
                 append_result(changes)
-        rib_in.end_bulk()
         stats.messages_received += count
         stats.withdrawals_received += withdrawals
         stats.announcements_received += announcements

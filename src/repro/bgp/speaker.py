@@ -10,10 +10,11 @@ speaker with the SWIFT engine.
 Replay workloads should prefer the batched path: :meth:`BGPSpeaker.receive_batch`
 applies every Adj-RIB-In / Loc-RIB candidate change of a batch first and then
 runs the decision process **once per touched prefix** instead of once per
-message — and, because the standard ranking depends only on a candidate's
-attributes and peer AS, once per *distinct candidate profile* when prefixes
-share their candidate sets (as table dumps and failure bursts overwhelmingly
-do).  The batched path matches per-message :meth:`BGPSpeaker.receive` in the
+message — not at all for a prefix left with a single candidate (every
+withdrawal of a failure burst), and, because the standard ranking depends
+only on a candidate's attributes and peer AS, once per *distinct candidate
+profile* when prefixes share their candidate sets (as table dumps and
+re-convergence overwhelmingly do).  The batched path matches per-message :meth:`BGPSpeaker.receive` in the
 final Loc-RIB and in the multiset of loss-of-reachability / recovery events:
 candidate-set emptiness is tracked at message boundaries, so a prefix that
 transiently loses every route mid-batch still reports its blackhole (and the
@@ -22,7 +23,6 @@ subsequent recovery), without forcing a per-message decision pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -39,13 +39,40 @@ __all__ = ["BGPSpeaker", "BestRouteChange", "SpeakerBatch"]
 _attrgetter_attributes = attrgetter("attributes")
 
 
-@dataclass(frozen=True)
 class BestRouteChange:
-    """A change of the best route for a prefix after processing messages."""
+    """A change of the best route for a prefix after processing messages.
 
-    prefix: Prefix
-    old: Optional[RibEntry]
-    new: Optional[RibEntry]
+    Like :class:`~repro.bgp.rib.RibEntry`, a ``__slots__`` class for
+    construction speed (one per re-selected prefix on the replay hot path);
+    treat instances as immutable.
+    """
+
+    __slots__ = ("prefix", "old", "new")
+
+    def __init__(
+        self, prefix: Prefix, old: Optional[RibEntry], new: Optional[RibEntry]
+    ) -> None:
+        self.prefix = prefix
+        self.old = old
+        self.new = new
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BestRouteChange):
+            return NotImplemented
+        return (
+            self.prefix == other.prefix
+            and self.old == other.old
+            and self.new == other.new
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.prefix, self.old, self.new))
+
+    def __repr__(self) -> str:
+        return (
+            f"BestRouteChange(prefix={self.prefix!r}, old={self.old!r}, "
+            f"new={self.new!r})"
+        )
 
     @property
     def is_loss_of_reachability(self) -> bool:
@@ -294,23 +321,50 @@ class BGPSpeaker:
         return changes
 
     def _reselect_batch(self, prefixes: Sequence[Prefix]) -> List[BestRouteChange]:
-        """Batched re-selection, grouped by candidate profile.
+        """Batched re-selection: inline for sole candidates, grouped otherwise.
 
-        Two prefixes whose candidate sets consist of the *same attribute
-        objects from the same peers* (the common case for table loads and
-        failure bursts, where whole path-sharing prefix groups change
-        together) rank identically under a prefix-independent decision
-        process, so the winner peer is computed once per distinct profile
-        and reused for every member prefix.  Falls back to per-prefix
+        A prefix left with at most one candidate needs no ranking — under
+        any decision process ``select([entry])`` is ``entry`` unless its
+        path loops — so it is decided where it is met.  Every route of a
+        first table load and every withdrawal that leaves one other
+        session's route is such a prefix: half of what a two-session
+        failure burst touches, nothing where three feeds carry each prefix.
+        The rest are grouped by candidate profile: two prefixes
+        whose candidate sets consist of the *same attribute objects from
+        the same peers* (whole path-sharing prefix groups change together)
+        rank identically under a prefix-independent decision process, so
+        the winner peer is computed once per distinct profile and reused
+        for every member prefix.  Falls back to per-prefix
         :meth:`_reselect` for rankings that are not prefix-independent.
+
+        The changes come back sole-candidate prefixes first (in the order
+        given), then profile group by profile group — the same multiset as
+        per-prefix selection, not the same order.
         """
         if not self.decision_process.prefix_independent:
             return self._reselect(prefixes)
-        candidates_of = self.loc_rib._candidates
-        select = self.decision_process.select
-        set_best = self.loc_rib.set_best
-        best_of = self.loc_rib.best
+        loc_rib = self.loc_rib
+        candidates_of = loc_rib._candidates
+        best_of = loc_rib._best.get
+        set_best = loc_rib.set_best
         attributes_of = _attrgetter_attributes
+        changes: List[BestRouteChange] = []
+        append_change = changes.append
+
+        def install(prefix: Prefix, new: Optional[RibEntry]) -> None:
+            old = best_of(prefix)
+            if old is new:
+                return
+            if (
+                old is not None
+                and new is not None
+                and old.peer_as == new.peer_as
+                and old == new
+            ):
+                return
+            set_best(new, prefix)
+            append_change(BestRouteChange(prefix, old, new))
+
         # Profile key: the candidate peers (in insertion order — identical
         # for prefixes with the same announcement history, which is what
         # groups share anyway) plus the identity of each candidate's
@@ -319,40 +373,28 @@ class BGPSpeaker:
         groups: Dict[Tuple, List[Prefix]] = {}
         for prefix in prefixes:
             peers = candidates_of.get(prefix)
-            if peers:
+            if not peers:
+                install(prefix, None)
+            elif len(peers) == 1:
+                (sole,) = peers.values()
+                install(prefix, None if sole.attributes.as_path.has_loop() else sole)
+            else:
                 key = (tuple(peers), tuple(map(id, map(attributes_of, peers.values()))))
+                group = groups.get(key)
+                if group is None:
+                    groups[key] = [prefix]
+                else:
+                    group.append(prefix)
+        select = self.decision_process.select
+        for members in groups.values():
+            winner = select(list(candidates_of[members[0]].values()))
+            if winner is None:
+                for prefix in members:
+                    install(prefix, None)
             else:
-                key = ()
-            group = groups.get(key)
-            if group is None:
-                groups[key] = [prefix]
-            else:
-                group.append(prefix)
-        changes: List[BestRouteChange] = []
-        for key, members in groups.items():
-            if key:
-                winner = select(list(candidates_of[members[0]].values()))
-                winner_peer = None if winner is None else winner.peer_as
-            else:
-                winner_peer = None
-            for prefix in members:
-                old = best_of(prefix)
-                new = (
-                    candidates_of[prefix][winner_peer]
-                    if winner_peer is not None
-                    else None
-                )
-                if old is new:
-                    continue
-                if (
-                    old is not None
-                    and new is not None
-                    and old.peer_as == new.peer_as
-                    and old == new
-                ):
-                    continue
-                set_best(new, prefix=prefix)
-                changes.append(BestRouteChange(prefix=prefix, old=old, new=new))
+                winner_peer = winner.peer_as
+                for prefix in members:
+                    install(prefix, candidates_of[prefix][winner_peer])
         return changes
 
 
@@ -361,9 +403,9 @@ class SpeakerBatch:
 
     Adj-RIB-In and Loc-RIB *candidate* state is kept current as messages are
     added (it is order-sensitive), but best-path selection is deferred to
-    :meth:`commit`, where it runs once per touched prefix — grouped by
-    candidate profile when the decision process declares itself
-    prefix-independent.  Between those points ``loc_rib.best()``
+    :meth:`commit`, where it runs once per touched prefix — skipped for
+    sole candidates and grouped by candidate profile when the decision
+    process declares itself prefix-independent.  Between those points ``loc_rib.best()``
     intentionally still answers with the pre-batch best route, which is what
     lets the deferred selection reconstruct the same ``old -> new``
     transitions the per-message path would have reported.
@@ -424,7 +466,7 @@ class SpeakerBatch:
         speaker = self._speaker
         loc_rib = speaker.loc_rib
         candidates_of = loc_rib._candidates
-        best_of = loc_rib.best
+        best_of = loc_rib._best.get
         pending = self._pending
         transitions = self._transitions
         set_candidate = loc_rib.set_candidate
@@ -482,7 +524,8 @@ class SpeakerBatch:
                         transitions.append((prefix, True, change.old))
                     pending[prefix] = now
                 continue
-            last_change: Dict[Prefix, RouteChange] = {}
+            # Per prefix: the peer's route before the message, its last change.
+            net_change: Dict[Prefix, Tuple[Optional[RibEntry], RouteChange]] = {}
             for change in changes:
                 if change.kind is unchanged:
                     continue
@@ -494,8 +537,9 @@ class SpeakerBatch:
                     remove_candidate(prefix, peer_as)
                 if prefix not in pending:
                     pending[prefix] = best_of(prefix) is not None
-                last_change[prefix] = change
-            for prefix, change in last_change.items():
+                first = net_change.get(prefix)
+                net_change[prefix] = (change.old if first is None else first[0], change)
+            for prefix, (replaced, change) in net_change.items():
                 # Multi-change messages may mix removals and (possibly
                 # looped) announcements of the same prefix, so probe the
                 # candidate set directly rather than reasoning from the
@@ -512,9 +556,11 @@ class SpeakerBatch:
                         )
                     transitions.append((prefix, False, entry))
                 elif before and not now:
-                    entry = change.old if change.old is not None else best_of(prefix)
-                    if entry is not None:
-                        transitions.append((prefix, True, entry))
+                    # Only this peer's candidate moved, so the route it held
+                    # before the message was the last usable one — also when
+                    # that route was installed earlier in this batch and a
+                    # withdrawal inside the message already took it out.
+                    transitions.append((prefix, True, replaced))
                 pending[prefix] = now
 
     def commit(self) -> List[BestRouteChange]:
@@ -524,8 +570,11 @@ class SpeakerBatch:
         events (for prefixes that flapped through unreachability mid-batch)
         followed by the coalesced ``pre-batch -> final`` best-route changes;
         together they carry the same multiset of loss-of-reachability and
-        recovery events as the per-message path.  The best-route listeners
-        fire once with the combined list.
+        recovery events as the per-message path.  The final changes are in
+        :meth:`BGPSpeaker._reselect_batch` order — sole-candidate prefixes
+        by first touch, then one candidate profile after another — not in
+        message order.  The best-route listeners fire once with the
+        combined list.
         """
         if self._committed:
             raise RuntimeError("batch already committed")

@@ -164,7 +164,12 @@ class VanillaRouterModel:
             ):
                 seen.add(change.prefix)
                 recovered.append(change.prefix)
-        recovered.sort(key=lambda prefix: arrival_of.get(prefix, scenario.failure_time))
+        # Prefixes withdrawn by one UPDATE share an arrival time; break the
+        # tie by prefix so the FIB-write order (and with it each prefix's
+        # recovery time) does not depend on the order the batch reports in.
+        recovered.sort(
+            key=lambda prefix: (arrival_of.get(prefix, scenario.failure_time), prefix)
+        )
 
         per_prefix = (
             self.timing.per_prefix_processing_seconds + self.timing.per_prefix_seconds

@@ -24,6 +24,12 @@ __all__ = ["ReferencePrefixTrie"]
 V = TypeVar("V")
 
 
+def _significant_bits(prefix: Prefix) -> Tuple[int, ...]:
+    """The significant bits of ``prefix`` as ints, most significant first."""
+    network, length = prefix.network, prefix.length
+    return tuple((network >> shift) & 1 for shift in range(31, 31 - length, -1))
+
+
 class _Node(Generic[V]):
     """A single trie node; ``value`` is set only for inserted prefixes."""
 
@@ -47,13 +53,18 @@ class ReferencePrefixTrie(Generic[V]):
     def __init__(self) -> None:
         self._root: _Node[V] = _Node()
         self._size = 0
+        # The bit decomposition of every stored prefix: part of what a
+        # per-bit trie costs, so the trie owns it and :meth:`memory_bytes`
+        # counts it.
+        self._bits: Dict[Prefix, Tuple[int, ...]] = {}
 
     # -- mutation ---------------------------------------------------------
 
     def insert(self, prefix: Prefix, value: V) -> None:
         """Insert or replace the value stored under ``prefix``."""
+        bits = self._bits_of(prefix)
         node = self._root
-        for bit in prefix.significant_bits():
+        for bit in bits:
             if bit:
                 if node.one is None:
                     node.one = _Node()
@@ -64,6 +75,7 @@ class ReferencePrefixTrie(Generic[V]):
                 node = node.zero
         if not node.has_value:
             self._size += 1
+            self._bits[prefix] = bits
         node.prefix = prefix
         node.value = value
         node.has_value = True
@@ -72,7 +84,7 @@ class ReferencePrefixTrie(Generic[V]):
         """Remove ``prefix`` and return its value; raise ``KeyError`` if absent."""
         path: List[Tuple[_Node[V], int]] = []
         node = self._root
-        for bit in prefix.significant_bits():
+        for bit in self._bits_of(prefix):
             path.append((node, bit))
             node = node.one if bit else node.zero
             if node is None:
@@ -84,6 +96,7 @@ class ReferencePrefixTrie(Generic[V]):
         node.prefix = None
         node.value = None
         self._size -= 1
+        del self._bits[prefix]
         # Prune now-empty leaf nodes back towards the root.
         for parent, bit in reversed(path):
             child = parent.one if bit else parent.zero
@@ -101,6 +114,7 @@ class ReferencePrefixTrie(Generic[V]):
         """Remove every entry."""
         self._root = _Node()
         self._size = 0
+        self._bits = {}
 
     # -- exact queries ----------------------------------------------------
 
@@ -160,7 +174,7 @@ class ReferencePrefixTrie(Generic[V]):
         node = self._root
         if node.has_value:
             best = (node.prefix, node.value)  # type: ignore[assignment]
-        for bit in prefix.significant_bits():
+        for bit in self._bits_of(prefix):
             node = node.one if bit else node.zero
             if node is None:
                 break
@@ -171,7 +185,7 @@ class ReferencePrefixTrie(Generic[V]):
     def covered_by(self, prefix: Prefix) -> Iterator[Tuple[Prefix, V]]:
         """Yield every stored entry equal to or more specific than ``prefix``."""
         node = self._root
-        for bit in prefix.significant_bits():
+        for bit in self._bits_of(prefix):
             node = node.one if bit else node.zero
             if node is None:
                 return
@@ -214,21 +228,20 @@ class ReferencePrefixTrie(Generic[V]):
     def memory_bytes(self) -> int:
         """Bytes held by the trie's working set.
 
-        Counts the node objects plus the memoised per-prefix bit tuples this
-        implementation's walks depend on (every insert/remove/covered_by
-        materialises ``prefix.significant_bits()``, which the prefix then
-        retains).  The stored prefixes and values themselves are references
-        shared with the caller and are not counted, so the number is
-        directly comparable with the compressed twin's — which needs
-        neither per-bit nodes nor bit tuples.
+        Counts the node objects plus the memoised bit tuple of every stored
+        prefix, which this implementation's walks depend on and the trie
+        retains for them (the memo dict's own table is left out, so the
+        figure is the one ``BENCH_fulltable.json`` has always recorded).
+        The stored prefixes and values themselves are references shared with
+        the caller and are not counted, so the number is directly comparable
+        with the compressed twin's — which needs neither per-bit nodes nor
+        bit tuples.
         """
-        total = 0
+        total = sum(map(getsizeof, self._bits.values()))
         stack = [self._root]
         while stack:
             node = stack.pop()
             total += getsizeof(node)
-            if node.has_value:
-                total += getsizeof(node.prefix.significant_bits())
             if node.zero is not None:
                 stack.append(node.zero)
             if node.one is not None:
@@ -237,9 +250,14 @@ class ReferencePrefixTrie(Generic[V]):
 
     # -- internals --------------------------------------------------------
 
+    def _bits_of(self, prefix: Prefix) -> Tuple[int, ...]:
+        """``prefix``'s bit tuple: the memo for a stored prefix, else computed."""
+        bits = self._bits.get(prefix)
+        return _significant_bits(prefix) if bits is None else bits
+
     def _find_exact(self, prefix: Prefix) -> Optional[_Node[V]]:
         node = self._root
-        for bit in prefix.significant_bits():
+        for bit in self._bits_of(prefix):
             node = node.one if bit else node.zero
             if node is None:
                 return None

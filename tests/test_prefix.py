@@ -1,5 +1,7 @@
 """Tests for repro.bgp.prefix."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -8,11 +10,13 @@ from hypothesis import given, strategies as st
 from repro.bgp.prefix import (
     Prefix,
     PrefixError,
+    _restore_prefix,
     parse_prefix,
     prefix_block,
     random_addresses,
     summarize_prefixes,
 )
+from repro.traces.fulltable import FullTableConfig, FullTableGenerator
 
 
 class TestPrefixParsing:
@@ -130,3 +134,99 @@ class TestPrefixHypothesis:
     def test_supernet_contains_child(self, network, length):
         prefix = Prefix(network, length)
         assert prefix.supernet().contains(prefix)
+
+
+_PAIRS = st.tuples(st.integers(min_value=0, max_value=2**32 - 1), st.integers(0, 32))
+
+
+class TestHashingContract:
+    """``Prefix`` hashes, compares and orders in C, over a well-spread hash.
+
+    Every RIB, index and FIB is a dict or set keyed by prefixes: a
+    Python-level ``__hash__`` or ``__eq__`` turns each probe into an
+    interpreter call, and a hash that clusters (a packed
+    ``(network << 6) | length`` int keeps the low 14 bits of every /24
+    constant) degrades open addressing.  Both regress silently — these
+    tests are the gate.
+    """
+
+    def test_no_python_level_comparison_or_hash(self):
+        for dunder in ("__hash__", "__eq__", "__lt__", "__le__", "__gt__", "__ge__"):
+            assert dunder not in Prefix.__dict__, dunder
+        assert Prefix.__hash__ is tuple.__hash__
+        assert Prefix.__slots__ == ()
+        assert not hasattr(Prefix(0, 0), "__dict__")
+
+    @given(_PAIRS, _PAIRS)
+    def test_equality_and_ordering_are_the_pairs(self, a, b):
+        pa, pb = Prefix(*a), Prefix(*b)
+        ka, kb = (pa.network, pa.length), (pb.network, pb.length)
+        assert (pa == pb) == (ka == kb)
+        assert (hash(pa) == hash(pb)) or ka != kb
+        assert (pa < pb) == (ka < kb)
+        assert (pa <= pb) == (ka <= kb)
+        assert (pa > pb) == (ka > kb)
+        assert (pa >= pb) == (ka >= kb)
+
+    def test_sort_order_is_network_then_length(self):
+        rng = random.Random(5)
+        prefixes = [
+            Prefix(rng.getrandbits(32), rng.choice((0, 8, 16, 20, 24, 32)))
+            for _ in range(500)
+        ]
+        assert sorted(prefixes) == sorted(
+            prefixes, key=lambda prefix: (prefix.network, prefix.length)
+        )
+
+    @given(_PAIRS)
+    def test_masking(self, pair):
+        network, length = pair
+        prefix = Prefix(network, length)
+        mask = ((1 << length) - 1) << (32 - length)
+        assert prefix.network == network & mask
+        assert prefix.length == length
+        assert Prefix(prefix.network, length) == prefix
+
+    @pytest.mark.parametrize(
+        "network, length", [(0, -1), (0, 33), (-1, 8), (2**32, 8), (2**32, 0)]
+    )
+    def test_out_of_range_raises(self, network, length):
+        with pytest.raises(PrefixError):
+            Prefix(network, length)
+
+    @given(_PAIRS)
+    def test_pickle_and_copy_round_trip(self, pair):
+        prefix = Prefix(*pair)
+        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+            clone = pickle.loads(pickle.dumps(prefix, protocol))
+            assert type(clone) is Prefix and clone == prefix
+            assert hash(clone) == hash(prefix) and str(clone) == str(prefix)
+        for clone in (copy.copy(prefix), copy.deepcopy(prefix)):
+            assert type(clone) is Prefix and clone == prefix
+
+    def test_existing_payloads_still_load(self):
+        # What every Prefix in a .trace_cache pickle or shipped job reduces
+        # to; the target must stay importable under this name.
+        prefix = Prefix.from_string("203.0.113.0/24")
+        assert prefix.__reduce__() == (_restore_prefix, (prefix.network, 24))
+        payload = pickle.dumps([prefix, prefix])
+        assert b"_restore_prefix" in payload
+        first, second = pickle.loads(payload)
+        assert first == prefix and type(first) is Prefix and first is second
+
+    @staticmethod
+    def _distinct_low_bits(values) -> int:
+        return len({value & 0xFFFF for value in values})
+
+    @pytest.mark.parametrize("table", ["consecutive_24s", "full_table"])
+    def test_hash_spreads_over_the_low_bits(self, table):
+        if table == "consecutive_24s":
+            prefixes = prefix_block("10.0.0.0/24", 16384)
+        else:
+            prefixes = FullTableGenerator(
+                FullTableConfig(prefix_count=16000, seed=11)
+            ).generate().prefixes
+        rng = random.Random(17)
+        ideal = self._distinct_low_bits(rng.getrandbits(64) for _ in prefixes)
+        spread = self._distinct_low_bits(map(hash, prefixes))
+        assert spread >= 0.8 * ideal, (spread, ideal)

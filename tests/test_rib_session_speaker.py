@@ -1,10 +1,17 @@
 """Tests for RIBs, decision process, sessions and the BGP speaker."""
 
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from test_replay_pipeline import _event_sets
+from test_reroute_index import PEERS, _random_topology, _router
 
 from repro.bgp.attributes import ASPath, PathAttributes
 from repro.bgp.decision import DecisionProcess, gao_rexford_ranking
 from repro.bgp.messages import (
+    Announcement,
     KeepAlive,
     Notification,
     Update,
@@ -14,7 +21,8 @@ from repro.bgp.messages import (
 from repro.bgp.prefix import Prefix, prefix_block
 from repro.bgp.rib import AdjRibIn, LocRib, RibEntry, RouteChangeKind
 from repro.bgp.session import PeeringSession, SessionState
-from repro.bgp.speaker import BGPSpeaker
+from repro.bgp.speaker import BestRouteChange, BGPSpeaker
+from repro.traces.columnar import ColumnarTrace
 
 
 def _attrs(path, next_hop=None, local_pref=100):
@@ -183,3 +191,240 @@ class TestBGPSpeaker:
         speaker.receive(Update.announce(0.0, 2, PFX[0], _attrs([2, 6])))
         changes = speaker.remove_peer(2)
         assert changes and changes[0].new is None
+
+
+# -- the link queries are scans; the engine holds the one maintained index ------
+
+
+def _burst_and_reconvergence(router, peer):
+    """Fail the busiest link of ``peer``'s session, then re-converge.
+
+    Every prefix over the link is withdrawn 1 ms apart (enough to start a
+    burst and fire an inference); a minute later all of them come back —
+    every other one over a detour — and a few unrelated prefixes are
+    withdrawn for good.  The closing re-announcement is far enough out for
+    the engine to have expired those from its detection window.
+    """
+    rib = router.speaker.session(peer).rib_in
+    counts = rib.link_prefix_counts()
+    link = max(counts, key=lambda link: (counts[link], link))
+    failed = sorted(rib.prefixes_via_link(link))
+    assert len(failed) > 200, "the burst must be large enough to trigger inference"
+    messages = [
+        Update.withdraw(10.0 + number * 0.001, peer, prefix)
+        for number, prefix in enumerate(failed)
+    ]
+    for number, prefix in enumerate(failed):
+        path = rib.get(prefix).as_path
+        if number % 2:
+            path = ASPath((peer, 19) + path.asns[2:])
+        attributes = PathAttributes(as_path=path, next_hop=peer, local_pref=200)
+        messages.append(Update.announce(70.0 + number * 0.001, peer, prefix, attributes))
+    gone = sorted(set(rib.prefixes()).difference(failed))[:5]
+    for number, prefix in enumerate(gone):
+        messages.append(Update.withdraw(200.0 + number, peer, prefix))
+    messages.append(Update.announce(4000.0, peer, failed[-1], attributes))
+    return link, messages
+
+
+@pytest.mark.parametrize("entry_point", ["receive", "receive_columnar"])
+def test_derived_link_view_agrees_with_the_engine_index(entry_point):
+    _, routes = _random_topology(seed=7, origins=40, per_origin=40)
+    router = _router(routes)
+    peer = PEERS[0]
+    failed_link, messages = _burst_and_reconvergence(router, peer)
+    if entry_point == "receive":
+        for message in messages:
+            router.receive(message)
+    else:
+        for session in router.speaker.sessions():
+            session.record_stream = False
+        router.receive_columnar(ColumnarTrace.from_messages(messages))
+    engine = router.engine_for(peer)
+    assert any(failed_link in result.inferred_links for result in engine.results)
+
+    rib = router.speaker.session(peer).rib_in
+    index = engine.index
+    local_link = (router.local_as, peer)
+    derived = Counter(
+        link for entry in rib.entries() for link in set(entry.as_path.links())
+    )
+    assert rib.link_prefix_counts() == dict(derived)
+    assert sorted(rib.links()) == sorted(derived)
+    assert set(index.prefixes_of_link) == set(derived) | {local_link}
+    for link in index.prefixes_of_link:
+        maintained = index.prefixes_via([link])
+        if link == local_link:
+            # Only the engine scores the session's own first link.
+            assert maintained == frozenset(rib.prefixes())
+            continue
+        assert rib.prefixes_via_link(link) == maintained, link
+        assert rib.prefixes_via_link(link[::-1]) == maintained, link
+        assert rib.prefix_count_via_link(link) == index.routed_for_link[link]
+    assert rib.prefixes_via_link((64999, 65000)) == frozenset()
+    assert rib.prefix_count_via_link((64999, 65000)) == 0
+
+
+# -- batched and columnar re-selection against the per-message speaker ---------
+
+_POOL = prefix_block("10.9.0.0/24", 4)
+_PARITY_PEERS = (2, 3, 4)
+
+
+def _path_pool(peer):
+    """What a peer may announce: two clean paths, a preferred one, a loop."""
+    return (
+        _attrs([peer, 6]),
+        _attrs([peer, 7, 6]),
+        _attrs([peer, 6], local_pref=200),
+        _attrs([peer, 7, peer]),
+    )
+
+
+_UPDATES = st.lists(
+    st.tuples(
+        st.integers(0, 2),  # peer (folded onto the peers in play)
+        st.lists(st.integers(0, len(_POOL) - 1), max_size=2),  # withdrawals
+        st.lists(  # announcements: (prefix, path)
+            st.tuples(st.integers(0, len(_POOL) - 1), st.integers(0, 3)), max_size=2
+        ),
+        st.integers(0, 1),  # time step: 0 keeps re-announcements *equal*
+    ).filter(lambda update: update[1] or update[2]),
+    min_size=1,
+    max_size=30,
+)
+
+
+def _parity_speaker(peers, prefix_independent):
+    speaker = BGPSpeaker(1, DecisionProcess(prefix_independent=prefix_independent))
+    for peer in peers:
+        speaker.add_peer(peer).record_stream = False
+    return speaker
+
+
+def _parity_state(speaker):
+    loc_rib = speaker.loc_rib
+    best = {entry.prefix: entry for entry in loc_rib.best_entries()}
+    candidates = {
+        prefix: sorted(loc_rib.candidates(prefix), key=lambda entry: entry.peer_as)
+        for prefix in _POOL
+    }
+    return best, candidates
+
+
+class TestBatchedReselectionParity:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        peer_count=st.integers(1, 3),
+        prefix_independent=st.booleans(),
+        updates=_UPDATES,
+        split=st.integers(0, 30),
+    )
+    def test_batch_and_columnar_match_per_message(
+        self, peer_count, prefix_independent, updates, split
+    ):
+        peers = _PARITY_PEERS[:peer_count]
+        paths = {peer: _path_pool(peer) for peer in peers}
+        messages = []
+        clock = 0.0
+        for peer_index, withdrawn, announced, step in updates:
+            peer = peers[peer_index % peer_count]
+            clock += step
+            messages.append(
+                Update(
+                    timestamp=clock,
+                    peer_as=peer,
+                    announcements=tuple(
+                        Announcement(_POOL[prefix], paths[peer][path])
+                        for prefix, path in announced
+                    ),
+                    withdrawals=tuple(_POOL[prefix] for prefix in withdrawn),
+                )
+            )
+        # The head builds pre-batch state per message on every speaker, so
+        # the batch also meets prefixes that start routed, or unrouted
+        # behind a looped sole candidate.
+        head, tail = messages[:split], messages[split:]
+        speakers = {
+            name: _parity_speaker(peers, prefix_independent)
+            for name in ("receive", "receive_batch", "receive_columnar")
+        }
+        for speaker in speakers.values():
+            for message in head:
+                speaker.receive(message)
+        changes = {
+            "receive": [
+                change for message in tail for change in speakers["receive"].receive(message)
+            ],
+            "receive_batch": speakers["receive_batch"].receive_batch(tail),
+            "receive_columnar": speakers["receive_columnar"].receive_columnar(
+                ColumnarTrace.from_messages(tail)
+            ),
+        }
+        expected_state = _parity_state(speakers["receive"])
+        expected_events = _event_sets(changes["receive"])
+        for name in ("receive_batch", "receive_columnar"):
+            assert _parity_state(speakers[name]) == expected_state, name
+            assert _event_sets(changes[name]) == expected_events, name
+        for prefix, entry in expected_state[0].items():
+            assert not entry.as_path.has_loop(), prefix
+
+    @pytest.mark.parametrize("prefix_independent", [True, False])
+    def test_sole_looped_candidate_ends_unrouted(self, prefix_independent):
+        speaker = _parity_speaker((2, 3), prefix_independent)
+        speaker.receive(Update.announce(0.0, 2, PFX[0], _attrs([2, 6])))
+        speaker.receive(Update.announce(0.0, 3, PFX[0], _attrs([3, 7, 3])))
+        changes = speaker.receive_batch([Update.withdraw(1.0, 2, PFX[0])])
+        assert [(c.prefix, c.new) for c in changes] == [(PFX[0], None)]
+        assert changes[0].is_loss_of_reachability
+        assert speaker.best_route(PFX[0]) is None
+        assert len(speaker.loc_rib.candidates(PFX[0])) == 1
+
+    @pytest.mark.parametrize("entry_point", ["receive_batch", "receive_columnar"])
+    @pytest.mark.parametrize("prefix_independent", [True, False])
+    def test_looped_reannounce_of_a_route_from_the_same_batch_is_a_loss(
+        self, prefix_independent, entry_point
+    ):
+        """One UPDATE withdraws a prefix and re-announces it over a loop.
+
+        The prefix's only route arrived earlier in the same batch, so the
+        batch starts and ends unrouted; the recovery and the loss in between
+        must both be reported, as the per-message speaker reports them.
+        """
+        batch = [
+            Update.announce(0.0, 2, PFX[0], _attrs([2, 6])),
+            Update(
+                timestamp=1.0,
+                peer_as=2,
+                announcements=(Announcement(PFX[0], _attrs([2, 7, 2])),),
+                withdrawals=(PFX[0],),
+            ),
+        ]
+        reference = _parity_speaker((2,), prefix_independent)
+        expected = [change for message in batch for change in reference.receive(message)]
+        assert _event_sets(expected) == ([PFX[0]], [PFX[0]])
+
+        speaker = _parity_speaker((2,), prefix_independent)
+        if entry_point == "receive_batch":
+            changes = speaker.receive_batch(batch)
+        else:
+            changes = speaker.receive_columnar(ColumnarTrace.from_messages(batch))
+        assert _event_sets(changes) == _event_sets(expected)
+        assert _parity_state(speaker) == _parity_state(reference)
+        assert speaker.best_route(PFX[0]) is None
+
+    @pytest.mark.parametrize("prefix_independent", [True, False])
+    def test_sole_candidate_replaced_by_an_equal_one_emits_nothing(
+        self, prefix_independent
+    ):
+        speaker = _parity_speaker((2,), prefix_independent)
+        speaker.receive(Update.announce(5.0, 2, PFX[0], _attrs([2, 6])))
+        before = speaker.best_route(PFX[0])
+        assert speaker.receive_batch([Update.announce(5.0, 2, PFX[0], _attrs([2, 6]))]) == []
+        assert speaker.best_route(PFX[0]) == before
+        # A later timestamp is a different route: same next hop, one change.
+        (change,) = speaker.receive_batch([Update.announce(6.0, 2, PFX[0], _attrs([2, 6]))])
+        assert change == BestRouteChange(PFX[0], before, speaker.best_route(PFX[0]))
+        assert not change.next_hop_changed and hash(change) == hash(
+            BestRouteChange(prefix=PFX[0], old=change.old, new=change.new)
+        )
