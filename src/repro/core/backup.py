@@ -30,6 +30,7 @@ __all__ = [
     "BackupProfile",
     "BackupProfileIndex",
     "BackupSelection",
+    "RankedAlternates",
     "ReroutingPolicy",
 ]
 
@@ -38,28 +39,6 @@ Link = Tuple[int, int]
 
 def _canonical(link: Link) -> Link:
     return link if link[0] <= link[1] else (link[1], link[0])
-
-
-_object_new = object.__new__
-
-
-def _make_selection(
-    prefix: Prefix, protected_link: Link, next_hop: int, as_path: ASPath
-) -> "BackupSelection":
-    """Build a BackupSelection without the frozen-dataclass ``__setattr__`` tax.
-
-    The profile-grouped fan-out constructs one selection per (prefix, link)
-    over whole tables; filling the instance ``__dict__`` directly keeps that
-    loop cheap while remaining indistinguishable from constructor-built
-    instances (same equality, hashing, pickling).
-    """
-    selection = _object_new(BackupSelection)
-    fields = selection.__dict__
-    fields["prefix"] = prefix
-    fields["protected_link"] = protected_link
-    fields["next_hop"] = next_hop
-    fields["as_path"] = as_path
-    return selection
 
 
 @dataclass(frozen=True)
@@ -101,9 +80,14 @@ class ReroutingPolicy:
         return self.capacity_limits.get(neighbor)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BackupSelection:
-    """The backup chosen for one (prefix, protected link) pair."""
+    """The backup chosen for one (prefix, protected link) pair.
+
+    Slotted: a provisioned table holds one selection per (prefix, link), and
+    an instance ``__dict__`` each would be a third of the objects the
+    collector tracks for the router.
+    """
 
     prefix: Prefix
     protected_link: Link
@@ -114,6 +98,39 @@ class BackupSelection:
     def depth(self) -> int:
         """Length of the backup AS path."""
         return len(self.as_path)
+
+
+_object_new = object.__new__
+_set_prefix = BackupSelection.prefix.__set__
+_set_protected_link = BackupSelection.protected_link.__set__
+_set_next_hop = BackupSelection.next_hop.__set__
+_set_as_path = BackupSelection.as_path.__set__
+
+
+def _make_selection(
+    prefix: Prefix, protected_link: Link, next_hop: int, as_path: ASPath
+) -> BackupSelection:
+    """Build a BackupSelection without the frozen-dataclass ``__setattr__`` tax.
+
+    The profile-grouped fan-out constructs one selection per (prefix, link)
+    over whole tables; filling the slots through their descriptors keeps that
+    loop cheap while remaining indistinguishable from constructor-built
+    instances (same equality, hashing, pickling).
+    """
+    selection = _object_new(BackupSelection)
+    _set_prefix(selection, prefix)
+    _set_protected_link(selection, protected_link)
+    _set_next_hop(selection, next_hop)
+    _set_as_path(selection, as_path)
+    return selection
+
+
+class RankedAlternates(list):
+    """What :meth:`BackupComputer.rank` returns: one prefix's policy-allowed
+    alternates, most preferred first.  :meth:`BackupComputer.select` takes
+    the type as proof that the filter-and-sort is already done."""
+
+    __slots__ = ()
 
 
 #: One backup per protected link, in table order: ``(link, next_hop, path)``.
@@ -358,49 +375,42 @@ class BackupComputer:
 
         Includes the link between the local AS and the primary next-hop
         (depth 1) and then the links along the path up to ``max_depth``.
+        The tuples are fresh, not the path's cached ones: they become the
+        keys of a per-prefix table whose pickle must not depend on which
+        prefixes share a path object.
         """
         if len(primary_path) == 0:
             return []
         links: List[Link] = [_canonical((local_as, primary_path.first_hop))]
-        for link, position in primary_path.links_with_positions():
-            if position + 1 > self.max_depth:
-                break
-            links.append(link)
+        for a, b in primary_path.links()[: self.max_depth - 1]:
+            links.append((a, b))
         return links
 
-    def candidates_for(
-        self,
-        prefix: Prefix,
-        protected_link: Link,
-        alternates: Sequence[RibEntry],
-    ) -> List[RibEntry]:
-        """Alternate routes usable as backups for ``protected_link``.
+    def rank(self, prefix: Prefix, alternates: Sequence[RibEntry]) -> RankedAlternates:
+        """The alternates of ``prefix`` the policy allows, most preferred first.
 
-        A candidate is valid when its AS path does not traverse the protected
-        link (the Fig. 3 / §5 rule: "only AS 3 can be used as a backup
-        next-hop, since the AS paths received from AS 4 also use (5, 6)") and
-        its next-hop is allowed by the policy.  When the computer was built
-        with ``avoid_both_endpoints=True`` the stricter rule of the §4.2
-        footnote is applied instead: the candidate must avoid *both* endpoints
-        of the link, which keeps rerouting safe even when the inference can
-        only localise the failure to a set of links sharing an endpoint.
+        The order — (preference, path length, next hop), ties in input order
+        — does not depend on the protected link, so one ranking serves every
+        link of the prefix: the candidates valid for a link are a
+        subsequence of it, in the order a per-link sort would give them.
         """
-        a, b = protected_link
-        canonical = _canonical(protected_link)
-        valid: List[RibEntry] = []
-        for entry in alternates:
-            if entry.prefix != prefix:
-                continue
-            if not self.policy.allows(entry.next_hop):
-                continue
-            if self.avoid_both_endpoints:
-                path_asns = set(entry.as_path.asns)
-                if a in path_asns or b in path_asns:
-                    continue
-            elif canonical in entry.as_path.links():
-                continue
-            valid.append(entry)
-        return valid
+        policy = self.policy
+        forbidden = policy.forbidden_next_hops
+        ranked = RankedAlternates(
+            entry
+            for entry in alternates
+            if entry.prefix == prefix and entry.attributes.next_hop not in forbidden
+        )
+        if len(ranked) > 1:
+            preference_of = policy.preference_of
+
+            def key(entry: RibEntry) -> Tuple[int, int, int]:
+                attributes = entry.attributes
+                next_hop = attributes.next_hop
+                return (preference_of(next_hop), len(attributes.as_path.asns), next_hop)
+
+            ranked.sort(key=key)
+        return ranked
 
     def select(
         self,
@@ -411,30 +421,44 @@ class BackupComputer:
     ) -> Optional[BackupSelection]:
         """Choose the best backup for one (prefix, link) pair.
 
+        The first entry of the prefix's ranking (:meth:`rank`; ``alternates``
+        is ranked here unless it already is a :class:`RankedAlternates`)
+        that is valid for the link and has capacity left.  A candidate is
+        valid when its AS path does not traverse the protected link (the
+        Fig. 3 / §5 rule: "only AS 3 can be used as a backup next-hop, since
+        the AS paths received from AS 4 also use (5, 6)").  When the computer
+        was built with ``avoid_both_endpoints=True`` the stricter rule of the
+        §4.2 footnote is applied instead: the candidate must avoid *both*
+        endpoints of the link, which keeps rerouting safe even when the
+        inference can only localise the failure to a set of links sharing an
+        endpoint.
+
         ``usage`` tracks how many prefixes have already been assigned to each
         neighbor during this computation; it is consulted (and updated) to
         enforce the policy's capacity limits.
         """
         protected_link = _canonical(protected_link)
-        candidates = self.candidates_for(prefix, protected_link, alternates)
-        if not candidates:
-            return None
-        ranked = sorted(
-            candidates,
-            key=lambda entry: (
-                self.policy.preference_of(entry.next_hop),
-                len(entry.as_path),
-                entry.next_hop,
-            ),
-        )
-        for entry in ranked:
-            capacity = self.policy.capacity_of(entry.next_hop)
-            if capacity is not None and usage is not None:
-                if usage.get(entry.next_hop, 0) >= capacity:
+        if type(alternates) is not RankedAlternates:
+            alternates = self.rank(prefix, alternates)
+        a, b = protected_link
+        avoid_both = self.avoid_both_endpoints
+        capacity_limits = self.policy.capacity_limits
+        for entry in alternates:
+            attributes = entry.attributes
+            path = attributes.as_path
+            if avoid_both:
+                asns = path.asns
+                if a in asns or b in asns:
                     continue
+            elif protected_link in path.links():
+                continue
+            next_hop = attributes.next_hop
             if usage is not None:
-                usage[entry.next_hop] = usage.get(entry.next_hop, 0) + 1
-            return _make_selection(prefix, protected_link, entry.next_hop, entry.as_path)
+                capacity = capacity_limits.get(next_hop)
+                if capacity is not None and usage.get(next_hop, 0) >= capacity:
+                    continue
+                usage[next_hop] = usage.get(next_hop, 0) + 1
+            return _make_selection(prefix, protected_link, next_hop, path)
         return None
 
     def select_all(
@@ -445,10 +469,15 @@ class BackupComputer:
         alternates: Sequence[RibEntry],
         usage: Optional[Dict[int, int]] = None,
     ) -> Dict[Link, BackupSelection]:
-        """The backup of every protected link of one prefix that has one."""
+        """The backup of every protected link of one prefix that has one.
+
+        The alternates are ranked once; each link's :meth:`select` walks
+        that ranking for its first valid entry.
+        """
         per_link: Dict[Link, BackupSelection] = {}
+        ranked = self.rank(prefix, alternates)
         for link in self.protected_links(primary_path, local_as):
-            selection = self.select(prefix, link, alternates, usage)
+            selection = self.select(prefix, link, ranked, usage)
             if selection is not None:
                 per_link[link] = selection
         return per_link

@@ -126,10 +126,16 @@ class TagLayout:
 class EncodedTags:
     """The result of running the encoder over a RIB snapshot.
 
-    ``link_loads``, ``next_hop_counts`` and ``fully_encoded`` carry the
-    encoder's working state forward so that a later
-    :meth:`TagEncoder.encode_delta` can re-encode only the prefixes whose
-    routes changed; they are implementation details of that incremental path.
+    ``link_loads``, ``eligible_loads``, ``next_hop_counts`` and
+    ``fully_encoded`` carry the encoder's working state forward so that a
+    later :meth:`TagEncoder.encode_delta` can re-encode only the prefixes
+    whose routes changed.  That call patches this object *in place* — the
+    same ``tags`` and ``link_loads`` dicts, a few entries changed — so a
+    warm re-provision never copies a table-sized structure.
+
+    ``eligible_loads`` is the subset of ``link_loads`` at or above
+    ``config.prefix_threshold``: the only entries the identifier allocation
+    reads, tens where ``link_loads`` holds thousands.
     """
 
     config: EncoderConfig
@@ -138,10 +144,23 @@ class EncodedTags:
     link_ids: Dict[int, Dict[Link, int]]
     next_hop_ids: Dict[int, int]
     encoded_prefix_count: int
-    skipped_links: List[Tuple[Link, int, int]] = field(default_factory=list)
     link_loads: Dict[Tuple[Link, int], int] = field(default_factory=dict)
+    eligible_loads: Dict[Tuple[Link, int], int] = field(default_factory=dict)
     next_hop_counts: Dict[int, int] = field(default_factory=dict)
     fully_encoded: Set[Prefix] = field(default_factory=set)
+
+    @property
+    def skipped_links(self) -> List[Tuple[Link, int, int]]:
+        """Threshold-eligible ``(link, position, load)`` the bit budget
+        rejected, heaviest first.  Computed on demand: a report, not state."""
+        link_ids = self.link_ids
+        return [
+            (link, position, load)
+            for (link, position), load in sorted(
+                self.eligible_loads.items(), key=lambda item: -item[1]
+            )
+            if link not in link_ids.get(position, ())
+        ]
 
     @property
     def encoded_links(self) -> FrozenSet[Tuple[Link, int]]:
@@ -193,16 +212,19 @@ class TagEncoder:
         backups = backups or {}
 
         link_loads = self._link_loads(best_paths)
-        link_ids = self._allocate_link_ids(link_loads)
+        floor = self._eligibility_floor()
+        eligible_loads = {key: load for key, load in link_loads.items() if load >= floor}
+        link_ids = self._allocate_link_ids(eligible_loads)
         layout = self._build_layout(link_ids)
         next_hop_counts = self._next_hop_counts(best_paths, backups, neighbors)
         next_hop_ids = self._ids_from_counts(next_hop_counts)
 
         tags: Dict[Prefix, int] = {}
         fully: Set[Prefix] = set()
+        no_backups: Mapping[Link, BackupSelection] = {}
         for prefix, path in best_paths.items():
             tag, fully_encoded = self._tag_for(
-                prefix, path, backups.get(prefix, {}), link_ids, next_hop_ids, layout
+                path, backups.get(prefix, no_backups), link_ids, next_hop_ids, layout
             )
             tags[prefix] = tag
             if fully_encoded:
@@ -215,8 +237,8 @@ class TagEncoder:
             link_ids=link_ids,
             next_hop_ids=next_hop_ids,
             encoded_prefix_count=len(fully),
-            skipped_links=self._skipped_links(link_loads, link_ids),
             link_loads=link_loads,
+            eligible_loads=eligible_loads,
             next_hop_counts=next_hop_counts,
             fully_encoded=fully,
         )
@@ -229,73 +251,98 @@ class TagEncoder:
                 Prefix,
                 Optional[ASPath],
                 Optional[ASPath],
-                Sequence[int],
+                Iterable[int],
                 Mapping[Link, "BackupSelection"],
             ]
         ],
         neighbors: Optional[Sequence[int]] = None,
-    ) -> Optional[Tuple[EncodedTags, Dict[Prefix, Optional[int]]]]:
-        """Re-encode only the changed prefixes on top of a previous encoding.
+    ) -> Optional[Dict[Prefix, Optional[int]]]:
+        """Patch ``previous`` in place for the changed prefixes only.
 
         ``changes`` carries one entry per prefix whose best route or backups
         changed since ``previous`` was produced: ``(prefix, old_path,
         new_path, old_backup_next_hops, new_backups)`` with ``None`` paths
-        meaning absent.  The link loads and next-hop counts are patched by
-        the route deltas and the identifier allocations recomputed (cheap —
-        proportional to the number of distinct links, not prefixes).  When
-        both allocations land exactly where they were, only the changed
-        prefixes' tags are rebuilt and the result is ``(new EncodedTags,
-        {prefix: new tag or None})`` — the second element being the stage-1
-        patch for the forwarding table.  When an allocation shifted, returns
-        ``None`` and the caller must run a full :meth:`encode`.
-        """
-        config = self.config
-        link_loads = dict(previous.link_loads)
-        next_hop_counts = dict(previous.next_hop_counts)
-        neighbor_set = set(neighbors or ())
+        meaning absent.
 
-        for prefix, old_path, new_path, old_backup_hops, new_backups in changes:
-            if old_path is not None:
-                for link, position in old_path.links_with_positions():
-                    if position > config.max_path_depth:
-                        break
-                    key = (link, position)
-                    load = link_loads.get(key, 0) - 1
-                    if load > 0:
-                        link_loads[key] = load
-                    else:
-                        link_loads.pop(key, None)
-                first = old_path.first_hop
-                if first is not None:
-                    next_hop_counts[first] = next_hop_counts.get(first, 0) - 1
+        Check, then commit.  The route deltas are first gathered per
+        ``(link, position)`` and per next hop without touching ``previous``;
+        the two identifier allocations are then re-derived from them — the
+        link one only when a changed key is or becomes threshold-eligible,
+        and then over ``eligible_loads`` alone; the next-hop one only when a
+        count moved, over the router's neighbors.  When either allocation
+        would land elsewhere the result is ``None``, ``previous`` is exactly
+        as it was, and the caller must run a full :meth:`encode`.  Otherwise
+        the deltas are committed to ``previous.link_loads`` /
+        ``eligible_loads`` / ``next_hop_counts``, the changed prefixes' tags
+        are rebuilt into ``previous.tags`` / ``fully_encoded``, and the
+        result is ``{prefix: new tag or None}`` — the stage-1 patch for the
+        forwarding table.  The cost is O(changed prefixes) plus the
+        allocation checks; nothing table-sized is copied, sorted or scanned.
+        """
+        depth = self.config.max_path_depth
+        load_delta: Dict[Tuple[Link, int], int] = {}
+        count_delta: Dict[int, int] = {}
+        for _, old_path, new_path, old_backup_hops, new_backups in changes:
+            if old_path is not new_path:
+                for path, step in ((old_path, -1), (new_path, 1)):
+                    if path is None:
+                        continue
+                    for position, link in enumerate(path.links()[:depth], 1):
+                        key = (link, position)
+                        load_delta[key] = load_delta.get(key, 0) + step
+                    first = path.first_hop
+                    if first is not None:
+                        count_delta[first] = count_delta.get(first, 0) + step
             for hop in old_backup_hops:
-                next_hop_counts[hop] = next_hop_counts.get(hop, 0) - 1
-            if new_path is not None:
-                for link, position in new_path.links_with_positions():
-                    if position > config.max_path_depth:
-                        break
-                    key = (link, position)
-                    link_loads[key] = link_loads.get(key, 0) + 1
-                first = new_path.first_hop
-                if first is not None:
-                    next_hop_counts[first] = next_hop_counts.get(first, 0) + 1
+                count_delta[hop] = count_delta.get(hop, 0) - 1
             for selection in new_backups.values():
                 hop = selection.next_hop
-                next_hop_counts[hop] = next_hop_counts.get(hop, 0) + 1
-        for hop in [h for h, count in next_hop_counts.items() if count <= 0]:
-            if hop in neighbor_set:
-                next_hop_counts[hop] = max(0, next_hop_counts[hop])
-            else:
-                del next_hop_counts[hop]
+                count_delta[hop] = count_delta.get(hop, 0) + 1
 
-        link_ids = self._allocate_link_ids(link_loads)
-        next_hop_ids = self._ids_from_counts(next_hop_counts)
-        if link_ids != previous.link_ids or next_hop_ids != previous.next_hop_ids:
+        # -- check: would either identifier allocation move? -------------------
+        link_loads = previous.link_loads
+        floor = self._eligibility_floor()
+        staged_loads: Dict[Tuple[Link, int], int] = {}  # key -> load after
+        eligible_loads: Optional[Dict[Tuple[Link, int], int]] = None
+        for key, delta in load_delta.items():
+            if not delta:
+                continue
+            before = link_loads.get(key, 0)
+            after = before + delta
+            staged_loads[key] = after
+            if before >= floor or after >= floor:
+                if eligible_loads is None:
+                    eligible_loads = previous.eligible_loads.copy()
+                if after >= floor:
+                    eligible_loads[key] = after
+                else:
+                    del eligible_loads[key]
+        if (
+            eligible_loads is not None
+            and self._allocate_link_ids(eligible_loads) != previous.link_ids
+        ):
             return None
+        next_hop_counts: Optional[Dict[int, int]] = None
+        if any(count_delta.values()):
+            next_hop_counts = self._patched_counts(
+                previous.next_hop_counts, count_delta, neighbors or ()
+            )
+            if self._ids_from_counts(next_hop_counts) != previous.next_hop_ids:
+                return None
 
-        layout = previous.layout
-        tags = dict(previous.tags)
-        fully = set(previous.fully_encoded)
+        # -- commit ------------------------------------------------------------
+        for key, load in staged_loads.items():
+            if load > 0:
+                link_loads[key] = load
+            else:
+                link_loads.pop(key, None)
+        if eligible_loads is not None:
+            previous.eligible_loads = eligible_loads
+        if next_hop_counts is not None:
+            previous.next_hop_counts = next_hop_counts
+
+        link_ids, next_hop_ids, layout = previous.link_ids, previous.next_hop_ids, previous.layout
+        tags, fully = previous.tags, previous.fully_encoded
         tag_patch: Dict[Prefix, Optional[int]] = {}
         for prefix, _, new_path, _, new_backups in changes:
             if new_path is None:
@@ -304,29 +351,16 @@ class TagEncoder:
                 fully.discard(prefix)
                 continue
             tag, fully_encoded = self._tag_for(
-                prefix, new_path, new_backups, link_ids, next_hop_ids, layout
+                new_path, new_backups, link_ids, next_hop_ids, layout
             )
             if tags.get(prefix) != tag:
-                tag_patch[prefix] = tag
-            tags[prefix] = tag
+                tags[prefix] = tag_patch[prefix] = tag
             if fully_encoded:
                 fully.add(prefix)
             else:
                 fully.discard(prefix)
-
-        encoded = EncodedTags(
-            config=config,
-            layout=layout,
-            tags=tags,
-            link_ids=link_ids,
-            next_hop_ids=next_hop_ids,
-            encoded_prefix_count=len(fully),
-            skipped_links=self._skipped_links(link_loads, link_ids),
-            link_loads=link_loads,
-            next_hop_counts=next_hop_counts,
-            fully_encoded=fully,
-        )
-        return encoded, tag_patch
+        previous.encoded_prefix_count = len(fully)
+        return tag_patch
 
     def reroute_rules(
         self,
@@ -394,7 +428,7 @@ class TagEncoder:
             path = best_paths.get(prefix)
             if path is None:
                 continue
-            for link, position in path.links_with_positions():
+            for position, link in enumerate(path.links(), 1):
                 if link in wanted and encoded.is_encoded(link, position):
                     covered += 1
                     break
@@ -406,32 +440,33 @@ class TagEncoder:
         self, best_paths: Mapping[Prefix, ASPath]
     ) -> Dict[Tuple[Link, int], int]:
         """Number of prefixes crossing each (link, position) pair."""
+        depth = self.config.max_path_depth
         loads: Dict[Tuple[Link, int], int] = {}
         for path in best_paths.values():
-            for link, position in path.links_with_positions():
-                if position > self.config.max_path_depth:
-                    break
+            for position, link in enumerate(path.links()[:depth], 1):
                 key = (link, position)
                 loads[key] = loads.get(key, 0) + 1
         return loads
 
+    def _eligibility_floor(self) -> int:
+        """Smallest load that makes a (link, position) worth an identifier."""
+        return max(1, self.config.prefix_threshold)
+
     def _allocate_link_ids(
-        self, link_loads: Mapping[Tuple[Link, int], int]
+        self, eligible_loads: Mapping[Tuple[Link, int], int]
     ) -> Dict[int, Dict[Link, int]]:
         """Greedy identifier allocation under the part-1 bit budget.
 
-        Links are considered heaviest first; a link is accepted if, after
-        (possibly) widening its position's bit group to fit one more
-        identifier, the total width of all groups still fits ``path_bits``.
-        Identifier 0 of every group is reserved to mean "nothing encoded".
+        ``eligible_loads`` holds the (link, position) loads at or above the
+        prefix threshold.  Links are considered heaviest first; a link is
+        accepted if, after (possibly) widening its position's bit group to
+        fit one more identifier, the total width of all groups still fits
+        ``path_bits``.  Identifier 0 of every group is reserved to mean
+        "nothing encoded".
         """
         config = self.config
         eligible = sorted(
-            (
-                (load, link, position)
-                for (link, position), load in link_loads.items()
-                if load >= config.prefix_threshold
-            ),
+            ((load, link, position) for (link, position), load in eligible_loads.items()),
             key=lambda item: (-item[0], item[2], item[1]),
         )
         counts: Dict[int, int] = {}
@@ -493,24 +528,26 @@ class TagEncoder:
         limit = self.config.max_next_hops
         return {asn: index + 1 for index, asn in enumerate(ordered[:limit])}
 
-    def _skipped_links(
-        self,
-        link_loads: Mapping[Tuple[Link, int], int],
-        link_ids: Mapping[int, Mapping[Link, int]],
-    ) -> List[Tuple[Link, int, int]]:
-        """Threshold-eligible (link, position) pairs the bit budget rejected."""
-        return [
-            (link, position, load)
-            for (link, position), load in sorted(
-                link_loads.items(), key=lambda item: -item[1]
-            )
-            if link not in link_ids.get(position, {})
-            and load >= self.config.prefix_threshold
-        ]
+    @staticmethod
+    def _patched_counts(
+        counts: Mapping[int, int], count_delta: Mapping[int, int], neighbors: Sequence[int]
+    ) -> Dict[int, int]:
+        """``counts`` after ``count_delta``, as a new (neighbor-sized) dict.
+
+        A next hop nothing uses any more keeps an entry — and with it a claim
+        on an identifier — only while it is one of ``neighbors``.
+        """
+        patched: Dict[int, int] = {}
+        for hop in (*counts, *(hop for hop in count_delta if hop not in counts)):
+            count = counts.get(hop, 0) + count_delta.get(hop, 0)
+            if count > 0:
+                patched[hop] = count
+            elif hop in neighbors:
+                patched[hop] = 0
+        return patched
 
     def _tag_for(
         self,
-        prefix: Prefix,
         path: ASPath,
         prefix_backups: Mapping[Link, BackupSelection],
         link_ids: Mapping[int, Mapping[Link, int]],
@@ -520,45 +557,44 @@ class TagEncoder:
         config = self.config
         tag = 0
         fully_encoded = True
+        links = path.links()
 
         # Part 1: the link identifier of every encoded position of the path.
-        for link, position in path.links_with_positions():
-            if position > config.max_path_depth:
-                break
-            group = layout.position_groups.get(position)
-            if group is None:
-                fully_encoded = False
-                continue
-            identifier = link_ids.get(position, {}).get(link)
-            if identifier is None:
-                fully_encoded = False
-                continue
-            shift, _ = group
-            tag |= identifier << shift
+        position_groups = layout.position_groups
+        if not position_groups:
+            fully_encoded = not links
+        else:
+            for position, link in enumerate(links[: config.max_path_depth], 1):
+                group = position_groups.get(position)
+                if group is None:
+                    fully_encoded = False
+                    continue
+                identifier = link_ids[position].get(link)
+                if identifier is None:
+                    fully_encoded = False
+                    continue
+                tag |= identifier << group[0]
 
         # Part 2: primary next-hop and per-depth backup next-hops.
         primary = path.first_hop
         if primary is not None:
             primary_id = next_hop_ids.get(primary)
             if primary_id is not None:
-                shift, _ = layout.primary_group
-                tag |= primary_id << shift
+                tag |= primary_id << layout.primary_group[0]
             else:
                 fully_encoded = False
 
-        by_depth = self._backups_by_depth(path, prefix_backups)
-        for depth, selection in by_depth.items():
-            if depth > config.backup_depth:
-                continue
-            group = layout.backup_groups.get(depth)
-            if group is None:
-                continue
-            backup_id = next_hop_ids.get(selection.next_hop)
-            if backup_id is None:
-                fully_encoded = False
-                continue
-            shift, _ = group
-            tag |= backup_id << shift
+        if prefix_backups:
+            backup_groups = layout.backup_groups
+            for depth, selection in self._backups_by_depth(path, prefix_backups).items():
+                group = backup_groups.get(depth)
+                if group is None:  # deeper than config.backup_depth
+                    continue
+                backup_id = next_hop_ids.get(selection.next_hop)
+                if backup_id is None:
+                    fully_encoded = False
+                    continue
+                tag |= backup_id << group[0]
         return tag, fully_encoded
 
     def _backups_by_depth(
@@ -572,16 +608,18 @@ class TagEncoder:
         up in order.
         """
         result: Dict[int, BackupSelection] = {}
-        links = path.links_with_positions()
-        for link, position in links:
-            selection = prefix_backups.get(_canonical(link))
-            if selection is not None and position not in result:
+        for position, link in enumerate(path.links(), 1):
+            selection = prefix_backups.get(link)
+            if selection is not None:
                 result[position] = selection
         # The depth-1 slot may also protect the (local, neighbor) session link
         # when the backup table contains it (its position is 1 as well).
-        for link, selection in prefix_backups.items():
-            if path.first_hop is not None and path.first_hop in link:
-                result.setdefault(1, selection)
+        first_hop = path.first_hop
+        if 1 not in result and first_hop is not None:
+            for link, selection in prefix_backups.items():
+                if first_hop in link:
+                    result[1] = selection
+                    break
         return result
 
 

@@ -32,11 +32,23 @@ Re-provisioning is *incremental*: :meth:`SwiftedRouter.provision` keeps the
 per-session :class:`~repro.core.inference.InferenceEngine`\\ s (and their
 link/prefix indexes) alive, patching them from the speaker's route-change
 stream, and only looks up, recomputes and re-indexes the prefixes whose
-candidate routes changed since the last call.  A warm re-provision therefore
-costs O(changes), not O(RIB) — the paper's "re-runs it periodically / upon
+candidate routes changed since the last call.  A warm re-provision costs
+O(changes), not O(RIB) — the paper's "re-runs it periodically / upon
 significant RIB changes" loop becomes cheap enough to run after every quiet
-period.  Pass ``full_rebuild=True`` to force the from-scratch path (also
-taken automatically when the rerouting policy carries capacity limits, whose
+period.  The cost model, per dirty prefix: one Loc-RIB lookup, one ranking of
+its alternates (:meth:`~repro.core.backup.BackupComputer.rank`), at most
+``max_backup_depth`` walks of that ranking for the first backup valid for a
+protected link, one move between backup-index profiles, one tag, one stage-1
+trie update when the tag changed.  Per call: the encoder's two allocation
+checks — over the threshold-eligible links and only when one of them moved,
+over the neighbors when a next-hop count moved
+(:meth:`~repro.core.encoding.TagEncoder.encode_delta`) — and one visit per
+session to flush its engine.  No table-sized structure is copied, sorted or
+scanned; the encoding is patched in place.  When an identifier allocation
+would move, the patch is refused before it touches anything and the tags are
+re-encoded from scratch (``last_provision_stats["full_reencode"]``).  Pass
+``full_rebuild=True`` to force the from-scratch path (also taken
+automatically when the rerouting policy carries capacity limits, whose
 global usage accounting is inherently non-incremental).
 """
 
@@ -229,6 +241,9 @@ class SwiftedRouter:
         and are patched from the recorded route-change stream, and only the
         dirty prefixes are looked up in the Loc-RIB (never scanned here), get
         backups and tags recomputed and move between backup-index profiles.
+        A warm call patches and returns the *same* :class:`EncodedTags`
+        object (see the module docstring for the cost model); a new one
+        appears only when the tags had to be re-encoded from scratch.
         ``full_rebuild=True`` forces the from-scratch path; rerouting
         policies with capacity limits always take it, because their global
         usage accounting cannot be patched per prefix.
@@ -260,7 +275,7 @@ class SwiftedRouter:
                 for prefix in dirty:
                     old_path = self._encoded_paths.pop(prefix, None)
                     old_profile = index.profile_of.get(prefix)
-                    old_hops = [hop for _, hop, _ in old_profile.winners] if old_profile else ()
+                    old_hops = old_profile.next_hops.values() if old_profile else ()
                     best = loc_rib.best(prefix)
                     new_path, per_link = None, {}
                     if best is not None:
@@ -275,16 +290,16 @@ class SwiftedRouter:
                     index.assign_selections(prefix, per_link)
                     changes.append((prefix, old_path, new_path, old_hops, per_link))
                 assert self._encoded is not None
-                delta = self.encoder.encode_delta(
+                tag_patch = self.encoder.encode_delta(
                     self._encoded, changes, neighbors=self.speaker.peer_ases
                 )
-                if delta is None:
-                    # The identifier allocation moved: fall back to a full
-                    # re-encode (backups above are already patched).
+                if tag_patch is None:
+                    # The identifier allocation moved (and the encoding was
+                    # left untouched): fall back to a full re-encode (backups
+                    # above are already patched).
                     self._reencode({entry.prefix: entry for entry in loc_rib.best_entries()})
                     self.last_provision_stats["full_reencode"] = 1
                 else:
-                    self._encoded, tag_patch = delta
                     self.forwarding.update_tags(tag_patch)
                     self.last_provision_stats["tag_patch"] = len(tag_patch)
         else:

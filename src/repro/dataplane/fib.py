@@ -95,6 +95,12 @@ class PerPrefixFib:
         return self._trie.items()
 
 
+def _matching_order(item: Tuple[int, int, WildcardRule]) -> Tuple[int, int]:
+    """Sort key of ``(priority, sequence, rule)``: highest priority first,
+    among equals the most recent first."""
+    return (-item[0], -item[1])
+
+
 class TwoStageForwardingTable:
     """The SWIFT two-stage table.
 
@@ -171,14 +177,16 @@ class TwoStageForwardingTable:
         """Install a stage-2 rule at the given priority."""
         self._sequence += 1
         self._rules.append((priority, self._sequence, rule))
-        # Highest priority first; among equals the most recent first.
-        self._rules.sort(key=lambda item: (-item[0], -item[1]))
+        self._rules.sort(key=_matching_order)
         self.stage2_updates += 1
 
     def install_rules(self, rules: Sequence[WildcardRule], priority: int = 0) -> int:
-        """Install several rules; returns how many were installed."""
+        """Install several rules (one sort for all); returns how many."""
         for rule in rules:
-            self.install_rule(rule, priority)
+            self._sequence += 1
+            self._rules.append((priority, self._sequence, rule))
+        self._rules.sort(key=_matching_order)
+        self.stage2_updates += len(rules)
         return len(rules)
 
     def remove_rules(self, predicate) -> int:
@@ -213,20 +221,30 @@ class TwoStageForwardingTable:
 
     # -- forwarding ----------------------------------------------------------
 
+    def _matching_rule(self, tag: int) -> Optional[WildcardRule]:
+        """The first stage-2 rule, in matching order, that ``tag`` hits."""
+        for _, _, rule in self._rules:
+            if (tag & rule.mask) == rule.value:
+                return rule
+        return None
+
     def forward(self, packet: Packet) -> ForwardingDecision:
         """Run a packet through both stages."""
         tag = self.tag_of(packet.destination)
         if tag is None:
             return ForwardingDecision(next_hop=None)
         packet.tag = tag
-        for _, _, rule in self._rules:
-            if rule.matches(tag):
-                packet.egress_next_hop = rule.next_hop
-                return ForwardingDecision(
-                    next_hop=rule.next_hop, matched_rule=rule, tag=tag
-                )
-        return ForwardingDecision(next_hop=None, tag=tag)
+        rule = self._matching_rule(tag)
+        if rule is None:
+            return ForwardingDecision(next_hop=None, tag=tag)
+        packet.egress_next_hop = rule.next_hop
+        return ForwardingDecision(next_hop=rule.next_hop, matched_rule=rule, tag=tag)
 
     def forward_address(self, destination: int) -> Optional[int]:
-        """Convenience wrapper: next-hop for a bare destination address."""
-        return self.forward(Packet(destination=destination)).next_hop
+        """Next-hop for a bare destination address: :meth:`forward`'s answer
+        without a :class:`Packet` or a :class:`ForwardingDecision`."""
+        match = self._stage1.lookup(destination)
+        if match is None:
+            return None
+        rule = self._matching_rule(match[1])
+        return rule.next_hop if rule is not None else None

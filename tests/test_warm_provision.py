@@ -1,0 +1,556 @@
+"""Warm ``provision()`` in O(changes): patch-in-place encoding, rank-once backups.
+
+A warm re-provision patches the router's :class:`EncodedTags` in place,
+ranks a prefix's alternates once for all its protected links and answers
+``forward()`` without building a packet.  These tests hold each shortcut to
+what it replaced: a cold provision from the same RIB, the per-link
+filter-and-sort selection, ``forward(Packet(...))`` — and check, without a
+stopwatch, that a warm provision's allocations do not grow with the table.
+"""
+
+import copy
+import pickle
+import tracemalloc
+from dataclasses import FrozenInstanceError
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from repro.bgp.attributes import ASPath, PathAttributes
+from repro.bgp.messages import Update
+from repro.bgp.prefix import Prefix, prefix_block
+from repro.bgp.rib import RibEntry
+from repro.core import SwiftConfig, SwiftedRouter
+from repro.core.backup import BackupComputer, BackupSelection, ReroutingPolicy
+from repro.core.burst_detection import BurstDetectorConfig
+from repro.core.encoding import EncoderConfig, WildcardRule
+from repro.core.history import TriggeringSchedule
+from repro.core.inference import InferenceConfig
+from repro.core.swifted_router import SWIFT_RULE_PRIORITY
+from repro.dataplane.fib import TwoStageForwardingTable
+from repro.dataplane.packet import Packet
+
+LOCAL_AS = 1
+LOCAL_PREF = {2: 200, 3: 150, 4: 100, 5: 100}
+
+
+def _config(prefix_threshold, path_bits):
+    return SwiftConfig(
+        inference=InferenceConfig(
+            # Churn in these tests must never look like a burst.
+            detector=BurstDetectorConfig(start_threshold=10 ** 6, stop_threshold=1),
+            schedule=TriggeringSchedule(steps=((10 ** 6, 10 ** 6),), unconditional_after=10 ** 6),
+        ),
+        encoder=EncoderConfig(prefix_threshold=prefix_threshold, path_bits=path_bits),
+    )
+
+
+def _attributes(peer, hops):
+    return PathAttributes(as_path=ASPath(hops), next_hop=peer, local_pref=LOCAL_PREF[peer])
+
+
+def _router(routes_by_peer, prefix_threshold, provision=True, path_bits=18):
+    """A router with one session per peer, loaded from ``{peer: {prefix: hops}}``."""
+    router = SwiftedRouter(LOCAL_AS, _config(prefix_threshold, path_bits))
+    for peer, routes in routes_by_peer.items():
+        router.add_peer(peer)
+        router.load_initial_routes(
+            peer, {p: ASPath(hops) for p, hops in routes.items()}, local_pref=LOCAL_PREF[peer]
+        )
+    if provision:
+        router.provision()
+    return router
+
+
+def _state(router):
+    """Everything a warm provision maintains, in comparable form."""
+    encoded = router.encoded_tags
+    prefixes = set(encoded.tags) | set(router.backup_table)
+    return {
+        "tags": dict(encoded.tags),
+        "link_ids": encoded.link_ids,
+        "next_hop_ids": encoded.next_hop_ids,
+        "link_loads": dict(encoded.link_loads),
+        "eligible_loads": dict(encoded.eligible_loads),
+        "next_hop_counts": dict(encoded.next_hop_counts),
+        "fully_encoded": set(encoded.fully_encoded),
+        "encoded_prefix_count": encoded.encoded_prefix_count,
+        # Equal loads tie in insertion order, which a warm table need not share.
+        "skipped_links": sorted(encoded.skipped_links),
+        "layout": encoded.layout,
+        "backups": {
+            prefix: {link: (sel.next_hop, sel.as_path) for link, sel in per_link.items()}
+            for prefix, per_link in router.backup_table.items()
+        },
+        "forward": {prefix: router.forward(prefix.network) for prefix in prefixes},
+    }
+
+
+def _assert_eligible_is_the_threshold_subset(router):
+    encoded = router.encoded_tags
+    floor = max(1, encoded.config.prefix_threshold)
+    assert encoded.eligible_loads == {
+        key: load for key, load in encoded.link_loads.items() if load >= floor
+    }
+    allocated = {
+        (link, position) for position, ids in encoded.link_ids.items() for link in ids
+    }
+    skipped = encoded.skipped_links
+    assert {(link, position) for link, position, _ in skipped} == set(
+        encoded.eligible_loads
+    ) - allocated
+    assert [load for _, _, load in skipped] == sorted(
+        (load for _, _, load in skipped), reverse=True
+    )
+
+
+class _DeltaSpy:
+    """Records what ``encode_delta`` was handed and what it answered."""
+
+    def __init__(self, router):
+        self.calls = []
+        self._real = router.encoder.encode_delta
+        router.encoder.encode_delta = self
+
+    def __call__(self, previous, changes, neighbors=None):
+        before = copy.deepcopy(previous)
+        result = self._real(previous, changes, neighbors=neighbors)
+        self.calls.append((previous, before, result))
+        return result
+
+
+# -- the fallback nobody asserted ----------------------------------------------
+
+
+def _two_feed_routes(heavy=30, light=25):
+    """AS 2 (preferred) reaches ``heavy`` prefixes through AS 10 and ``light``
+    through AS 11; AS 3 offers every prefix over links of its own."""
+    prefixes = prefix_block("60.0.0.0/24", heavy + light)
+    routes = {2: {}, 3: {}}
+    for number, prefix in enumerate(prefixes):
+        transit, origin = (10, 100) if number < heavy else (11, 101)
+        routes[2][prefix] = [2, transit, origin]
+        routes[3][prefix] = [3, 12, 200 + number]
+    return prefixes, routes
+
+
+class TestAllocationMovedFallback:
+    def _provision_expecting_fallback(self, router, messages):
+        old = router.encoded_tags
+        spy = _DeltaSpy(router)
+        router.receive_batch(messages)
+        router.provision()
+        assert router.last_provision_stats["mode"] == 1
+        assert router.last_provision_stats.get("full_reencode") == 1
+        assert "tag_patch" not in router.last_provision_stats
+        ((handed, before, result),) = spy.calls
+        assert result is None
+        assert handed is old
+        # The failed patch left its input exactly as it found it ...
+        assert handed == before
+        # ... and the router re-encoded into a new object.
+        assert router.encoded_tags is not old
+        warm = _state(router)
+        _assert_eligible_is_the_threshold_subset(router)
+        router.provision(full_rebuild=True)
+        assert router.last_provision_stats["mode"] == 0
+        assert warm == _state(router)
+        return old
+
+    def test_link_crossing_the_threshold(self):
+        prefixes, routes = _two_feed_routes(heavy=30, light=15)
+        router = _router(routes, prefix_threshold=20)
+        assert router.encoded_tags.link_ids == {1: {(2, 10): 1}, 2: {(10, 100): 1}}
+        fresh = prefix_block("70.0.0.0/24", 6)
+        messages = [
+            Update.announce(100.0 + i, 2, prefix, _attributes(2, [2, 11, 101]))
+            for i, prefix in enumerate(fresh)
+        ]
+        self._provision_expecting_fallback(router, messages)
+        assert router.encoded_tags.link_ids == {
+            1: {(2, 10): 1, (2, 11): 2},
+            2: {(10, 100): 1, (11, 101): 2},
+        }
+        assert router.encoded_tags.eligible_loads[((2, 11), 1)] == 21
+
+    def test_link_dropping_below_the_threshold(self):
+        prefixes, routes = _two_feed_routes(heavy=30, light=22)
+        router = _router(routes, prefix_threshold=20)
+        assert (2, 11) in router.encoded_tags.link_ids[1]
+        messages = [
+            Update.withdraw(100.0 + i, 2, prefix) for i, prefix in enumerate(prefixes[30:34])
+        ]
+        self._provision_expecting_fallback(router, messages)
+        assert router.encoded_tags.link_ids == {1: {(2, 10): 1}, 2: {(10, 100): 1}}
+        assert ((2, 11), 1) not in router.encoded_tags.eligible_loads
+
+    def test_two_encoded_links_swapping_load_order(self):
+        prefixes, routes = _two_feed_routes(heavy=30, light=25)
+        router = _router(routes, prefix_threshold=20)
+        assert router.encoded_tags.link_ids[1] == {(2, 10): 1, (2, 11): 2}
+        messages = [
+            Update.withdraw(100.0 + i, 2, prefix) for i, prefix in enumerate(prefixes[:10])
+        ]
+        self._provision_expecting_fallback(router, messages)
+        # Both still at or above the threshold; only their order moved.
+        assert router.encoded_tags.link_ids[1] == {(2, 11): 1, (2, 10): 2}
+        assert router.encoded_tags.link_loads[((2, 10), 1)] == 20
+
+    def test_next_hop_identifier_order_changing(self):
+        prefixes = prefix_block("60.0.0.0/24", 30)
+        routes = {
+            2: {prefix: [2, 10, 100] for prefix in prefixes},
+            3: {prefix: [3, 100] for prefix in prefixes},
+            4: {prefix: [4, 13, 14, 100] for prefix in prefixes},
+        }
+        # No link reaches the threshold: the link allocation cannot be the cause.
+        router = _router(routes, prefix_threshold=10 ** 6)
+        assert router.encoded_tags.link_ids == {}
+        assert router.encoded_tags.next_hop_ids == {3: 1, 2: 2, 4: 3}
+        messages = [
+            Update.withdraw(100.0 + i, 3, prefix) for i, prefix in enumerate(prefixes[:20])
+        ]
+        self._provision_expecting_fallback(router, messages)
+        assert router.encoded_tags.link_ids == {}
+        assert router.encoded_tags.next_hop_ids == {4: 1, 2: 2, 3: 3}
+
+    def test_churn_below_every_boundary_patches_in_place(self):
+        prefixes, routes = _two_feed_routes(heavy=30, light=25)
+        router = _router(routes, prefix_threshold=20)
+        old = router.encoded_tags
+        tags, link_loads, fully = old.tags, old.link_loads, old.fully_encoded
+        spy = _DeltaSpy(router)
+        router.receive_batch(
+            [Update.withdraw(100.0 + i, 2, prefix) for i, prefix in enumerate(prefixes[:3])]
+        )
+        router.provision()
+        assert "full_reencode" not in router.last_provision_stats
+        assert router.last_provision_stats["tag_patch"] == 3
+        ((handed, before, result),) = spy.calls
+        assert handed is old and result is not None
+        assert handed != before  # it was patched
+        assert router.encoded_tags is old
+        assert old.tags is tags and old.link_loads is link_loads and old.fully_encoded is fully
+        # An eligible link whose load moved without crossing anything.
+        assert old.eligible_loads[((2, 10), 1)] == old.link_loads[((2, 10), 1)] == 27
+        warm = _state(router)
+        _assert_eligible_is_the_threshold_subset(router)
+        router.provision(full_rebuild=True)
+        assert warm == _state(router)
+
+
+# -- warm == cold, as a property -----------------------------------------------
+
+# Skewed, so that link loads sit apart and single changes move an eligible
+# load without reordering the allocation (the patch path) as often as they
+# tip it over (the fallback).
+_TRANSITS = (10, 10, 10, 10, 10, 11, 11, 12)
+_MIDDLES = (None, None, None, 20, 20, 21)
+
+
+@st.composite
+def _scenarios(draw):
+    peers = list(range(2, 2 + draw(st.integers(2, 4))))
+    count = draw(st.integers(8, 40))
+    # From "every link is eligible" to "none is"; the middle band is where
+    # only the trunk links are, and stay so under a few changes.
+    threshold = draw(
+        st.one_of(st.integers(1, count + 3), st.integers(count // 6 + 1, count // 3 + 1))
+    )
+    path_bits = draw(st.sampled_from((2, 3, 18)))  # 2-3: the budget rejects links
+    spare = draw(st.integers(0, 4))
+
+    def hops(peer, number):
+        path = [peer, draw(st.sampled_from(_TRANSITS))]
+        middle = draw(st.sampled_from(_MIDDLES))
+        if middle is not None:
+            path.append(middle)
+        path.append(100 + number % 5)
+        return path
+
+    initial = {peer: {} for peer in peers}
+    for number in range(count):
+        holders = draw(st.lists(st.sampled_from(peers), min_size=1, unique=True))
+        for peer in holders:
+            initial[peer][number] = hops(peer, number)
+    rounds = []
+    for _ in range(draw(st.integers(1, 5))):
+        operations = []
+        for _ in range(draw(st.integers(1, 4))):
+            peer = draw(st.sampled_from(peers))
+            number = draw(st.integers(0, count + spare - 1))
+            if draw(st.booleans()):
+                operations.append((peer, number, None))
+            else:
+                operations.append((peer, number, hops(peer, number)))
+        rounds.append(operations)
+    return peers, count + spare, threshold, path_bits, initial, rounds
+
+
+class TestWarmEqualsCold:
+    @settings(
+        max_examples=100,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(_scenarios())
+    def test_every_warm_provision_equals_a_cold_twin(self, scenario):
+        peers, total, threshold, path_bits, initial, rounds = scenario
+        prefixes = prefix_block("60.0.0.0/24", total)
+        routes = {
+            peer: {prefixes[number]: path for number, path in table.items()}
+            for peer, table in initial.items()
+        }
+        warm = _router(routes, threshold, path_bits=path_bits)
+        history = []
+        clock = 100.0
+        for operations in rounds:
+            messages = []
+            for peer, number, path in operations:
+                clock += 30.0
+                if path is None:
+                    messages.append(Update.withdraw(clock, peer, prefixes[number]))
+                else:
+                    messages.append(
+                        Update.announce(clock, peer, prefixes[number], _attributes(peer, path))
+                    )
+            history.extend(messages)
+            warm.receive_batch(messages)
+            warm.provision()
+            assert warm.last_provision_stats["mode"] == 1
+
+            cold = _router(routes, threshold, provision=False, path_bits=path_bits)
+            cold.speaker.receive_batch(history)
+            cold.provision()
+            assert cold.last_provision_stats["mode"] == 0
+            assert _state(warm) == _state(cold)
+            _assert_eligible_is_the_threshold_subset(warm)
+            assert warm.reroutes == []
+
+
+# -- rank once per prefix == rank once per link ----------------------------------
+
+
+def _per_link_select(computer, prefix, link, alternates, usage):
+    """The selection as it was before ranking moved out of the link loop:
+    filter the alternates valid for *this* link, sort them, walk capacity."""
+    a, b = link
+    candidates = []
+    for entry in alternates:
+        if entry.prefix != prefix or not computer.policy.allows(entry.next_hop):
+            continue
+        if computer.avoid_both_endpoints:
+            if a in entry.as_path.asns or b in entry.as_path.asns:
+                continue
+        elif link in entry.as_path.links():
+            continue
+        candidates.append(entry)
+    candidates.sort(
+        key=lambda entry: (
+            computer.policy.preference_of(entry.next_hop),
+            len(entry.as_path),
+            entry.next_hop,
+        )
+    )
+    for entry in candidates:
+        capacity = computer.policy.capacity_of(entry.next_hop)
+        if capacity is not None and usage is not None:
+            if usage.get(entry.next_hop, 0) >= capacity:
+                continue
+        if usage is not None:
+            usage[entry.next_hop] = usage.get(entry.next_hop, 0) + 1
+        return BackupSelection(prefix, link, entry.next_hop, entry.as_path)
+    return None
+
+
+_NEIGHBORS = (2, 3, 4, 5, 6)
+_PATH_ASNS = st.lists(st.sampled_from((10, 11, 12, 20, 21, 100)), min_size=1, max_size=4, unique=True)
+
+
+@st.composite
+def _selection_cases(draw):
+    policy = ReroutingPolicy(
+        forbidden_next_hops=frozenset(draw(st.sets(st.sampled_from(_NEIGHBORS), max_size=2))),
+        preferences=draw(st.dictionaries(st.sampled_from(_NEIGHBORS), st.integers(0, 3))),
+        capacity_limits=draw(st.dictionaries(st.sampled_from(_NEIGHBORS), st.integers(0, 4))),
+        default_preference=draw(st.integers(0, 3)),
+    )
+    computer = BackupComputer(
+        policy=policy,
+        max_depth=draw(st.integers(1, 5)),
+        avoid_both_endpoints=draw(st.booleans()),
+    )
+    prefixes = prefix_block("60.0.0.0/24", draw(st.integers(1, 5)))
+    cases = []
+    for prefix in prefixes:
+        primary = ASPath([draw(st.sampled_from(_NEIGHBORS))] + draw(_PATH_ASNS))
+        alternates = []
+        for _ in range(draw(st.integers(0, 5))):
+            neighbor = draw(st.sampled_from(_NEIGHBORS))
+            owner = draw(st.sampled_from(prefixes))  # sometimes another prefix's route
+            attributes = PathAttributes(
+                as_path=ASPath([neighbor] + draw(_PATH_ASNS)), next_hop=neighbor
+            )
+            alternates.append(RibEntry(owner, attributes, neighbor))
+        cases.append((prefix, primary, alternates))
+    return computer, cases
+
+
+class TestRankOnceSelection:
+    @settings(max_examples=200, deadline=None)
+    @given(_selection_cases(), st.booleans())
+    def test_select_all_equals_the_per_link_loop(self, case, with_usage):
+        computer, cases = case
+        usage = {} if with_usage else None
+        reference_usage = {} if with_usage else None
+        for prefix, primary, alternates in cases:
+            got = computer.select_all(LOCAL_AS, prefix, primary, alternates, usage)
+            links = computer.protected_links(primary, LOCAL_AS)
+            expected = {}
+            for link in links:
+                selection = _per_link_select(computer, prefix, link, alternates, reference_usage)
+                if selection is not None:
+                    expected[link] = selection
+            assert got == expected
+            assert list(got) == list(expected)
+            # select() on raw alternates is select() on their ranking.
+            ranked = computer.rank(prefix, alternates)
+            for link in links:
+                assert computer.select(prefix, link, alternates) == computer.select(
+                    prefix, link, ranked
+                )
+        assert usage == reference_usage
+
+    def test_protected_links_are_fresh_tuples(self):
+        path = ASPath([2, 10, 100])
+        links = BackupComputer().protected_links(path, LOCAL_AS)
+        assert links == [(1, 2), (2, 10), (10, 100)]
+        for mine, cached in zip(links[1:], path.links()):
+            assert mine == cached and mine is not cached
+
+
+class TestBackupSelectionRecord:
+    def test_value_semantics_without_an_instance_dict(self):
+        prefix = Prefix.from_string("60.0.0.0/24")
+        path = ASPath([3, 100])
+        routes = {2: {prefix: [2, 10, 100]}, 3: {prefix: [3, 100]}}
+        built = _router(routes, prefix_threshold=1).backup_table[prefix][(2, 10)]
+        declared = BackupSelection(prefix, (2, 10), 3, path)
+        assert built == declared and hash(built) == hash(declared)
+        assert {built: 1}[declared] == 1
+        assert built.depth == 2
+        for selection in (built, declared):
+            assert not hasattr(selection, "__dict__")
+            clone = pickle.loads(pickle.dumps(selection))
+            assert clone == selection and hash(clone) == hash(selection)
+            with pytest.raises(FrozenInstanceError):
+                selection.next_hop = 9
+            with pytest.raises((FrozenInstanceError, AttributeError, TypeError)):
+                selection.extra = 1
+        assert built != BackupSelection(prefix, (2, 10), 4, path)
+
+
+# -- the lookup that builds no objects, the install that sorts once ---------------
+
+
+def _assert_lookups_agree(table, addresses):
+    for address in addresses:
+        decision = table.forward(Packet(destination=address))
+        assert table.forward_address(address) == decision.next_hop
+
+
+class TestObjectFreeLookup:
+    def test_forward_address_equals_forward(self):
+        prefixes, routes = _two_feed_routes(heavy=30, light=25)
+        router = _router(routes, prefix_threshold=20)
+        table = router.forwarding
+        untagged = Prefix.from_string("99.0.0.0/24").network
+        addresses = [prefix.network for prefix in prefixes] + [untagged]
+        # Default rules only.
+        _assert_lookups_agree(table, addresses)
+        assert table.forward_address(untagged) is None
+        assert {table.forward_address(a) for a in addresses[:-1]} == {2}
+        # SWIFT rules on top: traffic crossing (10, 100) moves to AS 3.
+        rules = router.encoder.reroute_rules(router.encoded_tags, (10, 100), {3: 30})
+        assert rules
+        table.install_rules(rules, priority=SWIFT_RULE_PRIORITY)
+        _assert_lookups_agree(table, addresses)
+        assert [table.forward_address(p.network) for p in prefixes[:30]] == [3] * 30
+        assert [table.forward_address(p.network) for p in prefixes[30:]] == [2] * 25
+        # Stage-1 removals: the address falls off the table.
+        table.update_tags({prefixes[0]: None, prefixes[40]: None})
+        _assert_lookups_agree(table, addresses)
+        assert table.forward_address(prefixes[0].network) is None
+        # A tag no rule matches is a drop, not an error.
+        table.clear_rules()
+        _assert_lookups_agree(table, addresses)
+        assert table.forward_address(prefixes[1].network) is None
+
+    def test_install_rules_orders_like_repeated_install_rule(self):
+        rules = [WildcardRule(value=i, mask=0xF, next_hop=i) for i in range(6)]
+        one_by_one, batched = TwoStageForwardingTable(), TwoStageForwardingTable()
+        for table in (one_by_one, batched):
+            table.install_rule(rules[0], priority=0)
+            table.install_rule(rules[1], priority=100)
+        for rule in rules[2:5]:
+            one_by_one.install_rule(rule, priority=100)
+        assert batched.install_rules(rules[2:5], priority=100) == 3
+        one_by_one.install_rule(rules[5], priority=50)
+        assert batched.install_rules(rules[5:], priority=50) == 1
+        assert batched.install_rules([], priority=7) == 0
+        assert batched.rules() == one_by_one.rules()
+        assert [r.next_hop for r in batched.rules()] == [4, 3, 2, 1, 5, 0]
+        assert batched.stage2_updates == one_by_one.stage2_updates == 6
+
+
+# -- O(changes), without a stopwatch ----------------------------------------------
+
+
+def _ladder_router(count):
+    """``count`` prefixes over three feeds; the first 100 are the same at every
+    size.  The preferred feed spreads them 10/20/30/40 % over four transits,
+    so the large table has threshold-eligible links whose loads 100 dirty
+    prefixes move but do not reorder."""
+    prefixes = prefix_block("10.0.0.0/24", count)
+    routes = {2: {}, 3: {}, 4: {}}
+    for number, prefix in enumerate(prefixes):
+        origin = 1000 + number // 8
+        routes[2][prefix] = [2, 10 + (0, 1, 1, 2, 2, 2, 3, 3, 3, 3)[number % 10], origin]
+        routes[3][prefix] = [3, 20 + number % 5, 30 + number % 3, origin]
+        routes[4][prefix] = [4, 40 + number % 3, origin]
+    return prefixes, _router(routes, prefix_threshold=1500)
+
+
+def _warm_provision_peak(router, prefixes):
+    """tracemalloc peak, in bytes, of one warm provision with 100 dirty prefixes."""
+    router.receive_batch(
+        [Update.withdraw(100.0 + i * 30.0, 2, prefix) for i, prefix in enumerate(prefixes[:100])]
+    )
+    tracemalloc.start()
+    try:
+        baseline, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        router.provision()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert router.last_provision_stats["dirty_prefixes"] == 100
+    assert "full_reencode" not in router.last_provision_stats
+    return peak - baseline
+
+
+class TestWarmProvisionAllocatesInProportionToChanges:
+    def test_peak_allocation_does_not_follow_the_table(self):
+        small_prefixes, small = _ladder_router(4000)
+        large_prefixes, large = _ladder_router(16000)
+        tags, link_loads = large.encoded_tags.tags, large.encoded_tags.link_loads
+        small_peak = _warm_provision_peak(small, small_prefixes)
+        large_peak = _warm_provision_peak(large, large_prefixes)
+        assert small_peak > 0
+        assert abs(large_peak - small_peak) / small_peak < 0.25, (small_peak, large_peak)
+        assert large.encoded_tags.tags is tags
+        assert large.encoded_tags.link_loads is link_loads
+        assert len(tags) == 16000
+        # The large table did go through the eligible-link check.
+        assert large.encoded_tags.eligible_loads[((2, 10), 1)] == 1590
+        assert large.encoded_tags.link_ids[1] == {(2, 13): 1, (2, 12): 2, (2, 11): 3, (2, 10): 4}
