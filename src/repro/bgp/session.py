@@ -6,6 +6,12 @@ A :class:`PeeringSession` models one eBGP session between the SWIFTED router
 Adj-RIB-In that the SWIFT inference engine reads.  The paper runs inference
 "on a per-session basis (enabling parallelism)" (§4.1), so the session is the
 natural unit of work throughout this code base.
+
+A session applies message objects only.  Columnar runs are walked into its
+Adj-RIB-In, state, statistics and change observers by
+:meth:`repro.bgp.speaker.SpeakerBatch.add_columnar_run`, exactly as
+``process_batch(run.materialise())`` would.  Change observers receive the
+changed *prefixes*, never messages, so they do not force materialisation.
 """
 
 from __future__ import annotations
@@ -17,9 +23,11 @@ from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.bgp.messages import BGPMessage, MessageType, Notification, OpenMessage, Update
 from repro.bgp.prefix import Prefix
-from repro.bgp.rib import AdjRibIn, RouteChange
+from repro.bgp.rib import AdjRibIn, RouteChange, RouteChangeKind
 
 __all__ = ["MessageStream", "PeeringSession", "SessionState", "SessionStats"]
+
+_UNCHANGED = RouteChangeKind.UNCHANGED
 
 
 class SessionState(Enum):
@@ -175,7 +183,7 @@ class PeeringSession:
         # materialisation entirely when nothing records the objects.
         self.record_stream = True
         self._observers: List[Callable[["PeeringSession", Update, List[RouteChange]], None]] = []
-        self._change_observers: List[Callable[["PeeringSession", List[RouteChange]], None]] = []
+        self._change_observers: List[Callable[["PeeringSession", List[Prefix]], None]] = []
 
     # -- lifecycle --------------------------------------------------------
 
@@ -220,24 +228,23 @@ class PeeringSession:
 
     def add_change_observer(
         self,
-        callback: Callable[["PeeringSession", List[RouteChange]], None],
+        callback: Callable[["PeeringSession", List[Prefix]], None],
     ) -> None:
-        """Register a callback fed the Adj-RIB-In changes, sans messages.
+        """Register a callback fed the prefixes whose route from the peer changed.
 
-        Change observers receive ``(session, changes)`` — no ``Update``
-        object — so, unlike :meth:`add_observer` observers, they do **not**
-        force the columnar fast path of :meth:`process_columnar_run` to
-        materialise messages.  Granularity is one call per processing call
-        (:meth:`process` fires per message; the batched paths fire once with
-        the run's concatenated changes, in message order) and empty change
-        lists are skipped; observers that need per-message boundaries or the
-        messages themselves must use :meth:`add_observer`.
+        Change observers receive ``(session, prefixes)``: the prefix of every
+        announcement and of every withdrawal that removed a route, in message
+        order (a prefix may repeat), read the route from ``rib_in`` if they
+        need it, and — unlike :meth:`add_observer` observers — do **not**
+        force the speaker's column walk to materialise messages.  One call
+        per processing call (per message for :meth:`process`, per run for the
+        batched paths); empty lists are skipped.
         """
         self._change_observers.append(callback)
 
     def remove_change_observer(
         self,
-        callback: Callable[["PeeringSession", List[RouteChange]], None],
+        callback: Callable[["PeeringSession", List[Prefix]], None],
     ) -> None:
         """Unregister a previously added change observer."""
         self._change_observers.remove(callback)
@@ -281,9 +288,10 @@ class PeeringSession:
 
         for observer in self._observers:
             observer(self, message, changes)
-        if changes:
-            for observer in self._change_observers:
-                observer(self, changes)
+        if self._change_observers:
+            self._notify_change_observers(
+                [change.prefix for change in changes if change.kind is not _UNCHANGED]
+            )
         return changes
 
     def process_batch(
@@ -345,164 +353,22 @@ class PeeringSession:
         stats.announcements_received += announcements
         if count:
             stats.last_message_at = last_at
-        self._notify_change_observers(per_message)
+        if self._change_observers:
+            self._notify_change_observers(
+                [
+                    change.prefix
+                    for changes in per_message
+                    for change in changes
+                    if change.kind is not _UNCHANGED
+                ]
+            )
         return per_message
 
-    def _notify_change_observers(
-        self, per_message: List[List[RouteChange]]
-    ) -> None:
-        """Fire the change observers once with a run's concatenated changes."""
-        if not self._change_observers:
-            return
-        flat = [change for changes in per_message for change in changes]
-        if not flat:
-            return
-        for observer in self._change_observers:
-            observer(self, flat)
-
-    def process_columnar_run(self, run, kernel=None) -> List[List[RouteChange]]:
-        """Apply a same-peer :class:`~repro.traces.columnar.ColumnarRun`.
-
-        The fast path walks the run's raw columns — timestamps, withdrawal /
-        announcement index windows — and feeds the Adj-RIB-In interned
-        prefix / attribute objects directly, never constructing a single
-        :class:`~repro.bgp.messages.Update`.  Semantically identical to
-        :meth:`process_batch` over the run's materialised messages, which is
-        exactly what it falls back to when observers are registered or the
-        stream recorder is on (both consume message objects).  Change
-        observers (:meth:`add_change_observer`) consume only
-        :class:`~repro.bgp.rib.RouteChange` lists and therefore do *not*
-        force the fallback — that is what keeps the SWIFTED router's
-        dirty-prefix tracking off the materialisation path.
-
-        ``run`` is duck-typed (no import of the traces layer): it must carry
-        ``trace``/``start``/``stop`` plus a ``materialise()`` fallback, the
-        interface documented in :mod:`repro.traces.columnar`.  With a
-        vectorised ``kernel`` (:mod:`repro.core.kernels`; ``None``
-        auto-selects) the rows needing per-row work — non-UPDATE rows and
-        rows carrying prefixes — are located by one kernel pass and the
-        rest contribute empty change lists without being visited.
-        """
-        if self._observers or self.record_stream:
-            return self.process_batch(run.materialise())
-        if kernel is None:
-            from repro.core import kernels
-
-            kernel = kernels.default_backend()
-        trace = run.trace
-        pool = trace.pool
-        prefix_at = pool.prefix_at
-        attributes_at = pool.attributes_at
-        msg_kind = trace.msg_kind
-        msg_time = trace.msg_time
-        wd_end = trace.wd_end
-        ann_end = trace.ann_end
-        wd_prefix = trace.wd_prefix
-        ann_prefix = trace.ann_prefix
-        ann_attr = trace.ann_attr
-        start, stop = run.start, run.stop
-
-        stats = self.stats
-        rib_in = self.rib_in
-        rib_withdraw = rib_in.withdraw
-        rib_announce = rib_in.announce
-        per_message: List[List[RouteChange]] = []
-        append_result = per_message.append
-        count = 0
-        withdrawals = 0
-        announcements = 0
-        last_at = stats.last_message_at
-        # Flat-column cursors: message i owns wd_prefix[w:wd_end[i]] and
-        # ann_prefix[a:ann_end[i]] (kind byte 0 = UPDATE, 1 = OPEN,
-        # 3 = NOTIFICATION; see repro.traces.columnar).
-        w = wd_end[start - 1] if start else 0
-        a = ann_end[start - 1] if start else 0
-        if kernel.VECTORISED:
-            # Sparse walk: rows that are UPDATEs without prefixes only
-            # contribute an empty change list and a timestamp — the column
-            # totals and the run's last row give both without a visit.
-            extend_result = per_message.extend
-            position = start
-            for index in kernel.interesting_rows(
-                msg_kind, wd_end, ann_end, start, stop
-            ):
-                if index > position:
-                    extend_result([] for _ in range(index - position))
-                position = index + 1
-                timestamp = msg_time[index]
-                kind = msg_kind[index]
-                if kind != 0:
-                    if kind == 1:
-                        self.state = SessionState.ESTABLISHED
-                    elif kind == 3:
-                        self.state = SessionState.CLOSED
-                        rib_in.clear()
-                        stats.session_resets += 1
-                    append_result([])
-                    w = wd_end[index]
-                    a = ann_end[index]
-                    continue
-                changes: List[RouteChange] = []
-                changes_append = changes.append
-                w_high = wd_end[index]
-                while w < w_high:
-                    changes_append(rib_withdraw(prefix_at(wd_prefix[w]), timestamp))
-                    w += 1
-                    withdrawals += 1
-                a_high = ann_end[index]
-                while a < a_high:
-                    changes_append(
-                        rib_announce(
-                            prefix_at(ann_prefix[a]), attributes_at(ann_attr[a]), timestamp
-                        )
-                    )
-                    a += 1
-                    announcements += 1
-                append_result(changes)
-            if stop > position:
-                extend_result([] for _ in range(stop - position))
-            count = stop - start
-            if count:
-                last_at = msg_time[stop - 1]
-        else:
-            for index in range(start, stop):
-                count += 1
-                timestamp = msg_time[index]
-                last_at = timestamp
-                kind = msg_kind[index]
-                if kind != 0:
-                    if kind == 1:
-                        self.state = SessionState.ESTABLISHED
-                    elif kind == 3:
-                        self.state = SessionState.CLOSED
-                        rib_in.clear()
-                        stats.session_resets += 1
-                    append_result([])
-                    continue
-                changes: List[RouteChange] = []
-                changes_append = changes.append
-                w_high = wd_end[index]
-                while w < w_high:
-                    changes_append(rib_withdraw(prefix_at(wd_prefix[w]), timestamp))
-                    w += 1
-                    withdrawals += 1
-                a_high = ann_end[index]
-                while a < a_high:
-                    changes_append(
-                        rib_announce(
-                            prefix_at(ann_prefix[a]), attributes_at(ann_attr[a]), timestamp
-                        )
-                    )
-                    a += 1
-                    announcements += 1
-                append_result(changes)
-        stats.messages_received += count
-        stats.withdrawals_received += withdrawals
-        stats.announcements_received += announcements
-        if count:
-            stats.last_message_at = last_at
-        self._notify_change_observers(per_message)
-        return per_message
+    def _notify_change_observers(self, prefixes: List[Prefix]) -> None:
+        """Fire the change observers once with a call's changed prefixes."""
+        if prefixes:
+            for observer in self._change_observers:
+                observer(self, prefixes)
 
     # -- convenience ------------------------------------------------------
 

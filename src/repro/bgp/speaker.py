@@ -14,11 +14,18 @@ message — not at all for a prefix left with a single candidate (every
 withdrawal of a failure burst), and, because the standard ranking depends
 only on a candidate's attributes and peer AS, once per *distinct candidate
 profile* when prefixes share their candidate sets (as table dumps and
-re-convergence overwhelmingly do).  The batched path matches per-message :meth:`BGPSpeaker.receive` in the
-final Loc-RIB and in the multiset of loss-of-reachability / recovery events:
-candidate-set emptiness is tracked at message boundaries, so a prefix that
-transiently loses every route mid-batch still reports its blackhole (and the
-subsequent recovery), without forcing a per-message decision pass.
+re-convergence overwhelmingly do).  The batched path matches per-message
+:meth:`BGPSpeaker.receive` in the final Loc-RIB and in the multiset of
+loss-of-reachability / recovery events: candidate-set emptiness is tracked at
+message boundaries, so a prefix that transiently loses every route mid-batch
+still reports its blackhole (and the subsequent recovery), without forcing a
+per-message decision pass.
+
+Columnar runs are read here, not by the session:
+:meth:`SpeakerBatch.add_columnar_run` takes a single-prefix row from the
+columns to the batch state in one loop iteration, building no
+:class:`~repro.bgp.rib.RouteChange`.  :meth:`SpeakerBatch.commit` re-selects
+in one loop, in first-touch (per-message emission) order.
 """
 
 from __future__ import annotations
@@ -30,13 +37,29 @@ from repro.bgp.decision import DecisionProcess, default_decision_process
 from repro.bgp.messages import BGPMessage, Update
 from repro.bgp.prefix import Prefix
 from repro.bgp.rib import LocRib, RibEntry, RouteChange, RouteChangeKind
-from repro.bgp.session import PeeringSession
+from repro.bgp.session import PeeringSession, SessionState
 
 __all__ = ["BGPSpeaker", "BestRouteChange", "SpeakerBatch"]
 
 #: Module-level so the batched re-selection builds its profile keys with
 #: C-level ``map`` calls instead of a Python-level lambda per candidate.
 _attrgetter_attributes = attrgetter("attributes")
+
+#: Winner-memo miss marker (a memoised ``None`` means every candidate loops).
+_UNSELECTED = object()
+
+
+def _has_loop_free(peers: Optional[Dict[int, RibEntry]]) -> bool:
+    """Whether a peer -> candidate map holds a route ``select()`` would install.
+
+    The batch's notion of "reachable": a looped announcement neither recovers
+    a prefix nor masks a loss (``has_loop()`` is cached on the path).
+    """
+    if peers:
+        for entry in peers.values():
+            if not entry.attributes.as_path.has_loop():
+                return True
+    return False
 
 
 class BestRouteChange:
@@ -194,7 +217,7 @@ class BGPSpeaker:
 
         All Adj-RIB-In and Loc-RIB candidate changes are applied first (in
         bulk per consecutive same-peer run); the decision process then runs
-        once per *touched prefix* — grouped by candidate profile when the
+        once per *touched prefix* — once per candidate profile when the
         ranking allows it — rather than once per message, which is the
         difference between O(messages x touched) and O(touched) selection
         work on withdrawal bursts and path-exploration storms.  The
@@ -235,18 +258,17 @@ class BGPSpeaker:
 
         The preferred replay entry point for array-backed traces: each
         same-peer run is applied straight from its columns
-        (:meth:`~repro.bgp.session.PeeringSession.process_columnar_run`),
-        skipping per-message object construction entirely when the sessions
-        have no observers and stream recording is off.  Semantics match
-        :meth:`receive_batch` over the materialised message stream exactly
-        (same final Loc-RIB, same loss-of-reachability / recovery multiset).
+        (:meth:`SpeakerBatch.add_columnar_run`), skipping per-message object
+        construction entirely when the sessions have no observers and stream
+        recording is off.  Semantics match :meth:`receive_batch` over the
+        materialised message stream exactly (same final Loc-RIB, same
+        loss-of-reachability / recovery multiset).
 
         ``source`` is either an object exposing ``iter_batches()`` (a
         :class:`~repro.traces.columnar.ColumnarTrace`) or an iterable of
         :class:`~repro.traces.columnar.ColumnarRun` views.  ``kernel``
         selects the column-kernel backend (:mod:`repro.core.kernels`) for
-        run segmentation and the session-level column walks; ``None``
-        auto-selects.
+        run segmentation; ``None`` auto-selects.
         """
         if kernel is None:
             from repro.core import kernels
@@ -256,7 +278,7 @@ class BGPSpeaker:
         runs = iter_batches(kernel=kernel) if iter_batches is not None else source
         batch = self.begin_batch()
         for run in runs:
-            batch.add_columnar_run(run, kernel=kernel)
+            batch.add_columnar_run(run)
         return batch.commit()
 
     # -- queries ----------------------------------------------------------
@@ -314,87 +336,91 @@ class BGPSpeaker:
             new = ranked[0] if ranked else None
             if old is new:
                 continue
-            if old is not None and new is not None and old == new:
-                continue
-            self.loc_rib.set_best(new, prefix=prefix)
-            changes.append(BestRouteChange(prefix=prefix, old=old, new=new))
-        return changes
-
-    def _reselect_batch(self, prefixes: Sequence[Prefix]) -> List[BestRouteChange]:
-        """Batched re-selection: inline for sole candidates, grouped otherwise.
-
-        A prefix left with at most one candidate needs no ranking — under
-        any decision process ``select([entry])`` is ``entry`` unless its
-        path loops — so it is decided where it is met.  Every route of a
-        first table load and every withdrawal that leaves one other
-        session's route is such a prefix: half of what a two-session
-        failure burst touches, nothing where three feeds carry each prefix.
-        The rest are grouped by candidate profile: two prefixes
-        whose candidate sets consist of the *same attribute objects from
-        the same peers* (whole path-sharing prefix groups change together)
-        rank identically under a prefix-independent decision process, so
-        the winner peer is computed once per distinct profile and reused
-        for every member prefix.  Falls back to per-prefix
-        :meth:`_reselect` for rankings that are not prefix-independent.
-
-        The changes come back sole-candidate prefixes first (in the order
-        given), then profile group by profile group — the same multiset as
-        per-prefix selection, not the same order.
-        """
-        if not self.decision_process.prefix_independent:
-            return self._reselect(prefixes)
-        loc_rib = self.loc_rib
-        candidates_of = loc_rib._candidates
-        best_of = loc_rib._best.get
-        set_best = loc_rib.set_best
-        attributes_of = _attrgetter_attributes
-        changes: List[BestRouteChange] = []
-        append_change = changes.append
-
-        def install(prefix: Prefix, new: Optional[RibEntry]) -> None:
-            old = best_of(prefix)
-            if old is new:
-                return
+            # Peers first: spares RibEntry.__eq__ when a backup replaced the primary.
             if (
                 old is not None
                 and new is not None
                 and old.peer_as == new.peer_as
                 and old == new
             ):
-                return
-            set_best(new, prefix)
-            append_change(BestRouteChange(prefix, old, new))
+                continue
+            self.loc_rib.set_best(new, prefix=prefix)
+            changes.append(BestRouteChange(prefix=prefix, old=old, new=new))
+        return changes
 
-        # Profile key: the candidate peers (in insertion order — identical
-        # for prefixes with the same announcement history, which is what
+    def _reselect_batch(self, prefixes: Sequence[Prefix]) -> List[BestRouteChange]:
+        """Batched re-selection: one loop, one ranking per candidate profile.
+
+        A prefix left with at most one candidate needs no ranking — under
+        any decision process ``select([entry])`` is ``entry`` unless its
+        path loops.  Every route of a first table load and every withdrawal
+        that leaves one other session's route is such a prefix: half of
+        what a two-session failure burst touches, nothing where three feeds
+        carry each prefix.  For the rest, two prefixes whose candidate sets
+        consist of the *same attribute objects from the same peers* (whole
+        path-sharing prefix groups change together) rank identically under
+        a prefix-independent decision process, so the winner peer is
+        memoised per distinct profile: the first prefix of a profile calls
+        ``select`` and every later one reuses its winner.  Falls back to
+        per-prefix :meth:`_reselect` for rankings that are not
+        prefix-independent.
+
+        The changes come back in the order ``prefixes`` are given — the
+        batch's first-touch order, which is per-message emission order.
+        """
+        if not self.decision_process.prefix_independent:
+            return self._reselect(prefixes)
+        loc_rib = self.loc_rib
+        candidates_of = loc_rib._candidates.get
+        best = loc_rib._best
+        best_of = best.get
+        # Without a materialised best-trie, installing a best route is one
+        # dict write; with one, set_best keeps the trie in sync.
+        set_best = None if loc_rib._best_trie is None else loc_rib.set_best
+        select = self.decision_process.select
+        attributes_of = _attrgetter_attributes
+        # Profile key -> winner peer (None: every candidate loops).  The key
+        # is the candidate peers (in insertion order — identical for
+        # prefixes with the same announcement history, which is what path
         # groups share anyway) plus the identity of each candidate's
-        # attribute object.  Built with C-level tuple/map to keep the
-        # per-prefix cost below a single ranking evaluation.
-        groups: Dict[Tuple, List[Prefix]] = {}
+        # attribute object, built with C-level tuple/map calls.
+        winners: Dict[Tuple, Optional[int]] = {}
+        changes: List[BestRouteChange] = []
+        append_change = changes.append
         for prefix in prefixes:
-            peers = candidates_of.get(prefix)
+            peers = candidates_of(prefix)
             if not peers:
-                install(prefix, None)
+                new = None
             elif len(peers) == 1:
-                (sole,) = peers.values()
-                install(prefix, None if sole.attributes.as_path.has_loop() else sole)
+                (new,) = peers.values()
+                if new.attributes.as_path.has_loop():
+                    new = None
             else:
                 key = (tuple(peers), tuple(map(id, map(attributes_of, peers.values()))))
-                group = groups.get(key)
-                if group is None:
-                    groups[key] = [prefix]
-                else:
-                    group.append(prefix)
-        select = self.decision_process.select
-        for members in groups.values():
-            winner = select(list(candidates_of[members[0]].values()))
-            if winner is None:
-                for prefix in members:
-                    install(prefix, None)
+                winner_peer = winners.get(key, _UNSELECTED)
+                if winner_peer is _UNSELECTED:
+                    winner = select(list(peers.values()))
+                    winner_peer = winners[key] = (
+                        None if winner is None else winner.peer_as
+                    )
+                new = None if winner_peer is None else peers[winner_peer]
+            old = best_of(prefix)
+            if old is new:
+                continue
+            if (
+                old is not None
+                and new is not None
+                and old.peer_as == new.peer_as
+                and old == new
+            ):
+                continue
+            if set_best is not None:
+                set_best(new, prefix)
+            elif new is None:
+                del best[prefix]
             else:
-                winner_peer = winner.peer_as
-                for prefix in members:
-                    install(prefix, candidates_of[prefix][winner_peer])
+                best[prefix] = new
+            append_change(BestRouteChange(prefix, old, new))
         return changes
 
 
@@ -404,11 +430,11 @@ class SpeakerBatch:
     Adj-RIB-In and Loc-RIB *candidate* state is kept current as messages are
     added (it is order-sensitive), but best-path selection is deferred to
     :meth:`commit`, where it runs once per touched prefix — skipped for
-    sole candidates and grouped by candidate profile when the decision
-    process declares itself prefix-independent.  Between those points ``loc_rib.best()``
-    intentionally still answers with the pre-batch best route, which is what
-    lets the deferred selection reconstruct the same ``old -> new``
-    transitions the per-message path would have reported.
+    sole candidates and once per candidate profile when the decision process
+    declares itself prefix-independent.  Between those points
+    ``loc_rib.best()`` intentionally still answers with the pre-batch best
+    route, which is what lets the deferred selection reconstruct the same
+    ``old -> new`` transitions the per-message path would have reported.
 
     Loss-of-reachability parity with the per-message path is preserved
     without per-message selection: the batch tracks, at message boundaries,
@@ -439,17 +465,164 @@ class SpeakerBatch:
         session = self._session_for(peer_as)
         self._absorb(peer_as, session.process_batch(messages))
 
-    def add_columnar_run(self, run, kernel=None) -> None:
+    def add_columnar_run(self, run) -> None:
         """Apply a same-peer columnar run (no message objects on the fast path).
 
-        ``run`` is a :class:`~repro.traces.columnar.ColumnarRun` (duck-typed:
-        anything carrying ``peer_as`` and accepted by
-        :meth:`~repro.bgp.session.PeeringSession.process_columnar_run`).
-        Equivalent to ``add_run(run.peer_as, run.materialise())``; ``kernel``
-        is forwarded to the session's column walk.
+        ``run`` is a :class:`~repro.traces.columnar.ColumnarRun`, duck-typed
+        (``peer_as``, the run-column contract of ``src/repro/traces/README.md``,
+        ``materialise()``).  Equivalent to ``add_run(run.peer_as,
+        run.materialise())``, which it is when the session has message
+        observers or records its stream; otherwise :meth:`_absorb_columns`.
         """
         session = self._session_for(run.peer_as)
-        self._absorb(run.peer_as, session.process_columnar_run(run, kernel=kernel))
+        if session._observers or session.record_stream:
+            self._absorb(run.peer_as, session.process_batch(run.materialise()))
+        else:
+            self._absorb_columns(session, run)
+
+    def _absorb_columns(self, session: PeeringSession, run) -> None:
+        """The column walk: one pass over rows ``[start, stop)``.
+
+        A single-prefix row runs :meth:`_absorb`'s single-change branch
+        inline — Adj-RIB-In (and trie), Loc-RIB candidate, ranking-cache
+        eviction, pending reachability, transition — with no ``RouteChange``;
+        a multi-prefix row builds its change list and takes :meth:`_absorb`.
+        OPEN / NOTIFICATION rows move the session state as ``process_batch``
+        does (a NOTIFICATION clears the Adj-RIB-In, not the candidates).
+        Statistics fold in, and change observers fire, once per run.
+        """
+        peer_as = session.peer_as
+        trace = run.trace
+        pool = trace.pool
+        prefix_at = pool.prefix_at
+        attributes_at = pool.attributes_at
+        msg_kind = trace.msg_kind
+        msg_time = trace.msg_time
+        wd_end = trace.wd_end
+        ann_end = trace.ann_end
+        wd_prefix = trace.wd_prefix
+        ann_prefix = trace.ann_prefix
+        ann_attr = trace.ann_attr
+        start, stop = run.start, run.stop
+
+        rib_in = session.rib_in
+        routes = rib_in._routes
+        routes_get = routes.get
+        routes_pop = routes.pop
+        trie = rib_in._prefix_trie
+        speaker = self._speaker
+        candidates = speaker.loc_rib._candidates
+        candidates_get = candidates.get
+        best = speaker.loc_rib._best
+        ranked_cache_pop = speaker._ranked_cache.pop
+        pending = self._pending
+        pending_get = pending.get
+        add_transition = self._transitions.append
+        changed: List[Prefix] = []
+        add_changed = changed.append
+        unchanged = RouteChangeKind.UNCHANGED
+
+        # Row i owns wd_prefix[w:wd_end[i]] and ann_prefix[a:ann_end[i]]
+        # (cumulative bounds; kind byte 0 = UPDATE, 1 = OPEN,
+        # 3 = NOTIFICATION; non-UPDATE rows carry no prefixes).
+        w = w_first = wd_end[start - 1] if start else 0
+        a = a_first = ann_end[start - 1] if start else 0
+        for index, w_high, a_high in zip(
+            range(start, stop), wd_end[start:stop], ann_end[start:stop]
+        ):
+            if w_high == w:
+                if a_high == a:
+                    kind = msg_kind[index]
+                    if kind == 1:
+                        session.state = SessionState.ESTABLISHED
+                    elif kind == 3:
+                        session.state = SessionState.CLOSED
+                        rib_in.clear()
+                        trie = None
+                        session.stats.session_resets += 1
+                    continue
+                if a_high == a + 1:
+                    # One announcement.
+                    prefix = prefix_at(ann_prefix[a])
+                    entry = RibEntry(
+                        prefix, attributes_at(ann_attr[a]), peer_as, msg_time[index]
+                    )
+                    a = a_high
+                    old = routes_get(prefix)
+                    routes[prefix] = entry
+                    if trie is not None:
+                        trie.insert(prefix, entry)
+                    add_changed(prefix)
+                    ranked_cache_pop(prefix, None)
+                    before = pending_get(prefix)
+                    if before is None:
+                        before = prefix in best
+                    peers = candidates_get(prefix)
+                    if peers is None:
+                        peers = candidates[prefix] = {peer_as: entry}
+                    else:
+                        peers[peer_as] = entry
+                    if not entry.attributes.as_path.has_loop():
+                        if not before:
+                            add_transition((prefix, False, entry))
+                        pending[prefix] = True
+                    else:
+                        # A looped announcement may *replace* the prefix's
+                        # only usable candidate.
+                        now = _has_loop_free(peers)
+                        if before and not now and old is not None:
+                            add_transition((prefix, True, old))
+                        pending[prefix] = now
+                    continue
+            elif w_high == w + 1 and a_high == a:
+                # One withdrawal.
+                prefix = prefix_at(wd_prefix[w])
+                w = w_high
+                old = routes_pop(prefix, None)
+                if old is None:
+                    continue
+                if trie is not None:
+                    trie.remove(prefix)
+                add_changed(prefix)
+                ranked_cache_pop(prefix, None)
+                before = pending_get(prefix)
+                if before is None:
+                    before = prefix in best
+                peers = candidates_get(prefix)
+                if peers:
+                    peers.pop(peer_as, None)
+                    if not peers:
+                        del candidates[prefix]
+                now = _has_loop_free(peers)
+                if before and not now:
+                    add_transition((prefix, True, old))
+                pending[prefix] = now
+                continue
+            # Several prefixes: the per-message change list.
+            timestamp = msg_time[index]
+            changes: List[RouteChange] = []
+            while w < w_high:
+                changes.append(rib_in.withdraw(prefix_at(wd_prefix[w]), timestamp))
+                w += 1
+            while a < a_high:
+                changes.append(
+                    rib_in.announce(
+                        prefix_at(ann_prefix[a]), attributes_at(ann_attr[a]), timestamp
+                    )
+                )
+                a += 1
+            changed.extend(
+                change.prefix for change in changes if change.kind is not unchanged
+            )
+            self._absorb(peer_as, (changes,))
+
+        if stop > start:
+            stats = session.stats
+            stats.messages_received += stop - start
+            stats.withdrawals_received += w - w_first
+            stats.announcements_received += a - a_first
+            stats.last_message_at = msg_time[stop - 1]
+        session._notify_change_observers(changed)
 
     def _session_for(self, peer_as: Optional[int]):
         if self._committed:
@@ -479,17 +652,6 @@ class SpeakerBatch:
         # the per-message path.  On a prefix's first touch the pre-message
         # state comes from the (still untouched) best-route table —
         # selection is deferred, so it reflects the pre-batch reachability.
-        # "Reachable" means a loop-free candidate exists — matching what
-        # select() would install — so a looped announcement neither recovers
-        # a prefix nor masks a loss (has_loop() is cached on the path).
-        def loop_free_exists(prefix: Prefix) -> bool:
-            peers = candidates_of.get(prefix)
-            if peers:
-                for entry in peers.values():
-                    if not entry.attributes.as_path.has_loop():
-                        return True
-            return False
-
         for changes in per_message_changes:
             if not changes:
                 continue
@@ -513,13 +675,13 @@ class SpeakerBatch:
                         # A looped announcement may *replace* the prefix's
                         # only usable candidate: probe instead of assuming
                         # reachability is unchanged.
-                        now = loop_free_exists(prefix)
+                        now = _has_loop_free(candidates_of.get(prefix))
                         if before and not now and change.old is not None:
                             transitions.append((prefix, True, change.old))
                         pending[prefix] = now
                 else:
                     remove_candidate(prefix, peer_as)
-                    now = loop_free_exists(prefix)
+                    now = _has_loop_free(candidates_of.get(prefix))
                     if before and not now:
                         transitions.append((prefix, True, change.old))
                     pending[prefix] = now
@@ -545,7 +707,7 @@ class SpeakerBatch:
                 # candidate set directly rather than reasoning from the
                 # last change alone.
                 before = pending[prefix]
-                now = loop_free_exists(prefix)
+                now = _has_loop_free(candidates_of.get(prefix))
                 if now and not before:
                     entry = change.new
                     if entry is None or entry.attributes.as_path.has_loop():
@@ -571,10 +733,8 @@ class SpeakerBatch:
         followed by the coalesced ``pre-batch -> final`` best-route changes;
         together they carry the same multiset of loss-of-reachability and
         recovery events as the per-message path.  The final changes are in
-        :meth:`BGPSpeaker._reselect_batch` order — sole-candidate prefixes
-        by first touch, then one candidate profile after another — not in
-        message order.  The best-route listeners fire once with the
-        combined list.
+        first-touch order — the order the per-message path emits them.  The
+        best-route listeners fire once with the combined list.
         """
         if self._committed:
             raise RuntimeError("batch already committed")

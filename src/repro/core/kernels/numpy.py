@@ -44,7 +44,6 @@ __all__ = [
     "find_crossing",
     "flatten_rows",
     "fresh_candidate_rows",
-    "interesting_rows",
     "last_update_row",
     "next_positive_row",
     "new_seen_mask",
@@ -252,15 +251,6 @@ def event_rows(kinds, wd_end, ann_end, lo: int, hi: int) -> List[int]:
     if hi - lo < _SMALL:
         return _stdlib.event_rows(kinds, wd_end, ann_end, lo, hi)
     mask = _increment_mask(wd_end, ann_end, lo, hi)
-    return (np.flatnonzero(mask) + lo).tolist()
-
-
-def interesting_rows(kinds, wd_end, ann_end, lo: int, hi: int) -> List[int]:
-    """Rows of ``[lo, hi)`` that are non-UPDATE or carry prefixes."""
-    if hi - lo < _SMALL:
-        return _stdlib.interesting_rows(kinds, wd_end, ann_end, lo, hi)
-    mask = _increment_mask(wd_end, ann_end, lo, hi)
-    mask |= np.frombuffer(kinds, _U8)[lo:hi] != 0
     return (np.flatnonzero(mask) + lo).tolist()
 
 

@@ -32,7 +32,6 @@ __all__ = [
     "find_crossing",
     "flatten_rows",
     "fresh_candidate_rows",
-    "interesting_rows",
     "last_update_row",
     "next_positive_row",
     "new_seen_mask",
@@ -193,22 +192,6 @@ def event_rows(kinds, wd_end, ann_end, lo: int, hi: int) -> List[int]:
             append(row)
             w = w_high
             a = a_high
-    return rows
-
-
-def interesting_rows(kinds, wd_end, ann_end, lo: int, hi: int) -> List[int]:
-    """Rows of ``[lo, hi)`` that are non-UPDATE or carry prefixes."""
-    rows: List[int] = []
-    append = rows.append
-    w = wd_end[lo - 1] if lo else 0
-    a = ann_end[lo - 1] if lo else 0
-    for row in range(lo, hi):
-        w_high = wd_end[row]
-        a_high = ann_end[row]
-        if kinds[row] != 0 or w_high > w or a_high > a:
-            append(row)
-        w = w_high
-        a = a_high
     return rows
 
 

@@ -23,16 +23,20 @@ O(rules).  When BGP has re-converged (the burst ends), the SWIFT rules are
 withdrawn and forwarding falls back to the BGP-derived state (§3).
 
 Message streams should be fed through :meth:`SwiftedRouter.receive_batch`
-where possible: the speaker applies the whole batch before running best-path
+(or, for columnar traces, :meth:`SwiftedRouter.receive_columnar`) where
+possible: the speaker applies the whole batch before running best-path
 selection once per touched prefix, and consecutive same-peer runs are handed
 to the session's inference engine in bulk, keeping per-message Python
 overhead off the burst hot path.
 
-Re-provisioning is *incremental*: :meth:`SwiftedRouter.provision` keeps the
-per-session :class:`~repro.core.inference.InferenceEngine`\\ s (and their
-link/prefix indexes) alive, patching them from the speaker's route-change
-stream, and only looks up, recomputes and re-indexes the prefixes whose
-candidate routes changed since the last call.  A warm re-provision costs
+The router learns what changed from session *change observers*, fed
+prefixes rather than messages.  Re-provisioning is *incremental*:
+:meth:`SwiftedRouter.provision` keeps the per-session
+:class:`~repro.core.inference.InferenceEngine`\\ s (and their link/prefix
+indexes) alive, patching them for the prefixes that changed out of band with
+the routes the Adj-RIB-Ins hold at that point, and only looks up, recomputes
+and re-indexes the prefixes whose candidate routes changed since the last
+call.  A warm re-provision costs
 O(changes), not O(RIB) — the paper's "re-runs it periodically / upon
 significant RIB changes" loop becomes cheap enough to run after every quiet
 period.  The cost model, per dirty prefix: one Loc-RIB lookup, one ranking of
@@ -60,7 +64,7 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence,
 from repro.bgp.attributes import ASPath
 from repro.bgp.messages import BGPMessage, Update
 from repro.bgp.prefix import Prefix
-from repro.bgp.rib import RibEntry, RouteChange, RouteChangeKind
+from repro.bgp.rib import RibEntry
 from repro.bgp.speaker import BestRouteChange, BGPSpeaker
 from repro.core import kernels
 from repro.core.backup import BackupComputer, BackupProfileIndex, BackupSelection, ReroutingPolicy
@@ -143,11 +147,11 @@ class SwiftedRouter:
         # Incremental-provision bookkeeping: prefixes whose candidate routes
         # changed since the last provision (a superset of best-route changes —
         # an alternate appearing or vanishing also invalidates the prefix's
-        # backup selections), and per-peer Adj-RIB-In deltas the inference
-        # engines have not seen (routes loaded out-of-band, i.e. not through
-        # receive()/receive_batch()).
+        # backup selections), and per peer the prefixes whose Adj-RIB-In
+        # route changed without the inference engine seeing it (routes
+        # loaded out-of-band, i.e. not through the receive* methods).
         self._provision_dirty: Set[Prefix] = set()
-        self._engine_dirty: Dict[int, Dict[Prefix, Optional[ASPath]]] = {}
+        self._engine_dirty: Dict[int, Dict[Prefix, None]] = {}
         self._provisioned_peers: FrozenSet[int] = frozenset()
         self._feeding_engines = False
         self.last_provision_stats: Dict[str, int] = {}
@@ -200,35 +204,23 @@ class SwiftedRouter:
 
     # -- change tracking ------------------------------------------------------
 
-    def _note_session_changes(
-        self, session, changes: List[RouteChange]
-    ) -> None:
-        """Session change observer feeding incremental-provision bookkeeping.
+    def _note_session_changes(self, session, prefixes: List[Prefix]) -> None:
+        """Session change observer: the changed prefixes are dirty.
 
-        Registered via
-        :meth:`~repro.bgp.session.PeeringSession.add_change_observer` — it
-        consumes only :class:`RouteChange` lists, never message objects, so
-        the session's columnar fast path stays armed on SWIFTED routers.
-        Every candidate-route change marks its prefix dirty for the next
-        :meth:`provision`.  Messages flowing through :meth:`receive` /
-        :meth:`receive_batch` / :meth:`receive_columnar` reach the session's
-        inference engine directly (which maintains its own RIB view with
-        burst-aware semantics); everything else — initial table loads,
-        direct speaker use — also accumulates an Adj-RIB-In delta replayed
-        into the engine at the next :meth:`provision`.
+        Messages through the ``receive*`` methods reach the session's
+        inference engine directly.  For everything else — table loads,
+        direct speaker use — the prefixes are also recorded per peer, and the
+        next :meth:`provision` patches the engine with the route the
+        Adj-RIB-In holds *then*: a later change the engine did see may have
+        replaced the one recorded here.
         """
-        dirty = self._provision_dirty
-        delta: Optional[Dict[Prefix, Optional[ASPath]]] = None
+        self._provision_dirty.update(prefixes)
         if not self._feeding_engines:
-            delta = self._engine_dirty.setdefault(session.peer_as, {})
-        for change in changes:
-            if change.kind == RouteChangeKind.UNCHANGED:
-                continue
-            dirty.add(change.prefix)
-            if delta is not None:
-                delta[change.prefix] = (
-                    change.new.as_path if change.new is not None else None
-                )
+            # A dict as an ordered set: the engine is patched in first-change
+            # order, as the changes happened.
+            self._engine_dirty.setdefault(session.peer_as, {}).update(
+                dict.fromkeys(prefixes)
+            )
 
     # -- provisioning -----------------------------------------------------------
 
@@ -353,8 +345,12 @@ class SwiftedRouter:
                 )
             else:
                 engine.flush_quiet_state()
-                delta = self._engine_dirty.get(session.peer_as)
-                if delta:
+                touched = self._engine_dirty.get(session.peer_as)
+                if touched:
+                    delta: Dict[Prefix, Optional[ASPath]] = {}
+                    for prefix in touched:
+                        entry = session.rib_in.get(prefix)
+                        delta[prefix] = None if entry is None else entry.as_path
                     engine.apply_rib_delta(delta)
         for peer_as in list(self._engines):
             if peer_as not in live_peers:
@@ -443,19 +439,19 @@ class SwiftedRouter:
         reroute actions, same inference results — but consumes the trace in
         its native run-grouped shape *end to end*: the speaker applies each
         run straight from the columns
-        (:meth:`~repro.bgp.session.PeeringSession.process_columnar_run`;
-        the router's dirty-prefix tracking is a change observer, so it does
-        not force materialisation) and the watching inference engine reads
-        the same column window through
+        (:meth:`~repro.bgp.speaker.SpeakerBatch.add_columnar_run`; the
+        router's dirty-prefix tracking is a change observer fed prefixes, so
+        it does not force materialisation) and the watching inference engine
+        reads the same column window through
         :meth:`~repro.core.inference.InferenceEngine.process_columnar_run`.
         With stream recording off — the replay default — no
         :class:`~repro.bgp.messages.BGPMessage` is constructed anywhere on
         this path.
 
-        ``kernel`` overrides the column-kernel backend for run segmentation
-        and the speaker-side column walks; ``None`` defers to the engines'
-        configured backend (:attr:`InferenceConfig.kernel_backend`), so the
-        whole path honours one selection.
+        ``kernel`` overrides the column-kernel backend for run segmentation;
+        ``None`` defers to the engines' configured backend
+        (:attr:`InferenceConfig.kernel_backend`), so the whole path honours one
+        selection.
         """
         if not self._provisioned:
             raise RuntimeError("provision() must be called before receiving updates")
@@ -468,7 +464,7 @@ class SwiftedRouter:
         self._feeding_engines = True
         try:
             for run in runs:
-                batch.add_columnar_run(run, kernel=kernel)
+                batch.add_columnar_run(run)
                 engine = self._engines.get(run.peer_as)
                 if engine is None:
                     continue

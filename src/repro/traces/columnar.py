@@ -28,7 +28,7 @@ Consumers have three access grains:
 * :meth:`ColumnarTrace.iter_batches` yields :class:`ColumnarRun` views —
   consecutive same-peer runs in exactly the shape the batched speaker path
   wants.  A run is a sequence of messages *and* a window onto the raw
-  columns, which lets :meth:`repro.bgp.session.PeeringSession.process_columnar_run`
+  columns, which lets :meth:`repro.bgp.speaker.SpeakerBatch.add_columnar_run`
   apply a run without constructing a single message object;
 * :class:`ColumnarMessageView` answers aggregate questions (withdrawal
   counts, time bounds) straight from the columns in O(1).
@@ -1157,7 +1157,7 @@ class ColumnarRun(ColumnarMessageView):
     The unit yielded by :meth:`ColumnarTrace.iter_batches`:
     ``trace``/``start``/``stop`` expose the raw column window (the
     run-column contract documented in ``src/repro/traces/README.md``) that
-    the session layer (:meth:`~repro.bgp.session.PeeringSession.process_columnar_run`)
+    the speaker (:meth:`~repro.bgp.speaker.SpeakerBatch.add_columnar_run`)
     *and* the inference stack
     (:meth:`~repro.core.inference.InferenceEngine.process_columnar_run`)
     apply with zero message-object construction; iterating it still

@@ -223,9 +223,6 @@ def test_span_kernels_cross_backend_parity(count):
             assert stdlib.event_rows(kinds, wd_end, ann_end, lo, hi) == (
                 vectorised.event_rows(kinds, wd_end, ann_end, lo, hi)
             )
-            assert stdlib.interesting_rows(kinds, wd_end, ann_end, lo, hi) == (
-                vectorised.interesting_rows(kinds, wd_end, ann_end, lo, hi)
-            )
             assert stdlib.last_update_row(kinds, lo, hi) == (
                 vectorised.last_update_row(kinds, lo, hi)
             )
