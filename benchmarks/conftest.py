@@ -48,18 +48,16 @@ def available_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def bench_env(kernel_backend=None):
+def bench_env():
     """Environment fields merged into every ``BENCH_*.json`` payload.
 
-    Records the affinity-aware CPU count, the kernel backend the run
-    resolved to (the default-selection result when ``kernel_backend`` is
-    None — exactly what the benchmarked code picked), and the numpy
-    version (``"absent"`` when not importable), so recorded numbers can
-    be compared across environments.
+    Records the affinity-aware CPU count, the kernel backend and the numpy
+    version the kernels report (``"absent"``), so recorded numbers can be
+    compared across environments and with older artifacts.
     """
     return {
         "cpus": available_cpus(),
-        "kernel_backend": kernels.get_backend(kernel_backend).NAME,
+        "kernel_backend": kernels.default_backend().NAME,
         "numpy_version": kernels.numpy_version(),
     }
 

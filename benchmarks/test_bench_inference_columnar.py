@@ -5,17 +5,15 @@ Two costs of an engine-dominated SWIFTED month-slice replay are measured
 
 * **engine stack** — the inference stack (burst detector, fit-score
   calculator, engine) consuming the slice through
-  :meth:`~repro.core.inference.InferenceEngine.process_columnar_run`, once
-  per available :mod:`repro.core.kernels` backend, versus the per-message
-  object path over the materialised stream.  The slice is burst-dominated
-  and the detection threshold lowered (as in the coldstart and fleet
-  benches) so the engines — not quiet churn — do the work.  Engine
-  construction happens *outside* the timed region (each timing run feeds a
-  pre-built engine): the bar is the per-message processing cost, not
-  ``__init__``.  Floors: stdlib (the extracted parity-reference kernels)
-  ``>= 2x`` — the column-native acceptance bar, unchanged by the kernel
-  refactor — and numpy ``>= 5x``, the vectorised-kernel acceptance bar.
-  Identical ``InferenceResult`` sequences are asserted before timing.
+  :meth:`~repro.core.inference.InferenceEngine.process_columnar_run`
+  versus the per-message object path over the materialised stream.  The
+  slice is burst-dominated and the detection threshold lowered (as in the
+  coldstart and fleet benches) so the engines — not quiet churn — do the
+  work.  Engine construction happens *outside* the timed region (each
+  timing run feeds a pre-built engine): the bar is the per-message
+  processing cost, not ``__init__``.  Floor: ``>= 2x``, the column-native
+  acceptance bar.  Identical ``InferenceResult`` sequences are asserted
+  before timing.
 * **SWIFTED replay end to end** — the same slice through
   :func:`~repro.experiments.month_replay.replay_stream` (column-native)
   versus the object-path oracle driver ``tests/oracles/object_replay.py``
@@ -33,14 +31,12 @@ shared environment fields (``cpus``, ``kernel_backend``, ``numpy_version``
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import replace
 
 import pytest
 
 from conftest import bench_env, gc_paused, record
 from oracles.object_replay import replay_stream_objects
 
-from repro.core import kernels
 from repro.core.burst_detection import BurstDetectorConfig
 from repro.core.history import TriggeringSchedule
 from repro.core.inference import InferenceConfig, InferenceEngine
@@ -134,25 +130,21 @@ def _construction_probe():
         columnar.ColumnarTrace.message_at = original
 
 
-#: Per-backend engine-stack floor over the object path.  stdlib carries the
-#: original column-native acceptance bar (the kernel extraction must not
-#: slow the reference loops down); numpy carries the vectorised-kernel bar.
-_BACKEND_FLOORS = {"stdlib": 2.0, "numpy": 5.0}
+#: Engine-stack floor over the object path: the column-native acceptance bar.
+_ENGINE_STACK_FLOOR = 2.0
 
 
 @pytest.mark.slow
 def test_bench_engine_stack_columnar_vs_materialised():
-    """process_columnar_run (per kernel backend) vs the object path.
+    """process_columnar_run vs the object path.
 
     Each timed run feeds a freshly built engine; construction is untimed
     (see :func:`_best_feed_seconds`).
     """
     stream, rib, _ = _slice_inputs()
-    backends = kernels.available_backends()
 
-    def engine_for(backend):
-        config = replace(_ENGINE_CONFIG, kernel_backend=backend)
-        return InferenceEngine(rib, config=config)
+    def engine():
+        return InferenceEngine(rib, config=_ENGINE_CONFIG)
 
     def columnar_feed(engine):
         for run in stream.iter_batches():
@@ -161,58 +153,49 @@ def test_bench_engine_stack_columnar_vs_materialised():
     def object_feed(engine):
         engine.process_batch(stream.iter_messages())
 
-    # Parity before timing: every backend must produce the exact result
+    # Parity before timing: the column path must produce the exact result
     # sequence and final RIB of the per-message object path.
-    object_engine = engine_for(None)
+    object_engine = engine()
     object_feed(object_engine)
     assert object_engine.results, "the slice must exercise the triggers"
-    for backend in backends:
-        engine = engine_for(backend)
-        columnar_feed(engine)
-        assert engine.results == object_engine.results, backend
-        assert engine.current_rib() == object_engine.current_rib(), backend
+    columnar_engine = engine()
+    columnar_feed(columnar_engine)
+    assert columnar_engine.results == object_engine.results
+    assert columnar_engine.current_rib() == object_engine.current_rib()
 
-    # Interleaved rounds: each round times the object path and every backend
-    # back to back, and each path keeps its best round.  A transient CPU
-    # slowdown then degrades one *round* rather than one path's entire
-    # sample, which keeps the recorded ratios honest on noisy hosts.
-    object_seconds = float("inf")
-    columnar_seconds = {backend: float("inf") for backend in backends}
+    # Interleaved rounds: each round times both paths back to back, and each
+    # path keeps its best round.  A transient CPU slowdown then degrades one
+    # *round* rather than one path's entire sample, which keeps the recorded
+    # ratio honest on noisy hosts.
+    object_seconds = columnar_seconds = float("inf")
     for _ in range(5):
         object_seconds = min(
-            object_seconds, _best_feed_seconds(lambda: engine_for(None), object_feed, runs=1)
+            object_seconds, _best_feed_seconds(engine, object_feed, runs=1)
         )
-        for backend in backends:
-            columnar_seconds[backend] = min(
-                columnar_seconds[backend],
-                _best_feed_seconds(lambda: engine_for(backend), columnar_feed, runs=1),
-            )
-    payload = {
-        "messages": stream.message_count,
-        "withdrawals": stream.withdrawal_total,
-        "announcements": stream.announcement_total,
-        "inference_results": len(object_engine.results),
-        "object_seconds": round(object_seconds, 4),
-        **bench_env(),
-    }
+        columnar_seconds = min(
+            columnar_seconds, _best_feed_seconds(engine, columnar_feed, runs=1)
+        )
+    speedup = object_seconds / max(columnar_seconds, 1e-9)
+    record(
+        RESULTS_PATH,
+        "engine_stack.columnar_vs_object",
+        {
+            "messages": stream.message_count,
+            "withdrawals": stream.withdrawal_total,
+            "announcements": stream.announcement_total,
+            "inference_results": len(object_engine.results),
+            "object_seconds": round(object_seconds, 4),
+            "columnar_seconds": round(columnar_seconds, 4),
+            "speedup": round(speedup, 2),
+            **bench_env(),
+        },
+    )
     print(
         f"\nengine stack ({stream.message_count} msgs, "
-        f"{stream.withdrawal_total} wd): object {object_seconds:.3f} s"
+        f"{stream.withdrawal_total} wd): object {object_seconds:.3f} s, "
+        f"columnar {columnar_seconds:.3f} s ({speedup:.2f}x)"
     )
-    speedups = {}
-    for backend in backends:
-        seconds = columnar_seconds[backend]
-        speedups[backend] = speedup = object_seconds / max(seconds, 1e-9)
-        payload[f"columnar_seconds.{backend}"] = round(seconds, 4)
-        payload[f"speedup.{backend}"] = round(speedup, 2)
-        print(f"  {backend}: {seconds:.3f} s ({speedup:.2f}x)")
-    record(RESULTS_PATH, "engine_stack.columnar_vs_object", payload)
-
-    for backend in backends:
-        assert speedups[backend] >= _BACKEND_FLOORS[backend], (
-            backend,
-            round(speedups[backend], 2),
-        )
+    assert speedup >= _ENGINE_STACK_FLOOR, round(speedup, 2)
 
 
 @pytest.mark.slow

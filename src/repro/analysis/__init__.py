@@ -8,11 +8,10 @@ tier-1 gate ``tests/test_static_analysis.py`` both drive
 rule                      contract it machine-checks
 ========================  ====================================================
 ``kernel-purity``         kernels never import interning tables or mutate
-                          column views; stdlib backend never imports numpy;
-                          numpy imports guarded everywhere
+                          column views; nothing under ``src/repro/``
+                          imports numpy
 ``parity-pair``           reference/optimized twins keep compatible public
-                          surfaces and signatures (incl. both kernels'
-                          ``__all__``)
+                          methods and signatures
 ``async-safety``          no direct blocking calls inside ``async def``
                           bodies (daemon event loop + watchdog liveness)
 ``durability-ordering``   persistence goes through ``util/atomic``'s

@@ -26,7 +26,7 @@ import ast
 import os
 import re
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set
 
 __all__ = [
     "AnalysisError",
@@ -271,17 +271,6 @@ def default_checkers(rules: Optional[Sequence[str]] = None) -> List[Checker]:
 
 
 # -- shared AST helpers -------------------------------------------------------
-
-def iter_with_parents(tree: ast.AST) -> Iterator[Tuple[ast.AST, Tuple[ast.AST, ...]]]:
-    """Depth-first ``(node, ancestors)`` pairs; ancestors outermost-first."""
-    stack: List[Tuple[ast.AST, Tuple[ast.AST, ...]]] = [(tree, ())]
-    while stack:
-        node, parents = stack.pop()
-        yield node, parents
-        child_parents = parents + (node,)
-        for child in reversed(list(ast.iter_child_nodes(node))):
-            stack.append((child, child_parents))
-
 
 def docstring_nodes(tree: ast.Module) -> Set[int]:
     """``id()`` of every docstring Constant — so string scans skip prose."""

@@ -8,30 +8,26 @@ The contract (``src/repro/core/README.md``, shipped with PR 6):
   touched inside a kernel: materialising interned objects is the caller's
   job, so nothing under :mod:`repro.traces` / :mod:`repro.bgp` may be
   imported by a kernels module;
-* ``kernels/stdlib.py`` is the always-importable parity reference — it must
-  never import numpy, directly or via the numpy backend module;
-* numpy stays strictly optional everywhere: any module-level
-  ``import numpy`` outside a try/except-ImportError guard (or a function
-  body) would make the whole tree numpy-dependent.
+* no module under ``src/repro/`` imports numpy: the package is stdlib-only,
+  and a numpy kernel earns its way back only through a gated benchmark it
+  moves past its bound (ROADMAP "Decided").
 
 The mutation check is name-based: only arguments named like the run-column
 contract's columns (``times``, ``kinds``, ``wd_end``, …) are tracked, so a
-kernel's legitimately-mutable state (the detector's ``window`` deque, the
-opaque seen-row ``mask``) stays out of scope by construction.
+kernel's legitimately-mutable state (the detector's ``window`` deque) stays
+out of scope by construction.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterable, List, Tuple
+from typing import Iterable, List
 
-from repro.analysis.core import Checker, Finding, ModuleInfo, iter_with_parents, register
+from repro.analysis.core import Checker, Finding, ModuleInfo, register
 
 __all__ = ["KernelPurityChecker"]
 
 KERNELS_PREFIX = "src/repro/core/kernels/"
-STDLIB_RELPATH = KERNELS_PREFIX + "stdlib.py"
-NUMPY_RELPATH = KERNELS_PREFIX + "numpy.py"
 
 #: Column-view parameter names of the run-column contract
 #: (``src/repro/traces/README.md``).  Mutating any of these inside a kernel
@@ -91,33 +87,12 @@ def _imported_names(node: ast.AST) -> List[str]:
     return []
 
 
-def _is_guarded(parents: Tuple[ast.AST, ...]) -> bool:
-    """True when an import sits under a try/except-ImportError or a def."""
-    for parent in parents:
-        if isinstance(parent, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            return True
-        if isinstance(parent, ast.Try):
-            for handler in parent.handlers:
-                if handler.type is None:
-                    return True
-                candidates = (
-                    handler.type.elts
-                    if isinstance(handler.type, ast.Tuple)
-                    else [handler.type]
-                )
-                for candidate in candidates:
-                    name = getattr(candidate, "id", getattr(candidate, "attr", ""))
-                    if name in ("ImportError", "ModuleNotFoundError", "Exception"):
-                        return True
-    return False
-
-
 @register
 class KernelPurityChecker(Checker):
     name = "kernel-purity"
     description = (
         "kernels stay pure: no interning-table imports or column mutation in "
-        "core/kernels/, no numpy in stdlib.py, numpy guarded everywhere else"
+        "core/kernels/, and no numpy anywhere under src/repro/"
     )
 
     def applies_to(self, relpath: str) -> bool:
@@ -126,44 +101,24 @@ class KernelPurityChecker(Checker):
     def check_module(self, module: ModuleInfo) -> Iterable[Finding]:
         findings: List[Finding] = []
         in_kernels = module.relpath.startswith(KERNELS_PREFIX)
-        is_stdlib = module.relpath == STDLIB_RELPATH
 
-        for node, parents in iter_with_parents(module.tree):
+        for node in ast.walk(module.tree):
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 for name in _imported_names(node):
-                    is_numpy = name == "numpy" or name.startswith("numpy.")
-                    # "from repro.core.kernels import numpy" drags the numpy
-                    # backend (hence numpy itself) into the reference.
-                    is_numpy_backend = name == "repro.core.kernels.numpy"
-                    if is_stdlib and (is_numpy or is_numpy_backend):
+                    if name == "numpy" or name.startswith("numpy."):
                         findings.append(
                             Finding(
                                 rule=self.name,
                                 path=module.relpath,
                                 line=node.lineno,
                                 message=(
-                                    "the stdlib kernel backend is the always-"
-                                    f"importable parity reference; it must not "
-                                    f"import {name!r}"
+                                    f"src/repro/ is stdlib-only: {name!r} must "
+                                    "not be imported"
                                 ),
-                                anchor=f"stdlib-numpy:{name}",
+                                anchor=f"numpy:{name}",
                             )
                         )
-                        continue
-                    if is_numpy and not _is_guarded(parents):
-                        findings.append(
-                            Finding(
-                                rule=self.name,
-                                path=module.relpath,
-                                line=node.lineno,
-                                message=(
-                                    "numpy is an optional dependency: guard the "
-                                    "import with try/except ImportError (or move "
-                                    "it inside a function)"
-                                ),
-                                anchor=f"unguarded-numpy:{name}",
-                            )
-                        )
+                        break
                     if in_kernels and any(
                         name == prefix or name.startswith(prefix + ".")
                         for prefix in FORBIDDEN_PREFIXES

@@ -15,11 +15,6 @@ rule pins the surfaces themselves:
   differently and annotations never change call compatibility).  The twin
   may *extend* a signature with trailing defaulted parameters (that is how
   optimized paths grow knobs) and may add whole new methods;
-* **module pairs** (kernel backends) — every public function defined in
-  both modules must match the same way; a public function present in only
-  one backend is drift; and every shared public function must be listed in
-  *both* modules' ``__all__`` (an undeclared kernel is how a backend
-  quietly stops being checked);
 * **method pairs** — ``<x>_reference`` methods kept inside a production
   class follow the same prefix-compatibility rule against their fast twin.
 
@@ -35,7 +30,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.core import Checker, Finding, ModuleInfo, Project, register
 
-__all__ = ["ClassPair", "MethodPair", "ModulePair", "ParityChecker"]
+__all__ = ["ClassPair", "MethodPair", "ParityChecker"]
 
 
 @dataclass(frozen=True)
@@ -44,12 +39,6 @@ class ClassPair:
     ref_class: str
     twin_path: str
     twin_class: str
-
-
-@dataclass(frozen=True)
-class ModulePair:
-    ref_path: str
-    twin_path: str
 
 
 @dataclass(frozen=True)
@@ -73,10 +62,6 @@ DEFAULT_CLASS_PAIRS: Tuple[ClassPair, ...] = (
         "src/repro/bgp/trie.py",
         "PrefixTrie",
     ),
-)
-
-DEFAULT_MODULE_PAIRS: Tuple[ModulePair, ...] = (
-    ModulePair("src/repro/core/kernels/stdlib.py", "src/repro/core/kernels/numpy.py"),
 )
 
 DEFAULT_METHOD_PAIRS: Tuple[MethodPair, ...] = (
@@ -131,29 +116,6 @@ def _class_methods(module: ModuleInfo, class_name: str) -> Optional[Dict[str, as
     return None
 
 
-def _module_functions(module: ModuleInfo) -> Dict[str, ast.AST]:
-    return {
-        node.name: node
-        for node in module.tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-    }
-
-
-def _module_all(module: ModuleInfo) -> Optional[List[str]]:
-    for node in module.tree.body:
-        if isinstance(node, ast.Assign):
-            for target in node.targets:
-                if isinstance(target, ast.Name) and target.id == "__all__":
-                    if isinstance(node.value, (ast.List, ast.Tuple)):
-                        return [
-                            element.value
-                            for element in node.value.elts
-                            if isinstance(element, ast.Constant)
-                            and isinstance(element.value, str)
-                        ]
-    return None
-
-
 def _compatible(
     ref: List[Tuple[str, Optional[str]]], twin: List[Tuple[str, Optional[str]]]
 ) -> bool:
@@ -171,21 +133,17 @@ def _compatible(
 class ParityChecker(Checker):
     name = "parity-pair"
     description = (
-        "reference/optimized twins (tests/oracles classes, kernel backends, "
-        "*_reference methods) keep matching public signatures"
+        "reference/optimized twins (tests/oracles classes, *_reference "
+        "methods) keep matching public signatures"
     )
 
     def __init__(
         self,
         class_pairs: Optional[Sequence[ClassPair]] = None,
-        module_pairs: Optional[Sequence[ModulePair]] = None,
         method_pairs: Optional[Sequence[MethodPair]] = None,
     ) -> None:
         self.class_pairs = (
             tuple(class_pairs) if class_pairs is not None else DEFAULT_CLASS_PAIRS
-        )
-        self.module_pairs = (
-            tuple(module_pairs) if module_pairs is not None else DEFAULT_MODULE_PAIRS
         )
         self.method_pairs = (
             tuple(method_pairs) if method_pairs is not None else DEFAULT_METHOD_PAIRS
@@ -195,8 +153,6 @@ class ParityChecker(Checker):
         findings: List[Finding] = []
         for pair in self.class_pairs:
             findings.extend(self._check_class_pair(project, pair))
-        for pair in self.module_pairs:
-            findings.extend(self._check_module_pair(project, pair))
         for pair in self.method_pairs:
             findings.extend(self._check_method_pair(project, pair))
         return findings
@@ -263,84 +219,6 @@ class ParityChecker(Checker):
                         anchor=f"signature:{pair.twin_class}.{method_name}",
                     )
                 )
-        return findings
-
-    # -- module pairs (kernel backends) --------------------------------------
-
-    def _check_module_pair(
-        self, project: Project, pair: ModulePair
-    ) -> Iterable[Finding]:
-        ref_module = project.module(pair.ref_path)
-        twin_module = project.module(pair.twin_path)
-        missing = self._missing_files(
-            (pair.ref_path, ref_module), (pair.twin_path, twin_module)
-        )
-        if missing:
-            return missing
-        findings: List[Finding] = []
-        ref_functions = {
-            name: fn for name, fn in _module_functions(ref_module).items()
-            if not name.startswith("_")
-        }
-        twin_functions = {
-            name: fn for name, fn in _module_functions(twin_module).items()
-            if not name.startswith("_")
-        }
-        for name in sorted(set(ref_functions) ^ set(twin_functions)):
-            present, absent = (
-                (pair.ref_path, pair.twin_path)
-                if name in ref_functions
-                else (pair.twin_path, pair.ref_path)
-            )
-            owner = ref_functions.get(name) or twin_functions[name]
-            findings.append(
-                Finding(
-                    rule=self.name,
-                    path=present,
-                    line=owner.lineno,
-                    message=(
-                        f"backend function {name!r} exists in {present} but not "
-                        f"in its twin {absent}; kernel backends must expose "
-                        "identical public surfaces"
-                    ),
-                    anchor=f"one-sided:{name}",
-                )
-            )
-        shared = sorted(set(ref_functions) & set(twin_functions))
-        for name in shared:
-            ref_sig = _signature(ref_functions[name])
-            twin_sig = _signature(twin_functions[name])
-            if not _compatible(ref_sig, twin_sig):
-                findings.append(
-                    Finding(
-                        rule=self.name,
-                        path=pair.twin_path,
-                        line=twin_functions[name].lineno,
-                        message=(
-                            f"kernel {name}{_format(twin_sig)} drifted from the "
-                            f"reference backend's {name}{_format(ref_sig)}"
-                        ),
-                        anchor=f"signature:{name}",
-                    )
-                )
-        for module in (ref_module, twin_module):
-            declared = _module_all(module)
-            if declared is None:
-                continue
-            for name in shared:
-                if name not in declared:
-                    findings.append(
-                        Finding(
-                            rule=self.name,
-                            path=module.relpath,
-                            line=1,
-                            message=(
-                                f"kernel function {name!r} is part of the shared "
-                                "backend surface but missing from __all__"
-                            ),
-                            anchor=f"all:{name}",
-                        )
-                    )
         return findings
 
     # -- method pairs --------------------------------------------------------

@@ -266,9 +266,9 @@ class BGPSpeaker:
 
         ``source`` is either an object exposing ``iter_batches()`` (a
         :class:`~repro.traces.columnar.ColumnarTrace`) or an iterable of
-        :class:`~repro.traces.columnar.ColumnarRun` views.  ``kernel``
-        selects the column-kernel backend (:mod:`repro.core.kernels`) for
-        run segmentation; ``None`` auto-selects.
+        :class:`~repro.traces.columnar.ColumnarRun` views.  ``kernel`` is
+        the column-kernel backend (:mod:`repro.core.kernels`) for run
+        segmentation; ``None`` takes the default.
         """
         if kernel is None:
             from repro.core import kernels

@@ -98,7 +98,7 @@ class BurstDetector:
         self._expire(timestamp)
         return self._transition(timestamp)
 
-    def observe_run(self, run, kernel=None) -> List[Tuple[int, BurstEvent]]:
+    def observe_run(self, run) -> List[Tuple[int, BurstEvent]]:
         """Feed a columnar run; return ``(message index, event)`` transitions.
 
         Equivalent to calling :meth:`observe_withdrawals` for every UPDATE
@@ -119,16 +119,14 @@ class BurstDetector:
         the per-message calls.
 
         The scan itself is a kernel
-        (:func:`repro.core.kernels.stdlib.detector_scan` and its vectorised
-        numpy twin): the kernel walks the raw columns and reports the
-        transitions plus the final window state; this method folds them
-        back into detector state and :class:`BurstEvent` objects.  An
-        explicit ``kernel`` overrides the backend picked at construction.
+        (:func:`repro.core.kernels.stdlib.detector_scan`): the kernel walks
+        the raw columns and reports the transitions plus the final window
+        state; this method folds them back into detector state and
+        :class:`BurstEvent` objects.
         """
         trace = run.trace
         config = self.config
-        backend = kernel if kernel is not None else self._kernel
-        transitions, self._in_window, bursting = backend.detector_scan(
+        transitions, self._in_window, bursting = self._kernel.detector_scan(
             trace.msg_time,
             trace.msg_kind,
             trace.wd_end,

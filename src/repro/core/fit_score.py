@@ -42,7 +42,6 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence,
 
 from repro.bgp.attributes import ASPath
 from repro.bgp.prefix import Prefix
-from repro.core import kernels
 
 __all__ = ["FitScoreCalculator", "FitScoreConfig", "LinkPrefixIndex", "LinkScore"]
 
@@ -113,11 +112,6 @@ class LinkPrefixIndex:
         "links_of_prefix",
         "routed_for_link",
         "prefixes_of_link",
-        "_links_table",
-        "_links_table_pool",
-        "_link_ids",
-        "link_objects",
-        "_id_tuple_memo",
         "_path_links_memo",
     )
 
@@ -133,14 +127,6 @@ class LinkPrefixIndex:
         self.links_of_prefix: Dict[Prefix, Tuple[Link, ...]] = {}
         self.routed_for_link: Dict[Link, int] = {}
         self.prefixes_of_link: Dict[Link, Set[Prefix]] = {}
-        self._links_table: Optional[List[Optional[Tuple[int, ...]]]] = None
-        self._links_table_pool = None
-        # Small-int link ids for the vectorised fold: hashing and counting
-        # ints is markedly cheaper than tuples, so the pool-row table stores
-        # id tuples and ``link_objects`` maps them back.
-        self._link_ids: Dict[Link, int] = {}
-        self.link_objects: List[Link] = []
-        self._id_tuple_memo: Dict[Tuple[Link, ...], Tuple[int, ...]] = {}
         self._path_links_memo: Dict[Tuple[int, ...], Tuple[Link, ...]] = {}
         if rib:
             for prefix, path in rib.items():
@@ -167,19 +153,6 @@ class LinkPrefixIndex:
             # Same interned tuple (links_for_path memo): a re-announcement
             # over the unchanged path moves nothing.
             return old_links
-        table = self._links_table
-        if table is not None:
-            # Keep the pool-row view in lockstep with links_of_prefix (this
-            # method is the sole mutator).  A prefix the pool never interned
-            # cannot appear in a withdrawal column, so it is safe to skip;
-            # a pool that grew past the table forces a rebuild instead.
-            row = self._links_table_pool.prefix_id(prefix)
-            if row is not None:
-                if row < len(table):
-                    table[row] = self._link_id_tuple(new_links) if new_links else None
-                else:
-                    self._links_table = None
-                    self._links_table_pool = None
         routed = self.routed_for_link
         by_link = self.prefixes_of_link
         for link in old_links:
@@ -247,50 +220,6 @@ class LinkPrefixIndex:
         result = memo[key] = tuple(unique)
         return result
 
-    def _link_id_tuple(self, links: Tuple[Link, ...]) -> Tuple[int, ...]:
-        """Intern a links tuple as a tuple of small link ids (memoised)."""
-        memo = self._id_tuple_memo
-        ids = memo.get(links)
-        if ids is None:
-            link_ids = self._link_ids
-            objects = self.link_objects
-            row: List[int] = []
-            for link in links:
-                lid = link_ids.get(link)
-                if lid is None:
-                    lid = link_ids[link] = len(objects)
-                    objects.append(link)
-                row.append(lid)
-            ids = memo[links] = tuple(row)
-        return ids
-
-    def links_table(self, pool) -> Optional[List[Optional[Tuple[int, ...]]]]:
-        """Pool-row view of ``links_of_prefix``: pool prefix id -> link ids.
-
-        Built once per (index, pool) pair and then maintained in place by
-        :meth:`_set_links`, this lets the vectorised fit-score fold turn a
-        batch of deduplicated withdrawal rows into per-link counts with a
-        C-speed list gather instead of one Prefix-keyed dict lookup per
-        prefix.  Rows hold tuples of small integer ids (``link_objects``
-        maps them back to links) so the counting pass hashes ints, not
-        tuples.  ``None`` when the pool offers no reverse lookup (a
-        contract-honoring pool without ``prefix_id`` takes the generic
-        per-prefix path).
-        """
-        if self._links_table_pool is not pool:
-            prefix_id = getattr(pool, "prefix_id", None)
-            if prefix_id is None:
-                return None
-            id_tuple = self._link_id_tuple
-            table: List[Optional[Tuple[int, ...]]] = [None] * pool.prefix_count
-            for prefix, links in self.links_of_prefix.items():
-                row = prefix_id(prefix)
-                if row is not None:
-                    table[row] = id_tuple(links)
-            self._links_table = table
-            self._links_table_pool = pool
-        return self._links_table
-
 
 class FitScoreCalculator:
     """Burst-local W/P bookkeeping on top of a :class:`LinkPrefixIndex`.
@@ -326,186 +255,37 @@ class FitScoreCalculator:
         local_as: Optional[int] = None,
         peer_as: Optional[int] = None,
         index: Optional[LinkPrefixIndex] = None,
-        kernel=None,
     ) -> None:
         self.config = config or FitScoreConfig()
         if index is None:
             index = LinkPrefixIndex(rib or {}, local_as=local_as, peer_as=peer_as)
         self._index = index
-        self._kernel = kernel if kernel is not None else kernels.default_backend()
         # Burst-local overlays: withdrawal counters plus the adjustment the
         # burst's withdrawals make to the index's routed counts.
         self._withdrawn_for_link: Dict[Link, int] = {}
         self._routed_delta: Dict[Link, int] = {}
         self._withdrawn_prefixes: Set[Prefix] = set()
         self._total_withdrawals = 0
-        # Seen-row mask for the vectorised fold.  While ``_mask_exact`` holds,
-        # the mask's set bits are *exactly* the withdrawn prefix rows, so a
-        # whole candidate batch counts as fresh with no per-prefix set
-        # membership at all, and the seen set itself materialises lazily
-        # (``_unsynced_rows`` -> :meth:`_sync_seen`).  Any dedup decision that
-        # bypasses the mask — an object-path withdrawal, a mixed span, a
-        # record_update un-withdrawal — degrades it to a plain negative
-        # cache: candidates are then re-checked against the authoritative
-        # seen set, which an all-clear mask always forces.
-        self._seen_mask = None
-        self._seen_mask_pool = None
-        self._mask_exact = False
-        self._unsynced_rows: List[Sequence[int]] = []
-        self._synced_rows: List[int] = []
 
     @classmethod
     def from_index(
         cls,
         index: LinkPrefixIndex,
         config: Optional[FitScoreConfig] = None,
-        kernel=None,
     ) -> "FitScoreCalculator":
         """O(1) construction over an already-maintained index (no RIB scan)."""
-        return cls(config=config, index=index, kernel=kernel)
+        return cls(config=config, index=index)
 
     # -- feeding the stream ----------------------------------------------------
 
-    def _sync_counts(self) -> None:
-        """Fold deferred exact-fold rows into the per-link counters.
-
-        While the mask is exact, :meth:`_record_rows` only appends fresh row
-        batches and bumps the total: the per-link counters materialise here,
-        on the first counter query that actually reads them, and the counted
-        rows move to ``_synced_rows`` (still row-space — the withdrawn *set*
-        itself materialises even later, see :meth:`_sync_seen`).  Rows
-        recorded after an accepted inference are typically never queried
-        again, so their link counting never happens at all.
-        """
-        rows = self._unsynced_rows
-        if not rows:
-            return
-        self._unsynced_rows = []
-        pool = self._seen_mask_pool
-        flat = self._kernel.flatten_rows(rows)
-        self._synced_rows.extend(flat)
-        table = self._index.links_table(pool)
-        link_objects = self._index.link_objects
-        withdrawn = self._withdrawn_for_link
-        delta = self._routed_delta
-        withdrawn_get = withdrawn.get
-        delta_get = delta.get
-        # The rows are distinct (mask-deduplicated) and their id tuples are
-        # interned, so counting the (few) distinct tuples first and expanding
-        # afterwards hashes each row once instead of once per link.
-        counts: Dict[int, int] = {}
-        for ids, repeats in Counter(map(table.__getitem__, flat)).items():
-            if ids is None:
-                continue
-            for lid in ids:
-                counts[lid] = counts.get(lid, 0) + repeats
-        for lid, count in counts.items():
-            link = link_objects[lid]
-            withdrawn[link] = withdrawn_get(link, 0) + count
-            delta[link] = delta_get(link, 0) - count
-
-    def _sync_seen(self) -> None:
-        """Materialise every deferred row into the withdrawn prefix *set*.
-
-        The full catch-up: counters first (:meth:`_sync_counts`), then the
-        interned prefixes of all counted rows join ``_withdrawn_prefixes``.
-        Only mask-degrading events and whole-set readers need this; counter
-        queries and :meth:`withdrawn_within` stay in row space, so a burst
-        served end-to-end by the vectorised fold never builds the set.
-        """
-        self._sync_counts()
-        rows = self._synced_rows
-        if rows:
-            self._synced_rows = []
-            self._withdrawn_prefixes.update(self._seen_mask_pool.prefixes_at(rows))
-
     def record_withdrawal_rows(self, pool, wd_prefix, lo: int, hi: int) -> int:
-        """Record ``wd_prefix[lo:hi]`` straight from the column.
+        """Record ``wd_prefix[lo:hi]``: materialise the window and delegate.
 
-        The row-index twin of :meth:`record_withdrawals` — same overlay
+        The row-index form of :meth:`record_withdrawals` — same overlay
         mutations, same return value (entries processed, duplicates
-        included) — but fed pool prefix rows instead of materialised
-        prefixes, so a vectorised backend can dedup and count the whole
-        window without per-prefix Python.  With a non-vectorised kernel it
-        simply materialises the window and delegates.
+        included) — fed pool prefix rows instead of prefixes.
         """
-        if hi <= lo:
-            return 0
-        if not self._kernel.VECTORISED:
-            return self.record_withdrawals(pool.prefixes_at(wd_prefix[lo:hi]))
-        return self._record_rows(pool, wd_prefix, lo, hi)
-
-    def _record_rows(self, pool, wd_prefix, lo: int, hi: int) -> int:
-        """Vectorised fold of one withdrawal window (VECTORISED kernels only).
-
-        Deduplicates the window against the seen-row mask at array speed,
-        then — while the mask is exact — counts the fresh rows' links with
-        one gather over the index's pool-row links table and defers the
-        seen-set materialisation entirely.  Once exactness is lost (or the
-        index cannot build a table for this pool) the candidates fall back
-        to the authoritative per-prefix path.
-        """
-        kernel = self._kernel
-        mask = self._seen_mask
-        if mask is None or self._seen_mask_pool is not pool or len(
-            mask
-        ) < pool.prefix_count:
-            # Rebuilding loses the set bits, so first materialise anything
-            # deferred, then re-seed the fresh mask from the seen set: if
-            # every seen prefix has a pool row the mask is exact again.
-            self._sync_seen()
-            mask = self._seen_mask = kernel.new_seen_mask(pool.prefix_count)
-            self._seen_mask_pool = pool
-            exact = True
-            if self._withdrawn_prefixes:
-                prefix_id = getattr(pool, "prefix_id", None)
-                if prefix_id is None:
-                    exact = False
-                else:
-                    for prefix in self._withdrawn_prefixes:
-                        row = prefix_id(prefix)
-                        if row is None:
-                            exact = False
-                            break
-                        mask[row] = True
-            self._mask_exact = exact
-        candidates = kernel.fresh_candidate_rows(mask, wd_prefix, lo, hi)
-        if len(candidates) == 0:
-            return hi - lo
-        if self._mask_exact:
-            table = self._index.links_table(pool)
-            if table is not None:
-                # Fully deferred: the seen set *and* the per-link counters
-                # materialise together in _sync_seen on the next query.
-                self._unsynced_rows.append(candidates)
-                self._total_withdrawals += len(candidates)
-                return hi - lo
-            self._mask_exact = False
-        self._sync_seen()
-        withdrawn = self._withdrawn_for_link
-        delta = self._routed_delta
-        withdrawn_get = withdrawn.get
-        delta_get = delta.get
-        seen = self._withdrawn_prefixes
-        seen_add = seen.add
-        links_get = self._index.links_of_prefix.get
-        fresh = 0
-        pending: List[Link] = []
-        pending_extend = pending.extend
-        for prefix in pool.prefixes_at(candidates):
-            if prefix in seen:
-                continue
-            seen_add(prefix)
-            fresh += 1
-            links = links_get(prefix)
-            if links:
-                pending_extend(links)
-        if fresh:
-            self._total_withdrawals += fresh
-        for link, count in Counter(pending).items():
-            withdrawn[link] = withdrawn_get(link, 0) + count
-            delta[link] = delta_get(link, 0) - count
-        return hi - lo
+        return self.record_withdrawals(pool.prefixes_at(wd_prefix[lo:hi]))
 
     def record_withdrawal(self, prefix: Prefix) -> None:
         """Account for the withdrawal of ``prefix``.
@@ -525,10 +305,6 @@ class FitScoreCalculator:
         per-prefix Python overhead of the hot path down to a few dictionary
         operations.
         """
-        # Object-path entries bypass the seen-row mask: catch up any deferred
-        # rows (the dedup below needs the full set) and drop exactness.
-        self._sync_seen()
-        self._mask_exact = False
         seen = self._withdrawn_prefixes
         links_of_prefix = self._index.links_of_prefix
         withdrawn = self._withdrawn_for_link
@@ -614,21 +390,6 @@ class FitScoreCalculator:
                     delta[link] = delta_get(link, 0) - 1
             del pending[:]
 
-        kernel = self._kernel
-        if kernel.VECTORISED and ann_end[hi - 1] == a:
-            # No announcements anywhere in the span, so nothing reads the
-            # overlays mid-span and the whole withdrawal window folds in one
-            # kernel pass (see _record_rows): mask dedup at array speed and,
-            # while the mask is exact, link counting through the index's
-            # pool-row table with the seen set materialised lazily.
-            return self._record_rows(pool, wd_prefix, w, wd_end[hi - 1])
-
-        # The per-prefix branches below bypass the seen-row mask: materialise
-        # any deferred rows first (their dedup reads the seen set in full)
-        # and degrade the mask to a plain negative cache.
-        self._sync_seen()
-        self._mask_exact = False
-
         # Decoded-once prefix row cache: an InternPool detail, probed rather
         # than required — a contract-honoring pool without it simply takes
         # the generic row loop below (pool.prefix_at is the contract API).
@@ -699,14 +460,9 @@ class FitScoreCalculator:
         the withdrawal (it no longer counts in ``W``).  The underlying index
         is updated in place, so an engine sharing it sees the new path too.
         """
-        self._sync_seen()
         if prefix in self._withdrawn_prefixes:
             old_links = self._index.links_of_prefix.get(prefix, ())
             self._withdrawn_prefixes.discard(prefix)
-            # The prefix may be withdrawn again later in the burst; drop the
-            # negative cache so the vectorised fold re-checks its row.
-            self._seen_mask = None
-            self._mask_exact = False
             self._total_withdrawals = max(0, self._total_withdrawals - 1)
             withdrawn = self._withdrawn_for_link
             delta = self._routed_delta
@@ -727,41 +483,23 @@ class FitScoreCalculator:
     @property
     def withdrawn_prefixes(self) -> FrozenSet[Prefix]:
         """The set of currently-withdrawn prefixes."""
-        self._sync_seen()
         return frozenset(self._withdrawn_prefixes)
 
     def withdrawn_within(self, prefixes) -> FrozenSet[Prefix]:
-        """``withdrawn_prefixes & prefixes`` for a set-like ``prefixes``.
-
-        Deliberately avoids :meth:`_sync_seen`: the materialised part is
-        intersected set-to-set (iterating the smaller side) and deferred
-        rows are resolved straight off the pool's decode cache and checked
-        against ``prefixes``, so the full withdrawn set is never built.
-        """
-        self._sync_counts()
-        base = self._withdrawn_prefixes
-        result: Set[Prefix] = set(base.intersection(prefixes)) if base else set()
-        rows = self._synced_rows
-        if rows:
-            result.update(
-                filter(prefixes.__contains__, self._seen_mask_pool.prefixes_at(rows))
-            )
-        return frozenset(result)
+        """``withdrawn_prefixes & prefixes`` for a set-like ``prefixes``."""
+        return frozenset(self._withdrawn_prefixes.intersection(prefixes))
 
     def tracked_links(self) -> List[Link]:
         """Every link appearing in at least one known path."""
-        self._sync_counts()
         links: Set[Link] = set(self._index.routed_for_link) | set(self._withdrawn_for_link)
         return sorted(links)
 
     def withdrawal_count(self, link: Link) -> int:
         """``W(l, t)`` for one link."""
-        self._sync_counts()
         return self._withdrawn_for_link.get(_canonical(link), 0)
 
     def still_routed_count(self, link: Link) -> int:
         """``P(l, t)`` for one link: the index baseline plus the burst delta."""
-        self._sync_counts()
         canonical = _canonical(link)
         return max(
             0,
@@ -860,7 +598,6 @@ class FitScoreCalculator:
         dictionary lookups of the method chain would dominate the query.
         The arithmetic is identical.
         """
-        self._sync_counts()
         total = self._total_withdrawals
         routed_base = self._index.routed_for_link.get
         delta_get = self._routed_delta.get

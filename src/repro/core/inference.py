@@ -63,11 +63,9 @@ CalculatorFactory = Callable[[Mapping[Prefix, ASPath]], FitScoreCalculator]
 class InferenceConfig:
     """All the knobs of the inference algorithm (paper defaults).
 
-    ``kernel_backend`` selects the column-kernel backend for the engine's
-    hot loops (see :mod:`repro.core.kernels`): ``None`` auto-selects (numpy
-    when importable, the stdlib reference otherwise), ``"stdlib"`` /
-    ``"numpy"`` force one.  The backend never changes results — only how
-    the columns are walked.
+    ``kernel_backend`` names the column-kernel backend of the engine's hot
+    loops (see :mod:`repro.core.kernels`): ``None``, ``"auto"`` and
+    ``"stdlib"`` all select the one backend.
     """
 
     fit_score: FitScoreConfig = field(default_factory=FitScoreConfig)
@@ -511,43 +509,6 @@ class InferenceEngine:
         remove_prefix = self._index.remove_prefix
         window_seconds = self.config.detector.window_seconds
         last_wd = wd_end[hi - 1]
-        kernel = self._kernel
-        if kernel.VECTORISED:
-            # Sparse walk: one kernel pass locates the rows carrying
-            # prefixes (the only rows with per-row work); intermediate
-            # UPDATE rows only age the buffer, and expiry is monotone in
-            # the timestamp, so deferring it to the next event row — and,
-            # for trailing rows, to the span's last UPDATE row — leaves
-            # identical buffer / RIB / index state at every point the
-            # per-row loop could observe it.
-            for row in kernel.event_rows(kinds, wd_end, ann_end, lo, hi):
-                timestamp = times[row]
-                if buffered:
-                    horizon = timestamp - window_seconds
-                    while buffered and buffered[0][0] < horizon:
-                        _, prefix = buffered_pop()
-                        rib_pop(prefix, None)
-                        remove_prefix(prefix)
-                w_high = wd_end[row]
-                a_high = ann_end[row]
-                while w < w_high:
-                    buffered_append((timestamp, prefix_at(wd_prefix[w])))
-                    w += 1
-                while a < a_high:
-                    prefix = prefix_at(ann_prefix[a])
-                    path = path_at(attr_path[ann_attr[a]])
-                    set_path(prefix, path)
-                    rib[prefix] = path
-                    a += 1
-            if buffered:
-                last = kernel.last_update_row(kinds, lo, hi)
-                if last is not None:
-                    horizon = times[last] - window_seconds
-                    while buffered and buffered[0][0] < horizon:
-                        _, prefix = buffered_pop()
-                        rib_pop(prefix, None)
-                        remove_prefix(prefix)
-            return
         for row in range(lo, hi):
             w_high = wd_end[row]
             a_high = ann_end[row]
@@ -710,7 +671,7 @@ class InferenceEngine:
         else:
             # O(1): overlay the live index instead of rescanning the RIB.
             self._calculator = FitScoreCalculator.from_index(
-                self._index, config=self.config.fit_score, kernel=self._kernel
+                self._index, config=self.config.fit_score
             )
         self._burst_start = (
             self._recent_withdrawals[0][0] if self._recent_withdrawals else timestamp

@@ -1,13 +1,7 @@
-"""The stdlib kernel backend: the original bisect/Counter hot loops.
+"""The column kernels: bisect-based loops over raw trace columns.
 
-Extracted verbatim from :meth:`BurstDetector.observe_run`, the
-:meth:`FitScoreCalculator.record_run` fast path, the engine's span walking
-and :meth:`ColumnarTrace.iter_batches` — this module is the *parity
-reference* every other backend is checked against — the one reference
-twin that ships in the package, because it is also the only backend that
-runs where numpy is absent.  It is always importable (no third-party
-dependencies) and is what :func:`repro.core.kernels.get_backend` falls back
-to when numpy is absent.
+Extracted from :meth:`BurstDetector.observe_run`, the engine's trigger
+location and :meth:`ColumnarTrace.iter_batches`.  Standard library only.
 
 Kernel contract (see ``src/repro/core/README.md``): kernels read immutable
 column views (any buffer-backed integer/float sequence honouring the
@@ -15,8 +9,7 @@ run-column contract of ``src/repro/traces/README.md``) and return plain row
 indices, counts and Python scalars.  They never touch an interning table —
 materialising interned objects is the caller's job.  The one piece of
 mutable state a kernel owns is the detector's sliding-window deque (passed
-in, left in exactly the state the per-message path would produce) and the
-opaque seen-row masks handed back by :func:`new_seen_mask`.
+in, left in exactly the state the per-message path would produce).
 """
 
 from __future__ import annotations
@@ -26,25 +19,14 @@ from typing import Deque, List, Optional, Tuple
 
 __all__ = [
     "NAME",
-    "VECTORISED",
     "detector_scan",
-    "event_rows",
     "find_crossing",
-    "flatten_rows",
-    "fresh_candidate_rows",
-    "last_update_row",
     "next_positive_row",
-    "new_seen_mask",
     "run_boundaries",
 ]
 
-#: Backend name, recorded in benchmark payloads and test ids.
+#: Backend name, recorded in benchmark payloads.
 NAME = "stdlib"
-
-#: Whether the backend pays off on whole-run array arithmetic.  The callers
-#: use this to keep their original dense row loops (which this module's
-#: functions mirror) when the backend cannot beat them.
-VECTORISED = False
 
 
 # -- burst detection ---------------------------------------------------------
@@ -140,68 +122,7 @@ def detector_scan(
     return transitions, in_window, bursting
 
 
-# -- fit-score folds ---------------------------------------------------------
-
-def new_seen_mask(size: int):
-    """An opaque per-burst seen-row mask; this backend never uses one."""
-    return None
-
-
-def fresh_candidate_rows(mask, wd_prefix, lo: int, hi: int) -> List[int]:
-    """Deduplicated prefix rows of the withdrawal window ``[lo, hi)``.
-
-    Returns the distinct entries of ``wd_prefix[lo:hi]`` not already marked
-    in ``mask``, marking them; callers re-check the returned candidates
-    against their (authoritative) seen *sets*, so the mask is purely a
-    negative cache.  With this backend's ``mask is None`` the dedup is a
-    plain first-occurrence pass.
-    """
-    seen_rows = set()
-    seen_add = seen_rows.add
-    ordered: List[int] = []
-    append = ordered.append
-    for row in wd_prefix[lo:hi]:
-        if row not in seen_rows:
-            seen_add(row)
-            append(row)
-    return ordered
-
-
-def flatten_rows(batches) -> List[int]:
-    """Concatenate row-index batches into one plain Python int list."""
-    if len(batches) == 1:
-        return list(batches[0])
-    flat: List[int] = []
-    for batch in batches:
-        flat.extend(batch)
-    return flat
-
-
-# -- span walking ------------------------------------------------------------
-
-def event_rows(kinds, wd_end, ann_end, lo: int, hi: int) -> List[int]:
-    """Rows of ``[lo, hi)`` carrying withdrawals or announcements."""
-    rows: List[int] = []
-    append = rows.append
-    w = wd_end[lo - 1] if lo else 0
-    a = ann_end[lo - 1] if lo else 0
-    for row in range(lo, hi):
-        w_high = wd_end[row]
-        a_high = ann_end[row]
-        if w_high > w or a_high > a:
-            append(row)
-            w = w_high
-            a = a_high
-    return rows
-
-
-def last_update_row(kinds, lo: int, hi: int) -> Optional[int]:
-    """The last row of ``[lo, hi)`` with kind byte 0, or ``None``."""
-    for row in range(hi - 1, lo - 1, -1):
-        if kinds[row] == 0:
-            return row
-    return None
-
+# -- trigger location --------------------------------------------------------
 
 def find_crossing(cumulative, value: int, lo: int, hi: int) -> int:
     """First row in ``[lo, hi)`` whose cumulative bound reaches ``value``."""

@@ -448,10 +448,9 @@ class SwiftedRouter:
         :class:`~repro.bgp.messages.BGPMessage` is constructed anywhere on
         this path.
 
-        ``kernel`` overrides the column-kernel backend for run segmentation;
-        ``None`` defers to the engines' configured backend
-        (:attr:`InferenceConfig.kernel_backend`), so the whole path honours one
-        selection.
+        ``kernel`` is the column-kernel backend for run segmentation;
+        ``None`` takes the engines' configured backend
+        (:attr:`InferenceConfig.kernel_backend`).
         """
         if not self._provisioned:
             raise RuntimeError("provision() must be called before receiving updates")

@@ -220,13 +220,11 @@ class StreamReplayer:
     :class:`MonthReplayResult`), which is what the fleet driver aggregates
     and parity-checks against sequential replay.
 
-    ``kernel_backend`` picks the column-kernel backend
-    (:mod:`repro.core.kernels`) for the whole replay — run segmentation,
-    the speaker's session walks, the engines' detector / fit-score /
-    span kernels.  ``None`` auto-selects (numpy when importable, the
-    stdlib reference otherwise); the backend never changes the result
-    signature.  An explicit choice is injected into the SWIFTED router's
-    inference config so the engines honour the same selection.
+    ``kernel_backend`` names the column-kernel backend
+    (:mod:`repro.core.kernels`) for the whole replay — run segmentation and
+    the engines' detector and trigger kernels.  ``None``, ``"auto"`` and
+    ``"stdlib"`` all select the one backend; an explicit name is injected
+    into the SWIFTED router's inference config as well.
     """
 
     def __init__(
@@ -436,7 +434,6 @@ def run(
     swift_config: Optional[SwiftConfig] = None,
     chunk_messages: int = 50000,
     swifted: bool = True,
-    kernel_backend: Optional[str] = None,
     validate: Optional[str] = None,
 ) -> MonthReplayResult:
     """Replay a (cached) month-long session stream end-to-end.
@@ -469,7 +466,6 @@ def run(
         swift_config=swift_config,
         chunk_messages=chunk_messages,
         swifted=swifted,
-        kernel_backend=kernel_backend,
     )
 
 

@@ -152,7 +152,6 @@ class _ReplayOptions:
     chunk_messages: int = 50000
     local_pref: int = 100
     backup_session: bool = True
-    kernel_backend: Optional[str] = None
     fault_plan: Optional[faults.FaultPlan] = None
     validate: Optional[str] = None
 
@@ -216,7 +215,6 @@ def _replay_job(
             local_pref=options.local_pref,
             backup_session=options.backup_session,
             collect_events=True,
-            kernel_backend=options.kernel_backend,
         )
     finally:
         if installed:
@@ -388,7 +386,6 @@ def replay_jobs(
     local_pref: int = 100,
     backup_session: bool = True,
     mp_context: Optional[str] = None,
-    kernel_backend: Optional[str] = None,
     strict: bool = True,
     retry: Union[None, int, RetryPolicy] = None,
     timeout: Optional[float] = None,
@@ -407,10 +404,7 @@ def replay_jobs(
     ``workers=1`` replays inline through the same worker body, which is the
     sequential baseline the parity tests compare against.  ``mp_context``
     picks the multiprocessing start method (``"fork"`` where available,
-    else the platform default).  ``kernel_backend`` selects the
-    column-kernel backend in every worker (``None`` auto-selects: numpy
-    when importable, stdlib otherwise; see :mod:`repro.core.kernels`) —
-    backends never change the result signature, only replay speed.
+    else the platform default).
 
     Failure handling: every job runs under ``retry`` (``None`` → the
     default :class:`RetryPolicy`; an int ``n`` → ``n`` retries on top of
@@ -444,7 +438,6 @@ def replay_jobs(
         chunk_messages=chunk_messages,
         local_pref=local_pref,
         backup_session=backup_session,
-        kernel_backend=kernel_backend,
         fault_plan=fault_plan,
         validate=validate,
     )

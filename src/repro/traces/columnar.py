@@ -324,29 +324,14 @@ class InternPool:
             )
         return attributes
 
-    def prefix_id(self, prefix: Prefix) -> Optional[int]:
-        """Table index of an already-interned prefix, ``None`` when unknown.
-
-        The read-side inverse of :meth:`prefix_at`.  Unlike the intern_*
-        writers it refills only the *prefix* map of a restored pool (the
-        path/community/attribute maps stay lazy), so reverse lookups on a
-        replayed trace do not force the whole pool to materialise.
-        """
-        ids = self._prefix_ids
-        if not ids and len(self.prefix_net):
-            prefix_at = self.prefix_at
-            for index in range(len(self.prefix_net)):
-                ids[prefix_at(index)] = index
-        return ids.get(prefix)
-
     def prefixes_at(self, indices: Sequence[int]) -> List[Prefix]:
         """Materialise many interned prefixes at once.
 
-        The batched twin of :meth:`prefix_at`: one C-speed gather over the
+        The batched form of :meth:`prefix_at`: one C-speed gather over the
         decoded-prefix cache, with a Python fixup only for entries not yet
-        decoded.  This is how the vectorised fit-score fold turns a kernel's
-        row indices back into the interned objects the engine's index keys
-        by — the interning table stays outside the kernel.
+        decoded.  This is how the fit-score calculator turns a withdrawal
+        window's row indices into the interned objects the engine's index
+        keys by.
         """
         cache = self._prefix_cache
         prefixes = list(map(cache.__getitem__, indices))
@@ -687,7 +672,7 @@ class ColumnarTrace:
         does not change replay results.
 
         Run segmentation is a kernel (``run_boundaries``); ``kernel``
-        overrides the auto-selected backend
+        overrides the default backend
         (:func:`repro.core.kernels.default_backend`).
         """
         if kernel is None:
@@ -703,22 +688,6 @@ class ColumnarTrace:
         if indices is None:
             indices = range(len(self.msg_time))
         return ColumnarMessageView(self, indices)
-
-    def column_view(self, name: str) -> memoryview:
-        """A zero-copy read-only view of one message column.
-
-        ``name`` is a :data:`TRACE_COLUMNS` column (``msg_time``,
-        ``msg_peer``, ``msg_kind``, ``wd_end``, ``ann_end``, ``wd_prefix``,
-        ``ann_prefix``, ``ann_attr``).  The view shares the column's buffer
-        — kernel backends wrap it (or the column itself) without copying —
-        and therefore **pins** it: hold views only transiently, as appending
-        to an exported column raises ``BufferError``.  This is the
-        sanctioned way for out-of-tree kernels to reach raw column storage;
-        in-tree kernels receive the columns as call arguments instead.
-        """
-        if not any(name == column for column, _ in TRACE_COLUMNS):
-            raise KeyError(f"unknown trace column {name!r}")
-        return memoryview(getattr(self, name)).toreadonly()
 
     # -- pickling ----------------------------------------------------------
 

@@ -1,10 +1,10 @@
-"""Trips kernel-purity once: numpy imported by the stdlib parity reference.
+"""Trips kernel-purity once: a package module imports numpy.
 
-Loaded masquerading as ``src/repro/core/kernels/stdlib.py``.
+Loaded masquerading as ``src/repro/core/fit_score.py``.
 """
 
 import numpy
 
 
-def find_crossing(times, threshold):
-    return [t for t in times if t > threshold and numpy is not None]
+def window_total(counts):
+    return int(numpy.sum(counts))

@@ -1,17 +1,13 @@
-"""Quiet under kernel-purity: guarded numpy import, read-only columns.
+"""Quiet under kernel-purity: stdlib imports only, read-only columns.
 
-Loaded masquerading as a ``src/repro/core/kernels/`` module (not the
-stdlib reference, which may not import numpy at all).
+Loaded masquerading as a ``src/repro/core/kernels/`` module.
 """
 
-try:
-    import numpy as _np
-except ImportError:  # numpy is optional everywhere
-    _np = None
+from bisect import bisect_left
 
 
 def count_kinds(times, kinds):
     total = 0
     for kind in kinds:
         total += 1 if kind else 0
-    return total + len(times)
+    return total + len(times) + bisect_left(times, 0.0)

@@ -1,17 +1,12 @@
-"""Reference side of the fixture module-parity pair."""
-
-__all__ = [
-    "find_crossing",
-    "run_lengths",
-]
+"""Reference side of the fixture class-parity pair."""
 
 
-def find_crossing(values, threshold, start=0):
-    for index in range(start, len(values)):
-        if values[index] > threshold:
-            return index
-    return -1
+class Reference:
+    def find_crossing(self, values, threshold, start=0):
+        for index in range(start, len(values)):
+            if values[index] > threshold:
+                return index
+        return -1
 
-
-def run_lengths(values):
-    return [1 for _ in values]
+    def run_lengths(self, values):
+        return [1 for _ in values]

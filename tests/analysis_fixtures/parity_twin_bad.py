@@ -1,17 +1,12 @@
 """Trips parity-pair once: ``find_crossing`` renamed a parameter."""
 
-__all__ = [
-    "find_crossing",
-    "run_lengths",
-]
 
+class Twin:
+    def find_crossing(self, values, limit, start=0):
+        for index in range(start, len(values)):
+            if values[index] > limit:
+                return index
+        return -1
 
-def find_crossing(values, limit, start=0):
-    for index in range(start, len(values)):
-        if values[index] > limit:
-            return index
-    return -1
-
-
-def run_lengths(values):
-    return [1 for _ in values]
+    def run_lengths(self, values):
+        return [1 for _ in values]

@@ -7,8 +7,6 @@ nothing observable.  Asserted here as a matrix over
 * router mode: SWIFTED (engines, reroutes) x speaker-only,
 * cache temperature: cold (streams generated into columns this process) x
   warm (streams reloaded through the mmap-backed ``.cols`` store),
-* kernel backend: every available :mod:`repro.core.kernels` backend
-  (stdlib always; numpy when importable),
 
 comparing ``FleetReplayResult.signature()`` *byte-for-byte* (pickled) between
 the column-native path and the materialising object path (the test-side
@@ -23,7 +21,6 @@ import pytest
 
 from oracles.object_replay import replay_jobs_objects
 
-from repro.core import kernels
 from repro.core.history import TriggeringSchedule
 from repro.core.inference import InferenceConfig
 from repro.core.swifted_router import SwiftConfig
@@ -76,14 +73,13 @@ def job_matrix(tmp_path_factory):
             os.environ["REPRO_TRACE_CACHE"] = previous
 
 
-def _signature_bytes(jobs, swifted, kernel_backend=None):
+def _signature_bytes(jobs, swifted):
     """Column-native replay: ``(result, pickled signature)``."""
     result = replay_jobs(
         jobs,
         workers=1,
         swifted=swifted,
         swift_config=_SWIFT if swifted else None,
-        kernel_backend=kernel_backend,
     )
     return result, pickle.dumps(result.signature())
 
@@ -109,19 +105,6 @@ class TestColumnarEnginePathParityMatrix:
             assert native.reroutes > 0, "the corpus must exercise the reroute path"
         else:
             assert native.losses > 0, "withdrawal bursts must surface loss events"
-
-    @pytest.mark.kernels
-    @pytest.mark.parametrize("temperature", ["cold", "warm"])
-    @pytest.mark.parametrize("swifted", [True, False], ids=["swifted", "speaker_only"])
-    def test_every_kernel_backend_matches_object_path(
-        self, job_matrix, temperature, swifted
-    ):
-        """backend x router-mode x cache-temperature, byte-for-byte."""
-        jobs = job_matrix[0] if temperature == "cold" else job_matrix[1]
-        materialised_bytes = _materialised_bytes(jobs, swifted)
-        for backend in kernels.available_backends():
-            _, native_bytes = _signature_bytes(jobs, swifted, kernel_backend=backend)
-            assert native_bytes == materialised_bytes, (backend, swifted, temperature)
 
     def test_cold_and_warm_payloads_replay_identically(self, job_matrix):
         cold, warm = job_matrix

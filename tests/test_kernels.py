@@ -1,33 +1,32 @@
-"""Kernel-backend parity: stdlib reference vs numpy vectorised kernels.
+"""Column-kernel checks: the detector scan against per-message detection.
 
-Every kernel of :mod:`repro.core.kernels` is checked element-for-element
-across backends on degenerate column shapes (empty run, single-row run,
-all-withdrawal run, repeated identical timestamps, a burst window ending
-exactly on the last row) and on randomized fuzz traces sized to cross the
-numpy backend's small-input delegation threshold.  The detector kernel is
-additionally checked against the per-message :class:`BurstDetector` — the
-semantics both backends must reproduce, window deque included.
+The detector kernel behind :meth:`BurstDetector.observe_run` is checked
+against the per-message :class:`BurstDetector` — window deque, state and
+event log included — on degenerate column shapes (empty run, single-row
+run, all-withdrawal run, repeated identical timestamps, a burst window
+ending exactly on the last row) and on randomized fuzz traces split into
+runs at random rows.  The trigger-location and run-segmentation kernels are
+checked against linear-scan definitions on the same fuzz traces.  The
+backend-selection seam the benchmarks rely on is pinned here too, at every
+entry point that takes a backend name or module.
 """
 
 import random
-from collections import deque
+from itertools import groupby
 
 import pytest
 
 from repro.bgp.attributes import ASPath, PathAttributes
 from repro.bgp.messages import KeepAlive, Update
 from repro.bgp.prefix import prefix_block
-from repro.core import kernels
+from repro.bgp.speaker import BGPSpeaker
+from repro.core import SwiftConfig, SwiftedRouter, kernels
 from repro.core.burst_detection import BurstDetector, BurstDetectorConfig
+from repro.core.encoding import EncoderConfig
+from repro.core.history import TriggeringSchedule
+from repro.core.inference import InferenceConfig
+from repro.experiments.month_replay import replay_stream
 from repro.traces.columnar import ColumnarTrace
-
-pytestmark = pytest.mark.kernels
-
-NUMPY_ABSENT = "numpy" not in kernels.available_backends()
-
-requires_numpy = pytest.mark.skipif(
-    NUMPY_ABSENT, reason="numpy kernel backend not importable"
-)
 
 PREFIXES = prefix_block("10.0.0.0/24", 64)
 ATTRS = PathAttributes(as_path=ASPath([2, 5, 6]), next_hop=2, local_pref=100)
@@ -107,7 +106,7 @@ DETECTOR_CONFIGS = [
 
 def _reference_detector_feed(messages, config):
     """Per-message reference: the behaviour observe_run must reproduce."""
-    detector = BurstDetector(config, kernel=kernels.get_backend("stdlib"))
+    detector = BurstDetector(config)
     events = []
     for index, message in enumerate(messages):
         if not isinstance(message, Update):
@@ -123,8 +122,8 @@ def _reference_detector_feed(messages, config):
     return detector, events
 
 
-def _run_detector(trace, config, backend, splits):
-    detector = BurstDetector(config, kernel=backend)
+def _run_detector(trace, config, splits, kernel=None):
+    detector = BurstDetector(config, kernel=kernel)
     events = []
     position = 0
     total = len(trace.msg_time)
@@ -163,14 +162,9 @@ def test_detector_scan_degenerate_parity(name, config):
     messages = DEGENERATE_STREAMS[name]
     trace = _trace(messages)
     reference, expected_events = _reference_detector_feed(messages, config)
-    for backend_name in kernels.available_backends():
-        backend = kernels.get_backend(backend_name)
-        detector, events = _run_detector(trace, config, backend, splits=[])
-        assert events == expected_events, (name, backend_name)
-        assert _detector_state(detector) == _detector_state(reference), (
-            name,
-            backend_name,
-        )
+    detector, events = _run_detector(trace, config, splits=[])
+    assert events == expected_events, name
+    assert _detector_state(detector) == _detector_state(reference), name
 
 
 @pytest.mark.parametrize("count", [0, 1, 2, 30, 47, 48, 49, 200, 400])
@@ -186,15 +180,9 @@ def test_detector_scan_fuzz_parity(count):
             else []
         )
         reference, expected_events = _reference_detector_feed(messages, config)
-        for backend_name in kernels.available_backends():
-            backend = kernels.get_backend(backend_name)
-            detector, events = _run_detector(trace, config, backend, splits)
-            assert events == expected_events, (count, seed, backend_name)
-            assert _detector_state(detector) == _detector_state(reference), (
-                count,
-                seed,
-                backend_name,
-            )
+        detector, events = _run_detector(trace, config, splits)
+        assert events == expected_events, (count, seed)
+        assert _detector_state(detector) == _detector_state(reference), (count, seed)
 
 
 def _column_windows(total, rng, samples=4):
@@ -209,131 +197,191 @@ def _column_windows(total, rng, samples=4):
     return windows
 
 
-@requires_numpy
+def _first_row(cumulative, lo, hi, predicate):
+    """Linear-scan definition: first row in ``[lo, hi)`` meeting ``predicate``."""
+    for row in range(lo, hi):
+        if predicate(cumulative[row]):
+            return row
+    return hi
+
+
 @pytest.mark.parametrize("count", [0, 1, 30, 48, 120, 300])
-def test_span_kernels_cross_backend_parity(count):
-    stdlib = kernels.get_backend("stdlib")
-    vectorised = kernels.get_backend("numpy")
+def test_trigger_kernels_match_linear_scan(count):
     for seed in range(4):
         rng = random.Random(31 * count + seed)
         trace = _trace(_fuzz_messages(rng, count))
         total = len(trace.msg_time)
-        kinds, wd_end, ann_end = trace.msg_kind, trace.wd_end, trace.ann_end
-        for lo, hi in _column_windows(total, rng):
-            assert stdlib.event_rows(kinds, wd_end, ann_end, lo, hi) == (
-                vectorised.event_rows(kinds, wd_end, ann_end, lo, hi)
-            )
-            assert stdlib.last_update_row(kinds, lo, hi) == (
-                vectorised.last_update_row(kinds, lo, hi)
-            )
-            if hi > lo:
-                base = wd_end[lo - 1] if lo else 0
-                span = wd_end[hi - 1] - base
+        for cumulative in (trace.wd_end, trace.ann_end):
+            for lo, hi in _column_windows(total, rng):
+                base = cumulative[lo - 1] if lo else 0
+                span = (cumulative[hi - 1] - base) if hi > lo else 0
                 for value in {base, base + 1, base + span, base + span + 5}:
-                    assert stdlib.find_crossing(wd_end, value, lo, hi) == (
-                        vectorised.find_crossing(wd_end, value, lo, hi)
+                    assert kernels.get_backend().find_crossing(
+                        cumulative, value, lo, hi
+                    ) == _first_row(cumulative, lo, hi, lambda c: c >= value), (
+                        count, seed, lo, hi, value
                     )
-                    assert stdlib.next_positive_row(wd_end, value, lo, hi) == (
-                        vectorised.next_positive_row(wd_end, value, lo, hi)
+                    assert kernels.get_backend().next_positive_row(
+                        cumulative, value, lo, hi
+                    ) == _first_row(cumulative, lo, hi, lambda c: c > value), (
+                        count, seed, lo, hi, value
                     )
 
 
-@requires_numpy
+def _linear_split(peers, max_run):
+    """Same-peer groups, each cut into pieces of at most ``max_run`` rows."""
+    windows = []
+    start = 0
+    for _, group in groupby(peers):
+        stop = start + len(list(group))
+        step = max_run or (stop - start)
+        for piece in range(start, stop, step):
+            windows.append((piece, min(piece + step, stop)))
+        start = stop
+    return windows
+
+
 @pytest.mark.parametrize("count", [0, 1, 47, 48, 200])
-def test_run_boundaries_cross_backend_parity(count):
-    stdlib = kernels.get_backend("stdlib")
-    vectorised = kernels.get_backend("numpy")
+def test_run_boundaries_match_linear_split(count):
     for seed in range(4):
         rng = random.Random(77 * count + seed)
-        messages = _fuzz_messages(rng, count)
         # Multi-peer stream: re-stamp peers to create runs.
         messages = [
-            type(message)(
-                **{
-                    **{
-                        field: getattr(message, field)
-                        for field in ("timestamp", "announcements", "withdrawals")
-                        if hasattr(message, field)
-                    },
-                    "peer_as": rng.choice([2, 3, 4]),
-                }
+            Update(
+                timestamp=message.timestamp,
+                peer_as=rng.choice([2, 3, 4]),
+                withdrawals=message.withdrawals,
+                announcements=message.announcements,
             )
             if isinstance(message, Update)
             else message
-            for message in messages
+            for message in _fuzz_messages(rng, count)
         ]
-        trace = _trace(messages)
-        peers = trace.msg_peer
+        peers = _trace(messages).msg_peer
         total = len(peers)
         for max_run in (None, 1, 7, 1000):
-            assert stdlib.run_boundaries(peers, total, max_run) == (
-                vectorised.run_boundaries(peers, total, max_run)
+            assert kernels.get_backend().run_boundaries(peers, total, max_run) == (
+                _linear_split(list(peers), max_run)
             ), (count, seed, max_run)
 
 
-@requires_numpy
-def test_fresh_candidate_rows_cross_backend_sets():
-    """Backends may order candidates differently; the *sets* must match.
-
-    The numpy mask is a negative cache: a row it returns once must never be
-    returned again, and the stdlib reference (mask-less) deduplicates only
-    within one call — so cross-call semantics are checked per backend.
-    """
-    stdlib = kernels.get_backend("stdlib")
-    vectorised = kernels.get_backend("numpy")
-    rng = random.Random(5)
-    for count in (1, 30, 100, 300):
-        messages = [
-            _withdraw(float(i), rng.sample(PREFIXES, rng.randint(1, 5)))
-            for i in range(count)
-        ]
-        trace = _trace(messages)
-        wd_prefix = trace.wd_prefix
-        total = len(wd_prefix)
-        cut = total // 2
-        mask = vectorised.new_seen_mask(trace.pool.prefix_count)
-        first_np = vectorised.fresh_candidate_rows(mask, wd_prefix, 0, cut)
-        first_py = stdlib.fresh_candidate_rows(None, wd_prefix, 0, cut)
-        assert set(first_np) == set(first_py)
-        assert len(first_np) == len(set(first_np))
-        # Second window: rows already returned must not reappear (numpy),
-        # while the mask-less stdlib reference re-reports them.
-        second_np = vectorised.fresh_candidate_rows(mask, wd_prefix, cut, total)
-        assert not (set(second_np) & set(first_np))
-        second_py = stdlib.fresh_candidate_rows(None, wd_prefix, cut, total)
-        assert set(first_np) | set(second_np) == set(first_py) | set(second_py)
-
-
 def test_backend_selection_seam():
-    assert kernels.get_backend("stdlib").NAME == "stdlib"
-    assert kernels.get_backend(None) is kernels.default_backend()
-    assert kernels.get_backend("auto") is kernels.default_backend()
+    """What the benchmark harness calls: one backend under every name."""
+    backend = kernels.default_backend()
+    assert backend.NAME == "stdlib"
+    assert kernels.get_backend(None) is backend
+    assert kernels.get_backend("auto") is backend
+    assert kernels.get_backend("stdlib") is backend
     with pytest.raises(ValueError):
-        kernels.get_backend("simd")
-    names = kernels.available_backends()
-    assert names[-1] == "stdlib"
-    if NUMPY_ABSENT:
-        assert kernels.numpy_version() == "absent"
-        with pytest.raises(RuntimeError):
-            kernels.get_backend("numpy")
-    else:
-        assert names[0] == "numpy"
-        assert kernels.get_backend("numpy").VECTORISED
-        assert kernels.numpy_version() not in ("", "absent")
+        kernels.get_backend("numpy")
+    assert kernels.numpy_version() == "absent"
+
+
+# -- the backend knob at each entry point the benchmarks drive ---------------
+
+_SEAM_PREFIXES = prefix_block("60.0.0.0/24", 300)
+
+
+def _seam_burst(reannounce=True):
+    """A withdrawal burst on peer 2, re-announcements on peer 4 if asked."""
+    burst = [
+        _withdraw(10.0 + i * 0.001, [prefix])
+        for i, prefix in enumerate(_SEAM_PREFIXES[:250])
+    ]
+    if reannounce:
+        attrs = PathAttributes(as_path=ASPath([4, 8, 6]), next_hop=4, local_pref=150)
+        burst.extend(
+            Update.announce(10.05 + i * 0.001, 4, prefix, attrs)
+            for i, prefix in enumerate(_SEAM_PREFIXES[:20])
+        )
+        burst.sort(key=lambda message: message.timestamp)
+    return _trace(burst)
+
+
+def _seam_iter_batches(name):
+    trace = _seam_burst()
+    kernel = kernels.get_backend(name) if name else None
+    return [(run.start, run.stop) for run in trace.iter_batches(max_run=64, kernel=kernel)]
+
+
+def _seam_burst_detector(name):
+    config = BurstDetectorConfig(start_threshold=100, stop_threshold=1)
+    kernel = kernels.get_backend(name) if name else None
+    detector, events = _run_detector(_seam_burst(), config, splits=[64, 128], kernel=kernel)
+    return events, _detector_state(detector)
+
+
+def _seam_speaker(name):
+    speaker = BGPSpeaker(1)
+    for peer in (2, 4):
+        speaker.add_peer(peer)
+        speaker.session(peer).record_stream = False
+    speaker.receive_columnar(
+        _trace([_announce(1.0, prefix) for prefix in _SEAM_PREFIXES])
+    )
+    kernel = kernels.get_backend(name) if name else None
+    changes = speaker.receive_columnar(_seam_burst(), kernel=kernel)
+    return [(change.prefix, change.is_loss_of_reachability) for change in changes]
+
+
+def _seam_router(name):
+    config = SwiftConfig(
+        inference=InferenceConfig(
+            detector=BurstDetectorConfig(start_threshold=100, stop_threshold=1),
+            schedule=TriggeringSchedule(steps=((200, 10 ** 6),), unconditional_after=200),
+            kernel_backend=name,
+        ),
+        encoder=EncoderConfig(prefix_threshold=50),
+    )
+    router = SwiftedRouter(1, config)
+    for peer, path, local_pref in ((2, [2, 5, 6], 200), (3, [3, 6], 100), (4, [4, 5, 6], 150)):
+        router.add_peer(peer)
+        router.load_initial_routes(
+            peer, {prefix: ASPath(path) for prefix in _SEAM_PREFIXES}, local_pref=local_pref
+        )
+    router.provision()
+    kernel = kernels.get_backend(name) if name else None
+    actions = router.receive_columnar(_seam_burst(), kernel=kernel)
+    assert actions, "the burst must trigger a reroute"
+    return [(action.inferred_links, action.rerouted_prefixes) for action in actions]
+
+
+def _seam_replay_stream(name):
+    rib = {prefix: ASPath([2, 5, 6]) for prefix in _SEAM_PREFIXES}
+    return replay_stream(
+        _seam_burst(reannounce=False), rib, peer_as=2, collect_events=True,
+        kernel_backend=name,
+    ).signature()
+
+
+SEAM_ENTRY_POINTS = {
+    "iter_batches": _seam_iter_batches,
+    "burst_detector": _seam_burst_detector,
+    "speaker_receive_columnar": _seam_speaker,
+    "router_inference_config": _seam_router,
+    "replay_stream": _seam_replay_stream,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(SEAM_ENTRY_POINTS))
+def test_backend_knob_entry_point(entry):
+    """Naming the one backend changes nothing; any other name is refused."""
+    run = SEAM_ENTRY_POINTS[entry]
+    default = run(None)
+    assert run("stdlib") == default
+    assert run("auto") == default
+    with pytest.raises(ValueError):
+        run("numpy")
 
 
 def test_detector_scan_leaves_plain_python_state():
-    """No numpy scalar may leak into detector state (pickling, equality)."""
+    """Detector state holds plain floats and ints (pickling, equality)."""
     messages = DEGENERATE_STREAMS["all_withdrawals"]
     trace = _trace(messages)
-    config = DETECTOR_CONFIGS[0]
-    for backend_name in kernels.available_backends():
-        detector, events = _run_detector(
-            trace, config, kernels.get_backend(backend_name), splits=[]
-        )
-        for timestamp, count in detector._window:
-            assert type(timestamp) is float
-            assert type(count) is int
-        for _, event in events:
-            assert type(event.timestamp) is float
-            assert type(event.withdrawals_in_window) is int
+    detector, events = _run_detector(trace, DETECTOR_CONFIGS[0], splits=[])
+    for timestamp, count in detector._window:
+        assert type(timestamp) is float
+        assert type(count) is int
+    for _, event in events:
+        assert type(event.timestamp) is float
+        assert type(event.withdrawals_in_window) is int

@@ -32,7 +32,7 @@ from repro.analysis.core import (
     load_module,
 )
 from repro.analysis.fault_sites import FaultSiteChecker, known_sites_from_module
-from repro.analysis.parity import ModulePair, ParityChecker
+from repro.analysis.parity import ClassPair, ParityChecker
 from repro.testing import faults
 
 pytestmark = pytest.mark.analysis
@@ -91,13 +91,22 @@ def test_every_baseline_entry_is_justified():
 # -- kernel-purity ------------------------------------------------------------
 
 
-def test_kernel_purity_fires_on_numpy_in_stdlib_reference():
+def test_kernel_purity_fires_on_numpy_in_package():
     findings = _scan_fixture(
         "kernel_purity_bad.py",
-        "src/repro/core/kernels/stdlib.py",
+        "src/repro/core/fit_score.py",
         _checker("kernel-purity"),
     )
-    assert [f.anchor for f in findings] == ["stdlib-numpy:numpy"]
+    assert [f.anchor for f in findings] == ["numpy:numpy"]
+
+
+def test_kernel_purity_fires_on_interning_import_in_kernels():
+    findings = _scan_fixture(
+        "kernel_purity_import_bad.py",
+        "src/repro/core/kernels/fancy.py",
+        _checker("kernel-purity"),
+    )
+    assert [f.anchor for f in findings] == ["kernel-import:repro.traces.columnar"]
 
 
 def test_kernel_purity_fires_on_column_mutation():
@@ -109,7 +118,7 @@ def test_kernel_purity_fires_on_column_mutation():
     assert [f.anchor for f in findings] == ["mutation:rewrite_times:times"]
 
 
-def test_kernel_purity_quiet_on_guarded_backend():
+def test_kernel_purity_quiet_on_stdlib_kernel():
     findings = _scan_fixture(
         "kernel_purity_ok.py",
         "src/repro/core/kernels/fancy.py",
@@ -122,11 +131,13 @@ def test_kernel_purity_quiet_on_guarded_backend():
 
 
 def _parity_checker(twin_fixture):
-    pair = ModulePair(
+    pair = ClassPair(
         "tests/analysis_fixtures/parity_ref.py",
+        "Reference",
         "tests/analysis_fixtures/" + twin_fixture,
+        "Twin",
     )
-    return ParityChecker(class_pairs=(), module_pairs=(pair,), method_pairs=())
+    return ParityChecker(class_pairs=(pair,), method_pairs=())
 
 
 def _run_parity(twin_fixture):
@@ -142,12 +153,12 @@ def _run_parity(twin_fixture):
 
 def test_parity_fires_on_signature_drift():
     findings = _run_parity("parity_twin_bad.py")
-    assert [f.anchor for f in findings] == ["signature:find_crossing"]
+    assert [f.anchor for f in findings] == ["signature:Twin.find_crossing"]
 
 
-def test_parity_fires_on_missing_all_entry():
-    findings = _run_parity("parity_all_bad.py")
-    assert [f.anchor for f in findings] == ["all:run_lengths"]
+def test_parity_fires_on_missing_public_method():
+    findings = _run_parity("parity_twin_missing_bad.py")
+    assert [f.anchor for f in findings] == ["missing-method:Twin.run_lengths"]
 
 
 def test_parity_quiet_on_compatible_twin():
