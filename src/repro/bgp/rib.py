@@ -170,10 +170,15 @@ class AdjRibIn:
             self._prefix_trie.remove(prefix)
         return RouteChange(kind=RouteChangeKind.WITHDRAWN, prefix=prefix, old=old)
 
-    def clear(self) -> None:
-        """Drop every route (session reset)."""
+    def withdraw_all(self) -> List[RouteChange]:
+        """Remove every route (session reset), each reported as withdrawn."""
+        withdrawn = RouteChangeKind.WITHDRAWN
+        changes = [
+            RouteChange(withdrawn, prefix, old) for prefix, old in self._routes.items()
+        ]
         self._routes.clear()
         self._prefix_trie = None
+        return changes
 
     # -- queries ----------------------------------------------------------
 

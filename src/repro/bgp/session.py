@@ -194,16 +194,31 @@ class PeeringSession:
         self.stream.append(message)
         return message
 
-    def close(self, timestamp: float = 0.0, reason: str = "") -> Notification:
-        """Tear the session down; the Adj-RIB-In is flushed (hard reset)."""
-        self.state = SessionState.CLOSED
-        self.rib_in.clear()
-        self.stats.session_resets += 1
-        message = Notification(
-            timestamp=timestamp, peer_as=self.peer_as, reason=reason
+    def close(self, timestamp: float = 0.0, reason: str = "") -> List[RouteChange]:
+        """Tear the session down (hard reset) with a recorded NOTIFICATION.
+
+        Like :meth:`process` on a NOTIFICATION, returns one ``WITHDRAWN``
+        change per route the Adj-RIB-In held, and the change observers get
+        their prefixes.
+        """
+        changes = self._reset()
+        self.stream.append(
+            Notification(timestamp=timestamp, peer_as=self.peer_as, reason=reason)
         )
-        self.stream.append(message)
-        return message
+        self._notify_change_observers([change.prefix for change in changes])
+        return changes
+
+    def _reset(self) -> List[RouteChange]:
+        """Close the session and withdraw every route it held.
+
+        The withdrawals come back as ``WITHDRAWN`` changes, so a reset reaches
+        whatever mirrors the Adj-RIB-In (the speaker's Loc-RIB candidates)
+        exactly as withdrawals on the wire would.  Observers are the caller's
+        to notify, with the rest of its call's changes.
+        """
+        self.state = SessionState.CLOSED
+        self.stats.session_resets += 1
+        return self.rib_in.withdraw_all()
 
     @property
     def is_established(self) -> bool:
@@ -254,8 +269,9 @@ class PeeringSession:
     def process(self, message: BGPMessage) -> List[RouteChange]:
         """Apply a message to the session state and return resulting changes.
 
-        OPEN establishes, NOTIFICATION closes (flushing the RIB), KEEPALIVE
-        only refreshes statistics and UPDATE mutates the Adj-RIB-In.
+        OPEN establishes, NOTIFICATION closes (withdrawing every route: the
+        changes returned), KEEPALIVE only refreshes statistics and UPDATE
+        mutates the Adj-RIB-In.
         """
         self.stats.messages_received += 1
         self.stats.last_message_at = message.timestamp
@@ -266,10 +282,9 @@ class PeeringSession:
             self.state = SessionState.ESTABLISHED
             return []
         if message.type == MessageType.NOTIFICATION:
-            self.state = SessionState.CLOSED
-            self.rib_in.clear()
-            self.stats.session_resets += 1
-            return []
+            changes = self._reset()
+            self._notify_change_observers([change.prefix for change in changes])
+            return changes
         if message.type == MessageType.KEEPALIVE:
             return []
 
@@ -327,12 +342,11 @@ class PeeringSession:
             timestamp = message.timestamp
             last_at = timestamp
             if not isinstance(message, Update):
+                if message.type == MessageType.NOTIFICATION:
+                    append_result(self._reset())
+                    continue
                 if message.type == MessageType.OPEN:
                     self.state = SessionState.ESTABLISHED
-                elif message.type == MessageType.NOTIFICATION:
-                    self.state = SessionState.CLOSED
-                    self.rib_in.clear()
-                    stats.session_resets += 1
                 append_result([])
                 continue
             changes: List[RouteChange] = []

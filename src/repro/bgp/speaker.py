@@ -161,12 +161,7 @@ class BGPSpeaker:
         session = self._sessions.pop(peer_as, None)
         if session is None:
             raise KeyError(peer_as)
-        affected = list(session.rib_in.prefixes())
-        session.close()
-        for prefix in affected:
-            self.loc_rib.remove_candidate(prefix, peer_as)
-            self._ranked_cache.pop(prefix, None)
-        return self._reselect(affected)
+        return self._reselect(self._apply_changes(peer_as, session.close()))
 
     def session(self, peer_as: int) -> PeeringSession:
         """Return the session with ``peer_as`` (KeyError if unknown)."""
@@ -194,19 +189,9 @@ class BGPSpeaker:
         session = self._sessions.get(message.peer_as)
         if session is None:
             raise KeyError(f"no session with AS {message.peer_as}")
-        changes = session.process(message)
-        touched: List[Prefix] = []
-        ranked_cache_pop = self._ranked_cache.pop
-        for change in changes:
-            if change.kind == RouteChangeKind.UNCHANGED:
-                continue
-            touched.append(change.prefix)
-            ranked_cache_pop(change.prefix, None)
-            if change.new is not None:
-                self.loc_rib.set_candidate(change.new)
-            else:
-                self.loc_rib.remove_candidate(change.prefix, message.peer_as)
-        best_changes = self._reselect(touched)
+        best_changes = self._reselect(
+            self._apply_changes(message.peer_as, session.process(message))
+        )
         if best_changes:
             for listener in self._best_route_listeners:
                 listener(best_changes)
@@ -312,6 +297,27 @@ class BGPSpeaker:
         return [covered for covered, _ in self.loc_rib.covered_best(prefix)]
 
     # -- internals --------------------------------------------------------
+
+    def _apply_changes(self, peer_as: int, changes: List[RouteChange]) -> List[Prefix]:
+        """Mirror one session's route changes into the Loc-RIB candidates.
+
+        Returns the prefixes whose candidate from ``peer_as`` moved, for
+        :meth:`_reselect`.  A session reset comes through here too, as one
+        ``WITHDRAWN`` change per route the peer held.
+        """
+        touched: List[Prefix] = []
+        ranked_cache_pop = self._ranked_cache.pop
+        loc_rib = self.loc_rib
+        for change in changes:
+            if change.kind == RouteChangeKind.UNCHANGED:
+                continue
+            touched.append(change.prefix)
+            ranked_cache_pop(change.prefix, None)
+            if change.new is not None:
+                loc_rib.set_candidate(change.new)
+            else:
+                loc_rib.remove_candidate(change.prefix, peer_as)
+        return touched
 
     def _ranked(self, prefix: Prefix) -> List[RibEntry]:
         """The full candidate ranking of a prefix, memoised until it changes.
@@ -488,8 +494,9 @@ class SpeakerBatch:
         eviction, pending reachability, transition — with no ``RouteChange``;
         a multi-prefix row builds its change list and takes :meth:`_absorb`.
         OPEN / NOTIFICATION rows move the session state as ``process_batch``
-        does (a NOTIFICATION clears the Adj-RIB-In, not the candidates).
-        Statistics fold in, and change observers fire, once per run.
+        does; a NOTIFICATION's withdrawal of every route the peer held takes
+        :meth:`_absorb` like a multi-prefix row.  Statistics fold in, and
+        change observers fire, once per run.
         """
         peer_as = session.peer_as
         trace = run.trace
@@ -536,10 +543,10 @@ class SpeakerBatch:
                     if kind == 1:
                         session.state = SessionState.ESTABLISHED
                     elif kind == 3:
-                        session.state = SessionState.CLOSED
-                        rib_in.clear()
+                        changes = session._reset()
                         trie = None
-                        session.stats.session_resets += 1
+                        changed.extend(change.prefix for change in changes)
+                        self._absorb(peer_as, (changes,))
                     continue
                 if a_high == a + 1:
                     # One announcement.

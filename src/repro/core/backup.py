@@ -16,8 +16,11 @@ being shifted onto low-bandwidth or nearly-saturated links.
 
 from __future__ import annotations
 
+from collections import abc
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple,
+)
 
 from repro.bgp.attributes import ASPath
 from repro.bgp.prefix import Prefix
@@ -30,6 +33,7 @@ __all__ = [
     "BackupProfile",
     "BackupProfileIndex",
     "BackupSelection",
+    "BackupTableView",
     "RankedAlternates",
     "ReroutingPolicy",
 ]
@@ -84,9 +88,11 @@ class ReroutingPolicy:
 class BackupSelection:
     """The backup chosen for one (prefix, protected link) pair.
 
-    Slotted: a provisioned table holds one selection per (prefix, link), and
-    an instance ``__dict__`` each would be a third of the objects the
-    collector tracks for the router.
+    The entry type of the per-prefix tables :meth:`BackupComputer.compute_table`,
+    :meth:`~BackupComputer.compute_table_reference` and
+    :class:`AggregatedBackupTable` hand out; a router keeps its backups in a
+    :class:`BackupProfileIndex` and builds none.  Slotted: such a table holds
+    one selection per (prefix, link).
     """
 
     prefix: Prefix
@@ -133,19 +139,16 @@ class RankedAlternates(list):
     __slots__ = ()
 
 
-#: One backup per protected link, in table order: ``(link, next_hop, path)``.
+#: One backup per protected link, in link order: ``(link, next_hop, path)``.
 Winners = Tuple[Tuple[Link, int, ASPath], ...]
 
 
-def _winners_of(per_link: Mapping[Link, BackupSelection]) -> Winners:
-    return tuple(
-        (link, selection.next_hop, selection.as_path)
-        for link, selection in per_link.items()
-    )
-
-
 class BackupProfile:
-    """One distinct tuple of per-link backups, shared by ``prefix_count`` prefixes."""
+    """One distinct tuple of per-link backups, shared by ``prefix_count`` prefixes.
+
+    ``next_hops`` (protected link -> backup next hop) is what the tag encoder
+    reads for every prefix holding the profile.
+    """
 
     __slots__ = ("winners", "next_hops", "prefix_count")
 
@@ -169,7 +172,8 @@ class BackupProfile:
 
 
 class BackupProfileIndex:
-    """``link -> backup profiles protecting it`` over a provisioned table.
+    """A router's backup state: ``prefix -> profile`` and
+    ``link -> backup profiles protecting it``.
 
     Profiles are interned by value and carry their prefix count: a reroute
     reads a link's few hundred profiles instead of walking the predicted
@@ -215,10 +219,6 @@ class BackupProfileIndex:
             for link in profile.next_hops:
                 self.by_link.setdefault(link, set()).add(profile)
 
-    def assign_selections(self, prefix: Prefix, per_link: Mapping[Link, BackupSelection]) -> None:
-        """Move ``prefix`` onto the profile of its backup-table entry."""
-        self.assign(prefix, self.profile_for(_winners_of(per_link)))
-
     def next_hops(
         self, link: Link, shared_endpoints: FrozenSet[int] = frozenset()
     ) -> Dict[int, int]:
@@ -229,6 +229,34 @@ class BackupProfileIndex:
             hop = profile.next_hop_for(link, shared_endpoints)
             counts[hop] = counts.get(hop, 0) + profile.prefix_count
         return counts
+
+
+class BackupTableView(abc.Mapping):
+    """A :class:`BackupProfileIndex` read as a per-prefix backup table.
+
+    What :meth:`BackupComputer.compute_table` returns when it fills an index:
+    ``prefix -> protected link -> BackupSelection``, equal to the dict it
+    returns otherwise, but a prefix's selections are built when it is read,
+    so filling the index builds none.  A live view: later moves in the
+    index show through it.
+    """
+
+    __slots__ = ("_index",)
+
+    def __init__(self, index: BackupProfileIndex) -> None:
+        self._index = index
+
+    def __getitem__(self, prefix: Prefix) -> Dict[Link, BackupSelection]:
+        return {
+            link: _make_selection(prefix, link, next_hop, as_path)
+            for link, next_hop, as_path in self._index.profile_of[prefix].winners
+        }
+
+    def __iter__(self) -> Iterator[Prefix]:
+        return iter(self._index.profile_of)
+
+    def __len__(self) -> int:
+        return len(self._index.profile_of)
 
 
 class AggregatedBackupTable:
@@ -418,12 +446,14 @@ class BackupComputer:
         protected_link: Link,
         alternates: Sequence[RibEntry],
         usage: Optional[Dict[int, int]] = None,
-    ) -> Optional[BackupSelection]:
+    ) -> Optional[RibEntry]:
         """Choose the best backup for one (prefix, link) pair.
 
-        The first entry of the prefix's ranking (:meth:`rank`; ``alternates``
-        is ranked here unless it already is a :class:`RankedAlternates`)
-        that is valid for the link and has capacity left.  A candidate is
+        Returns the winning alternate itself — its ``next_hop`` and
+        ``as_path`` are the backup — or ``None``: the first entry of the
+        prefix's ranking (:meth:`rank`; ``alternates`` is ranked here unless
+        it already is a :class:`RankedAlternates`) that is valid for the link
+        and has capacity left.  A candidate is
         valid when its AS path does not traverse the protected link (the
         Fig. 3 / §5 rule: "only AS 3 can be used as a backup next-hop, since
         the AS paths received from AS 4 also use (5, 6)").  When the computer
@@ -452,14 +482,39 @@ class BackupComputer:
                     continue
             elif protected_link in path.links():
                 continue
-            next_hop = attributes.next_hop
             if usage is not None:
+                next_hop = attributes.next_hop
                 capacity = capacity_limits.get(next_hop)
                 if capacity is not None and usage.get(next_hop, 0) >= capacity:
                     continue
                 usage[next_hop] = usage.get(next_hop, 0) + 1
-            return _make_selection(prefix, protected_link, next_hop, path)
+            return entry
         return None
+
+    def select_winners(
+        self,
+        local_as: int,
+        prefix: Prefix,
+        primary_path: ASPath,
+        alternates: Sequence[RibEntry],
+        usage: Optional[Dict[int, int]] = None,
+    ) -> Winners:
+        """The backup of every protected link of one prefix that has one.
+
+        ``(link, next_hop, path)`` per link, nearest first — the value a
+        :class:`BackupProfile` interns.  The alternates are ranked once;
+        each link's :meth:`select` walks that ranking for its first valid
+        entry.
+        """
+        ranked = self.rank(prefix, alternates)
+        select = self.select
+        winners = []
+        for link in self.protected_links(primary_path, local_as):
+            entry = select(prefix, link, ranked, usage)
+            if entry is not None:
+                attributes = entry.attributes
+                winners.append((link, attributes.next_hop, attributes.as_path))
+        return tuple(winners)
 
     def select_all(
         self,
@@ -469,18 +524,13 @@ class BackupComputer:
         alternates: Sequence[RibEntry],
         usage: Optional[Dict[int, int]] = None,
     ) -> Dict[Link, BackupSelection]:
-        """The backup of every protected link of one prefix that has one.
-
-        The alternates are ranked once; each link's :meth:`select` walks
-        that ranking for its first valid entry.
-        """
-        per_link: Dict[Link, BackupSelection] = {}
-        ranked = self.rank(prefix, alternates)
-        for link in self.protected_links(primary_path, local_as):
-            selection = self.select(prefix, link, ranked, usage)
-            if selection is not None:
-                per_link[link] = selection
-        return per_link
+        """:meth:`select_winners` as a per-link table of :class:`BackupSelection`."""
+        return {
+            link: _make_selection(prefix, link, next_hop, path)
+            for link, next_hop, path in self.select_winners(
+                local_as, prefix, primary_path, alternates, usage
+            )
+        }
 
     # -- table-wide computation -------------------------------------------------
 
@@ -491,7 +541,7 @@ class BackupComputer:
         alternates_of: Callable[[Prefix], Sequence[RibEntry]],
         candidates_of: Optional[Callable[[Prefix], Mapping[int, RibEntry]]] = None,
         index: Optional[BackupProfileIndex] = None,
-    ) -> Dict[Prefix, Dict[Link, BackupSelection]]:
+    ) -> Mapping[Prefix, Dict[Link, BackupSelection]]:
         """Backups for every prefix and every protected link of its best path.
 
         The selection is *profile-grouped*: prefixes whose best route and
@@ -527,16 +577,22 @@ class BackupComputer:
             prefix; selections are unchanged because members of a profile
             share their candidate objects and insertion order.
         index:
-            Optional fresh :class:`BackupProfileIndex` to fill alongside the
-            table: one interned profile per ranked group, so the build costs
-            O(profiles x links) plus one dict store per prefix.
+            Optional fresh :class:`BackupProfileIndex` to fill: each prefix
+            is assigned its group's interned profile and the table comes back
+            as a :class:`BackupTableView` of the index, so the build costs
+            O(profiles x links) plus one dict store per prefix and no
+            :class:`BackupSelection` is made until the table is read.
         """
         if self.policy.capacity_limits:
             table = self.compute_table_reference(local_as, best_routes, alternates_of)
-            if index is not None:
-                for prefix, per_link in table.items():
-                    index.assign_selections(prefix, per_link)
-            return table
+            if index is None:
+                return table
+            for prefix, per_link in table.items():
+                index.assign(prefix, index.profile_for(tuple(
+                    (link, selection.next_hop, selection.as_path)
+                    for link, selection in per_link.items()
+                )))
+            return BackupTableView(index)
         # profile key -> (winners, their interned backup profile)
         groups: Dict[Tuple, Tuple[Winners, Optional[BackupProfile]]] = {}
         table = {}
@@ -546,18 +602,18 @@ class BackupComputer:
             if group is None:
                 if alternates is None:
                     alternates = alternates_of(prefix)
-                winners = _winners_of(self.select_all(local_as, prefix, best.as_path, alternates))
+                winners = self.select_winners(local_as, prefix, best.as_path, alternates)
                 profile = index.profile_for(winners) if index is not None else None
                 group = groups[key] = (winners, profile)
             winners, profile = group
-            if winners:
+            if profile is not None:
+                index.assign(prefix, profile)
+            elif winners and index is None:
                 table[prefix] = {
                     link: _make_selection(prefix, link, next_hop, as_path)
                     for link, next_hop, as_path in winners
                 }
-                if profile is not None:
-                    index.assign(prefix, profile)
-        return table
+        return table if index is None else BackupTableView(index)
 
     @staticmethod
     def _profile_key(
@@ -631,8 +687,9 @@ class BackupComputer:
                 if alternates is None:
                     alternates = alternates_of(prefix)
                 pid = pid_of_key[key] = len(winners_of)
-                winners = _winners_of(self.select_all(local_as, prefix, best.as_path, alternates))
-                winners_of.append(winners)
+                winners_of.append(
+                    self.select_winners(local_as, prefix, best.as_path, alternates)
+                )
             profile_of[prefix] = pid
         # Pass 2: subtree collapse.  Walking the prefixes in sorted order
         # means every ancestor is seen before its descendants, so a stack of

@@ -34,7 +34,6 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence,
 
 from repro.bgp.attributes import ASPath
 from repro.bgp.prefix import Prefix
-from repro.core.backup import BackupSelection
 
 __all__ = ["EncodedTags", "EncoderConfig", "TagEncoder", "TagLayout", "WildcardRule"]
 
@@ -191,7 +190,7 @@ class TagEncoder:
     def encode(
         self,
         best_paths: Mapping[Prefix, ASPath],
-        backups: Optional[Mapping[Prefix, Mapping[Link, BackupSelection]]] = None,
+        backups: Optional[Mapping[Prefix, Mapping[Link, int]]] = None,
         neighbors: Optional[Sequence[int]] = None,
     ) -> EncodedTags:
         """Compute the tag of every prefix.
@@ -201,9 +200,10 @@ class TagEncoder:
         best_paths:
             The Loc-RIB: prefix -> best AS path (neighbor first, origin last).
         backups:
-            Optional backup table (prefix -> protected link -> selection),
-            typically produced by :class:`repro.core.backup.BackupComputer`.
-            When omitted, part 2 only carries the primary next-hop.
+            Optional backups, prefix -> protected link -> backup next hop
+            (a router hands each prefix its
+            :attr:`~repro.core.backup.BackupProfile.next_hops`).  When
+            omitted, part 2 only carries the primary next-hop.
         neighbors:
             Optional explicit next-hop universe; defaults to every next-hop
             seen in ``best_paths`` and ``backups``.
@@ -221,7 +221,7 @@ class TagEncoder:
 
         tags: Dict[Prefix, int] = {}
         fully: Set[Prefix] = set()
-        no_backups: Mapping[Link, BackupSelection] = {}
+        no_backups: Mapping[Link, int] = {}
         for prefix, path in best_paths.items():
             tag, fully_encoded = self._tag_for(
                 path, backups.get(prefix, no_backups), link_ids, next_hop_ids, layout
@@ -251,8 +251,8 @@ class TagEncoder:
                 Prefix,
                 Optional[ASPath],
                 Optional[ASPath],
-                Iterable[int],
-                Mapping[Link, "BackupSelection"],
+                Mapping[Link, int],
+                Mapping[Link, int],
             ]
         ],
         neighbors: Optional[Sequence[int]] = None,
@@ -261,8 +261,8 @@ class TagEncoder:
 
         ``changes`` carries one entry per prefix whose best route or backups
         changed since ``previous`` was produced: ``(prefix, old_path,
-        new_path, old_backup_next_hops, new_backups)`` with ``None`` paths
-        meaning absent.
+        new_path, old_backups, new_backups)`` with ``None`` paths meaning
+        absent and the backups as protected link -> backup next hop.
 
         Check, then commit.  The route deltas are first gathered per
         ``(link, position)`` and per next hop without touching ``previous``;
@@ -282,7 +282,7 @@ class TagEncoder:
         depth = self.config.max_path_depth
         load_delta: Dict[Tuple[Link, int], int] = {}
         count_delta: Dict[int, int] = {}
-        for _, old_path, new_path, old_backup_hops, new_backups in changes:
+        for _, old_path, new_path, old_backups, new_backups in changes:
             if old_path is not new_path:
                 for path, step in ((old_path, -1), (new_path, 1)):
                     if path is None:
@@ -293,10 +293,9 @@ class TagEncoder:
                     first = path.first_hop
                     if first is not None:
                         count_delta[first] = count_delta.get(first, 0) + step
-            for hop in old_backup_hops:
+            for hop in old_backups.values():
                 count_delta[hop] = count_delta.get(hop, 0) - 1
-            for selection in new_backups.values():
-                hop = selection.next_hop
+            for hop in new_backups.values():
                 count_delta[hop] = count_delta.get(hop, 0) + 1
 
         # -- check: would either identifier allocation move? -------------------
@@ -505,7 +504,7 @@ class TagEncoder:
     def _next_hop_counts(
         self,
         best_paths: Mapping[Prefix, ASPath],
-        backups: Mapping[Prefix, Mapping[Link, BackupSelection]],
+        backups: Mapping[Prefix, Mapping[Link, int]],
         neighbors: Optional[Sequence[int]],
     ) -> Dict[int, int]:
         """Usage count of every next-hop neighbor (the allocation input)."""
@@ -518,8 +517,8 @@ class TagEncoder:
             if first is not None:
                 counts[first] = counts.get(first, 0) + 1
         for per_link in backups.values():
-            for selection in per_link.values():
-                counts[selection.next_hop] = counts.get(selection.next_hop, 0) + 1
+            for hop in per_link.values():
+                counts[hop] = counts.get(hop, 0) + 1
         return counts
 
     def _ids_from_counts(self, counts: Mapping[int, int]) -> Dict[int, int]:
@@ -549,7 +548,7 @@ class TagEncoder:
     def _tag_for(
         self,
         path: ASPath,
-        prefix_backups: Mapping[Link, BackupSelection],
+        prefix_backups: Mapping[Link, int],
         link_ids: Mapping[int, Mapping[Link, int]],
         next_hop_ids: Mapping[int, int],
         layout: TagLayout,
@@ -584,43 +583,30 @@ class TagEncoder:
             else:
                 fully_encoded = False
 
+        # Depth d carries the backup of the path's position-d link (the
+        # backups are keyed by link); depths past config.backup_depth have no
+        # group.
         if prefix_backups:
-            backup_groups = layout.backup_groups
-            for depth, selection in self._backups_by_depth(path, prefix_backups).items():
-                group = backup_groups.get(depth)
-                if group is None:  # deeper than config.backup_depth
+            backup_hop = prefix_backups.get
+            link_count = len(links)
+            for depth, (shift, _) in layout.backup_groups.items():
+                hop = backup_hop(links[depth - 1]) if depth <= link_count else None
+                if hop is None and depth == 1 and primary is not None:
+                    # Depth 1 may instead protect the (local, neighbor)
+                    # session link: the first backed-up link naming the
+                    # neighbor (its position is 1 as well).
+                    hop = next(
+                        (backup for link, backup in prefix_backups.items() if primary in link),
+                        None,
+                    )
+                if hop is None:
                     continue
-                backup_id = next_hop_ids.get(selection.next_hop)
+                backup_id = next_hop_ids.get(hop)
                 if backup_id is None:
                     fully_encoded = False
                     continue
-                tag |= backup_id << group[0]
+                tag |= backup_id << shift
         return tag, fully_encoded
-
-    def _backups_by_depth(
-        self, path: ASPath, prefix_backups: Mapping[Link, BackupSelection]
-    ) -> Dict[int, BackupSelection]:
-        """Map protected depth -> backup, from the per-link backup table.
-
-        Depth 1 protects the first link of the path (router <-> neighbor or
-        neighbor <-> next AS); deeper depths protect links farther along the
-        path.  The backup table is keyed by link, so we look the path's links
-        up in order.
-        """
-        result: Dict[int, BackupSelection] = {}
-        for position, link in enumerate(path.links(), 1):
-            selection = prefix_backups.get(link)
-            if selection is not None:
-                result[position] = selection
-        # The depth-1 slot may also protect the (local, neighbor) session link
-        # when the backup table contains it (its position is 1 as well).
-        first_hop = path.first_hop
-        if 1 not in result and first_hop is not None:
-            for link, selection in prefix_backups.items():
-                if first_hop in link:
-                    result[1] = selection
-                    break
-        return result
 
 
 def _bits_needed(distinct_values: int) -> int:

@@ -39,11 +39,17 @@ and re-indexes the prefixes whose candidate routes changed since the last
 call.  A warm re-provision costs
 O(changes), not O(RIB) — the paper's "re-runs it periodically / upon
 significant RIB changes" loop becomes cheap enough to run after every quiet
-period.  The cost model, per dirty prefix: one Loc-RIB lookup, one ranking of
-its alternates (:meth:`~repro.core.backup.BackupComputer.rank`), at most
+period.  The cost model, per dirty prefix: one Loc-RIB lookup and a read of
+its candidate map (the speaker's decision-process sort is skipped, see
+:meth:`SwiftedRouter._alternates`), one ranking of its alternates
+(:meth:`~repro.core.backup.BackupComputer.rank`), at most
 ``max_backup_depth`` walks of that ranking for the first backup valid for a
-protected link, one move between backup-index profiles, one tag, one stage-1
-trie update when the tag changed.  Per call: the encoder's two allocation
+protected link, one interning of the resulting backups as a profile.  A
+prefix that kept its best path object and its profile stops there
+(``last_provision_stats["unchanged"]``); any other moves between
+backup-index profiles and gets one tag and, when the tag changed, one
+stage-1 trie update.  The backup index is the router's only backup table:
+no per-(prefix, link) record is built.  Per call: the encoder's two allocation
 checks — over the threshold-eligible links and only when one of them moved,
 over the neighbors when a next-hop count moved
 (:meth:`~repro.core.encoding.TagEncoder.encode_delta`) — and one visit per
@@ -67,7 +73,7 @@ from repro.bgp.prefix import Prefix
 from repro.bgp.rib import RibEntry
 from repro.bgp.speaker import BestRouteChange, BGPSpeaker
 from repro.core import kernels
-from repro.core.backup import BackupComputer, BackupProfileIndex, BackupSelection, ReroutingPolicy
+from repro.core.backup import BackupComputer, BackupProfileIndex, ReroutingPolicy
 from repro.core.encoding import EncodedTags, EncoderConfig, TagEncoder, WildcardRule
 from repro.core.history import HistoryModel
 from repro.core.inference import InferenceConfig, InferenceEngine, InferenceResult
@@ -136,8 +142,8 @@ class SwiftedRouter:
         self._history = history
         self._engines: Dict[int, InferenceEngine] = {}
         self._encoded: Optional[EncodedTags] = None
-        self._backup_table: Dict[Prefix, Dict[Link, BackupSelection]] = {}
-        # What a reroute reads instead of the backup table (_apply_inference).
+        # The router's one backup table: per prefix a profile of per-link
+        # backups, per link the profiles a reroute reads (_apply_inference).
         self._backup_index = BackupProfileIndex()
         # Best-path snapshot at the last encode, for per-prefix delta
         # re-encoding on warm provisions.
@@ -261,26 +267,41 @@ class SwiftedRouter:
             self.forwarding.clear_rules(min_priority=SWIFT_RULE_PRIORITY)
             if dirty:
                 # Recompute backups only for the dirty prefixes, collecting
-                # the per-prefix encoding deltas as we go.
+                # the per-prefix encoding deltas as we go: a prefix that kept
+                # its path object and its profile keeps its tag.
                 changes: List[tuple] = []  # encode_delta's per-prefix input
+                unchanged = 0
                 index = self._backup_index
+                profile_of = index.profile_of
+                encoded_paths = self._encoded_paths
+                select_winners = self.backup_computer.select_winners
+                alternates_of = self._alternates
+                no_backups: Dict[Link, int] = {}
                 for prefix in dirty:
-                    old_path = self._encoded_paths.pop(prefix, None)
-                    old_profile = index.profile_of.get(prefix)
-                    old_hops = old_profile.next_hops.values() if old_profile else ()
+                    old_path = encoded_paths.get(prefix)
+                    old_profile = profile_of.get(prefix)
                     best = loc_rib.best(prefix)
-                    new_path, per_link = None, {}
-                    if best is not None:
-                        new_path = self._encoded_paths[prefix] = best.as_path
-                        per_link = self.backup_computer.select_all(
-                            self.local_as, prefix, new_path, self.speaker.alternate_routes(prefix)
-                        )
-                    if per_link:
-                        self._backup_table[prefix] = per_link
+                    if best is None:
+                        new_path = profile = None
+                        if old_path is not None:
+                            del encoded_paths[prefix]
                     else:
-                        self._backup_table.pop(prefix, None)
-                    index.assign_selections(prefix, per_link)
-                    changes.append((prefix, old_path, new_path, old_hops, per_link))
+                        new_path = encoded_paths[prefix] = best.as_path
+                        profile = index.profile_for(
+                            select_winners(self.local_as, prefix, new_path, alternates_of(prefix))
+                        )
+                    if new_path is old_path and profile is old_profile:
+                        unchanged += 1
+                        continue
+                    index.assign(prefix, profile)
+                    changes.append((
+                        prefix,
+                        old_path,
+                        new_path,
+                        no_backups if old_profile is None else old_profile.next_hops,
+                        no_backups if profile is None else profile.next_hops,
+                    ))
+                self.last_provision_stats["unchanged"] = unchanged
                 assert self._encoded is not None
                 tag_patch = self.encoder.encode_delta(
                     self._encoded, changes, neighbors=self.speaker.peer_ases
@@ -298,10 +319,10 @@ class SwiftedRouter:
             best_routes = {entry.prefix: entry for entry in loc_rib.best_entries()}
             self.last_provision_stats = {"mode": 0, "dirty_prefixes": len(best_routes)}
             self._backup_index = BackupProfileIndex()
-            self._backup_table = self.backup_computer.compute_table(
+            self.backup_computer.compute_table(
                 self.local_as,
                 best_routes,
-                self.speaker.alternate_routes,
+                self._alternates,
                 candidates_of=loc_rib.candidate_map,
                 index=self._backup_index,
             )
@@ -315,11 +336,40 @@ class SwiftedRouter:
         assert self._encoded is not None
         return self._encoded
 
+    def _alternates(self, prefix: Prefix) -> List[RibEntry]:
+        """The prefix's alternates, as :meth:`BackupComputer.rank` needs them.
+
+        The Loc-RIB candidates other than the best route's peer, minus looped
+        paths, in candidate order — ``speaker.alternate_routes`` without its
+        decision-process sort.  ``rank`` re-sorts on (preference, path
+        length, next hop), and while the next hops are distinct that key is
+        a total order, so the input order cannot matter.  Two alternates
+        sharing a next hop may tie, and a tie keeps the input order: only
+        then is the speaker's ranking taken, so every selection is the one
+        ``alternate_routes`` would give.
+        """
+        best = self.speaker.loc_rib.best(prefix)
+        best_peer = None if best is None else best.peer_as
+        alternates = [
+            entry
+            for peer, entry in self.speaker.loc_rib.candidate_map(prefix).items()
+            if peer != best_peer and not entry.attributes.as_path.has_loop()
+        ]
+        if len(alternates) > 1 and len(
+            {entry.attributes.next_hop for entry in alternates}
+        ) < len(alternates):
+            return self.speaker.alternate_routes(prefix)
+        return alternates
+
     def _reencode(self, best_routes: Mapping[Prefix, RibEntry]) -> None:
         """Re-run the full tag encoding and reload the forwarding state."""
         best_paths = {prefix: entry.as_path for prefix, entry in best_routes.items()}
+        backups = {
+            prefix: profile.next_hops
+            for prefix, profile in self._backup_index.profile_of.items()
+        }
         self._encoded = self.encoder.encode(
-            best_paths, self._backup_table, neighbors=self.speaker.peer_ases
+            best_paths, backups, neighbors=self.speaker.peer_ases
         )
         self._encoded_paths = best_paths
         self.forwarding.clear_rules()
@@ -525,13 +575,10 @@ class SwiftedRouter:
         return self._encoded
 
     @property
-    def backup_table(self) -> Dict[Prefix, Dict[Link, BackupSelection]]:
-        """The per-prefix, per-link backup table."""
-        return self._backup_table
-
-    @property
     def backup_index(self) -> BackupProfileIndex:
-        """The per-link backup-profile index reroutes are answered from."""
+        """The router's backups: ``profile_of[prefix].next_hops`` is the
+        prefix's protected link -> backup next hop, ``next_hops(link)`` what
+        a reroute of ``link`` installs."""
         return self._backup_index
 
     def engine_for(self, peer_as: int) -> InferenceEngine:

@@ -5,18 +5,30 @@ replaced it, every inferred link walked every predicted prefix through the
 backup table to collect the backup next-hops.  The walk is kept here,
 test-only and reading the router's tables as arguments, as the reference the
 index-derived rules are compared against.
+
+The router keeps no per-prefix table any more; :func:`backup_table` is the
+one test-side view of it, read off the index.
 """
 
 from collections import Counter
 from typing import Dict, FrozenSet, Iterable, Mapping, Tuple
 
 from repro.bgp.prefix import Prefix
-from repro.core.backup import BackupSelection
+from repro.core.backup import BackupSelection, BackupTableView
 from repro.core.encoding import EncodedTags, TagEncoder
 
 Link = Tuple[int, int]
 #: ``(value, mask, next_hop, priority)`` of one installed wildcard rule.
 RuleKey = Tuple[int, int, int, int]
+
+
+def backup_table(router) -> Dict[Prefix, Dict[Link, BackupSelection]]:
+    """``prefix -> protected link -> selection``, from ``router.backup_index``.
+
+    The shape ``BackupComputer.compute_table`` returns, as a snapshot; a
+    prefix without backups has no entry.
+    """
+    return dict(BackupTableView(router.backup_index))
 
 
 def backups_for_link(

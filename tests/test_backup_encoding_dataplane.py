@@ -6,7 +6,9 @@ from hypothesis import given, settings, strategies as st
 from repro.bgp.attributes import ASPath, PathAttributes
 from repro.bgp.prefix import Prefix, prefix_block
 from repro.bgp.rib import RibEntry
-from repro.core.backup import BackupComputer, BackupProfileIndex, ReroutingPolicy
+from repro.core.backup import (
+    BackupComputer, BackupProfileIndex, BackupTableView, ReroutingPolicy,
+)
 from repro.core.encoding import EncoderConfig, TagEncoder, WildcardRule
 from repro.dataplane.fib import PerPrefixFib, TwoStageForwardingTable
 from repro.dataplane.packet import Packet
@@ -97,10 +99,24 @@ class TestBackupComputer:
             PFX[0]: [_entry(PFX[0], [3, 6])],
             PFX[1]: [_entry(PFX[1], [3, 6])],
         }
-        index = BackupProfileIndex()
-        table = computer.compute_table(1, best, lambda p: alternates[p], index=index)
+        table = computer.compute_table(1, best, lambda p: alternates[p])
         assert (5, 6) in table[PFX[0]]
+        # Filling an index returns the same table, read through the index.
+        index = BackupProfileIndex()
+        view = computer.compute_table(1, best, lambda p: alternates[p], index=index)
+        assert isinstance(view, BackupTableView)
+        assert view == table and dict(view) == table
         assert index.next_hops((5, 6)) == {3: 2}
+        assert index.profile_of[PFX[0]].next_hops == {
+            link: selection.next_hop for link, selection in table[PFX[0]].items()
+        }
+        # Capacity limits take the reference walk, index or not.
+        capped = BackupComputer(policy=ReroutingPolicy(capacity_limits={3: 1}))
+        reference = capped.compute_table_reference(1, best, lambda p: alternates[p])
+        assert list(reference) == [PFX[0]]
+        index = BackupProfileIndex()
+        assert capped.compute_table(1, best, lambda p: alternates[p], index=index) == reference
+        assert index.next_hops((1, 2)) == {3: 1}
 
 
 def _fig1_paths(count=2000):

@@ -17,6 +17,8 @@ import random
 
 import pytest
 
+from oracles.reroute_walk import backup_table
+
 from repro.bgp.attributes import ASPath, PathAttributes
 from repro.bgp.messages import Update
 from repro.bgp.prefix import Prefix, prefix_block
@@ -226,7 +228,7 @@ def _loaded_router(prefix_count=800):
 def _backup_snapshot(router):
     return {
         prefix: {link: sel.next_hop for link, sel in per_link.items()}
-        for prefix, per_link in router.backup_table.items()
+        for prefix, per_link in backup_table(router).items()
     }
 
 

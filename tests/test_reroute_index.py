@@ -12,7 +12,7 @@ import random
 from collections import Counter
 
 
-from oracles.reroute_walk import backups_for_link, walk_rules
+from oracles.reroute_walk import backup_table, backups_for_link, walk_rules
 
 from repro.bgp.attributes import ASPath, PathAttributes
 from repro.bgp.messages import Update
@@ -71,21 +71,24 @@ def _random_topology(seed, origins=40, per_origin=25):
 # -- reading the router -------------------------------------------------------
 
 
-def _protected_links(router):
-    return sorted({link for per_link in router.backup_table.values() for link in per_link})
+def _protected_links(table):
+    return sorted({link for per_link in table.values() for link in per_link})
 
 
-def _protecting(router, link):
+def _protecting(table, link):
     """The prefixes holding a backup for ``link``: a complete prediction."""
-    return frozenset(
-        prefix for prefix, per_link in router.backup_table.items() if link in per_link
-    )
+    return frozenset(prefix for prefix, per_link in table.items() if link in per_link)
 
 
 def _table_snapshot(router):
-    """``link -> {profile value: prefix count}`` derived from the backup table."""
+    """``link -> {profile value: prefix count}`` of the per-prefix reference
+    table computed from scratch over the router's Loc-RIB."""
+    best = {entry.prefix: entry for entry in router.speaker.loc_rib.best_entries()}
+    reference = router.backup_computer.compute_table_reference(
+        LOCAL_AS, best, router.speaker.alternate_routes
+    )
     snapshot = {}
-    for per_link in router.backup_table.values():
+    for per_link in reference.values():
         winners = tuple(
             (link, selection.next_hop, selection.as_path)
             for link, selection in per_link.items()
@@ -137,8 +140,10 @@ def _take_swift_rules(router):
     )
 
 
-def _check(router, links, predicted, exact=True):
+def _check(router, table, links, predicted, exact=True):
     """Fire one inference; compare what the FIB received with the walk.
+
+    ``table`` is ``backup_table(router)``, read once by the caller.
 
     ``predicted`` must cover every prefix protecting each link (what an
     inference predicts when it is right).  With ``exact`` the rule multisets
@@ -159,7 +164,7 @@ def _check(router, links, predicted, exact=True):
     expected = walk_rules(
         router.encoder,
         router.encoded_tags,
-        router.backup_table,
+        table,
         result.inferred_links,
         predicted,
         result.shared_endpoints,
@@ -177,7 +182,7 @@ def _check(router, links, predicted, exact=True):
         assert installed == expected, (links, installed - expected, expected - installed)
         return
     assert not installed - expected, (links, installed - expected)
-    table, encoded, shared = router.backup_table, router.encoded_tags, result.shared_endpoints
+    encoded, shared = router.encoded_tags, result.shared_endpoints
     for link in links:
         backups = backups_for_link(table, link, predicted, shared)
         for rule in router.encoder.reroute_rules(encoded, link, backups):
@@ -191,10 +196,11 @@ def _check(router, links, predicted, exact=True):
 
 
 def _check_all_links(router, rng, aggregates=6):
-    links = _protected_links(router)
+    table = backup_table(router)
+    links = _protected_links(table)
     assert links
     for link in links:
-        _check(router, [link], _protecting(router, link))
+        _check(router, table, [link], _protecting(table, link))
     for _ in range(aggregates):
         first = rng.choice(links)
         sharing = [link for link in links if link != first and set(link) & set(first)]
@@ -202,8 +208,8 @@ def _check_all_links(router, rng, aggregates=6):
         for pool in (sharing, apart):
             if pool:
                 pair = [first, rng.choice(pool)]
-                predicted = _protecting(router, pair[0]) | _protecting(router, pair[1])
-                _check(router, pair, predicted, exact=False)
+                predicted = _protecting(table, pair[0]) | _protecting(table, pair[1])
+                _check(router, table, pair, predicted, exact=False)
 
 
 # -- cold, warm and capacity-limited provisions --------------------------------
@@ -214,7 +220,7 @@ def test_cold_provision_rules_match_the_walk():
     router = _router(routes)
     assert _index_snapshot(router) == _table_snapshot(router)
     profiles = set(router.backup_index.profile_of.values())
-    assert len(profiles) < len(router.backup_table) / 5
+    assert len(profiles) < len(backup_table(router)) / 5
     _check_all_links(router, random.Random(3), aggregates=20)
 
 
@@ -308,8 +314,9 @@ def _aggregate_topology():
 
 def test_single_link_inferences_on_the_aggregate_topology():
     router, groups = _aggregate_topology()
-    for link in _protected_links(router):
-        _check(router, [link], _protecting(router, link))
+    table = backup_table(router)
+    for link in _protected_links(table):
+        _check(router, table, [link], _protecting(table, link))
     # The mixed profile, unaggregated: the provisioned hop per link.
     assert router.backup_index.next_hops((5, 6)) == {4: 100, 3: 100}
     assert router.backup_index.next_hops((2, 5)) == {3: 300, 4: 100}
@@ -318,7 +325,7 @@ def test_single_link_inferences_on_the_aggregate_topology():
 def test_aggregated_inference_with_a_shared_endpoint():
     router, groups = _aggregate_topology()
     predicted = groups["a"] | groups["a3"] | groups["b"] | groups["b3"]
-    _check(router, [(5, 6), (5, 7)], predicted)
+    _check(router, backup_table(router), [(5, 6), (5, 7)], predicted)
     # Group "a" reaches 6 over [3, 5, 6] for its first two links; with AS 5
     # suspect its whole profile moves to the backup that avoids 5.
     assert router.backup_index.next_hops((2, 5), frozenset({5})) == {4: 200, 3: 200}
@@ -331,7 +338,7 @@ def test_aggregated_inference_with_a_shared_endpoint():
 def test_aggregated_inference_without_a_common_endpoint():
     router, groups = _aggregate_topology()
     predicted = groups["a"] | groups["a3"] | groups["c"] | groups["c3"]
-    _check(router, [(5, 6), (8, 10)], predicted)
+    _check(router, backup_table(router), [(5, 6), (8, 10)], predicted)
 
 
 # -- links nobody protects -----------------------------------------------------
@@ -376,7 +383,7 @@ def test_reroute_for_an_unprotected_deep_link_returns_no_action():
     assert router.forwarding.clear_rules(min_priority=SWIFT_RULE_PRIORITY) == 0
     assert [router.forward(prefix.network) for prefix in deep + other] == before
     # The walk answered this inference with rules that match no tag.
-    _check(router, [(8, 9)], frozenset(deep), exact=False)
+    _check(router, backup_table(router), [(8, 9)], frozenset(deep), exact=False)
 
 
 def test_predicted_prefix_not_crossing_the_link_at_a_protected_depth():
@@ -393,7 +400,7 @@ def test_predicted_prefix_not_crossing_the_link_at_a_protected_depth():
     predicted = frozenset(deep + shallow)
     result = _result([(8, 9)], predicted)
     expected = walk_rules(
-        router.encoder, router.encoded_tags, router.backup_table,
+        router.encoder, router.encoded_tags, backup_table(router),
         [(8, 9)], predicted, frozenset(), SWIFT_RULE_PRIORITY,
     )
     action = router._apply_inference(2, result)
@@ -429,7 +436,7 @@ def test_engine_driven_reroute_installs_the_walks_rules():
     for action, result in zip(actions, accepted):
         assert (5, 6) in result.inferred_links
         expected = walk_rules(
-            router.encoder, router.encoded_tags, router.backup_table,
+            router.encoder, router.encoded_tags, backup_table(router),
             result.inferred_links, result.prediction.predicted_prefixes,
             result.shared_endpoints, SWIFT_RULE_PRIORITY,
         )

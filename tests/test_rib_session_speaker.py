@@ -543,6 +543,17 @@ class TestColumnWalkMatchesPerMessage:
         ],
         tries=True,
     )
+    @example(
+        # A reset, then the peer's route comes back looped and then clean:
+        # a loss and a recovery, on every path.
+        head=[("update", 0, [], [(0, 0)])],
+        tail=[
+            ("notification", 0, (), ()),
+            ("update", 0, [], [(0, 3)]),
+            ("update", 0, [], [(0, 0)]),
+        ],
+        tries=False,
+    )
     def test_column_walk_matches_per_message_and_batch(self, head, tail, tries):
         head_messages = _walk_messages(head)
         tail_messages = _walk_messages(tail, start=1000.0)
@@ -588,12 +599,7 @@ class TestColumnWalkMatchesPerMessage:
         assert dict(columns.loc_rib._best) == dict(speakers["receive"].loc_rib._best)
         assert _lpm_answers(columns) == _lpm_answers(speakers["receive"])
         assert _event_sets(changes) == _event_sets(batched)
-        if not any(row[0] == "notification" for row in head + tail):
-            # A NOTIFICATION clears the Adj-RIB-In but leaves the peer's
-            # Loc-RIB candidates, and the batch paths (add_run included)
-            # then miss the loss a looped re-announcement causes; the
-            # per-message speaker reports it.  Known gap, kept as-is here.
-            assert _event_sets(changes) == _event_sets(oracle)
+        assert _event_sets(changes) == _event_sets(oracle)
         assert sorted(walked) == sorted(touched)
 
         # The final changes close the list, in first-touch order.

