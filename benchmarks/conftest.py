@@ -1,18 +1,21 @@
 """Shared fixtures for the benchmark harness.
 
-Each benchmark regenerates one of the paper's tables/figures (scaled down so
-the whole suite completes in minutes) and prints the reproduced rows next to
-the paper's numbers.  The burst corpus and the synthetic trace are built once
-per session, shared, and memoised on disk (``.trace_cache/``, see
-:mod:`repro.traces.trace_cache`): the first session pays the full generation,
-later sessions reload in seconds.  Set ``REPRO_TRACE_CACHE=off`` to force
-regeneration.
+Most benchmarks regenerate one of the paper's tables/figures (scaled down so
+the whole suite completes in minutes) and print the reproduced rows next to
+the paper's numbers; ``ablations``, ``simulation``, ``analysis`` and
+``fulltable`` complete the tree.  Layer-by-layer performance is measured by
+``bench/run.py`` (see ``bench/README.md``), not here.  The burst corpus and
+the synthetic trace are built once per session, shared, and memoised on
+disk (``.trace_cache/``, see :mod:`repro.traces.trace_cache`): the first
+session pays the full generation, later sessions reload in seconds.  Set
+``REPRO_TRACE_CACHE=off`` to force regeneration.
 
-Benchmark modules merge their numbers into a tracked ``BENCH_*.json`` at the
-repository root (their ``RESULTS_PATH``) through the one :func:`record`
-here.  Only ``slow``-marked tests update those files; a benchmark cheap
-enough for the tier-1 default run records under pytest's temporary directory
-instead, so tier-1 leaves ``git status`` clean (see
+Two modules, ``test_bench_fulltable`` and ``test_bench_analysis``, merge
+their numbers into a tracked ``BENCH_*.json`` at the repository root (their
+``RESULTS_PATH``) through the one :func:`record` here.  Only
+``slow``-marked tests update those files; a benchmark cheap enough for the
+tier-1 default run records under pytest's temporary directory instead, so
+tier-1 leaves ``git status`` clean (see
 ``_untracked_results_outside_slow_runs``).
 """
 

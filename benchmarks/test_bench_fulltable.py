@@ -25,7 +25,7 @@ All tests are ``slow`` + ``fulltable``; run them with
 ``pytest -m fulltable benchmarks/test_bench_fulltable.py``.  Scale down via
 ``REPRO_FULLTABLE_PREFIXES`` (the memory-ratio assertion only arms at the
 full default scale).  Results merge into ``BENCH_fulltable.json`` at the
-repository root (same pattern as ``BENCH_fleet.json``).
+repository root through :func:`conftest.record`.
 """
 
 import os

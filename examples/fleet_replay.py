@@ -23,11 +23,7 @@ sys.path.insert(0, "src")
 
 from repro.replay import build_session_jobs, format_fleet_result, replay_jobs
 from repro.testing.faults import FaultPlan, FaultSpec
-from repro.traces.synthetic import (
-    SyntheticTraceConfig,
-    SyntheticTraceGenerator,
-    cached_columnar_stream_file,
-)
+from repro.traces.synthetic import SyntheticTraceConfig
 
 
 def main() -> None:
@@ -68,21 +64,6 @@ def main() -> None:
     )
     print(f"injected 1 worker crash: {healed.retries} retry(s), "
           f"degraded={healed.degraded}, still byte-identical: {healed_identical}")
-
-    # Partial load: one day of the first session, straight off the mmap store.
-    peer_as = SyntheticTraceGenerator(config).stream().peers[0].peer_as
-    store = cached_columnar_stream_file(config, peer_as)
-    if store is None:
-        print("trace cache disabled or unwritable; skipping the window-load demo")
-        return
-    try:
-        day = store.window(0.0, 86400.0)
-        print(f"\nwindow load of session {peer_as}, day 1: "
-              f"{day.message_count} of {store.message_count} messages, "
-              f"{store.bytes_read} of {store.file_size} bytes read "
-              f"({store.bytes_read / store.file_size:.1%})")
-    finally:
-        store.close()
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ sys.path.insert(0, "src")
 from repro.core.inference import InferenceConfig, InferenceEngine
 from repro.metrics.classification import classify_inference
 from repro.traces.bursts import BurstExtractor
-from repro.traces.mrt import TraceReader, TraceWriter, messages_to_records, records_to_messages
+from repro.traces.mrt import TraceReader, TraceWriter, messages_to_records
 from repro.traces.synthetic import SyntheticTraceConfig, SyntheticTraceGenerator
 
 
@@ -45,7 +45,7 @@ def main() -> None:
     with tempfile.NamedTemporaryFile("w", suffix=".trace", delete=False) as handle:
         path = handle.name
         TraceWriter(handle).write_all(messages_to_records(messages))
-    replayed = records_to_messages(TraceReader(path).read_all())
+    replayed = TraceReader(path).read_columnar().to_messages()
     os.unlink(path)
     print(f"session AS{peer.peer_as}: {len(replayed)} messages round-tripped via {path!r}")
 

@@ -108,12 +108,6 @@ class MessageStream:
             return 0.0
         return self._timestamps[-1] - self._timestamps[0]
 
-    def window(self, start: float, end: float) -> "MessageStream":
-        """Return the sub-stream with ``start <= timestamp < end``."""
-        lo = bisect.bisect_left(self._timestamps, start)
-        hi = bisect.bisect_left(self._timestamps, end)
-        return MessageStream(self._messages[lo:hi])
-
     def updates(self) -> Iterator[Update]:
         """Iterate over UPDATE messages only."""
         for message in self._messages:

@@ -28,7 +28,6 @@ from repro.metrics.classification import (
 from repro.traces.columnar import (
     COLUMNAR_FORMAT_VERSION,
     ColumnarTrace,
-    InternPool,
     decode_rib,
     encode_rib,
 )
@@ -155,14 +154,13 @@ def burst_corpus(
 
 def _encode_corpus(corpus: Sequence[CorpusBurst]) -> dict:
     """Encode a burst corpus as a columnar payload (see :func:`cached_corpus`)."""
-    pool = InternPool()
-    intern_prefix = pool.intern_prefix
-    columns = ColumnarTrace(pool=pool)
+    columns = ColumnarTrace()
+    intern_prefix = columns.pool.intern_prefix
     ribs: Dict[int, Tuple] = {}
     rows = []
     for burst in corpus:
         if burst.peer_as not in ribs:
-            ribs[burst.peer_as] = encode_rib(burst.rib, pool)
+            ribs[burst.peer_as] = encode_rib(burst.rib, columns.pool)
         start = columns.message_count
         columns.extend(burst.messages)
         rows.append(
@@ -174,7 +172,7 @@ def _encode_corpus(corpus: Sequence[CorpusBurst]) -> dict:
                 burst.failed_link,
             )
         )
-    return {"pool": pool, "columns": columns, "ribs": ribs, "bursts": rows}
+    return {"columns": columns.to_payload(), "ribs": ribs, "bursts": rows}
 
 
 def _decode_corpus(payload: dict) -> List[CorpusBurst]:
@@ -184,8 +182,8 @@ def _decode_corpus(payload: dict) -> List[CorpusBurst]:
     which downstream per-RIB caches (e.g. the rerouting-speed encoder
     memo) rely on.
     """
-    pool: InternPool = payload["pool"]
-    columns: ColumnarTrace = payload["columns"]
+    columns = ColumnarTrace.from_payload(payload["columns"])
+    pool = columns.pool
     prefix_at = pool.prefix_at
     rib_of = {
         peer_as: decode_rib(prefix_column, path_column, pool)

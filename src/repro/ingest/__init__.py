@@ -32,7 +32,7 @@ from repro.ingest.manifest import (
     IngestManifestError,
     Manifest,
 )
-from repro.ingest.segments import FeedRecovery, RowParser, SegmentWriter, recover_feed
+from repro.ingest.segments import FeedRecovery, SegmentWriter, recover_feed
 
 __all__ = [
     "MANIFEST_NAME",
@@ -46,7 +46,6 @@ __all__ = [
     "IngestResult",
     "LiveReplay",
     "Manifest",
-    "RowParser",
     "SegmentWriter",
     "SyntheticFeed",
     "iter_feed_windows",

@@ -28,9 +28,9 @@ from repro.traces.columnar import ColumnarTrace
 from repro.traces.columnar_store import SegmentAppendLog, read_trace
 
 from repro.ingest.manifest import Manifest
-from repro.ingest.segments import RowParser, _log_name
-from repro.traces.mrt import TraceRecord
-from repro.traces.validation import TraceValidationError, ValidationReport
+from repro.ingest.segments import _log_name
+from repro.traces.mrt import RowParser
+from repro.traces.validation import ValidationReport
 
 __all__ = ["LiveReplay", "iter_feed_windows", "open_tail", "replay_feed"]
 
@@ -46,21 +46,13 @@ def open_tail(root: str, feed_name: str, manifest: Optional[Manifest] = None) ->
     manifest = manifest if manifest is not None else Manifest.load(root)
     state = manifest.feed_state(feed_name)
     trace = ColumnarTrace()
-    parser = RowParser(
-        report=ValidationReport(lenient=True), previous_time=state["last_time"]
-    )
+    parser = RowParser(previous_time=state["last_time"])
+    line_report = ValidationReport(lenient=True)
     log_path = os.path.join(root, feed_name, _log_name(state["open_seq"]))
     payloads, _ = SegmentAppendLog.scan(log_path)
     for payload in payloads:
         for text in payload["lines"]:
-            line = text.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                record = TraceRecord.from_line(line)
-            except TraceValidationError:
-                continue
-            parser.append(trace, record)
+            parser.add_line(trace, text, line_report)
     return trace
 
 

@@ -30,9 +30,10 @@ performs, in order: (1) flush + fsync the log, (2) atomically write
   truncated; a torn frame was never fsync'd, hence never acknowledged.
 
 Rebuilding replays the log's lines through the same incremental parser
-(:class:`RowParser`) with the watermark the manifest checkpointed at the
-last seal, so the recovered rows are byte-identical to the pre-crash open
-trace — no acknowledged row is lost, no row appears twice.
+(:class:`~repro.traces.mrt.RowParser`) with the watermark the manifest
+checkpointed at the last seal, so the recovered rows are byte-identical to
+the pre-crash open trace — no acknowledged row is lost, no row appears
+twice.
 
 Fault sites: ``segment.append`` fires per flush (key ``<feed>:<seq>``);
 ``segment.roll`` fires once per roll *phase* (keys ``<feed>:<seq>:start``
@@ -50,13 +51,13 @@ from typing import List, Optional
 
 from repro.traces.columnar import ColumnarTrace
 from repro.traces.columnar_store import SegmentAppendLog, write_trace
-from repro.traces.mrt import TraceRecord
-from repro.traces.validation import TraceValidationError, ValidationReport
+from repro.traces.mrt import RowParser
+from repro.traces.validation import ValidationReport
 from repro.util.atomic import fsync_directory, write_atomic
 
 from repro.ingest.manifest import Manifest
 
-__all__ = ["FeedRecovery", "RowParser", "SegmentWriter", "recover_feed"]
+__all__ = ["FeedRecovery", "SegmentWriter", "recover_feed"]
 
 _SEGMENT_FILE = re.compile(r"^seg-(\d+)\.(log|cols)$")
 
@@ -76,71 +77,6 @@ def _fire(site: str, key: str, supervised: bool) -> None:
     injector = faults.active_injector()
     if injector is not None:
         injector.fire(site, key=key, in_worker=supervised)
-
-
-class RowParser:
-    """Incremental twin of :func:`repro.traces.mrt.records_to_columnar`.
-
-    Applies the same per-record checks (non-positive peer AS, non-monotone
-    timestamp), the same column appends and the same attribute interning —
-    but one record at a time, with the monotonicity watermark
-    (``previous_time``) carried across flushes, segments and daemon
-    restarts.  Feeding the same records through this parser in any
-    grouping therefore produces exactly the rows one offline
-    ``records_to_columnar`` pass over the whole stream would — the
-    invariant behind the live-tail / offline replay parity guarantee.
-    """
-
-    def __init__(
-        self,
-        report: Optional[ValidationReport] = None,
-        previous_time: Optional[float] = None,
-    ) -> None:
-        self.report = report if report is not None else ValidationReport(lenient=True)
-        self.previous_time = previous_time
-        # Records repeat (path, peer) pairs heavily; interning the
-        # constructed attribute objects keeps the pool's value-keyed dedup
-        # from rebuilding an identical PathAttributes per record.
-        self._attributes_of: dict = {}
-
-    def append(self, trace: ColumnarTrace, record: TraceRecord) -> bool:
-        """Append one record to ``trace``; False if validation skipped it."""
-        from repro.bgp.attributes import PathAttributes
-        from repro.bgp.messages import Notification
-
-        report = self.report
-        report.checked += 1
-        if record.peer_as < 1:
-            report.flag(
-                "invalid-peer", f"record {report.checked}: peer AS {record.peer_as}"
-            )
-            return False
-        if self.previous_time is not None and record.timestamp < self.previous_time:
-            report.flag(
-                "non-monotone-timestamp",
-                f"record {report.checked}: {record.timestamp} after "
-                f"{self.previous_time}",
-            )
-            return False
-        self.previous_time = record.timestamp
-        if record.type == "W":
-            assert record.prefix is not None
-            trace.withdraw(record.timestamp, record.peer_as, record.prefix)
-        elif record.type in ("A", "R"):
-            assert record.prefix is not None and record.as_path is not None
-            key = (record.as_path.asns, record.peer_as)
-            attributes = self._attributes_of.get(key)
-            if attributes is None:
-                attributes = self._attributes_of[key] = PathAttributes(
-                    as_path=record.as_path,
-                    next_hop=record.as_path.first_hop or record.peer_as,
-                )
-            trace.announce(record.timestamp, record.peer_as, record.prefix, attributes)
-        elif record.type == "S":
-            trace.append(
-                Notification(timestamp=record.timestamp, peer_as=record.peer_as)
-            )
-        return True
 
 
 @dataclass
@@ -252,29 +188,11 @@ class SegmentWriter:
         # Recovered lines are already durable in the log: rebuild the open
         # trace from them without re-logging.
         for line in recovery.open_lines:
-            self._ingest_line(line)
+            self.parser.add_line(self.trace, line, self.line_report)
         self._sealed_rows = recovery.sealed_rows
         self.rows_acked = self._sealed_rows + len(self.trace)
         self._pending: List[str] = []
         self._pending_offset = self.next_offset
-
-    # -- parsing -------------------------------------------------------------
-
-    def _ingest_line(self, text: str) -> None:
-        """One line through lenient line parse + incremental row append."""
-        line = text.strip()
-        if not line or line.startswith("#"):
-            return
-        report = self.line_report
-        report.checked += 1
-        try:
-            record = TraceRecord.from_line(line)
-        except TraceValidationError as error:
-            if not report.lenient:
-                raise
-            report.note(error)
-            return
-        self.parser.append(self.trace, record)
 
     # -- write path ----------------------------------------------------------
 
@@ -290,7 +208,7 @@ class SegmentWriter:
 
     def add_line(self, offset: int, text: str) -> None:
         """Parse one feed line into the open segment and buffer it raw."""
-        self._ingest_line(text)
+        self.parser.add_line(self.trace, text, self.line_report)
         self._pending.append(text)
         self._pending_offset = offset + 1
 

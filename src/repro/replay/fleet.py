@@ -332,7 +332,7 @@ def iter_session_jobs(
     """Package a synthetic corpus into per-session jobs, lazily.
 
     Streams come from :func:`cached_columnar_stream` (generated once,
-    mmap-reloaded afterwards); RIB snapshots are rebuilt deterministically
+    reloaded from the trace cache afterwards); RIB snapshots are rebuilt deterministically
     from the generator's topology and interned into each stream's pool.
     Defaults to every peer of the configured fleet.  Yielding one job at a
     time keeps the parent's footprint at O(in-flight sessions) — the pool

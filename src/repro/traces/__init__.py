@@ -29,11 +29,11 @@ from repro.traces.columnar_store import CorruptColumnStoreError
 from repro.traces.validation import TraceValidationError, ValidationReport
 from repro.traces.fulltable import FullTable, FullTableConfig, FullTableGenerator
 from repro.traces.mrt import (
+    RowParser,
     TraceRecord,
     TraceReader,
     TraceWriter,
     records_to_columnar,
-    records_to_messages,
 )
 from repro.traces.popularity import POPULAR_ORGANIZATIONS, PopularOrigin, is_popular_asn
 from repro.traces.session_topology import SessionTopology, SessionTopologyConfig
@@ -46,7 +46,6 @@ from repro.traces.synthetic import (
     SyntheticTraceGenerator,
     SyntheticTraceStream,
     cached_columnar_stream,
-    cached_columnar_stream_file,
     cached_trace,
 )
 
@@ -69,6 +68,7 @@ __all__ = [
     "InternPool",
     "POPULAR_ORGANIZATIONS",
     "PopularOrigin",
+    "RowParser",
     "SessionTopology",
     "SessionTopologyConfig",
     "SyntheticBurst",
@@ -83,11 +83,9 @@ __all__ = [
     "ValidationReport",
     "build_collector_fleet",
     "cached_columnar_stream",
-    "cached_columnar_stream_file",
     "cached_trace",
     "decode_rib",
     "encode_rib",
     "is_popular_asn",
     "records_to_columnar",
-    "records_to_messages",
 ]

@@ -14,11 +14,14 @@ pointers.  This module stores a trace as parallel arrays of primitives
   float64 timestamp, peer AS, a kind byte — plus cumulative withdrawal /
   announcement bounds indexing into flat per-prefix columns.
 
-The columns pickle as raw bytes (a memcpy at load time), which is what makes
-the trace cache reload month traces several-fold faster than the previous
-pickled-object-graph entries; :data:`COLUMNAR_FORMAT_VERSION` is embedded in
-the pickle and checked on restore so stale blobs fail loudly (the cache
-layer treats the failure as a miss and rebuilds).
+A trace serialises one way: :meth:`ColumnarTrace.to_payload` exports raw
+``bytes`` buffers and :meth:`ColumnarTrace.from_payload` restores them at
+memcpy cost.  That payload is the fleet's inter-process transport, the
+trace cache's entry body and the column store's segment source, and it is
+what makes a cached month trace reload an order of magnitude faster than
+the equivalent pickled object graph.  :data:`COLUMNAR_FORMAT_VERSION` travels
+in the payload and is checked on restore, so a stale payload fails loudly
+(the cache layer treats the failure as a miss and rebuilds).
 
 Consumers have three access grains:
 
@@ -37,7 +40,6 @@ Consumers have three access grains:
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
 from collections.abc import Sequence as SequenceABC
 from typing import (
     Any,
@@ -76,13 +78,13 @@ __all__ = [
     "encode_rib",
 ]
 
-#: Bump whenever the column schema changes; embedded in every pickled blob
-#: and checked on restore, so an old blob can never be half-loaded.
+#: Bump whenever the column schema changes; embedded in every payload and
+#: checked on restore, so an old payload can never be half-loaded.
 COLUMNAR_FORMAT_VERSION = 1
 
 #: The (name, typecode) schema of the interning-table columns, in payload
-#: order.  Shared by the pickle path, the raw-buffer payloads and the
-#: mmap-backed column store so the three on-disk forms can never drift.
+#: order.  Shared by the raw-buffer payloads and the column store, so the
+#: two can never drift.
 POOL_COLUMNS: Tuple[Tuple[str, str], ...] = (
     ("prefix_net", "I"),
     ("prefix_len", "B"),
@@ -359,58 +361,6 @@ class InternPool:
         """Number of interned attribute sets."""
         return len(self.attr_path)
 
-    # -- pickling ----------------------------------------------------------
-
-    def __getstate__(self):
-        return (
-            COLUMNAR_FORMAT_VERSION,
-            self.prefix_net,
-            self.prefix_len,
-            self.path_asns,
-            self.path_bounds,
-            self.comm_packed,
-            self.comm_bounds,
-            self.attr_path,
-            self.attr_next_hop,
-            self.attr_local_pref,
-            self.attr_med,
-            self.attr_origin,
-            self.attr_comms,
-        )
-
-    def __setstate__(self, state) -> None:
-        version = state[0]
-        if version != COLUMNAR_FORMAT_VERSION:
-            raise ValueError(
-                f"columnar format v{version} blob, running code expects "
-                f"v{COLUMNAR_FORMAT_VERSION}"
-            )
-        (
-            _,
-            self.prefix_net,
-            self.prefix_len,
-            self.path_asns,
-            self.path_bounds,
-            self.comm_packed,
-            self.comm_bounds,
-            self.attr_path,
-            self.attr_next_hop,
-            self.attr_local_pref,
-            self.attr_med,
-            self.attr_origin,
-            self.attr_comms,
-        ) = state
-        self._init_transients()
-        # Restored pools decode lazily: the materialisation caches start
-        # empty and the interning maps refill on the first intern_* call
-        # (_rebuild_intern_maps), so append-after-load re-uses existing
-        # table entries instead of duplicating them.
-        self._maps_stale = True
-        self._prefix_cache = [None] * len(self.prefix_net)
-        self._path_cache = [None] * (len(self.path_bounds) - 1)
-        self._comm_cache = [None] * (len(self.comm_bounds) - 1)
-        self._attr_cache = [None] * len(self.attr_path)
-
     def _rebuild_intern_maps(self) -> None:
         """Refill the interning maps of a restored pool (append-after-load)."""
         self._maps_stale = False
@@ -430,8 +380,8 @@ class InternPool:
         """Export the tables as a flat name -> raw ``bytes`` mapping.
 
         The payload contains no Python object graph — only the column
-        buffers — so it ships across process boundaries (or into the mmap
-        column store) at memcpy cost.  Restore with :meth:`from_payload`.
+        buffers — so it ships across process boundaries (or into the column
+        store) at memcpy cost.  Restore with :meth:`from_payload`.
         """
         return {name: getattr(self, name).tobytes() for name, _ in POOL_COLUMNS}
 
@@ -688,45 +638,6 @@ class ColumnarTrace:
         if indices is None:
             indices = range(len(self.msg_time))
         return ColumnarMessageView(self, indices)
-
-    # -- pickling ----------------------------------------------------------
-
-    def __getstate__(self):
-        return (
-            COLUMNAR_FORMAT_VERSION,
-            self.pool,
-            self.msg_time,
-            self.msg_peer,
-            self.msg_kind,
-            self.wd_end,
-            self.ann_end,
-            self.wd_prefix,
-            self.ann_prefix,
-            self.ann_attr,
-            self.extras,
-        )
-
-    def __setstate__(self, state) -> None:
-        version = state[0]
-        if version != COLUMNAR_FORMAT_VERSION:
-            raise ValueError(
-                f"columnar format v{version} blob, running code expects "
-                f"v{COLUMNAR_FORMAT_VERSION}"
-            )
-        (
-            _,
-            self.pool,
-            self.msg_time,
-            self.msg_peer,
-            self.msg_kind,
-            self.wd_end,
-            self.ann_end,
-            self.wd_prefix,
-            self.ann_prefix,
-            self.ann_attr,
-            self.extras,
-        ) = state
-        self._announcement_cache = {}
 
     # -- raw-buffer payloads ------------------------------------------------
 
@@ -994,7 +905,7 @@ class ColumnarTrace:
                 out.extras[len(out.msg_time) - 1] = extra
         return out
 
-    # -- windows -------------------------------------------------------------
+    # -- slices --------------------------------------------------------------
 
     @property
     def first_timestamp(self) -> Optional[float]:
@@ -1005,19 +916,6 @@ class ColumnarTrace:
     def last_timestamp(self) -> Optional[float]:
         """Timestamp of the last message, or ``None`` for an empty trace."""
         return self.msg_time[-1] if len(self.msg_time) else None
-
-    def window(self, t0: float, t1: float) -> "ColumnarTrace":
-        """The sub-trace with ``t0 <= timestamp < t1``, sharing the pool.
-
-        Message timestamps are non-decreasing in every generated/parsed
-        trace, so the window bounds come from a bisect on the timestamp
-        column; the result is a standalone trace (its own rebased bound
-        columns over sliced per-prefix columns) that replays through
-        :meth:`iter_batches` like any other.
-        """
-        start = bisect_left(self.msg_time, t0)
-        stop = bisect_left(self.msg_time, t1)
-        return self.slice(start, stop)
 
     def slice(self, start: int, stop: int) -> "ColumnarTrace":
         """The sub-trace over the message index window [start, stop)."""

@@ -1,9 +1,6 @@
-"""mmap-backed on-disk layout for columnar traces.
+"""On-disk layout for columnar traces: the sealed ingest segment.
 
-The trace cache's pickled columnar blobs already restore at array speed, but
-a pickle is all-or-nothing: loading one month trace reads (and memcpys)
-every column, even when the consumer only wants a time window.  This module
-stores a :class:`~repro.traces.columnar.ColumnarTrace` as::
+This module stores a :class:`~repro.traces.columnar.ColumnarTrace` as::
 
     magic | u32 store version | u64 header length | u64 total file length
           | u32 header CRC32 | pickled header | segments
@@ -11,35 +8,25 @@ stores a :class:`~repro.traces.columnar.ColumnarTrace` as::
 where the header is a small dict — columnar format version, the ``extras``
 dict, one ``(name, typecode, offset, nbytes)`` descriptor per column and a
 ``checksums`` map of per-column CRC32s — and the segments are the raw
-column buffers back to back.  Reload is ``mmap`` +
-:meth:`array.array.frombytes` per column, *on demand*:
+column buffers of :meth:`~repro.traces.columnar.ColumnarTrace.to_payload`
+back to back.  A store has one way in: :meth:`ColumnarTraceFile.load` (or
+:func:`read_trace`), ``mmap`` plus one :meth:`array.array.frombytes` per
+column, every column read in full and checked.
 
-* :meth:`ColumnarTraceFile.load` materialises every column (a full trace,
-  equivalent to unpickling the blob but without the pickle layer);
-* :meth:`ColumnarTraceFile.window` bisects the timestamp column through a
-  lazy mmap view (touching O(log n) elements, not the whole segment) and
-  then copies only the window's byte ranges out of each column — a partial
-  load of a month trace that never reads the tail of the file;
-* :attr:`ColumnarTraceFile.bytes_read` counts the segment bytes actually
-  materialised, which is how the tests and benchmarks assert that a window
-  load reads less than the full blob.
+**Integrity.**  Opening a file verifies the total-length field against the
+actual file size (catching truncation and torn writes without reading a
+single segment) and the header CRC; loading verifies every column's CRC32.
+A failed check raises the typed :class:`CorruptColumnStoreError`.  A file
+of any other store version raises it too: v2 predates the ingest segments,
+so no v1 store was ever written by them.
 
-**Integrity.**  Store v2 is self-checking: opening a file verifies the
-total-length field against the actual file size (catching truncation and
-torn writes immediately, without reading a single segment) and the header
-CRC; every *full* column materialisation verifies that column's CRC32.  A
-failed check raises the typed :class:`CorruptColumnStoreError`, which the
-cache layer treats as a miss — quarantine, rebuild, log once.  Partial
-(windowed) segment reads are not re-checksummed — that would force reading
-the whole column and defeat the windowed load — so a window is covered by
-the open-time truncation check plus the full verification of the pool
-tables it always materialises.  v1 files (no checksums) remain readable;
-they simply skip verification.
+Buffers are written in native byte order: the store is a format for the
+machine that wrote it, not an interchange format.  The columnar format
+version is checked on open, so a stale file raises.
 
-Buffers are written in native byte order, like the pickled ``array`` blobs
-they replace; the store is a cache format for the machine that wrote it,
-not an interchange format.  The columnar format version is checked on open,
-so a stale file raises (and the cache layer treats that as a miss).
+The same module owns :class:`SegmentAppendLog`, the CRC-framed append log
+behind the ingest daemon's open segment; the trace cache writes each entry
+as one frame of it.
 """
 
 from __future__ import annotations
@@ -50,16 +37,13 @@ import pickle
 import struct
 import zlib
 from array import array
-from bisect import bisect_left
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.traces.columnar import (
     COLUMNAR_FORMAT_VERSION,
     POOL_COLUMNS,
     TRACE_COLUMNS,
     ColumnarTrace,
-    InternPool,
-    _rebased,
 )
 
 __all__ = [
@@ -78,17 +62,17 @@ _MAGIC = b"RPROCOLS"
 STORE_VERSION = 2
 
 _VERSION = struct.Struct("<I")
-_V1_LENGTHS = struct.Struct("<Q")  # header length (legacy v1 tail)
-_V2_LENGTHS = struct.Struct("<QQI")  # header length, total length, header crc
+_LENGTHS = struct.Struct("<QQI")  # header length, total length, header crc
 
 
 class CorruptColumnStoreError(ValueError):
-    """A ``.cols`` file failed an integrity check (truncation, bit flips,
-    an unparseable or checksum-mismatched header or column).
+    """A ``.cols`` file, or a trace-cache frame, failed an integrity check
+    (truncation, bit flips, an unparseable or checksum-mismatched header or
+    column, an unknown layout version).
 
     Distinct from a plain stale-version :class:`ValueError` so the cache
-    layer can *quarantine* provably-damaged blobs while silently rebuilding
-    merely outdated ones.
+    layer can *quarantine* provably-damaged entries while silently
+    rebuilding merely outdated ones.
     """
 
 
@@ -102,16 +86,13 @@ def _fault_hook(site: str, key: str):
     return injector.fire(site, key=key)
 
 
-def write_trace(path: str, trace: ColumnarTrace, store_version: int = STORE_VERSION) -> None:
+def write_trace(path: str, trace: ColumnarTrace) -> None:
     """Write a trace in the column-store layout (header + raw segments).
 
-    The caller owns atomicity (the trace cache writes to a temp file and
+    The caller owns atomicity (the segment writer writes to a temp file and
     renames); this function just streams the buffers, so writing never holds
-    a second copy of the columns.  ``store_version=1`` writes the legacy
-    checksum-less layout — only the back-compat tests want that.
+    a second copy of the columns.
     """
-    if store_version not in (1, STORE_VERSION):
-        raise ValueError(f"cannot write store layout v{store_version}")
     payload = trace.to_payload()
     segments: List[Tuple[str, str, int, int]] = []
     buffers: List[bytes] = []
@@ -129,99 +110,53 @@ def write_trace(path: str, trace: ColumnarTrace, store_version: int = STORE_VERS
         checksums[name] = zlib.crc32(buffer)
         buffers.append(buffer)
         offset += len(buffer)
-    header_dict = {
-        "format": COLUMNAR_FORMAT_VERSION,
-        "extras": payload["extras"],
-        "segments": segments,
-    }
-    if store_version >= 2:
-        header_dict["checksums"] = checksums
-    header = pickle.dumps(header_dict, protocol=pickle.HIGHEST_PROTOCOL)
+    header = pickle.dumps(
+        {
+            "format": COLUMNAR_FORMAT_VERSION,
+            "extras": payload["extras"],
+            "segments": segments,
+            "checksums": checksums,
+        },
+        protocol=pickle.HIGHEST_PROTOCOL,
+    )
+    total_length = len(_MAGIC) + _VERSION.size + _LENGTHS.size + len(header) + offset
     # repro: allow(durability-ordering): atomicity is the caller's contract —
-    # trace_cache wraps write_trace in write_atomic and hands it a temp path.
+    # the segment writer wraps write_trace in write_atomic and hands it a
+    # temp path.
     with open(path, "wb") as handle:
         handle.write(_MAGIC)
-        handle.write(_VERSION.pack(store_version))
-        if store_version == 1:
-            handle.write(_V1_LENGTHS.pack(len(header)))
-        else:
-            total_length = (
-                len(_MAGIC)
-                + _VERSION.size
-                + _V2_LENGTHS.size
-                + len(header)
-                + offset
-            )
-            handle.write(
-                _V2_LENGTHS.pack(len(header), total_length, zlib.crc32(header))
-            )
+        handle.write(_VERSION.pack(STORE_VERSION))
+        handle.write(_LENGTHS.pack(len(header), total_length, zlib.crc32(header)))
         handle.write(header)
         for buffer in buffers:
             handle.write(buffer)
 
 
-class _LazyColumn:
-    """A read-only sequence view of one on-disk column segment.
-
-    Indexing unpacks a single element straight from the mmap, so a bisect
-    over a month-long timestamp column touches O(log n) pages instead of
-    materialising the segment.
-    """
-
-    __slots__ = ("_mm", "_offset", "_item", "_length")
-
-    def __init__(self, mm: mmap.mmap, offset: int, typecode: str, nbytes: int) -> None:
-        self._mm = mm
-        self._offset = offset
-        self._item = struct.Struct("=" + typecode)
-        self._length = nbytes // self._item.size
-
-    def __len__(self) -> int:
-        return self._length
-
-    def __getitem__(self, index: int):
-        if index < 0:
-            index += self._length
-        if not 0 <= index < self._length:
-            raise IndexError(index)
-        return self._item.unpack_from(self._mm, self._offset + index * self._item.size)[0]
-
-
 class ColumnarTraceFile:
-    """An open column-store file; loads columns (or windows of them) lazily."""
+    """An open column-store file; :meth:`load` materialises the trace."""
 
     def __init__(self, path: str) -> None:
         self.path = path
         _fault_hook("store.open", os.path.basename(path))
         self._handle = open(path, "rb")
         try:
-            prefix = self._handle.read(len(_MAGIC) + _VERSION.size)
-            if len(prefix) < len(_MAGIC) + _VERSION.size:
-                raise CorruptColumnStoreError(f"{path}: truncated store prefix")
+            fixed_size = len(_MAGIC) + _VERSION.size + _LENGTHS.size
+            prefix = self._handle.read(fixed_size)
             if prefix[: len(_MAGIC)] != _MAGIC:
                 raise CorruptColumnStoreError(f"{path}: not a columnar store file")
-            (store_version,) = _VERSION.unpack(prefix[len(_MAGIC) :])
-            if store_version == 1:
-                lengths = self._handle.read(_V1_LENGTHS.size)
-                if len(lengths) < _V1_LENGTHS.size:
-                    raise CorruptColumnStoreError(f"{path}: truncated store prefix")
-                (header_length,) = _V1_LENGTHS.unpack(lengths)
-                total_length = None
-                header_crc = None
-                fixed_size = len(_MAGIC) + _VERSION.size + _V1_LENGTHS.size
-            elif store_version == STORE_VERSION:
-                lengths = self._handle.read(_V2_LENGTHS.size)
-                if len(lengths) < _V2_LENGTHS.size:
-                    raise CorruptColumnStoreError(f"{path}: truncated store prefix")
-                header_length, total_length, header_crc = _V2_LENGTHS.unpack(lengths)
-                fixed_size = len(_MAGIC) + _VERSION.size + _V2_LENGTHS.size
-            else:
-                raise ValueError(
-                    f"{path}: store layout v{store_version}, running code "
-                    f"expects v{STORE_VERSION}"
+            if len(prefix) < fixed_size:
+                raise CorruptColumnStoreError(f"{path}: truncated store prefix")
+            (version,) = _VERSION.unpack_from(prefix, len(_MAGIC))
+            if version != STORE_VERSION:
+                raise CorruptColumnStoreError(
+                    f"{path}: store layout v{version}, running code "
+                    f"reads only v{STORE_VERSION}"
                 )
+            header_length, total_length, header_crc = _LENGTHS.unpack_from(
+                prefix, len(_MAGIC) + _VERSION.size
+            )
             file_size = os.fstat(self._handle.fileno()).st_size
-            if total_length is not None and file_size != total_length:
+            if file_size != total_length:
                 raise CorruptColumnStoreError(
                     f"{path}: file is {file_size} bytes but the header "
                     f"records {total_length} — truncated or torn write"
@@ -229,7 +164,7 @@ class ColumnarTraceFile:
             header_bytes = self._handle.read(header_length)
             if len(header_bytes) < header_length:
                 raise CorruptColumnStoreError(f"{path}: truncated header")
-            if header_crc is not None and zlib.crc32(header_bytes) != header_crc:
+            if zlib.crc32(header_bytes) != header_crc:
                 raise CorruptColumnStoreError(f"{path}: header checksum mismatch")
             try:
                 header = pickle.loads(header_bytes)
@@ -238,8 +173,7 @@ class ColumnarTraceFile:
                     for name, typecode, offset, nbytes in header["segments"]
                 }
                 format_version = header["format"]
-            except CorruptColumnStoreError:
-                raise
+                self._checksums: Dict[str, int] = header["checksums"]
             except Exception as error:
                 raise CorruptColumnStoreError(
                     f"{path}: unreadable header ({error!r})"
@@ -250,7 +184,6 @@ class ColumnarTraceFile:
                     f"code expects v{COLUMNAR_FORMAT_VERSION}"
                 )
             self._extras: Dict[int, tuple] = header["extras"]
-            self._checksums: Dict[str, int] = header.get("checksums") or {}
             self._base = fixed_size + header_length
             self._segments: Dict[str, Tuple[str, int, int]] = segments
             for name, (_, offset, nbytes) in segments.items():
@@ -262,10 +195,6 @@ class ColumnarTraceFile:
         except Exception:
             self._handle.close()
             raise
-        #: Segment bytes materialised so far (full or partial column copies).
-        self.bytes_read = 0
-        self._pool: Optional[InternPool] = None
-        self._verified: set = set()
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -281,122 +210,42 @@ class ColumnarTraceFile:
         self.close()
 
     @property
-    def file_size(self) -> int:
-        """Total size of the store file in bytes."""
-        return len(self._mm)
-
-    @property
     def message_count(self) -> int:
         """Number of messages in the stored trace (no column materialised)."""
         typecode, _, nbytes = self._segments["msg_time"]
         return nbytes // array(typecode).itemsize
 
-    # -- column access ------------------------------------------------------
-
-    def _column(self, name: str, low: int = 0, high: Optional[int] = None) -> array:
-        """Materialise the element range [low, high) of one column.
-
-        A *full* materialisation of a checksummed (v2) column verifies its
-        CRC32 — once per column per open file — and raises
-        :class:`CorruptColumnStoreError` on mismatch.  Partial ranges skip
-        the check (verifying would read the whole segment, defeating the
-        windowed load); truncation is still caught at open time by the
-        total-length field.
-        """
-        _fault_hook("store.read", os.path.basename(self.path))
-        typecode, offset, nbytes = self._segments[name]
-        column = array(typecode)
-        itemsize = column.itemsize
-        start = offset + low * itemsize
-        stop = offset + nbytes if high is None else offset + high * itemsize
-        stop = min(stop, offset + nbytes)
-        start = min(start, stop)
-        buffer = self._mm[self._base + start : self._base + stop]
-        self.bytes_read += len(buffer)
-        if (
-            len(buffer) == nbytes
-            and name in self._checksums
-            and name not in self._verified
-        ):
-            if zlib.crc32(buffer) != self._checksums[name]:
-                raise CorruptColumnStoreError(
-                    f"{self.path}: column {name!r} checksum mismatch "
-                    f"(corrupt segment)"
-                )
-            self._verified.add(name)
-        column.frombytes(buffer)
-        return column
-
-    def _lazy_column(self, name: str) -> _LazyColumn:
-        typecode, offset, nbytes = self._segments[name]
-        return _LazyColumn(self._mm, self._base + offset, typecode, nbytes)
-
-    def pool(self) -> InternPool:
-        """The interning tables (materialised once; small next to the stream)."""
-        if self._pool is None:
-            self._pool = InternPool.from_payload(
-                {name: self._column(f"pool.{name}").tobytes() for name, _ in POOL_COLUMNS}
-            )
-        return self._pool
-
     # -- loads --------------------------------------------------------------
 
+    def _segment(self, name: str) -> bytes:
+        """One column's raw buffer, verified against its CRC32.
+
+        Raises :class:`CorruptColumnStoreError` on a mismatch.
+        """
+        _fault_hook("store.read", os.path.basename(self.path))
+        _, offset, nbytes = self._segments[name]
+        buffer = self._mm[self._base + offset : self._base + offset + nbytes]
+        if zlib.crc32(buffer) != self._checksums[name]:
+            raise CorruptColumnStoreError(
+                f"{self.path}: column {name!r} checksum mismatch (corrupt segment)"
+            )
+        return buffer
+
     def load(self) -> ColumnarTrace:
-        """Materialise the full trace (every column, one memcpy each).
+        """Materialise the full trace through
+        :meth:`~repro.traces.columnar.ColumnarTrace.from_payload`.
 
-        Every column is read in full, so on a v2 file a successful
-        :meth:`load` implies every segment passed its CRC32 — the property
-        the cache layer relies on to detect a flipped byte anywhere in the
-        blob.
+        Every column is read in full and passes its CRC32, so a successful
+        :meth:`load` implies no byte of the file is flipped.
         """
-        trace = ColumnarTrace.__new__(ColumnarTrace)
-        trace.pool = self.pool()
-        for name, _ in TRACE_COLUMNS:
-            setattr(trace, name, self._column(name))
-        trace.extras = dict(self._extras)
-        trace._announcement_cache = {}
-        return trace
-
-    def window(self, t0: float, t1: float) -> ColumnarTrace:
-        """Load only the messages with ``t0 <= timestamp < t1``.
-
-        The bisect runs over a lazy mmap view of the timestamp column, so
-        locating the window reads O(log n) elements; materialisation then
-        copies just the window's byte ranges out of each column (plus the
-        interning tables, which every load shares and which are fully
-        CRC-verified on a v2 file).
-        """
-        times = self._lazy_column("msg_time")
-        return self.slice(bisect_left(times, t0), bisect_left(times, t1))
-
-    def slice(self, start: int, stop: int) -> ColumnarTrace:
-        """Load the sub-trace over the message index window [start, stop)."""
-        total = self.message_count
-        start = max(0, min(start, total))
-        stop = max(start, min(stop, total))
-        wd_end = self._lazy_column("wd_end")
-        ann_end = self._lazy_column("ann_end")
-        w_low = wd_end[start - 1] if start else 0
-        a_low = ann_end[start - 1] if start else 0
-        w_high = wd_end[stop - 1] if stop else 0
-        a_high = ann_end[stop - 1] if stop else 0
-        trace = ColumnarTrace.__new__(ColumnarTrace)
-        trace.pool = self.pool()
-        trace.msg_time = self._column("msg_time", start, stop)
-        trace.msg_peer = self._column("msg_peer", start, stop)
-        trace.msg_kind = self._column("msg_kind", start, stop)
-        trace.wd_end = _rebased(self._column("wd_end", start, stop), w_low)
-        trace.ann_end = _rebased(self._column("ann_end", start, stop), a_low)
-        trace.wd_prefix = self._column("wd_prefix", w_low, w_high)
-        trace.ann_prefix = self._column("ann_prefix", a_low, a_high)
-        trace.ann_attr = self._column("ann_attr", a_low, a_high)
-        trace.extras = {
-            index - start: extra
-            for index, extra in self._extras.items()
-            if start <= index < stop
+        payload = {
+            "format": COLUMNAR_FORMAT_VERSION,
+            "pool": {name: self._segment(f"pool.{name}") for name, _ in POOL_COLUMNS},
+            "extras": self._extras,
         }
-        trace._announcement_cache = {}
-        return trace
+        for name, _ in TRACE_COLUMNS:
+            payload[name] = self._segment(name)
+        return ColumnarTrace.from_payload(payload)
 
 
 def read_trace(path: str) -> ColumnarTrace:

@@ -14,9 +14,8 @@ the classic ``bgpdump -m`` one-line output, which keeps it human greppable.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, List, Optional, Sequence, Union
+from typing import IO, Iterable, Iterator, List, Optional, Union
 
 from repro.bgp.attributes import ASPath, PathAttributes
 from repro.bgp.messages import BGPMessage, Notification, Update
@@ -25,12 +24,12 @@ from repro.traces.columnar import ColumnarTrace, InternPool
 from repro.traces.validation import TraceValidationError, ValidationReport
 
 __all__ = [
+    "RowParser",
     "TraceReader",
     "TraceRecord",
     "TraceWriter",
     "messages_to_records",
     "records_to_columnar",
-    "records_to_messages",
 ]
 
 _VALID_TYPES = ("A", "W", "R", "S")
@@ -141,29 +140,19 @@ class TraceReader:
         self._source = source
         self._report = report
 
-    def __iter__(self) -> Iterator[TraceRecord]:
+    def _lines(self) -> Iterator[str]:
         if isinstance(self._source, str):
             with open(self._source, "r", encoding="utf-8") as handle:
-                yield from self._iter_handle(handle)
+                yield from handle
         else:
-            yield from self._iter_handle(self._source)
+            yield from self._source
 
-    def _iter_handle(self, handle: IO[str]) -> Iterator[TraceRecord]:
+    def __iter__(self) -> Iterator[TraceRecord]:
         report = self._report
-        for line in handle:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if report is None:
-                yield TraceRecord.from_line(line)
-                continue
-            report.checked += 1
-            try:
-                yield TraceRecord.from_line(line)
-            except TraceValidationError as error:
-                if not report.lenient:
-                    raise
-                report.note(error)
+        for text in self._lines():
+            record = RowParser.read_line(text, report)
+            if record is not None:
+                yield record
 
     def read_all(self) -> List[TraceRecord]:
         """Materialise every record in a list."""
@@ -176,13 +165,110 @@ class TraceReader:
     ) -> ColumnarTrace:
         """Parse the whole dump straight into columns.
 
-        Streams records through :func:`records_to_columnar` — the file is
-        read line by line and at no point does an object-form message list
-        exist, which is how month-scale dumps should be loaded for replay.
-        ``report`` governs record-level validation (distinct from the
-        reader's own line-level report).
+        The file is read line by line through one :class:`RowParser`, so at
+        no point does an object-form message list exist — which is how
+        month-scale dumps should be loaded for replay.  ``report`` governs
+        record-level validation (distinct from the reader's own line-level
+        report); without one, the first bad record raises.
         """
-        return records_to_columnar(iter(self), pool=pool, report=report)
+        parser = RowParser(report if report is not None else ValidationReport())
+        trace = ColumnarTrace(pool=pool)
+        for text in self._lines():
+            parser.add_line(trace, text, self._report)
+        return trace
+
+
+class RowParser:
+    """The one text → row step: dump lines to records, records to columns.
+
+    ``W`` becomes a withdrawal UPDATE row, ``A``/``R`` an announcement row,
+    ``S`` a NOTIFICATION row; prefixes, AS paths and attribute sets are
+    interned in the trace's pool.  Records with a non-positive peer AS or a
+    timestamp running backwards are flagged into ``report`` (lenient by
+    default: counted and skipped).
+
+    The parser works one line (or record) at a time and carries the
+    monotonicity watermark (``previous_time``) across calls — and, through
+    the ingest manifest, across flushes, segments and daemon restarts.
+    Feeding the same lines through it in any grouping therefore produces
+    exactly the rows one pass over the whole stream would: the invariant
+    behind the live-tail / offline replay parity guarantee.  Every reader
+    of the format goes through it: :meth:`TraceReader.read_columnar`, the
+    ingest daemon's segment writer and the read-only open-tail rebuild.
+    """
+
+    def __init__(
+        self,
+        report: Optional[ValidationReport] = None,
+        previous_time: Optional[float] = None,
+    ) -> None:
+        self.report = report if report is not None else ValidationReport(lenient=True)
+        self.previous_time = previous_time
+        # Records repeat (path, peer) pairs heavily; interning the
+        # constructed attribute objects keeps the pool's value-keyed dedup
+        # from rebuilding an identical PathAttributes per record.
+        self._attributes_of: dict = {}
+
+    @staticmethod
+    def read_line(text: str, report: Optional[ValidationReport]) -> Optional[TraceRecord]:
+        """One dump line to a record; ``None`` for blanks, comments and
+        malformed lines a lenient ``report`` noted (no report: raise)."""
+        line = text.strip()
+        if not line or line.startswith("#"):
+            return None
+        if report is None:
+            return TraceRecord.from_line(line)
+        report.checked += 1
+        try:
+            return TraceRecord.from_line(line)
+        except TraceValidationError as error:
+            if not report.lenient:
+                raise
+            report.note(error)
+            return None
+
+    def add_line(
+        self, trace: ColumnarTrace, text: str, line_report: Optional[ValidationReport]
+    ) -> bool:
+        """Parse one dump line into ``trace``; False if it added no row."""
+        record = self.read_line(text, line_report)
+        return record is not None and self.append(trace, record)
+
+    def append(self, trace: ColumnarTrace, record: TraceRecord) -> bool:
+        """Append one record to ``trace``; False if validation skipped it."""
+        report = self.report
+        report.checked += 1
+        if record.peer_as < 1:
+            report.flag(
+                "invalid-peer", f"record {report.checked}: peer AS {record.peer_as}"
+            )
+            return False
+        if self.previous_time is not None and record.timestamp < self.previous_time:
+            report.flag(
+                "non-monotone-timestamp",
+                f"record {report.checked}: {record.timestamp} after "
+                f"{self.previous_time}",
+            )
+            return False
+        self.previous_time = record.timestamp
+        if record.type == "W":
+            assert record.prefix is not None
+            trace.withdraw(record.timestamp, record.peer_as, record.prefix)
+        elif record.type in ("A", "R"):
+            assert record.prefix is not None and record.as_path is not None
+            key = (record.as_path.asns, record.peer_as)
+            attributes = self._attributes_of.get(key)
+            if attributes is None:
+                attributes = self._attributes_of[key] = PathAttributes(
+                    as_path=record.as_path,
+                    next_hop=record.as_path.first_hop or record.peer_as,
+                )
+            trace.announce(record.timestamp, record.peer_as, record.prefix, attributes)
+        elif record.type == "S":
+            trace.append(
+                Notification(timestamp=record.timestamp, peer_as=record.peer_as)
+            )
+        return True
 
 
 def messages_to_records(messages: Iterable[BGPMessage]) -> List[TraceRecord]:
@@ -225,85 +311,13 @@ def records_to_columnar(
 ) -> ColumnarTrace:
     """Parse trace records into a columnar stream (one prefix per message).
 
-    Mirrors :func:`records_to_messages` — ``W`` becomes a withdrawal UPDATE
-    row, ``A``/``R`` an announcement row, ``S`` a NOTIFICATION row — but
-    writes columns directly: prefixes, AS paths and attribute sets are
-    interned in the pool and the per-message state is a handful of array
-    appends, so a dump parses into replayable form without building the
-    object stream.
-
-    Records with a non-positive peer AS or a timestamp running backwards
-    raise :class:`~repro.traces.validation.TraceValidationError`; pass a
-    lenient ``report`` to count-and-skip them instead.
+    One :class:`RowParser` pass.  Records with a non-positive peer AS or a
+    timestamp running backwards raise
+    :class:`~repro.traces.validation.TraceValidationError`; pass a lenient
+    ``report`` to count-and-skip them instead.
     """
-    if report is None:
-        report = ValidationReport()
+    parser = RowParser(report if report is not None else ValidationReport())
     trace = ColumnarTrace(pool=pool)
-    # Records repeat (path, peer) pairs heavily; interning the constructed
-    # attribute objects here keeps the pool's value-keyed dedup from
-    # rebuilding an identical PathAttributes per record.
-    attributes_of: dict = {}
-    previous_time: Optional[float] = None
     for record in records:
-        report.checked += 1
-        if record.peer_as < 1:
-            report.flag(
-                "invalid-peer", f"record {report.checked}: peer AS {record.peer_as}"
-            )
-            continue
-        if previous_time is not None and record.timestamp < previous_time:
-            report.flag(
-                "non-monotone-timestamp",
-                f"record {report.checked}: {record.timestamp} after {previous_time}",
-            )
-            continue
-        previous_time = record.timestamp
-        if record.type == "W":
-            assert record.prefix is not None
-            trace.withdraw(record.timestamp, record.peer_as, record.prefix)
-        elif record.type in ("A", "R"):
-            assert record.prefix is not None and record.as_path is not None
-            key = (record.as_path.asns, record.peer_as)
-            attributes = attributes_of.get(key)
-            if attributes is None:
-                attributes = attributes_of[key] = PathAttributes(
-                    as_path=record.as_path,
-                    next_hop=record.as_path.first_hop or record.peer_as,
-                )
-            trace.announce(record.timestamp, record.peer_as, record.prefix, attributes)
-        elif record.type == "S":
-            trace.append(
-                Notification(timestamp=record.timestamp, peer_as=record.peer_as)
-            )
+        parser.append(trace, record)
     return trace
-
-
-def records_to_messages(records: Iterable[TraceRecord]) -> List[BGPMessage]:
-    """Convert trace records back into BGP messages (one prefix per message).
-
-    RIB-dump records (type ``R``) are converted into announcements so a
-    session can be pre-loaded by replaying them before the updates.
-    """
-    messages: List[BGPMessage] = []
-    for record in records:
-        if record.type == "W":
-            assert record.prefix is not None
-            messages.append(
-                Update.withdraw(record.timestamp, record.peer_as, record.prefix)
-            )
-        elif record.type in ("A", "R"):
-            assert record.prefix is not None and record.as_path is not None
-            attributes = PathAttributes(
-                as_path=record.as_path,
-                next_hop=record.as_path.first_hop or record.peer_as,
-            )
-            messages.append(
-                Update.announce(
-                    record.timestamp, record.peer_as, record.prefix, attributes
-                )
-            )
-        elif record.type == "S":
-            messages.append(
-                Notification(timestamp=record.timestamp, peer_as=record.peer_as)
-            )
-    return messages

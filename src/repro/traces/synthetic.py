@@ -62,7 +62,6 @@ __all__ = [
     "SyntheticTraceGenerator",
     "SyntheticTraceStream",
     "cached_columnar_stream",
-    "cached_columnar_stream_file",
     "cached_trace",
 ]
 
@@ -681,41 +680,46 @@ class ColumnarSyntheticTrace(SyntheticTrace):
 
 
 def _encode_trace(trace: SyntheticTrace) -> dict:
-    """Encode an eager trace as a columnar payload (see ``cached_trace``)."""
-    pool = InternPool()
-    intern_prefix = pool.intern_prefix
-    burst_columns = ColumnarTrace(pool=pool)
+    """Encode an eager trace as a columnar payload (see ``cached_trace``).
+
+    Bursts and every session's background stream share one
+    :class:`ColumnarTrace` (and so one pool, which also interns the RIBs);
+    the payload holds its :meth:`~ColumnarTrace.to_payload` buffers plus
+    row ranges into it.
+    """
+    columns = ColumnarTrace()
+    intern_prefix = columns.pool.intern_prefix
     burst_rows = []
     for burst in trace.bursts:
-        start = burst_columns.message_count
-        burst_columns.extend(burst.messages)
+        start = columns.message_count
+        columns.extend(burst.messages)
         burst_rows.append(
             (
                 burst.peer,
                 burst.start_time,
                 burst.failed_link,
                 start,
-                burst_columns.message_count,
+                columns.message_count,
                 array("I", map(intern_prefix, burst.withdrawn_prefixes)),
                 array("I", map(intern_prefix, burst.updated_prefixes)),
                 array("I", map(intern_prefix, burst.noise_prefixes)),
                 burst.popular,
             )
         )
-    background = {
-        peer_as: ColumnarTrace.from_messages(messages, pool=pool)
-        for peer_as, messages in trace.background.items()
-        if messages
-    }
+    background = {}
+    for peer_as, messages in trace.background.items():
+        if messages:
+            start = columns.message_count
+            columns.extend(messages)
+            background[peer_as] = (start, columns.message_count)
     ribs = {
-        peer.peer_as: encode_rib(trace.rib_of(peer.peer_as), pool)
+        peer.peer_as: encode_rib(trace.rib_of(peer.peer_as), columns.pool)
         for peer in trace.peers
     }
     return {
         "config": trace.config,
         "peers": trace.peers,
-        "pool": pool,
-        "bursts_trace": burst_columns,
+        "columns": columns.to_payload(),
         "bursts": burst_rows,
         "background": background,
         "ribs": ribs,
@@ -724,9 +728,8 @@ def _encode_trace(trace: SyntheticTrace) -> dict:
 
 def _decode_trace(payload: dict) -> ColumnarSyntheticTrace:
     """Rebuild a (lazy) trace from its columnar payload."""
-    pool: InternPool = payload["pool"]
-    burst_columns: ColumnarTrace = payload["bursts_trace"]
-    prefix_at = pool.prefix_at
+    columns = ColumnarTrace.from_payload(payload["columns"])
+    prefix_at = columns.pool.prefix_at
     bursts: List[SyntheticBurst] = []
     for (
         peer,
@@ -745,7 +748,7 @@ def _decode_trace(payload: dict) -> ColumnarSyntheticTrace:
                 start_time=start_time,
                 failed_link=failed_link,
                 messages=ColumnarMessageView(
-                    burst_columns, range(message_start, message_stop)
+                    columns, range(message_start, message_stop)
                 ),
                 withdrawn_prefixes=frozenset(map(prefix_at, withdrawn)),
                 updated_prefixes=frozenset(map(prefix_at, updated)),
@@ -754,14 +757,15 @@ def _decode_trace(payload: dict) -> ColumnarSyntheticTrace:
             )
         )
     background = {
-        peer_as: columns.view() for peer_as, columns in payload["background"].items()
+        peer_as: columns.view(range(start, stop))
+        for peer_as, (start, stop) in payload["background"].items()
     }
     return ColumnarSyntheticTrace(
         config=payload["config"],
         peers=payload["peers"],
         bursts=bursts,
         background=background,
-        pool=pool,
+        pool=columns.pool,
         rib_columns=payload["ribs"],
     )
 
@@ -797,39 +801,21 @@ def cached_columnar_stream(
 ) -> ColumnarTrace:
     """The full columnar message stream of one session, memoised on disk.
 
-    The natural input of the month-replay drivers.  Entries live in the
-    mmap-backed column-store layout (header + raw column segments, see
-    :mod:`repro.traces.columnar_store`), so a reload is ``mmap`` plus one
-    ``frombytes`` per column and replay consumes
-    :meth:`~repro.traces.columnar.ColumnarTrace.iter_batches` without ever
-    materialising the object stream.  For partial (time-window) loads of
-    the same entry, use :func:`cached_columnar_stream_file`.
+    The natural input of the month-replay drivers.  The entry is the
+    stream's :meth:`~repro.traces.columnar.ColumnarTrace.to_payload`
+    buffers, so a reload is one ``frombytes`` per column and replay
+    consumes :meth:`~repro.traces.columnar.ColumnarTrace.iter_batches`
+    without ever materialising the object stream.
     """
-    from repro.traces.trace_cache import fingerprint, load_or_build_columnar
+    from repro.traces.trace_cache import fingerprint, load_or_build
 
-    return load_or_build_columnar(
+    return load_or_build(
         "stream",
         f"{fingerprint(config)}|peer={peer_as}",
         lambda: SyntheticTraceGenerator(config).stream().columnar_messages(peer_as),
         format_version=COLUMNAR_FORMAT_VERSION,
-    )
-
-
-def cached_columnar_stream_file(config: SyntheticTraceConfig, peer_as: int):
-    """Open one session's cached stream for on-demand (windowed) loads.
-
-    Returns a :class:`~repro.traces.columnar_store.ColumnarTraceFile` —
-    ``window(t0, t1)`` loads a time slice of the month without reading the
-    rest of the file — or ``None`` when caching is disabled; the entry is
-    generated and persisted first if missing.
-    """
-    from repro.traces.trace_cache import fingerprint, open_columnar
-
-    return open_columnar(
-        "stream",
-        f"{fingerprint(config)}|peer={peer_as}",
-        lambda: SyntheticTraceGenerator(config).stream().columnar_messages(peer_as),
-        format_version=COLUMNAR_FORMAT_VERSION,
+        encode=ColumnarTrace.to_payload,
+        decode=ColumnarTrace.from_payload,
     )
 
 

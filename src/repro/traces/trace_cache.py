@@ -10,8 +10,7 @@ Cache keys are *hardened* on two axes:
 
 * every key embeds the global :data:`CACHE_VERSION` **and** the caller's
   per-format ``format_version`` (e.g. the columnar schema version), so
-  entries written by older code — in particular the pre-columnar
-  pickled-object-graph traces — are never even opened: a version bump
+  entries written by older code are never even opened: a version bump
   changes the file name and the stale entry simply stops being referenced
   (migration is transparent: the value is rebuilt and re-cached under the
   new key);
@@ -19,28 +18,28 @@ Cache keys are *hardened* on two axes:
   fields*, so changing a default changes the key even for callers that
   never passed the field explicitly.
 
-Values may be persisted through an ``encode``/``decode`` pair — this is how
-trace payloads are stored as columnar array blobs
-(:mod:`repro.traces.columnar`) instead of pickled object graphs.  Plain
-:class:`~repro.traces.columnar.ColumnarTrace` values go further:
-:func:`load_or_build_columnar` stores them in the mmap-backed column-store
-layout (``.cols``, see :mod:`repro.traces.columnar_store`) and
-:func:`open_columnar` serves partial time-window loads straight off that
-file.  As a last line of defence, columnar blobs embed their own format
-version and refuse to restore across versions; the resulting exception is
-treated as a miss, so a stale entry can never be half-loaded.
+Every entry has one layout: a single frame of the ingest append log
+(:class:`~repro.traces.columnar_store.SegmentAppendLog` — ``u32 length |
+u32 CRC32 | pickle``) holding ``encode(value)``.  Callers pass the
+encode/decode pair that turns their value into plain buffers and back —
+:meth:`~repro.traces.columnar.ColumnarTrace.to_payload` /
+:meth:`~repro.traces.columnar.ColumnarTrace.from_payload` for a stream,
+payload dicts of the same buffers for a trace or a corpus — so a hit is a
+CRC check, an unpickle of a few large ``bytes`` objects and one
+``frombytes`` per column, never an object-graph restore.
 
 The cache lives in ``.trace_cache/`` at the repository root by default;
 set ``REPRO_TRACE_CACHE`` to relocate it or ``REPRO_TRACE_CACHE=off`` to
 disable caching entirely (every load then falls through to the builder).
-Corrupt or unreadable cache files are treated as misses and rebuilt;
-provably-damaged column-store blobs (a failed CRC or truncation check —
-:class:`~repro.traces.columnar_store.CorruptColumnStoreError`) are
-additionally **quarantined**: the bad blob is renamed to ``<entry>.corrupt``
-for post-mortem, a warning is logged once per entry, and the value is
-rebuilt under the original name.  Writes ``fsync`` the temp file before the
-rename (and the directory after), so a crash mid-write can leave at most an
-unreferenced temp file — never a torn blob under the final name.
+A payload that refuses to decode (a columnar format-version mismatch) is a
+plain miss and rebuilt.  An entry that fails its frame check — a flipped
+byte anywhere, truncation, a torn write, a frame that does not unpickle —
+is additionally **quarantined**: the bad entry is renamed to
+``<entry>.corrupt`` for post-mortem, a warning is logged once per entry,
+and the value is rebuilt under the original name.  Writes ``fsync`` the
+temp file before the rename (and the directory after), so a crash
+mid-write can leave at most an unreferenced temp file — never a torn entry
+under the final name.
 """
 
 from __future__ import annotations
@@ -50,12 +49,11 @@ import enum
 import hashlib
 import logging
 import os
-import pickle
 import re
-import tempfile
 import time
 from typing import Any, Callable, Optional
 
+from repro.traces.columnar_store import CorruptColumnStoreError, SegmentAppendLog
 from repro.util.atomic import write_atomic
 
 logger = logging.getLogger(__name__)
@@ -65,14 +63,13 @@ __all__ = [
     "clear_cache",
     "fingerprint",
     "load_or_build",
-    "load_or_build_columnar",
-    "open_columnar",
 ]
 
 #: Bump when the generators' output for a given configuration changes, so
 #: stale entries from older code are never served.  v5: trace payloads moved
-#: from pickled object graphs to columnar blobs.
-CACHE_VERSION = 5
+#: from pickled object graphs to columnar blobs.  v6: every entry is one
+#: CRC-checked append-log frame of plain buffers.
+CACHE_VERSION = 6
 
 _ENV_VAR = "REPRO_TRACE_CACHE"
 
@@ -149,7 +146,7 @@ def fingerprint(value: Any) -> str:
 
 
 def cache_path_for(
-    kind: str, spec: str, format_version: Optional[int] = None, suffix: str = ".pkl"
+    kind: str, spec: str, format_version: Optional[int] = None
 ) -> Optional[str]:
     """The cache file a (kind, spec) pair would use, or ``None`` if disabled.
 
@@ -158,9 +155,7 @@ def cache_path_for(
     over a bare ``repr``, so defaulted parameters are part of the key.
     ``format_version`` is the caller's on-disk format version (e.g.
     :data:`repro.traces.columnar.COLUMNAR_FORMAT_VERSION`); bumping either
-    version changes the key, so pre-bump entries miss cleanly.  ``suffix``
-    selects the storage layout: ``.pkl`` for pickled payloads, ``.cols``
-    for the mmap-backed column store.
+    version changes the key, so pre-bump entries miss cleanly.
     """
     directory = _cache_dir()
     if directory is None:
@@ -168,7 +163,7 @@ def cache_path_for(
     digest = hashlib.sha256(
         f"v{CACHE_VERSION}|f{format_version}|{kind}|{spec}".encode("utf-8")
     ).hexdigest()[:24]
-    return os.path.join(directory, f"{kind}-{digest}{suffix}")
+    return os.path.join(directory, f"{kind}-{digest}.pkl")
 
 
 #: Orphan ``.tmp`` files older than this are swept opportunistically; young
@@ -179,8 +174,8 @@ _STALE_TMP_SECONDS = 3600.0
 def _sweep_stale_tmp(directory: str, max_age_seconds: float = _STALE_TMP_SECONDS) -> int:
     """Remove orphaned temp files an interrupted writer left behind.
 
-    Called from the write path of :func:`load_or_build` (and friends) and
-    from :func:`clear_cache`, so a crash mid-write can no longer accumulate
+    Called from the write path of :func:`load_or_build` and from
+    :func:`clear_cache`, so a crash mid-write can no longer accumulate
     ``.tmp`` litter forever.  Returns the number of files removed; never
     raises — sweeping is best-effort by design.
     """
@@ -209,8 +204,8 @@ def _fault_hook(temp_path: str, final_path: str) -> None:
     Keyed by the *final* entry name (so specs can match cache entries),
     applied to the temp file: ``io_error`` specs raise (the write degrades
     to best-effort, exactly like a real filesystem error); ``corrupt``
-    specs flip a seeded byte in the about-to-be-renamed blob — the
-    torn-write damage the store checksums exist to detect.  A no-op when
+    specs flip a seeded byte in the about-to-be-renamed entry — the
+    torn-write damage the frame checksum exists to detect.  A no-op when
     the harness is idle.
     """
     from repro.testing import faults
@@ -272,22 +267,40 @@ def _quarantine(path: str, error: Exception) -> None:
         )
 
 
+def _read_entry(path: str) -> Any:
+    """The payload of a cache entry: exactly one valid frame, nothing after.
+
+    Raises :class:`~repro.traces.columnar_store.CorruptColumnStoreError`
+    when the frame is missing, torn, checksum-mismatched or unpicklable.
+    """
+    payloads, valid_end = SegmentAppendLog.scan(path)
+    if len(payloads) != 1 or valid_end != os.path.getsize(path):
+        raise CorruptColumnStoreError(f"{path}: damaged cache frame")
+    return payloads[0]
+
+
+def _write_entry(temp_path: str, payload: Any) -> None:
+    with SegmentAppendLog(temp_path) as log:
+        log.append(payload)
+        log.sync()
+
+
 def load_or_build(
     kind: str,
     spec: str,
     builder: Callable[[], Any],
-    format_version: Optional[int] = None,
-    encode: Optional[Callable[[Any], Any]] = None,
-    decode: Optional[Callable[[Any], Any]] = None,
+    format_version: Optional[int],
+    encode: Callable[[Any], Any],
+    decode: Callable[[Any], Any],
 ) -> Any:
     """Return the memoised value for (kind, spec), building it on a miss.
 
-    When ``encode``/``decode`` are given, the cache persists
-    ``encode(value)`` (e.g. a columnar array payload) and returns
-    ``decode(payload)`` on a hit; a miss returns the freshly built value
-    directly.  Any failure to read, decode or write — including a columnar
-    blob refusing to restore across format versions — silently degrades to
-    ``builder()``: stale or corrupt entries are never half-loaded.
+    The cache persists ``encode(value)`` and returns ``decode(payload)`` on
+    a hit; a miss returns the freshly built value directly.  A damaged
+    entry is quarantined and rebuilt; any other failure to read, decode or
+    write — including a payload refusing to restore across format
+    versions — silently degrades to ``builder()``: stale or corrupt entries
+    are never half-loaded.
 
     The write is atomic (temp file + rename) so concurrent test sessions
     never observe a half-written entry.
@@ -295,113 +308,19 @@ def load_or_build(
     path = cache_path_for(kind, spec, format_version=format_version)
     if path is not None and os.path.exists(path):
         try:
-            with open(path, "rb") as handle:
-                payload = pickle.load(handle)
-            return decode(payload) if decode is not None else payload
-        except Exception:
-            pass  # corrupt / incompatible cache entry: rebuild below
-    value = builder()
-    if path is not None:
-        try:
-            payload = encode(value) if encode is not None else value
-
-            def write(temp_path: str) -> None:
-                with open(temp_path, "wb") as handle:
-                    pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
-
-            _write_atomic(path, write)
-        except Exception:
-            pass  # read-only filesystem etc.: caching is best-effort
-    return value
-
-
-def load_or_build_columnar(
-    kind: str,
-    spec: str,
-    builder: Callable[[], Any],
-    format_version: Optional[int] = None,
-) -> Any:
-    """Memoise a :class:`~repro.traces.columnar.ColumnarTrace` on disk.
-
-    Like :func:`load_or_build`, but the entry is stored in the mmap-backed
-    column-store layout (``.cols``: header + raw column segments, see
-    :mod:`repro.traces.columnar_store`) instead of a pickle, so a hit is
-    ``mmap`` + per-column ``frombytes`` and :func:`open_columnar` can serve
-    partial time-window loads of the same entry without reading the whole
-    file.  A blob failing the store's integrity checks (CRC mismatch,
-    truncation) is a cache miss: it is quarantined to ``<entry>.corrupt``,
-    a warning is logged once, and the value is rebuilt.
-    """
-    from repro.traces import columnar_store
-
-    path = cache_path_for(kind, spec, format_version=format_version, suffix=".cols")
-    if path is not None and os.path.exists(path):
-        try:
-            return columnar_store.read_trace(path)
-        except columnar_store.CorruptColumnStoreError as error:
+            return decode(_read_entry(path))
+        except CorruptColumnStoreError as error:
             _quarantine(path, error)
         except Exception:
             pass  # stale-format entry: rebuild below
     value = builder()
     if path is not None:
         try:
-            _write_atomic(path, lambda temp: columnar_store.write_trace(temp, value))
+            payload = encode(value)
+            _write_atomic(path, lambda temp_path: _write_entry(temp_path, payload))
         except Exception:
             pass  # read-only filesystem etc.: caching is best-effort
     return value
-
-
-def open_columnar(
-    kind: str,
-    spec: str,
-    builder: Callable[[], Any],
-    format_version: Optional[int] = None,
-):
-    """Open a column-store cache entry for on-demand (windowed) loads.
-
-    Returns a :class:`~repro.traces.columnar_store.ColumnarTraceFile` whose
-    :meth:`~repro.traces.columnar_store.ColumnarTraceFile.window` /
-    :meth:`~repro.traces.columnar_store.ColumnarTraceFile.load` read only
-    the byte ranges they need, or ``None`` when caching is disabled or the
-    cache directory is unwritable (the caller falls back to ``builder()``
-    in memory).  Writability is probed *before* building, so a minutes-long
-    generation is never spent on a value that could not be persisted.  A
-    missing or stale entry is built and persisted first, exactly as in
-    :func:`load_or_build_columnar` — including the quarantine-and-rebuild
-    handling of blobs that fail the store's integrity checks.
-    """
-    from repro.traces import columnar_store
-
-    path = cache_path_for(kind, spec, format_version=format_version, suffix=".cols")
-    if path is None:
-        return None
-    if os.path.exists(path):
-        try:
-            return columnar_store.ColumnarTraceFile(path)
-        except columnar_store.CorruptColumnStoreError as error:
-            _quarantine(path, error)
-        except Exception:
-            pass  # stale-format entry: rebuild below
-    if not _directory_writable(os.path.dirname(path)):
-        return None
-    value = builder()
-    try:
-        _write_atomic(path, lambda temp: columnar_store.write_trace(temp, value))
-        return columnar_store.ColumnarTraceFile(path)
-    except Exception:
-        return None  # the filesystem turned read-only mid-build etc.
-
-
-def _directory_writable(directory: str) -> bool:
-    """Probe whether a cache directory can take a new entry."""
-    try:
-        os.makedirs(directory, exist_ok=True)
-        fd, probe = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        os.close(fd)
-        os.unlink(probe)
-        return True
-    except OSError:
-        return False
 
 
 def clear_cache() -> int:
@@ -411,7 +330,7 @@ def clear_cache() -> int:
         return 0
     removed = 0
     for name in os.listdir(directory):
-        if name.endswith((".pkl", ".cols", ".tmp", ".corrupt")):
+        if name.endswith((".pkl", ".tmp", ".corrupt")):
             try:
                 os.unlink(os.path.join(directory, name))
                 removed += 1

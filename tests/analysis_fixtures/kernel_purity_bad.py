@@ -6,5 +6,5 @@ Loaded masquerading as ``src/repro/core/fit_score.py``.
 import numpy
 
 
-def window_total(counts):
+def total_of(counts):
     return int(numpy.sum(counts))

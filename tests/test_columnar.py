@@ -15,6 +15,7 @@ The contracts under test:
   reference exactly (and capacity-limited policies fall back to it).
 """
 
+import os
 import pickle
 import random
 
@@ -31,6 +32,7 @@ from repro.core.encoding import EncoderConfig
 from repro.core.history import TriggeringSchedule
 from repro.core.inference import InferenceConfig, InferenceEngine
 from repro.traces import trace_cache
+from repro.traces.columnar_store import SegmentAppendLog
 from repro.traces.columnar import (
     COLUMNAR_FORMAT_VERSION,
     ColumnarMessageView,
@@ -40,9 +42,12 @@ from repro.traces.columnar import (
     encode_rib,
 )
 from repro.traces.mrt import TraceReader, TraceWriter, messages_to_records, records_to_columnar
+from repro.experiments.common import cached_corpus
 from repro.traces.synthetic import (
+    ColumnarSyntheticTrace,
     SyntheticTraceConfig,
     SyntheticTraceGenerator,
+    cached_trace,
 )
 
 
@@ -99,9 +104,10 @@ class TestColumnarRoundTrip:
     def test_round_trip_survives_pickling(self):
         messages = _mixed_stream()
         blob = pickle.dumps(
-            ColumnarTrace.from_messages(messages), protocol=pickle.HIGHEST_PROTOCOL
+            ColumnarTrace.from_messages(messages).to_payload(),
+            protocol=pickle.HIGHEST_PROTOCOL,
         )
-        assert pickle.loads(blob).to_messages() == messages
+        assert ColumnarTrace.from_payload(pickle.loads(blob)).to_messages() == messages
 
     def test_interning_shares_materialised_objects(self):
         messages = _mixed_stream()
@@ -128,12 +134,10 @@ class TestColumnarRoundTrip:
         assert view.last_timestamp == messages[-1].timestamp
 
     def test_format_version_mismatch_refuses_to_restore(self):
-        trace = ColumnarTrace.from_messages(_mixed_stream())
-        state = list(trace.__getstate__())
-        state[0] = COLUMNAR_FORMAT_VERSION + 1
-        stale = ColumnarTrace.__new__(ColumnarTrace)
+        payload = ColumnarTrace.from_messages(_mixed_stream()).to_payload()
+        payload["format"] = COLUMNAR_FORMAT_VERSION + 1
         with pytest.raises(ValueError):
-            stale.__setstate__(tuple(state))
+            ColumnarTrace.from_payload(payload)
 
     def test_communities_at_on_fresh_pool(self):
         """Regression: entry 0 (the empty set) must not shift later entries."""
@@ -403,6 +407,10 @@ class TestSwiftedColumnarParity:
         assert checked > 0
 
 
+def _same(value):
+    return value
+
+
 class TestTraceCacheHardening:
     def test_cache_version_bump_misses_cleanly(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))
@@ -412,13 +420,16 @@ class TestTraceCacheHardening:
             builds.append(1)
             return {"value": len(builds)}
 
-        first = trace_cache.load_or_build("unit", "spec", builder)
-        again = trace_cache.load_or_build("unit", "spec", builder)
+        def load():
+            return trace_cache.load_or_build("unit", "spec", builder, None, _same, _same)
+
+        first = load()
+        again = load()
         assert first == again == {"value": 1}
         assert len(builds) == 1
 
         monkeypatch.setattr(trace_cache, "CACHE_VERSION", trace_cache.CACHE_VERSION + 1)
-        rebuilt = trace_cache.load_or_build("unit", "spec", builder)
+        rebuilt = load()
         assert rebuilt == {"value": 2}
         assert len(builds) == 2
 
@@ -441,6 +452,8 @@ class TestTraceCacheHardening:
             "spec",
             lambda: "fresh",
             format_version=COLUMNAR_FORMAT_VERSION,
+            encode=_same,
+            decode=_same,
         )
         assert value == "fresh"
 
@@ -449,39 +462,88 @@ class TestTraceCacheHardening:
     ):
         """A decode failure (embedded version check) degrades to a rebuild."""
         monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))
-        trace = ColumnarTrace.from_messages(_mixed_stream())
-        state = list(trace.__getstate__())
-        state[0] = COLUMNAR_FORMAT_VERSION + 1
-
-        class _StalePayload:
-            def __reduce__(self):
-                return (_restore_stale, (tuple(state),))
-
+        payload = ColumnarTrace.from_messages(_mixed_stream()).to_payload()
+        payload["format"] = COLUMNAR_FORMAT_VERSION + 1
         path = trace_cache.cache_path_for(
             "unit", "stale", format_version=COLUMNAR_FORMAT_VERSION
         )
-        with open(path, "wb") as handle:
-            pickle.dump(_StalePayload(), handle)
+        with SegmentAppendLog(path) as log:
+            log.append(payload)
+            log.sync()
         value = trace_cache.load_or_build(
             "unit",
             "stale",
             lambda: "rebuilt",
             format_version=COLUMNAR_FORMAT_VERSION,
-            decode=lambda payload: payload,
+            encode=_same,
+            decode=ColumnarTrace.from_payload,
         )
         assert value == "rebuilt"
+        assert not os.path.exists(path + ".corrupt"), "stale is not corrupt"
+
+    def test_cached_corpus_and_trace_reload_like_their_generation(
+        self, tmp_path, monkeypatch
+    ):
+        """A hit decodes to what the miss generated: the corpus's bursts,
+        RIBs and ground truth, and the trace's bursts, background and RIBs."""
+        monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))
+
+        def corpus_view(corpus):
+            return [
+                (b.peer_as, list(b.messages), b.rib, b.withdrawn_prefixes, b.failed_link)
+                for b in corpus
+            ]
+
+        kwargs = dict(
+            peer_count=3,
+            duration_days=6,
+            min_table_size=2000,
+            max_table_size=4000,
+            min_burst_size=200,
+            seed=5,
+        )
+        generated = cached_corpus(**kwargs)
+        assert generated
+        assert corpus_view(cached_corpus(**kwargs)) == corpus_view(generated)
+
+        def trace_view(trace):
+            return (
+                [
+                    (
+                        b.peer,
+                        b.start_time,
+                        b.failed_link,
+                        list(b.messages),
+                        b.withdrawn_prefixes,
+                        b.updated_prefixes,
+                        b.noise_prefixes,
+                        b.popular,
+                    )
+                    for b in trace.bursts
+                ],
+                {peer: list(m) for peer, m in trace.background.items() if m},
+                {peer.peer_as: trace.rib_of(peer.peer_as) for peer in trace.peers},
+            )
+
+        config = SyntheticTraceConfig(
+            peer_count=3,
+            duration_days=6.0,
+            min_table_size=2000,
+            max_table_size=4000,
+            noise_rate_per_second=0.01,
+            seed=5,
+        )
+        fresh = cached_trace(config)
+        assert fresh.bursts
+        reloaded = cached_trace(config)
+        assert isinstance(reloaded, ColumnarSyntheticTrace)
+        assert trace_view(reloaded) == trace_view(fresh)
 
     def test_fingerprint_includes_defaults(self):
         base = SyntheticTraceConfig()
         tweaked = SyntheticTraceConfig(reannounce_delay=301.0)
         assert trace_cache.fingerprint(base) != trace_cache.fingerprint(tweaked)
         assert "reannounce_delay" in trace_cache.fingerprint(base)
-
-
-def _restore_stale(state):
-    stale = ColumnarTrace.__new__(ColumnarTrace)
-    stale.__setstate__(state)  # raises ValueError: version mismatch
-    return stale
 
 
 class TestGroupedBackupParity:

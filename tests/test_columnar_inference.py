@@ -55,15 +55,15 @@ def job_matrix(tmp_path_factory):
     """(cold jobs, warm jobs) over a private trace cache.
 
     The first build generates every stream into columns; the second runs
-    against the now-populated cache, so its payloads come off the ``.cols``
-    mmap store — the warm half of the matrix.
+    against the now-populated cache, so its payloads come off the cached
+    entries — the warm half of the matrix.
     """
     previous = os.environ.get("REPRO_TRACE_CACHE")
     cache_dir = str(tmp_path_factory.mktemp("columnar_matrix_cache"))
     os.environ["REPRO_TRACE_CACHE"] = cache_dir
     try:
         cold = build_session_jobs(_CORPUS)
-        assert any(name.endswith(".cols") for name in os.listdir(cache_dir))
+        assert any(name.startswith("stream-") for name in os.listdir(cache_dir))
         warm = build_session_jobs(_CORPUS)
         return cold, warm
     finally:

@@ -1,37 +1,36 @@
-"""Raw-buffer payloads, time windows and the mmap column store.
+"""Raw-buffer payloads, slices and the column store.
 
 The contracts under test:
 
 * ``to_payload()`` exports nothing but primitives (``bytes`` buffers,
   the format version, the tiny extras dict) and ``from_payload()`` rebuilds
-  an identical trace — the fleet driver's inter-process transport;
-* ``window(t0, t1)`` / ``slice(start, stop)`` produce standalone traces
-  (rebased bound columns, shared pool) equal to filtering the message
-  stream by timestamp;
-* the column store writes header + raw segments, reloads via mmap +
-  ``frombytes``, serves identical full loads and windows — and a window
-  load materialises strictly fewer bytes than the file holds;
-* the trace cache's ``.cols`` layout round-trips through
-  ``load_or_build_columnar`` / ``open_columnar`` and rebuilds cleanly from
-  a corrupt entry.
+  an identical trace — the fleet driver's inter-process transport and the
+  trace cache's entry body;
+* ``slice(start, stop)`` produces standalone traces (rebased bound columns,
+  shared pool) equal to slicing the message stream;
+* the column store writes header + raw segments and reloads them via mmap
+  + ``frombytes`` into an identical trace;
+* ``cached_columnar_stream`` memoises a stream as one cache entry and
+  rebuilds cleanly from a corrupt one.
 """
 
 import os
 import pickle
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.bgp.attributes import ASPath, Community, Origin, PathAttributes
 from repro.bgp.messages import KeepAlive, Notification, OpenMessage, Update
 from repro.bgp.prefix import prefix_block
-from repro.traces.columnar import ColumnarTrace
+from repro.traces.columnar import ColumnarTrace, InternPool
 from repro.traces.columnar_store import ColumnarTraceFile, read_trace, write_trace
-from repro.traces.trace_cache import load_or_build_columnar, open_columnar
+from repro.traces.trace_cache import load_or_build
 from repro.traces.synthetic import (
     SyntheticTraceConfig,
     SyntheticTraceGenerator,
     cached_columnar_stream,
-    cached_columnar_stream_file,
 )
 
 
@@ -116,51 +115,47 @@ class TestPayloads:
         assert restored.pool.prefix_count == before
 
 
-class TestWindows:
-    @pytest.mark.parametrize("bounds", [(10.0, 30.0), (0.0, 1.0), (60.0, 200.0)])
-    def test_window_matches_timestamp_filter(self, trace, messages, bounds):
-        t0, t1 = bounds
-        expected = [m for m in messages if t0 <= m.timestamp < t1]
-        window = trace.window(t0, t1)
-        assert window.to_messages() == expected
-        assert window.message_count == len(expected)
+class TestSlices:
+    @pytest.mark.parametrize("bounds", [(10, 40), (0, 1), (100, 200)])
+    def test_slice_matches_message_slice(self, trace, messages, bounds):
+        start, stop = bounds
+        expected = messages[start:stop]
+        sliced = trace.slice(start, stop)
+        assert sliced.to_messages() == expected
+        assert sliced.message_count == len(expected)
 
-    def test_window_is_replayable_standalone(self, trace):
-        window = trace.window(10.0, 30.0)
-        runs = list(window.iter_batches())
-        assert sum(len(run) for run in runs) == window.message_count
-        assert window.withdrawal_total == sum(run.withdrawal_count() for run in runs)
+    def test_slice_is_replayable_standalone(self, trace):
+        sliced = trace.slice(10, 40)
+        runs = list(sliced.iter_batches())
+        assert sum(len(run) for run in runs) == sliced.message_count
+        assert sliced.withdrawal_total == sum(run.withdrawal_count() for run in runs)
 
-    def test_window_shares_the_pool(self, trace):
-        assert trace.window(10.0, 30.0).pool is trace.pool
+    def test_slice_shares_the_pool(self, trace):
+        assert trace.slice(10, 40).pool is trace.pool
 
-    def test_empty_and_full_windows(self, trace, messages):
-        assert trace.window(1000.0, 2000.0).to_messages() == []
-        assert trace.window(0.0, 1e9).to_messages() == messages
+    def test_empty_and_full_slices(self, trace, messages):
+        assert trace.slice(500, 600).to_messages() == []
+        assert trace.slice(0, len(messages)).to_messages() == messages
 
     def test_slice_clamps_out_of_range_indices(self, trace, messages):
         assert trace.slice(-5, 10 ** 9).to_messages() == messages
 
-    def test_window_keeps_extras(self, trace):
-        tail = trace.window(69.0, 100.0)
+    def test_slice_keeps_extras(self, trace, messages):
+        tail = trace.slice(len(messages) - 2, len(messages))
         kinds = [type(m).__name__ for m in tail.to_messages()]
         assert kinds == ["KeepAlive", "Notification"]
         notification = tail.to_messages()[-1]
         assert notification.reason == "shutdown"
 
 
-class TestWindowEdgeCases:
-    """`window(t0, t1)` / `slice()` degenerate bounds, in memory and on disk.
-
-    Every case must yield a *well-formed* (possibly empty) trace — rebased
-    bound columns, replayable through `iter_batches()` — rather than a
-    bisect surprise; the on-disk `ColumnarTraceFile` must agree with the
-    in-memory form bound for bound.
-    """
+class TestSliceEdgeCases:
+    """`slice()` degenerate bounds: every case must yield a *well-formed*
+    (possibly empty) trace — rebased bound columns, replayable through
+    `iter_batches()` — equal to slicing the message list."""
 
     @pytest.fixture(scope="class")
     def dup_trace(self):
-        """A small trace with *repeated* timestamps on the boundaries."""
+        """A small trace with *repeated* timestamps."""
         from repro.bgp.attributes import ASPath as _ASPath, PathAttributes as _PA
         from repro.bgp.prefix import Prefix as _Prefix
 
@@ -173,69 +168,31 @@ class TestWindowEdgeCases:
             trace.withdraw(timestamp, 2, prefix)
         return trace
 
-    @pytest.fixture(scope="class")
-    def dup_store(self, dup_trace, tmp_path_factory):
-        path = str(tmp_path_factory.mktemp("edge") / "dup.cols")
-        write_trace(path, dup_trace)
-        with ColumnarTraceFile(path) as store:
-            yield store
-
     @pytest.mark.parametrize(
         "bounds",
-        [
-            (3.0, 1.0),        # t0 > t1
-            (2.5, 2.5),        # empty window, t0 == t1
-            (1.0, 3.0),        # both boundaries exactly on (repeated) stamps
-            (5.0, 6.0),        # t0 on the UPDATE-kind switchover
-            (100.0, 200.0),    # entirely past the end of the stream
-            (-10.0, -5.0),     # entirely before the start
-            (-10.0, 100.0),    # superset of the stream
-            (6.0, 100.0),      # t0 exactly on the last timestamp
-        ],
+        [(7, 3), (-5, 3), (4, 4), (7, 9), (5, 10 ** 9), (10 ** 6, 10 ** 6 + 5)],
     )
-    def test_degenerate_bounds_match_timestamp_filter(
-        self, dup_trace, dup_store, bounds
-    ):
-        t0, t1 = bounds
-        expected = [m for m in dup_trace.to_messages() if t0 <= m.timestamp < t1]
-        for loaded in (dup_trace.window(t0, t1), dup_store.window(t0, t1)):
-            assert loaded.to_messages() == expected
-            assert loaded.message_count == len(expected)
-            # Well-formed: rebased bounds line up with the per-prefix columns
-            # and the window replays standalone.
-            assert (loaded.wd_end[-1] if len(loaded.wd_end) else 0) == len(
-                loaded.wd_prefix
-            )
-            assert (loaded.ann_end[-1] if len(loaded.ann_end) else 0) == len(
-                loaded.ann_prefix
-            )
-            runs = list(loaded.iter_batches())
-            assert sum(len(run) for run in runs) == len(expected)
+    def test_degenerate_bounds_match_list_slicing(self, dup_trace, bounds):
+        start, stop = bounds
+        expected = dup_trace.to_messages()[max(start, 0) : stop]
+        loaded = dup_trace.slice(start, stop)
+        assert loaded.to_messages() == expected
+        assert loaded.message_count == len(expected)
+        # Well-formed: rebased bounds line up with the per-prefix columns
+        # and the slice replays standalone.
+        assert (loaded.wd_end[-1] if len(loaded.wd_end) else 0) == len(
+            loaded.wd_prefix
+        )
+        assert (loaded.ann_end[-1] if len(loaded.ann_end) else 0) == len(
+            loaded.ann_prefix
+        )
+        runs = list(loaded.iter_batches())
+        assert sum(len(run) for run in runs) == len(expected)
 
-    def test_reversed_and_out_of_range_slices(self, dup_trace, dup_store):
-        for start, stop in [(7, 3), (-5, 3), (5, 10 ** 9), (10 ** 6, 10 ** 6 + 5)]:
-            in_memory = dup_trace.slice(start, stop)
-            on_disk = dup_store.slice(start, stop)
-            assert in_memory.to_messages() == on_disk.to_messages()
-
-    def test_empty_trace_windows(self, tmp_path):
+    def test_empty_trace_slices(self):
         empty = ColumnarTrace()
-        path = str(tmp_path / "empty.cols")
-        write_trace(path, empty)
-        with ColumnarTraceFile(path) as store:
-            for t0, t1 in [(0.0, 1.0), (1.0, 0.0), (5.0, 5.0)]:
-                assert empty.window(t0, t1).to_messages() == []
-                assert store.window(t0, t1).to_messages() == []
-            assert store.message_count == 0
-
-    def test_empty_window_reads_no_prefix_segments(self, dup_store):
-        dup_store.pool()  # the interning tables are shared by every load
-        before = dup_store.bytes_read
-        loaded = dup_store.window(100.0, 200.0)
-        assert loaded.message_count == 0
-        # Locating and loading an empty window must not materialise any
-        # per-prefix column bytes (the pool may already be cached).
-        assert dup_store.bytes_read - before == 0
+        for start, stop in [(0, 1), (1, 0), (5, 5)]:
+            assert empty.slice(start, stop).to_messages() == []
 
 
 class TestColumnStore:
@@ -244,26 +201,33 @@ class TestColumnStore:
         write_trace(path, trace)
         assert read_trace(path).to_messages() == messages
 
-    def test_window_load_matches_in_memory_window(self, tmp_path, trace):
-        path = str(tmp_path / "trace.cols")
-        write_trace(path, trace)
+    def test_empty_trace_round_trips(self, tmp_path):
+        path = str(tmp_path / "empty.cols")
+        write_trace(path, ColumnarTrace())
         with ColumnarTraceFile(path) as store:
-            loaded = store.window(10.0, 30.0)
-            assert loaded.to_messages() == trace.window(10.0, 30.0).to_messages()
+            assert store.message_count == 0
+            assert store.load().to_messages() == []
 
-    def test_window_load_reads_less_than_the_blob(self, tmp_path, trace):
-        path = str(tmp_path / "trace.cols")
-        write_trace(path, trace)
-        with ColumnarTraceFile(path) as store:
-            store.window(10.0, 30.0)
-            assert 0 < store.bytes_read < store.file_size
-
-    def test_message_count_reads_no_segment(self, tmp_path, trace):
+    def test_message_count_matches(self, tmp_path, trace):
         path = str(tmp_path / "trace.cols")
         write_trace(path, trace)
         with ColumnarTraceFile(path) as store:
             assert store.message_count == trace.message_count
-            assert store.bytes_read == 0
+
+    def test_slice_round_trips(self, tmp_path, trace, messages):
+        # A slice's rebased bound columns and re-indexed extras are what the
+        # store writes; reading them back must give the same messages.
+        path = str(tmp_path / "slice.cols")
+        write_trace(path, trace.slice(10, len(messages)))
+        assert read_trace(path).to_messages() == messages[10:]
+
+    def test_loaded_trace_outlives_the_store(self, tmp_path, trace, messages):
+        path = str(tmp_path / "trace.cols")
+        write_trace(path, trace)
+        with ColumnarTraceFile(path) as store:
+            loaded = store.load()
+        os.unlink(path)
+        assert loaded.to_messages() == messages
 
     def test_not_a_store_file_raises(self, tmp_path):
         path = tmp_path / "bogus.cols"
@@ -279,43 +243,9 @@ class TestColumnarCacheLayout:
         monkeypatch.setenv("REPRO_TRACE_CACHE", str(directory))
         return directory
 
-    def test_load_or_build_columnar_hits_after_miss(self, cache_dir, trace, messages):
-        builds = []
-
-        def build():
-            builds.append(1)
-            return trace
-
-        first = load_or_build_columnar("stream", "spec", build, format_version=1)
-        second = load_or_build_columnar("stream", "spec", build, format_version=1)
-        assert builds == [1]
-        assert first.to_messages() == messages
-        assert second.to_messages() == messages
-        names = os.listdir(cache_dir)
-        assert len(names) == 1 and names[0].endswith(".cols")
-
-    def test_corrupt_cols_entry_rebuilds(self, cache_dir, trace, messages):
-        load_or_build_columnar("stream", "spec", lambda: trace, format_version=1)
-        (entry,) = cache_dir.iterdir()
-        entry.write_bytes(b"garbage")
-        rebuilt = load_or_build_columnar("stream", "spec", lambda: trace, format_version=1)
-        assert rebuilt.to_messages() == messages
-
-    def test_open_columnar_serves_windows(self, cache_dir, trace):
-        store = open_columnar("stream", "spec", lambda: trace, format_version=1)
-        try:
-            window = store.window(10.0, 30.0)
-            assert window.to_messages() == trace.window(10.0, 30.0).to_messages()
-            assert store.bytes_read < store.file_size
-        finally:
-            store.close()
-
-    def test_open_columnar_disabled_cache_returns_none(self, monkeypatch, trace):
-        monkeypatch.setenv("REPRO_TRACE_CACHE", "off")
-        assert open_columnar("stream", "spec", lambda: trace) is None
-
-    def test_cached_columnar_stream_roundtrip(self, cache_dir):
-        config = SyntheticTraceConfig(
+    @pytest.fixture
+    def config(self):
+        return SyntheticTraceConfig(
             peer_count=2,
             duration_days=1.0,
             min_table_size=400,
@@ -323,18 +253,122 @@ class TestColumnarCacheLayout:
             noise_rate_per_second=0.02,
             seed=23,
         )
+
+    def test_cached_columnar_stream_roundtrip(self, cache_dir, config):
         peer_as = SyntheticTraceGenerator(config).stream().peers[0].peer_as
         generated = cached_columnar_stream(config, peer_as)  # miss: generates
-        reloaded = cached_columnar_stream(config, peer_as)  # hit: mmap load
+        reloaded = cached_columnar_stream(config, peer_as)  # hit: frame load
         assert reloaded.to_messages() == generated.to_messages()
+        names = os.listdir(cache_dir)
+        assert len(names) == 1 and names[0].endswith(".pkl")
 
-        store = cached_columnar_stream_file(config, peer_as)
-        try:
-            first, last = generated.first_timestamp, generated.last_timestamp
-            midpoint = (first + last) / 2.0
-            window = store.window(first, midpoint)
-            assert window.to_messages() == generated.window(first, midpoint).to_messages()
-            assert 0 < window.message_count < generated.message_count
-            assert store.bytes_read < store.file_size
-        finally:
-            store.close()
+    def test_hit_does_not_regenerate(self, cache_dir, config, monkeypatch):
+        peer_as = SyntheticTraceGenerator(config).stream().peers[0].peer_as
+        generated = cached_columnar_stream(config, peer_as)
+
+        def regenerate(*args, **kwargs):
+            pytest.fail("a cache hit must not run the generator")
+
+        monkeypatch.setattr(SyntheticTraceGenerator, "stream", regenerate)
+        assert cached_columnar_stream(config, peer_as).to_messages() == (
+            generated.to_messages()
+        )
+
+    def test_corrupt_entry_rebuilds(self, cache_dir, config):
+        peer_as = SyntheticTraceGenerator(config).stream().peers[0].peer_as
+        generated = cached_columnar_stream(config, peer_as)
+        (entry,) = cache_dir.iterdir()
+        entry.write_bytes(b"garbage")
+        rebuilt = cached_columnar_stream(config, peer_as)
+        assert rebuilt.to_messages() == generated.to_messages()
+
+
+# -- one serialisation: every durable form is the payload ----------------------
+
+_PREFIXES = prefix_block("10.0.0.0/24", 8)
+
+_ATTRIBUTES = st.builds(
+    PathAttributes,
+    as_path=st.lists(st.integers(1, 9), min_size=1, max_size=4).map(ASPath),
+    next_hop=st.integers(1, 9),
+    local_pref=st.sampled_from([100, 200]),
+    med=st.sampled_from([0, 17]),
+    origin=st.sampled_from(list(Origin)),
+    communities=st.frozensets(
+        st.builds(Community, st.just(2), st.integers(0, 3)), max_size=2
+    ),
+)
+
+_MESSAGE = st.one_of(
+    st.builds(
+        Update.announce,
+        st.floats(0, 1e6),
+        st.integers(1, 9),
+        st.sampled_from(_PREFIXES),
+        _ATTRIBUTES,
+    ),
+    st.builds(
+        Update.withdraw, st.floats(0, 1e6), st.integers(1, 9), st.sampled_from(_PREFIXES)
+    ),
+    st.builds(
+        Notification,
+        st.floats(0, 1e6),
+        st.integers(1, 9),
+        error_code=st.integers(1, 6),
+        error_subcode=st.integers(0, 3),
+        reason=st.sampled_from(["", "reset"]),
+    ),
+    st.builds(KeepAlive, st.floats(0, 1e6), st.integers(1, 9)),
+)
+
+
+@st.composite
+def _traces(draw):
+    """One to three traces (any may be empty), some sharing one pool."""
+    shared = InternPool()
+    traces = []
+    for _ in range(draw(st.integers(1, 3))):
+        pool = shared if draw(st.booleans()) else None
+        traces.append(
+            ColumnarTrace.from_messages(draw(st.lists(_MESSAGE, max_size=12)), pool=pool)
+        )
+    return traces
+
+
+class TestOneSerialisation:
+    """A trace's three durable forms all give back its messages: the raw
+    payload, the column store and a trace-cache entry (miss, then hit)."""
+
+    @settings(
+        max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    @given(traces=_traces())
+    def test_every_round_trip_gives_back_the_messages(self, traces):
+        with tempfile.TemporaryDirectory() as directory, pytest.MonkeyPatch.context() as patch:
+            patch.setenv("REPRO_TRACE_CACHE", os.path.join(directory, "cache"))
+            for index, trace in enumerate(traces):
+                expected = trace.to_messages()
+                payload = pickle.loads(pickle.dumps(trace.to_payload()))
+                assert ColumnarTrace.from_payload(payload).to_messages() == expected
+
+                path = os.path.join(directory, f"trace-{index}.cols")
+                write_trace(path, trace)
+                assert read_trace(path).to_messages() == expected
+
+                builds = []
+
+                def build(trace=trace):
+                    builds.append(1)
+                    return trace
+
+                for _ in range(2):
+                    cached = load_or_build(
+                        "stream",
+                        f"property-{index}",
+                        build,
+                        format_version=1,
+                        encode=ColumnarTrace.to_payload,
+                        decode=ColumnarTrace.from_payload,
+                    )
+                    assert cached.to_messages() == expected
+                assert builds == [1], "the second load must be a hit"

@@ -228,9 +228,9 @@ class TestGracefulDegradation:
 
 
 class TestStoreIntegrity:
-    def _write(self, path, store_version=columnar_store.STORE_VERSION):
+    def _write(self, path):
         trace = _make_trace(11)
-        columnar_store.write_trace(path, trace, store_version=store_version)
+        columnar_store.write_trace(path, trace)
         return trace
 
     def test_flipped_column_byte_fails_the_crc(self, tmp_path):
@@ -255,11 +255,25 @@ class TestStoreIntegrity:
         with pytest.raises(columnar_store.CorruptColumnStoreError, match="truncated"):
             columnar_store.ColumnarTraceFile(path)
 
-    def test_v1_blob_still_readable(self, tmp_path):
+    def test_v1_blob_is_rejected(self, tmp_path):
+        # v2 predates the ingest segments, so a v1 layout can only be
+        # damage (or a foreign file): it raises the typed error.
         path = str(tmp_path / "trace.cols")
-        original = self._write(path, store_version=1)
-        restored = columnar_store.read_trace(path)
-        assert restored.to_payload() == original.to_payload()
+        self._write(path)
+        with open(path, "r+b") as handle:
+            handle.seek(8)  # the u32 store version after the magic
+            handle.write((1).to_bytes(4, "little"))
+        with pytest.raises(columnar_store.CorruptColumnStoreError, match="v1"):
+            columnar_store.read_trace(path)
+
+    def test_newer_store_version_is_rejected(self, tmp_path):
+        path = str(tmp_path / "trace.cols")
+        self._write(path)
+        with open(path, "r+b") as handle:
+            handle.seek(8)
+            handle.write((3).to_bytes(4, "little"))
+        with pytest.raises(columnar_store.CorruptColumnStoreError, match="v3"):
+            columnar_store.ColumnarTraceFile(path)
 
     def test_v2_round_trip_is_lossless(self, tmp_path):
         path = str(tmp_path / "trace.cols")
@@ -273,8 +287,13 @@ class TestCacheQuarantine:
             builds.append(1)
             return _make_trace(11)
 
-        return trace_cache.load_or_build_columnar(
-            "faults-test", "spec", builder, format_version=1
+        return trace_cache.load_or_build(
+            "faults-test",
+            "spec",
+            builder,
+            format_version=1,
+            encode=ColumnarTrace.to_payload,
+            decode=ColumnarTrace.from_payload,
         )
 
     def test_corrupt_blob_is_quarantined_rebuilt_and_logged_once(
@@ -284,9 +303,7 @@ class TestCacheQuarantine:
         builds = []
         first = self._load(builds)
         assert builds == [1]
-        path = trace_cache.cache_path_for(
-            "faults-test", "spec", format_version=1, suffix=".cols"
-        )
+        path = trace_cache.cache_path_for("faults-test", "spec", format_version=1)
         corrupt_file(path, offset=os.path.getsize(path) - 1)
         with caplog.at_level(logging.WARNING, logger="repro.traces.trace_cache"):
             second = self._load(builds)
@@ -302,9 +319,7 @@ class TestCacheQuarantine:
         monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "cache"))
         builds = []
         self._load(builds)
-        path = trace_cache.cache_path_for(
-            "faults-test", "spec", format_version=1, suffix=".cols"
-        )
+        path = trace_cache.cache_path_for("faults-test", "spec", format_version=1)
         with open(path, "r+b") as handle:
             handle.truncate(os.path.getsize(path) - 4)
         self._load(builds)
@@ -324,9 +339,7 @@ class TestCacheQuarantine:
         self._load(builds)
         second = self._load(builds)
         assert builds == [1, 1]
-        path = trace_cache.cache_path_for(
-            "faults-test", "spec", format_version=1, suffix=".cols"
-        )
+        path = trace_cache.cache_path_for("faults-test", "spec", format_version=1)
         assert os.path.exists(path + ".corrupt")
         assert second.to_payload() == _make_trace(11).to_payload()
         third = self._load(builds)
@@ -343,10 +356,60 @@ class TestCacheQuarantine:
         self._load(builds)
         assert builds == [1, 1], "failed writes degrade to rebuild-per-load"
         assert value.to_payload() == _make_trace(11).to_payload()
-        path = trace_cache.cache_path_for(
-            "faults-test", "spec", format_version=1, suffix=".cols"
-        )
+        path = trace_cache.cache_path_for("faults-test", "spec", format_version=1)
         assert not os.path.exists(path)
+
+
+    def test_flipped_byte_in_a_corpus_array_buffer_is_quarantined(
+        self, tmp_path, monkeypatch, caplog
+    ):
+        # A cached corpus entry holds its columns as raw array buffers; one
+        # flipped byte inside the timestamp column must fail the entry's
+        # checksum — not reload as a corpus with one wrong timestamp.
+        import functools
+        from array import array
+
+        from repro.experiments import common
+
+        monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "cache"))
+        builds = []
+
+        @functools.wraps(common.burst_corpus)
+        def counting(**kwargs):
+            builds.append(1)
+            return _burst_corpus(**kwargs)
+
+        _burst_corpus = common.burst_corpus
+        monkeypatch.setattr(common, "burst_corpus", counting)
+        kwargs = dict(
+            peer_count=3,
+            duration_days=6,
+            min_table_size=2000,
+            max_table_size=4000,
+            min_burst_size=200,
+            seed=5,
+        )
+        generated = common.cached_corpus(**kwargs)
+        assert generated and builds == [1]
+        (entry,) = (tmp_path / "cache").iterdir()
+        times = array(
+            "d", [m.timestamp for burst in generated for m in burst.messages]
+        ).tobytes()
+        data = entry.read_bytes()
+        start = data.find(times)
+        assert start >= 0, "the timestamp column is stored as one raw buffer"
+        corrupt_file(str(entry), offset=start + len(times) // 2)
+
+        with caplog.at_level(logging.WARNING, logger="repro.traces.trace_cache"):
+            reloaded = common.cached_corpus(**kwargs)
+        assert builds == [1, 1], "a damaged entry is rebuilt, not served"
+        assert os.path.exists(str(entry) + ".corrupt")
+        assert [list(burst.messages) for burst in reloaded] == [
+            list(burst.messages) for burst in generated
+        ]
+        assert any("quarantined" in r.getMessage() for r in caplog.records)
+        common.cached_corpus(**kwargs)
+        assert builds == [1, 1], "the rebuilt entry serves as a hit"
 
 
 class TestIngestionValidation:

@@ -82,6 +82,11 @@ class TestFleetParity:
         assert [r.peer_as for r in fleet.sessions] == sorted(
             r.peer_as for r in fleet.sessions
         )
+        # Every session replays every row of its stream.
+        assert {r.peer_as: r.message_count for r in sequential.sessions} == {
+            job.peer_as: ColumnarTrace.from_payload(job.payload).message_count
+            for job in jobs
+        }
 
     def test_speaker_only_fleet_matches_sequential(self, jobs):
         sequential = replay_jobs(jobs, workers=1, swifted=False)

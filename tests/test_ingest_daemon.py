@@ -24,13 +24,17 @@ Process-death recovery (the ``kill -9`` matrix) lives in
 import io
 import os
 import pickle
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.history import TriggeringSchedule
 from repro.core.inference import InferenceConfig
 from repro.core.swifted_router import SwiftConfig
 from repro.experiments.month_replay import replay_stream
+from repro.bgp.attributes import ASPath
+from repro.bgp.prefix import Prefix
 from repro.ingest import (
     IngestConfig,
     IngestDaemon,
@@ -39,11 +43,14 @@ from repro.ingest import (
     Manifest,
     SegmentWriter,
     SyntheticFeed,
+    live,
     open_tail,
+    recover_feed,
     replay_feed,
 )
 from repro.testing import faults
-from repro.traces.mrt import TraceReader
+from repro.traces.columnar_store import read_trace
+from repro.traces.mrt import RowParser, TraceReader, TraceRecord
 from repro.traces.synthetic import SyntheticTraceConfig, SyntheticTraceGenerator
 from repro.traces.validation import ValidationReport
 from repro.util.retry import RetryPolicy
@@ -215,6 +222,113 @@ def test_open_tail_participates_in_windowed_replay(tmp_path):
     offline = replay_stream(stream, rib, peer_as, collect_events=True)
     live = replay_feed(root, "tail-feed", rib, peer_as, collect_events=True)
     assert pickle.dumps(live.signature()) == pickle.dumps(offline.signature())
+
+
+# -- one parser: any grouping of the same lines gives the same rows -----------
+
+_MALFORMED = ("garbage", "A|x|2|10.0.0.0/24|2 6", "A|1.0|2||", "Z|1.0|2||", "W|1.0|2")
+
+
+@st.composite
+def _feed_lines_with_defects(draw):
+    """Dump lines mixed with blanks, comments, malformed lines, peer 0 and
+    timestamps that go backwards."""
+    lines = []
+    clock = 100.0
+    for _ in range(draw(st.integers(0, 30))):
+        kind = draw(st.sampled_from("AAWWRS_#!"))
+        if kind == "_":
+            lines.append(draw(st.sampled_from(["", "   "])))
+        elif kind == "#":
+            lines.append("# collector note")
+        elif kind == "!":
+            lines.append(draw(st.sampled_from(_MALFORMED)))
+        else:
+            clock += draw(st.sampled_from([-3.0, 0.0, 0.5, 2.0]))
+            peer = draw(st.sampled_from([0, 2, 2, 3]))
+            prefix = path = None
+            if kind != "S":
+                prefix = Prefix.from_string(f"10.0.{draw(st.integers(0, 3))}.0/24")
+            if kind in "AR":
+                path = ASPath([2, draw(st.integers(5, 7)), 6])
+            text = TraceRecord(kind, clock, peer, prefix, path).to_line()
+            lines.append(draw(st.sampled_from(["", "  "])) + text)
+    return lines
+
+
+def _counts(report):
+    return report.checked, dict(report.skipped)
+
+
+def _ingest(root, lines, flush_at, roll_at):
+    """Lines through a SegmentWriter, flushed (and rolled) at the given
+    offsets, then abandoned without a final roll — as a crash would."""
+    writer = SegmentWriter(root, "feed", Manifest.load(root))
+    for offset, line in enumerate(lines):
+        writer.add_line(offset, line)
+        if offset in flush_at:
+            writer.flush()
+        if offset in roll_at:
+            writer.roll()
+    writer.flush()
+    writer.close()
+    return writer
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+)
+@given(
+    lines=_feed_lines_with_defects(),
+    flush_at=st.sets(st.integers(0, 30)),
+    roll_at=st.sets(st.integers(0, 30), max_size=2),
+)
+def test_every_reader_parses_the_same_lines_into_the_same_rows(
+    lines, flush_at, roll_at
+):
+    line_report = ValidationReport(lenient=True)
+    record_report = ValidationReport(lenient=True)
+    text = "".join(line + "\n" for line in lines)
+    offline = TraceReader(io.StringIO(text), report=line_report).read_columnar(
+        report=record_report
+    )
+    expected = offline.to_messages()
+    counts = (_counts(line_report), _counts(record_report))
+
+    with tempfile.TemporaryDirectory() as root:
+        # The segment writer, with flushes and rolls at drawn points, and
+        # the open segment rebuilt from its log by recovery.
+        writer = _ingest(root, lines, flush_at, roll_at)
+        assert (_counts(writer.line_report), _counts(writer.parser.report)) == counts
+        manifest = Manifest.load(root)
+        recovery = recover_feed(root, "feed", manifest)
+        rebuilt = SegmentWriter(root, "feed", manifest, recovery=recovery)
+        rows = []
+        for entry in manifest.feed_state("feed")["sealed"]:
+            rows.extend(read_trace(os.path.join(root, "feed", entry["file"])).to_messages())
+        rows.extend(rebuilt.trace.to_messages())
+        rebuilt.close()
+        assert rows == expected
+
+    with tempfile.TemporaryDirectory() as root, pytest.MonkeyPatch.context() as patch:
+        # The read-only open-tail rebuild over a log holding every line.
+        made = []
+
+        class Recording(RowParser):
+            def add_line(self, trace, text, line_report):
+                made.append((self, line_report))
+                return super().add_line(trace, text, line_report)
+
+        patch.setattr(live, "RowParser", Recording)
+        _ingest(root, lines, flush_at, roll_at=())
+        assert open_tail(root, "feed").to_messages() == expected
+        if made:
+            parser, tail_line_report = made[-1]
+            assert (_counts(tail_line_report), _counts(parser.report)) == counts
+        else:
+            assert counts == ((0, {}), (0, {}))
 
 
 # -- supervision and self-healing ---------------------------------------------

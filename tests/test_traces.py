@@ -10,10 +10,18 @@ from repro.bgp.messages import Update
 from repro.bgp.prefix import Prefix
 from repro.traces.bursts import Burst, BurstExtractionConfig, BurstExtractor
 from repro.traces.collectors import all_peers, build_collector_fleet
-from repro.traces.mrt import TraceReader, TraceRecord, TraceWriter, messages_to_records, records_to_messages
+from repro.traces.columnar import ColumnarTrace
+from repro.traces.mrt import (
+    RowParser,
+    TraceReader,
+    TraceRecord,
+    TraceWriter,
+    messages_to_records,
+)
 from repro.traces.popularity import POPULAR_ORGANIZATIONS, all_popular_asns, is_popular_asn, organization_of
 from repro.traces.session_topology import SessionTopology, SessionTopologyConfig
 from repro.traces.synthetic import SyntheticTraceConfig, SyntheticTraceGenerator
+from repro.traces.validation import TraceValidationError, ValidationReport
 
 
 class TestMrtFormat:
@@ -66,10 +74,54 @@ class TestMrtFormat:
                 ),
             ),
         ]
-        records = messages_to_records(messages)
-        back = records_to_messages(records)
-        assert len(back) == 2
-        assert back[0].withdrawals and back[1].announcements
+        buffer = io.StringIO()
+        TraceWriter(buffer).write_all(messages_to_records(messages))
+        buffer.seek(0)
+        back = TraceReader(buffer).read_columnar().to_messages()
+        assert back == messages
+
+
+class TestRowParser:
+    """The one text → row step every reader of the dump format shares."""
+
+    @pytest.mark.parametrize("text", ["", "   \n", "# header", "   # indented"])
+    def test_blank_and_comment_lines_are_not_checked(self, text):
+        report = ValidationReport(lenient=True)
+        assert RowParser.read_line(text, report) is None
+        assert report.checked == 0 and report.clean
+
+    def test_lenient_report_notes_a_malformed_line(self):
+        report = ValidationReport(lenient=True)
+        assert RowParser.read_line("bad line\n", report) is None
+        assert report.checked == 1
+        assert report.skipped == {"malformed-line": 1}
+
+    def test_strict_report_raises_on_a_malformed_line(self):
+        with pytest.raises(TraceValidationError):
+            RowParser.read_line("bad line", ValidationReport(lenient=False))
+
+    def test_no_report_raises_on_a_malformed_line(self):
+        with pytest.raises(TraceValidationError):
+            RowParser.read_line("bad line", None)
+
+    def test_backwards_timestamp_and_peer_zero_are_skipped(self):
+        prefix = Prefix.from_string("10.0.0.0/24")
+        lines = [
+            TraceRecord(type="W", timestamp=5.0, peer_as=2, prefix=prefix).to_line(),
+            TraceRecord(type="W", timestamp=4.0, peer_as=2, prefix=prefix).to_line(),
+            TraceRecord(
+                type="A", timestamp=5.0, peer_as=0, prefix=prefix, as_path=ASPath([2, 5])
+            ).to_line(),
+            TraceRecord(type="S", timestamp=5.0, peer_as=3).to_line(),
+        ]
+        parser = RowParser()
+        trace = ColumnarTrace()
+        added = [parser.add_line(trace, line, None) for line in lines]
+        assert added == [True, False, False, True]
+        assert parser.report.skipped == {"non-monotone-timestamp": 1, "invalid-peer": 1}
+        # A skipped record leaves the watermark where the last kept one set it.
+        assert parser.previous_time == 5.0
+        assert [type(m).__name__ for m in trace.to_messages()] == ["Update", "Notification"]
 
 
 class TestPopularity:
