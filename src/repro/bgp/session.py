@@ -267,33 +267,32 @@ class PeeringSession:
         changes returned), KEEPALIVE only refreshes statistics and UPDATE
         mutates the Adj-RIB-In.
         """
-        self.stats.messages_received += 1
-        self.stats.last_message_at = message.timestamp
+        stats = self.stats
+        timestamp = message.timestamp
+        stats.messages_received += 1
+        stats.last_message_at = timestamp
         if self.record_stream:
             self.stream.append(message)
 
-        if message.type == MessageType.OPEN:
-            self.state = SessionState.ESTABLISHED
-            return []
-        if message.type == MessageType.NOTIFICATION:
-            changes = self._reset()
-            self._notify_change_observers([change.prefix for change in changes])
-            return changes
-        if message.type == MessageType.KEEPALIVE:
+        if not isinstance(message, Update):
+            if message.type == MessageType.NOTIFICATION:
+                changes = self._reset()
+                self._notify_change_observers([change.prefix for change in changes])
+                return changes
+            if message.type == MessageType.OPEN:
+                self.state = SessionState.ESTABLISHED
             return []
 
-        assert isinstance(message, Update)
-        changes: List[RouteChange] = []
-        for prefix in message.withdrawals:
-            change = self.rib_in.withdraw(prefix, timestamp=message.timestamp)
-            changes.append(change)
-            self.stats.withdrawals_received += 1
-        for announcement in message.announcements:
-            change = self.rib_in.announce(
-                announcement.prefix, announcement.attributes, timestamp=message.timestamp
+        rib_in = self.rib_in
+        withdrawals = message.withdrawals
+        announcements = message.announcements
+        changes: List[RouteChange] = [rib_in.withdraw(p, timestamp) for p in withdrawals]
+        for announcement in announcements:
+            changes.append(
+                rib_in.announce(announcement.prefix, announcement.attributes, timestamp)
             )
-            changes.append(change)
-            self.stats.announcements_received += 1
+        stats.withdrawals_received += len(withdrawals)
+        stats.announcements_received += len(announcements)
 
         for observer in self._observers:
             observer(self, message, changes)

@@ -138,12 +138,6 @@ class BGPSpeaker:
         self.loc_rib = LocRib()
         self._sessions: Dict[int, PeeringSession] = {}
         self._best_route_listeners: List[Callable[[List[BestRouteChange]], None]] = []
-        # Per-prefix memo of the decision process's full candidate ranking,
-        # invalidated whenever the prefix's candidate set changes.  Serves
-        # both the per-message re-selection (the ranked head is the best
-        # route) and alternate_routes(), whose per-prefix sorts dominate
-        # cold backup computation.
-        self._ranked_cache: Dict[Prefix, List[RibEntry]] = {}
 
     # -- session management -----------------------------------------------
 
@@ -273,12 +267,19 @@ class BGPSpeaker:
         return self.loc_rib.best(prefix)
 
     def alternate_routes(self, prefix: Prefix) -> List[RibEntry]:
-        """Candidate routes other than the current best, most preferred first."""
+        """Candidate routes other than the current best, most preferred first.
+
+        Ranks the prefix's candidates on demand; nothing is memoised.  The
+        callers — the router's shared-next-hop backup fallback, backup
+        computations handed it as ``alternates_of`` (once per prefix or
+        profile), tests — read a prefix once between changes.
+        """
+        ranked = self.decision_process.rank(self.loc_rib.candidates(prefix))
         best = self.loc_rib.best(prefix)
         if best is None:
-            return list(self._ranked(prefix))
+            return ranked
         best_peer = best.peer_as
-        return [entry for entry in self._ranked(prefix) if entry.peer_as != best_peer]
+        return [entry for entry in ranked if entry.peer_as != best_peer]
 
     def routed_prefixes(self) -> frozenset:
         """Prefixes that currently have a best route."""
@@ -306,76 +307,33 @@ class BGPSpeaker:
         ``WITHDRAWN`` change per route the peer held.
         """
         touched: List[Prefix] = []
-        ranked_cache_pop = self._ranked_cache.pop
         loc_rib = self.loc_rib
         for change in changes:
             if change.kind == RouteChangeKind.UNCHANGED:
                 continue
             touched.append(change.prefix)
-            ranked_cache_pop(change.prefix, None)
             if change.new is not None:
                 loc_rib.set_candidate(change.new)
             else:
                 loc_rib.remove_candidate(change.prefix, peer_as)
         return touched
 
-    def _ranked(self, prefix: Prefix) -> List[RibEntry]:
-        """The full candidate ranking of a prefix, memoised until it changes.
+    def _reselect(
+        self,
+        prefixes: Sequence[Prefix],
+        winners: Optional[Dict[Tuple, Optional[int]]] = None,
+    ) -> List[BestRouteChange]:
+        """Re-select the best route of each prefix, in the order given.
 
-        The head of the list is what ``select()`` would install (both filter
-        looped paths and use the same key, so stable ``sorted`` and ``min``
-        agree on ties); the tail is the alternate-route order.
+        A prefix left with at most one candidate needs no decision-process
+        call — under any decision process ``select([entry])`` is ``entry``
+        unless its path loops.  Every route of a first table load and every
+        withdrawal that leaves one other session's route is such a prefix:
+        half of what a two-session failure burst touches, nothing where
+        three feeds carry each prefix.  Any other prefix takes one
+        ``select`` — or, given a ``winners`` memo
+        (:meth:`_reselect_batch`), one per distinct candidate profile.
         """
-        ranked = self._ranked_cache.get(prefix)
-        if ranked is None:
-            ranked = self._ranked_cache[prefix] = self.decision_process.rank(
-                self.loc_rib.candidates(prefix)
-            )
-        return ranked
-
-    def _reselect(self, prefixes: Sequence[Prefix]) -> List[BestRouteChange]:
-        changes: List[BestRouteChange] = []
-        ranked_of = self._ranked
-        for prefix in prefixes:
-            old = self.loc_rib.best(prefix)
-            ranked = ranked_of(prefix)
-            new = ranked[0] if ranked else None
-            if old is new:
-                continue
-            # Peers first: spares RibEntry.__eq__ when a backup replaced the primary.
-            if (
-                old is not None
-                and new is not None
-                and old.peer_as == new.peer_as
-                and old == new
-            ):
-                continue
-            self.loc_rib.set_best(new, prefix=prefix)
-            changes.append(BestRouteChange(prefix=prefix, old=old, new=new))
-        return changes
-
-    def _reselect_batch(self, prefixes: Sequence[Prefix]) -> List[BestRouteChange]:
-        """Batched re-selection: one loop, one ranking per candidate profile.
-
-        A prefix left with at most one candidate needs no ranking — under
-        any decision process ``select([entry])`` is ``entry`` unless its
-        path loops.  Every route of a first table load and every withdrawal
-        that leaves one other session's route is such a prefix: half of
-        what a two-session failure burst touches, nothing where three feeds
-        carry each prefix.  For the rest, two prefixes whose candidate sets
-        consist of the *same attribute objects from the same peers* (whole
-        path-sharing prefix groups change together) rank identically under
-        a prefix-independent decision process, so the winner peer is
-        memoised per distinct profile: the first prefix of a profile calls
-        ``select`` and every later one reuses its winner.  Falls back to
-        per-prefix :meth:`_reselect` for rankings that are not
-        prefix-independent.
-
-        The changes come back in the order ``prefixes`` are given — the
-        batch's first-touch order, which is per-message emission order.
-        """
-        if not self.decision_process.prefix_independent:
-            return self._reselect(prefixes)
         loc_rib = self.loc_rib
         candidates_of = loc_rib._candidates.get
         best = loc_rib._best
@@ -385,12 +343,6 @@ class BGPSpeaker:
         set_best = None if loc_rib._best_trie is None else loc_rib.set_best
         select = self.decision_process.select
         attributes_of = _attrgetter_attributes
-        # Profile key -> winner peer (None: every candidate loops).  The key
-        # is the candidate peers (in insertion order — identical for
-        # prefixes with the same announcement history, which is what path
-        # groups share anyway) plus the identity of each candidate's
-        # attribute object, built with C-level tuple/map calls.
-        winners: Dict[Tuple, Optional[int]] = {}
         changes: List[BestRouteChange] = []
         append_change = changes.append
         for prefix in prefixes:
@@ -401,11 +353,13 @@ class BGPSpeaker:
                 (new,) = peers.values()
                 if new.attributes.as_path.has_loop():
                     new = None
+            elif winners is None:
+                new = select(peers.values())
             else:
                 key = (tuple(peers), tuple(map(id, map(attributes_of, peers.values()))))
                 winner_peer = winners.get(key, _UNSELECTED)
                 if winner_peer is _UNSELECTED:
-                    winner = select(list(peers.values()))
+                    winner = select(peers.values())
                     winner_peer = winners[key] = (
                         None if winner is None else winner.peer_as
                     )
@@ -413,6 +367,7 @@ class BGPSpeaker:
             old = best_of(prefix)
             if old is new:
                 continue
+            # Peers first: spares RibEntry.__eq__ when a backup replaced the primary.
             if (
                 old is not None
                 and new is not None
@@ -428,6 +383,27 @@ class BGPSpeaker:
                 best[prefix] = new
             append_change(BestRouteChange(prefix, old, new))
         return changes
+
+    def _reselect_batch(self, prefixes: Sequence[Prefix]) -> List[BestRouteChange]:
+        """Batched re-selection: :meth:`_reselect` with a per-profile winner memo.
+
+        Two prefixes whose candidate sets consist of the *same attribute
+        objects from the same peers* (whole path-sharing prefix groups
+        change together) rank identically under a prefix-independent
+        decision process, so the winner peer is memoised per distinct
+        profile: the first prefix of a profile calls ``select`` and every
+        later one reuses its winner.  The profile key is the candidate peers
+        (in insertion order — identical for prefixes with the same
+        announcement history, which is what path groups share anyway) plus
+        the identity of each candidate's attribute object, built with
+        C-level tuple/map calls; a memoised ``None`` means every candidate
+        loops.  Rankings that are not prefix-independent select per prefix.
+
+        The changes come back in the order ``prefixes`` are given — the
+        batch's first-touch order, which is per-message emission order.
+        """
+        prefix_independent = self.decision_process.prefix_independent
+        return self._reselect(prefixes, {} if prefix_independent else None)
 
 
 class SpeakerBatch:
@@ -490,8 +466,8 @@ class SpeakerBatch:
         """The column walk: one pass over rows ``[start, stop)``.
 
         A single-prefix row runs :meth:`_absorb`'s single-change branch
-        inline — Adj-RIB-In (and trie), Loc-RIB candidate, ranking-cache
-        eviction, pending reachability, transition — with no ``RouteChange``;
+        inline — Adj-RIB-In (and trie), Loc-RIB candidate, pending
+        reachability, transition — with no ``RouteChange``;
         a multi-prefix row builds its change list and takes :meth:`_absorb`.
         OPEN / NOTIFICATION rows move the session state as ``process_batch``
         does; a NOTIFICATION's withdrawal of every route the peer held takes
@@ -521,7 +497,6 @@ class SpeakerBatch:
         candidates = speaker.loc_rib._candidates
         candidates_get = candidates.get
         best = speaker.loc_rib._best
-        ranked_cache_pop = speaker._ranked_cache.pop
         pending = self._pending
         pending_get = pending.get
         add_transition = self._transitions.append
@@ -560,7 +535,6 @@ class SpeakerBatch:
                     if trie is not None:
                         trie.insert(prefix, entry)
                     add_changed(prefix)
-                    ranked_cache_pop(prefix, None)
                     before = pending_get(prefix)
                     if before is None:
                         before = prefix in best
@@ -591,7 +565,6 @@ class SpeakerBatch:
                 if trie is not None:
                     trie.remove(prefix)
                 add_changed(prefix)
-                ranked_cache_pop(prefix, None)
                 before = pending_get(prefix)
                 if before is None:
                     before = prefix in best
@@ -651,7 +624,6 @@ class SpeakerBatch:
         transitions = self._transitions
         set_candidate = loc_rib.set_candidate
         remove_candidate = loc_rib.remove_candidate
-        ranked_cache_pop = speaker._ranked_cache.pop
         unchanged = RouteChangeKind.UNCHANGED
 
         # Reachability is evaluated at message boundaries, so a
@@ -667,7 +639,6 @@ class SpeakerBatch:
                 if change.kind is unchanged:
                     continue
                 prefix = change.prefix
-                ranked_cache_pop(prefix, None)
                 new = change.new
                 before = pending.get(prefix)
                 if before is None:
@@ -699,7 +670,6 @@ class SpeakerBatch:
                 if change.kind is unchanged:
                     continue
                 prefix = change.prefix
-                ranked_cache_pop(prefix, None)
                 if change.new is not None:
                     set_candidate(change.new)
                 else:

@@ -108,9 +108,9 @@ class BurstDetector:
         over the run's raw columns: a quiet detector cannot transition on a
         zero-count observation, so quiet stretches are skipped with one
         bisect over the cumulative withdrawal-bound column instead of a call
-        per row.  Non-UPDATE rows are ignored, exactly as
-        :meth:`~repro.core.inference.InferenceEngine.process_message`
-        ignores non-UPDATE messages.
+        per row.  Non-UPDATE rows are ignored; the inference engine resets
+        the detector at a NOTIFICATION, so it never passes a run that
+        crosses a NOTIFICATION row.
 
         ``run`` is duck-typed (no import of the traces layer): it must carry
         ``trace``/``start``/``stop``, the interface documented in

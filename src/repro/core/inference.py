@@ -34,10 +34,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Callable, Deque, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.bgp.attributes import ASPath
-from repro.bgp.messages import BGPMessage, Update
+from repro.bgp.messages import BGPMessage, MessageType, Update
 from repro.bgp.prefix import Prefix
 from repro.core import kernels
 from repro.core.burst_detection import BurstDetector, BurstDetectorConfig
@@ -215,19 +216,22 @@ class InferenceEngine:
     def process_message(self, message: BGPMessage) -> Optional[InferenceResult]:
         """Feed one message; returns an accepted inference if one fires."""
         if not isinstance(message, Update):
+            if message.type is MessageType.NOTIFICATION:
+                self._reset_session(message.timestamp)
             return None
+        timestamp = message.timestamp
+        calculator = self._calculator
         accepted: Optional[InferenceResult] = None
 
         # Age the quiet-time withdrawal buffer on *every* message timestamp —
         # announcement-only traffic must also expire stale entries, otherwise
         # a later burst would replay them and backdate its start time.
-        if not self._in_burst:
-            self._expire_recent(message.timestamp)
+        if calculator is None:
+            self._expire_recent(timestamp)
 
-        if message.withdrawals:
-            event = self.detector.observe_withdrawals(
-                message.timestamp, len(message.withdrawals)
-            )
+        withdrawals = message.withdrawals
+        if withdrawals:
+            event = self.detector.observe_withdrawals(timestamp, len(withdrawals))
             if event is not None:
                 if event.kind == "start":
                     # The buffered withdrawals of the detection window belong
@@ -240,26 +244,26 @@ class InferenceEngine:
                     # (possibly the first sign of a *new* burst) — it must not
                     # be attributed to the stale calculator.
                     self._end_burst(event.timestamp)
-            if self._in_burst:
-                self._withdrawals_in_burst += self._calculator.record_withdrawals(
-                    message.withdrawals
-                )
-                accepted = self._maybe_infer(message.timestamp)
+                calculator = self._calculator
+            if calculator is not None:
+                self._withdrawals_in_burst += calculator.record_withdrawals(withdrawals)
+                accepted = self._maybe_infer(timestamp)
             else:
-                for prefix in message.withdrawals:
-                    self._recent_withdrawals.append((message.timestamp, prefix))
+                for prefix in withdrawals:
+                    self._recent_withdrawals.append((timestamp, prefix))
         else:
-            event = self.detector.observe_time(message.timestamp)
+            event = self.detector.observe_time(timestamp)
             if event is not None and event.kind == "end":
-                self._end_burst(message.timestamp)
+                self._end_burst(timestamp)
+                calculator = None
 
         if message.announcements:
             # Keep the RIB view and the link/prefix index current; during a
             # burst the calculator follows the implicit withdrawals carried
             # by path changes and patches the index itself.
             apply = (
-                self._calculator.record_update
-                if self._in_burst
+                calculator.record_update
+                if calculator is not None
                 else self._index.set_path
             )
             rib = self._rib
@@ -269,11 +273,8 @@ class InferenceEngine:
                 apply(prefix, path)
                 rib[prefix] = path
 
-        if (
-            self._in_burst
-            and self.detector.state.value == "quiet"
-        ):
-            self._end_burst(message.timestamp)
+        if calculator is not None and self.detector.state.value == "quiet":
+            self._end_burst(timestamp)
         return accepted
 
     def process_batch(
@@ -329,16 +330,27 @@ class InferenceEngine:
         identical; listeners needing at-inference detector snapshots should
         feed the engine per message (or split runs at the granularity they
         care about).
+
+        A NOTIFICATION row resets the engine as :meth:`process_message` does,
+        so the detector scans the rows on either side of it separately.
         """
         accepted: List[InferenceResult] = []
-        position = run.start
-        stop = run.stop
-        for row, event in self.detector.observe_run(run):
-            self._columnar_span(run, position, row, accepted)
-            self._columnar_event_row(run, row, event, accepted)
-            position = row + 1
-        self._columnar_span(run, position, stop, accepted)
-        return accepted
+        trace, position, stop = run.trace, run.start, run.stop
+        while True:
+            try:
+                reset = trace.msg_kind.index(3, position, stop)  # 3 = NOTIFICATION
+            except ValueError:
+                reset = stop
+            window = SimpleNamespace(trace=trace, start=position, stop=reset)
+            for row, event in self.detector.observe_run(window):
+                self._columnar_span(run, position, row, accepted)
+                self._columnar_event_row(run, row, event, accepted)
+                position = row + 1
+            self._columnar_span(run, position, reset, accepted)
+            if reset == stop:
+                return accepted
+            self._reset_session(trace.msg_time[reset])
+            position = reset + 1
 
     def apply_rib_delta(
         self, delta: Mapping[Prefix, Optional[ASPath]]
@@ -664,6 +676,18 @@ class InferenceEngine:
             for index in range(w_low, w_high):
                 buffered.append((timestamp, prefix_at(wd_prefix[index])))
             self._fold_announcements(trace, a_low, a_high, self._index.set_path)
+
+    def _reset_session(self, timestamp: float) -> None:
+        """A NOTIFICATION: the peer holds no routes, so the engine starts empty.
+
+        Any tracked burst ends without an inference, the quiet-time buffer
+        and the detector are reset, and the RIB view and index are emptied:
+        what an engine rebuilt from the peer's Adj-RIB-In would hold.
+        """
+        self._end_burst(timestamp)
+        self.detector.reset()
+        self._rib.clear()
+        self._index = LinkPrefixIndex(local_as=self._local_as, peer_as=self._peer_as)
 
     def _start_burst(self, timestamp: float) -> None:
         if self._calculator_factory is not None:

@@ -25,7 +25,7 @@ import pytest
 from oracles.fit_score_reference import ReferenceFitScoreCalculator, reference_engine
 
 from repro.bgp.attributes import ASPath, PathAttributes
-from repro.bgp.messages import Update
+from repro.bgp.messages import Notification, OpenMessage, Update
 from repro.bgp.prefix import prefix_block
 from repro.core.burst_detection import BurstDetectorConfig
 from repro.core.fit_score import FitScoreConfig, LinkPrefixIndex
@@ -485,6 +485,60 @@ class TestTriggerRowWithAnnouncements:
             assert columnar.results == per_message.results
             assert columnar.results, "the stream must cross the trigger"
             assert columnar.current_rib() == per_message.current_rib()
+
+
+class TestNotificationResetsTheEngine:
+    """A NOTIFICATION empties the engine's view of the session, on both paths."""
+
+    def _stream(self):
+        # Two quiet withdrawals and a NOTIFICATION; the session returns with
+        # S7 only, bursts and closes mid-burst; it returns with S8, which
+        # then fails.
+        messages = _withdrawals(S6[:2], start=0.0)
+        messages.append(Notification(timestamp=1.0, peer_as=2))
+        messages.append(OpenMessage(timestamp=2.0, peer_as=2))
+        messages += [
+            Update.announce(3.0, 2, prefix, PathAttributes(as_path=ASPath([2, 5, 6, 7]), next_hop=2))
+            for prefix in S7[:40]
+        ]
+        messages += _withdrawals(S7[:11], start=10.0)
+        messages.append(Notification(timestamp=10.5, peer_as=2))
+        messages += [
+            Update.announce(11.0, 2, prefix, PathAttributes(as_path=ASPath([2, 5, 6, 8]), next_hop=2))
+            for prefix in S8
+        ]
+        messages += _withdrawals(S8[:12], start=20.0)
+        return messages
+
+    def test_columnar_matches_per_message_across_resets(self):
+        config = _config(start_threshold=10, trigger=12)
+        messages = self._stream()
+        trace = ColumnarTrace.from_messages(messages)
+
+        per_message = InferenceEngine(session_rib(), config=config)
+        states = []
+        for message in messages:
+            per_message.process_message(message)
+            if isinstance(message, Notification):
+                assert per_message.current_rib() == {}
+                assert not per_message.index.links_of_prefix
+                assert not per_message._recent_withdrawals
+                assert not per_message.detector.is_bursting
+                assert per_message.withdrawals_in_current_burst == 0
+        # The mid-burst reset ran no inference; the last burst scores S8 only.
+        assert len(per_message.results) == 1
+        assert per_message.results[0].prediction.predicted_prefixes == frozenset(S8)
+
+        for max_run in (None, 7):
+            columnar = InferenceEngine(session_rib(), config=config)
+            for run in trace.iter_batches(max_run=max_run):
+                columnar.process_columnar_run(run)
+            assert columnar.results == per_message.results
+            assert columnar.current_rib() == per_message.current_rib()
+            assert columnar.index.prefixes_of_link == per_message.index.prefixes_of_link
+            assert list(columnar._recent_withdrawals) == list(per_message._recent_withdrawals)
+            assert columnar.detector.events == per_message.detector.events
+            assert columnar.detector.state == per_message.detector.state
 
 
 class TestRecordRunWindows:

@@ -9,7 +9,7 @@ from test_replay_pipeline import _event_sets
 from test_reroute_index import PEERS, _random_topology, _router
 
 from repro.bgp.attributes import ASPath, PathAttributes
-from repro.bgp.decision import DecisionProcess, gao_rexford_ranking
+from repro.bgp.decision import DecisionProcess, gao_rexford_ranking, standard_ranking
 from repro.bgp.messages import (
     Announcement,
     KeepAlive,
@@ -735,24 +735,34 @@ class TestWinnerMemo:
 
     def test_prefix_dependent_rankings_reselect_per_prefix(self):
         speaker = BGPSpeaker(1, _SpyDecisionProcess(prefix_independent=False))
-        for peer in (2, 3):
+        for peer in (2, 3, 4):
             speaker.add_peer(peer).record_stream = False
         speaker.receive_batch(
             [
                 Update.announce(0.0, peer, prefix, _attrs([peer, 6]))
-                for peer in (2, 3)
+                for peer in (2, 3, 4)
                 for prefix in PFX[:10]
             ]
         )
         spy = speaker.decision_process
         spy.ranked = 0
         spy.selected.clear()
+        # Two candidates left per prefix: one selection each, all of one
+        # profile, and no ranking.
         speaker.receive_columnar(
             ColumnarTrace.from_messages([Update.withdraw_many(1.0, 2, PFX[:10])])
         )
-        assert spy.selected == []
-        assert spy.ranked == 10
+        assert len(spy.selected) == 10
+        assert spy.ranked == 0
         assert all(speaker.best_route(prefix).peer_as == 3 for prefix in PFX[:10])
+        # Sole candidates left: no decision-process call at all.
+        spy.selected.clear()
+        speaker.receive_columnar(
+            ColumnarTrace.from_messages([Update.withdraw_many(2.0, 3, PFX[:10])])
+        )
+        assert spy.selected == []
+        assert spy.ranked == 0
+        assert all(speaker.best_route(prefix).peer_as == 4 for prefix in PFX[:10])
 
     @settings(max_examples=100, deadline=None)
     @given(updates=_UPDATES, split=st.integers(0, 30))
@@ -791,6 +801,127 @@ class TestWinnerMemo:
         assert [order[change.prefix] for change in memo_changes] == sorted(
             order[change.prefix] for change in memo_changes
         )
+
+
+# -- the per-message decision: select what has a choice, rank nothing ---------
+
+
+def _relay_router():
+    """A provisioned router whose speaker counts its decision-process calls."""
+    router = SwiftedRouter(1)
+    for peer in (2, 3):
+        router.add_peer(peer)
+    router.load_initial_routes(2, {prefix: ASPath([2, 5, 6]) for prefix in PFX[:4]}, local_pref=200)
+    router.load_initial_routes(3, {prefix: ASPath([3, 6]) for prefix in PFX[:2]})
+    router.provision()
+    router.speaker.decision_process = _SpyDecisionProcess()
+    return router, router.speaker.decision_process
+
+
+class TestPerMessageDecision:
+    def test_a_withdrawal_leaving_one_candidate_calls_nothing(self):
+        router, spy = _relay_router()
+        router.receive(Update.withdraw(1.0, 2, PFX[0]))
+        assert (spy.selected, spy.ranked) == ([], 0)
+        assert router.speaker.best_route(PFX[0]).peer_as == 3
+        # Nor does one that leaves none.
+        router.receive(Update.withdraw(2.0, 2, PFX[3]))
+        assert (spy.selected, spy.ranked) == ([], 0)
+        assert router.speaker.best_route(PFX[3]) is None
+
+    def test_an_announcement_leaving_two_candidates_selects_once(self):
+        router, spy = _relay_router()
+        router.receive(Update.announce(1.0, 3, PFX[2], _attrs([3, 6], local_pref=300)))
+        assert len(spy.selected) == 1
+        assert spy.ranked == 0
+        assert router.speaker.best_route(PFX[2]).peer_as == 3
+        # A sole candidate's replacement is decided without a call.
+        router.receive(Update.announce(2.0, 2, PFX[3], _attrs([2, 8, 6])))
+        assert len(spy.selected) == 1
+        assert router.speaker.best_route(PFX[3]).as_path == ASPath([2, 8, 6])
+
+
+def _length_ranking(entry):
+    """Prefix-independent, and peers with equally long paths tie."""
+    return (len(entry.as_path),)
+
+
+def _prefix_ranking(entry):
+    """Reads the prefix (so not prefix-independent), with ties across peers."""
+    return ((entry.prefix.network >> 8) % 2 * entry.peer_as % 3, len(entry.as_path))
+
+
+_RANKINGS = {
+    "standard": (standard_ranking, True),
+    "length": (_length_ranking, True),
+    "prefix": (_prefix_ranking, False),
+}
+
+_DECISION_MESSAGES = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("update"),
+            st.integers(0, 3),  # peer (folded onto the peers in play)
+            st.lists(st.integers(0, len(_POOL) - 1), max_size=2),  # withdrawals
+            st.lists(  # announcements: (prefix, path); path 3 loops
+                st.tuples(st.integers(0, len(_POOL) - 1), st.integers(0, 3)),
+                max_size=3,
+            ),
+        ),
+        st.tuples(st.sampled_from(["notification", "open"]), st.integers(0, 3)),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+def _reference_ranking(candidates, key):
+    """Loop-free candidates, most preferred first; ties keep candidate order."""
+    return sorted((entry for entry in candidates if not entry.as_path.has_loop()), key=key)
+
+
+class TestPerMessageDecisionProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        peer_count=st.integers(2, 4),
+        ranking=st.sampled_from(sorted(_RANKINGS)),
+        rows=_DECISION_MESSAGES,
+    )
+    def test_best_and_alternates_follow_the_ranking_after_every_message(
+        self, peer_count, ranking, rows
+    ):
+        key, prefix_independent = _RANKINGS[ranking]
+        peers = (2, 3, 4, 5)[:peer_count]
+        speaker = BGPSpeaker(
+            1, DecisionProcess(key, prefix_independent=prefix_independent)
+        )
+        for peer in peers:
+            speaker.add_peer(peer).record_stream = False
+        for number, row in enumerate(rows):
+            peer = peers[row[1] % peer_count]
+            if row[0] == "notification":
+                message = Notification(timestamp=float(number), peer_as=peer)
+            elif row[0] == "open":
+                message = OpenMessage(timestamp=float(number), peer_as=peer)
+            else:
+                # Equal-length paths from different peers tie under "length";
+                # path 2 ties with path 0 on everything but LOCAL_PREF.
+                paths = _path_pool(peer)
+                message = Update(
+                    timestamp=float(number),
+                    peer_as=peer,
+                    announcements=tuple(
+                        Announcement(_POOL[prefix], paths[path]) for prefix, path in row[3]
+                    ),
+                    withdrawals=tuple(_POOL[prefix] for prefix in row[2]),
+                )
+            speaker.receive(message)
+            for prefix in _POOL:
+                ranked = _reference_ranking(speaker.loc_rib.candidates(prefix), key)
+                best = speaker.best_route(prefix)
+                assert best is (ranked[0] if ranked else None), (number, prefix)
+                expected = [entry for entry in ranked if entry is not best]
+                assert speaker.alternate_routes(prefix) == expected, (number, prefix)
 
 
 # -- change observers receive prefixes; the router patches engines from them --

@@ -478,6 +478,70 @@ class TestSessionReset:
         router.provision(full_rebuild=True)
         assert warm == _state(router)
 
+    @pytest.mark.parametrize("path", ["receive", "receive_batch", "receive_columnar"])
+    def test_a_notification_resets_the_inference_engine_in_band(self, path):
+        failing = prefix_block("60.0.0.0/24", 20)  # AS 2 over transit 10
+        other = prefix_block("61.0.0.0/24", 20)  # AS 2 over transit 11
+        routes = {
+            2: {**{p: [2, 10, 100] for p in failing}, **{p: [2, 11, 101] for p in other}},
+            3: {p: [3, 12, 102] for p in failing + other},
+        }
+
+        def bursty_router():
+            router = SwiftedRouter(
+                LOCAL_AS,
+                SwiftConfig(
+                    inference=InferenceConfig(
+                        detector=BurstDetectorConfig(start_threshold=5, stop_threshold=1),
+                        schedule=TriggeringSchedule(steps=((10, 10 ** 6),), unconditional_after=10),
+                    ),
+                    encoder=EncoderConfig(prefix_threshold=10, path_bits=18),
+                ),
+            )
+            for peer, table in routes.items():
+                router.add_peer(peer)
+                router.load_initial_routes(
+                    peer, {p: ASPath(hops) for p, hops in table.items()}, local_pref=LOCAL_PREF[peer]
+                )
+            router.provision()
+            return router
+
+        # A burst has started (5 of 6 withdrawals) when the session closes.
+        closing = [Update.withdraw(100.0 + i / 10, 2, p) for i, p in enumerate(failing[:6])]
+        closing.append(Notification(timestamp=101.0, peer_as=2))
+        router, twin = bursty_router(), bursty_router()
+        for each in (router, twin):
+            _feed(each, path, closing)
+        twin.provision(full_rebuild=True)
+        engine, rebuilt = router.engine_for(2), twin.engine_for(2)
+        assert engine is not rebuilt
+        assert engine.current_rib() == rebuilt.current_rib() == {}
+        assert engine.index.prefixes_of_link == rebuilt.index.prefixes_of_link == {}
+        assert engine.index.routed_for_link == {}
+        assert engine.withdrawals_in_current_burst == 0
+        assert not engine.detector.is_bursting
+        assert engine.results == []
+
+        # The session comes back with half of each group, then the first
+        # group fails: nothing the closed session carried may be predicted.
+        back = failing[:10] + other[:10]
+        _feed(
+            router,
+            path,
+            [OpenMessage(timestamp=200.0, peer_as=2)]
+            + [
+                Update.announce(201.0 + i / 100, 2, p, _attributes(2, routes[2][p]))
+                for i, p in enumerate(back)
+            ],
+        )
+        assert engine.current_rib() == {p: ASPath(routes[2][p]) for p in back}
+        _feed(router, path, [Update.withdraw(300.0 + i / 100, 2, p) for i, p in enumerate(failing[:10])])
+        assert engine.results
+        for result in engine.results:
+            assert result.prediction.predicted_prefixes <= set(back), result
+        assert router.reroutes
+
+
 
 # -- rank once per prefix == rank once per link ----------------------------------
 
