@@ -129,8 +129,9 @@ class AdjRibIn:
     (:meth:`prefixes_via_link`, :meth:`link_prefix_counts`, ...) scan that
     table — they serve tests and tooling.  SWIFT's Path Share metric
     P(l, t) is *not* answered from here: the inference engine maintains its
-    own burst-aware :class:`~repro.core.fit_score.LinkPrefixIndex`, the one
-    link -> prefix index the pipeline keeps in sync per message.
+    own burst-aware :class:`~repro.core.fit_score.LinkPrefixIndex`, which
+    interns the session's routes by AS path (one group of prefixes per
+    distinct path, link -> groups) and is kept in sync per message.
     """
 
     def __init__(self, peer_as: int) -> None:

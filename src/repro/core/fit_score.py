@@ -18,11 +18,13 @@ individual ``W(l, t)`` and ``P(l, t)`` terms (§4.2).
 Two classes implement the bookkeeping:
 
 * :class:`LinkPrefixIndex` is a *persistent*, incrementally-maintained view
-  of one session RIB: prefix -> AS links, link -> routed-prefix count and —
-  crucially — the **link -> prefix reverse index** that lets SWIFT expand an
-  inferred link into its affected prefixes without scanning the RIB.  The
-  :class:`~repro.core.inference.InferenceEngine` keeps one index alive across
-  bursts and feeds every announcement / expired withdrawal into it.
+  of one session RIB, interned by AS path.  Every prefix on one path crosses
+  the same links, so the index keeps one *group* per distinct path (the
+  path, its canonical links and its member prefixes), prefix -> group,
+  link -> groups and link -> routed-prefix count.  That is enough to expand
+  an inferred link into its affected prefixes without scanning the RIB, and
+  to answer the session RIB itself: the
+  :class:`~repro.core.inference.InferenceEngine` keeps no other copy.
 * :class:`FitScoreCalculator` holds the *burst-local* state (withdrawn
   prefixes, per-link withdrawal counts, routed-count deltas) as an overlay on
   top of an index.  Built via :meth:`FitScoreCalculator.from_index` it costs
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from repro.bgp.attributes import ASPath
 from repro.bgp.prefix import Prefix
@@ -90,30 +92,44 @@ class LinkScore:
         return self.links[0]
 
 
+class _PathGroup:
+    """One distinct AS path of a session and the prefixes routed over it."""
+
+    __slots__ = ("path", "links", "members")
+
+    def __init__(self, path: ASPath, links: Tuple[Link, ...]) -> None:
+        self.path = path
+        self.links = links
+        self.members: Set[Prefix] = set()
+
+
 class LinkPrefixIndex:
-    """Persistent link <-> prefix view of one session's Adj-RIB-In.
+    """Persistent view of one session's Adj-RIB-In, interned by AS path.
 
-    Maintains, under streaming announcements and withdrawals:
+    Every prefix routed over one AS path crosses the same links, so the
+    index stores each distinct path once, as a group: the path, its
+    canonical deduplicated links and the set of its member prefixes.
+    Maintained under streaming announcements and withdrawals:
 
-    * ``links_of_prefix``: prefix -> canonical AS links of its current path;
-    * ``routed_for_link``: link -> number of prefixes currently routed over it
-      (the ``P(l)`` baseline before any burst-local withdrawals);
-    * ``prefixes_of_link``: link -> set of prefixes whose current path crosses
-      it (the reverse index behind :meth:`prefixes_via`).
+    * ``group_of``: prefix -> the group of its current path (a prefix
+      announced with an empty path has a group with no links);
+    * ``groups_of_link``: link -> the groups whose path crosses it (the
+      reverse index behind :meth:`prefixes_via`).  Four links in five carry
+      one path, so such a link maps to that group itself and only a link
+      shared by several paths holds a set of groups;
+    * ``routed_for_link``: link -> number of prefixes currently routed over
+      it (the ``P(l)`` baseline before any burst-local withdrawals).
 
-    The index is built once per session — O(RIB) — and every mutation after
-    that costs O(path length).  ``local_as`` / ``peer_as`` add the implicit
-    first link between the local router and the session peer to every path,
+    A group leaves the index, and every ``groups_of_link`` entry with it,
+    when its last prefix leaves, so a long-lived index stays proportional to
+    the live RIB rather than to every path ever announced.  The index is
+    built once per session — O(RIB) — and every mutation after that costs
+    O(path length).  ``local_as`` / ``peer_as`` add the implicit first link
+    between the local router and the session peer to every non-empty path,
     matching the paper's Fig. 4 which scores link (1, 2).
     """
 
-    __slots__ = (
-        "_local_prefix_link",
-        "links_of_prefix",
-        "routed_for_link",
-        "prefixes_of_link",
-        "_path_links_memo",
-    )
+    __slots__ = ("_local_prefix_link", "group_of", "groups_of_link", "routed_for_link", "_groups")
 
     def __init__(
         self,
@@ -124,101 +140,104 @@ class LinkPrefixIndex:
         self._local_prefix_link: Optional[Link] = None
         if local_as is not None and peer_as is not None:
             self._local_prefix_link = _canonical((local_as, peer_as))
-        self.links_of_prefix: Dict[Prefix, Tuple[Link, ...]] = {}
+        self.group_of: Dict[Prefix, _PathGroup] = {}
+        self.groups_of_link: Dict[Link, Union[_PathGroup, Set[_PathGroup]]] = {}
         self.routed_for_link: Dict[Link, int] = {}
-        self.prefixes_of_link: Dict[Link, Set[Prefix]] = {}
-        self._path_links_memo: Dict[Tuple[int, ...], Tuple[Link, ...]] = {}
+        self._groups: Dict[Tuple[int, ...], _PathGroup] = {}
         if rib:
             for prefix, path in rib.items():
                 self.set_path(prefix, path)
 
     # -- mutation -----------------------------------------------------------
 
-    def set_path(self, prefix: Prefix, path: ASPath) -> Tuple[Link, ...]:
-        """Record that ``prefix`` is now routed over ``path``.
-
-        Returns the links of the *previous* path (empty tuple when the prefix
-        was unknown), which callers overlaying burst state need to fix their
-        deltas.
-        """
-        return self._set_links(prefix, self.links_for_path(path))
-
-    def remove_prefix(self, prefix: Prefix) -> Tuple[Link, ...]:
-        """Drop ``prefix`` from the index (withdrawn outside any burst)."""
-        return self._set_links(prefix, ())
-
-    def _set_links(self, prefix: Prefix, new_links: Tuple[Link, ...]) -> Tuple[Link, ...]:
-        old_links = self.links_of_prefix.get(prefix, ())
-        if new_links is old_links:
-            # Same interned tuple (links_for_path memo): a re-announcement
-            # over the unchanged path moves nothing.
-            return old_links
+    def set_path(self, prefix: Prefix, path: ASPath) -> None:
+        """Record that ``prefix`` is now routed over ``path``."""
+        group = self._groups.get(path.asns)
+        old = self.group_of.get(prefix)
+        if group is not None and group is old:
+            # A re-announcement over the unchanged path moves nothing.
+            return
+        if old is not None:
+            self._leave(old, prefix)
+        if group is None:
+            group = self._new_group(path)
+        group.members.add(prefix)
+        self.group_of[prefix] = group
         routed = self.routed_for_link
-        by_link = self.prefixes_of_link
-        for link in old_links:
-            # Prune dead links so a long-lived index stays proportional to
-            # the live RIB rather than to every link ever seen.
-            count = routed.get(link, 0) - 1
-            if count > 0:
-                routed[link] = count
-            else:
-                routed.pop(link, None)
-            members = by_link.get(link)
-            if members is not None:
-                members.discard(prefix)
-                if not members:
-                    del by_link[link]
-        if new_links:
-            self.links_of_prefix[prefix] = new_links
-            for link in new_links:
-                routed[link] = routed.get(link, 0) + 1
-                members = by_link.get(link)
-                if members is None:
-                    by_link[link] = {prefix}
-                else:
-                    members.add(prefix)
-        else:
-            self.links_of_prefix.pop(prefix, None)
-        return old_links
+        for link in group.links:
+            routed[link] = routed.get(link, 0) + 1
 
-    # -- queries ------------------------------------------------------------
+    def remove_prefix(self, prefix: Prefix) -> None:
+        """Drop ``prefix`` from the index (withdrawn outside any burst)."""
+        old = self.group_of.pop(prefix, None)
+        if old is not None:
+            self._leave(old, prefix)
 
-    def __len__(self) -> int:
-        return len(self.links_of_prefix)
-
-    def prefixes_via(self, links: Iterable[Link]) -> FrozenSet[Prefix]:
-        """Union of the per-link prefix sets — O(result), not O(RIB)."""
-        by_link = self.prefixes_of_link
-        members = [by_link[c] for c in map(_canonical, links) if c in by_link]
-        if not members:
-            return frozenset()
-        # One frozenset built in a single union pass (no mutable staging set).
-        return frozenset(members[0]) if len(members) == 1 else frozenset().union(*members)
-
-    def links_for_path(self, path: ASPath) -> Tuple[Link, ...]:
-        """Canonical, deduplicated links of ``path`` (plus the local link).
-
-        Memoised by the path's AS tuple: a burst re-announces many prefixes
-        over the same handful of backup paths, and the result is a pure
-        function of the AS sequence and the (fixed) local link.
-        """
-        memo = self._path_links_memo
-        key = path.asns
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
+    def _new_group(self, path: ASPath) -> _PathGroup:
         links = [_canonical(link) for link in path.links()]
         if self._local_prefix_link is not None and len(path) >= 1:
             links.insert(0, self._local_prefix_link)
         # Deduplicate while keeping order (paths with prepending repeat links).
-        seen: Set[Link] = set()
-        unique: List[Link] = []
-        for link in links:
-            if link not in seen:
-                seen.add(link)
-                unique.append(link)
-        result = memo[key] = tuple(unique)
-        return result
+        group = self._groups[path.asns] = _PathGroup(path, tuple(dict.fromkeys(links)))
+        by_link = self.groups_of_link
+        for link in group.links:
+            held = by_link.get(link)
+            if held is None:
+                by_link[link] = group
+            elif held.__class__ is _PathGroup:
+                by_link[link] = {held, group}
+            else:
+                held.add(group)
+        return group
+
+    def _leave(self, group: _PathGroup, prefix: Prefix) -> None:
+        """Take ``prefix`` out of ``group``; drop the group once it is empty."""
+        members = group.members
+        members.discard(prefix)
+        routed = self.routed_for_link
+        for link in group.links:
+            count = routed[link] - 1
+            if count:
+                routed[link] = count
+            else:
+                del routed[link]
+        if members:
+            return
+        del self._groups[group.path.asns]
+        by_link = self.groups_of_link
+        for link in group.links:
+            held = by_link[link]
+            if held is group:
+                del by_link[link]
+            else:
+                held.discard(group)
+                if len(held) == 1:
+                    by_link[link] = held.pop()
+
+    # -- queries ------------------------------------------------------------
+
+    def __len__(self) -> int:
+        return len(self.group_of)
+
+    def paths(self) -> Dict[Prefix, ASPath]:
+        """The session RIB the index holds: prefix -> current AS path."""
+        return {prefix: group.path for prefix, group in self.group_of.items()}
+
+    def prefixes_via(self, links: Iterable[Link]) -> FrozenSet[Prefix]:
+        """Union of the member sets of the groups crossing ``links`` —
+        O(result), not O(RIB)."""
+        by_link = self.groups_of_link
+        groups: Set[_PathGroup] = set()
+        for link in map(_canonical, links):
+            held = by_link.get(link)
+            if held is None:
+                continue
+            if held.__class__ is _PathGroup:
+                groups.add(held)
+            else:
+                groups.update(held)
+        # Groups partition the prefixes: one union pass, no duplicates.
+        return frozenset().union(*[group.members for group in groups])
 
 
 class FitScoreCalculator:
@@ -298,31 +317,37 @@ class FitScoreCalculator:
         """
         self.record_withdrawals((prefix,))
 
-    def record_withdrawals(self, prefixes: Iterable[Prefix]) -> int:
+    def record_withdrawals(self, prefixes: Sequence[Prefix]) -> int:
         """Batched :meth:`record_withdrawal`; returns the prefixes processed.
 
         One call per UPDATE message (rather than one per prefix) keeps the
         per-prefix Python overhead of the hot path down to a few dictionary
-        operations.
+        operations: a message's handful of withdrawals takes the direct
+        per-link loop, a larger batch (the burst-start replay of the
+        detection window) is folded per path group (:meth:`_fold`).
         """
         seen = self._withdrawn_prefixes
-        links_of_prefix = self._index.links_of_prefix
+        group_get = self._index.group_of.get
+        if len(prefixes) > 16:
+            fresh = [prefix for prefix in dict.fromkeys(prefixes) if prefix not in seen]
+            seen.update(fresh)
+            self._total_withdrawals += len(fresh)
+            self._fold([group for group in map(group_get, fresh) if group is not None])
+            return len(prefixes)
         withdrawn = self._withdrawn_for_link
         delta = self._routed_delta
-        processed = 0
         for prefix in prefixes:
-            processed += 1
             if prefix in seen:
                 continue
             seen.add(prefix)
             self._total_withdrawals += 1
-            links = links_of_prefix.get(prefix)
-            if not links:
+            group = group_get(prefix)
+            if group is None:
                 continue
-            for link in links:
+            for link in group.links:
                 withdrawn[link] = withdrawn.get(link, 0) + 1
                 delta[link] = delta.get(link, 0) - 1
-        return processed
+        return len(prefixes)
 
     def record_run(self, run, start: Optional[int] = None, stop: Optional[int] = None) -> int:
         """Record a columnar run (or a row window of one) straight from columns.
@@ -362,33 +387,14 @@ class FitScoreCalculator:
         processed = 0
         record_update = self.record_update
         seen = self._withdrawn_prefixes
-        links_of_prefix = self._index.links_of_prefix
-        withdrawn = self._withdrawn_for_link
-        delta = self._routed_delta
         seen_add = seen.add
-        links_get = links_of_prefix.get
-        withdrawn_get = withdrawn.get
-        delta_get = delta.get
-        # Burst withdrawals concentrate on a handful of distinct links (the
-        # failed link's prefixes share their paths), so the per-link counter
-        # arithmetic is deferred: the links of every fresh withdrawal pile
-        # into a flat list and one C-speed Counter pass folds them into the
-        # overlays per distinct link — flushed before any announcement (which
+        group_get = self._index.group_of.get
+        fold = self._fold
+        # The groups of the fresh withdrawals pile up here and are folded
+        # into the overlays in one pass — before any announcement (which
         # reads the overlays through record_update) and at the end.
-        pending: List[Link] = []
-        pending_extend = pending.extend
-
-        def flush() -> None:
-            if len(pending) > 16:
-                # One C-speed counting pass, then one merge per distinct link.
-                for link, count in Counter(pending).items():
-                    withdrawn[link] = withdrawn_get(link, 0) + count
-                    delta[link] = delta_get(link, 0) - count
-            else:
-                for link in pending:
-                    withdrawn[link] = withdrawn_get(link, 0) + 1
-                    delta[link] = delta_get(link, 0) - 1
-            del pending[:]
+        pending: List[_PathGroup] = []
+        pending_append = pending.append
 
         # Decoded-once prefix row cache: an InternPool detail, probed rather
         # than required — a contract-honoring pool without it simply takes
@@ -399,7 +405,7 @@ class FitScoreCalculator:
             # burst.  Row boundaries are then irrelevant to the calculator
             # (nothing reads the overlays mid-span), so the whole withdrawal
             # window streams straight off the flat column: one array slice,
-            # C-level iteration over interned-prefix indices, one flush.
+            # C-level iteration over interned-prefix indices, one fold.
             window = wd_prefix[w : wd_end[hi - 1]]
             processed = len(window)
             fresh = 0
@@ -411,12 +417,12 @@ class FitScoreCalculator:
                     continue
                 seen_add(prefix)
                 fresh += 1
-                links = links_get(prefix)
-                if links:
-                    pending_extend(links)
+                group = group_get(prefix)
+                if group is not None:
+                    pending_append(group)
             if fresh:
                 self._total_withdrawals += fresh
-            flush()
+            fold(pending)
             return processed
 
         for row in range(lo, hi):
@@ -432,23 +438,23 @@ class FitScoreCalculator:
                         continue
                     seen_add(prefix)
                     fresh += 1
-                    links = links_get(prefix)
-                    if links:
-                        pending_extend(links)
+                    group = group_get(prefix)
+                    if group is not None:
+                        pending_append(group)
                 if fresh:
                     # record_update below reads (and may decrement) the
                     # total, so it is synced per row, not per span.
                     self._total_withdrawals += fresh
             if a < a_high:
                 if pending:
-                    flush()
+                    fold(pending)
+                    pending.clear()
                 while a < a_high:
                     record_update(
                         prefix_at(ann_prefix[a]), path_at(attr_path[ann_attr[a]])
                     )
                     a += 1
-        if pending:
-            flush()
+        fold(pending)
         return processed
 
     def record_update(self, prefix: Prefix, new_path: ASPath) -> None:
@@ -461,7 +467,8 @@ class FitScoreCalculator:
         is updated in place, so an engine sharing it sees the new path too.
         """
         if prefix in self._withdrawn_prefixes:
-            old_links = self._index.links_of_prefix.get(prefix, ())
+            group = self._index.group_of.get(prefix)
+            old_links = group.links if group is not None else ()
             self._withdrawn_prefixes.discard(prefix)
             self._total_withdrawals = max(0, self._total_withdrawals - 1)
             withdrawn = self._withdrawn_for_link
@@ -632,11 +639,29 @@ class FitScoreCalculator:
         This is the set SWIFT reroutes when those links are inferred as
         failed; it includes both already-withdrawn and not-yet-withdrawn
         prefixes whose pre-burst path crossed the links.  Answered from the
-        reverse index as a union of per-link prefix sets — O(result size).
+        index as a union of the member sets of the path groups crossing the
+        links — O(result size).
         """
         return self._index.prefixes_via(links)
 
     # -- internals ----------------------------------------------------------------
+
+    def _fold(self, groups: List[_PathGroup]) -> None:
+        """Add fresh withdrawals, one entry per prefix, to the per-link overlays."""
+        withdrawn = self._withdrawn_for_link
+        delta = self._routed_delta
+        if len(groups) > 16:
+            # A burst's withdrawals share a handful of paths: one C-speed
+            # count per group, then one add per link of the group.
+            for group, count in Counter(groups).items():
+                for link in group.links:
+                    withdrawn[link] = withdrawn.get(link, 0) + count
+                    delta[link] = delta.get(link, 0) - count
+        else:
+            for group in groups:
+                for link in group.links:
+                    withdrawn[link] = withdrawn.get(link, 0) + 1
+                    delta[link] = delta.get(link, 0) - 1
 
     def _combine(self, ws: float, ps: float) -> float:
         if ws <= 0.0 or ps <= 0.0:

@@ -2,9 +2,11 @@
 
 The engine consumes the BGP message stream of one peering session.  It
 maintains a :class:`~repro.core.burst_detection.BurstDetector` and a
-persistent :class:`~repro.core.fit_score.LinkPrefixIndex` — the link -> prefix
-reverse index of the session RIB — which it updates incrementally as
-announcements stream in and as quiet-time withdrawals age out.  When a burst
+persistent :class:`~repro.core.fit_score.LinkPrefixIndex` — the session RIB
+interned by AS path, one group of prefixes per distinct path — which it
+updates incrementally as announcements stream in and as quiet-time
+withdrawals age out.  The index is the engine's only copy of the session
+RIB: :meth:`InferenceEngine.current_rib` reads it off the groups.  When a burst
 starts, a :class:`~repro.core.fit_score.FitScoreCalculator` is overlaid on
 the live index in O(1) (no RIB scan); at every triggering threshold it:
 
@@ -15,7 +17,8 @@ the live index in O(1) (no RIB scan); at every triggering threshold it:
    the maximum — the conservative tie handling of §4.2;
 3. predicts the affected prefixes as *all* prefixes whose current path
    traverses any inferred link (§3.1, conservative prediction), answered
-   from the reverse index as a union of per-link prefix sets;
+   from the index as a union of the member sets of the path groups crossing
+   the inferred links;
 4. checks the prediction against the history model / triggering schedule and
    either emits the inference or waits for the next threshold (§4.2).
 
@@ -91,16 +94,6 @@ class PrefixPrediction:
     already_withdrawn: FrozenSet[Prefix]
 
     @property
-    def future_prefixes(self) -> FrozenSet[Prefix]:
-        """Predicted prefixes that have *not* been withdrawn yet.
-
-        This is the set §6.3 scores with the Correctly Predicted Rate: the
-        value of SWIFT lies in rerouting prefixes before their withdrawals
-        arrive.
-        """
-        return self.predicted_prefixes - self.already_withdrawn
-
-    @property
     def size(self) -> int:
         """Total number of predicted prefixes."""
         return len(self.predicted_prefixes)
@@ -133,15 +126,6 @@ class InferenceResult:
             common &= set(link)
         return frozenset(common)
 
-    @property
-    def all_endpoints(self) -> FrozenSet[int]:
-        """Every AS appearing as an endpoint of an inferred link."""
-        endpoints: Set[int] = set()
-        for a, b in self.inferred_links:
-            endpoints.add(a)
-            endpoints.add(b)
-        return frozenset(endpoints)
-
 
 class InferenceEngine:
     """Per-session SWIFT inference.
@@ -150,9 +134,10 @@ class InferenceEngine:
     ----------
     rib:
         Pre-burst Adj-RIB-In snapshot (prefix -> AS path) of the session.
-        The engine builds its link/prefix index from it once — O(RIB) — and
-        maintains it incrementally afterwards, so burst starts and triggering
-        thresholds never rescan the RIB.
+        The engine interns it into its per-path index once — O(RIB) — and
+        maintains the index incrementally afterwards, so burst starts and
+        triggering thresholds never rescan the RIB.  The engine keeps no
+        copy of ``rib``: the index's path groups are its RIB view.
     config:
         Inference configuration; defaults to the paper's settings.
     history:
@@ -163,7 +148,8 @@ class InferenceEngine:
         and the session peer is also considered by the scoring.
     calculator_factory:
         The engine's single substitution seam: called with the engine's
-        current RIB view at every burst start, its product scores the burst
+        current RIB view (:meth:`current_rib`, built from the index's path
+        groups) at every burst start, its product scores the burst
         instead of the O(1) overlay calculator.  The engine calls that
         product directly and never asks what it is, so it must implement the
         calculator protocol in full — ``record_withdrawals``,
@@ -187,10 +173,9 @@ class InferenceEngine:
     ) -> None:
         self.config = config or InferenceConfig()
         self.history = history
-        self._rib = dict(rib)
         self._local_as = local_as
         self._peer_as = peer_as
-        self._index = LinkPrefixIndex(self._rib, local_as=local_as, peer_as=peer_as)
+        self._index = LinkPrefixIndex(rib, local_as=local_as, peer_as=peer_as)
         self._calculator_factory = calculator_factory
         self._kernel = kernels.get_backend(self.config.kernel_backend)
         self.detector = BurstDetector(self.config.detector, kernel=self._kernel)
@@ -258,20 +243,16 @@ class InferenceEngine:
                 calculator = None
 
         if message.announcements:
-            # Keep the RIB view and the link/prefix index current; during a
-            # burst the calculator follows the implicit withdrawals carried
-            # by path changes and patches the index itself.
+            # Keep the index (and so the RIB view) current; during a burst
+            # the calculator follows the implicit withdrawals carried by path
+            # changes and patches the index itself.
             apply = (
                 calculator.record_update
                 if calculator is not None
                 else self._index.set_path
             )
-            rib = self._rib
             for announcement in message.announcements:
-                prefix = announcement.prefix
-                path = announcement.attributes.as_path
-                apply(prefix, path)
-                rib[prefix] = path
+                apply(announcement.prefix, announcement.attributes.as_path)
 
         if calculator is not None and self.detector.state.value == "quiet":
             self._end_burst(timestamp)
@@ -309,9 +290,9 @@ class InferenceEngine:
           (:meth:`~repro.core.burst_detection.BurstDetector.observe_run`) and
           reports every burst transition with its row index, so the engine
           walks the run as homogeneous *spans* between transitions;
-        * quiet spans age the withdrawal buffer and patch the RIB view / the
-          persistent index from the announcement columns (interned objects,
-          shared with the index);
+        * quiet spans age the withdrawal buffer and patch the persistent
+          index from the announcement columns (interned objects, shared with
+          the index);
         * burst spans are recorded in bulk
           (:meth:`~repro.core.fit_score.FitScoreCalculator.record_run`), with
           the triggering thresholds located by bisect over the cumulative
@@ -365,21 +346,18 @@ class InferenceEngine:
         Re-provisioning is a quiet-time operation; applying a delta while a
         burst is being tracked would bypass the burst-local overlay.
         """
-        rib = self._rib
         index = self._index
         for prefix, path in delta.items():
             if path is None:
-                rib.pop(prefix, None)
                 index.remove_prefix(prefix)
             else:
-                rib[prefix] = path
                 index.set_path(prefix, path)
 
     def flush_quiet_state(self) -> None:
-        """Fold buffered quiet-time withdrawals into the RIB view.
+        """Fold buffered quiet-time withdrawals into the index.
 
         Outside a burst, withdrawals sit in a detection-window buffer for up
-        to ``window_seconds`` before they age out of the engine's RIB view.
+        to ``window_seconds`` before they age out of the engine's index.
         Re-provisioning treats them as settled churn immediately — exactly
         the state a from-scratch rebuild from the Adj-RIB-In would observe —
         so a kept-alive engine stays interchangeable with a rebuilt one.
@@ -389,7 +367,6 @@ class InferenceEngine:
             return
         while self._recent_withdrawals:
             _, prefix = self._recent_withdrawals.popleft()
-            self._rib.pop(prefix, None)
             self._index.remove_prefix(prefix)
 
     def force_inference(self, timestamp: float) -> Optional[InferenceResult]:
@@ -420,12 +397,13 @@ class InferenceEngine:
         return self._withdrawals_in_burst
 
     def current_rib(self) -> Dict[Prefix, ASPath]:
-        """The engine's view of the session RIB (pre-burst + later updates)."""
-        return dict(self._rib)
+        """The engine's view of the session RIB (pre-burst + later updates),
+        read off the index's path groups."""
+        return self._index.paths()
 
     @property
     def index(self) -> LinkPrefixIndex:
-        """The persistent link/prefix index maintained by this engine."""
+        """The persistent per-path index maintained by this engine."""
         return self._index
 
     # -- internals ----------------------------------------------------------------
@@ -435,46 +413,35 @@ class InferenceEngine:
 
         Once a buffered withdrawal has aged out without a burst starting it is
         treated as ordinary churn: the prefix is also removed from the
-        engine's RIB view and index so future bursts start from an accurate
-        snapshot.
+        engine's index so future bursts start from an accurate snapshot.
         """
         horizon = now - self.config.detector.window_seconds
         while self._recent_withdrawals and self._recent_withdrawals[0][0] < horizon:
             _, prefix = self._recent_withdrawals.popleft()
-            self._rib.pop(prefix, None)
             self._index.remove_prefix(prefix)
 
     # -- columnar internals -------------------------------------------------
 
-    def _fold_announcements(self, trace, a_low: int, a_high: int, apply=None) -> None:
-        """Fold [a_low, a_high) of the announcement columns into the RIB view.
+    def _fold_announcements(self, trace, a_low: int, a_high: int, apply) -> None:
+        """Hand [a_low, a_high) of the announcement columns to ``apply``.
 
         The one decode-and-fold loop every columnar span shares (the per-row
         quiet loop keeps its own inlined copy for speed): each announcement's
-        interned (prefix, AS path) pair is handed to ``apply`` and lands in
-        the engine RIB.  ``apply`` is what patches the persistent index: its
-        ``set_path`` in quiet time, the burst calculator's
+        interned (prefix, AS path) pair is handed to ``apply``, which patches
+        the persistent index: its ``set_path`` in quiet time, the burst
+        calculator's
         :meth:`~repro.core.fit_score.FitScoreCalculator.record_update`
         in-burst (the implicit-withdrawal bookkeeping runs first, then the
-        calculator moves the prefix in the index).  ``None`` after
-        :meth:`_record_span`: the calculator already recorded the window, so
-        only the RIB mirror remains.
+        calculator moves the prefix in the index).
         """
-        if a_high <= a_low:
-            return
         pool = trace.pool
         prefix_at = pool.prefix_at
         path_at = pool.path_at
         attr_path = pool.attr_path
         ann_prefix = trace.ann_prefix
         ann_attr = trace.ann_attr
-        rib = self._rib
         for index in range(a_low, a_high):
-            prefix = prefix_at(ann_prefix[index])
-            path = path_at(attr_path[ann_attr[index]])
-            if apply is not None:
-                apply(prefix, path)
-            rib[prefix] = path
+            apply(prefix_at(ann_prefix[index]), path_at(attr_path[ann_attr[index]]))
 
     def _columnar_span(
         self, run, lo: int, hi: int, accepted: List[InferenceResult]
@@ -509,7 +476,6 @@ class InferenceEngine:
         attr_path = pool.attr_path
         ann_prefix = trace.ann_prefix
         ann_attr = trace.ann_attr
-        rib = self._rib
         set_path = self._index.set_path
         kinds = trace.msg_kind
         times = trace.msg_time
@@ -517,7 +483,6 @@ class InferenceEngine:
         buffered = self._recent_withdrawals
         buffered_pop = buffered.popleft
         buffered_append = buffered.append
-        rib_pop = rib.pop
         remove_prefix = self._index.remove_prefix
         window_seconds = self.config.detector.window_seconds
         last_wd = wd_end[hi - 1]
@@ -531,11 +496,10 @@ class InferenceEngine:
             timestamp = times[row]
             if buffered:
                 # Inlined _expire_recent: the buffer ages on every quiet
-                # UPDATE timestamp, expired prefixes leave the RIB view.
+                # UPDATE timestamp, expired prefixes leave the index.
                 horizon = timestamp - window_seconds
                 while buffered and buffered[0][0] < horizon:
                     _, prefix = buffered_pop()
-                    rib_pop(prefix, None)
                     remove_prefix(prefix)
             elif w == last_wd:
                 # Buffer drained and no withdrawals left in the span: the
@@ -547,10 +511,7 @@ class InferenceEngine:
                 buffered_append((timestamp, prefix_at(wd_prefix[w])))
                 w += 1
             while a < a_high:
-                prefix = prefix_at(ann_prefix[a])
-                path = path_at(attr_path[ann_attr[a]])
-                set_path(prefix, path)
-                rib[prefix] = path
+                set_path(prefix_at(ann_prefix[a]), path_at(attr_path[ann_attr[a]]))
                 a += 1
 
     def _burst_span(
@@ -576,7 +537,7 @@ class InferenceEngine:
         position = lo
         while position < hi:
             if self._accepted_result is not None or self._next_trigger is None:
-                self._withdrawals_in_burst += self._record_span(run, position, hi)
+                self._withdrawals_in_burst += self._calculator.record_run(run, position, hi)
                 return
             base = wd_end[position - 1] if position else 0
             needed = self._next_trigger - self._withdrawals_in_burst
@@ -588,7 +549,7 @@ class InferenceEngine:
                 # at the next withdrawal-bearing row, as per-message would.
                 row = kernel.next_positive_row(wd_end, base, position, hi)
             if row >= hi:
-                self._withdrawals_in_burst += self._record_span(run, position, hi)
+                self._withdrawals_in_burst += self._calculator.record_run(run, position, hi)
                 return
             # The trigger row itself replays the per-message order exactly:
             # its withdrawals are recorded, the inference runs, and only
@@ -596,7 +557,7 @@ class InferenceEngine:
             # message's announcements *after* the withdrawal branch's
             # trigger check, and an announcement clearing a withdrawal on
             # the trigger row must not be visible to the inference.
-            self._withdrawals_in_burst += self._record_span(run, position, row)
+            self._withdrawals_in_burst += self._calculator.record_run(run, position, row)
             w_low = wd_end[row - 1] if row else 0
             self._withdrawals_in_burst += self._calculator.record_withdrawal_rows(
                 pool, trace.wd_prefix, w_low, wd_end[row]
@@ -611,28 +572,6 @@ class InferenceEngine:
                 self._calculator.record_update,
             )
             position = row + 1
-
-    def _record_span(self, run, lo: int, hi: int) -> int:
-        """Record rows [lo, hi) into the burst calculator; mirror the RIB.
-
-        Returns the withdrawal entries processed (the burst-counter
-        increment).  The calculator handles its own withdrawal/announcement
-        interleaving (:meth:`~repro.core.fit_score.FitScoreCalculator.record_run`,
-        which also patches the persistent index); the engine then folds the
-        span's announcements into its RIB view, as the announcement branch
-        of :meth:`process_message` does.
-        """
-        if hi <= lo:
-            return 0
-        processed = self._calculator.record_run(run, lo, hi)
-        # Folding after the bulk record is equivalent to interleaving: the
-        # maps are last-wins per prefix and nothing reads them mid-span.
-        trace = run.trace
-        ann_end = trace.ann_end
-        self._fold_announcements(
-            trace, ann_end[lo - 1] if lo else 0, ann_end[hi - 1]
-        )
-        return processed
 
     def _columnar_event_row(
         self, run, row: int, event, accepted: List[InferenceResult]
@@ -681,17 +620,16 @@ class InferenceEngine:
         """A NOTIFICATION: the peer holds no routes, so the engine starts empty.
 
         Any tracked burst ends without an inference, the quiet-time buffer
-        and the detector are reset, and the RIB view and index are emptied:
-        what an engine rebuilt from the peer's Adj-RIB-In would hold.
+        and the detector are reset, and the index (and so the RIB view) is
+        emptied: what an engine rebuilt from the peer's Adj-RIB-In would hold.
         """
         self._end_burst(timestamp)
         self.detector.reset()
-        self._rib.clear()
         self._index = LinkPrefixIndex(local_as=self._local_as, peer_as=self._peer_as)
 
     def _start_burst(self, timestamp: float) -> None:
         if self._calculator_factory is not None:
-            self._calculator = self._calculator_factory(self._rib)
+            self._calculator = self._calculator_factory(self.current_rib())
         else:
             # O(1): overlay the live index instead of rescanning the RIB.
             self._calculator = FitScoreCalculator.from_index(

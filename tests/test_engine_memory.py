@@ -1,0 +1,118 @@
+"""Bytes per route held by the inference engines, without a stopwatch.
+
+The engines are the router's per-session view of the Adj-RIB-In, interned by
+AS path (``LinkPrefixIndex``).  These tests hold that store to a byte budget
+per route after a cold ``provision()`` of a ``FullTableGenerator`` table, and
+hold a long-lived index to the live RIB under path churn.  Run the 64k × 3
+table, which prints the per-structure breakdown ``src/repro/core/README.md``
+publishes, with ``pytest -m slow tests/test_engine_memory.py -s``.
+"""
+
+from __future__ import annotations
+
+import gc
+import linecache
+import tracemalloc
+
+import pytest
+
+from repro.bgp.attributes import ASPath
+from repro.bgp.prefix import prefix_block
+from repro.core.fit_score import LinkPrefixIndex
+from repro.core.swifted_router import SwiftedRouter
+from repro.traces.fulltable import FullTableConfig, FullTableGenerator
+
+ENGINE_FILES = ("core/fit_score.py", "core/inference.py")
+PEERS = 3
+
+
+def _is_engine(filename):
+    return filename.endswith(ENGINE_FILES)
+
+
+def _provisioned_snapshot(prefix_count):
+    """A tracemalloc snapshot of a cold-provisioned ``prefix_count`` × 3 router."""
+    table = FullTableGenerator(
+        FullTableConfig(prefix_count=prefix_count, peer_count=PEERS, seed=1)
+    ).generate()
+    initial = table.columnar_table()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        router = SwiftedRouter(65000)
+        for peer_as in table.peers:
+            router.add_peer(peer_as)
+            router.speaker.session(peer_as).record_stream = False
+        router.speaker.receive_columnar(initial)
+        router.provision()
+        gc.collect()
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    routes = sum(len(router.engine_for(peer_as).current_rib()) for peer_as in table.peers)
+    assert routes == prefix_count * PEERS
+    return snapshot, routes
+
+
+def _engine_bytes(snapshot):
+    return sum(
+        stat.size
+        for stat in snapshot.statistics("filename")
+        if _is_engine(stat.traceback[0].filename)
+    )
+
+
+def test_engine_bytes_per_route_at_16k():
+    snapshot, routes = _provisioned_snapshot(16_000)
+    per_route = _engine_bytes(snapshot) / routes
+    assert per_route <= 150, f"{per_route:.1f} B per route"
+
+
+@pytest.mark.slow
+def test_engine_bytes_per_route_at_64k_by_structure():
+    snapshot, routes = _provisioned_snapshot(64_000)
+    print(f"\n64k x {PEERS}: {routes} routes, bytes per route by allocating file")
+    for stat in snapshot.statistics("filename")[:8]:
+        name = stat.traceback[0].filename.split("src/repro/")[-1]
+        print(f"  {name:32s} {stat.size / routes:7.1f}")
+    print("engine allocations by source line")
+    for stat in snapshot.statistics("lineno"):
+        frame = stat.traceback[0]
+        if _is_engine(frame.filename) and stat.size / routes >= 0.5:
+            line = linecache.getline(frame.filename, frame.lineno).strip()
+            print(f"  {stat.size / routes:7.1f}  {frame.lineno:4d}  {line}")
+    per_route = _engine_bytes(snapshot) / routes
+    print(f"engine total {per_route:.1f} B per route")
+    assert per_route <= 143, f"{per_route:.1f} B per route"
+
+
+def _index_bytes(snapshot):
+    return sum(
+        trace.size
+        for trace in snapshot.traces
+        if trace.traceback[0].filename.endswith("core/fit_score.py")
+    )
+
+
+def test_index_forgets_dead_paths():
+    """An always-on index under path churn stays the size of its live RIB."""
+    prefixes = prefix_block("10.0.0.0/24", 1_000)
+    rib = {prefix: ASPath([2, 5, 6 + number % 20]) for number, prefix in enumerate(prefixes)}
+    churned = prefixes[0]
+    tracemalloc.start()
+    try:
+        index = LinkPrefixIndex(rib, local_as=1, peer_as=2)
+        start = _index_bytes(tracemalloc.take_snapshot())
+        for hop in range(20_000):
+            index.set_path(churned, ASPath([2, 1_000 + hop, 6]))
+        index.set_path(churned, rib[churned])
+        gc.collect()
+        end = _index_bytes(tracemalloc.take_snapshot())
+    finally:
+        tracemalloc.stop()
+    assert abs(end - start) <= 0.1 * start, (start, end)
+    assert index.paths() == rib
+    # No group outlives its last prefix: the pool holds the 20 live paths.
+    assert len(index._groups) == len({id(group) for group in index.group_of.values()}) == 20
+    assert set(index.routed_for_link) == set(index.groups_of_link)
+    assert not any(1_000 <= asn for link in index.routed_for_link for asn in link)

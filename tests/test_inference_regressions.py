@@ -52,6 +52,17 @@ def session_rib():
     return rib
 
 
+def index_view(engine):
+    """What an engine's index answers: the RIB view, ``P(l)`` per link and
+    the prefixes routed over every link."""
+    index = engine.index
+    return (
+        engine.current_rib(),
+        index.routed_for_link,
+        {link: index.prefixes_via([link]) for link in index.routed_for_link},
+    )
+
+
 def _config(start_threshold=10, stop_threshold=1, trigger=10 ** 6, window=10.0):
     return InferenceConfig(
         detector=BurstDetectorConfig(
@@ -270,20 +281,16 @@ class TestReferenceParity:
                 for run in trace.iter_batches(max_run=7):
                     engine.process_columnar_run(run)
 
-        def index_state(engine):
-            index = engine.index
-            return (
-                index.links_of_prefix,
-                index.routed_for_link,
-                index.prefixes_of_link,
-            )
-
         assert len(oracle.detector.events) >= 3, "two bursts must have started"
-        assert index_state(oracle) == index_state(production)
-        assert oracle.current_rib() == production.current_rib()
+        assert index_view(oracle) == index_view(production)
         # The two prefixes announced mid-burst moved off (5, 6) in the index.
-        assert oracle.index.links_of_prefix[S7[0]] == ((1, 2), (2, 3), (3, 7))
-        assert S6[10] not in oracle.index.prefixes_of_link[(5, 6)]
+        _, _, prefixes_of_link = index_view(oracle)
+        assert {link for link, members in prefixes_of_link.items() if S7[0] in members} == {
+            (1, 2),
+            (2, 3),
+            (3, 7),
+        }
+        assert S6[10] not in prefixes_of_link[(5, 6)]
 
     def test_calculator_parity_on_shared_queries(self):
         """Spot-check calculator-level queries against the reference."""
@@ -371,7 +378,7 @@ class TestMidRunControlCalls:
         assert columnar.current_rib() == per_message.current_rib()
         assert not columnar._recent_withdrawals
         # The flushed prefixes left the index too, exactly as per-message.
-        assert columnar.index.prefixes_of_link == per_message.index.prefixes_of_link
+        assert index_view(columnar) == index_view(per_message)
 
     def test_force_inference_mid_columnar_burst_matches_per_message(self):
         """Probing a burst between two columnar chunks must see the same
@@ -520,8 +527,7 @@ class TestNotificationResetsTheEngine:
         for message in messages:
             per_message.process_message(message)
             if isinstance(message, Notification):
-                assert per_message.current_rib() == {}
-                assert not per_message.index.links_of_prefix
+                assert index_view(per_message) == ({}, {}, {})
                 assert not per_message._recent_withdrawals
                 assert not per_message.detector.is_bursting
                 assert per_message.withdrawals_in_current_burst == 0
@@ -534,8 +540,7 @@ class TestNotificationResetsTheEngine:
             for run in trace.iter_batches(max_run=max_run):
                 columnar.process_columnar_run(run)
             assert columnar.results == per_message.results
-            assert columnar.current_rib() == per_message.current_rib()
-            assert columnar.index.prefixes_of_link == per_message.index.prefixes_of_link
+            assert index_view(columnar) == index_view(per_message)
             assert list(columnar._recent_withdrawals) == list(per_message._recent_withdrawals)
             assert columnar.detector.events == per_message.detector.events
             assert columnar.detector.state == per_message.detector.state
@@ -559,3 +564,69 @@ class TestRecordRunWindows:
             assert calculator.total_withdrawals == 0
             assert calculator.record_run(run) == 10
             assert calculator.total_withdrawals == 10
+
+
+class TestEmptyPathRoutes:
+    """A prefix announced with an empty AS path crosses no link, yet it is a
+    route of the session: the RIB view keeps it, it scores no link and no
+    prediction names it — on both entry families and through
+    ``apply_rib_delta``, exactly as under the oracle calculator."""
+
+    EMPTY = prefix_block("99.0.0.0/24", 3)
+
+    def _rib(self):
+        rib = session_rib()
+        rib[self.EMPTY[0]] = ASPath(())
+        return rib
+
+    def _stream(self):
+        empty = PathAttributes(as_path=ASPath(()), next_hop=2)
+        messages = [Update.announce(1.0, 2, self.EMPTY[1], empty)]
+        messages += _withdrawals([self.EMPTY[0]] + S6[:30] + [self.EMPTY[1]], start=100.0)
+        # Re-announced mid-burst: clears its withdrawal, still on no link.
+        messages.append(Update.announce(100.05, 2, self.EMPTY[1], empty))
+        return messages
+
+    def _engines(self):
+        config = _config(trigger=20)
+        return (
+            InferenceEngine(self._rib(), config=config, local_as=1, peer_as=2),
+            reference_engine(self._rib(), config=config, local_as=1, peer_as=2),
+        )
+
+    def _assert_linkless(self, engine, oracle, held):
+        assert index_view(engine) == index_view(oracle)
+        rib, _, prefixes_of_link = index_view(engine)
+        for prefix in held:
+            assert rib[prefix] == ASPath(())
+        assert not any(
+            prefix in members for members in prefixes_of_link.values() for prefix in self.EMPTY
+        )
+
+    @pytest.mark.parametrize("max_run", ["per_message", None, 5])
+    def test_in_band(self, max_run):
+        messages = self._stream()
+        engine, oracle = self._engines()
+        for each in (engine, oracle):
+            if max_run == "per_message":
+                each.process_batch(messages)
+            else:
+                for run in ColumnarTrace.from_messages(messages).iter_batches(max_run=max_run):
+                    each.process_columnar_run(run)
+        assert engine.results == oracle.results
+        assert engine.results, "the burst must cross the trigger"
+        for result in engine.results:
+            assert result.withdrawals_seen >= 20
+            assert not result.prediction.predicted_prefixes & set(self.EMPTY)
+        self._assert_linkless(engine, oracle, self.EMPTY[:2])
+
+    def test_through_apply_rib_delta(self):
+        engine, oracle = self._engines()
+        for each in (engine, oracle):
+            each.apply_rib_delta({self.EMPTY[2]: ASPath(()), self.EMPTY[0]: None})
+        assert self.EMPTY[0] not in engine.current_rib()
+        self._assert_linkless(engine, oracle, self.EMPTY[2:])
+        for each in (engine, oracle):
+            each.apply_rib_delta({self.EMPTY[2]: ASPath([2, 5, 6])})
+        assert index_view(engine) == index_view(oracle)
+        assert self.EMPTY[2] in engine.index.prefixes_via([(5, 6)])

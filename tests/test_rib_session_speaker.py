@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from test_inference_regressions import index_view
 from test_replay_pipeline import _event_sets
 from test_reroute_index import PEERS, _random_topology, _router
 
@@ -253,8 +254,8 @@ def test_derived_link_view_agrees_with_the_engine_index(entry_point):
     )
     assert rib.link_prefix_counts() == dict(derived)
     assert sorted(rib.links()) == sorted(derived)
-    assert set(index.prefixes_of_link) == set(derived) | {local_link}
-    for link in index.prefixes_of_link:
+    assert set(index.routed_for_link) == set(derived) | {local_link}
+    for link in index.routed_for_link:
         maintained = index.prefixes_via([link])
         if link == local_link:
             # Only the engine scores the session's own first link.
@@ -956,11 +957,7 @@ def test_out_of_band_change_replaced_in_band_is_not_replayed_into_the_engine():
     cold.provision(full_rebuild=True)
     for peer in (2, 3):
         warm_engine, cold_engine = warm.engine_for(peer), cold.engine_for(peer)
-        assert dict(warm_engine.current_rib()) == dict(cold_engine.current_rib())
-        for attribute in ("links_of_prefix", "routed_for_link", "prefixes_of_link"):
-            assert getattr(warm_engine.index, attribute) == getattr(
-                cold_engine.index, attribute
-            ), (peer, attribute)
+        assert index_view(warm_engine) == index_view(cold_engine), peer
 
 
 def test_change_observers_receive_the_changed_prefixes():

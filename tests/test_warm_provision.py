@@ -17,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from oracles.reroute_walk import backup_table
+from test_inference_regressions import index_view
 
 from repro.bgp.attributes import ASPath, PathAttributes
 from repro.bgp.messages import Notification, OpenMessage, Update
@@ -515,9 +516,7 @@ class TestSessionReset:
         twin.provision(full_rebuild=True)
         engine, rebuilt = router.engine_for(2), twin.engine_for(2)
         assert engine is not rebuilt
-        assert engine.current_rib() == rebuilt.current_rib() == {}
-        assert engine.index.prefixes_of_link == rebuilt.index.prefixes_of_link == {}
-        assert engine.index.routed_for_link == {}
+        assert index_view(engine) == index_view(rebuilt) == ({}, {}, {})
         assert engine.withdrawals_in_current_burst == 0
         assert not engine.detector.is_bursting
         assert engine.results == []
