@@ -9,9 +9,8 @@ Fig. 5 of the paper).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.bgp.attributes import ASPath, PathAttributes
 from repro.bgp.prefix import Prefix
@@ -177,6 +176,7 @@ class AdjRibIn:
         changes = [
             RouteChange(withdrawn, prefix, old) for prefix, old in self._routes.items()
         ]
+        # In place, never rebound: the speaker's Loc-RIB reads this dict.
         self._routes.clear()
         self._prefix_trie = None
         return changes
@@ -223,11 +223,6 @@ class AdjRibIn:
         match = self.prefix_trie().lookup(address)
         return match[1] if match is not None else None
 
-    def covering_route(self, prefix: Prefix) -> Optional[RibEntry]:
-        """The most specific route whose prefix covers ``prefix`` (or itself)."""
-        match = self.prefix_trie().lookup_prefix(prefix)
-        return match[1] if match is not None else None
-
     def covered_routes(self, prefix: Prefix) -> Iterator[Tuple[Prefix, RibEntry]]:
         """Yield routes equal to or more specific than ``prefix``, sorted."""
         return self.prefix_trie().covered_by(prefix)
@@ -266,24 +261,25 @@ class AdjRibIn:
         return frozenset(result)
 
 
-#: Shared empty mapping returned by ``LocRib.candidate_map`` for unknown
-#: prefixes, so the hot path never allocates.
-_NO_CANDIDATES: Dict[int, "RibEntry"] = {}
-
-
 class LocRib:
-    """The router-wide best-route table.
+    """The router-wide best-route table, and a view over every session's routes.
 
-    Stores, per prefix, the best entry chosen by the decision process as well
-    as the full set of candidate entries (one per peer announcing the prefix).
-    The candidates are what SWIFT mines for backup next-hops: "the AS paths
-    received from AS 4 also uses (5, 6)" reasoning in §5 requires knowing all
-    the alternatives, not only the best one.
+    Stores, per prefix, the best entry chosen by the decision process.  The
+    candidate entries (one per peer announcing the prefix) are not copied:
+    they are read through a registry of the sessions' Adj-RIB-In route
+    tables, in session order.  The candidates are what SWIFT mines for
+    backup next-hops: "the AS paths received from AS 4 also uses (5, 6)"
+    reasoning in §5 requires knowing all the alternatives, not only the best
+    one.
     """
 
     def __init__(self) -> None:
         self._best: Dict[Prefix, RibEntry] = {}
-        self._candidates: Dict[Prefix, Dict[int, RibEntry]] = {}
+        # peer -> that session's AdjRibIn._routes, in session order.  The
+        # tables are shared, not copied: AdjRibIn keeps one dict for its life.
+        self._tables: Dict[int, Dict[Prefix, RibEntry]] = {}
+        # Their ``get`` methods, in the same order: one probe per session.
+        self._getters: List[Callable[[Prefix], Optional[RibEntry]]] = []
         # Lazily-built LPM view over _best; same contract as
         # ``AdjRibIn._prefix_trie`` (None until first longest-prefix query,
         # incrementally maintained afterwards).
@@ -291,19 +287,15 @@ class LocRib:
 
     # -- mutation ---------------------------------------------------------
 
-    def set_candidate(self, entry: RibEntry) -> None:
-        """Record ``entry`` as the route offered by ``entry.peer_as``."""
-        self._candidates.setdefault(entry.prefix, {})[entry.peer_as] = entry
+    def add_source(self, rib_in: AdjRibIn) -> None:
+        """Read ``rib_in``'s routes as the candidates of its peer."""
+        self._tables[rib_in.peer_as] = rib_in._routes
+        self._getters = [routes.get for routes in self._tables.values()]
 
-    def remove_candidate(self, prefix: Prefix, peer_as: int) -> Optional[RibEntry]:
-        """Remove the candidate from ``peer_as`` for ``prefix`` if present."""
-        peers = self._candidates.get(prefix)
-        if not peers:
-            return None
-        removed = peers.pop(peer_as, None)
-        if not peers:
-            self._candidates.pop(prefix, None)
-        return removed
+    def remove_source(self, peer_as: int) -> None:
+        """Stop reading the routes of ``peer_as``."""
+        del self._tables[peer_as]
+        self._getters = [routes.get for routes in self._tables.values()]
 
     def set_best(self, entry: Optional[RibEntry], prefix: Optional[Prefix] = None) -> None:
         """Install ``entry`` as best route (or clear it when ``entry`` is None)."""
@@ -318,12 +310,6 @@ class LocRib:
             if self._best_trie is not None:
                 self._best_trie.insert(entry.prefix, entry)
 
-    def clear(self) -> None:
-        """Drop all state."""
-        self._best.clear()
-        self._candidates.clear()
-        self._best_trie = None
-
     # -- queries ----------------------------------------------------------
 
     def best(self, prefix: Prefix) -> Optional[RibEntry]:
@@ -331,21 +317,22 @@ class LocRib:
         return self._best.get(prefix)
 
     def candidates(self, prefix: Prefix) -> List[RibEntry]:
-        """Return all candidate routes for ``prefix`` (any peer)."""
-        return list(self._candidates.get(prefix, {}).values())
+        """All candidate routes for ``prefix``, in session order."""
+        found = []
+        for get in self._getters:
+            entry = get(prefix)
+            if entry is not None:
+                found.append(entry)
+        return found
 
     def candidate_map(self, prefix: Prefix) -> Dict[int, RibEntry]:
-        """The live peer -> candidate mapping of a prefix (do not mutate).
-
-        Exposed for read-only hot paths (e.g. profile-grouped backup
-        computation) that need the candidate *identities* without paying for
-        a list copy per prefix.
-        """
-        return self._candidates.get(prefix, _NO_CANDIDATES)
-
-    def candidate_from(self, prefix: Prefix, peer_as: int) -> Optional[RibEntry]:
-        """Return the candidate offered by a specific peer, if any."""
-        return self._candidates.get(prefix, {}).get(peer_as)
+        """The peer -> candidate mapping of ``prefix``, in session order."""
+        found = {}
+        for peer, routes in self._tables.items():
+            entry = routes.get(prefix)
+            if entry is not None:
+                found[peer] = entry
+        return found
 
     def best_entries(self) -> Iterator[RibEntry]:
         """Iterate over all best routes."""
@@ -379,15 +366,6 @@ class LocRib:
         match = self.best_trie().lookup(address)
         return match[1] if match is not None else None
 
-    def covering_best(self, prefix: Prefix) -> Optional[RibEntry]:
-        """The most specific best route whose prefix covers ``prefix``."""
-        match = self.best_trie().lookup_prefix(prefix)
-        return match[1] if match is not None else None
-
     def covered_best(self, prefix: Prefix) -> Iterator[Tuple[Prefix, RibEntry]]:
         """Yield best routes equal to or more specific than ``prefix``, sorted."""
         return self.best_trie().covered_by(prefix)
-
-    def best_paths_by_prefix(self) -> Dict[Prefix, ASPath]:
-        """Snapshot of prefix -> best AS path (input to the encoding algorithm)."""
-        return {prefix: entry.as_path for prefix, entry in self._best.items()}

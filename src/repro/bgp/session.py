@@ -206,8 +206,8 @@ class PeeringSession:
         """Close the session and withdraw every route it held.
 
         The withdrawals come back as ``WITHDRAWN`` changes, so a reset reaches
-        whatever mirrors the Adj-RIB-In (the speaker's Loc-RIB candidates)
-        exactly as withdrawals on the wire would.  Observers are the caller's
+        whatever reads the Adj-RIB-In's changes (the speaker's re-selection,
+        the router's engine deltas) exactly as withdrawals on the wire would.  Observers are the caller's
         to notify, with the rest of its call's changes.
         """
         self.state = SessionState.CLOSED
@@ -378,10 +378,6 @@ class PeeringSession:
                 observer(self, prefixes)
 
     # -- convenience ------------------------------------------------------
-
-    def reachable_prefixes(self) -> frozenset:
-        """Prefixes currently announced (and not withdrawn) on this session."""
-        return frozenset(self.rib_in.prefixes())
 
     def __repr__(self) -> str:
         return (

@@ -3,12 +3,15 @@
 The :class:`BGPSpeaker` glues sessions, the decision process and the Loc-RIB
 together: it accepts messages from any of its peering sessions, re-runs best
 path selection for the touched prefixes, and reports best-route changes.
+Route state has one owner, each session's Adj-RIB-In: the Loc-RIB keeps only
+the best routes and reads a prefix's candidates through the sessions' route
+tables, one probe per session, in session order.
 The case-study "vanilla router" (§2.1.2 / §7) builds on this speaker, adding
 a timing model for FIB installation; the SWIFTED router wraps the same
 speaker with the SWIFT engine.
 
 Replay workloads should prefer the batched path: :meth:`BGPSpeaker.receive_batch`
-applies every Adj-RIB-In / Loc-RIB candidate change of a batch first and then
+applies every Adj-RIB-In change of a batch first and then
 runs the decision process **once per touched prefix** instead of once per
 message — not at all for a prefix left with a single candidate (every
 withdrawal of a failure burst), and, because the standard ranking depends
@@ -44,22 +47,32 @@ __all__ = ["BGPSpeaker", "BestRouteChange", "SpeakerBatch"]
 #: Module-level so the batched re-selection builds its profile keys with
 #: C-level ``map`` calls instead of a Python-level lambda per candidate.
 _attrgetter_attributes = attrgetter("attributes")
+_attrgetter_peer_as = attrgetter("peer_as")
 
 #: Winner-memo miss marker (a memoised ``None`` means every candidate loops).
 _UNSELECTED = object()
 
 
-def _has_loop_free(peers: Optional[Dict[int, RibEntry]]) -> bool:
-    """Whether a peer -> candidate map holds a route ``select()`` would install.
+def _loop_free_route(
+    probes: Sequence[Callable[[Prefix], Optional[RibEntry]]], prefix: Prefix
+) -> Optional[RibEntry]:
+    """The first route for ``prefix`` that ``select()`` could install.
 
-    The batch's notion of "reachable": a looped announcement neither recovers
-    a prefix nor masks a loss (``has_loop()`` is cached on the path).
+    ``probes`` are route-table getters, in session order.  The batch's
+    notion of "reachable": a looped announcement neither recovers a prefix
+    nor masks a loss (``has_loop()`` is cached on the path).
     """
-    if peers:
-        for entry in peers.values():
-            if not entry.attributes.as_path.has_loop():
-                return True
-    return False
+    for get in probes:
+        entry = get(prefix)
+        if entry is not None and not entry.attributes.as_path.has_loop():
+            return entry
+    return None
+
+
+def _changed_prefixes(changes: List[RouteChange]) -> List[Prefix]:
+    """The prefixes of the changes that moved a route, for ``_reselect``."""
+    unchanged = RouteChangeKind.UNCHANGED
+    return [change.prefix for change in changes if change.kind is not unchanged]
 
 
 class BestRouteChange:
@@ -148,6 +161,7 @@ class BGPSpeaker:
         session = PeeringSession(self.local_as, peer_as, name=name)
         session.establish()
         self._sessions[peer_as] = session
+        self.loc_rib.add_source(session.rib_in)
         return session
 
     def remove_peer(self, peer_as: int) -> List[BestRouteChange]:
@@ -155,7 +169,9 @@ class BGPSpeaker:
         session = self._sessions.pop(peer_as, None)
         if session is None:
             raise KeyError(peer_as)
-        return self._reselect(self._apply_changes(peer_as, session.close()))
+        changes = session.close()
+        self.loc_rib.remove_source(peer_as)
+        return self._reselect(_changed_prefixes(changes))
 
     def session(self, peer_as: int) -> PeeringSession:
         """Return the session with ``peer_as`` (KeyError if unknown)."""
@@ -183,9 +199,7 @@ class BGPSpeaker:
         session = self._sessions.get(message.peer_as)
         if session is None:
             raise KeyError(f"no session with AS {message.peer_as}")
-        best_changes = self._reselect(
-            self._apply_changes(message.peer_as, session.process(message))
-        )
+        best_changes = self._reselect(_changed_prefixes(session.process(message)))
         if best_changes:
             for listener in self._best_route_listeners:
                 listener(best_changes)
@@ -194,7 +208,7 @@ class BGPSpeaker:
     def receive_batch(self, messages: Iterable[BGPMessage]) -> List[BestRouteChange]:
         """Process a batch of messages, running best-path selection per prefix.
 
-        All Adj-RIB-In and Loc-RIB candidate changes are applied first (in
+        All Adj-RIB-In changes are applied first (in
         bulk per consecutive same-peer run); the decision process then runs
         once per *touched prefix* — once per candidate profile when the
         ranking allows it — rather than once per message, which is the
@@ -293,30 +307,13 @@ class BGPSpeaker:
         """
         return self.loc_rib.best_lookup(address)
 
-    def covered_routed_prefixes(self, prefix: Prefix) -> List[Prefix]:
-        """Routed prefixes equal to or more specific than ``prefix``, sorted."""
-        return [covered for covered, _ in self.loc_rib.covered_best(prefix)]
-
     # -- internals --------------------------------------------------------
 
-    def _apply_changes(self, peer_as: int, changes: List[RouteChange]) -> List[Prefix]:
-        """Mirror one session's route changes into the Loc-RIB candidates.
-
-        Returns the prefixes whose candidate from ``peer_as`` moved, for
-        :meth:`_reselect`.  A session reset comes through here too, as one
-        ``WITHDRAWN`` change per route the peer held.
-        """
-        touched: List[Prefix] = []
-        loc_rib = self.loc_rib
-        for change in changes:
-            if change.kind == RouteChangeKind.UNCHANGED:
-                continue
-            touched.append(change.prefix)
-            if change.new is not None:
-                loc_rib.set_candidate(change.new)
-            else:
-                loc_rib.remove_candidate(change.prefix, peer_as)
-        return touched
+    def _other_probes(self, peer_as: Optional[int]) -> List[Callable]:
+        """Route-table getters of every session but ``peer_as``, in session order."""
+        return [
+            routes.get for peer, routes in self.loc_rib._tables.items() if peer != peer_as
+        ]
 
     def _reselect(
         self,
@@ -335,7 +332,7 @@ class BGPSpeaker:
         (:meth:`_reselect_batch`), one per distinct candidate profile.
         """
         loc_rib = self.loc_rib
-        candidates_of = loc_rib._candidates.get
+        probes = loc_rib._getters
         best = loc_rib._best
         best_of = best.get
         # Without a materialised best-trie, installing a best route is one
@@ -343,27 +340,34 @@ class BGPSpeaker:
         set_best = None if loc_rib._best_trie is None else loc_rib.set_best
         select = self.decision_process.select
         attributes_of = _attrgetter_attributes
+        peer_of = _attrgetter_peer_as
         changes: List[BestRouteChange] = []
         append_change = changes.append
         for prefix in prefixes:
-            peers = candidates_of(prefix)
-            if not peers:
+            # One probe per session; a plain loop beats a comprehension here.
+            found = []
+            for get in probes:
+                entry = get(prefix)
+                if entry is not None:
+                    found.append(entry)
+            if not found:
                 new = None
-            elif len(peers) == 1:
-                (new,) = peers.values()
+            elif len(found) == 1:
+                new = found[0]
                 if new.attributes.as_path.has_loop():
                     new = None
             elif winners is None:
-                new = select(peers.values())
+                new = select(found)
             else:
-                key = (tuple(peers), tuple(map(id, map(attributes_of, peers.values()))))
-                winner_peer = winners.get(key, _UNSELECTED)
-                if winner_peer is _UNSELECTED:
-                    winner = select(peers.values())
-                    winner_peer = winners[key] = (
-                        None if winner is None else winner.peer_as
+                peers = tuple(map(peer_of, found))
+                key = (peers, tuple(map(id, map(attributes_of, found))))
+                winner = winners.get(key, _UNSELECTED)
+                if winner is _UNSELECTED:
+                    chosen = select(found)
+                    winner = winners[key] = (
+                        None if chosen is None else peers.index(chosen.peer_as)
                     )
-                new = None if winner_peer is None else peers[winner_peer]
+                new = None if winner is None else found[winner]
             old = best_of(prefix)
             if old is new:
                 continue
@@ -390,14 +394,13 @@ class BGPSpeaker:
         Two prefixes whose candidate sets consist of the *same attribute
         objects from the same peers* (whole path-sharing prefix groups
         change together) rank identically under a prefix-independent
-        decision process, so the winner peer is memoised per distinct
+        decision process, so the winner's position is memoised per distinct
         profile: the first prefix of a profile calls ``select`` and every
         later one reuses its winner.  The profile key is the candidate peers
-        (in insertion order — identical for prefixes with the same
-        announcement history, which is what path groups share anyway) plus
-        the identity of each candidate's attribute object, built with
-        C-level tuple/map calls; a memoised ``None`` means every candidate
-        loops.  Rankings that are not prefix-independent select per prefix.
+        (in session order) plus the identity of each candidate's attribute
+        object, built with C-level tuple/map calls; a memoised ``None`` means
+        every candidate loops.  Rankings that are not prefix-independent
+        select per prefix.
 
         The changes come back in the order ``prefixes`` are given — the
         batch's first-touch order, which is per-message emission order.
@@ -409,11 +412,11 @@ class BGPSpeaker:
 class SpeakerBatch:
     """An in-progress batch of messages on a :class:`BGPSpeaker`.
 
-    Adj-RIB-In and Loc-RIB *candidate* state is kept current as messages are
-    added (it is order-sensitive), but best-path selection is deferred to
-    :meth:`commit`, where it runs once per touched prefix — skipped for
-    sole candidates and once per candidate profile when the decision process
-    declares itself prefix-independent.  Between those points
+    Adj-RIB-In state, which the Loc-RIB's candidates read, is kept current as
+    messages are added (it is order-sensitive), but best-path selection is
+    deferred to :meth:`commit`, where it runs once per touched prefix —
+    skipped for sole candidates and once per candidate profile when the
+    decision process declares itself prefix-independent.  Between those points
     ``loc_rib.best()`` intentionally still answers with the pre-batch best
     route, which is what lets the deferred selection reconstruct the same
     ``old -> new`` transitions the per-message path would have reported.
@@ -466,7 +469,7 @@ class SpeakerBatch:
         """The column walk: one pass over rows ``[start, stop)``.
 
         A single-prefix row runs :meth:`_absorb`'s single-change branch
-        inline — Adj-RIB-In (and trie), Loc-RIB candidate, pending
+        inline — Adj-RIB-In (and trie), pending
         reachability, transition — with no ``RouteChange``;
         a multi-prefix row builds its change list and takes :meth:`_absorb`.
         OPEN / NOTIFICATION rows move the session state as ``process_batch``
@@ -494,8 +497,7 @@ class SpeakerBatch:
         routes_pop = routes.pop
         trie = rib_in._prefix_trie
         speaker = self._speaker
-        candidates = speaker.loc_rib._candidates
-        candidates_get = candidates.get
+        others = speaker._other_probes(peer_as)
         best = speaker.loc_rib._best
         pending = self._pending
         pending_get = pending.get
@@ -503,6 +505,8 @@ class SpeakerBatch:
         changed: List[Prefix] = []
         add_changed = changed.append
         unchanged = RouteChangeKind.UNCHANGED
+        # Reused while equal, so a table load (every row at 0.0) shares one float.
+        stamp = None
 
         # Row i owns wd_prefix[w:wd_end[i]] and ann_prefix[a:ann_end[i]]
         # (cumulative bounds; kind byte 0 = UPDATE, 1 = OPEN,
@@ -526,9 +530,10 @@ class SpeakerBatch:
                 if a_high == a + 1:
                     # One announcement.
                     prefix = prefix_at(ann_prefix[a])
-                    entry = RibEntry(
-                        prefix, attributes_at(ann_attr[a]), peer_as, msg_time[index]
-                    )
+                    at = msg_time[index]
+                    if at != stamp:
+                        stamp = at
+                    entry = RibEntry(prefix, attributes_at(ann_attr[a]), peer_as, stamp)
                     a = a_high
                     old = routes_get(prefix)
                     routes[prefix] = entry
@@ -538,11 +543,6 @@ class SpeakerBatch:
                     before = pending_get(prefix)
                     if before is None:
                         before = prefix in best
-                    peers = candidates_get(prefix)
-                    if peers is None:
-                        peers = candidates[prefix] = {peer_as: entry}
-                    else:
-                        peers[peer_as] = entry
                     if not entry.attributes.as_path.has_loop():
                         if not before:
                             add_transition((prefix, False, entry))
@@ -550,7 +550,7 @@ class SpeakerBatch:
                     else:
                         # A looped announcement may *replace* the prefix's
                         # only usable candidate.
-                        now = _has_loop_free(peers)
+                        now = _loop_free_route(others, prefix) is not None
                         if before and not now and old is not None:
                             add_transition((prefix, True, old))
                         pending[prefix] = now
@@ -568,26 +568,23 @@ class SpeakerBatch:
                 before = pending_get(prefix)
                 if before is None:
                     before = prefix in best
-                peers = candidates_get(prefix)
-                if peers:
-                    peers.pop(peer_as, None)
-                    if not peers:
-                        del candidates[prefix]
-                now = _has_loop_free(peers)
+                now = _loop_free_route(others, prefix) is not None
                 if before and not now:
                     add_transition((prefix, True, old))
                 pending[prefix] = now
                 continue
             # Several prefixes: the per-message change list.
-            timestamp = msg_time[index]
+            at = msg_time[index]
+            if at != stamp:
+                stamp = at
             changes: List[RouteChange] = []
             while w < w_high:
-                changes.append(rib_in.withdraw(prefix_at(wd_prefix[w]), timestamp))
+                changes.append(rib_in.withdraw(prefix_at(wd_prefix[w]), stamp))
                 w += 1
             while a < a_high:
                 changes.append(
                     rib_in.announce(
-                        prefix_at(ann_prefix[a]), attributes_at(ann_attr[a]), timestamp
+                        prefix_at(ann_prefix[a]), attributes_at(ann_attr[a]), stamp
                     )
                 )
                 a += 1
@@ -615,15 +612,18 @@ class SpeakerBatch:
     def _absorb(
         self, peer_as: Optional[int], per_message_changes: Iterable[List[RouteChange]]
     ) -> None:
-        """Fold a run's per-message RIB changes into the batch state."""
+        """Fold a run's per-message RIB changes into the batch state.
+
+        The Adj-RIB-In may already hold the state at the *end* of the run
+        (``process_batch`` applies a whole run first), so reachability after
+        a message is read from the message's own change plus the other
+        sessions' routes, which no same-peer run moves.
+        """
         speaker = self._speaker
-        loc_rib = speaker.loc_rib
-        candidates_of = loc_rib._candidates
-        best_of = loc_rib._best.get
+        others = speaker._other_probes(peer_as)
+        best = speaker.loc_rib._best
         pending = self._pending
         transitions = self._transitions
-        set_candidate = loc_rib.set_candidate
-        remove_candidate = loc_rib.remove_candidate
         unchanged = RouteChangeKind.UNCHANGED
 
         # Reachability is evaluated at message boundaries, so a
@@ -642,25 +642,16 @@ class SpeakerBatch:
                 new = change.new
                 before = pending.get(prefix)
                 if before is None:
-                    before = best_of(prefix) is not None
-                if new is not None:
-                    set_candidate(new)
-                    if not new.attributes.as_path.has_loop():
-                        if not before:
-                            transitions.append((prefix, False, new))
-                        pending[prefix] = True
-                    else:
-                        # A looped announcement may *replace* the prefix's
-                        # only usable candidate: probe instead of assuming
-                        # reachability is unchanged.
-                        now = _has_loop_free(candidates_of.get(prefix))
-                        if before and not now and change.old is not None:
-                            transitions.append((prefix, True, change.old))
-                        pending[prefix] = now
+                    before = prefix in best
+                if new is not None and not new.attributes.as_path.has_loop():
+                    if not before:
+                        transitions.append((prefix, False, new))
+                    pending[prefix] = True
                 else:
-                    remove_candidate(prefix, peer_as)
-                    now = _has_loop_free(candidates_of.get(prefix))
-                    if before and not now:
+                    # A withdrawal, or a looped announcement that may
+                    # *replace* the prefix's only usable candidate.
+                    now = _loop_free_route(others, prefix) is not None
+                    if before and not now and change.old is not None:
                         transitions.append((prefix, True, change.old))
                     pending[prefix] = now
                 continue
@@ -670,29 +661,20 @@ class SpeakerBatch:
                 if change.kind is unchanged:
                     continue
                 prefix = change.prefix
-                if change.new is not None:
-                    set_candidate(change.new)
-                else:
-                    remove_candidate(prefix, peer_as)
                 if prefix not in pending:
-                    pending[prefix] = best_of(prefix) is not None
+                    pending[prefix] = prefix in best
                 first = net_change.get(prefix)
                 net_change[prefix] = (change.old if first is None else first[0], change)
             for prefix, (replaced, change) in net_change.items():
                 # Multi-change messages may mix removals and (possibly
-                # looped) announcements of the same prefix, so probe the
-                # candidate set directly rather than reasoning from the
-                # last change alone.
+                # looped) announcements of the same prefix: the last change
+                # is the peer's route after the message.
                 before = pending[prefix]
-                now = _has_loop_free(candidates_of.get(prefix))
+                entry = change.new
+                if entry is None or entry.attributes.as_path.has_loop():
+                    entry = _loop_free_route(others, prefix)
+                now = entry is not None
                 if now and not before:
-                    entry = change.new
-                    if entry is None or entry.attributes.as_path.has_loop():
-                        entry = next(
-                            candidate
-                            for candidate in candidates_of[prefix].values()
-                            if not candidate.attributes.as_path.has_loop()
-                        )
                     transitions.append((prefix, False, entry))
                 elif before and not now:
                     # Only this peer's candidate moved, so the route it held

@@ -575,7 +575,7 @@ class BackupComputer:
             given, profile keys are built from it and the (sorting)
             ``alternates_of`` runs once per profile instead of once per
             prefix; selections are unchanged because members of a profile
-            share their candidate objects and insertion order.
+            share their candidate objects, listed in session order.
         index:
             Optional fresh :class:`BackupProfileIndex` to fill: each prefix
             is assigned its group's interned profile and the table comes back

@@ -340,7 +340,7 @@ class SwiftedRouter:
         """The prefix's alternates, as :meth:`BackupComputer.rank` needs them.
 
         The Loc-RIB candidates other than the best route's peer, minus looped
-        paths, in candidate order — ``speaker.alternate_routes`` without its
+        paths, in session order — ``speaker.alternate_routes`` without its
         decision-process sort.  ``rank`` re-sorts on (preference, path
         length, next hop), and while the next hops are distinct that key is
         a total order, so the input order cannot matter.  Two alternates
@@ -352,8 +352,8 @@ class SwiftedRouter:
         best_peer = None if best is None else best.peer_as
         alternates = [
             entry
-            for peer, entry in self.speaker.loc_rib.candidate_map(prefix).items()
-            if peer != best_peer and not entry.attributes.as_path.has_loop()
+            for entry in self.speaker.loc_rib.candidates(prefix)
+            if entry.peer_as != best_peer and not entry.attributes.as_path.has_loop()
         ]
         if len(alternates) > 1 and len(
             {entry.attributes.next_hop for entry in alternates}
@@ -441,8 +441,8 @@ class SwiftedRouter:
     def receive_batch(self, messages: Iterable[BGPMessage]) -> List[RerouteAction]:
         """Process a batch of messages; returns every reroute action.
 
-        The speaker applies the whole batch's Adj-RIB-In / candidate changes
-        as messages stream in and runs best-path selection once per touched
+        The speaker applies the whole batch's Adj-RIB-In changes as messages
+        stream in and runs best-path selection once per touched
         prefix at the end (:class:`~repro.bgp.speaker.SpeakerBatch`), while
         each session's inference engine receives consecutive same-peer runs
         via :meth:`~repro.core.inference.InferenceEngine.process_batch` —

@@ -251,7 +251,9 @@ def _loc_rib_snapshot(speaker):
             (entry.peer_as, entry.as_path.asns)
             for entry in speaker.loc_rib.candidates(prefix)
         )
-        for prefix in set(best) | set(speaker.loc_rib._candidates)
+        for prefix in set(best).union(
+            *(session.rib_in.prefixes() for session in speaker.sessions())
+        )
     }
     return best, candidates
 

@@ -1,10 +1,11 @@
-"""Bytes per route held by the inference engines, without a stopwatch.
+"""Bytes per route held by the inference engines and the speaker, without a stopwatch.
 
 The engines are the router's per-session view of the Adj-RIB-In, interned by
-AS path (``LinkPrefixIndex``).  These tests hold that store to a byte budget
+AS path (``LinkPrefixIndex``).  The speaker holds the Adj-RIB-Ins themselves
+and the Loc-RIB's best routes.  These tests hold each store to a byte budget
 per route after a cold ``provision()`` of a ``FullTableGenerator`` table, and
 hold a long-lived index to the live RIB under path churn.  Run the 64k × 3
-table, which prints the per-structure breakdown ``src/repro/core/README.md``
+table, which prints the per-line breakdown ``src/repro/core/README.md``
 publishes, with ``pytest -m slow tests/test_engine_memory.py -s``.
 """
 
@@ -23,11 +24,8 @@ from repro.core.swifted_router import SwiftedRouter
 from repro.traces.fulltable import FullTableConfig, FullTableGenerator
 
 ENGINE_FILES = ("core/fit_score.py", "core/inference.py")
+SPEAKER_FILES = ("bgp/speaker.py", "bgp/rib.py", "bgp/session.py")
 PEERS = 3
-
-
-def _is_engine(filename):
-    return filename.endswith(ENGINE_FILES)
 
 
 def _provisioned_snapshot(prefix_count):
@@ -54,36 +52,57 @@ def _provisioned_snapshot(prefix_count):
     return snapshot, routes
 
 
-def _engine_bytes(snapshot):
+def _bytes(snapshot, files):
+    """Bytes of the allocations whose top frame is in one of ``files``."""
     return sum(
         stat.size
         for stat in snapshot.statistics("filename")
-        if _is_engine(stat.traceback[0].filename)
+        if stat.traceback[0].filename.endswith(files)
     )
 
 
-def test_engine_bytes_per_route_at_16k():
-    snapshot, routes = _provisioned_snapshot(16_000)
-    per_route = _engine_bytes(snapshot) / routes
+@pytest.fixture(scope="module")
+def snapshot_16k():
+    return _provisioned_snapshot(16_000)
+
+
+def test_engine_bytes_per_route_at_16k(snapshot_16k):
+    snapshot, routes = snapshot_16k
+    per_route = _bytes(snapshot, ENGINE_FILES) / routes
     assert per_route <= 150, f"{per_route:.1f} B per route"
 
 
+def test_speaker_bytes_per_route_at_16k(snapshot_16k):
+    """The Adj-RIB-Ins are the only copy of a route: the Loc-RIB reads them."""
+    snapshot, routes = snapshot_16k
+    per_route = _bytes(snapshot, SPEAKER_FILES) / routes
+    assert per_route <= 125, f"{per_route:.1f} B per route"
+
+
+def _print_lines(snapshot, routes, label, files):
+    print(f"{label} allocations by source line")
+    for stat in snapshot.statistics("lineno"):
+        frame = stat.traceback[0]
+        if frame.filename.endswith(files) and stat.size / routes >= 0.5:
+            line = linecache.getline(frame.filename, frame.lineno).strip()
+            name = frame.filename.split("src/repro/")[-1]
+            print(f"  {stat.size / routes:7.1f}  {name}:{frame.lineno}  {line}")
+    per_route = _bytes(snapshot, files) / routes
+    print(f"{label} total {per_route:.1f} B per route")
+    return per_route
+
+
 @pytest.mark.slow
-def test_engine_bytes_per_route_at_64k_by_structure():
+def test_bytes_per_route_at_64k_by_structure():
     snapshot, routes = _provisioned_snapshot(64_000)
     print(f"\n64k x {PEERS}: {routes} routes, bytes per route by allocating file")
     for stat in snapshot.statistics("filename")[:8]:
         name = stat.traceback[0].filename.split("src/repro/")[-1]
         print(f"  {name:32s} {stat.size / routes:7.1f}")
-    print("engine allocations by source line")
-    for stat in snapshot.statistics("lineno"):
-        frame = stat.traceback[0]
-        if _is_engine(frame.filename) and stat.size / routes >= 0.5:
-            line = linecache.getline(frame.filename, frame.lineno).strip()
-            print(f"  {stat.size / routes:7.1f}  {frame.lineno:4d}  {line}")
-    per_route = _engine_bytes(snapshot) / routes
-    print(f"engine total {per_route:.1f} B per route")
-    assert per_route <= 143, f"{per_route:.1f} B per route"
+    engine = _print_lines(snapshot, routes, "engine", ENGINE_FILES)
+    speaker = _print_lines(snapshot, routes, "speaker", SPEAKER_FILES)
+    assert engine <= 143, f"engine {engine:.1f} B per route"
+    assert speaker <= 125, f"speaker {speaker:.1f} B per route"
 
 
 def _index_bytes(snapshot):

@@ -659,7 +659,7 @@ class _SpyDecisionProcess(DecisionProcess):
 def _grouped_reselect(speaker, prefixes):
     """The grouped two-pass re-selection the memo replaced (reference)."""
     loc_rib = speaker.loc_rib
-    candidates_of = loc_rib._candidates
+    candidates_of = loc_rib.candidate_map
     changes = []
 
     def install(prefix, new):
@@ -671,7 +671,7 @@ def _grouped_reselect(speaker, prefixes):
 
     groups = {}
     for prefix in prefixes:
-        peers = candidates_of.get(prefix)
+        peers = candidates_of(prefix)
         if not peers:
             install(prefix, None)
         elif len(peers) == 1:
@@ -681,9 +681,9 @@ def _grouped_reselect(speaker, prefixes):
             key = (tuple(peers), tuple(id(entry.attributes) for entry in peers.values()))
             groups.setdefault(key, []).append(prefix)
     for members in groups.values():
-        winner = speaker.decision_process.select(list(candidates_of[members[0]].values()))
+        winner = speaker.decision_process.select(list(candidates_of(members[0]).values()))
         for prefix in members:
-            install(prefix, None if winner is None else candidates_of[prefix][winner.peer_as])
+            install(prefix, None if winner is None else candidates_of(prefix)[winner.peer_as])
     return changes
 
 
@@ -923,6 +923,142 @@ class TestPerMessageDecisionProperty:
                 assert best is (ranked[0] if ranked else None), (number, prefix)
                 expected = [entry for entry in ranked if entry is not best]
                 assert speaker.alternate_routes(prefix) == expected, (number, prefix)
+
+
+# -- the Loc-RIB is a view over the sessions' Adj-RIB-Ins ----------------------
+
+_FAMILIES = ("receive", "receive_batch", "receive_columnar")
+
+_ORACLE_STEPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("messages"),
+            st.lists(
+                st.one_of(
+                    st.tuples(
+                        st.just("update"),
+                        st.integers(0, 2),  # peer
+                        st.lists(st.integers(0, len(_POOL) - 1), max_size=2),
+                        st.lists(  # announcements: (prefix, path); path 3 loops
+                            st.tuples(st.integers(0, len(_POOL) - 1), st.integers(0, 3)),
+                            max_size=3,
+                        ),
+                    ),
+                    st.tuples(
+                        st.sampled_from(["notification", "open"]),
+                        st.integers(0, 2),
+                        st.just(()),
+                        st.just(()),
+                    ),
+                ),
+                min_size=1,
+                max_size=8,
+            ),
+        ),
+        st.tuples(st.just("remove_peer"), st.integers(0, 2)),
+    ),
+    min_size=1,
+    max_size=10,
+)
+
+
+def _feed(speaker, family, messages):
+    if family == "receive":
+        for message in messages:
+            speaker.receive(message)
+    elif family == "receive_batch":
+        speaker.receive_batch(messages)
+    else:
+        speaker.receive_columnar(ColumnarTrace.from_messages(messages))
+
+
+def _oracle_messages(rows, clock):
+    messages = []
+    for kind, peer_index, withdrawn, announced in rows:
+        peer = _PARITY_PEERS[peer_index]
+        if kind == "notification":
+            messages.append(Notification(timestamp=clock, peer_as=peer))
+        elif kind == "open":
+            messages.append(OpenMessage(timestamp=clock, peer_as=peer))
+        else:
+            paths = _path_pool(peer)
+            messages.append(
+                Update(
+                    timestamp=clock,
+                    peer_as=peer,
+                    announcements=tuple(
+                        Announcement(_POOL[prefix], paths[path]) for prefix, path in announced
+                    ),
+                    withdrawals=tuple(_POOL[prefix] for prefix in withdrawn),
+                )
+            )
+    return messages
+
+
+def _assert_view_is_the_adj_ribs_in(speaker):
+    """Candidates are the sessions' routes, and the best is selected from them."""
+    for prefix in _POOL:
+        routes = [
+            session.rib_in.get(prefix)
+            for session in speaker.sessions()
+            if prefix in session.rib_in
+        ]
+        candidates = speaker.loc_rib.candidates(prefix)
+        assert [id(entry) for entry in candidates] == [id(entry) for entry in routes]
+        assert speaker.loc_rib.candidate_map(prefix) == {
+            entry.peer_as: entry for entry in routes
+        }
+        assert speaker.best_route(prefix) == speaker.decision_process.select(routes), prefix
+
+
+class TestLocRibIsAView:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        family=st.sampled_from(_FAMILIES),
+        ranking=st.sampled_from(sorted(_RANKINGS)),
+        steps=_ORACLE_STEPS,
+    )
+    def test_candidates_and_best_follow_the_adj_ribs_in(self, family, ranking, steps):
+        key, prefix_independent = _RANKINGS[ranking]
+        speaker = BGPSpeaker(1, DecisionProcess(key, prefix_independent=prefix_independent))
+        for peer in _PARITY_PEERS:
+            speaker.add_peer(peer).record_stream = False
+        for clock, (kind, *step) in enumerate(steps):
+            if kind == "remove_peer":
+                peer = _PARITY_PEERS[step[0]]
+                if peer in speaker.peer_ases:
+                    speaker.remove_peer(peer)
+            else:
+                messages = _oracle_messages(step[0], float(clock))
+                # A removed peer comes back as a new session, last in order.
+                for message in messages:
+                    if message.peer_as not in speaker.peer_ases:
+                        speaker.add_peer(message.peer_as).record_stream = False
+                _feed(speaker, family, messages)
+            _assert_view_is_the_adj_ribs_in(speaker)
+
+    @pytest.mark.parametrize("family", _FAMILIES)
+    def test_a_notification_empties_the_view(self, family):
+        speaker = _parity_speaker(_PARITY_PEERS, True)
+        speaker.receive_batch(
+            [
+                Update.announce(0.0, peer, prefix, _path_pool(peer)[0])
+                for peer in _PARITY_PEERS
+                for prefix in _POOL
+            ]
+        )
+        _feed(speaker, family, [Notification(timestamp=1.0, peer_as=2)])
+        for prefix in _POOL:
+            assert [entry.peer_as for entry in speaker.loc_rib.candidates(prefix)] == [3, 4]
+            assert 2 not in speaker.loc_rib.candidate_map(prefix)
+            assert speaker.best_route(prefix).peer_as == 3
+        for peer in (3, 4):
+            _feed(speaker, family, [Notification(timestamp=2.0, peer_as=peer)])
+        for prefix in _POOL:
+            assert speaker.loc_rib.candidates(prefix) == []
+            assert speaker.loc_rib.candidate_map(prefix) == {}
+            assert speaker.best_route(prefix) is None
+        _assert_view_is_the_adj_ribs_in(speaker)
 
 
 # -- change observers receive prefixes; the router patches engines from them --
