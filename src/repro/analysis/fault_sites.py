@@ -1,7 +1,7 @@
 """Rule ``fault-site-registry``: fault sites stay in sync with the table.
 
 The fault harness (:mod:`repro.testing.faults`) addresses injection points
-by *site* strings (``fleet.worker``, ``segment.roll``, …).  Those strings
+by *site* strings (``feed.read``, ``segment.roll``, …).  Those strings
 appear in three places that must agree: the canonical registry
 (``KNOWN_SITES`` in ``testing/faults.py``), the production hook calls, and
 the textual plans tests/benchmarks arm (``kill@segment.append;after=2``).

@@ -264,8 +264,3 @@ class PathAttributes:
             origin=self.origin,
             communities=frozenset(communities),
         )
-
-    @property
-    def as_path_length(self) -> int:
-        """Length of the AS path (number of ASes)."""
-        return len(self.as_path)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.bgp.attributes import PathAttributes
 from repro.bgp.prefix import Prefix
@@ -25,8 +25,6 @@ __all__ = [
     "OpenMessage",
     "Update",
     "Withdraw",
-    "iter_withdrawn_prefixes",
-    "iter_announced_prefixes",
 ]
 
 
@@ -129,16 +127,6 @@ class Update(BGPMessage):
         )
 
     @property
-    def is_withdrawal_only(self) -> bool:
-        """True if the message carries no announcements."""
-        return not self.announcements and bool(self.withdrawals)
-
-    @property
-    def is_announcement_only(self) -> bool:
-        """True if the message carries no withdrawals."""
-        return bool(self.announcements) and not self.withdrawals
-
-    @property
     def prefix_count(self) -> int:
         """Total number of prefixes touched by this message."""
         return len(self.announcements) + len(self.withdrawals)
@@ -176,62 +164,3 @@ class Update(BGPMessage):
 # distinct name because much of the SWIFT pipeline only cares about the
 # withdrawal stream.
 Withdraw = Update.withdraw
-
-
-def iter_withdrawn_prefixes(
-    messages: Iterable[BGPMessage],
-) -> Iterable[Tuple[float, int, Prefix]]:
-    """Yield ``(timestamp, peer_as, prefix)`` for every withdrawal in a stream."""
-    for message in messages:
-        if isinstance(message, Update):
-            for prefix in message.withdrawals:
-                yield message.timestamp, message.peer_as, prefix
-
-
-def iter_announced_prefixes(
-    messages: Iterable[BGPMessage],
-) -> Iterable[Tuple[float, int, Prefix, PathAttributes]]:
-    """Yield ``(timestamp, peer_as, prefix, attributes)`` for every announcement."""
-    for message in messages:
-        if isinstance(message, Update):
-            for announcement in message.announcements:
-                yield (
-                    message.timestamp,
-                    message.peer_as,
-                    announcement.prefix,
-                    announcement.attributes,
-                )
-
-
-def split_update(update: Update, max_prefixes: int) -> List[Update]:
-    """Split an UPDATE into chunks of at most ``max_prefixes`` prefixes each.
-
-    Models the router behaviour of flushing large withdrawal sets across
-    several wire messages; used by the propagation simulator to pace bursts.
-    """
-    if max_prefixes <= 0:
-        raise ValueError("max_prefixes must be positive")
-    if update.prefix_count <= max_prefixes:
-        return [update]
-    chunks: List[Update] = []
-    announcements = list(update.announcements)
-    withdrawals = list(update.withdrawals)
-    while announcements or withdrawals:
-        chunk_announcements: List[Announcement] = []
-        chunk_withdrawals: List[Prefix] = []
-        budget = max_prefixes
-        while withdrawals and budget > 0:
-            chunk_withdrawals.append(withdrawals.pop(0))
-            budget -= 1
-        while announcements and budget > 0:
-            chunk_announcements.append(announcements.pop(0))
-            budget -= 1
-        chunks.append(
-            Update(
-                timestamp=update.timestamp,
-                peer_as=update.peer_as,
-                announcements=tuple(chunk_announcements),
-                withdrawals=tuple(chunk_withdrawals),
-            )
-        )
-    return chunks

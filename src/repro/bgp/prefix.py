@@ -21,7 +21,7 @@ open addressing.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 __all__ = [
     "Prefix",
@@ -259,17 +259,6 @@ def summarize_prefixes(prefixes: Iterable[Prefix]) -> List[Prefix]:
             index += 1
         working = result
     return working
-
-
-def iter_addresses(prefix: Prefix, limit: int = 256) -> Iterator[int]:
-    """Yield up to ``limit`` addresses contained in ``prefix``.
-
-    Used by the case-study probe harness, which sends traffic to a sample of
-    addresses inside the withdrawn prefixes (the paper probes 100 random IPs).
-    """
-    count = min(limit, prefix.num_addresses)
-    for offset in range(count):
-        yield prefix.network + offset
 
 
 def random_addresses(

@@ -214,11 +214,6 @@ class PeeringSession:
         self.stats.session_resets += 1
         return self.rib_in.withdraw_all()
 
-    @property
-    def is_established(self) -> bool:
-        """True if the session is currently up."""
-        return self.state == SessionState.ESTABLISHED
-
     # -- observers --------------------------------------------------------
 
     def add_observer(
@@ -227,13 +222,6 @@ class PeeringSession:
     ) -> None:
         """Register a callback invoked after each processed UPDATE."""
         self._observers.append(callback)
-
-    def remove_observer(
-        self,
-        callback: Callable[["PeeringSession", Update, List[RouteChange]], None],
-    ) -> None:
-        """Unregister a previously added callback."""
-        self._observers.remove(callback)
 
     def add_change_observer(
         self,
@@ -250,13 +238,6 @@ class PeeringSession:
         batched paths); empty lists are skipped.
         """
         self._change_observers.append(callback)
-
-    def remove_change_observer(
-        self,
-        callback: Callable[["PeeringSession", List[Prefix]], None],
-    ) -> None:
-        """Unregister a previously added change observer."""
-        self._change_observers.remove(callback)
 
     # -- message processing -----------------------------------------------
 

@@ -34,13 +34,6 @@ class DowntimeReport:
         """Downtime of the slowest probe (Table 1's number)."""
         return max(self.downtimes.values()) if self.downtimes else 0.0
 
-    @property
-    def mean_downtime(self) -> float:
-        """Average probe downtime."""
-        if not self.downtimes:
-            return 0.0
-        return sum(self.downtimes.values()) / len(self.downtimes)
-
     def loss_series(self, step: float = 1.0) -> List[Tuple[float, float]]:
         """Packet-loss percentage over time (Fig. 9(a))."""
         recovery_times = [

@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Deque, List, Optional, Sequence, Tuple
+from typing import Deque, List, Optional, Tuple
 
 from repro.core import kernels
 
@@ -190,25 +190,3 @@ class BurstDetector:
             self.events.append(event)
             return event
         return None
-
-
-def percentile_threshold(
-    window_counts: Sequence[int], percentile: float
-) -> int:
-    """Compute a detection threshold as a percentile of historical window counts.
-
-    The paper derives its 1,500-withdrawal start threshold as the 99.99th
-    percentile of the number of withdrawals observed over any 10 s period in
-    the previous month; this helper lets a deployment recompute the threshold
-    from its own history.
-    """
-    if not window_counts:
-        raise ValueError("need at least one historical window count")
-    if not 0.0 <= percentile <= 100.0:
-        raise ValueError("percentile must be in [0, 100]")
-    ordered = sorted(window_counts)
-    rank = (percentile / 100.0) * (len(ordered) - 1)
-    lower = int(rank)
-    upper = min(lower + 1, len(ordered) - 1)
-    fraction = rank - lower
-    return int(round(ordered[lower] * (1 - fraction) + ordered[upper] * fraction))

@@ -116,11 +116,6 @@ class RerouteAction:
         """Number of wildcard rules installed by this activation."""
         return len(self.rules)
 
-    @property
-    def completion_time(self) -> float:
-        """Wall-clock time at which the reroute is fully installed."""
-        return self.timestamp + self.dataplane_update_seconds
-
 
 class SwiftedRouter:
     """A border router running SWIFT."""

@@ -47,20 +47,6 @@ class PerPrefixFib:
         self._trie.insert(prefix, next_hop)
         self.updates_applied += 1
 
-    def install_table(self, routes: Dict[Prefix, int]) -> None:
-        """Bulk-install a full table of ``prefix -> next_hop`` entries.
-
-        On an empty FIB this bulk-loads the compressed trie in one sorted
-        pass (the initial full-table provisioning path); otherwise it falls
-        back to per-entry inserts.
-        """
-        if not self._trie:
-            self._trie.build_from_sorted(sorted(routes.items()))
-        else:
-            for prefix, next_hop in routes.items():
-                self._trie.insert(prefix, next_hop)
-        self.updates_applied += len(routes)
-
     def withdraw(self, prefix: Prefix) -> bool:
         """Remove the entry for ``prefix``; returns False when absent."""
         try:
@@ -126,15 +112,6 @@ class TwoStageForwardingTable:
         self._stage1.insert(prefix, tag)
         self.stage1_updates += 1
 
-    def clear_tag(self, prefix: Prefix) -> bool:
-        """Remove the tag of ``prefix``; returns False when absent."""
-        try:
-            self._stage1.remove(prefix)
-        except KeyError:
-            return False
-        self.stage1_updates += 1
-        return True
-
     def load_tags(self, tags: Dict[Prefix, int]) -> None:
         """Bulk-load stage 1 (initial provisioning, not a reroute operation)."""
         if not self._stage1:
@@ -166,11 +143,6 @@ class TwoStageForwardingTable:
         match = self._stage1.lookup(destination)
         return match[1] if match is not None else None
 
-    @property
-    def tagged_prefix_count(self) -> int:
-        """Number of prefixes with a stage-1 entry."""
-        return len(self._stage1)
-
     # -- stage 2 -----------------------------------------------------------
 
     def install_rule(self, rule: WildcardRule, priority: int = 0) -> None:
@@ -188,15 +160,6 @@ class TwoStageForwardingTable:
         self._rules.sort(key=_matching_order)
         self.stage2_updates += len(rules)
         return len(rules)
-
-    def remove_rules(self, predicate) -> int:
-        """Remove every rule for which ``predicate(rule)`` is true."""
-        before = len(self._rules)
-        kept = [item for item in self._rules if not predicate(item[2])]
-        removed = before - len(kept)
-        self._rules = kept
-        self.stage2_updates += removed
-        return removed
 
     def clear_rules(self, min_priority: Optional[int] = None) -> int:
         """Remove all rules (or only those at or above ``min_priority``)."""

@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
-
-from repro.bgp.prefix import Prefix
 
 __all__ = ["Packet"]
 
@@ -24,13 +22,3 @@ class Packet:
     tag: Optional[int] = None
     egress_next_hop: Optional[int] = None
     timestamp: float = 0.0
-
-    @classmethod
-    def to_prefix(cls, prefix: Prefix, timestamp: float = 0.0) -> "Packet":
-        """Build a probe packet addressed to the first address of ``prefix``."""
-        return cls(destination=prefix.network, timestamp=timestamp)
-
-    @property
-    def delivered(self) -> bool:
-        """True once the packet has been assigned an egress next-hop."""
-        return self.egress_next_hop is not None

@@ -88,13 +88,3 @@ class FibUpdateTimingModel:
         if rule_count == 0:
             return 0.0
         return self.control_plane_overhead_seconds + rule_count * self.per_rule_seconds
-
-    @classmethod
-    def fast_router(cls) -> "FibUpdateTimingModel":
-        """A model using the optimistic end of the cited range (128 µs/prefix)."""
-        return cls(per_prefix_seconds=128e-6, per_prefix_processing_seconds=130e-6)
-
-    @classmethod
-    def slow_router(cls) -> "FibUpdateTimingModel":
-        """A model using the pessimistic end of the cited range (282 µs/prefix)."""
-        return cls(per_prefix_seconds=282e-6, per_prefix_processing_seconds=200e-6)

@@ -10,14 +10,14 @@ percentile).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.bgp.messages import Update
 from repro.bgp.prefix import Prefix
 from repro.core.inference import InferenceConfig
 from repro.experiments.common import CorpusBurst, evaluate_burst
 from repro.metrics.convergence import learning_times
-from repro.metrics.distributions import cdf_points, percentile
+from repro.metrics.distributions import percentile
 from repro.metrics.tables import format_table
 
 __all__ = ["Fig8Result", "run", "format_result"]
@@ -41,10 +41,6 @@ class Fig8Result:
         """75th-percentile learning time for the requested curve."""
         values = self.swift_seconds if swift else self.bgp_seconds
         return percentile(values, 0.75) if values else 0.0
-
-    def cdf(self, swift: bool = True) -> List[Tuple[float, float]]:
-        """The CDF points of the requested curve."""
-        return cdf_points(self.swift_seconds if swift else self.bgp_seconds)
 
 
 def run(

@@ -28,10 +28,8 @@ how a deployment drains its BGP sockets in bulk.  Chunking does not change
 results — the batched path's loss/recovery multiset matches per-message
 replay regardless of batch boundaries.
 
-This module replays *one* session; :mod:`repro.replay` fans the same
-``replay_stream`` over every session of a corpus with one worker process
-per session (§4.1 independence), aggregating the per-session results — and
-their ``collect_events`` multisets — deterministically.
+This module replays *one* session.  Inference is per session (§4.1), so a
+corpus replays as one independent :func:`replay_stream` call per session.
 """
 
 from __future__ import annotations
@@ -64,16 +62,14 @@ __all__ = [
     "run",
 ]
 
-#: The corpus both month-scale drivers default to — :func:`run` here and
-#: :func:`repro.replay.fleet.replay_fleet` — so their sequential-vs-fleet
-#: parity story always exercises the same sessions.
+#: The corpus :func:`run` replays by default.
 DEFAULT_REPLAY_CONFIG = SyntheticTraceConfig(
     peer_count=4, duration_days=10.0, min_table_size=4000, max_table_size=20000
 )
 
 #: A multiset in canonical form: sorted ``(key, count)`` pairs.  Sorting
-#: makes the form byte-identical across replays — the property the fleet
-#: driver's parity checks rely on.
+#: makes the form byte-identical across replays — the property the parity
+#: checks rely on.
 EventMultiset = Tuple[Tuple[object, int], ...]
 
 
@@ -95,7 +91,7 @@ class MonthReplayResult:
     chunks: int
     wall_seconds: float
     #: Canonical multisets of the replay's events, populated when the run
-    #: was asked to ``collect_events`` (the fleet driver always does): loss
+    #: was asked to ``collect_events`` (the parity checks always do): loss
     #: and recovery events keyed by ``(network, length)`` prefix pairs,
     #: reroute activations keyed by ``(timestamp, peer AS, inferred links,
     #: rerouted-prefix count, rule count)``.
@@ -114,8 +110,8 @@ class MonthReplayResult:
         """Everything deterministic about the run — no wall-clock noise.
 
         Two replays of the same stream (in the same or different processes)
-        must produce equal signatures; the fleet parity tests compare the
-        pickled bytes of these.
+        must produce equal signatures; the parity tests compare the pickled
+        bytes of these.
         """
         return (
             self.peer_as,
@@ -217,8 +213,8 @@ class StreamReplayer:
 
     With ``collect_events=True`` the result also carries the canonical
     loss / recovery / reroute multisets (see
-    :class:`MonthReplayResult`), which is what the fleet driver aggregates
-    and parity-checks against sequential replay.
+    :class:`MonthReplayResult`), which is what the column-vs-object parity
+    matrix and the live-tail parity tests compare.
 
     ``kernel_backend`` names the column-kernel backend
     (:mod:`repro.core.kernels`) for the whole replay — run segmentation and
@@ -441,7 +437,7 @@ def run(
     The stream comes from :func:`cached_columnar_stream` — generated once,
     reloaded from the columnar cache afterwards — and the session's
     pre-trace RIB is rebuilt deterministically from the generator's
-    topology.  Defaults to the first peer of the configured fleet.
+    topology.  Defaults to the first peer of the configured corpus.
     ``validate`` (``"strict"`` / ``"lenient"``) runs the stream through
     ingestion validation (:meth:`~repro.traces.columnar.ColumnarTrace.validated`)
     before replaying it.

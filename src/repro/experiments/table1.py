@@ -40,14 +40,6 @@ class Table1Result:
     downtime_of: Dict[int, float]
     probe_max_downtime_of: Dict[int, float]
 
-    def ratio_to(self, reference: Dict[int, float]) -> Dict[int, float]:
-        """Measured / reference downtime per burst size (where both exist)."""
-        return {
-            size: self.downtime_of[size] / reference[size]
-            for size in self.downtime_of
-            if size in reference and reference[size] > 0
-        }
-
 
 def run(
     burst_sizes: Sequence[int] = (10000, 50000, 100000, 290000),

@@ -16,8 +16,7 @@ session) and one *writer* task per feed, connected by a bounded
 * a **watchdog** task sweeps all feeds: a reader that has not enqueued a
   line for ``stall_timeout`` seconds (a hung source, an injected
   ``hang@feed.read``) is cancelled and restarted by its supervisor with
-  the shared seeded backoff (:class:`repro.util.retry.RetryPolicy` — the
-  same policy the fleet replay driver retries workers with).
+  the seeded backoff of :class:`repro.util.retry.RetryPolicy`.
 
 Reader restarts are exactly-once by construction: the in-memory resume
 offset advances only after a successful ``queue.put``, so a restarted
@@ -30,8 +29,7 @@ A feed that exhausts ``retry.max_attempts`` consecutive no-progress
 attempts is a casualty: under ``strict=True`` (default) the daemon stops
 with :class:`IngestError`; under ``strict=False`` the survivors keep
 ingesting, the casualty's partial segment is sealed, and the manifest
-records the failure — the same graceful-degradation shape as the fleet
-driver's ``failed_sessions``.
+records the failure.
 """
 
 from __future__ import annotations
@@ -299,8 +297,7 @@ class IngestDaemon:
                 finally:
                     state.reader_task = None
                 # Progress resets the attempt clock: only *consecutive*
-                # no-progress failures exhaust the policy (same contract as
-                # the fleet driver's per-session retries).
+                # no-progress failures exhaust the policy.
                 attempt = attempt + 1 if state.rows_read == rows_before else 1
                 state.status.restarts += 1
                 if attempt >= config.retry.max_attempts:

@@ -49,14 +49,6 @@ class ClassificationCounts:
         return self.false_positives / negatives
 
     @property
-    def precision(self) -> float:
-        """Precision; 1.0 when nothing was predicted."""
-        predicted = self.true_positives + self.false_positives
-        if predicted == 0:
-            return 1.0
-        return self.true_positives / predicted
-
-    @property
     def predicted_count(self) -> int:
         """Number of prefixes the inference would reroute."""
         return self.true_positives + self.false_positives

@@ -25,18 +25,6 @@ class LearningTimeResult:
     bgp_seconds: Tuple[float, ...]
     swift_seconds: Tuple[float, ...]
 
-    @property
-    def bgp_median(self) -> float:
-        """Median BGP learning time."""
-        ordered = sorted(self.bgp_seconds)
-        return ordered[len(ordered) // 2] if ordered else 0.0
-
-    @property
-    def swift_median(self) -> float:
-        """Median SWIFT learning time."""
-        ordered = sorted(self.swift_seconds)
-        return ordered[len(ordered) // 2] if ordered else 0.0
-
 
 def learning_times(
     withdrawal_times: Mapping[Prefix, float],

@@ -7,7 +7,7 @@ Used by every harness that reproduces a CDF (Fig. 2(b), Fig. 8), a box plot
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 __all__ = ["cdf_points", "percentile", "summarize", "DistributionSummary"]
 
@@ -37,13 +37,6 @@ def cdf_points(values: Sequence[float]) -> List[Tuple[float, float]]:
     return [(value, (index + 1) / total) for index, value in enumerate(ordered)]
 
 
-def fraction_at_most(values: Sequence[float], threshold: float) -> float:
-    """Fraction of values <= threshold (a single CDF evaluation)."""
-    if not values:
-        return 0.0
-    return sum(1 for value in values if value <= threshold) / len(values)
-
-
 def fraction_above(values: Sequence[float], threshold: float) -> float:
     """Fraction of values strictly above threshold."""
     if not values:
@@ -64,20 +57,6 @@ class DistributionSummary:
     p75: float
     p95: float
     maximum: float
-
-    def as_dict(self) -> Dict[str, float]:
-        """Dictionary form, convenient for table rendering."""
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "min": self.minimum,
-            "p5": self.p5,
-            "p25": self.p25,
-            "median": self.median,
-            "p75": self.p75,
-            "p95": self.p95,
-            "max": self.maximum,
-        }
 
 
 def summarize(values: Sequence[float]) -> DistributionSummary:

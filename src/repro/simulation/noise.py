@@ -14,11 +14,10 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from repro.bgp.attributes import ASPath, PathAttributes
 from repro.bgp.messages import BGPMessage, Update
 from repro.bgp.prefix import Prefix
 
-__all__ = ["NoiseConfig", "inject_noise", "background_noise"]
+__all__ = ["NoiseConfig", "inject_noise"]
 
 
 @dataclass(frozen=True)
@@ -96,43 +95,3 @@ def inject_noise(
 
     merged = sorted(list(messages) + noise, key=lambda m: m.timestamp)
     return merged
-
-
-def background_noise(
-    prefixes: Sequence[Prefix],
-    peer_as: int,
-    duration: float,
-    rate_per_second: float,
-    rng: random.Random,
-    start: float = 0.0,
-    first_hop: int = 0,
-) -> List[BGPMessage]:
-    """Generate a standalone background-noise stream (flap withdraw+announce).
-
-    Each noise event withdraws a random prefix and, half of the time,
-    re-announces it a few seconds later with a slightly different path —
-    the classic route-flap signature.  Used by the synthetic trace generator
-    to fill the quiet periods between bursts.
-    """
-    messages: List[BGPMessage] = []
-    if rate_per_second <= 0 or duration <= 0 or not prefixes:
-        return messages
-    expected = rate_per_second * duration
-    count = int(expected)
-    if rng.random() < (expected - count):
-        count += 1
-    for _ in range(count):
-        prefix = prefixes[rng.randrange(len(prefixes))]
-        timestamp = start + rng.uniform(0.0, duration)
-        messages.append(Update.withdraw(timestamp, peer_as, prefix))
-        if rng.random() < 0.5:
-            origin = 64500 + rng.randrange(100)
-            path = ASPath([first_hop or peer_as, 64496 + rng.randrange(4), origin])
-            attributes = PathAttributes(as_path=path, next_hop=peer_as)
-            messages.append(
-                Update.announce(
-                    timestamp + rng.uniform(1.0, 30.0), peer_as, prefix, attributes
-                )
-            )
-    messages.sort(key=lambda m: m.timestamp)
-    return messages

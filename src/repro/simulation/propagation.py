@@ -65,15 +65,6 @@ class BurstGroundTruth:
         """Prefixes whose reachability or path changed because of the outage."""
         return self.withdrawn_prefixes | self.updated_prefixes
 
-    @property
-    def failure_endpoints(self) -> FrozenSet[int]:
-        """All AS numbers appearing as an endpoint of a failed link."""
-        endpoints: Set[int] = set()
-        for a, b in self.failed_links:
-            endpoints.add(a)
-            endpoints.add(b)
-        return frozenset(endpoints)
-
 
 @dataclass
 class SimulatedBurst:
@@ -364,8 +355,3 @@ class PropagationSimulator:
             return []
         picked = candidates if len(candidates) <= count else rng.sample(candidates, count)
         return [LinkFailure(a=a, b=b) for a, b in picked]
-
-    @property
-    def prefix_origin(self) -> Dict[Prefix, int]:
-        """Mapping prefix -> origin AS for every originated prefix."""
-        return dict(self._prefix_origin)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.topology.as_graph import ASGraph
 
@@ -200,11 +200,6 @@ class GaoRexfordRouting:
                 computation.best_path[asn] = route.path
                 computation.route_class[asn] = route.route_class
         return computation
-
-    def compute_all(self, origins: Optional[Sequence[int]] = None) -> Dict[int, RouteComputation]:
-        """Compute routing for several origins (defaults to every AS)."""
-        origins = list(origins) if origins is not None else self.graph.ases()
-        return {origin: self.compute(origin) for origin in origins}
 
 
 def _better(a: _Route, b: _Route) -> bool:

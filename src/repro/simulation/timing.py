@@ -10,10 +10,9 @@ a burst" into a timestamped sequence reproducing those properties.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List
 
 __all__ = ["PacingModel", "UniformPacing", "EmpiricalPacing"]
 
@@ -94,29 +93,3 @@ class EmpiricalPacing(PacingModel):
             raw.append(min(max(position, 0.0), 1.0) * duration)
         raw.sort()
         return raw
-
-
-def interleave_offsets(
-    groups: Sequence[Sequence[float]],
-) -> List[int]:
-    """Return the merge order of several already-sorted offset groups.
-
-    Returns a list of group indices describing, in arrival order, which group
-    the next message comes from.  Used to interleave withdrawals and path
-    updates inside a burst (the paper notes withdrawals of some origins are
-    "interleaved with path updates" of others, §3.1).
-    """
-    cursors = [0] * len(groups)
-    order: List[int] = []
-    total = sum(len(group) for group in groups)
-    for _ in range(total):
-        best_group = -1
-        best_value = math.inf
-        for index, group in enumerate(groups):
-            cursor = cursors[index]
-            if cursor < len(group) and group[cursor] < best_value:
-                best_value = group[cursor]
-                best_group = index
-        order.append(best_group)
-        cursors[best_group] += 1
-    return order

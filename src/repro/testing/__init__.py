@@ -1,11 +1,11 @@
 """Test-support machinery that ships with the library.
 
 :mod:`repro.testing.faults` is the deterministic fault-injection harness
-behind the robustness suite: seeded injectors for worker crashes / kills /
-hangs, IO errors and byte-level blob corruption, activatable through
-explicit :class:`~repro.testing.faults.FaultPlan` knobs or the
+behind the robustness suite: seeded injectors for crashes / kills / hangs,
+IO errors and byte-level blob corruption, armed in process
+(:func:`~repro.testing.faults.install_injector`) or through the
 ``REPRO_FAULTS`` / ``REPRO_FAULT_SEED`` environment variables (which is how
-they reach process-pool replay workers).  Production code paths consult the
+they reach a daemon subprocess).  Production code paths consult the
 harness through cheap, always-safe hooks: with no plan configured every
 hook is a no-op.
 """
@@ -18,7 +18,6 @@ from repro.testing.faults import (
     InjectedIOError,
     active_injector,
     corrupt_file,
-    injector_for,
     install_injector,
 )
 
@@ -30,6 +29,5 @@ __all__ = [
     "InjectedIOError",
     "active_injector",
     "corrupt_file",
-    "injector_for",
     "install_injector",
 ]

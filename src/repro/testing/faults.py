@@ -1,18 +1,17 @@
-"""Deterministic fault injection for the replay / store / cache stack.
+"""Deterministic fault injection for the store / cache / ingestion stack.
 
 SWIFT is a robustness system; its reproduction should survive the same
 partial-failure conditions in its *own* machinery that the paper studies in
 the control plane.  This module is the harness that proves it: seeded
-injectors for worker crashes, hard worker kills, worker hangs, IO errors
-and byte-level blob corruption, wired into narrow hooks at the production
+injectors for crashes, hard process kills, hangs, IO errors and
+byte-level blob corruption, wired into narrow hooks at the production
 call sites.  With no plan configured every hook is a no-op.
 
 The canonical site table is the :data:`KNOWN_SITES` constant below — one
 entry per hook, naming its per-call key shape and the kinds that make
 sense there.  The ``fault-site-registry`` rule of ``repro.analysis``
 checks every site string in the tree (hook calls and textual plans alike)
-against it, in both directions; ``src/repro/replay/README.md`` renders the
-same table for humans.
+against it, in both directions.
 
 The ``feed.*`` / ``segment.*`` sites live in the streaming ingestion
 daemon (:mod:`repro.ingest`): ``feed.read``'s ``corrupt`` mangles the line
@@ -25,25 +24,24 @@ log cleanup, the three windows the crash-recovery contract covers.
 
 Two activation channels, both deterministic:
 
-* **explicit knobs** — build a :class:`FaultPlan` (an
-  ``InferenceConfig``-style frozen dataclass) and pass it to
-  :func:`repro.replay.fleet.replay_jobs`; the plan pickles into the worker
-  options, so it reaches pool workers under any start method;
+* **in process** — build a :class:`FaultPlan` (an
+  ``InferenceConfig``-style frozen dataclass), wrap it in a
+  :class:`FaultInjector` and arm it with :func:`install_injector`;
 * **environment** — ``REPRO_FAULTS`` holds the textual plan and
   ``REPRO_FAULT_SEED`` the seed (:meth:`FaultPlan.to_env` /
-  :meth:`FaultPlan.from_env`); forked *and* spawned workers inherit the
-  environment, which is how an end-to-end subprocess test arms the harness
+  :meth:`FaultPlan.from_env`); child processes inherit the environment,
+  which is how the ingest crash-recovery tests arm a daemon subprocess
   without touching any API.
 
 Determinism has two axes:
 
 * *which keys fire*: a spec with ``rate < 1`` selects keys by a seeded
-  coin — a stable hash of ``(seed, site, key, kind)`` — so the same
-  sessions fail in every process and every rerun;
+  coin — a stable hash of ``(seed, site, key, kind)`` — so the same keys
+  fail in every process and every rerun;
 * *when they stop*: a spec fires while ``after <= attempt < after + times``
-  (callers that retry pass the real attempt number, so retried work
-  self-heals even across pool restarts); sites without a natural attempt
-  count occurrences per ``(spec, key)`` within the process instead.
+  when the caller passes an attempt number; the production hooks pass
+  none, so occurrences are counted per ``(spec, key)`` within the process
+  instead.
   ``after=K`` skips the first ``K`` occurrences — which is how the
   crash-recovery property tests express "``kill -9`` at the K-th seeded
   injection point".
@@ -51,11 +49,11 @@ Determinism has two axes:
 The textual plan grammar (``REPRO_FAULTS``) is ``,``-separated specs of
 ``kind@site`` followed by optional ``;field=value`` pairs::
 
-    kill@fleet.worker;times=1;match=session:1[12]
-    crash@fleet.worker;rate=0.5,io_error@store.read
+    kill@segment.append;after=2;match=feed-1:*
+    crash@segment.roll;rate=0.5,io_error@store.read
 
 ``site`` and ``match`` are :mod:`fnmatch` patterns (``match`` screens the
-per-call key, e.g. ``session:<peer_as>`` for fleet workers or the blob's
+per-call key, e.g. ``<feed>:<segment>`` for segment sites or the blob's
 file name for store/cache sites).
 """
 
@@ -79,7 +77,7 @@ __all__ = [
     "InjectedIOError",
     "active_injector",
     "corrupt_file",
-    "injector_for",
+    "install_injector",
 ]
 
 #: Environment variable holding the textual fault plan.
@@ -98,7 +96,6 @@ KINDS = ("crash", "kill", "hang", "io_error", "corrupt")
 #: typo'd site (which fails open — the injector simply never fires) cannot
 #: ship silently.
 KNOWN_SITES: Dict[str, Tuple[str, Tuple[str, ...]]] = {
-    "fleet.worker": ("session:<peer_as>", ("crash", "kill", "hang")),
     "store.open": ("<.cols file name>", ("io_error",)),
     "store.read": ("<.cols file name>", ("io_error",)),
     "cache.write": ("<cache entry name>", ("io_error", "corrupt")),
@@ -110,8 +107,8 @@ KNOWN_SITES: Dict[str, Tuple[str, Tuple[str, ...]]] = {
 
 
 class InjectedFault(RuntimeError):
-    """An injected worker failure (the ``crash`` kind, and ``kill``/``hang``
-    downgraded outside a supervised pool worker)."""
+    """An injected failure (the ``crash`` kind, and ``kill``/``hang``
+    downgraded outside a supervised process)."""
 
 
 class InjectedIOError(InjectedFault, OSError):
@@ -131,7 +128,7 @@ class FaultSpec:
     spec arms — ``after=7;times=1`` fires exactly at the 8th occurrence,
     the knob the crash-recovery tests use to place a kill at a seeded
     injection point.  ``rate`` thins the matched keys with a seeded coin,
-    so ``rate=0.5`` deterministically fails *the same* half of the fleet
+    so ``rate=0.5`` deterministically fails *the same* half of the keys
     in every process.
     """
 
@@ -194,9 +191,8 @@ class FaultSpec:
 class FaultPlan:
     """A seed plus the specs to arm — the whole harness configuration.
 
-    Frozen and picklable, so it travels inside the fleet worker options;
-    :meth:`to_env` / :meth:`from_env` are the environment round-trip the
-    subprocess tests use.
+    Frozen; :meth:`to_env` / :meth:`from_env` are the environment
+    round-trip the subprocess tests use.
     """
 
     seed: int = 0
@@ -247,8 +243,8 @@ class FaultInjector:
     :meth:`fire` is the single entry point: it decides (deterministically)
     whether a spec applies at this (site, key, attempt) and *executes* the
     fault — raising for ``crash``/``io_error``, exiting or sleeping for
-    ``kill``/``hang`` inside a supervised pool worker (downgraded to a
-    raise elsewhere, so an inline replay never takes the whole process
+    ``kill``/``hang`` inside a supervised process (downgraded to a raise
+    elsewhere, so an in-process test never takes the whole interpreter
     down), and returning the spec for ``corrupt`` so the caller can apply
     the byte damage itself (only the writer knows which buffer to hit).
     """
@@ -295,9 +291,10 @@ class FaultInjector:
         Returns ``None`` (nothing armed), returns the spec (``corrupt`` —
         the caller applies the damage), or does not return at all: raises
         :class:`InjectedFault` / :class:`InjectedIOError`, or — only with
-        ``in_worker=True``, i.e. under a supervising pool driver —
-        hard-exits the process (``kill``) / blocks (``hang``) so the
-        driver's broken-pool and timeout handling are exercised for real.
+        ``in_worker=True``, i.e. in a process a supervisor restarts (the
+        ingest daemon's ``supervised`` mode) — hard-exits the process
+        (``kill``) / blocks (``hang``) so crash recovery and the watchdog
+        are exercised for real.
         """
         spec = self.check(site, key, attempt=attempt)
         if spec is None:
@@ -309,12 +306,16 @@ class FaultInjector:
         if spec.kind == "kill":
             if in_worker:
                 os._exit(3)
-            raise InjectedFault(f"injected kill at {site} ({key}) outside a pool worker")
+            raise InjectedFault(
+                f"injected kill at {site} ({key}) outside a supervised process"
+            )
         if spec.kind == "hang":
             if in_worker:
                 time.sleep(spec.hang_seconds)
                 raise InjectedFault(f"injected hang at {site} ({key}) outlived its sleep")
-            raise InjectedFault(f"injected hang at {site} ({key}) outside a pool worker")
+            raise InjectedFault(
+                f"injected hang at {site} ({key}) outside a supervised process"
+            )
         return spec  # corrupt: the caller owns the byte damage
 
 
@@ -346,18 +347,14 @@ def corrupt_file(path: str, seed: int = 0, offset: Optional[int] = None) -> int:
 _env_cache_key: Optional[Tuple[Optional[str], Optional[str]]] = None
 _env_cache_value: Optional[FaultInjector] = None
 
-_plan_injectors: Dict[FaultPlan, FaultInjector] = {}
-
 _installed: Optional[FaultInjector] = None
 
 
 def install_injector(injector: Optional[FaultInjector]) -> None:
     """Process-locally arm (``None``: disarm) an injector for ambient hooks.
 
-    The fleet worker body installs the injector of an explicitly-passed
-    plan for the duration of a job, so store / cache hook sites inside the
-    worker see the same plan the ``fleet.worker`` site does — without the
-    plan having to travel through the environment.
+    Every hook site in this process then sees the installed injector's
+    plan, without the plan having to travel through the environment.
     """
     global _installed
     _installed = injector
@@ -382,18 +379,3 @@ def active_injector() -> Optional[FaultInjector]:
         _env_cache_value = FaultInjector(plan) if plan and plan.specs else None
     return _env_cache_value
 
-
-def injector_for(plan: Optional[FaultPlan]) -> Optional[FaultInjector]:
-    """The injector for an explicit plan, falling back to the environment.
-
-    Explicit plans get one injector instance each (per process), so their
-    occurrence counters behave like the ambient one's.
-    """
-    if plan is None:
-        return active_injector()
-    if not plan.specs:
-        return None
-    injector = _plan_injectors.get(plan)
-    if injector is None:
-        injector = _plan_injectors[plan] = FaultInjector(plan)
-    return injector

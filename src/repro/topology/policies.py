@@ -111,11 +111,3 @@ class ExportPolicy:
 
     prepend: int = 0
     export_nothing_to: Tuple[int, ...] = ()
-
-    def allows_export(
-        self, learned_from: str, export_to: str, neighbor_asn: int
-    ) -> bool:
-        """Combine valley-free rules with the per-neighbor suppression list."""
-        if neighbor_asn in self.export_nothing_to:
-            return False
-        return valley_free_export(learned_from, export_to)

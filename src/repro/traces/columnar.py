@@ -16,12 +16,12 @@ pointers.  This module stores a trace as parallel arrays of primitives
 
 A trace serialises one way: :meth:`ColumnarTrace.to_payload` exports raw
 ``bytes`` buffers and :meth:`ColumnarTrace.from_payload` restores them at
-memcpy cost.  That payload is the fleet's inter-process transport, the
-trace cache's entry body and the column store's segment source, and it is
-what makes a cached month trace reload an order of magnitude faster than
-the equivalent pickled object graph.  :data:`COLUMNAR_FORMAT_VERSION` travels
-in the payload and is checked on restore, so a stale payload fails loudly
-(the cache layer treats the failure as a miss and rebuilds).
+memcpy cost.  That payload is the trace cache's entry body and the column
+store's segment source, and it is what makes a cached month trace reload an
+order of magnitude faster than the equivalent pickled object graph.
+:data:`COLUMNAR_FORMAT_VERSION` travels in the payload and is checked on
+restore, so a stale payload fails loudly (the cache layer treats the
+failure as a miss and rebuilds).
 
 Consumers have three access grains:
 
@@ -647,9 +647,8 @@ class ColumnarTrace:
         The returned mapping holds only primitives: the format version, one
         raw ``bytes`` buffer per message column, the pool's buffers (nested
         under ``"pool"``) and the tiny ``extras`` dict of non-UPDATE
-        payloads.  Pickling the payload is a handful of memcpys, which is
-        what makes it the fleet-replay transport: a worker process receives
-        the buffers and rebuilds the trace with :meth:`from_payload` without
+        payloads.  Pickling the payload is a handful of memcpys, and
+        :meth:`from_payload` rebuilds the trace from the buffers without
         ever deserialising a message object graph.
         """
         payload: Dict[str, Any] = {
@@ -662,21 +661,11 @@ class ColumnarTrace:
         return payload
 
     @classmethod
-    def from_payload(
-        cls,
-        payload: Mapping[str, Any],
-        validate: Optional[str] = None,
-        report: Optional[ValidationReport] = None,
-    ) -> "ColumnarTrace":
+    def from_payload(cls, payload: Mapping[str, Any]) -> "ColumnarTrace":
         """Rebuild a trace from :meth:`to_payload` buffers.
 
-        ``validate`` opts into ingestion validation of the restored rows
-        (see :meth:`validated`): ``"strict"`` raises
-        :class:`~repro.traces.validation.TraceValidationError` on the
-        first malformed row, ``"lenient"`` counts-and-skips them into
-        ``report``.  The default (``None``) keeps the restore at pure
-        memcpy cost — the fleet workers' hot path — checking only the
-        format version.
+        The restore is pure memcpy cost, checking only the format version;
+        chain :meth:`validated` to check the restored rows.
         """
         version = payload.get("format")
         if version != COLUMNAR_FORMAT_VERSION:
@@ -692,8 +681,6 @@ class ColumnarTrace:
             setattr(trace, name, column)
         trace.extras = dict(payload.get("extras") or {})
         trace._announcement_cache = {}
-        if validate is not None or report is not None:
-            trace = trace.validated(lenient=(validate == "lenient"), report=report)
         return trace
 
     # -- validation ----------------------------------------------------------

@@ -214,14 +214,6 @@ class FullTable:
             timestamp += spacing
         return trace
 
-    def length_histogram(self) -> Dict[int, int]:
-        """Mapping prefix length -> number of generated prefixes."""
-        histogram: Dict[int, int] = {}
-        for prefix in self.prefixes:
-            length = prefix.length
-            histogram[length] = histogram.get(length, 0) + 1
-        return dict(sorted(histogram.items()))
-
     def nested_count(self) -> int:
         """Number of prefixes covered by a shorter prefix also in the table."""
         nested = 0

@@ -12,7 +12,7 @@ origins as popular and the burst analysis can reproduce the statistic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 __all__ = [
     "POPULAR_ORGANIZATIONS",
@@ -75,10 +75,3 @@ def is_popular_asn(asn: int) -> bool:
 def organization_of(asn: int) -> str:
     """Name of the popular organization owning ``asn`` (KeyError if not popular)."""
     return _POPULAR_LOOKUP[asn]
-
-
-def popular_origins_in(origin_asns: Iterable[int]) -> FrozenSet[str]:
-    """Names of the popular organizations present in a collection of origin ASNs."""
-    return frozenset(
-        _POPULAR_LOOKUP[asn] for asn in origin_asns if asn in _POPULAR_LOOKUP
-    )

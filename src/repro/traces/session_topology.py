@@ -364,10 +364,6 @@ class SessionTopology:
             raise KeyError(link)
         return a if node_a.depth > node_b.depth else b
 
-    def alternate_parent_of(self, asn: int) -> Optional[int]:
-        """The alternate attachment point of ``asn``, if it has one."""
-        return self._nodes[asn].alternate_parent
-
     def origin_of(self, prefix: Prefix) -> int:
         """Origin AS of ``prefix`` (KeyError if unknown)."""
         return self._prefix_origin[prefix]

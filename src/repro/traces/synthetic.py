@@ -525,9 +525,6 @@ class SyntheticTraceStream:
 
     # -- lazy per-session state ----------------------------------------------
 
-    def _peer(self, peer_as: int) -> CollectorPeer:
-        return self.peers[self._index_of[peer_as]]
-
     def topology_of(self, peer_as: int) -> SessionTopology:
         """The session's AS-path topology (built on first access)."""
         topology = self._topologies.get(peer_as)

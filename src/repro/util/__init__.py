@@ -1,8 +1,8 @@
 """Small shared utilities with no domain knowledge.
 
 :mod:`repro.util.retry` — the bounded-retry policy (exponential backoff +
-deterministic seeded jitter) shared by the fleet replay driver and the
-streaming ingestion daemon; :mod:`repro.util.atomic` — crash-safe file
+deterministic seeded jitter) the streaming ingestion daemon restarts its
+feed readers under; :mod:`repro.util.atomic` — crash-safe file
 writes (temp + fsync + rename) shared by the trace cache and the ingestion
 manifest.
 """

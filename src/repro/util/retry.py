@@ -1,19 +1,15 @@
 """Bounded retry with exponential backoff and deterministic jitter.
 
-One policy object serves every supervisor in the tree: the fleet replay
-driver (:mod:`repro.replay.fleet`) retries failed session jobs under it,
-and the streaming ingestion daemon (:mod:`repro.ingest`) restarts failed
-or stalled feed readers under the *same* implementation — extracted here
-so the two cannot drift.  The jitter is seeded (a pure function of
-``(seed, attempt)``), so reruns sleep identically: retry timing can never
-make an otherwise deterministic run diverge.
+The streaming ingestion daemon (:mod:`repro.ingest`) restarts failed or
+stalled feed readers under this policy.  The jitter is seeded (a pure
+function of ``(seed, attempt)``), so reruns sleep identically: retry timing
+can never make an otherwise deterministic run diverge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from random import Random
-from typing import Optional
 
 __all__ = ["RetryPolicy"]
 
@@ -26,15 +22,11 @@ class RetryPolicy:
     plus two retries.  The delay before attempt ``n``'s resubmission is
     ``min(backoff_base * backoff_factor**n, backoff_max)`` stretched by a
     deterministic jitter fraction in ``[0, jitter]`` — seeded, so reruns
-    sleep identically.  ``timeout`` (seconds) bounds one supervised
-    attempt where the supervisor has a preemption point: the fleet driver
-    applies it to pooled jobs (a worker that blows it is presumed hung and
-    reclaimed), the ingestion daemon's watchdog uses its own stall
-    deadline instead; supervisors without preemption ignore it.
+    sleep identically.  The policy bounds attempts, not their duration:
+    the ingestion daemon's watchdog applies its own stall deadline.
     """
 
     max_attempts: int = 3
-    timeout: Optional[float] = None
     backoff_base: float = 0.05
     backoff_factor: float = 2.0
     backoff_max: float = 2.0
@@ -44,8 +36,6 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.timeout is not None and self.timeout <= 0:
-            raise ValueError(f"timeout must be positive, got {self.timeout}")
 
     def delay(self, attempt: int) -> float:
         """Seconds to back off before resubmitting attempt ``attempt + 1``."""

@@ -1,4 +1,4 @@
-"""Test oracle: month/fleet replay through the materialising object path.
+"""Test oracle: month replay through the materialising object path.
 
 Production replay is column-native end to end
 (:class:`~repro.experiments.month_replay.StreamReplayer` hands every chunk
@@ -8,11 +8,7 @@ same chunking, same counters, but every chunk's runs are expanded into
 ``BGPMessage`` objects and fed to ``receive_batch``.
 """
 
-from typing import Iterable, Optional
-
-from repro.core.swifted_router import SwiftConfig
 from repro.experiments.month_replay import MonthReplayResult, StreamReplayer
-from repro.replay import FleetReplayResult, SessionJob
 from repro.traces.columnar import ColumnarTrace
 
 
@@ -31,34 +27,3 @@ def replay_stream_objects(
     replayer = ObjectPathReplayer(rib, peer_as, **options)
     replayer.feed(stream)
     return replayer.result()
-
-
-def replay_jobs_objects(
-    jobs: Iterable[SessionJob],
-    swifted: bool = True,
-    swift_config: Optional[SwiftConfig] = None,
-) -> FleetReplayResult:
-    """Sequential :func:`~repro.replay.replay_jobs` through the object path.
-
-    Events are always collected, as in the fleet driver's worker body, so
-    the two results' ``signature()`` compare byte for byte.
-    """
-    sessions = []
-    for job in jobs:
-        stream, rib = job.unpack()
-        sessions.append(
-            replay_stream_objects(
-                stream,
-                rib,
-                job.peer_as,
-                swifted=swifted,
-                swift_config=swift_config,
-                collect_events=True,
-            )
-        )
-    sessions.sort(key=lambda result: result.peer_as)
-    return FleetReplayResult(
-        workers=1,
-        wall_seconds=sum(result.wall_seconds for result in sessions),
-        sessions=sessions,
-    )

@@ -6,12 +6,15 @@ nothing observable.  Asserted here as a matrix over
 
 * router mode: SWIFTED (engines, reroutes) x speaker-only,
 * cache temperature: cold (streams generated into columns this process) x
-  warm (streams reloaded through the mmap-backed ``.cols`` store),
+  warm (streams reloaded from the trace cache),
 
-comparing ``FleetReplayResult.signature()`` *byte-for-byte* (pickled) between
-the column-native path and the materialising object path (the test-side
-driver ``tests/oracles/object_replay.py``), plus a construction probe proving
-the native SWIFTED path materialises zero ``BGPMessage`` objects.
+replaying every session of a small corpus one at a time (§4.1: inference
+is per session) and comparing the pickled tuple of per-session
+``MonthReplayResult.signature()``s, ordered by peer AS, *byte-for-byte*
+between the column-native path (``replay_stream``) and the materialising
+object path (the test-side driver ``tests/oracles/object_replay.py``),
+plus a construction probe proving the native SWIFTED path materialises
+zero ``BGPMessage`` objects.
 """
 
 import os
@@ -19,20 +22,22 @@ import pickle
 
 import pytest
 
-from oracles.object_replay import replay_jobs_objects
+from oracles.object_replay import replay_stream_objects
 
 from repro.core.history import TriggeringSchedule
 from repro.core.inference import InferenceConfig
 from repro.core.swifted_router import SwiftConfig
-from repro.replay import build_session_jobs, replay_jobs
+from repro.experiments.month_replay import replay_stream
 from repro.traces import columnar
+from repro.traces.synthetic import (
+    SyntheticTraceConfig,
+    SyntheticTraceGenerator,
+    cached_columnar_stream,
+)
 
-#: Same corpus shape as the fleet parity suite: small enough for tier-1,
-#: bursty enough that SWIFT demonstrably fires on several sessions.
-from repro.traces.synthetic import SyntheticTraceConfig
-
-#: Seed 17 places real bursts on 3 of the 4 peers (same corpus as the fleet
-#: parity suite), so the SWIFTED half of the matrix demonstrably reroutes.
+#: Small enough for tier-1, bursty enough that SWIFT demonstrably fires:
+#: seed 17 places real bursts on 3 of the 4 peers, so the SWIFTED half of
+#: the matrix reroutes.
 _CORPUS = SyntheticTraceConfig(
     peer_count=4,
     duration_days=4.0,
@@ -50,21 +55,34 @@ _SWIFT = SwiftConfig(
 )
 
 
+def _sessions():
+    """``(peer AS, stream, pre-trace RIB)`` for every peer of the corpus."""
+    generator_stream = SyntheticTraceGenerator(_CORPUS).stream()
+    return [
+        (
+            peer.peer_as,
+            cached_columnar_stream(_CORPUS, peer.peer_as),
+            generator_stream.rib_of(peer.peer_as),
+        )
+        for peer in generator_stream.peers
+    ]
+
+
 @pytest.fixture(scope="module")
-def job_matrix(tmp_path_factory):
-    """(cold jobs, warm jobs) over a private trace cache.
+def session_matrix(tmp_path_factory):
+    """(cold sessions, warm sessions) over a private trace cache.
 
     The first build generates every stream into columns; the second runs
-    against the now-populated cache, so its payloads come off the cached
+    against the now-populated cache, so its streams come off the cached
     entries — the warm half of the matrix.
     """
     previous = os.environ.get("REPRO_TRACE_CACHE")
     cache_dir = str(tmp_path_factory.mktemp("columnar_matrix_cache"))
     os.environ["REPRO_TRACE_CACHE"] = cache_dir
     try:
-        cold = build_session_jobs(_CORPUS)
+        cold = _sessions()
         assert any(name.startswith("stream-") for name in os.listdir(cache_dir))
-        warm = build_session_jobs(_CORPUS)
+        warm = _sessions()
         return cold, warm
     finally:
         if previous is None:
@@ -73,46 +91,55 @@ def job_matrix(tmp_path_factory):
             os.environ["REPRO_TRACE_CACHE"] = previous
 
 
-def _signature_bytes(jobs, swifted):
-    """Column-native replay: ``(result, pickled signature)``."""
-    result = replay_jobs(
-        jobs,
-        workers=1,
-        swifted=swifted,
-        swift_config=_SWIFT if swifted else None,
-    )
-    return result, pickle.dumps(result.signature())
+def _replay(replay, sessions, swifted):
+    """``(per-session results by peer AS, pickled signature tuple)``.
 
-
-def _materialised_bytes(jobs, swifted):
-    """Pickled signature of the same replay through the object-path oracle."""
-    result = replay_jobs_objects(
-        jobs, swifted=swifted, swift_config=_SWIFT if swifted else None
+    ``replay`` is ``replay_stream`` (column-native) or the object-path
+    oracle ``replay_stream_objects``.
+    """
+    results = sorted(
+        (
+            replay(
+                stream,
+                rib,
+                peer_as,
+                swifted=swifted,
+                swift_config=_SWIFT if swifted else None,
+                collect_events=True,
+            )
+            for peer_as, stream, rib in sessions
+        ),
+        key=lambda result: result.peer_as,
     )
-    return pickle.dumps(result.signature())
+    return results, pickle.dumps(tuple(result.signature() for result in results))
 
 
 class TestColumnarEnginePathParityMatrix:
     @pytest.mark.parametrize("temperature", ["cold", "warm"])
     @pytest.mark.parametrize("swifted", [True, False], ids=["swifted", "speaker_only"])
     def test_signature_byte_identical_to_object_path(
-        self, job_matrix, temperature, swifted
+        self, session_matrix, temperature, swifted
     ):
-        jobs = job_matrix[0] if temperature == "cold" else job_matrix[1]
-        native, native_bytes = _signature_bytes(jobs, swifted)
-        assert native_bytes == _materialised_bytes(jobs, swifted)
+        sessions = session_matrix[0] if temperature == "cold" else session_matrix[1]
+        native, native_bytes = _replay(replay_stream, sessions, swifted)
+        _, object_bytes = _replay(replay_stream_objects, sessions, swifted)
+        assert native_bytes == object_bytes
         if swifted:
-            assert native.reroutes > 0, "the corpus must exercise the reroute path"
+            assert sum(result.reroutes for result in native) > 0, (
+                "the corpus must exercise the reroute path"
+            )
         else:
-            assert native.losses > 0, "withdrawal bursts must surface loss events"
+            assert sum(result.losses for result in native) > 0, (
+                "withdrawal bursts must surface loss events"
+            )
 
-    def test_cold_and_warm_payloads_replay_identically(self, job_matrix):
-        cold, warm = job_matrix
-        _, cold_bytes = _signature_bytes(cold, swifted=True)
-        _, warm_bytes = _signature_bytes(warm, swifted=True)
+    def test_cold_and_warm_payloads_replay_identically(self, session_matrix):
+        cold, warm = session_matrix
+        _, cold_bytes = _replay(replay_stream, cold, swifted=True)
+        _, warm_bytes = _replay(replay_stream, warm, swifted=True)
         assert cold_bytes == warm_bytes
 
-    def test_native_swifted_path_materialises_no_messages(self, job_matrix):
+    def test_native_swifted_path_materialises_no_messages(self, session_matrix):
         """Construction probe: zero `message_at` calls on the native path."""
         calls = []
         original = columnar.ColumnarTrace.message_at
@@ -123,10 +150,11 @@ class TestColumnarEnginePathParityMatrix:
 
         columnar.ColumnarTrace.message_at = counting
         try:
-            native, _ = _signature_bytes(job_matrix[0], swifted=True)
-            assert native.message_count > 0
+            native, _ = _replay(replay_stream, session_matrix[0], swifted=True)
+            message_count = sum(result.message_count for result in native)
+            assert message_count > 0
             assert calls == []
-            _materialised_bytes(job_matrix[0], swifted=True)
-            assert len(calls) == native.message_count
+            _replay(replay_stream_objects, session_matrix[0], swifted=True)
+            assert len(calls) == message_count
         finally:
             columnar.ColumnarTrace.message_at = original

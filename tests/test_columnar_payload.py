@@ -4,8 +4,7 @@ The contracts under test:
 
 * ``to_payload()`` exports nothing but primitives (``bytes`` buffers,
   the format version, the tiny extras dict) and ``from_payload()`` rebuilds
-  an identical trace — the fleet driver's inter-process transport and the
-  trace cache's entry body;
+  an identical trace — the trace cache's entry body;
 * ``slice(start, stop)`` produces standalone traces (rebased bound columns,
   shared pool) equal to slicing the message stream;
 * the column store writes header + raw segments and reloads them via mmap

@@ -23,7 +23,6 @@ _TINY_ARGS = {
     "case_study_speedup.py": ["2000"],
     "simulated_outage.py": ["80"],
     "trace_analysis.py": ["2", "2"],
-    "fleet_replay.py": ["2", "0.5", "400"],
     "full_table.py": ["4000", "2"],
     "live_daemon.py": ["0.05", "40"],
 }

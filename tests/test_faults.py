@@ -1,39 +1,27 @@
-"""Fault-injection matrix: self-healing fleet replay, checksummed store,
+"""Fault-injection matrix: the harness itself, checksummed store,
 quarantining cache and validated ingestion.
 
-Crosses the injected failure modes {worker crash, hard worker kill, worker
-hang, IO error, corrupted blob, malformed rows} with {strict, lenient}
-handling and asserts the recovery contract: retried runs stay
-byte-identical to fault-free ones, degraded runs name exactly their
-casualties, damaged blobs are quarantined and rebuilt, and malformed rows
-are rejected (strict) or counted-and-skipped (lenient).  An end-to-end
-subprocess test arms the harness purely through ``REPRO_FAULTS`` /
-``REPRO_FAULT_SEED`` and proves a faulted fleet replay exits cleanly — no
-hang, no zombie workers.
+Crosses the injected failure modes {IO error, corrupted blob, malformed
+rows} with {strict, lenient} handling and asserts the recovery contract:
+damaged blobs are quarantined and rebuilt, and malformed rows are rejected
+(strict) or counted-and-skipped (lenient).  The harness tests pin the plan
+grammar, the seeded key selection and the downgrade of ``kill`` / ``hang``
+outside a supervised process.
 """
 
 import logging
 import os
-import pickle
-import subprocess
-import sys
-import textwrap
+import time
 
 import pytest
 
 from repro.bgp.attributes import ASPath, PathAttributes
 from repro.bgp.prefix import Prefix, prefix_block
-from repro.replay.fleet import (
-    FailedSession,
-    FleetReplayError,
-    RetryPolicy,
-    SessionJob,
-    replay_jobs,
-)
 from repro.testing.faults import (
     FaultInjector,
     FaultPlan,
     FaultSpec,
+    InjectedFault,
     corrupt_file,
 )
 from repro.traces import columnar_store, trace_cache
@@ -55,47 +43,13 @@ def _make_trace(peer_as: int, messages: int = 6) -> ColumnarTrace:
     return trace
 
 
-def _make_jobs(peer_ases) -> list:
-    return [
-        SessionJob.from_stream(peer_as, _make_trace(peer_as), {})
-        for peer_as in peer_ases
-    ]
-
-
-def _signature(result) -> bytes:
-    return pickle.dumps(result.signature())
-
-
-@pytest.fixture(scope="module")
-def jobs():
-    return _make_jobs([11, 12, 13])
-
-
-@pytest.fixture(scope="module")
-def baseline(jobs):
-    """The fault-free sequential run every recovery test compares against."""
-    return replay_jobs(jobs, workers=1, swifted=False)
-
-
-class TestWorkerSizing:
-    @pytest.mark.parametrize("workers", [0, -1, -7])
-    def test_non_positive_workers_raise(self, workers):
-        with pytest.raises(ValueError, match="positive integer"):
-            replay_jobs([], workers=workers)
-
-    @pytest.mark.parametrize("workers", [True, False, 2.0, "2"])
-    def test_non_integer_workers_raise(self, workers):
-        with pytest.raises(ValueError, match="positive integer"):
-            replay_jobs([], workers=workers)
-
-
 class TestFaultPlanConfig:
     def test_plan_round_trips_through_environment(self):
         plan = FaultPlan(
             seed=42,
             specs=(
-                FaultSpec("kill", "fleet.worker", times=2, match="session:1[12]"),
-                FaultSpec("hang", "fleet.worker", hang_seconds=7.5),
+                FaultSpec("kill", "segment.append", times=2, match="feed:1[12]"),
+                FaultSpec("hang", "feed.read", hang_seconds=7.5),
                 FaultSpec("corrupt", "cache.write", rate=0.5),
             ),
         )
@@ -103,128 +57,45 @@ class TestFaultPlanConfig:
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown fault kind"):
-            FaultSpec("meltdown", "fleet.worker")
+            FaultSpec("meltdown", "segment.append")
         with pytest.raises(ValueError, match="malformed fault spec"):
             FaultSpec.from_text("no-site-here")
 
     def test_rate_selects_the_same_keys_everywhere(self):
-        plan = FaultPlan(seed=9, specs=(FaultSpec("crash", "fleet.worker", rate=0.5),))
+        plan = FaultPlan(seed=9, specs=(FaultSpec("crash", "segment.append", rate=0.5),))
         picks = [
-            FaultInjector(plan).check("fleet.worker", key=f"session:{peer}", attempt=0)
+            FaultInjector(plan).check("segment.append", key=f"feed:{segment}", attempt=0)
             is not None
-            for peer in range(40)
+            for segment in range(40)
         ]
         # Deterministic and non-trivial: some keys selected, some spared,
         # identically for every fresh injector (i.e. every process).
         assert any(picks) and not all(picks)
         repeat = [
-            FaultInjector(plan).check("fleet.worker", key=f"session:{peer}", attempt=0)
+            FaultInjector(plan).check("segment.append", key=f"feed:{segment}", attempt=0)
             is not None
-            for peer in range(40)
+            for segment in range(40)
         ]
         assert repeat == picks
 
 
-class TestCrashRecovery:
-    def test_pool_crash_is_retried_to_byte_identical_result(self, jobs, baseline):
-        plan = FaultPlan(
-            specs=(FaultSpec("crash", "fleet.worker", times=1, match="session:11"),)
-        )
-        result = replay_jobs(jobs, workers=2, swifted=False, fault_plan=plan)
-        assert result.retries >= 1
-        assert not result.degraded
-        assert _signature(result) == _signature(baseline)
-
-    def test_inline_crash_is_retried_to_byte_identical_result(self, jobs, baseline):
-        plan = FaultPlan(
-            specs=(FaultSpec("crash", "fleet.worker", times=1, match="session:12"),)
-        )
-        result = replay_jobs(jobs, workers=1, swifted=False, fault_plan=plan)
-        assert result.retries == 1
-        assert _signature(result) == _signature(baseline)
-
-    def test_inline_kill_downgrades_instead_of_exiting_this_process(self, jobs):
-        # ``kill`` outside a supervised pool worker must not take the test
-        # process down; with an unretryable spec it degrades instead.
-        plan = FaultPlan(
-            specs=(FaultSpec("kill", "fleet.worker", times=99, match="session:11"),)
-        )
-        result = replay_jobs(
-            jobs, workers=1, swifted=False, strict=False, fault_plan=plan
-        )
-        assert [failed.peer_as for failed in result.failed_sessions] == [11]
-
-    def test_strict_raises_after_exhausted_attempts(self, jobs):
-        plan = FaultPlan(specs=(FaultSpec("crash", "fleet.worker", times=99),))
-        with pytest.raises(FleetReplayError, match="failed after"):
-            replay_jobs(jobs, workers=1, swifted=False, fault_plan=plan)
-        with pytest.raises(FleetReplayError, match="failed after"):
-            replay_jobs(jobs, workers=2, swifted=False, fault_plan=plan)
-
-
-class TestHardFailureRecovery:
-    def test_killed_workers_break_the_pool_and_jobs_are_resubmitted(
-        self, jobs, baseline
-    ):
-        # The acceptance scenario: a seeded injector hard-kills 2 of N
-        # workers; the driver rebuilds the pool, resubmits, and the final
-        # signature is byte-identical to the fault-free sequential run.
-        plan = FaultPlan(
-            seed=7,
-            specs=(FaultSpec("kill", "fleet.worker", times=1, match="session:1[12]"),),
-        )
-        result = replay_jobs(jobs, workers=2, swifted=False, fault_plan=plan)
-        assert result.pool_restarts >= 1
-        assert result.retries >= 1
-        assert not result.degraded
-        assert _signature(result) == _signature(baseline)
-
-    def test_hung_worker_is_reclaimed_within_the_timeout(self, jobs, baseline):
-        plan = FaultPlan(
-            specs=(
-                FaultSpec(
-                    "hang", "fleet.worker", times=1, match="session:11", hang_seconds=25.0
-                ),
-            )
-        )
-        result = replay_jobs(
-            jobs, workers=2, swifted=False, fault_plan=plan, timeout=2.0
-        )
-        # Reclaiming a hung worker kills its process, so the pool restarts
-        # and the job retries — far faster than the 25 s injected sleep
-        # (the suite's duration budget would catch a driver that waited).
-        assert result.pool_restarts >= 1
-        assert result.retries >= 1
-        assert not result.degraded
-        assert _signature(result) == _signature(baseline)
-
-
-class TestGracefulDegradation:
-    def test_lenient_run_names_exactly_the_failed_sessions(self, jobs, baseline):
-        plan = FaultPlan(
-            specs=(FaultSpec("crash", "fleet.worker", times=99, match="session:12"),)
-        )
-        result = replay_jobs(
-            jobs, workers=2, swifted=False, strict=False, fault_plan=plan
-        )
-        assert result.degraded
-        assert [failed.peer_as for failed in result.failed_sessions] == [12]
-        assert result.failed_sessions[0].attempts == RetryPolicy().max_attempts
-        assert [session.peer_as for session in result.sessions] == [11, 13]
-        # A degraded signature carries an explicit marker naming the
-        # casualties — it can never pass for the complete run.
-        assert _signature(result) != _signature(baseline)
-        assert result.signature()[1] == ("degraded", (12,))
-
-    def test_failed_session_records_the_error(self, jobs):
-        plan = FaultPlan(specs=(FaultSpec("crash", "fleet.worker", times=99),))
-        result = replay_jobs(
-            jobs, workers=1, swifted=False, strict=False, fault_plan=plan
-        )
-        assert len(result.failed_sessions) == len(jobs)
-        for failed in result.failed_sessions:
-            assert isinstance(failed, FailedSession)
-            assert "injected crash" in failed.error
+class TestInjectorFire:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            FaultSpec("kill", "segment.append", times=99),
+            FaultSpec("hang", "feed.read", times=99, hang_seconds=30.0),
+        ],
+        ids=["kill", "hang"],
+    )
+    def test_inline_kill_downgrades_instead_of_exiting_this_process(self, spec):
+        # ``kill`` / ``hang`` outside a supervised worker must neither take
+        # the test process down nor sleep: both raise instead.
+        injector = FaultInjector(FaultPlan(specs=(spec,)))
+        begin = time.monotonic()
+        with pytest.raises(InjectedFault, match="outside a supervised process"):
+            injector.fire(spec.site, key="feed:11", in_worker=False)
+        assert time.monotonic() - begin < 5.0
 
 
 class TestStoreIntegrity:
@@ -464,9 +335,11 @@ class TestIngestionValidation:
         tampered[2] = 9
         payload["msg_kind"] = bytes(tampered)
         with pytest.raises(TraceValidationError, match="unknown-kind"):
-            ColumnarTrace.from_payload(payload, validate="strict")
+            ColumnarTrace.from_payload(payload).validated()
         report = ValidationReport(lenient=True)
-        trace = ColumnarTrace.from_payload(payload, validate="lenient", report=report)
+        trace = ColumnarTrace.from_payload(payload).validated(
+            lenient=True, report=report
+        )
         assert report.skipped["unknown-kind"] == 1
         assert trace.message_count == _make_trace(11).message_count - 1
 
@@ -505,68 +378,3 @@ class TestIngestionValidation:
         report = ValidationReport(lenient=True)
         assert trace.validated(lenient=True, report=report) is trace
         assert report.clean and report.checked == trace.message_count
-
-    def test_fleet_worker_validates_payloads_when_asked(self, jobs):
-        bad_payload = _make_trace(14).to_payload()
-        tampered = bytearray(bad_payload["msg_kind"])
-        tampered[1] = 200
-        bad_payload["msg_kind"] = bytes(tampered)
-        bad_job = SessionJob(
-            peer_as=14, payload=bad_payload, rib_prefix=b"", rib_path=b""
-        )
-        with pytest.raises(FleetReplayError):
-            replay_jobs([bad_job], workers=1, swifted=False, validate="strict", retry=0)
-        lenient = replay_jobs([bad_job], workers=1, swifted=False, validate="lenient")
-        assert lenient.sessions[0].message_count == _make_trace(14).message_count - 1
-        with pytest.raises(ValueError, match="validate"):
-            replay_jobs([], validate="sometimes")
-
-
-_E2E_SCRIPT = textwrap.dedent(
-    """
-    from repro.bgp.attributes import ASPath, PathAttributes
-    from repro.bgp.prefix import prefix_block
-    from repro.replay.fleet import SessionJob, replay_jobs
-    from repro.traces.columnar import ColumnarTrace
-
-    def make_job(peer_as):
-        trace = ColumnarTrace()
-        attributes = PathAttributes(as_path=ASPath([peer_as, 5, 6]), next_hop=peer_as)
-        for index, prefix in enumerate(prefix_block("10.%d.0.0/24" % peer_as, 5)):
-            trace.announce(float(index), peer_as, prefix, attributes)
-        return SessionJob.from_stream(peer_as, trace, {})
-
-    jobs = [make_job(peer_as) for peer_as in (11, 12, 13)]
-    result = replay_jobs(jobs, workers=2, swifted=False, strict=False, timeout=2.0)
-    assert result.session_count == 3, result.failed_sessions
-    assert not result.degraded, result.failed_sessions
-    assert result.retries >= 1, "the environment plan must have fired"
-    print("fault-e2e OK retries=%d restarts=%d" % (result.retries, result.pool_restarts))
-    """
-)
-
-
-def test_environment_armed_fleet_replay_exits_cleanly():
-    """End-to-end: REPRO_FAULTS alone kills/hangs workers; the run degrades
-    gracefully, exits 0 within the deadline and leaves no zombie workers
-    (a clean interpreter exit joins every pool process)."""
-    env = dict(os.environ)
-    src = os.path.join(
-        os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"
-    )
-    env["PYTHONPATH"] = src
-    env["REPRO_FAULTS"] = (
-        "kill@fleet.worker;times=1;match=session:11,"
-        "hang@fleet.worker;times=1;match=session:12;hang=30"
-    )
-    env["REPRO_FAULT_SEED"] = "3"
-    env["REPRO_TRACE_CACHE"] = "off"
-    completed = subprocess.run(
-        [sys.executable, "-c", _E2E_SCRIPT],
-        capture_output=True,
-        text=True,
-        timeout=60,
-        env=env,
-    )
-    assert completed.returncode == 0, completed.stderr or completed.stdout
-    assert "fault-e2e OK" in completed.stdout

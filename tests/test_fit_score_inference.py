@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.bgp.attributes import ASPath
 from repro.bgp.messages import Update
 from repro.bgp.prefix import prefix_block
-from repro.core.burst_detection import BurstDetector, BurstDetectorConfig, percentile_threshold
+from repro.core.burst_detection import BurstDetector, BurstDetectorConfig
 from repro.core.fit_score import FitScoreCalculator, FitScoreConfig
 from repro.core.history import HistoryModel, TriggeringSchedule
 from repro.core.inference import InferenceConfig, InferenceEngine
@@ -167,13 +167,6 @@ class TestBurstDetector:
         assert event is not None and event.kind == "end"
         assert event.withdrawals_in_window == 2
         assert not detector.is_bursting
-
-    def test_percentile_threshold(self):
-        counts = list(range(100))
-        assert percentile_threshold(counts, 100.0) == 99
-        assert percentile_threshold(counts, 0.0) == 0
-        with pytest.raises(ValueError):
-            percentile_threshold([], 50.0)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -68,9 +68,9 @@ _TINY = SyntheticTraceConfig(
     seed=11,
 )
 
-#: Bursty corpus for the live/offline inference parity test — the fleet
-#: replay corpus, whose first session (peer 2900) is known to produce
-#: reroute events under the lowered triggering schedule below.
+#: Bursty corpus for the live/offline inference parity test — the columnar
+#: parity matrix's corpus, whose first session (peer 2900) is known to
+#: produce reroute events under the lowered triggering schedule below.
 _BURSTY = SyntheticTraceConfig(
     peer_count=4,
     duration_days=4.0,
@@ -424,6 +424,16 @@ def test_lenient_mode_records_the_casualty_and_keeps_survivors(tmp_path, disarm)
     offline = _offline_trace(_feed_lines(_TINY, survivor.peer_as))
     assert result.feeds[survivor.name].rows_acked == offline.message_count
     assert result.feeds[survivor.name].complete
+
+
+def test_retry_policy_backoff_is_seeded_and_bounded():
+    policy = RetryPolicy(backoff_base=0.5, backoff_max=2.0, jitter=0.25, seed=7)
+    twin = RetryPolicy(backoff_base=0.5, backoff_max=2.0, jitter=0.25, seed=7)
+    delays = [policy.delay(attempt) for attempt in range(8)]
+    assert delays == [twin.delay(attempt) for attempt in range(8)]
+    assert all(0 < delay <= 2.0 * (1 + 0.25) for delay in delays)
+    with pytest.raises(ValueError, match="max_attempts"):
+        RetryPolicy(max_attempts=0)
 
 
 # -- manifest integrity -------------------------------------------------------

@@ -1,15 +1,10 @@
-"""Fleet replay parity and month-replay regressions.
+"""Month-replay regressions.
 
-The fleet driver's core claim — that a process-pool replay of a corpus is
-*byte-identical* to sequential replay — is asserted here over a small
-multi-session corpus, for both the SWIFTED path (reroute multisets) and the
-speaker-only path (loss/recovery multisets).  Alongside ride the
-month-replay regressions: the looped backup-alternate path for colliding
-origin ASes, unknown-peer failure parity between the object and columnar
-speaker paths, empty-batch edges, and run chunking smaller than one run.
+The looped backup-alternate path for colliding origin ASes, RIB interning
+across a payload round trip, unknown-peer failure parity between the
+object and columnar speaker paths, empty-batch edges, and run chunking
+smaller than one run.
 """
-
-import pickle
 
 import pytest
 
@@ -17,9 +12,6 @@ from repro.bgp.attributes import ASPath, PathAttributes
 from repro.bgp.messages import Update
 from repro.bgp.prefix import Prefix, prefix_block
 from repro.bgp.speaker import BGPSpeaker
-from repro.core.history import TriggeringSchedule
-from repro.core.inference import InferenceConfig
-from repro.core.swifted_router import SwiftConfig
 from repro.experiments.month_replay import (
     BACKUP_ORIGIN_AS,
     BACKUP_PEER_AS,
@@ -27,113 +19,13 @@ from repro.experiments.month_replay import (
     backup_alternates,
     replay_stream,
 )
-from repro.replay import (
-    SessionJob,
-    build_session_jobs,
-    format_fleet_result,
-    replay_fleet,
-    replay_jobs,
-)
-from repro.traces.columnar import ColumnarTrace
-from repro.traces.synthetic import SyntheticTraceConfig
-
-#: A corpus small enough for tier-1 but with real bursts on several
-#: sessions (seed 17 places 14 bursts across 3 of the 4 peers).
-_CORPUS = SyntheticTraceConfig(
-    peer_count=4,
-    duration_days=4.0,
-    min_table_size=1500,
-    max_table_size=4000,
-    burst_size_minimum=400,
-    noise_rate_per_second=0.01,
-    seed=17,
-)
-
-#: Lowered trigger so SWIFT demonstrably fires on the small bursts.
-_SWIFT = SwiftConfig(
-    inference=InferenceConfig(
-        schedule=TriggeringSchedule(steps=((300, 100000),), unconditional_after=500)
-    )
-)
+from repro.traces.columnar import ColumnarTrace, decode_rib, encode_rib
 
 
-@pytest.fixture(scope="module")
-def jobs(tmp_path_factory):
-    import os
-
-    previous = os.environ.get("REPRO_TRACE_CACHE")
-    os.environ["REPRO_TRACE_CACHE"] = str(tmp_path_factory.mktemp("fleet_cache"))
-    try:
-        return build_session_jobs(_CORPUS)
-    finally:
-        if previous is None:
-            del os.environ["REPRO_TRACE_CACHE"]
-        else:
-            os.environ["REPRO_TRACE_CACHE"] = previous
-
-
-class TestFleetParity:
-    def test_swifted_fleet_matches_sequential_byte_identically(self, jobs):
-        sequential = replay_jobs(jobs, workers=1, swift_config=_SWIFT)
-        fleet = replay_jobs(jobs, workers=4, swift_config=_SWIFT)
-        assert fleet.workers == 4 and sequential.workers == 1
-        assert pickle.dumps(fleet.signature()) == pickle.dumps(sequential.signature())
-        assert fleet.reroutes > 0, "the corpus must exercise the reroute path"
-        assert [r.peer_as for r in fleet.sessions] == sorted(
-            r.peer_as for r in fleet.sessions
-        )
-        # Every session replays every row of its stream.
-        assert {r.peer_as: r.message_count for r in sequential.sessions} == {
-            job.peer_as: ColumnarTrace.from_payload(job.payload).message_count
-            for job in jobs
-        }
-
-    def test_speaker_only_fleet_matches_sequential(self, jobs):
-        sequential = replay_jobs(jobs, workers=1, swifted=False)
-        fleet = replay_jobs(jobs, workers=4, swifted=False)
-        assert pickle.dumps(fleet.signature()) == pickle.dumps(sequential.signature())
-        assert fleet.losses > 0, "withdrawal bursts must surface loss events"
-        assert fleet.loss_events == sequential.loss_events
-        assert fleet.recovery_events == sequential.recovery_events
-
-    def test_aggregates_sum_per_session_counters(self, jobs):
-        fleet = replay_jobs(jobs, workers=2, swifted=False)
-        assert fleet.message_count == sum(r.message_count for r in fleet.sessions)
-        assert fleet.losses == sum(r.losses for r in fleet.sessions)
-        assert sum(count for _, count in fleet.loss_events) == fleet.losses
-
-    def test_format_fleet_result_renders_all_sessions(self, jobs):
-        fleet = replay_jobs(jobs, workers=1, swifted=False)
-        rendered = format_fleet_result(fleet)
-        for session in fleet.sessions:
-            assert str(session.peer_as) in rendered
-        assert "total" in rendered
-
-    def test_replay_fleet_end_to_end(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "cache"))
-        config = SyntheticTraceConfig(
-            peer_count=2,
-            duration_days=1.0,
-            min_table_size=400,
-            max_table_size=800,
-            noise_rate_per_second=0.02,
-            seed=23,
-        )
-        result = replay_fleet(config, workers=2, swifted=False)
-        assert result.session_count == 2
-        assert result.message_count > 0
-
-
-class TestSessionJobs:
-    def test_job_payloads_are_raw_buffers(self, jobs):
-        job = jobs[0]
-        assert isinstance(job.rib_prefix, bytes) and isinstance(job.rib_path, bytes)
-        flat = pickle.dumps(job, protocol=pickle.HIGHEST_PROTOCOL)
-        assert b"repro.bgp" not in flat, "jobs must not pickle message objects"
-
+class TestRibInterning:
     def test_rib_interned_before_payload_export(self):
         # A RIB prefix that never appears in the stream must still resolve
-        # in the worker: interning happens before the payload snapshot.
+        # after a payload round trip: interning happens before the export.
         stream = ColumnarTrace()
         stream.announce(
             1.0, 9, Prefix.from_string("10.0.0.0/24"),
@@ -141,13 +33,11 @@ class TestSessionJobs:
         )
         silent_prefix = Prefix.from_string("99.0.0.0/24")
         rib = {silent_prefix: ASPath([9, 8, 7])}
-        job = SessionJob.from_stream(9, stream, rib)
-        result = replay_stream(
-            ColumnarTrace.from_payload(job.payload),
-            rib,
-            peer_as=9,
-            swifted=False,
-        )
+        prefix_column, path_column = encode_rib(rib, stream.pool)
+        restored = ColumnarTrace.from_payload(stream.to_payload())
+        restored_rib = decode_rib(prefix_column, path_column, restored.pool)
+        assert restored_rib == rib
+        result = replay_stream(restored, restored_rib, peer_as=9, swifted=False)
         assert result.message_count == 1
 
 

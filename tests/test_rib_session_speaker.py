@@ -17,8 +17,6 @@ from repro.bgp.messages import (
     Notification,
     OpenMessage,
     Update,
-    iter_withdrawn_prefixes,
-    split_update,
 )
 from repro.bgp.prefix import Prefix, prefix_block
 from repro.bgp.rib import AdjRibIn, LocRib, RibEntry, RouteChangeKind
@@ -98,22 +96,6 @@ class TestDecisionProcess:
             RibEntry(PFX[0], _attrs([3, 5, 6]), 3),
         ]
         assert process.select(entries).peer_as == 3
-
-
-class TestMessages:
-    def test_split_update(self):
-        update = Update.withdraw_many(0.0, 2, PFX[:10])
-        chunks = split_update(update, 3)
-        assert sum(c.prefix_count for c in chunks) == 10
-        assert all(c.prefix_count <= 3 for c in chunks)
-
-    def test_split_update_invalid(self):
-        with pytest.raises(ValueError):
-            split_update(Update.withdraw(0.0, 2, PFX[0]), 0)
-
-    def test_iter_withdrawn(self):
-        messages = [Update.withdraw(1.0, 2, PFX[0]), KeepAlive(2.0, 2)]
-        assert list(iter_withdrawn_prefixes(messages)) == [(1.0, 2, PFX[0])]
 
 
 class TestPeeringSession:
