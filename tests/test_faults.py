@@ -5,8 +5,9 @@ Crosses the injected failure modes {IO error, corrupted blob, malformed
 rows} with {strict, lenient} handling and asserts the recovery contract:
 damaged blobs are quarantined and rebuilt, and malformed rows are rejected
 (strict) or counted-and-skipped (lenient).  The harness tests pin the plan
-grammar, the seeded key selection and the downgrade of ``kill`` / ``hang``
-outside a supervised process.
+grammar, the seeded key selection, the ``after`` / ``times`` windows, what
+each kind does when it fires (with ``kill`` / ``hang`` downgraded outside a
+supervised process), ``corrupt_file`` and the ambient injector.
 """
 
 import logging
@@ -17,11 +18,15 @@ import pytest
 
 from repro.bgp.attributes import ASPath, PathAttributes
 from repro.bgp.prefix import Prefix, prefix_block
+from repro.testing import faults
 from repro.testing.faults import (
+    FAULTS_ENV,
+    SEED_ENV,
     FaultInjector,
     FaultPlan,
     FaultSpec,
     InjectedFault,
+    InjectedIOError,
     corrupt_file,
 )
 from repro.traces import columnar_store, trace_cache
@@ -78,6 +83,122 @@ class TestFaultPlanConfig:
         ]
         assert repeat == picks
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "crash@segment.roll",
+            "io_error@store.read;times=3",
+            "crash@segment.roll;rate=0.5",
+            "kill@segment.append;match=feed-1:*;after=2",
+            "hang@feed.read;hang=7.5",
+        ],
+    )
+    def test_spec_text_round_trips(self, text):
+        spec = FaultSpec.from_text(text)
+        assert spec.to_text() == text
+        assert FaultSpec.from_text(spec.to_text()) == spec
+
+    def test_plan_text_splits_on_commas_and_skips_blank_specs(self):
+        plan = FaultPlan.from_text(
+            " crash@segment.roll;rate=0.5 , ,io_error@store.read;times=2", seed=3
+        )
+        assert plan == FaultPlan(
+            seed=3,
+            specs=(
+                FaultSpec("crash", "segment.roll", rate=0.5),
+                FaultSpec("io_error", "store.read", times=2),
+            ),
+        )
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("crash@segment.roll;times", "malformed fault field"),
+            ("crash@segment.roll;colour=red", "unknown fault field"),
+            ("@segment.roll", "malformed fault spec"),
+            ("crash@", "malformed fault spec"),
+        ],
+        ids=["field-without-value", "unknown-field", "no-kind", "no-site"],
+    )
+    def test_malformed_text_rejected(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            FaultSpec.from_text(text)
+
+    def test_environment_without_a_plan_configures_nothing(self):
+        assert FaultPlan.from_env({}) is None
+        assert FaultPlan.from_env({FAULTS_ENV: "", SEED_ENV: "4"}) is None
+        plan = FaultPlan.from_env({FAULTS_ENV: "crash@segment.roll", SEED_ENV: ""})
+        assert plan == FaultPlan(seed=0, specs=(FaultSpec("crash", "segment.roll"),))
+
+    def test_rate_selection_depends_on_the_seed(self):
+        def picks(seed):
+            plan = FaultPlan(
+                seed=seed, specs=(FaultSpec("crash", "segment.append", rate=0.5),)
+            )
+            injector = FaultInjector(plan)
+            return [
+                injector.check("segment.append", key=f"feed:{segment}", attempt=0)
+                is not None
+                for segment in range(40)
+            ]
+
+        assert picks(9) != picks(10)
+
+    def test_zero_rate_never_fires(self):
+        plan = FaultPlan(specs=(FaultSpec("crash", "segment.append", rate=0.0),))
+        injector = FaultInjector(plan)
+        assert all(
+            injector.check("segment.append", key=f"feed:{segment}", attempt=0) is None
+            for segment in range(40)
+        )
+
+
+class TestInjectorCheck:
+    def test_attempt_window_lets_retried_work_heal(self):
+        spec = FaultSpec("crash", "segment.append", times=2, after=1)
+        injector = FaultInjector(FaultPlan(specs=(spec,)))
+        decisions = [
+            injector.check("segment.append", key="feed:0", attempt=attempt)
+            for attempt in range(5)
+        ]
+        assert decisions == [None, spec, spec, None, None]
+
+    def test_occurrences_are_counted_per_key_without_an_attempt(self):
+        spec = FaultSpec("kill", "segment.append", after=1)
+        injector = FaultInjector(FaultPlan(specs=(spec,)))
+        first = [injector.check("segment.append", key="feed:0") for _ in range(3)]
+        assert first == [None, spec, None]
+        # Another key has its own counter: its second occurrence fires.
+        second = [injector.check("segment.append", key="feed:1") for _ in range(3)]
+        assert second == [None, spec, None]
+
+    def test_explicit_attempt_leaves_the_occurrence_counter_alone(self):
+        spec = FaultSpec("crash", "segment.append")
+        injector = FaultInjector(FaultPlan(specs=(spec,)))
+        assert injector.check("segment.append", key="feed:0", attempt=5) is None
+        assert injector.check("segment.append", key="feed:0") is spec
+
+    def test_site_and_match_are_fnmatch_patterns(self):
+        spec = FaultSpec("crash", "segment.*", times=99, match="feed-1:*")
+        injector = FaultInjector(FaultPlan(specs=(spec,)))
+        assert injector.check("segment.roll", key="feed-1:3:start") is spec
+        assert injector.check("segment.append", key="feed-1:0") is spec
+        assert injector.check("segment.append", key="feed-2:0") is None
+        assert injector.check("feed.read", key="feed-1") is None
+
+    def test_first_armed_spec_wins(self):
+        crash = FaultSpec("crash", "segment.append", times=99)
+        io_error = FaultSpec("io_error", "segment.append", times=99)
+        injector = FaultInjector(FaultPlan(specs=(crash, io_error)))
+        assert injector.check("segment.append", key="feed:0", attempt=0) is crash
+
+    def test_an_exhausted_spec_falls_through_to_the_next(self):
+        crash = FaultSpec("crash", "segment.append")
+        io_error = FaultSpec("io_error", "segment.append", times=99)
+        injector = FaultInjector(FaultPlan(specs=(crash, io_error)))
+        assert injector.check("segment.append", key="feed:0", attempt=0) is crash
+        assert injector.check("segment.append", key="feed:0", attempt=1) is io_error
+
 
 class TestInjectorFire:
     @pytest.mark.parametrize(
@@ -96,6 +217,94 @@ class TestInjectorFire:
         with pytest.raises(InjectedFault, match="outside a supervised process"):
             injector.fire(spec.site, key="feed:11", in_worker=False)
         assert time.monotonic() - begin < 5.0
+
+    def test_nothing_armed_returns_none(self):
+        injector = FaultInjector(FaultPlan(specs=(FaultSpec("crash", "segment.roll"),)))
+        assert injector.fire("segment.append", key="feed:0") is None
+
+    def test_crash_raises_an_injected_fault(self):
+        injector = FaultInjector(FaultPlan(specs=(FaultSpec("crash", "segment.append"),)))
+        with pytest.raises(InjectedFault, match="injected crash") as caught:
+            injector.fire("segment.append", key="feed:0")
+        assert not isinstance(caught.value, OSError)
+
+    def test_io_error_is_an_oserror(self):
+        injector = FaultInjector(FaultPlan(specs=(FaultSpec("io_error", "store.read"),)))
+        with pytest.raises(InjectedIOError) as caught:
+            injector.fire("store.read", key="trace.cols")
+        assert isinstance(caught.value, OSError)
+        assert isinstance(caught.value, InjectedFault)
+
+    def test_corrupt_hands_the_spec_to_the_caller(self):
+        spec = FaultSpec("corrupt", "cache.write")
+        injector = FaultInjector(FaultPlan(specs=(spec,)))
+        assert injector.fire("cache.write", key="entry") is spec
+        assert injector.fire("cache.write", key="entry") is None
+
+
+class TestCorruptFile:
+    def test_seeded_offset_is_stable_and_flips_exactly_one_byte(self, tmp_path):
+        original = bytes(range(256)) * 4
+        paths = [tmp_path / "a.bin", tmp_path / "b.bin"]
+        for path in paths:
+            path.write_bytes(original)
+        offsets = [corrupt_file(str(path), seed=5) for path in paths]
+        assert offsets[0] == offsets[1]
+        damaged = paths[0].read_bytes()
+        assert damaged == paths[1].read_bytes()
+        diff = [i for i, (a, b) in enumerate(zip(original, damaged)) if a != b]
+        assert diff == [offsets[0]]
+        assert damaged[offsets[0]] == original[offsets[0]] ^ 0xFF
+
+    def test_explicit_offset_is_honoured(self, tmp_path):
+        path = tmp_path / "blob.bin"
+        path.write_bytes(b"\x00" * 16)
+        assert corrupt_file(str(path), offset=3) == 3
+        assert path.read_bytes() == b"\x00" * 3 + b"\xff" + b"\x00" * 12
+
+    def test_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "empty.bin"
+        path.write_bytes(b"")
+        with pytest.raises(ValueError, match="empty"):
+            corrupt_file(str(path))
+
+
+class TestAmbientInjector:
+    @pytest.fixture(autouse=True)
+    def _disarmed(self, monkeypatch):
+        monkeypatch.delenv(FAULTS_ENV, raising=False)
+        monkeypatch.delenv(SEED_ENV, raising=False)
+        faults.install_injector(None)
+        yield
+        faults.install_injector(None)
+
+    def test_idle_harness_has_no_injector(self, monkeypatch):
+        assert faults.active_injector() is None
+        monkeypatch.setenv(FAULTS_ENV, "")
+        assert faults.active_injector() is None
+
+    def test_environment_injector_is_reused_while_the_plan_is_unchanged(
+        self, monkeypatch
+    ):
+        monkeypatch.setenv(FAULTS_ENV, "kill@segment.append;after=1")
+        monkeypatch.setenv(SEED_ENV, "4")
+        injector = faults.active_injector()
+        assert injector is not None
+        assert injector.plan == FaultPlan.from_text("kill@segment.append;after=1", seed=4)
+        # One injector per plan value, so occurrence counters persist
+        # across hook calls within the process.
+        assert faults.active_injector() is injector
+        monkeypatch.setenv(SEED_ENV, "5")
+        rebuilt = faults.active_injector()
+        assert rebuilt is not injector and rebuilt.plan.seed == 5
+
+    def test_installed_injector_wins_over_the_environment(self, monkeypatch):
+        monkeypatch.setenv(FAULTS_ENV, "crash@segment.roll")
+        installed = FaultInjector(FaultPlan(specs=(FaultSpec("hang", "feed.read"),)))
+        faults.install_injector(installed)
+        assert faults.active_injector() is installed
+        faults.install_injector(None)
+        assert faults.active_injector().plan == FaultPlan.from_text("crash@segment.roll")
 
 
 class TestStoreIntegrity:

@@ -436,6 +436,33 @@ def test_retry_policy_backoff_is_seeded_and_bounded():
         RetryPolicy(max_attempts=0)
 
 
+def test_retry_policy_without_jitter_is_the_capped_exponential():
+    policy = RetryPolicy(backoff_base=0.05, backoff_factor=2.0, backoff_max=2.0, jitter=0.0)
+    assert [policy.delay(attempt) for attempt in range(8)] == [
+        min(0.05 * 2.0**attempt, 2.0) for attempt in range(8)
+    ]
+
+
+def test_retry_policy_jitter_depends_on_the_seed():
+    delays = {
+        seed: [RetryPolicy(seed=seed).delay(attempt) for attempt in range(6)]
+        for seed in (1, 2)
+    }
+    assert delays[1] != delays[2]
+    unjittered = RetryPolicy(jitter=0.0)
+    for seed_delays in delays.values():
+        assert all(
+            unjittered.delay(attempt) <= delay <= unjittered.delay(attempt) * 1.25
+            for attempt, delay in enumerate(seed_delays)
+        )
+
+
+@pytest.mark.parametrize("attempts", [-1, -5])
+def test_retry_policy_rejects_negative_attempts(attempts):
+    with pytest.raises(ValueError, match="max_attempts"):
+        RetryPolicy(max_attempts=attempts)
+
+
 # -- manifest integrity -------------------------------------------------------
 
 
@@ -456,3 +483,4 @@ def test_duplicate_feed_names_are_rejected(tmp_path):
     feeds = [SyntheticFeed(_TINY, peer_as), SyntheticFeed(_TINY, peer_as)]
     with pytest.raises(ValueError, match="duplicate"):
         IngestDaemon(str(tmp_path), feeds)
+
