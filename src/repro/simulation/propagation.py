@@ -137,7 +137,6 @@ class PropagationSimulator:
         self._routing = GaoRexfordRouting(graph)
         self._baseline: Dict[int, RouteComputation] = {}
         self._link_origin_index: Optional[Dict[Tuple[int, int], Set[int]]] = None
-        self._prefix_origin: Dict[Prefix, int] = graph.prefix_origin_map()
 
     # -- baseline routing ---------------------------------------------------
 

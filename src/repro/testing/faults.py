@@ -38,10 +38,9 @@ Determinism has two axes:
 * *which keys fire*: a spec with ``rate < 1`` selects keys by a seeded
   coin — a stable hash of ``(seed, site, key, kind)`` — so the same keys
   fail in every process and every rerun;
-* *when they stop*: a spec fires while ``after <= attempt < after + times``
-  when the caller passes an attempt number; the production hooks pass
-  none, so occurrences are counted per ``(spec, key)`` within the process
-  instead.
+* *when they stop*: occurrences are counted per ``(spec, key)`` within
+  the process, and a spec fires while
+  ``after <= occurrence < after + times``.
   ``after=K`` skips the first ``K`` occurrences — which is how the
   crash-recovery property tests express "``kill -9`` at the K-th seeded
   injection point".
@@ -121,10 +120,8 @@ class InjectedIOError(InjectedFault, OSError):
 class FaultSpec:
     """One injector: *kind* at *site*, scoped by key match / rate / times.
 
-    ``times`` bounds how often the spec fires per key: against the caller's
-    ``attempt`` number when one is passed (retried work self-heals once
-    ``attempt >= after + times``), else against a per-process occurrence
-    counter.  ``after`` skips the first ``after`` occurrences before the
+    ``times`` bounds how often the spec fires per key, counted against a
+    per-process occurrence counter.  ``after`` skips the first ``after`` occurrences before the
     spec arms — ``after=7;times=1`` fires exactly at the 8th occurrence,
     the knob the crash-recovery tests use to place a kill at a seeded
     injection point.  ``rate`` thins the matched keys with a seeded coin,
@@ -241,7 +238,7 @@ class FaultInjector:
     """Evaluates a :class:`FaultPlan` at production hook sites.
 
     :meth:`fire` is the single entry point: it decides (deterministically)
-    whether a spec applies at this (site, key, attempt) and *executes* the
+    whether a spec applies at this (site, key) and *executes* the
     fault — raising for ``crash``/``io_error``, exiting or sleeping for
     ``kill``/``hang`` inside a supervised process (downgraded to a raise
     elsewhere, so an in-process test never takes the whole interpreter
@@ -253,14 +250,11 @@ class FaultInjector:
         self.plan = plan
         self._occurrences: Dict[Tuple[int, str], int] = {}
 
-    def check(
-        self, site: str, key: str = "", attempt: Optional[int] = None
-    ) -> Optional[FaultSpec]:
-        """The first armed spec matching (site, key, attempt), or ``None``.
+    def check(self, site: str, key: str = "") -> Optional[FaultSpec]:
+        """The first armed spec matching (site, key), or ``None``.
 
-        Purely a decision — no fault is executed.  When ``attempt`` is
-        ``None`` the per-process occurrence counter of the (spec, key) pair
-        is consumed instead.
+        Purely a decision — no fault is executed, but the per-process
+        occurrence counter of each matching (spec, key) pair is consumed.
         """
         for index, spec in enumerate(self.plan.specs):
             if not fnmatchcase(site, spec.site):
@@ -269,12 +263,9 @@ class FaultInjector:
                 continue
             if spec.rate < 1.0 and _coin(self.plan.seed, site, key, spec.kind) >= spec.rate:
                 continue
-            if attempt is None:
-                counter_key = (index, key)
-                occurrence = self._occurrences.get(counter_key, 0)
-                self._occurrences[counter_key] = occurrence + 1
-            else:
-                occurrence = attempt
+            counter_key = (index, key)
+            occurrence = self._occurrences.get(counter_key, 0)
+            self._occurrences[counter_key] = occurrence + 1
             if spec.after <= occurrence < spec.after + spec.times:
                 return spec
         return None
@@ -283,7 +274,6 @@ class FaultInjector:
         self,
         site: str,
         key: str = "",
-        attempt: Optional[int] = None,
         in_worker: bool = False,
     ) -> Optional[FaultSpec]:
         """Decide and execute a fault at this hook.
@@ -296,7 +286,7 @@ class FaultInjector:
         (``kill``) / blocks (``hang``) so crash recovery and the watchdog
         are exercised for real.
         """
-        spec = self.check(site, key, attempt=attempt)
+        spec = self.check(site, key)
         if spec is None:
             return None
         if spec.kind == "crash":

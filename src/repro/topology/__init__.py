@@ -10,7 +10,6 @@ relationships, 20 prefixes per AS).
 from repro.topology.as_graph import ASGraph, ASLink, ASNode, Relationship
 from repro.topology.generator import TopologyConfig, generate_topology
 from repro.topology.policies import (
-    ExportPolicy,
     valley_free_export,
     is_valley_free,
     relationship_preference,
@@ -21,7 +20,6 @@ __all__ = [
     "ASGraph",
     "ASLink",
     "ASNode",
-    "ExportPolicy",
     "Relationship",
     "TopologyConfig",
     "assign_tiers",

@@ -277,14 +277,6 @@ class ASGraph:
                 return node.asn
         return None
 
-    def prefix_origin_map(self) -> Dict[Prefix, int]:
-        """Build a prefix -> origin AS dictionary for all originated prefixes."""
-        mapping: Dict[Prefix, int] = {}
-        for node in self._nodes.values():
-            for prefix in node.prefixes:
-                mapping[prefix] = node.asn
-        return mapping
-
     def is_connected(self) -> bool:
         """True when the graph is a single connected component."""
         if not self._nodes:

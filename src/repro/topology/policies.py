@@ -15,13 +15,11 @@ configures its C-BGP topology (§6.1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Sequence
 
 from repro.topology.as_graph import ASGraph
 
 __all__ = [
-    "ExportPolicy",
     "is_valley_free",
     "relationship_preference",
     "valley_free_export",
@@ -97,17 +95,3 @@ def is_valley_free(graph: ASGraph, path: Sequence[int]) -> bool:
             return False
     return True
 
-
-@dataclass(frozen=True)
-class ExportPolicy:
-    """Per-AS export policy configuration.
-
-    ``prepend`` allows modelling path prepending (not used by default) and
-    ``export_nothing_to`` allows modelling partial transit / selective export,
-    which is the mechanism that hides backup paths in the paper's Fig. 1
-    example ("because of inter-domain policies (e.g., partial transit), it
-    does not know any backup path for S6 and S8").
-    """
-
-    prepend: int = 0
-    export_nothing_to: Tuple[int, ...] = ()

@@ -69,7 +69,7 @@ class TestFaultPlanConfig:
     def test_rate_selects_the_same_keys_everywhere(self):
         plan = FaultPlan(seed=9, specs=(FaultSpec("crash", "segment.append", rate=0.5),))
         picks = [
-            FaultInjector(plan).check("segment.append", key=f"feed:{segment}", attempt=0)
+            FaultInjector(plan).check("segment.append", key=f"feed:{segment}")
             is not None
             for segment in range(40)
         ]
@@ -77,7 +77,7 @@ class TestFaultPlanConfig:
         # identically for every fresh injector (i.e. every process).
         assert any(picks) and not all(picks)
         repeat = [
-            FaultInjector(plan).check("segment.append", key=f"feed:{segment}", attempt=0)
+            FaultInjector(plan).check("segment.append", key=f"feed:{segment}")
             is not None
             for segment in range(40)
         ]
@@ -137,7 +137,7 @@ class TestFaultPlanConfig:
             )
             injector = FaultInjector(plan)
             return [
-                injector.check("segment.append", key=f"feed:{segment}", attempt=0)
+                injector.check("segment.append", key=f"feed:{segment}")
                 is not None
                 for segment in range(40)
             ]
@@ -148,35 +148,20 @@ class TestFaultPlanConfig:
         plan = FaultPlan(specs=(FaultSpec("crash", "segment.append", rate=0.0),))
         injector = FaultInjector(plan)
         assert all(
-            injector.check("segment.append", key=f"feed:{segment}", attempt=0) is None
+            injector.check("segment.append", key=f"feed:{segment}") is None
             for segment in range(40)
         )
 
 
 class TestInjectorCheck:
-    def test_attempt_window_lets_retried_work_heal(self):
+    def test_after_and_times_window_is_counted_per_key(self):
         spec = FaultSpec("crash", "segment.append", times=2, after=1)
         injector = FaultInjector(FaultPlan(specs=(spec,)))
-        decisions = [
-            injector.check("segment.append", key="feed:0", attempt=attempt)
-            for attempt in range(5)
-        ]
-        assert decisions == [None, spec, spec, None, None]
-
-    def test_occurrences_are_counted_per_key_without_an_attempt(self):
-        spec = FaultSpec("kill", "segment.append", after=1)
-        injector = FaultInjector(FaultPlan(specs=(spec,)))
-        first = [injector.check("segment.append", key="feed:0") for _ in range(3)]
-        assert first == [None, spec, None]
-        # Another key has its own counter: its second occurrence fires.
-        second = [injector.check("segment.append", key="feed:1") for _ in range(3)]
-        assert second == [None, spec, None]
-
-    def test_explicit_attempt_leaves_the_occurrence_counter_alone(self):
-        spec = FaultSpec("crash", "segment.append")
-        injector = FaultInjector(FaultPlan(specs=(spec,)))
-        assert injector.check("segment.append", key="feed:0", attempt=5) is None
-        assert injector.check("segment.append", key="feed:0") is spec
+        first = [injector.check("segment.append", key="feed:0") for _ in range(5)]
+        assert first == [None, spec, spec, None, None]
+        # Another key has its own counter: the same window opens for it.
+        second = [injector.check("segment.append", key="feed:1") for _ in range(5)]
+        assert second == [None, spec, spec, None, None]
 
     def test_site_and_match_are_fnmatch_patterns(self):
         spec = FaultSpec("crash", "segment.*", times=99, match="feed-1:*")
@@ -190,14 +175,14 @@ class TestInjectorCheck:
         crash = FaultSpec("crash", "segment.append", times=99)
         io_error = FaultSpec("io_error", "segment.append", times=99)
         injector = FaultInjector(FaultPlan(specs=(crash, io_error)))
-        assert injector.check("segment.append", key="feed:0", attempt=0) is crash
+        assert injector.check("segment.append", key="feed:0") is crash
 
     def test_an_exhausted_spec_falls_through_to_the_next(self):
         crash = FaultSpec("crash", "segment.append")
         io_error = FaultSpec("io_error", "segment.append", times=99)
         injector = FaultInjector(FaultPlan(specs=(crash, io_error)))
-        assert injector.check("segment.append", key="feed:0", attempt=0) is crash
-        assert injector.check("segment.append", key="feed:0", attempt=1) is io_error
+        assert injector.check("segment.append", key="feed:0") is crash
+        assert injector.check("segment.append", key="feed:0") is io_error
 
 
 class TestInjectorFire:

@@ -427,13 +427,18 @@ def test_lenient_mode_records_the_casualty_and_keeps_survivors(tmp_path, disarm)
 
 
 def test_retry_policy_backoff_is_seeded_and_bounded():
-    policy = RetryPolicy(backoff_base=0.5, backoff_max=2.0, jitter=0.25, seed=7)
-    twin = RetryPolicy(backoff_base=0.5, backoff_max=2.0, jitter=0.25, seed=7)
-    delays = [policy.delay(attempt) for attempt in range(8)]
-    assert delays == [twin.delay(attempt) for attempt in range(8)]
-    assert all(0 < delay <= 2.0 * (1 + 0.25) for delay in delays)
-    with pytest.raises(ValueError, match="max_attempts"):
-        RetryPolicy(max_attempts=0)
+    def delays(seed):
+        policy = RetryPolicy(backoff_base=0.5, backoff_max=2.0, jitter=0.25, seed=seed)
+        return [policy.delay(attempt) for attempt in range(8)]
+
+    unjittered = RetryPolicy(backoff_base=0.5, backoff_max=2.0, jitter=0.0)
+    assert delays(7) == delays(7)
+    assert delays(7) != delays(8)
+    for seed in (7, 8):
+        assert all(
+            unjittered.delay(attempt) <= delay <= 2.0 * (1 + 0.25)
+            for attempt, delay in enumerate(delays(seed))
+        )
 
 
 def test_retry_policy_without_jitter_is_the_capped_exponential():
@@ -443,22 +448,8 @@ def test_retry_policy_without_jitter_is_the_capped_exponential():
     ]
 
 
-def test_retry_policy_jitter_depends_on_the_seed():
-    delays = {
-        seed: [RetryPolicy(seed=seed).delay(attempt) for attempt in range(6)]
-        for seed in (1, 2)
-    }
-    assert delays[1] != delays[2]
-    unjittered = RetryPolicy(jitter=0.0)
-    for seed_delays in delays.values():
-        assert all(
-            unjittered.delay(attempt) <= delay <= unjittered.delay(attempt) * 1.25
-            for attempt, delay in enumerate(seed_delays)
-        )
-
-
-@pytest.mark.parametrize("attempts", [-1, -5])
-def test_retry_policy_rejects_negative_attempts(attempts):
+@pytest.mark.parametrize("attempts", [0, -1, -5])
+def test_retry_policy_rejects_nonpositive_attempts(attempts):
     with pytest.raises(ValueError, match="max_attempts"):
         RetryPolicy(max_attempts=attempts)
 

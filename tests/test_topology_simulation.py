@@ -55,11 +55,10 @@ class TestASGraph:
         graph.add_as(99)
         assert not graph.is_connected()
 
-    def test_prefix_origin_map(self):
+    def test_origin_of(self):
         graph = ASGraph()
         prefix = Prefix.from_string("10.0.0.0/24")
         graph.add_as(6, [prefix])
-        assert graph.prefix_origin_map() == {prefix: 6}
         assert graph.origin_of(prefix) == 6
 
 
