@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import FrozenSet, Iterable, List, Optional, Tuple
 
 __all__ = ["ASPath", "Community", "Origin", "PathAttributes"]
 
@@ -144,10 +144,6 @@ class ASPath:
             )
         return links
 
-    def directed_links(self) -> List[Tuple[int, int]]:
-        """Return the links in traversal order without canonicalisation."""
-        return list(zip(self._asns, self._asns[1:]))
-
     def links_with_positions(self) -> List[Tuple[Tuple[int, int], int]]:
         """Return ``(link, position)`` pairs.
 
@@ -241,26 +237,4 @@ class PathAttributes:
                 self.origin,
                 self.communities,
             ),
-        )
-
-    def with_local_pref(self, local_pref: int) -> "PathAttributes":
-        """Return a copy with a different LOCAL_PREF."""
-        return PathAttributes(
-            as_path=self.as_path,
-            next_hop=self.next_hop,
-            local_pref=local_pref,
-            med=self.med,
-            origin=self.origin,
-            communities=self.communities,
-        )
-
-    def with_communities(self, communities: Sequence[Community]) -> "PathAttributes":
-        """Return a copy with the given community set."""
-        return PathAttributes(
-            as_path=self.as_path,
-            next_hop=self.next_hop,
-            local_pref=self.local_pref,
-            med=self.med,
-            origin=self.origin,
-            communities=frozenset(communities),
         )

@@ -119,16 +119,6 @@ class Prefix(tuple):
         """Number of addresses covered by this prefix."""
         return 1 << (32 - self[1])
 
-    @property
-    def first_address(self) -> int:
-        """Lowest address in the prefix (the network address)."""
-        return self[0]
-
-    @property
-    def last_address(self) -> int:
-        """Highest address in the prefix (the broadcast address)."""
-        return self[0] | (~self.netmask & _MAX_IPV4)
-
     def contains_address(self, address: int) -> bool:
         """Return ``True`` if ``address`` (an int) falls inside this prefix."""
         return (address & self.netmask) == self[0]

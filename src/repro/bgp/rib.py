@@ -252,14 +252,6 @@ class AdjRibIn:
                 counts[link] = counts.get(link, 0) + 1
         return counts
 
-    def prefixes_via_as(self, asn: int) -> frozenset:
-        """Prefixes whose current AS path visits the AS ``asn``."""
-        result = set()
-        for prefix, entry in self._routes.items():
-            if entry.as_path.traverses_as(asn):
-                result.add(prefix)
-        return frozenset(result)
-
 
 class LocRib:
     """The router-wide best-route table, and a view over every session's routes.

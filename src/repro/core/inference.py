@@ -185,16 +185,9 @@ class InferenceEngine:
         self._next_trigger: Optional[int] = self.config.schedule.first_trigger
         self.results: List[InferenceResult] = []
         self._accepted_result: Optional[InferenceResult] = None
-        self._listeners: List[Callable[[InferenceResult], None]] = []
         # Withdrawals received in the last detection window while quiet; they
         # belong to the burst once detection fires and are replayed then.
         self._recent_withdrawals: Deque[Tuple[float, Prefix]] = deque()
-
-    # -- wiring -------------------------------------------------------------
-
-    def add_listener(self, callback: Callable[[InferenceResult], None]) -> None:
-        """Register a callback invoked whenever an inference is *accepted*."""
-        self._listeners.append(callback)
 
     # -- stream consumption ---------------------------------------------------
 
@@ -302,15 +295,6 @@ class InferenceEngine:
         ``run`` is duck-typed (``trace``/``start``/``stop``, the interface
         documented in :mod:`repro.traces.columnar`).  Returns every accepted
         inference, like :meth:`process_batch`.
-
-        One caveat on the pre-scan: a listener fired *mid-run* observes
-        detector state (``state``, ``current_burst_start``, the ``events``
-        log) already advanced to the end of the run, not to the accepting
-        row as under per-message replay.  Engine state and every emitted
-        result are unaffected, and at run boundaries the detector state is
-        identical; listeners needing at-inference detector snapshots should
-        feed the engine per message (or split runs at the granularity they
-        care about).
 
         A NOTIFICATION row resets the engine as :meth:`process_message` does,
         so the detector scans the rows on either side of it separately.
@@ -701,8 +685,6 @@ class InferenceEngine:
         self.results.append(result)
         if accepted and self._accepted_result is None:
             self._accepted_result = result
-            for listener in self._listeners:
-                listener(result)
         return result
 
     def _accept(self, prediction: PrefixPrediction) -> bool:

@@ -61,12 +61,6 @@ class FibUpdateTimingModel:
 
     # -- per-prefix path -----------------------------------------------------
 
-    def per_prefix_update_time(self, prefix_count: int) -> float:
-        """FIB-install time for ``prefix_count`` per-prefix updates."""
-        if prefix_count < 0:
-            raise ValueError("prefix_count must be non-negative")
-        return prefix_count * self.per_prefix_seconds
-
     def per_prefix_convergence_time(self, prefix_count: int) -> float:
         """End-to-end time to process and install ``prefix_count`` prefixes.
 

@@ -1,8 +1,10 @@
 """Experiment harnesses: one runner per table / figure of the paper.
 
-Every module exposes a ``run(...)`` function returning a result dataclass and
-a ``format_result(...)`` helper printing the same rows / series the paper
-reports, so the benchmarks can regenerate each artefact:
+Every figure / table module exposes a ``run(...)`` function returning a
+result dataclass and a ``format_result(...)`` helper printing the same rows /
+series the paper reports, so the benchmarks can regenerate each artefact;
+``month_replay`` is the replay driver (``replay_stream``,
+``StreamReplayer``) the benchmarks and the live ingest path call:
 
 ==============================  =========================================
 Paper artefact                  Module

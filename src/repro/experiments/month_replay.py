@@ -2,8 +2,8 @@
 
 The paper's evaluation replays months of real BGP update streams; this
 driver is the scaled equivalent over the synthetic substrate, built
-end-to-end on the columnar trace format: the session's month-long stream is
-generated straight into columns (memoised on disk by
+end-to-end on the columnar trace format: the session's month-long stream
+arrives as columns (callers memoise it on disk with
 :func:`repro.traces.synthetic.cached_columnar_stream`, reloading at array
 speed), and replay consumes
 :meth:`~repro.traces.columnar.ColumnarTrace.iter_batches` — same-peer runs
@@ -42,30 +42,16 @@ from typing import Iterator, List, Optional, Tuple
 from repro.bgp.speaker import BGPSpeaker
 from repro.core import kernels
 from repro.core.swifted_router import SwiftConfig, SwiftedRouter
-from repro.metrics.tables import format_table
 from repro.traces.columnar import ColumnarRun, ColumnarTrace
-from repro.traces.synthetic import (
-    SyntheticTraceConfig,
-    SyntheticTraceGenerator,
-    cached_columnar_stream,
-)
 
 __all__ = [
     "BACKUP_ORIGIN_AS",
     "BACKUP_PEER_AS",
-    "DEFAULT_REPLAY_CONFIG",
     "MonthReplayResult",
     "StreamReplayer",
     "backup_alternates",
-    "format_result",
     "replay_stream",
-    "run",
 ]
-
-#: The corpus :func:`run` replays by default.
-DEFAULT_REPLAY_CONFIG = SyntheticTraceConfig(
-    peer_count=4, duration_days=10.0, min_table_size=4000, max_table_size=20000
-)
 
 #: A multiset in canonical form: sorted ``(key, count)`` pairs.  Sorting
 #: makes the form byte-identical across replays — the property the parity
@@ -421,65 +407,3 @@ def replay_stream(
     )
     replayer.feed(stream)
     return replayer.result()
-
-
-def run(
-    config: Optional[SyntheticTraceConfig] = None,
-    peer_as: Optional[int] = None,
-    local_as: int = 1,
-    swift_config: Optional[SwiftConfig] = None,
-    chunk_messages: int = 50000,
-    swifted: bool = True,
-    validate: Optional[str] = None,
-) -> MonthReplayResult:
-    """Replay a (cached) month-long session stream end-to-end.
-
-    The stream comes from :func:`cached_columnar_stream` — generated once,
-    reloaded from the columnar cache afterwards — and the session's
-    pre-trace RIB is rebuilt deterministically from the generator's
-    topology.  Defaults to the first peer of the configured corpus.
-    ``validate`` (``"strict"`` / ``"lenient"``) runs the stream through
-    ingestion validation (:meth:`~repro.traces.columnar.ColumnarTrace.validated`)
-    before replaying it.
-    """
-    if validate not in (None, "strict", "lenient"):
-        raise ValueError(
-            f"validate must be None, 'strict' or 'lenient', got {validate!r}"
-        )
-    config = config or DEFAULT_REPLAY_CONFIG
-    generator_stream = SyntheticTraceGenerator(config).stream()
-    if peer_as is None:
-        peer_as = generator_stream.peers[0].peer_as
-    stream = cached_columnar_stream(config, peer_as)
-    if validate is not None:
-        stream = stream.validated(lenient=(validate == "lenient"))
-    rib = generator_stream.rib_of(peer_as)
-    return replay_stream(
-        stream,
-        rib,
-        peer_as=peer_as,
-        local_as=local_as,
-        swift_config=swift_config,
-        chunk_messages=chunk_messages,
-        swifted=swifted,
-    )
-
-
-def format_result(result: MonthReplayResult) -> str:
-    """Render the replay counters."""
-    rows = [
-        ("messages replayed", result.message_count),
-        ("withdrawals", result.withdrawal_count),
-        ("announcements", result.announcement_count),
-        ("reroute activations", result.reroutes),
-        ("loss events", result.losses),
-        ("recovery events", result.recoveries),
-        ("replay chunks", result.chunks),
-        ("wall seconds", round(result.wall_seconds, 2)),
-        ("messages / second", int(result.messages_per_second)),
-    ]
-    return format_table(
-        ["Quantity", "value"],
-        rows,
-        title=f"Month-scale replay of session {result.peer_as}",
-    )

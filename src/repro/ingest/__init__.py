@@ -6,8 +6,8 @@ package is that always-on half of the reproduction.  An asyncio supervisor
 (:class:`IngestDaemon`) runs one reader per collector session over a
 rate-controlled source (:class:`SyntheticFeed`), each feeding a bounded
 queue into a :class:`SegmentWriter` that appends into rolling segments —
-an fsync'd append log while open, an ordinary ``.cols`` column store once
-sealed — checkpointed by an atomically-replaced ``MANIFEST.json``.  A
+an fsync'd append log while open, a log of exactly one CRC-checked frame
+once sealed — checkpointed by an atomically-replaced ``MANIFEST.json``.  A
 ``kill -9`` at any point recovers to the last acknowledged row with no
 loss and no duplicates (:func:`recover_feed`), and :class:`LiveReplay`
 runs the same inference over each sealed window that offline

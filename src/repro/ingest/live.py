@@ -13,9 +13,11 @@ byte-identical to an offline replay over the concatenation of the same
 rows — the property ``tests/test_ingest_daemon.py`` pins.
 
 :func:`iter_feed_windows` yields a feed's ingested rows in order: every
-sealed ``.cols`` segment, then (optionally) the open tail rebuilt
-read-only from the append log's valid frames — so live inference can run
-against a daemon that is still ingesting, or mid-recovery after a crash.
+sealed segment (one frame each, loaded by
+:func:`~repro.traces.columnar_store.read_trace`), then (optionally) the
+open tail rebuilt read-only from the append log's valid frames — so live
+inference can run against a daemon that is still ingesting, or
+mid-recovery after a crash.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ def iter_feed_windows(
 ) -> Iterator[ColumnarTrace]:
     """Yield a feed's ingested rows as columnar windows, in ingest order.
 
-    Sealed segments load off their ``.cols`` stores (each a standalone
+    Sealed segments load through :func:`read_trace` (each a standalone
     trace with its own pool); the open tail, if any and requested, comes
     from :func:`open_tail`.  Empty windows are skipped.
     """

@@ -3,7 +3,7 @@
 One JSON document at the ingest root records, per feed, everything the
 daemon must know to resume after ``kill -9``:
 
-* ``sealed`` — one entry per sealed segment: sequence number, ``.cols``
+* ``sealed`` — one entry per sealed segment: sequence number, ``.sealed``
   file name, row count, whole-file CRC32, byte size, first/last row
   timestamps and the feed offset the segment ingested through;
 * ``open_seq`` — the sequence number of the current *open* segment (its
@@ -18,7 +18,7 @@ daemon must know to resume after ``kill -9``:
 The manifest is only ever replaced atomically
 (:func:`repro.util.atomic.write_atomic`): a crash at any point leaves
 either the previous checkpoint or the new one, never a torn JSON.  The
-ordering contract with the segment roll (flush log, write ``.cols``,
+ordering contract with the segment roll (flush log, write ``.sealed``,
 *then* update the manifest, then unlink the log) is what makes recovery
 unambiguous — see :mod:`repro.ingest.segments`.
 """
@@ -30,14 +30,19 @@ import os
 import zlib
 from typing import Dict, List, Optional
 
+from repro.traces.columnar import ColumnarTrace
+from repro.traces.columnar_store import read_frame
 from repro.util.atomic import write_atomic
 
 __all__ = ["MANIFEST_NAME", "MANIFEST_VERSION", "IngestManifestError", "Manifest"]
 
 MANIFEST_NAME = "MANIFEST.json"
 
-#: Bump when the manifest document layout changes.
-MANIFEST_VERSION = 1
+#: Bump when the manifest document layout (or the sealed-segment file it
+#: names) changes.  v2: a sealed segment is one append-log frame
+#: (``seg-<N>.sealed``); a v1 root holds an older layout this code no
+#: longer reads.
+MANIFEST_VERSION = 2
 
 
 class IngestManifestError(RuntimeError):
@@ -119,15 +124,15 @@ class Manifest:
     def verify(self, feeds: Optional[List[str]] = None) -> int:
         """Check every sealed segment against its manifest entry.
 
-        Re-reads each sealed ``.cols`` file and compares its whole-file
-        CRC32, byte size and row count to what the manifest recorded at
-        seal time; raises :class:`IngestManifestError` on the first
-        mismatch or missing file, returns the number of segments checked.
+        Re-reads each sealed segment and compares its whole-file CRC32,
+        byte size and row count to what the manifest recorded at seal
+        time; the row count comes from the segment's one frame, read
+        through :func:`~repro.traces.columnar_store.read_frame`.  Raises
+        :class:`IngestManifestError` on the first mismatch, missing file
+        or damaged frame; returns the number of segments checked.
         The crash-recovery tests run this after every ``kill -9`` — the
         acknowledged dataset must be not merely present but bit-exact.
         """
-        from repro.traces.columnar_store import ColumnarTraceFile
-
         checked = 0
         for name in feeds if feeds is not None else sorted(self.feeds):
             for entry in self.feed_state(name)["sealed"]:
@@ -146,11 +151,15 @@ class Manifest:
                     )
                 if zlib.crc32(data) != entry["crc"]:
                     raise IngestManifestError(f"{path}: segment CRC mismatch")
-                with ColumnarTraceFile(path) as store:
-                    if store.message_count != entry["rows"]:
-                        raise IngestManifestError(
-                            f"{path}: {store.message_count} rows, manifest "
-                            f"records {entry['rows']}"
-                        )
+                try:
+                    rows = len(ColumnarTrace.from_payload(read_frame(path)))
+                except ValueError as error:
+                    raise IngestManifestError(
+                        f"{path}: sealed segment unreadable ({error})"
+                    ) from error
+                if rows != entry["rows"]:
+                    raise IngestManifestError(
+                        f"{path}: {rows} rows, manifest records {entry['rows']}"
+                    )
                 checked += 1
         return checked

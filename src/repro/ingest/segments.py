@@ -2,27 +2,30 @@
 
 Each feed ingests into a directory of its own under the ingest root::
 
-    <root>/<feed>/seg-00000.cols     sealed segments (mmap column store)
+    <root>/<feed>/seg-00000.sealed   sealed segments (one-frame logs)
     <root>/<feed>/seg-00002.log      the open segment's append log
     <root>/MANIFEST.json             the shared checkpoint (one per root)
 
-A segment lives twice.  While *open* it is an in-memory
-:class:`~repro.traces.columnar.ColumnarTrace` shadowed by an append log
-(:class:`~repro.traces.columnar_store.SegmentAppendLog`) whose frames hold
-the raw feed lines plus a checkpoint token ``{offset, last_time}``; a
-frame is acknowledged once ``fsync`` returns.  At *roll* time the trace is
-sealed into an ordinary ``.cols`` column store and the log is retired.
+Both halves of a segment are the same on-disk layout, a
+:class:`~repro.traces.columnar_store.SegmentAppendLog`.  While *open* the
+segment is an in-memory :class:`~repro.traces.columnar.ColumnarTrace`
+shadowed by an append log whose frames hold the raw feed lines plus a
+checkpoint token ``{offset, last_time}``; a frame is acknowledged once
+``fsync`` returns.  At *roll* time the trace is sealed into a log holding
+exactly one frame, its :meth:`~repro.traces.columnar.ColumnarTrace.to_payload`
+(:func:`~repro.traces.columnar_store.write_trace`), and the open log is
+retired.
 
 **The roll ordering is the recovery contract.**  :meth:`SegmentWriter.roll`
 performs, in order: (1) flush + fsync the log, (2) atomically write
-``seg-<N>.cols``, (3) atomically update the manifest (segment entry +
+``seg-<N>.sealed``, (3) atomically update the manifest (segment entry +
 ``open_seq`` bump), (4) unlink ``seg-<N>.log``.  Recovery
 (:func:`recover_feed`) inverts each crash window unambiguously:
 
-* died before (3): the manifest does not know the ``.cols`` — the log is
-  the authority, so any orphan ``seg-<N>.cols`` with ``N >= open_seq`` is
-  deleted and the open segment is rebuilt from the log (the re-roll later
-  rewrites it from the same rows);
+* died before (3): the manifest does not know the ``.sealed`` file — the
+  log is the authority, so any orphan ``seg-<N>.sealed`` with
+  ``N >= open_seq`` is deleted and the open segment is rebuilt from the log
+  (the re-roll later rewrites it from the same rows);
 * died after (3) but before (4): the rows are sealed — the stale
   ``seg-<N>.log`` with ``N`` already sealed (or below ``open_seq``) is
   deleted, because replaying it would ingest every row twice;
@@ -59,15 +62,15 @@ from repro.ingest.manifest import Manifest
 
 __all__ = ["FeedRecovery", "SegmentWriter", "recover_feed"]
 
-_SEGMENT_FILE = re.compile(r"^seg-(\d+)\.(log|cols)$")
+_SEGMENT_FILE = re.compile(r"^seg-(\d+)\.(log|sealed)$")
 
 
 def _log_name(seq: int) -> str:
     return f"seg-{seq:05d}.log"
 
 
-def _cols_name(seq: int) -> str:
-    return f"seg-{seq:05d}.cols"
+def _sealed_name(seq: int) -> str:
+    return f"seg-{seq:05d}.sealed"
 
 
 def _fire(site: str, key: str, supervised: bool) -> None:
@@ -98,10 +101,10 @@ def recover_feed(root: str, name: str, manifest: Manifest) -> FeedRecovery:
     """Repair a feed directory after a crash and reconstruct resume state.
 
     Applies the crash-window rules from the module docstring (sweep
-    ``*.tmp`` litter, delete orphan ``.cols``, delete stale logs, truncate
-    the open log's torn tail) and returns the open segment's recovered
-    lines plus the offset/watermark to resume from.  Safe to run on a
-    clean directory (it is the normal startup path, not a special case).
+    ``*.tmp`` litter, delete orphan ``.sealed`` files, delete stale logs,
+    truncate the open log's torn tail) and returns the open segment's
+    recovered lines plus the offset/watermark to resume from.  Safe to run
+    on a clean directory (it is the normal startup path, not a special case).
     """
     state = manifest.feed_state(name)
     directory = os.path.join(root, name)
@@ -119,10 +122,10 @@ def recover_feed(root: str, name: str, manifest: Manifest) -> FeedRecovery:
         if matched is None:
             continue
         seq, kind = int(matched.group(1)), matched.group(2)
-        if kind == "cols" and seq not in sealed_seqs:
+        if kind == "sealed" and seq not in sealed_seqs:
             # Died between the sealed write and the manifest checkpoint:
-            # the log is the authority, the unacknowledged .cols is rebuilt
-            # at the next roll.
+            # the log is the authority, the unacknowledged .sealed file is
+            # rebuilt at the next roll.
             os.unlink(path)
         elif kind == "log" and (seq in sealed_seqs or seq != open_seq):
             # Died between the manifest checkpoint and the log unlink:
@@ -152,8 +155,8 @@ class SegmentWriter:
     Lines are parsed into the open trace immediately (`add_line`) and
     buffered raw; :meth:`flush` writes them as one fsync'd log frame —
     the acknowledgement point — and :meth:`roll` seals the open trace into
-    a ``.cols`` store under the ordering contract documented on the
-    module.  A failed flush truncates the log back to its durable end, so
+    a one-frame ``.sealed`` file under the ordering contract documented on
+    the module.  A failed flush truncates the log back to its durable end, so
     a retry never appends after a torn frame.  ``rows_acked`` counts the
     durable rows (sealed + fsync'd open); rows parsed but not yet flushed
     are exactly the ones a crash right now would (legitimately) lose.
@@ -242,7 +245,7 @@ class SegmentWriter:
         return count
 
     def roll(self) -> Optional[dict]:
-        """Seal the open segment into a ``.cols`` store; start the next one.
+        """Seal the open segment into a ``.sealed`` file; start the next one.
 
         Returns the new manifest entry, or ``None`` when the open segment
         holds no rows (nothing to seal).  Re-entrant after a mid-roll
@@ -256,7 +259,7 @@ class SegmentWriter:
             if not len(self.trace):
                 return None
             trace = self.trace
-            cols_name = _cols_name(self.seq)
+            sealed_name = _sealed_name(self.seq)
             info: dict = {}
 
             def writer(temp_path: str) -> None:
@@ -268,12 +271,12 @@ class SegmentWriter:
                 info["crc"] = zlib.crc32(data)
                 info["bytes"] = len(data)
 
-            write_atomic(os.path.join(self.directory, cols_name), writer, hook=hook)
+            write_atomic(os.path.join(self.directory, sealed_name), writer, hook=hook)
             _fire("segment.roll", f"{key}:sealed", self._supervised)
             state["sealed"].append(
                 {
                     "seq": self.seq,
-                    "file": cols_name,
+                    "file": sealed_name,
                     "rows": len(trace),
                     "crc": info["crc"],
                     "bytes": info["bytes"],
@@ -288,7 +291,7 @@ class SegmentWriter:
             self._manifest.save()
         _fire("segment.roll", f"{key}:manifest", self._supervised)
         entry = state["sealed"][-1]
-        # The manifest now vouches for the .cols; the log is retired.
+        # The manifest now vouches for the .sealed file; the log is retired.
         self._log.close()
         log_path = os.path.join(self.directory, _log_name(self.seq))
         if os.path.exists(log_path):

@@ -71,10 +71,6 @@ class RouteComputation:
     best_path: Dict[int, Tuple[int, ...]] = field(default_factory=dict)
     route_class: Dict[int, int] = field(default_factory=dict)
 
-    def has_route(self, asn: int) -> bool:
-        """True when ``asn`` can reach the origin."""
-        return asn in self.best_path
-
     def path_of(self, asn: int) -> Optional[Tuple[int, ...]]:
         """Best AS path of ``asn`` towards the origin, or ``None``."""
         return self.best_path.get(asn)

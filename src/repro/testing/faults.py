@@ -1,4 +1,4 @@
-"""Deterministic fault injection for the store / cache / ingestion stack.
+"""Deterministic fault injection for the segment / cache / ingestion stack.
 
 SWIFT is a robustness system; its reproduction should survive the same
 partial-failure conditions in its *own* machinery that the paper studies in
@@ -49,11 +49,12 @@ The textual plan grammar (``REPRO_FAULTS``) is ``,``-separated specs of
 ``kind@site`` followed by optional ``;field=value`` pairs::
 
     kill@segment.append;after=2;match=feed-1:*
-    crash@segment.roll;rate=0.5,io_error@store.read
+    crash@segment.roll;rate=0.5,io_error@store.read;match=seg-00001.sealed
 
 ``site`` and ``match`` are :mod:`fnmatch` patterns (``match`` screens the
-per-call key, e.g. ``<feed>:<segment>`` for segment sites or the blob's
-file name for store/cache sites).
+per-call key, e.g. ``<feed>:<segment>`` for segment sites, the sealed
+segment's file name for ``store.read`` or the entry name for
+``cache.write``).
 """
 
 from __future__ import annotations
@@ -95,8 +96,7 @@ KINDS = ("crash", "kill", "hang", "io_error", "corrupt")
 #: typo'd site (which fails open — the injector simply never fires) cannot
 #: ship silently.
 KNOWN_SITES: Dict[str, Tuple[str, Tuple[str, ...]]] = {
-    "store.open": ("<.cols file name>", ("io_error",)),
-    "store.read": ("<.cols file name>", ("io_error",)),
+    "store.read": ("<sealed segment file name>", ("io_error",)),
     "cache.write": ("<cache entry name>", ("io_error", "corrupt")),
     "feed.connect": ("<feed name>", ("crash", "io_error")),
     "feed.read": ("<feed name>", ("io_error", "corrupt", "hang")),

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List
 
 __all__ = ["Collector", "CollectorPeer", "build_collector_fleet"]
 
@@ -123,14 +123,3 @@ def build_collector_fleet(
         collector.peers.append(peer)
         next_asn += rng.randrange(3, 50)
     return collectors
-
-
-def all_peers(collectors: Sequence[Collector], exclude_flapping: bool = True) -> List[CollectorPeer]:
-    """Flatten a fleet into its list of peers, optionally dropping flapping ones."""
-    peers: List[CollectorPeer] = []
-    for collector in collectors:
-        for peer in collector.peers:
-            if exclude_flapping and peer.flapping:
-                continue
-            peers.append(peer)
-    return peers

@@ -83,8 +83,8 @@ __all__ = [
 COLUMNAR_FORMAT_VERSION = 1
 
 #: The (name, typecode) schema of the interning-table columns, in payload
-#: order.  Shared by the raw-buffer payloads and the column store, so the
-#: two can never drift.
+#: order.  :meth:`InternPool.to_payload` / :meth:`InternPool.from_payload`
+#: walk it, so every durable form of a pool follows it.
 POOL_COLUMNS: Tuple[Tuple[str, str], ...] = (
     ("prefix_net", "I"),
     ("prefix_len", "B"),

@@ -154,10 +154,6 @@ class TraceReader:
             if record is not None:
                 yield record
 
-    def read_all(self) -> List[TraceRecord]:
-        """Materialise every record in a list."""
-        return list(iter(self))
-
     def read_columnar(
         self,
         pool: Optional[InternPool] = None,

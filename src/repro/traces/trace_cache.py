@@ -18,9 +18,11 @@ Cache keys are *hardened* on two axes:
   fields*, so changing a default changes the key even for callers that
   never passed the field explicitly.
 
-Every entry has one layout: a single frame of the ingest append log
-(:class:`~repro.traces.columnar_store.SegmentAppendLog` — ``u32 length |
-u32 CRC32 | pickle``) holding ``encode(value)``.  Callers pass the
+Every entry has one layout, the sealed ingest segment's: a single frame of
+the ingest append log (:class:`~repro.traces.columnar_store.SegmentAppendLog`
+— ``u32 length | u32 CRC32 | pickle``) holding ``encode(value)``, written
+and read by :func:`~repro.traces.columnar_store.write_frame` /
+:func:`~repro.traces.columnar_store.read_frame`.  Callers pass the
 encode/decode pair that turns their value into plain buffers and back —
 :meth:`~repro.traces.columnar.ColumnarTrace.to_payload` /
 :meth:`~repro.traces.columnar.ColumnarTrace.from_payload` for a stream,
@@ -53,7 +55,7 @@ import re
 import time
 from typing import Any, Callable, Optional
 
-from repro.traces.columnar_store import CorruptColumnStoreError, SegmentAppendLog
+from repro.traces.columnar_store import CorruptColumnStoreError, read_frame, write_frame
 from repro.util.atomic import write_atomic
 
 logger = logging.getLogger(__name__)
@@ -267,24 +269,6 @@ def _quarantine(path: str, error: Exception) -> None:
         )
 
 
-def _read_entry(path: str) -> Any:
-    """The payload of a cache entry: exactly one valid frame, nothing after.
-
-    Raises :class:`~repro.traces.columnar_store.CorruptColumnStoreError`
-    when the frame is missing, torn, checksum-mismatched or unpicklable.
-    """
-    payloads, valid_end = SegmentAppendLog.scan(path)
-    if len(payloads) != 1 or valid_end != os.path.getsize(path):
-        raise CorruptColumnStoreError(f"{path}: damaged cache frame")
-    return payloads[0]
-
-
-def _write_entry(temp_path: str, payload: Any) -> None:
-    with SegmentAppendLog(temp_path) as log:
-        log.append(payload)
-        log.sync()
-
-
 def load_or_build(
     kind: str,
     spec: str,
@@ -308,7 +292,7 @@ def load_or_build(
     path = cache_path_for(kind, spec, format_version=format_version)
     if path is not None and os.path.exists(path):
         try:
-            return decode(_read_entry(path))
+            return decode(read_frame(path))
         except CorruptColumnStoreError as error:
             _quarantine(path, error)
         except Exception:
@@ -317,7 +301,7 @@ def load_or_build(
     if path is not None:
         try:
             payload = encode(value)
-            _write_atomic(path, lambda temp_path: _write_entry(temp_path, payload))
+            _write_atomic(path, lambda temp_path: write_frame(temp_path, payload))
         except Exception:
             pass  # read-only filesystem etc.: caching is best-effort
     return value

@@ -261,4 +261,4 @@ class TestTiming:
         with pytest.raises(ValueError):
             FibUpdateTimingModel(per_prefix_seconds=0)
         with pytest.raises(ValueError):
-            FibUpdateTimingModel().per_prefix_update_time(-1)
+            FibUpdateTimingModel().per_prefix_convergence_time(-1)

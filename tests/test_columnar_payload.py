@@ -1,4 +1,4 @@
-"""Raw-buffer payloads, slices and the column store.
+"""Raw-buffer payloads, slices and the sealed-segment frame.
 
 The contracts under test:
 
@@ -7,8 +7,8 @@ The contracts under test:
   an identical trace — the trace cache's entry body;
 * ``slice(start, stop)`` produces standalone traces (rebased bound columns,
   shared pool) equal to slicing the message stream;
-* the column store writes header + raw segments and reloads them via mmap
-  + ``frombytes`` into an identical trace;
+* a sealed segment is one append-log frame of that payload and reloads
+  into an identical trace;
 * ``cached_columnar_stream`` memoises a stream as one cache entry and
   rebuilds cleanly from a corrupt one.
 """
@@ -24,7 +24,7 @@ from repro.bgp.attributes import ASPath, Community, Origin, PathAttributes
 from repro.bgp.messages import KeepAlive, Notification, OpenMessage, Update
 from repro.bgp.prefix import prefix_block
 from repro.traces.columnar import ColumnarTrace, InternPool
-from repro.traces.columnar_store import ColumnarTraceFile, read_trace, write_trace
+from repro.traces.columnar_store import read_trace, write_trace
 from repro.traces.trace_cache import load_or_build
 from repro.traces.synthetic import (
     SyntheticTraceConfig,
@@ -195,44 +195,24 @@ class TestSliceEdgeCases:
 
 
 class TestColumnStore:
+    """A sealed segment: one append-log frame holding the trace's payload."""
+
     def test_full_load_round_trips(self, tmp_path, trace, messages):
-        path = str(tmp_path / "trace.cols")
+        path = str(tmp_path / "trace.sealed")
         write_trace(path, trace)
         assert read_trace(path).to_messages() == messages
 
     def test_empty_trace_round_trips(self, tmp_path):
-        path = str(tmp_path / "empty.cols")
+        path = str(tmp_path / "empty.sealed")
         write_trace(path, ColumnarTrace())
-        with ColumnarTraceFile(path) as store:
-            assert store.message_count == 0
-            assert store.load().to_messages() == []
-
-    def test_message_count_matches(self, tmp_path, trace):
-        path = str(tmp_path / "trace.cols")
-        write_trace(path, trace)
-        with ColumnarTraceFile(path) as store:
-            assert store.message_count == trace.message_count
+        assert read_trace(path).to_messages() == []
 
     def test_slice_round_trips(self, tmp_path, trace, messages):
         # A slice's rebased bound columns and re-indexed extras are what the
-        # store writes; reading them back must give the same messages.
-        path = str(tmp_path / "slice.cols")
+        # frame holds; reading them back must give the same messages.
+        path = str(tmp_path / "slice.sealed")
         write_trace(path, trace.slice(10, len(messages)))
         assert read_trace(path).to_messages() == messages[10:]
-
-    def test_loaded_trace_outlives_the_store(self, tmp_path, trace, messages):
-        path = str(tmp_path / "trace.cols")
-        write_trace(path, trace)
-        with ColumnarTraceFile(path) as store:
-            loaded = store.load()
-        os.unlink(path)
-        assert loaded.to_messages() == messages
-
-    def test_not_a_store_file_raises(self, tmp_path):
-        path = tmp_path / "bogus.cols"
-        path.write_bytes(b"definitely not a column store")
-        with pytest.raises(ValueError, match="not a columnar store"):
-            ColumnarTraceFile(str(path))
 
 
 class TestColumnarCacheLayout:
@@ -335,8 +315,9 @@ def _traces(draw):
 
 
 class TestOneSerialisation:
-    """A trace's three durable forms all give back its messages: the raw
-    payload, the column store and a trace-cache entry (miss, then hit)."""
+    """A trace's two durable forms — a sealed segment and a trace-cache entry
+    (miss, then hit), both one frame of its payload — and the raw payload
+    itself all give back its messages."""
 
     @settings(
         max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -350,7 +331,7 @@ class TestOneSerialisation:
                 payload = pickle.loads(pickle.dumps(trace.to_payload()))
                 assert ColumnarTrace.from_payload(payload).to_messages() == expected
 
-                path = os.path.join(directory, f"trace-{index}.cols")
+                path = os.path.join(directory, f"trace-{index}.sealed")
                 write_trace(path, trace)
                 assert read_trace(path).to_messages() == expected
 

@@ -1,4 +1,4 @@
-"""Fault-injection matrix: the harness itself, checksummed store,
+"""Fault-injection matrix: the harness itself, checksummed sealed segments,
 quarantining cache and validated ingestion.
 
 Crosses the injected failure modes {IO error, corrupted blob, malformed
@@ -29,10 +29,17 @@ from repro.testing.faults import (
     InjectedIOError,
     corrupt_file,
 )
+from repro.ingest import IngestManifestError, Manifest, SegmentWriter, iter_feed_windows
 from repro.traces import columnar_store, trace_cache
 from repro.traces.columnar import ColumnarTrace
-from repro.traces.mrt import TraceReader, TraceRecord, records_to_columnar
+from repro.traces.mrt import (
+    TraceReader,
+    TraceRecord,
+    messages_to_records,
+    records_to_columnar,
+)
 from repro.traces.validation import TraceValidationError, ValidationReport
+from repro.util.atomic import write_atomic
 
 pytestmark = pytest.mark.faults
 
@@ -216,7 +223,7 @@ class TestInjectorFire:
     def test_io_error_is_an_oserror(self):
         injector = FaultInjector(FaultPlan(specs=(FaultSpec("io_error", "store.read"),)))
         with pytest.raises(InjectedIOError) as caught:
-            injector.fire("store.read", key="trace.cols")
+            injector.fire("store.read", key="seg-00000.sealed")
         assert isinstance(caught.value, OSError)
         assert isinstance(caught.value, InjectedFault)
 
@@ -292,58 +299,135 @@ class TestAmbientInjector:
         assert faults.active_injector().plan == FaultPlan.from_text("crash@segment.roll")
 
 
+def _sealed_segment(root: str, rows: int = 20):
+    """Ingest ``rows`` feed lines into one sealed segment under ``root``.
+
+    Returns the segment's path and the manifest that vouches for it.
+    """
+    records = messages_to_records(_make_trace(11, messages=rows - 1).to_messages())
+    writer = SegmentWriter(root, "feed", Manifest.load(root))
+    for offset, record in enumerate(records):
+        writer.add_line(offset, record.to_line())
+    entry = writer.roll()
+    writer.close()
+    assert entry is not None and entry["rows"] == rows
+    return os.path.join(root, "feed", entry["file"]), Manifest.load(root)
+
+
 class TestStoreIntegrity:
-    def _write(self, path):
-        trace = _make_trace(11)
-        columnar_store.write_trace(path, trace)
-        return trace
+    """A sealed segment is one append-log frame; any damage is caught."""
 
-    def test_flipped_column_byte_fails_the_crc(self, tmp_path):
-        path = str(tmp_path / "trace.cols")
-        self._write(path)
-        corrupt_file(path, offset=os.path.getsize(path) - 1)
-        with pytest.raises(columnar_store.CorruptColumnStoreError, match="checksum"):
-            columnar_store.read_trace(path)
-
-    def test_flipped_header_byte_fails_at_open(self, tmp_path):
-        path = str(tmp_path / "trace.cols")
-        self._write(path)
-        corrupt_file(path, offset=40)  # inside the pickled header
-        with pytest.raises(columnar_store.CorruptColumnStoreError):
-            columnar_store.ColumnarTraceFile(path)
-
-    def test_truncated_blob_fails_at_open(self, tmp_path):
-        path = str(tmp_path / "trace.cols")
-        self._write(path)
-        with open(path, "r+b") as handle:
-            handle.truncate(os.path.getsize(path) - 8)
-        with pytest.raises(columnar_store.CorruptColumnStoreError, match="truncated"):
-            columnar_store.ColumnarTraceFile(path)
-
-    def test_v1_blob_is_rejected(self, tmp_path):
-        # v2 predates the ingest segments, so a v1 layout can only be
-        # damage (or a foreign file): it raises the typed error.
-        path = str(tmp_path / "trace.cols")
-        self._write(path)
-        with open(path, "r+b") as handle:
-            handle.seek(8)  # the u32 store version after the magic
-            handle.write((1).to_bytes(4, "little"))
-        with pytest.raises(columnar_store.CorruptColumnStoreError, match="v1"):
-            columnar_store.read_trace(path)
-
-    def test_newer_store_version_is_rejected(self, tmp_path):
-        path = str(tmp_path / "trace.cols")
-        self._write(path)
-        with open(path, "r+b") as handle:
-            handle.seek(8)
-            handle.write((3).to_bytes(4, "little"))
-        with pytest.raises(columnar_store.CorruptColumnStoreError, match="v3"):
-            columnar_store.ColumnarTraceFile(path)
-
-    def test_v2_round_trip_is_lossless(self, tmp_path):
-        path = str(tmp_path / "trace.cols")
-        original = self._write(path)
+    def test_round_trip_is_lossless(self, tmp_path):
+        path = str(tmp_path / "trace.sealed")
+        original = _make_trace(11)
+        write_atomic(path, lambda temp_path: columnar_store.write_trace(temp_path, original))
         assert columnar_store.read_trace(path).to_payload() == original.to_payload()
+
+    def test_every_flipped_bit_and_truncation_is_caught(self, tmp_path):
+        path, manifest = _sealed_segment(str(tmp_path))
+        assert manifest.verify() == 1
+        with open(path, "rb") as handle:
+            original = handle.read()
+        damaged = [
+            original[:offset] + bytes((original[offset] ^ (1 << offset % 8),))
+            + original[offset + 1 :]
+            for offset in range(len(original))
+        ]
+        damaged.extend(original[:length] for length in range(len(original)))
+        for data in damaged:
+            with open(path, "wb") as handle:
+                handle.write(data)
+            with pytest.raises(columnar_store.CorruptColumnStoreError):
+                columnar_store.read_trace(path)
+            with pytest.raises(IngestManifestError):
+                manifest.verify()
+
+    @pytest.mark.parametrize(
+        "extra",
+        [b"\0" * 5, b"RPROSEGL"],
+        ids=["trailing-bytes", "trailing-magic"],
+    )
+    def test_bytes_after_the_frame_are_rejected(self, tmp_path, extra):
+        path, manifest = _sealed_segment(str(tmp_path))
+        with open(path, "ab") as handle:
+            handle.write(extra)
+        with pytest.raises(columnar_store.CorruptColumnStoreError):
+            columnar_store.read_trace(path)
+        with pytest.raises(IngestManifestError, match="bytes"):
+            manifest.verify()
+
+    def test_a_second_frame_is_rejected(self, tmp_path):
+        path, _ = _sealed_segment(str(tmp_path))
+        with columnar_store.SegmentAppendLog(path) as log:
+            log.append(_make_trace(12).to_payload())
+            log.sync()
+        with pytest.raises(columnar_store.CorruptColumnStoreError, match="one valid frame"):
+            columnar_store.read_trace(path)
+
+    def test_single_frame_file_is_an_append_log_of_one_frame(self, tmp_path):
+        # One layout: write_frame's bytes are exactly what the append log
+        # writes for the same payload, so scan reads either.
+        payload = _make_trace(11).to_payload()
+        written = tmp_path / "written.sealed"
+        columnar_store.write_frame(str(written), payload)
+        appended = tmp_path / "appended.log"
+        with columnar_store.SegmentAppendLog(str(appended)) as log:
+            log.append(payload)
+            log.sync()
+        assert written.read_bytes() == appended.read_bytes()
+        assert columnar_store.read_frame(str(appended)) == payload
+
+    def test_foreign_columnar_format_is_stale_not_corrupt(self, tmp_path):
+        # The frame is intact, the payload is from another schema: a plain
+        # ValueError, so the trace cache rebuilds instead of quarantining.
+        path = str(tmp_path / "stale.sealed")
+        payload = dict(_make_trace(11).to_payload(), format=-1)
+        columnar_store.write_frame(path, payload)
+        with pytest.raises(ValueError, match="format") as caught:
+            columnar_store.read_trace(path)
+        assert not isinstance(caught.value, columnar_store.CorruptColumnStoreError)
+
+    def test_foreign_log_version_is_rejected(self, tmp_path):
+        path, _ = _sealed_segment(str(tmp_path))
+        with open(path, "r+b") as handle:
+            handle.seek(8)  # the u32 log version after the magic
+            handle.write((columnar_store.LOG_VERSION + 1).to_bytes(4, "little"))
+        with pytest.raises(columnar_store.CorruptColumnStoreError, match="segment log v2"):
+            columnar_store.read_trace(path)
+
+    def test_row_count_mismatch_fails_verify(self, tmp_path):
+        _, manifest = _sealed_segment(str(tmp_path))
+        manifest.feed_state("feed")["sealed"][0]["rows"] += 1
+        with pytest.raises(IngestManifestError, match="20 rows, manifest records 21"):
+            manifest.verify()
+
+    def test_missing_segment_fails_verify(self, tmp_path):
+        path, manifest = _sealed_segment(str(tmp_path))
+        os.unlink(path)
+        with pytest.raises(IngestManifestError, match="unreadable"):
+            manifest.verify()
+
+    def test_store_read_fault_fires_on_a_sealed_segment(self, tmp_path):
+        root = str(tmp_path)
+        path, _ = _sealed_segment(root)
+        assert len(list(iter_feed_windows(root, "feed"))) == 1
+        spec = FaultSpec("io_error", "store.read", match=os.path.basename(path))
+        faults.install_injector(FaultInjector(FaultPlan(specs=(spec,))))
+        try:
+            with pytest.raises(InjectedFault, match="store.read"):
+                list(iter_feed_windows(root, "feed"))
+        finally:
+            faults.install_injector(None)
+
+    def test_store_read_fault_is_keyed_by_the_file_name(self, tmp_path):
+        root = str(tmp_path)
+        _sealed_segment(root)
+        spec = FaultSpec("io_error", "store.read", match="seg-00001.sealed")
+        faults.install_injector(FaultInjector(FaultPlan(specs=(spec,))))
+        try:
+            assert len(list(iter_feed_windows(root, "feed"))) == 1
+        finally:
+            faults.install_injector(None)
 
 
 class TestCacheQuarantine:

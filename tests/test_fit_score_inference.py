@@ -277,14 +277,6 @@ class TestInferenceEngine:
         links = set(result.inferred_links)
         assert (5, 6) in links or (2, 5) in links
 
-    def test_listener_called_on_acceptance(self):
-        rib = fig1_session_rib()
-        engine = InferenceEngine(rib, config=self._config())
-        seen = []
-        engine.add_listener(lambda result: seen.append(result))
-        engine.process_batch(_burst_messages(S7))
-        assert len(seen) == 1
-
     def test_updates_reduce_prediction(self):
         """Path updates during the burst steer the inference away from shared links."""
         rib = fig1_session_rib()

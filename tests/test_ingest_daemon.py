@@ -22,6 +22,7 @@ Process-death recovery (the ``kill -9`` matrix) lives in
 """
 
 import io
+import json
 import os
 import pickle
 import tempfile
@@ -43,6 +44,7 @@ from repro.ingest import (
     Manifest,
     SegmentWriter,
     SyntheticFeed,
+    iter_feed_windows,
     live,
     open_tail,
     recover_feed,
@@ -467,6 +469,33 @@ def test_manifest_verify_detects_segment_corruption(tmp_path):
     faults.corrupt_file(path, seed=5)
     with pytest.raises(IngestManifestError, match=entry["file"]):
         manifest.verify()
+
+
+def test_root_with_column_store_segments_is_refused(tmp_path):
+    # A v1 root seals segments as ``.cols`` column stores, a layout this
+    # code no longer reads: the manifest refuses it with both versions
+    # named, before any segment is opened.
+    root = str(tmp_path)
+    os.makedirs(os.path.join(root, "feed"))
+    with open(os.path.join(root, "feed", "seg-00000.cols"), "wb") as handle:
+        handle.write(b"RPROCOLS")
+    document = {
+        "version": 1,
+        "feeds": {
+            "feed": {
+                "open_seq": 1, "next_offset": 1, "last_time": 0.0,
+                "sealed": [{"seq": 0, "file": "seg-00000.cols", "rows": 1,
+                            "crc": 0, "bytes": 8}],
+                "failed": None, "complete": False,
+            }
+        },
+    }
+    with open(os.path.join(root, "MANIFEST.json"), "w", encoding="utf-8") as handle:
+        json.dump(document, handle)
+    with pytest.raises(IngestManifestError, match="manifest v1, running code expects v2"):
+        Manifest.load(root)
+    with pytest.raises(IngestManifestError, match="v1"):
+        list(iter_feed_windows(root, "feed"))
 
 
 def test_duplicate_feed_names_are_rejected(tmp_path):

@@ -17,6 +17,11 @@ and then asserts the recovery contract *twice*:
    dataset equals the offline ingest of the whole feed, and every sealed
    segment's CRC and byte count verify against the manifest.
 
+:meth:`repro.ingest.Manifest.verify` runs after every kill as well.  Two
+in-process tests at the end pin the file rules of the roll's crash windows
+directly: an orphan ``.sealed`` file and a sealed segment's stale log are
+both deleted by :func:`repro.ingest.recover_feed`.
+
 The fault placements are seeded (``after=K`` occurrence offsets), so each
 run of the matrix kills the daemon at the same deterministic points.
 """
@@ -30,7 +35,15 @@ import pytest
 
 import _ingest_runner as runner
 
-from repro.ingest import Manifest, SyntheticFeed, iter_feed_windows, open_tail
+from repro.ingest import (
+    Manifest,
+    SegmentWriter,
+    SyntheticFeed,
+    iter_feed_windows,
+    open_tail,
+    recover_feed,
+)
+from repro.traces.columnar_store import SegmentAppendLog
 from repro.traces.mrt import TraceReader
 from repro.traces.validation import ValidationReport
 
@@ -93,7 +106,7 @@ def _run_daemon(root, faults_text=None, seed=0, timeout=60):
 def _recovered_state(root, name):
     """(rows recovered, resume offset, recovered messages) after a crash.
 
-    Read-only reconstruction: sealed windows off their ``.cols`` stores
+    Read-only reconstruction: sealed windows off their one-frame files
     plus the open tail replayed from the append log's valid frames — the
     exact state a restarted daemon resumes from.
     """
@@ -111,7 +124,6 @@ def _recovered_state(root, name):
 
 def _scan_open_log(root, name, state):
     from repro.ingest.segments import _log_name
-    from repro.traces.columnar_store import SegmentAppendLog
 
     return SegmentAppendLog.scan(
         os.path.join(root, name, _log_name(state["open_seq"]))
@@ -140,6 +152,8 @@ def test_kill_then_restart_recovers_exactly(tmp_path, corpus, faults_text):
     assert done is None
 
     # -- contract 1: post-crash recovery is exact ----------------------------
+    # Whatever the manifest vouches for at the kill is bit-exact on disk.
+    Manifest.load(root).verify()
     for name, (lines, offline) in corpus.items():
         rows, next_offset, recovered = _recovered_state(root, name)
         acked_rows, acked_offset = acks.get(name, (0, 0))
@@ -191,3 +205,47 @@ def test_double_kill_then_restart(tmp_path, corpus):
             final.extend(window.to_messages())
         assert final == offline
     manifest.verify()
+
+
+# -- the crash-window rules, in process ----------------------------------------
+
+
+def _two_segments_and_an_open_tail(root, name):
+    """Seal two segments of a runner feed, then flush a few more lines."""
+    lines = _feed_lines(runner.corpus_peers()[0])[:25]
+    writer = SegmentWriter(root, name, Manifest.load(root))
+    for offset, line in enumerate(lines):
+        writer.add_line(offset, line)
+        if offset in (9, 19):
+            writer.roll()
+    writer.flush()
+    writer.close()
+    return lines
+
+
+def test_recovery_deletes_a_sealed_file_the_manifest_never_recorded(tmp_path):
+    # Died between the sealed write and the manifest checkpoint.
+    root, name = str(tmp_path), "feed"
+    lines = _two_segments_and_an_open_tail(root, name)
+    orphan = os.path.join(root, name, "seg-00002.sealed")
+    with open(orphan, "wb") as handle:
+        handle.write(b"unacknowledged")
+    manifest = Manifest.load(root)
+    recovery = recover_feed(root, name, manifest)
+    assert not os.path.exists(orphan)
+    assert recovery.open_seq == 2 and recovery.open_lines == lines[20:]
+    assert manifest.verify() == 2
+
+
+def test_recovery_deletes_the_log_of_a_sealed_segment(tmp_path):
+    # Died between the manifest checkpoint and the log unlink.
+    root, name = str(tmp_path), "feed"
+    lines = _two_segments_and_an_open_tail(root, name)
+    stale = os.path.join(root, name, "seg-00001.log")
+    with SegmentAppendLog(stale) as log:
+        log.append({"lines": lines[10:20], "offset": 20, "last_time": None})
+        log.sync()
+    recovery = recover_feed(root, name, Manifest.load(root))
+    assert not os.path.exists(stale)
+    assert recovery.sealed_rows == len(_offline_messages(lines[:20]))
+    assert recovery.open_lines == lines[20:]

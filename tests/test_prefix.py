@@ -80,10 +80,6 @@ class TestPrefixProperties:
         assert Prefix.from_string("192.0.0.0/2").bits() == "11"
         assert Prefix(0, 0).bits() == ""
 
-    def test_address_range(self):
-        prefix = Prefix.from_string("10.0.0.0/30")
-        assert prefix.last_address - prefix.first_address == 3
-
 
 class TestPrefixBlock:
     def test_block_is_consecutive_and_distinct(self):

@@ -63,12 +63,6 @@ class TestAdjRibIn:
         assert rib.prefix_count_via_link((5, 6)) == 8
         assert rib.prefix_count_via_link((3, 7)) == 6
 
-    def test_prefixes_via_as(self):
-        rib = AdjRibIn(peer_as=2)
-        rib.announce(PFX[0], _attrs([2, 5, 6]))
-        rib.announce(PFX[1], _attrs([2, 3, 7]))
-        assert rib.prefixes_via_as(5) == frozenset({PFX[0]})
-
 
 class TestDecisionProcess:
     def test_prefers_local_pref_then_length(self):

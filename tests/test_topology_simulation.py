@@ -119,8 +119,8 @@ class TestRouting:
         graph = fig1_topology({6: 5, 7: 5, 8: 2})
         routing = GaoRexfordRouting(graph).compute(origin=6)
         # AS 1 reaches AS 6 (it buys transit from 2, 3 and 4).
-        assert routing.has_route(1)
         path_of_1 = routing.path_of(1)
+        assert path_of_1 is not None
         assert path_of_1[-1] == 6
         # AS 2's path to 6 goes through its provider 5.
         assert routing.path_of(2) == (5, 6)

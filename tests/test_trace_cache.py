@@ -133,7 +133,7 @@ class TestTempFileHygiene:
         def explode(*args, **kwargs):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(SegmentAppendLog, "append", explode)
+        monkeypatch.setattr("repro.traces.trace_cache.write_frame", explode)
         with pytest.raises(KeyboardInterrupt):
             _cached("kind", "spec", lambda: 1)
         assert self._tmp_files(cache_dir) == []

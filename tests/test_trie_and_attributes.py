@@ -93,7 +93,7 @@ class TestASPath:
     @given(st.lists(st.integers(1, 2**16), min_size=2, max_size=10))
     def test_link_count_is_length_minus_one(self, asns):
         path = ASPath(asns)
-        assert len(path.directed_links()) == len(asns) - 1
+        assert len(path.links()) == len(asns) - 1
 
 
 class TestAttributes:
@@ -111,9 +111,3 @@ class TestAttributes:
         assert attributes.origin == Origin.IGP
         with pytest.raises(ValueError):
             PathAttributes(as_path=ASPath([2]), next_hop=2, local_pref=-1)
-
-    def test_with_modifiers(self):
-        attributes = PathAttributes(as_path=ASPath([2, 6]), next_hop=2)
-        assert attributes.with_local_pref(300).local_pref == 300
-        updated = attributes.with_communities([Community(65000, 1)])
-        assert Community(65000, 1) in updated.communities
