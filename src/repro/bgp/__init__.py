@@ -10,7 +10,7 @@ and models BGP at the level of detail the paper relies on:
   :mod:`repro.bgp.messages`),
 * per-peer Adj-RIB-In tables, a Loc-RIB and the standard decision process
   (:mod:`repro.bgp.rib`, :mod:`repro.bgp.decision`),
-* peering sessions carrying timestamped message streams
+* peering sessions holding each neighbor's routes, state and counters
   (:mod:`repro.bgp.session`),
 * a small BGP speaker tying the pieces together (:mod:`repro.bgp.speaker`).
 """
@@ -28,7 +28,7 @@ from repro.bgp.messages import (
 )
 from repro.bgp.prefix import Prefix, PrefixError, summarize_prefixes
 from repro.bgp.rib import AdjRibIn, LocRib, RibEntry, RouteChange
-from repro.bgp.session import MessageStream, PeeringSession, SessionState
+from repro.bgp.session import PeeringSession, SessionState
 from repro.bgp.speaker import BGPSpeaker
 from repro.bgp.trie import PrefixTrie
 
@@ -39,7 +39,6 @@ __all__ = [
     "DecisionProcess",
     "KeepAlive",
     "LocRib",
-    "MessageStream",
     "MessageType",
     "Notification",
     "OpenMessage",

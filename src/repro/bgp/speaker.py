@@ -37,7 +37,7 @@ from operator import attrgetter
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.bgp.decision import DecisionProcess, default_decision_process
-from repro.bgp.messages import BGPMessage, Update
+from repro.bgp.messages import BGPMessage
 from repro.bgp.prefix import Prefix
 from repro.bgp.rib import LocRib, RibEntry, RouteChange, RouteChangeKind
 from repro.bgp.session import PeeringSession, SessionState
@@ -171,7 +171,9 @@ class BGPSpeaker:
             raise KeyError(peer_as)
         changes = session.close()
         self.loc_rib.remove_source(peer_as)
-        return self._reselect(_changed_prefixes(changes))
+        best_changes = self._reselect(_changed_prefixes(changes))
+        self._notify_listeners(best_changes)
+        return best_changes
 
     def session(self, peer_as: int) -> PeeringSession:
         """Return the session with ``peer_as`` (KeyError if unknown)."""
@@ -192,6 +194,12 @@ class BGPSpeaker:
         """Register a callback invoked with the best-route changes of each batch."""
         self._best_route_listeners.append(callback)
 
+    def _notify_listeners(self, best_changes: List[BestRouteChange]) -> None:
+        """Fire the best-route listeners once with a non-empty change list."""
+        if best_changes:
+            for listener in self._best_route_listeners:
+                listener(best_changes)
+
     # -- message handling -------------------------------------------------
 
     def receive(self, message: BGPMessage) -> List[BestRouteChange]:
@@ -200,9 +208,7 @@ class BGPSpeaker:
         if session is None:
             raise KeyError(f"no session with AS {message.peer_as}")
         best_changes = self._reselect(_changed_prefixes(session.process(message)))
-        if best_changes:
-            for listener in self._best_route_listeners:
-                listener(best_changes)
+        self._notify_listeners(best_changes)
         return best_changes
 
     def receive_batch(self, messages: Iterable[BGPMessage]) -> List[BestRouteChange]:
@@ -251,9 +257,8 @@ class BGPSpeaker:
 
         The preferred replay entry point for array-backed traces: each
         same-peer run is applied straight from its columns
-        (:meth:`SpeakerBatch.add_columnar_run`), skipping per-message object
-        construction entirely when the sessions have no observers and stream
-        recording is off.  Semantics match :meth:`receive_batch` over the
+        (:meth:`SpeakerBatch.add_columnar_run`), building no message
+        object.  Semantics match :meth:`receive_batch` over the
         materialised message stream exactly (same final Loc-RIB, same
         loss-of-reachability / recovery multiset).
 
@@ -451,19 +456,14 @@ class SpeakerBatch:
         self._absorb(peer_as, session.process_batch(messages))
 
     def add_columnar_run(self, run) -> None:
-        """Apply a same-peer columnar run (no message objects on the fast path).
+        """Apply a same-peer columnar run, building no message object.
 
         ``run`` is a :class:`~repro.traces.columnar.ColumnarRun`, duck-typed
-        (``peer_as``, the run-column contract of ``src/repro/traces/README.md``,
-        ``materialise()``).  Equivalent to ``add_run(run.peer_as,
-        run.materialise())``, which it is when the session has message
-        observers or records its stream; otherwise :meth:`_absorb_columns`.
+        (``peer_as`` and the run-column contract of
+        ``src/repro/traces/README.md``).  Equivalent to ``add_run(run.peer_as,
+        run.materialise())``; see :meth:`_absorb_columns`.
         """
-        session = self._session_for(run.peer_as)
-        if session._observers or session.record_stream:
-            self._absorb(run.peer_as, session.process_batch(run.materialise()))
-        else:
-            self._absorb_columns(session, run)
+        self._absorb_columns(self._session_for(run.peer_as), run)
 
     def _absorb_columns(self, session: PeeringSession, run) -> None:
         """The column walk: one pass over rows ``[start, stop)``.
@@ -702,9 +702,7 @@ class SpeakerBatch:
         final_changes = speaker._reselect_batch(list(self._pending))
         changes = self._reconcile_transitions(final_changes)
         changes.extend(final_changes)
-        if changes:
-            for listener in speaker._best_route_listeners:
-                listener(changes)
+        speaker._notify_listeners(changes)
         return changes
 
     def _reconcile_transitions(

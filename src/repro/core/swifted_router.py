@@ -15,8 +15,9 @@
 
 Upon an accepted inference the router installs one high-priority rule per
 (inferred link position, backup next-hop) — rerouting every affected prefix
-at once — and records a :class:`RerouteAction` with the modelled data-plane
-update latency.  A link's backup next-hops come from a provision-time
+at once — and returns a :class:`RerouteAction` with the modelled data-plane
+update latency from the ``receive*`` call that fed the burst; the router keeps
+no log of past actions.  A link's backup next-hops come from a provision-time
 :class:`~repro.core.backup.BackupProfileIndex`, not from the predicted
 prefixes — the tags carry the per-prefix state (§5) — so a reroute costs
 O(rules).  When BGP has re-converged (the burst ends), the SWIFT rules are
@@ -65,13 +66,13 @@ global usage accounting is inherently non-incremental).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.bgp.attributes import ASPath
 from repro.bgp.messages import BGPMessage, Update
 from repro.bgp.prefix import Prefix
 from repro.bgp.rib import RibEntry
-from repro.bgp.speaker import BestRouteChange, BGPSpeaker
+from repro.bgp.speaker import BGPSpeaker
 from repro.core import kernels
 from repro.core.backup import BackupComputer, BackupProfileIndex, ReroutingPolicy
 from repro.core.encoding import EncodedTags, EncoderConfig, TagEncoder, WildcardRule
@@ -143,7 +144,6 @@ class SwiftedRouter:
         # Best-path snapshot at the last encode, for per-prefix delta
         # re-encoding on warm provisions.
         self._encoded_paths: Dict[Prefix, ASPath] = {}
-        self.reroutes: List[RerouteAction] = []
         self._provisioned = False
         # Incremental-provision bookkeeping: prefixes whose candidate routes
         # changed since the last provision (a superset of best-route changes —
@@ -485,13 +485,12 @@ class SwiftedRouter:
         its native run-grouped shape *end to end*: the speaker applies each
         run straight from the columns
         (:meth:`~repro.bgp.speaker.SpeakerBatch.add_columnar_run`; the
-        router's dirty-prefix tracking is a change observer fed prefixes, so
-        it does not force materialisation) and the watching inference engine
+        router's dirty-prefix tracking is a change observer fed prefixes)
+        and the watching inference engine
         reads the same column window through
         :meth:`~repro.core.inference.InferenceEngine.process_columnar_run`.
-        With stream recording off — the replay default — no
-        :class:`~repro.bgp.messages.BGPMessage` is constructed anywhere on
-        this path.
+        No :class:`~repro.bgp.messages.BGPMessage` is constructed anywhere
+        on this path.
 
         ``kernel`` is the column-kernel backend for run segmentation;
         ``None`` takes the engines' configured backend
@@ -531,7 +530,7 @@ class SwiftedRouter:
         Each inferred link's backup next-hops come from the backup index, at
         a cost independent of how many prefixes were predicted.  A link no
         provisioned prefix protects (e.g. deeper than ``max_backup_depth``)
-        has no entry: nothing is installed, no action returned or recorded.
+        has no entry: nothing is installed and no action returned.
         """
         assert self._encoded is not None
         rules: List[WildcardRule] = []
@@ -543,7 +542,7 @@ class SwiftedRouter:
             return None
         self.forwarding.install_rules(rules, priority=SWIFT_RULE_PRIORITY)
         duration = self.config.timing.rule_update_time(len(rules))
-        action = RerouteAction(
+        return RerouteAction(
             timestamp=result.timestamp,
             peer_as=peer_as,
             inferred_links=result.inferred_links,
@@ -551,8 +550,6 @@ class SwiftedRouter:
             rerouted_prefixes=result.prediction.predicted_prefixes,
             dataplane_update_seconds=duration,
         )
-        self.reroutes.append(action)
-        return action
 
     def clear_reroutes(self) -> int:
         """Remove the SWIFT rules (BGP has re-converged, §3 "fall back")."""
@@ -579,8 +576,3 @@ class SwiftedRouter:
     def engine_for(self, peer_as: int) -> InferenceEngine:
         """The inference engine watching the session with ``peer_as``."""
         return self._engines[peer_as]
-
-    @property
-    def last_reroute(self) -> Optional[RerouteAction]:
-        """The most recent reroute action, if any."""
-        return self.reroutes[-1] if self.reroutes else None

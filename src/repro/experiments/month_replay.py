@@ -181,10 +181,9 @@ class StreamReplayer:
     offline replay window for window.
 
     ``rib`` is the session's pre-trace Adj-RIB-In snapshot (prefix -> AS
-    path).  Stream recording is switched off on the replay session — a
-    month of messages must not accumulate in memory — which is also what
-    arms the zero-object columnar path (speaker *and* inference engines
-    consume the raw columns; no ``BGPMessage`` is built anywhere).
+    path).  The replay is zero-object: speaker *and* inference engines
+    consume the raw columns, no ``BGPMessage`` is built anywhere, and no
+    session retains the messages it processed.
 
     Every chunk reaches the router (or bare speaker) through
     :meth:`_receive`; the parity matrix's object-path comparator
@@ -271,15 +270,10 @@ class StreamReplayer:
                     ),
                 )
             router = SwiftedRouter(local_as, config=swift_config)
-            # Recording off *before* the table loads: neither the initial
-            # dump nor the month of replay messages may accumulate in
-            # MessageStream.
             router.add_peer(peer_as)
-            router.speaker.session(peer_as).record_stream = False
             router.load_initial_routes(peer_as, rib, local_pref=local_pref)
             if backup_session:
                 router.add_peer(BACKUP_PEER_AS)
-                router.speaker.session(BACKUP_PEER_AS).record_stream = False
                 router.load_initial_routes(
                     BACKUP_PEER_AS,
                     backup_alternates(rib),
@@ -292,7 +286,6 @@ class StreamReplayer:
         else:
             speaker = BGPSpeaker(local_as)
             speaker.add_peer(peer_as)
-            speaker.session(peer_as).record_stream = False
             from repro.bgp.attributes import PathAttributes
             from repro.bgp.messages import Update
 

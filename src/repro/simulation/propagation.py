@@ -21,7 +21,6 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 from repro.bgp.attributes import ASPath, PathAttributes
 from repro.bgp.messages import BGPMessage, Update
 from repro.bgp.prefix import Prefix
-from repro.bgp.session import PeeringSession
 from repro.simulation.events import LinkFailure, RoutingEvent
 from repro.simulation.routing import GaoRexfordRouting, RouteComputation
 from repro.simulation.timing import EmpiricalPacing, PacingModel
@@ -95,20 +94,6 @@ class SimulatedBurst:
         if len(self.messages) < 2:
             return 0.0
         return self.messages[-1].timestamp - self.messages[0].timestamp
-
-    def build_session(self) -> PeeringSession:
-        """Return a session pre-loaded with the pre-burst Adj-RIB-In.
-
-        The initial announcements are installed with timestamps preceding the
-        burst so the session's statistics and stream remain consistent.
-        """
-        session = PeeringSession(self.vantage.local_as, self.vantage.peer_as)
-        session.establish(timestamp=-1.0)
-        for prefix in sorted(self.initial_rib):
-            session.process(
-                Update.announce(-1.0, self.vantage.peer_as, prefix, self.initial_rib[prefix])
-            )
-        return session
 
 
 class PropagationSimulator:

@@ -64,7 +64,6 @@ from repro.bgp.messages import (
     Update,
 )
 from repro.bgp.prefix import Prefix
-from repro.traces.validation import TraceValidationError, ValidationReport
 
 __all__ = [
     "COLUMNAR_FORMAT_VERSION",
@@ -665,7 +664,8 @@ class ColumnarTrace:
         """Rebuild a trace from :meth:`to_payload` buffers.
 
         The restore is pure memcpy cost, checking only the format version;
-        chain :meth:`validated` to check the restored rows.
+        on disk, the frame CRC of :mod:`repro.traces.columnar_store` guards
+        the bytes.
         """
         version = payload.get("format")
         if version != COLUMNAR_FORMAT_VERSION:
@@ -682,215 +682,6 @@ class ColumnarTrace:
         trace.extras = dict(payload.get("extras") or {})
         trace._announcement_cache = {}
         return trace
-
-    # -- validation ----------------------------------------------------------
-
-    def validated(
-        self, lenient: bool = False, report: Optional[ValidationReport] = None
-    ) -> "ColumnarTrace":
-        """Validate the trace; return it (or a copy without malformed rows).
-
-        Row-level defects — unknown kind bytes, non-positive peer ASes,
-        non-monotone timestamps, cumulative withdrawal/announcement bounds
-        that decrease or overrun their columns, intern ids pointing past
-        the pool tables — raise a typed
-        :class:`~repro.traces.validation.TraceValidationError` in strict
-        mode and are counted-and-skipped in lenient mode (the returned
-        trace shares the pool but drops exactly the offending rows).
-        Structural defects (mismatched column lengths, interning tables
-        inconsistent with themselves) cannot be repaired by skipping rows
-        and raise in both modes.  When a ``report`` is passed its
-        ``lenient`` flag governs; a clean trace is returned as-is.
-        """
-        if report is None:
-            report = ValidationReport(lenient=lenient)
-        bad_rows = self._validation_scan(report)
-        if not bad_rows:
-            return self
-        return self._without_rows(bad_rows)
-
-    def _validation_scan(self, report: ValidationReport) -> List[int]:
-        """Check every row; returns the malformed row indices (lenient).
-
-        Strict reports raise at the first defect instead (``report.flag``
-        owns that decision).  Structural defects always raise.
-        """
-        row_count = len(self.msg_time)
-        if not (
-            len(self.msg_peer)
-            == len(self.msg_kind)
-            == len(self.wd_end)
-            == len(self.ann_end)
-            == row_count
-        ):
-            raise TraceValidationError(
-                "column-length-mismatch",
-                f"row columns disagree: time={row_count} peer={len(self.msg_peer)} "
-                f"kind={len(self.msg_kind)} wd_end={len(self.wd_end)} "
-                f"ann_end={len(self.ann_end)}",
-            )
-        if len(self.ann_prefix) != len(self.ann_attr):
-            raise TraceValidationError(
-                "column-length-mismatch",
-                f"ann_prefix={len(self.ann_prefix)} vs ann_attr={len(self.ann_attr)}",
-            )
-        self._check_pool_consistent()
-        pool = self.pool
-        prefix_count = pool.prefix_count
-        attr_count = pool.attribute_count
-        wd_total = len(self.wd_prefix)
-        ann_total = len(self.ann_prefix)
-        bad_rows: List[int] = []
-        previous_time: Optional[float] = None
-        wd_mark = 0
-        ann_mark = 0
-        for row in range(row_count):
-            report.checked += 1
-            good = True
-            kind = self.msg_kind[row]
-            if kind > KIND_NOTIFICATION:
-                report.flag("unknown-kind", f"row {row}: kind byte {kind}")
-                good = False
-            peer = self.msg_peer[row]
-            if peer < 1:
-                report.flag("invalid-peer", f"row {row}: peer AS {peer}")
-                good = False
-            timestamp = self.msg_time[row]
-            if previous_time is not None and timestamp < previous_time:
-                report.flag(
-                    "non-monotone-timestamp",
-                    f"row {row}: {timestamp} after {previous_time}",
-                )
-                good = False
-            wd_high = self.wd_end[row]
-            ann_high = self.ann_end[row]
-            bounds_sane = (
-                wd_mark <= wd_high <= wd_total and ann_mark <= ann_high <= ann_total
-            )
-            if not bounds_sane:
-                report.flag(
-                    "inconsistent-bounds",
-                    f"row {row}: wd_end={wd_high} (mark {wd_mark}/{wd_total}), "
-                    f"ann_end={ann_high} (mark {ann_mark}/{ann_total})",
-                )
-                good = False
-            else:
-                for position in range(wd_mark, wd_high):
-                    if self.wd_prefix[position] >= prefix_count:
-                        report.flag(
-                            "out-of-range-intern-id",
-                            f"row {row}: wd_prefix[{position}]="
-                            f"{self.wd_prefix[position]} >= {prefix_count}",
-                        )
-                        good = False
-                        break
-                for position in range(ann_mark, ann_high):
-                    if (
-                        self.ann_prefix[position] >= prefix_count
-                        or self.ann_attr[position] >= attr_count
-                    ):
-                        report.flag(
-                            "out-of-range-intern-id",
-                            f"row {row}: announcement {position} references "
-                            f"prefix {self.ann_prefix[position]}/{prefix_count}, "
-                            f"attrs {self.ann_attr[position]}/{attr_count}",
-                        )
-                        good = False
-                        break
-            if bounds_sane:
-                # Advance the high-water marks even past a bad row, so the
-                # following rows' ranges stay aligned with the columns.
-                wd_mark = wd_high
-                ann_mark = ann_high
-            if good:
-                previous_time = timestamp
-            else:
-                bad_rows.append(row)
-        if wd_mark != wd_total or ann_mark != ann_total:
-            report.flag(
-                "unreferenced-trailing-data",
-                f"{wd_total - wd_mark} withdrawal / {ann_total - ann_mark} "
-                f"announcement entries referenced by no row",
-            )
-        return bad_rows
-
-    def _check_pool_consistent(self) -> None:
-        """Structural integrity of the interning tables (raises if broken)."""
-        pool = self.pool
-        if len(pool.prefix_net) != len(pool.prefix_len):
-            raise TraceValidationError(
-                "corrupt-intern-pool",
-                f"prefix_net={len(pool.prefix_net)} vs prefix_len={len(pool.prefix_len)}",
-            )
-        for bounds, flat, label in (
-            (pool.path_bounds, pool.path_asns, "path"),
-            (pool.comm_bounds, pool.comm_packed, "community"),
-        ):
-            if not len(bounds) or bounds[0] != 0 or bounds[-1] != len(flat):
-                raise TraceValidationError(
-                    "corrupt-intern-pool", f"{label} bounds do not cover the flat column"
-                )
-            if any(bounds[i] > bounds[i + 1] for i in range(len(bounds) - 1)):
-                raise TraceValidationError(
-                    "corrupt-intern-pool", f"{label} bounds decrease"
-                )
-        attr_count = len(pool.attr_path)
-        if not (
-            len(pool.attr_next_hop)
-            == len(pool.attr_local_pref)
-            == len(pool.attr_med)
-            == len(pool.attr_origin)
-            == len(pool.attr_comms)
-            == attr_count
-        ):
-            raise TraceValidationError(
-                "corrupt-intern-pool", "attribute columns disagree in length"
-            )
-        path_count = len(pool.path_bounds) - 1
-        comm_count = len(pool.comm_bounds) - 1
-        for index in range(attr_count):
-            if pool.attr_path[index] >= path_count or pool.attr_comms[index] >= comm_count:
-                raise TraceValidationError(
-                    "corrupt-intern-pool",
-                    f"attribute {index} references path "
-                    f"{pool.attr_path[index]}/{path_count}, communities "
-                    f"{pool.attr_comms[index]}/{comm_count}",
-                )
-
-    def _without_rows(self, bad_rows: Sequence[int]) -> "ColumnarTrace":
-        """A copy of the trace (shared pool) dropping the given rows.
-
-        Only called on rows flagged by :meth:`_validation_scan`; per-row
-        ranges are clamped the same way the scan clamps its high-water
-        marks, so a bad row's damage never leaks into its neighbours.
-        """
-        bad = set(bad_rows)
-        out = ColumnarTrace(pool=self.pool)
-        wd_total = len(self.wd_prefix)
-        ann_total = len(self.ann_prefix)
-        wd_mark = 0
-        ann_mark = 0
-        for row in range(len(self.msg_time)):
-            wd_low, ann_low = wd_mark, ann_mark
-            wd_high = self.wd_end[row]
-            ann_high = self.ann_end[row]
-            if wd_mark <= wd_high <= wd_total and ann_mark <= ann_high <= ann_total:
-                wd_mark = wd_high
-                ann_mark = ann_high
-            if row in bad:
-                continue
-            out.msg_time.append(self.msg_time[row])
-            out.msg_peer.append(self.msg_peer[row])
-            out.msg_kind.append(self.msg_kind[row])
-            out.wd_prefix.extend(self.wd_prefix[wd_low:wd_mark])
-            out.ann_prefix.extend(self.ann_prefix[ann_low:ann_mark])
-            out.ann_attr.extend(self.ann_attr[ann_low:ann_mark])
-            out.wd_end.append(len(out.wd_prefix))
-            out.ann_end.append(len(out.ann_prefix))
-            extra = self.extras.get(row)
-            if extra is not None:
-                out.extras[len(out.msg_time) - 1] = extra
-        return out
 
     # -- slices --------------------------------------------------------------
 

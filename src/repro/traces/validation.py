@@ -1,14 +1,12 @@
 """Shared ingestion validation: strict rejection or lenient count-and-skip.
 
-Malformed trace rows used to propagate silently into inference — a
-non-monotone timestamp breaks every bisect over the time column, an
-out-of-range intern id crashes (or worse, aliases) deep inside the engine,
-inconsistent cumulative bounds corrupt burst accounting.  The ingestion
-surfaces (:meth:`repro.traces.mrt.TraceRecord.from_line`,
-:func:`repro.traces.mrt.records_to_columnar`,
-:meth:`repro.traces.columnar.ColumnarTrace.from_payload` /
-:meth:`~repro.traces.columnar.ColumnarTrace.validated`) now funnel every
-such defect through one :class:`ValidationReport`:
+A malformed dump line must not reach inference — a non-monotone timestamp
+breaks every bisect over the time column, a non-positive peer AS names no
+session.  The text ingestion surfaces
+(:meth:`repro.traces.mrt.TraceRecord.from_line`,
+:class:`repro.traces.mrt.RowParser`,
+:func:`repro.traces.mrt.records_to_columnar`) funnel every such defect
+through one :class:`ValidationReport`:
 
 * **strict** (the default): the first defect raises a typed
   :class:`TraceValidationError` naming the reason and the offending row —
@@ -17,16 +15,17 @@ such defect through one :class:`ValidationReport`:
   for diagnosis) and the offending rows are *skipped*, so a mostly-good
   stream degrades gracefully instead of aborting a month replay.
 
-Structural defects — truncated columns, interning tables that disagree
-with themselves — cannot be repaired by skipping rows and raise in both
-modes.
+Bytes on disk are guarded elsewhere: every frame carries a CRC
+(:mod:`repro.traces.columnar_store`) and
+:meth:`repro.traces.columnar.ColumnarTrace.from_payload` checks the format
+version.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 __all__ = ["TraceValidationError", "ValidationReport"]
 
@@ -34,10 +33,9 @@ __all__ = ["TraceValidationError", "ValidationReport"]
 class TraceValidationError(ValueError):
     """A malformed trace input, rejected by strict validation.
 
-    ``reason`` is a stable machine-readable slug (e.g.
-    ``"non-monotone-timestamp"``, ``"unknown-kind"``,
-    ``"out-of-range-intern-id"``); ``detail`` pinpoints the offending
-    input.  Subclasses :class:`ValueError` so pre-existing callers
+    ``reason`` is a stable machine-readable slug (``"malformed-line"``,
+    ``"invalid-peer"`` or ``"non-monotone-timestamp"``); ``detail``
+    pinpoints the offending input.  Subclasses :class:`ValueError` so pre-existing callers
     catching the untyped error keep working.
     """
 
@@ -52,8 +50,8 @@ class TraceValidationError(ValueError):
 class ValidationReport:
     """Counts what validation saw — and decides reject vs count-and-skip.
 
-    One report threads through a whole ingestion pass (a file read, a
-    payload restore); ``skipped`` tallies dropped rows per reason and
+    One report threads through a whole ingestion pass (a file read);
+    ``skipped`` tallies dropped rows per reason and
     ``examples`` keeps the first offending detail of each reason for the
     log line.  ``flag()`` is the single decision point: it raises in
     strict mode and records in lenient mode, so call sites never branch on

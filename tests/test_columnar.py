@@ -233,11 +233,10 @@ def _random_messages(prefixes, rng, count=500, peers=(2, 3, 4)):
     return messages
 
 
-def _speaker(peers=(2, 3, 4), record_stream=True):
+def _speaker(peers=(2, 3, 4)):
     speaker = BGPSpeaker(1)
     for peer in peers:
         speaker.add_peer(peer)
-        speaker.session(peer).record_stream = record_stream
     return speaker
 
 
@@ -273,7 +272,7 @@ class TestColumnarReplayParity:
         object_speaker = _speaker()
         object_changes = object_speaker.receive_batch(messages)
 
-        columnar_speaker = _speaker(record_stream=False)
+        columnar_speaker = _speaker()
         columnar_changes = columnar_speaker.receive_columnar(trace)
 
         sequential = _speaker()
@@ -286,15 +285,6 @@ class TestColumnarReplayParity:
         assert _event_sets(columnar_changes) == _event_sets(object_changes)
         assert _event_sets(columnar_changes) == _event_sets(sequential_changes)
 
-    def test_columnar_fast_path_falls_back_with_recording_on(self):
-        """record_stream=True must not silently lose the recorded stream."""
-        prefixes = prefix_block("10.0.0.0/24", 10)
-        messages = _random_messages(prefixes, random.Random(1), count=60, peers=(2,))
-        trace = ColumnarTrace.from_messages(messages)
-        speaker = _speaker(peers=(2,), record_stream=True)
-        speaker.receive_columnar(trace)
-        assert len(speaker.session(2).stream) == len(messages) + 1  # + OPEN
-
     def test_session_stats_match_object_path(self):
         prefixes = prefix_block("10.0.0.0/24", 20)
         messages = _random_messages(prefixes, random.Random(3), count=200, peers=(2,))
@@ -303,7 +293,7 @@ class TestColumnarReplayParity:
 
         object_speaker = _speaker(peers=(2,))
         object_speaker.receive_batch(messages)
-        columnar_speaker = _speaker(peers=(2,), record_stream=False)
+        columnar_speaker = _speaker(peers=(2,))
         columnar_speaker.receive_columnar(trace)
 
         object_stats = object_speaker.session(2).stats

@@ -13,22 +13,28 @@ is per session) and comparing the pickled tuple of per-session
 ``MonthReplayResult.signature()``s, ordered by peer AS, *byte-for-byte*
 between the column-native path (``replay_stream``) and the materialising
 object path (the test-side driver ``tests/oracles/object_replay.py``),
-plus a construction probe proving the native SWIFTED path materialises
-zero ``BGPMessage`` objects.
+plus a construction probe proving that the native SWIFTED path, a router
+built with defaults and a bare speaker's table load materialise zero
+``BGPMessage`` objects.
 """
 
 import os
 import pickle
+from collections import Counter
 
 import pytest
 
 from oracles.object_replay import replay_stream_objects
 
+from repro.bgp.messages import Notification, OpenMessage
+from repro.bgp.speaker import BGPSpeaker
 from repro.core.history import TriggeringSchedule
 from repro.core.inference import InferenceConfig
-from repro.core.swifted_router import SwiftConfig
-from repro.experiments.month_replay import replay_stream
+from repro.core.swifted_router import SwiftConfig, SwiftedRouter
+from repro.experiments.month_replay import BACKUP_PEER_AS, backup_alternates, replay_stream
 from repro.traces import columnar
+from repro.traces.columnar import ColumnarTrace
+from repro.traces.fulltable import FullTableConfig, FullTableGenerator
 from repro.traces.synthetic import (
     SyntheticTraceConfig,
     SyntheticTraceGenerator,
@@ -139,22 +145,108 @@ class TestColumnarEnginePathParityMatrix:
         _, warm_bytes = _replay(replay_stream, warm, swifted=True)
         assert cold_bytes == warm_bytes
 
-    def test_native_swifted_path_materialises_no_messages(self, session_matrix):
+    def test_native_swifted_path_materialises_no_messages(
+        self, session_matrix, monkeypatch
+    ):
         """Construction probe: zero `message_at` calls on the native path."""
-        calls = []
-        original = columnar.ColumnarTrace.message_at
+        calls = _count_message_at(monkeypatch)
+        native, _ = _replay(replay_stream, session_matrix[0], swifted=True)
+        message_count = sum(result.message_count for result in native)
+        assert message_count > 0
+        assert calls == []
+        _replay(replay_stream_objects, session_matrix[0], swifted=True)
+        assert len(calls) == message_count
 
-        def counting(self, index):
-            calls.append(index)
-            return original(self, index)
+    @pytest.mark.parametrize("config", [None, _SWIFT], ids=["default", "firing"])
+    def test_default_router_walks_the_columns(self, session_matrix, monkeypatch, config):
+        """A router built with defaults takes the column walk on `receive_columnar`.
 
-        columnar.ColumnarTrace.message_at = counting
-        try:
-            native, _ = _replay(replay_stream, session_matrix[0], swifted=True)
-            message_count = sum(result.message_count for result in native)
-            assert message_count > 0
-            assert calls == []
-            _replay(replay_stream_objects, session_matrix[0], swifted=True)
-            assert len(calls) == message_count
-        finally:
-            columnar.ColumnarTrace.message_at = original
+        ``config`` is the router's ``SwiftConfig``: the default, or a
+        schedule under which the corpus's bursts reroute.
+        """
+        peer_as, stream, rib = max(
+            session_matrix[0], key=lambda session: session[1].message_count
+        )
+        messages = _with_session_reset(stream.to_messages(), peer_as)
+        trace = ColumnarTrace.from_messages(messages)
+
+        def build():
+            router = SwiftedRouter(1, config=config)
+            router.add_peer(peer_as)
+            router.load_initial_routes(peer_as, rib)
+            router.add_peer(BACKUP_PEER_AS)
+            router.load_initial_routes(BACKUP_PEER_AS, backup_alternates(rib), local_pref=50)
+            router.provision()
+            changes = []
+            router.speaker.add_best_route_listener(changes.extend)
+            return router, changes
+
+        reference, reference_changes = build()
+        expected_actions = reference.receive_batch(messages)
+        router, changes = build()
+        calls = _count_message_at(monkeypatch)
+        actions = router.receive_columnar(trace)
+        assert calls == []
+        assert actions == expected_actions
+        assert bool(actions) == (config is not None)
+        assert _outcome(router.speaker, changes) == _outcome(
+            reference.speaker, reference_changes
+        )
+
+    def test_default_speaker_table_load_walks_the_columns(self, monkeypatch):
+        """A bare speaker loads a columnar table without building a message."""
+        table = FullTableGenerator(
+            FullTableConfig(prefix_count=3000, peer_count=3, seed=5)
+        ).generate()
+        messages = _with_session_reset(table.columnar_table().to_messages(), table.peers[0])
+        trace = ColumnarTrace.from_messages(messages)
+
+        def build():
+            speaker = BGPSpeaker(65000)
+            for peer_as in table.peers:
+                speaker.add_peer(peer_as)
+            return speaker
+
+        reference = build()
+        reference_changes = reference.receive_batch(messages)
+        speaker = build()
+        calls = _count_message_at(monkeypatch)
+        changes = speaker.receive_columnar(trace)
+        assert calls == []
+        assert _outcome(speaker, changes) == _outcome(reference, reference_changes)
+
+
+def _count_message_at(monkeypatch):
+    """Patch `ColumnarTrace.message_at` to record the row of every call."""
+    calls = []
+    original = columnar.ColumnarTrace.message_at
+
+    def counting(self, index):
+        calls.append(index)
+        return original(self, index)
+
+    monkeypatch.setattr(columnar.ColumnarTrace, "message_at", counting)
+    return calls
+
+
+def _with_session_reset(messages, peer_as):
+    """``messages`` with a NOTIFICATION and then an OPEN from ``peer_as`` midway."""
+    middle = len(messages) // 2
+    at = messages[middle].timestamp
+    reset = [
+        Notification(timestamp=at, peer_as=peer_as, reason="reset"),
+        OpenMessage(timestamp=at, peer_as=peer_as),
+    ]
+    return messages[:middle] + reset + messages[middle:]
+
+
+def _outcome(speaker, changes):
+    """Loc-RIB, best-route change multiset and per-session state and counters."""
+
+    def route(entry):
+        return None if entry is None else (entry.peer_as, entry.next_hop, entry.as_path.asns)
+
+    loc_rib = {entry.prefix: route(entry) for entry in speaker.loc_rib.best_entries()}
+    multiset = Counter((change.prefix, route(change.old), route(change.new)) for change in changes)
+    sessions = [(session.peer_as, session.state, session.stats) for session in speaker.sessions()]
+    return loc_rib, multiset, sessions

@@ -40,7 +40,6 @@ def _provisioned_snapshot(prefix_count):
         router = SwiftedRouter(65000)
         for peer_as in table.peers:
             router.add_peer(peer_as)
-            router.speaker.session(peer_as).record_stream = False
         router.speaker.receive_columnar(initial)
         router.provision()
         gc.collect()

@@ -606,53 +606,3 @@ class TestIngestionValidation:
             records_to_columnar([record])
         report = ValidationReport(lenient=True)
         assert records_to_columnar([record], report=report).message_count == 0
-
-    def test_payload_with_unknown_kind_byte(self):
-        payload = _make_trace(11).to_payload()
-        tampered = bytearray(payload["msg_kind"])
-        tampered[2] = 9
-        payload["msg_kind"] = bytes(tampered)
-        with pytest.raises(TraceValidationError, match="unknown-kind"):
-            ColumnarTrace.from_payload(payload).validated()
-        report = ValidationReport(lenient=True)
-        trace = ColumnarTrace.from_payload(payload).validated(
-            lenient=True, report=report
-        )
-        assert report.skipped["unknown-kind"] == 1
-        assert trace.message_count == _make_trace(11).message_count - 1
-
-    def test_out_of_range_intern_id_detected(self):
-        trace = _make_trace(11)
-        trace.ann_attr[0] = 10_000
-        with pytest.raises(TraceValidationError, match="out-of-range-intern-id"):
-            trace.validated()
-        lenient = trace.validated(lenient=True)
-        assert lenient.message_count == trace.message_count - 1
-
-    def test_inconsistent_bounds_detected_and_dropped(self):
-        trace = _make_trace(11)
-        trace.wd_end[0] = 999
-        with pytest.raises(TraceValidationError, match="inconsistent-bounds"):
-            trace.validated()
-        report = ValidationReport(lenient=True)
-        lenient = trace.validated(lenient=True, report=report)
-        assert report.skipped["inconsistent-bounds"] == 1
-        assert lenient.message_count == trace.message_count - 1
-
-    def test_lenient_drop_preserves_the_surviving_rows_exactly(self):
-        trace = _make_trace(11)
-        tampered = _make_trace(11)
-        tampered.msg_peer[3] = -5
-        survived = tampered.validated(lenient=True)
-        kept = [
-            message
-            for index, message in enumerate(trace.to_messages())
-            if index != 3
-        ]
-        assert survived.to_messages() == kept
-
-    def test_clean_trace_validates_to_itself(self):
-        trace = _make_trace(11)
-        report = ValidationReport(lenient=True)
-        assert trace.validated(lenient=True, report=report) is trace
-        assert report.clean and report.checked == trace.message_count

@@ -315,7 +315,6 @@ def _seam_speaker(name):
     speaker = BGPSpeaker(1)
     for peer in (2, 4):
         speaker.add_peer(peer)
-        speaker.session(peer).record_stream = False
     speaker.receive_columnar(
         _trace([_announce(1.0, prefix) for prefix in _SEAM_PREFIXES])
     )

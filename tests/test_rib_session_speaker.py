@@ -111,22 +111,6 @@ class TestPeeringSession:
         assert len(session.rib_in) == 0
         assert session.stats.session_resets == 1
 
-    def test_observers_invoked(self):
-        session = PeeringSession(1, 2)
-        session.establish()
-        seen = []
-        session.add_observer(lambda s, m, c: seen.append(len(c)))
-        session.process(Update.announce(1.0, 2, PFX[0], _attrs([2, 6])))
-        assert seen == [1]
-
-    def test_stream_window_and_counts(self):
-        session = PeeringSession(1, 2)
-        session.establish(timestamp=0.0)
-        for index, prefix in enumerate(PFX[:10]):
-            session.process(Update.withdraw(float(index), 2, prefix))
-        assert session.stream.withdrawal_count() == 10
-        assert session.stream.withdrawals_in_window(0.0, 5.0) == 5
-
 
 class TestBGPSpeaker:
     def test_best_route_changes_on_withdrawal(self):
@@ -170,6 +154,20 @@ class TestBGPSpeaker:
         speaker.receive(Update.announce(0.0, 2, PFX[0], _attrs([2, 6])))
         changes = speaker.remove_peer(2)
         assert changes and changes[0].new is None
+
+    @pytest.mark.parametrize("teardown", ["remove_peer", "notification"])
+    def test_teardown_tells_the_best_route_listeners(self, teardown):
+        speaker = BGPSpeaker(1)
+        speaker.add_peer(2)
+        speaker.receive(Update.announce(0.0, 2, PFX[0], _attrs([2, 6])))
+        heard = []
+        speaker.add_best_route_listener(heard.append)
+        if teardown == "remove_peer":
+            changes = speaker.remove_peer(2)
+        else:
+            changes = speaker.receive(Notification(timestamp=1.0, peer_as=2))
+        assert len(changes) == 1 and changes[0].is_loss_of_reachability
+        assert heard == [changes]
 
 
 # -- the link queries are scans; the engine holds the one maintained index ------
@@ -216,8 +214,6 @@ def test_derived_link_view_agrees_with_the_engine_index(entry_point):
         for message in messages:
             router.receive(message)
     else:
-        for session in router.speaker.sessions():
-            session.record_stream = False
         router.receive_columnar(ColumnarTrace.from_messages(messages))
     engine = router.engine_for(peer)
     assert any(failed_link in result.inferred_links for result in engine.results)
@@ -277,7 +273,7 @@ _UPDATES = st.lists(
 def _parity_speaker(peers, prefix_independent):
     speaker = BGPSpeaker(1, DecisionProcess(prefix_independent=prefix_independent))
     for peer in peers:
-        speaker.add_peer(peer).record_stream = False
+        speaker.add_peer(peer)
     return speaker
 
 
@@ -592,21 +588,6 @@ class TestColumnWalkMatchesPerMessage:
             assert _same_route(change.old, before.get(change.prefix))
             assert _same_route(change.new, after.get(change.prefix))
 
-    def test_observed_or_recorded_sessions_take_the_message_path(self):
-        messages = _walk_messages(
-            [("update", 0, [], [(0, 0), (1, 0)]), ("update", 0, [1], [])]
-        )
-        speaker = _parity_speaker(_WALK_PEERS, True)
-        seen = []
-        speaker.session(2).add_observer(lambda _, message, changes: seen.append(message))
-        speaker.receive_columnar(ColumnarTrace.from_messages(messages))
-        assert seen == messages
-        recorded = _parity_speaker(_WALK_PEERS, True)
-        recorded.session(2).record_stream = True
-        recorded.receive_columnar(ColumnarTrace.from_messages(messages))
-        assert list(recorded.session(2).stream)[-len(messages):] == messages
-        assert _session_state(recorded) == _session_state(speaker)
-
 
 # -- the winner memo: one selection per candidate profile ----------------------
 
@@ -667,7 +648,7 @@ def _profile_table(peers=(2, 3, 4), count=40):
     """A table whose prefixes share four candidate profiles, one looped."""
     speaker = BGPSpeaker(1, _SpyDecisionProcess())
     for peer in peers:
-        speaker.add_peer(peer).record_stream = False
+        speaker.add_peer(peer)
     shared = {peer: _path_pool(peer) for peer in peers}
     messages = []
     for number, prefix in enumerate(PFX[:count]):
@@ -713,7 +694,7 @@ class TestWinnerMemo:
     def test_prefix_dependent_rankings_reselect_per_prefix(self):
         speaker = BGPSpeaker(1, _SpyDecisionProcess(prefix_independent=False))
         for peer in (2, 3, 4):
-            speaker.add_peer(peer).record_stream = False
+            speaker.add_peer(peer)
         speaker.receive_batch(
             [
                 Update.announce(0.0, peer, prefix, _attrs([peer, 6]))
@@ -873,7 +854,7 @@ class TestPerMessageDecisionProperty:
             1, DecisionProcess(key, prefix_independent=prefix_independent)
         )
         for peer in peers:
-            speaker.add_peer(peer).record_stream = False
+            speaker.add_peer(peer)
         for number, row in enumerate(rows):
             peer = peers[row[1] % peer_count]
             if row[0] == "notification":
@@ -998,7 +979,7 @@ class TestLocRibIsAView:
         key, prefix_independent = _RANKINGS[ranking]
         speaker = BGPSpeaker(1, DecisionProcess(key, prefix_independent=prefix_independent))
         for peer in _PARITY_PEERS:
-            speaker.add_peer(peer).record_stream = False
+            speaker.add_peer(peer)
         for clock, (kind, *step) in enumerate(steps):
             if kind == "remove_peer":
                 peer = _PARITY_PEERS[step[0]]
@@ -1009,7 +990,7 @@ class TestLocRibIsAView:
                 # A removed peer comes back as a new session, last in order.
                 for message in messages:
                     if message.peer_as not in speaker.peer_ases:
-                        speaker.add_peer(message.peer_as).record_stream = False
+                        speaker.add_peer(message.peer_as)
                 _feed(speaker, family, messages)
             _assert_view_is_the_adj_ribs_in(speaker)
 

@@ -196,14 +196,6 @@ class TestPropagationSimulator:
         # The graph is restored after the simulation.
         assert graph.has_link(5, 6)
 
-    def test_burst_session_preloads_rib(self):
-        graph = fig1_topology({6: 20, 7: 10, 8: 5})
-        simulator = PropagationSimulator(graph, seed=1)
-        vantage = VantagePoint(local_as=1, peer_as=2)
-        burst = simulator.simulate(LinkFailure(a=5, b=6), vantage)
-        session = burst.build_session()
-        assert len(session.rib_in) == len(burst.initial_rib)
-
     def test_candidate_failures_ranked(self):
         graph = fig1_topology({6: 50, 7: 50, 8: 10})
         simulator = PropagationSimulator(graph, seed=1)

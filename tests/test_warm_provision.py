@@ -322,7 +322,7 @@ class TestWarmEqualsCold:
                         Update.announce(clock, peer, prefixes[number], _attributes(peer, path))
                     )
             history.extend(messages)
-            warm.receive_batch(messages)
+            actions = warm.receive_batch(messages)
             warm.provision()
             assert warm.last_provision_stats["mode"] == 1
 
@@ -332,7 +332,7 @@ class TestWarmEqualsCold:
             assert cold.last_provision_stats["mode"] == 0
             assert _state(warm) == _state(cold)
             _assert_eligible_is_the_threshold_subset(warm)
-            assert warm.reroutes == []
+            assert actions == []
 
 
 # -- what a warm provision does not do -------------------------------------------
@@ -418,14 +418,15 @@ class TestWarmProvisionSkips:
 
 
 def _feed(router, path, messages):
-    """Feed ``messages`` through one of the router's three entry families."""
+    """Feed ``messages`` through one of the router's three entry families.
+
+    Returns the reroute actions the feed produced.
+    """
     if path == "receive":
-        for message in messages:
-            router.receive(message)
-    elif path == "receive_batch":
-        router.receive_batch(messages)
-    else:
-        router.receive_columnar(ColumnarTrace.from_messages(messages))
+        return [action for action in map(router.receive, messages) if action is not None]
+    if path == "receive_batch":
+        return router.receive_batch(messages)
+    return router.receive_columnar(ColumnarTrace.from_messages(messages))
 
 
 def _assert_nothing_through(router, peer):
@@ -450,8 +451,6 @@ class TestSessionReset:
         # Prefixes only AS 2 carries lose reachability with its session.
         routes[2].update({prefix: [2, 10, 200] for prefix in prefix_block("70.0.0.0/24", 4)})
         router = _router(routes, prefix_threshold=10)
-        for session in router.speaker.sessions():
-            session.record_stream = False
         assert router.forward(prefixes[0].network) == 2
         _feed(router, path, [Notification(timestamp=100.0, peer_as=2)])
         router.provision()
@@ -534,11 +533,13 @@ class TestSessionReset:
             ],
         )
         assert engine.current_rib() == {p: ASPath(routes[2][p]) for p in back}
-        _feed(router, path, [Update.withdraw(300.0 + i / 100, 2, p) for i, p in enumerate(failing[:10])])
+        actions = _feed(
+            router, path, [Update.withdraw(300.0 + i / 100, 2, p) for i, p in enumerate(failing[:10])]
+        )
         assert engine.results
         for result in engine.results:
             assert result.prediction.predicted_prefixes <= set(back), result
-        assert router.reroutes
+        assert actions
 
 
 
