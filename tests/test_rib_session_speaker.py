@@ -111,6 +111,73 @@ class TestPeeringSession:
         assert len(session.rib_in) == 0
         assert session.stats.session_resets == 1
 
+    def test_close_withdraws_every_route_and_tells_the_change_observers(self):
+        session = PeeringSession(1, 2)
+        session.establish()
+        session.process_batch(
+            [Update.announce(1.0, 2, prefix, _attrs([2, 6])) for prefix in PFX[:3]]
+        )
+        heard = []
+        session.add_change_observer(lambda s, prefixes: heard.append((s, list(prefixes))))
+        changes = session.close()
+        assert sorted(change.prefix for change in changes) == PFX[:3]
+        assert {change.kind for change in changes} == {RouteChangeKind.WITHDRAWN}
+        assert heard == [(session, [change.prefix for change in changes])]
+        assert session.state == SessionState.CLOSED
+        assert len(session.rib_in) == 0
+        assert session.stats.session_resets == 1
+        # Closing an empty session is a reset with nothing to tell.
+        assert session.close() == []
+        assert len(heard) == 1 and session.stats.session_resets == 2
+
+    def test_open_reestablishes_a_closed_session(self):
+        session = PeeringSession(1, 2)
+        assert session.state == SessionState.IDLE
+        session.establish()
+        session.close()
+        session.process(OpenMessage(timestamp=5.0, peer_as=2))
+        assert session.state == SessionState.ESTABLISHED
+        session.process(Update.announce(6.0, 2, PFX[0], _attrs([2, 6])))
+        assert len(session.rib_in) == 1
+        assert session.stats.messages_received == 2
+        assert session.stats.last_message_at == 6.0
+
+    def test_keepalive_counts_without_touching_the_rib(self):
+        session = PeeringSession(1, 2)
+        session.establish()
+        session.process(Update.announce(1.0, 2, PFX[0], _attrs([2, 6])))
+        heard = []
+        session.add_change_observer(lambda s, prefixes: heard.append(prefixes))
+        assert session.process(KeepAlive(7.0, 2)) == []
+        assert session.process_batch([KeepAlive(8.0, 2)]) == [[]]
+        assert heard == []
+        assert len(session.rib_in) == 1
+        stats = session.stats
+        assert (stats.messages_received, stats.last_message_at) == (3, 8.0)
+        assert (stats.announcements_received, stats.withdrawals_received) == (1, 0)
+
+    def test_process_batch_equals_process_per_message(self):
+        messages = [
+            OpenMessage(timestamp=0.0, peer_as=2),
+            Update.announce(1.0, 2, PFX[0], _attrs([2, 6])),
+            Update.announce(1.5, 2, PFX[1], _attrs([2, 5, 6])),
+            Update.withdraw_many(2.0, 2, [PFX[0], PFX[2]]),
+            KeepAlive(3.0, 2),
+            Notification(timestamp=4.0, peer_as=2),
+            OpenMessage(timestamp=5.0, peer_as=2),
+            Update.announce(6.0, 2, PFX[3], _attrs([2, 7, 6])),
+        ]
+        single, batched = PeeringSession(1, 2), PeeringSession(1, 2)
+        per_message = [single.process(message) for message in messages]
+        assert batched.process_batch(messages) == per_message
+        assert batched.stats == single.stats
+        assert batched.state == single.state == SessionState.ESTABLISHED
+        assert {p: batched.rib_in.get(p) for p in batched.rib_in} == {
+            p: single.rib_in.get(p) for p in single.rib_in
+        }
+        assert batched.stats.session_resets == 1
+        assert batched.stats.withdrawals_received == 2
+
 
 class TestBGPSpeaker:
     def test_best_route_changes_on_withdrawal(self):
@@ -168,6 +235,44 @@ class TestBGPSpeaker:
             changes = speaker.receive(Notification(timestamp=1.0, peer_as=2))
         assert len(changes) == 1 and changes[0].is_loss_of_reachability
         assert heard == [changes]
+
+    def test_removing_a_peer_without_routes_tells_no_listener(self):
+        speaker = BGPSpeaker(1)
+        speaker.add_peer(2)
+        speaker.add_peer(3)
+        speaker.receive(Update.announce(0.0, 3, PFX[0], _attrs([3, 6])))
+        heard = []
+        speaker.add_best_route_listener(heard.append)
+        assert speaker.remove_peer(2) == []
+        assert heard == []
+        assert speaker.peer_ases == [3]
+        assert speaker.best_route(PFX[0]).peer_as == 3
+
+    def test_removing_a_peer_falls_back_to_the_next_best_route(self):
+        speaker = BGPSpeaker(1)
+        speaker.add_peer(2)
+        speaker.add_peer(3)
+        speaker.receive(Update.announce(0.0, 2, PFX[0], _attrs([2, 6], local_pref=200)))
+        speaker.receive(Update.announce(0.0, 3, PFX[0], _attrs([3, 5, 6])))
+        heard = []
+        speaker.add_best_route_listener(heard.append)
+        changes = speaker.remove_peer(2)
+        assert [(c.old.peer_as, c.new.peer_as) for c in changes] == [(2, 3)]
+        assert not changes[0].is_loss_of_reachability
+        assert heard == [changes]
+        assert speaker.alternate_routes(PFX[0]) == []
+
+    def test_peer_set_is_checked(self):
+        speaker = BGPSpeaker(1)
+        session = speaker.add_peer(2)
+        assert session.state == SessionState.ESTABLISHED
+        with pytest.raises(ValueError):
+            speaker.add_peer(2)
+        speaker.remove_peer(2)
+        with pytest.raises(KeyError):
+            speaker.remove_peer(2)
+        with pytest.raises(KeyError):
+            speaker.session(2)
 
 
 # -- the link queries are scans; the engine holds the one maintained index ------

@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro.bgp.messages import Update
 from repro.bgp.prefix import Prefix
+from repro.bgp.rib import RouteChangeKind
+from repro.bgp.session import PeeringSession
 from repro.simulation import (
     GaoRexfordRouting,
     LinkFailure,
@@ -195,6 +198,29 @@ class TestPropagationSimulator:
         assert burst.ground_truth.withdrawn_prefixes
         # The graph is restored after the simulation.
         assert graph.has_link(5, 6)
+
+    def test_burst_session_preloads_rib(self):
+        graph = fig1_topology({6: 20, 7: 10, 8: 5})
+        simulator = PropagationSimulator(graph, seed=1)
+        vantage = VantagePoint(local_as=1, peer_as=2)
+        burst = simulator.simulate(LinkFailure(a=5, b=6), vantage)
+        session = PeeringSession(vantage.local_as, vantage.peer_as)
+        session.establish()
+        session.process_batch(
+            Update.announce(-1.0, vantage.peer_as, prefix, burst.initial_rib[prefix])
+            for prefix in sorted(burst.initial_rib)
+        )
+        assert len(session.rib_in) == len(burst.initial_rib)
+        # The pre-burst RIB holds every route the burst withdraws.
+        withdrawn = [
+            change
+            for changes in session.process_batch(burst.messages)
+            for change in changes
+            if change.kind is RouteChangeKind.WITHDRAWN
+        ]
+        assert burst.withdrawal_count > 0
+        assert len(withdrawn) == burst.withdrawal_count
+        assert {change.prefix for change in withdrawn} <= set(burst.initial_rib)
 
     def test_candidate_failures_ranked(self):
         graph = fig1_topology({6: 50, 7: 50, 8: 10})
