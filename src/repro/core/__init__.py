@@ -4,7 +4,8 @@
   their weighted geometric mean, the Fit Score (§4.1), including the
   multi-link extension for failures sharing an endpoint (§4.2).
 * :mod:`repro.core.burst_detection` — on-line detection of withdrawal peaks
-  against the recent history (§4.1 "Burst detection").
+  against the recent history (§4.1 "Burst detection"), and the offline
+  burst measurement of §2.2.1 over the same detector.
 * :mod:`repro.core.history` — the historical burst-size model and the
   adaptive triggering thresholds (§4.2).
 * :mod:`repro.core.inference` — the inference engine tying everything

@@ -1,4 +1,4 @@
-"""On-line burst detection (§4.1).
+"""Burst detection (§2.2.1, §4.1): the one definition of a burst.
 
 "SWIFT monitors the received input stream of BGP messages, looking for
 significant increases in the frequency of withdrawals.  It classifies a set
@@ -6,23 +6,39 @@ of messages as the beginning of a burst when such frequency (say, number of
 withdrawals per 10 seconds) in the input stream is higher than the 99.99th
 percentile recorded in the recent history (e.g., during the previous month)."
 
-:class:`BurstDetector` keeps a sliding window of recent withdrawals, compares
-the in-window count against a threshold (either given explicitly or learnt
-from history), and tracks burst start / end transitions.  The end of a burst
-uses the lower stop threshold of §2.2.1 so that the two detection paths
-(measurement and run-time) share one definition.
+§2.2.1 measures bursts the same way: "a 10 s sliding window: a burst starts
+(resp. stops) when the number of withdrawals contained in the window is
+above (resp. below) a given threshold", 1,500 and 9 withdrawals.
+
+:class:`BurstDetector` keeps that sliding window and reports burst start /
+end transitions, on the per-message path and on the column path
+(:meth:`BurstDetector.observe_run`) alike.  A burst ends when its window
+drains: the ``end`` event fires on the row that observes the drain, and is
+stamped with the burst's last withdrawal plus ``window_seconds``, capped by
+that row's timestamp — the observing row is not part of the burst.
+:func:`extract_bursts` is the offline measurement (Fig. 2) over the same
+detector, so the run-time and measurement paths share one definition.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Deque, List, Optional, Tuple
+from types import SimpleNamespace
+from typing import Deque, List, NamedTuple, Optional, Tuple
 
 from repro.core import kernels
 
-__all__ = ["BurstDetector", "BurstDetectorConfig", "BurstEvent", "BurstState"]
+__all__ = [
+    "Burst",
+    "BurstDetector",
+    "BurstDetectorConfig",
+    "BurstEvent",
+    "BurstState",
+    "extract_bursts",
+]
 
 
 class BurstState(Enum):
@@ -80,6 +96,8 @@ class BurstDetector:
         self._in_window = 0
         self.state = BurstState.QUIET
         self.current_burst_start: Optional[float] = None
+        # Timestamp of the current burst's last withdrawal (stamps its end).
+        self._last_withdrawal: Optional[float] = None
         self.events: List[BurstEvent] = []
 
     # -- feeding ------------------------------------------------------------
@@ -91,7 +109,10 @@ class BurstDetector:
         self._window.append((timestamp, count))
         self._in_window += count
         self._expire(timestamp)
-        return self._transition(timestamp)
+        event = self._transition(timestamp)
+        if self.state is BurstState.BURSTING:
+            self._last_withdrawal = timestamp
+        return event
 
     def observe_time(self, timestamp: float) -> Optional[BurstEvent]:
         """Advance time without new withdrawals (lets quiet periods end bursts)."""
@@ -126,7 +147,12 @@ class BurstDetector:
         """
         trace = run.trace
         config = self.config
-        transitions, self._in_window, bursting = self._kernel.detector_scan(
+        (
+            transitions,
+            self._in_window,
+            bursting,
+            self._last_withdrawal,
+        ) = self._kernel.detector_scan(
             trace.msg_time,
             trace.msg_kind,
             trace.wd_end,
@@ -135,6 +161,7 @@ class BurstDetector:
             self._window,
             self._in_window,
             self.state is BurstState.BURSTING,
+            self._last_withdrawal,
             config.window_seconds,
             config.start_threshold,
             config.stop_threshold,
@@ -166,6 +193,7 @@ class BurstDetector:
         self._in_window = 0
         self.state = BurstState.QUIET
         self.current_burst_start = None
+        self._last_withdrawal = None
 
     # -- internals ------------------------------------------------------------
 
@@ -186,7 +214,75 @@ class BurstDetector:
         if self.state == BurstState.BURSTING and self._in_window <= self.config.stop_threshold:
             self.state = BurstState.QUIET
             self.current_burst_start = None
-            event = BurstEvent("end", timestamp, self._in_window)
+            # The window drained after the burst's last withdrawal; the row
+            # observing that is not part of the burst.
+            end = min(self._last_withdrawal + self.config.window_seconds, timestamp)
+            event = BurstEvent("end", end, self._in_window)
             self.events.append(event)
             return event
         return None
+
+
+class Burst(NamedTuple):
+    """One burst measured by :func:`extract_bursts`.
+
+    ``first_row`` and ``last_row`` are the trace rows of the burst's first
+    and last withdrawal; ``size`` counts the withdrawals from one to the
+    other and ``duration`` is the time between them (§2.2.1).
+    """
+
+    first_row: int
+    last_row: int
+    start_time: float
+    duration: float
+    size: int
+
+
+def extract_bursts(
+    trace, config: Optional[BurstDetectorConfig] = None
+) -> List[Burst]:
+    """Every burst of one session's columnar trace, in time order.
+
+    Runs :meth:`BurstDetector.observe_run` over the trace, resetting the
+    detector at NOTIFICATION rows as the inference engine does, and pairs
+    each start event with its end event.  A burst starts at the oldest
+    withdrawal in the window that started it (never before the row that
+    ended the previous burst) and ends at its last withdrawal before the row
+    that observed the end; a burst still open at a reset or at the end of
+    the trace closes at its last withdrawal.  ``trace`` is duck-typed: the
+    ``msg_time`` / ``msg_kind`` / ``wd_end`` columns of a
+    :class:`~repro.traces.columnar.ColumnarTrace` holding one session.
+    """
+    detector = BurstDetector(config)
+    window_seconds = detector.config.window_seconds
+    times, wd_end = trace.msg_time, trace.wd_end
+    bursts: List[Burst] = []
+
+    def close(first: int, stop: int) -> None:
+        last = bisect_left(wd_end, wd_end[stop - 1], first, stop)
+        size = wd_end[last] - (wd_end[first - 1] if first else 0)
+        bursts.append(
+            Burst(first, last, times[first], times[last] - times[first], size)
+        )
+
+    position, total = 0, len(times)
+    while position < total:
+        try:
+            reset = trace.msg_kind.index(3, position, total)  # 3 = NOTIFICATION
+        except ValueError:
+            reset = total
+        floor, first = position, None
+        run = SimpleNamespace(trace=trace, start=position, stop=reset)
+        for row, event in detector.observe_run(run):
+            if event.kind == "start":
+                first = bisect_left(times, times[row] - window_seconds, floor, row)
+                base = wd_end[first - 1] if first else 0
+                first = bisect_right(wd_end, base, first, row)
+            else:
+                close(first, row)
+                floor, first = row, None
+        if first is not None:
+            close(first, reset)
+        detector.reset()
+        position = reset + 1
+    return bursts

@@ -40,10 +40,13 @@ def detector_scan(
     window: Deque[Tuple[float, int]],
     in_window: int,
     bursting: bool,
+    last_withdrawal: Optional[float],
     window_seconds: float,
     start_threshold: int,
     stop_threshold: int,
-) -> Tuple[List[Tuple[int, str, float, int, Optional[float]]], int, bool]:
+) -> Tuple[
+    List[Tuple[int, str, float, int, Optional[float]]], int, bool, Optional[float]
+]:
     """Sliding-window scan of one run; the detector's hot loop.
 
     Walks rows ``[start, stop)`` of the (whole-trace cumulative) columns
@@ -51,12 +54,15 @@ def detector_scan(
     straight to the next withdrawal-bearing row with one bisect, a bursting
     one observes every UPDATE row.  ``window`` (time-ordered ``(timestamp,
     count)`` entries) is mutated in place and left exactly as per-message
-    calls would leave it; ``in_window``/``bursting`` are the scalar state.
+    calls would leave it; ``in_window``/``bursting`` and ``last_withdrawal``
+    (the current burst's last withdrawal timestamp) are the scalar state.
 
-    Returns ``(transitions, in_window, bursting)`` where each transition is
-    ``(row, kind, timestamp, count_in_window, burst_start)`` — ``kind`` is
-    ``"start"`` or ``"end"`` and ``burst_start`` (the window's oldest
-    surviving timestamp) is only meaningful on ``"start"``.
+    Returns ``(transitions, in_window, bursting, last_withdrawal)`` where
+    each transition is ``(row, kind, timestamp, count_in_window,
+    burst_start)`` — ``kind`` is ``"start"`` or ``"end"`` and
+    ``burst_start`` (the window's oldest surviving timestamp) is only
+    meaningful on ``"start"``.  An ``"end"`` is stamped with the burst's
+    last withdrawal plus ``window_seconds``, capped by its row's timestamp.
     """
     transitions: List[Tuple[int, str, float, int, Optional[float]]] = []
     window_append = window.append
@@ -95,6 +101,7 @@ def detector_scan(
                 bursting = True
                 burst_start = window[0][0] if window else timestamp
                 transitions.append((row, "start", timestamp, in_window, burst_start))
+                last_withdrawal = timestamp
             index = row + 1
         else:
             # Bursting: per-row window arithmetic, inlined — the end
@@ -107,9 +114,10 @@ def detector_scan(
                     index += 1
                     continue
                 timestamp = times[index]
-                if high > cursor:
-                    window_append((timestamp, high - cursor))
-                    in_window += high - cursor
+                count = high - cursor
+                if count:
+                    window_append((timestamp, count))
+                    in_window += count
                 horizon = timestamp - window_seconds
                 while window and window[0][0] < horizon:
                     in_window -= window_pop()[1]
@@ -117,9 +125,12 @@ def detector_scan(
                 index += 1
                 if in_window <= stop_threshold:
                     bursting = False
-                    transitions.append((index - 1, "end", timestamp, in_window, None))
+                    end = min(last_withdrawal + window_seconds, timestamp)
+                    transitions.append((index - 1, "end", end, in_window, None))
                     break
-    return transitions, in_window, bursting
+                if count:
+                    last_withdrawal = timestamp
+    return transitions, in_window, bursting, last_withdrawal
 
 
 # -- trigger location --------------------------------------------------------

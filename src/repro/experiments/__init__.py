@@ -4,7 +4,10 @@ Every figure / table module exposes a ``run(...)`` function returning a
 result dataclass and a ``format_result(...)`` helper printing the same rows /
 series the paper reports, so the benchmarks can regenerate each artefact;
 ``month_replay`` is the replay driver (``replay_stream``,
-``StreamReplayer``) the benchmarks and the live ingest path call:
+``StreamReplayer``) the benchmarks and the live ingest path call.  Fig. 2
+measures bursts from each session's stream with
+:func:`repro.core.burst_detection.extract_bursts`, not from the generator's
+records:
 
 ==============================  =========================================
 Paper artefact                  Module

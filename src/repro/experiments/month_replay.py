@@ -85,13 +85,6 @@ class MonthReplayResult:
     recovery_events: Optional[EventMultiset] = None
     reroute_events: Optional[EventMultiset] = None
 
-    @property
-    def messages_per_second(self) -> float:
-        """Replay throughput in messages per wall-clock second."""
-        if self.wall_seconds <= 0:
-            return 0.0
-        return self.message_count / self.wall_seconds
-
     def signature(self) -> tuple:
         """Everything deterministic about the run — no wall-clock noise.
 

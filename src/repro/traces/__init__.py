@@ -9,12 +9,14 @@ this package provides:
 * a synthetic per-session trace generator calibrated to the burst statistics
   the paper reports in §2.2.1 (:mod:`repro.traces.synthetic`), built on a
   per-session AS-path topology (:mod:`repro.traces.session_topology`),
-* the sliding-window burst extraction of §2.2.1 (:mod:`repro.traces.bursts`),
 * the popular-origin tagging used for the "84% of bursts include popular
   prefixes" statistic (:mod:`repro.traces.popularity`).
+
+Bursts are measured on a session's columnar stream by
+:func:`repro.core.burst_detection.extract_bursts`, the §2.2.1 sliding window
+the run-time detector applies too.
 """
 
-from repro.traces.bursts import Burst, BurstExtractor, BurstExtractionConfig
 from repro.traces.collectors import Collector, CollectorPeer, build_collector_fleet
 from repro.traces.columnar import (
     COLUMNAR_FORMAT_VERSION,
@@ -50,9 +52,6 @@ from repro.traces.synthetic import (
 )
 
 __all__ = [
-    "Burst",
-    "BurstExtractionConfig",
-    "BurstExtractor",
     "BurstPlan",
     "COLUMNAR_FORMAT_VERSION",
     "Collector",

@@ -351,11 +351,6 @@ class InternPool:
         return len(self.prefix_net)
 
     @property
-    def path_count(self) -> int:
-        """Number of interned AS paths."""
-        return len(self.path_bounds) - 1
-
-    @property
     def attribute_count(self) -> int:
         """Number of interned attribute sets."""
         return len(self.attr_path)

@@ -171,6 +171,8 @@ class TestBurstDetector:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             BurstDetectorConfig(start_threshold=5, stop_threshold=5)
+        with pytest.raises(ValueError):
+            BurstDetectorConfig(start_threshold=5, stop_threshold=9)
 
 
 class TestHistory:

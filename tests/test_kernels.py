@@ -2,10 +2,11 @@
 
 The detector kernel behind :meth:`BurstDetector.observe_run` is checked
 against the per-message :class:`BurstDetector` — window deque, state and
-event log included — on degenerate column shapes (empty run, single-row
-run, all-withdrawal run, repeated identical timestamps, a burst window
-ending exactly on the last row) and on randomized fuzz traces split into
-runs at random rows.  The trigger-location and run-segmentation kernels are
+event log (end timestamps included) — on degenerate column shapes (empty
+run, single-row run, all-withdrawal run, repeated identical timestamps, a
+burst window ending exactly on the last row, a lone withdrawal long after a
+burst, a burst followed only by announcements) and on randomized fuzz
+traces split into runs at random rows.  The trigger-location and run-segmentation kernels are
 checked against linear-scan definitions on the same fuzz traces.  The
 backend-selection seam the benchmarks rely on is pinned here too, at every
 entry point that takes a backend name or module.
@@ -96,6 +97,17 @@ DEGENERATE_STREAMS = {
         + [_announce(30.0 + float(i), PREFIXES[0]) for i in range(5)]
         + [_withdraw(40.0, PREFIXES[:1])]
     ),
+    # A burst, then one withdrawal long after it: the end is stamped at the
+    # window's drain, and the late withdrawal is not part of the burst.
+    "lone_withdrawal_after_gap": (
+        [_withdraw(float(i) * 0.05, PREFIXES[i : i + 1]) for i in range(20)]
+        + [_withdraw(1000.0, PREFIXES[:1])]
+    ),
+    # A burst followed only by announcement rows, which observe the drain.
+    "burst_then_announcements": (
+        [_withdraw(float(i) * 0.05, PREFIXES[i : i + 1]) for i in range(20)]
+        + [_announce(5.0 + 7.0 * i, PREFIXES[0]) for i in range(5)]
+    ),
 }
 
 DETECTOR_CONFIGS = [
@@ -152,6 +164,7 @@ def _detector_state(detector):
         detector._in_window,
         detector.state,
         detector.current_burst_start,
+        detector._last_withdrawal,
         detector.events,
     )
 

@@ -1,4 +1,4 @@
-"""Tests for the trace substrate: MRT format, topologies, generator, bursts."""
+"""Tests for the trace substrate: MRT format, topologies, generator."""
 
 import io
 import random
@@ -8,7 +8,6 @@ import pytest
 from repro.bgp.attributes import ASPath
 from repro.bgp.messages import Update
 from repro.bgp.prefix import Prefix
-from repro.traces.bursts import Burst, BurstExtractionConfig, BurstExtractor
 from repro.traces.collectors import build_collector_fleet
 from repro.traces.columnar import ColumnarTrace
 from repro.traces.mrt import (
@@ -226,54 +225,3 @@ class TestSyntheticTrace:
             SyntheticTraceConfig(peer_count=0)
         with pytest.raises(ValueError):
             SyntheticTraceConfig(withdrawal_fraction=0.0)
-
-
-class TestBurstExtraction:
-    def _stream(self, sizes_and_gaps):
-        """Build a stream of withdrawal messages: bursts separated by silence."""
-        messages = []
-        clock = 0.0
-        prefix_index = 0
-        for size, gap in sizes_and_gaps:
-            for _ in range(size):
-                prefix = Prefix((10 << 24) + prefix_index * 256, 24)
-                prefix_index += 1
-                messages.append(Update.withdraw(clock, 2, prefix))
-                clock += 0.002
-            clock += gap
-        return messages
-
-    def test_extracts_expected_bursts(self):
-        extractor = BurstExtractor(BurstExtractionConfig(start_threshold=100, stop_threshold=2))
-        messages = self._stream([(500, 60.0), (300, 60.0)])
-        bursts = extractor.extract(messages, peer_as=2)
-        assert len(bursts) == 2
-        assert bursts[0].size == pytest.approx(500, abs=5)
-        assert bursts[1].size == pytest.approx(300, abs=5)
-
-    def test_quiet_stream_has_no_burst(self):
-        extractor = BurstExtractor()
-        messages = self._stream([(100, 60.0)])
-        assert extractor.extract(messages, peer_as=2) == []
-
-    def test_head_middle_tail_sums_to_one(self):
-        extractor = BurstExtractor(BurstExtractionConfig(start_threshold=50, stop_threshold=2))
-        messages = self._stream([(400, 60.0)])
-        burst = extractor.extract(messages, peer_as=2)[0]
-        head, middle, tail = burst.head_middle_tail()
-        assert head + middle + tail == pytest.approx(1.0)
-
-    def test_popular_origin_detection(self):
-        rib = {Prefix.from_string("10.0.0.0/24"): ASPath([2, 15169])}
-        burst = Burst(
-            peer_as=2,
-            messages=[Update.withdraw(0.0, 2, Prefix.from_string("10.0.0.0/24"))],
-            start_time=0.0,
-            end_time=1.0,
-        )
-        assert burst.touches_popular_origin(rib)
-        assert not burst.touches_popular_origin({})
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            BurstExtractionConfig(start_threshold=5, stop_threshold=9)
