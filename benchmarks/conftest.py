@@ -2,21 +2,18 @@
 
 Most benchmarks regenerate one of the paper's tables/figures (scaled down so
 the whole suite completes in minutes) and print the reproduced rows next to
-the paper's numbers; ``ablations``, ``simulation``, ``analysis`` and
-``fulltable`` complete the tree.  Layer-by-layer performance is measured by
+the paper's numbers; ``ablations``, ``simulation`` and ``fulltable``
+complete the tree.  Layer-by-layer performance is measured by
 ``bench/run.py`` (see ``bench/README.md``), not here.  The burst corpus and
 the synthetic trace are built once per session, shared, and memoised on
 disk (``.trace_cache/``, see :mod:`repro.traces.trace_cache`): the first
 session pays the full generation, later sessions reload in seconds.  Set
 ``REPRO_TRACE_CACHE=off`` to force regeneration.
 
-Two modules, ``test_bench_fulltable`` and ``test_bench_analysis``, merge
-their numbers into a tracked ``BENCH_*.json`` at the repository root (their
-``RESULTS_PATH``) through the one :func:`record` here.  Only
-``slow``-marked tests update those files; a benchmark cheap enough for the
-tier-1 default run records under pytest's temporary directory instead, so
-tier-1 leaves ``git status`` clean (see
-``_untracked_results_outside_slow_runs``).
+One module, ``test_bench_fulltable``, merges its numbers into a tracked
+``BENCH_*.json`` at the repository root (its ``RESULTS_PATH``) through the
+one :func:`record` here, which stamps every payload with :func:`bench_env`.
+Those tests are all ``slow``, so tier-1 leaves ``git status`` clean.
 """
 
 import gc
@@ -66,11 +63,8 @@ def bench_env():
 
 
 def record(path, key, payload):
-    """Merge one benchmark's ``payload`` under ``key`` into the JSON at ``path``.
-
-    Callers pass their module's ``RESULTS_PATH`` *at call time*: outside
-    ``slow`` runs the fixture below has pointed it at a scratch file.
-    """
+    """Merge one benchmark's ``payload``, stamped with :func:`bench_env`,
+    under ``key`` into the JSON at ``path``."""
     data = {}
     if os.path.exists(path):
         try:
@@ -78,7 +72,7 @@ def record(path, key, payload):
                 data = json.load(handle)
         except (OSError, ValueError):
             data = {}
-    data[key] = payload
+    data[key] = {**payload, **bench_env()}
     with open(path, "w") as handle:
         json.dump(data, handle, indent=2, sort_keys=True)
         handle.write("\n")
@@ -95,15 +89,6 @@ def gc_paused():
     finally:
         if was_enabled:
             gc.enable()
-
-
-@pytest.fixture(autouse=True)
-def _untracked_results_outside_slow_runs(request, monkeypatch, tmp_path_factory):
-    """Point a non-``slow`` test's ``RESULTS_PATH`` at pytest's temp dir."""
-    tracked = getattr(request.module, "RESULTS_PATH", None)
-    if tracked is not None and request.node.get_closest_marker("slow") is None:
-        scratch = tmp_path_factory.getbasetemp() / os.path.basename(tracked)
-        monkeypatch.setattr(request.module, "RESULTS_PATH", str(scratch))
 
 
 @pytest.fixture(scope="session")

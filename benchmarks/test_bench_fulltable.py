@@ -36,7 +36,7 @@ import time
 
 import pytest
 
-from conftest import bench_env, record
+from conftest import record
 from oracles.reroute_walk import backups_for_link
 from oracles.trie_reference import ReferencePrefixTrie
 
@@ -161,7 +161,6 @@ def test_bench_fulltable_build_and_lpm(built):
             "peers": len(table.peers),
             "messages": built.message_count,
             "nested_prefixes": table.nested_count(),
-            **bench_env(),
             "generate_seconds": round(built.generate_seconds, 3),
             "columnar_seconds": round(built.columnar_seconds, 3),
             "speaker_seconds": round(built.speaker_seconds, 3),
@@ -230,7 +229,6 @@ def test_bench_fulltable_backup_aggregation(built):
         "fulltable.backup_aggregation",
         {
             "protected_prefixes": aggregated.protected_prefix_count,
-            **bench_env(),
             "grouped_seconds": round(grouped_seconds, 3),
             "aggregated_seconds": round(aggregated_seconds, 3),
             "source_entries": aggregated.source_entry_count,
@@ -294,7 +292,6 @@ def test_bench_fulltable_burst_replay(built):
         {
             "prefixes": len(table),
             "withdrawals": count,
-            **bench_env(),
             "burst_seconds": round(burst_seconds, 3),
             "withdrawals_per_second": round(count / burst_seconds),
             "best_route_changes": len(changes),

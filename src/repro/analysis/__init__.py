@@ -7,20 +7,20 @@ tier-1 gate ``tests/test_static_analysis.py`` both drive
 ========================  ====================================================
 rule                      contract it machine-checks
 ========================  ====================================================
-``kernel-purity``         kernels never import interning tables or mutate
-                          column views; nothing under ``src/repro/``
-                          imports numpy
-``parity-pair``           reference/optimized twins keep compatible public
-                          methods and signatures
 ``async-safety``          no direct blocking calls inside ``async def``
                           bodies (daemon event loop + watchdog liveness)
 ``durability-ordering``   persistence goes through ``util/atomic``'s
                           fsync → replace → dir-fsync discipline
 ``fault-site-registry``   fault-site strings ↔ ``testing/faults.KNOWN_SITES``
                           in both directions
-``bench-schema``          ``BENCH_*.json`` writers stamp artifacts with
-                          ``benchmarks/conftest.bench_env()``
 ========================  ====================================================
+
+The kernel-purity, parity-pair and bench-schema contracts are checked by
+plain tests instead: ``tests/test_contracts.py`` (no numpy under
+``src/repro/``, stdlib-only kernels, oracle/twin signatures),
+``tests/test_kernels.py`` (kernels leave their column arguments
+unchanged) and ``benchmarks/test_bench_record.py`` (every ``BENCH_*.json``
+payload carries ``bench_env()``).
 
 Escape hatches: ``# repro: allow(<rule>)`` suppression comments and the
 committed ``baseline.json`` of grandfathered findings — see ``README.md``
@@ -44,11 +44,8 @@ from repro.analysis.baseline import DEFAULT_BASELINE_PATH, load_baseline
 # Importing the checker modules populates REGISTRY via @register.
 from repro.analysis import (  # noqa: F401  (imported for registration)
     async_safety,
-    bench_schema,
     durability,
     fault_sites,
-    kernel_purity,
-    parity,
 )
 
 __all__ = [

@@ -3,7 +3,7 @@
 Exit status is 0 when the scanned tree is clean (after suppressions and
 the committed baseline) and 1 when any finding remains — so the command
 drops straight into CI. ``--json`` emits the full machine-readable report
-(the same shape the tier-1 gate and ``BENCH_analysis.json`` consume).
+(the same shape the tier-1 gate consumes).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "paths",
         nargs="*",
-        help="files or directories to scan (default: src, tests, benchmarks)",
+        help="files or directories to scan (default: src, tests, benchmarks, bench)",
     )
     parser.add_argument(
         "--json",
@@ -81,7 +81,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     try:
         report = run_analysis(
-            paths=args.paths or ["src", "tests", "benchmarks"],
+            paths=args.paths or ["src", "tests", "benchmarks", "bench"],
             rules=args.rules,
             root=args.root,
             baseline_path=args.baseline,

@@ -208,8 +208,8 @@ class Project:
     def module(self, relpath: str) -> Optional[ModuleInfo]:
         """The module at a repo-relative path, loading it if not scanned.
 
-        Cross-file checkers (parity pairs, the fault-site registry) need
-        their counterpart files even when the scan paths did not cover
+        Cross-file checkers (the fault-site registry) need their
+        counterpart files even when the scan paths did not cover
         them; lazily-loaded modules still participate in suppression
         matching.  Returns ``None`` when the file does not exist.
         """

@@ -19,7 +19,7 @@ given:
   implementation;
 * the hot-path benchmarks measure the speedup of the index-based path
   against it;
-* the ``parity-pair`` lint holds its public signatures to
+* ``tests/test_contracts.py`` holds its public signatures to
   ``FitScoreCalculator``'s.
 
 The one duty the production calculator performs as a side effect of sharing

@@ -4,8 +4,8 @@ This is the original one-node-per-bit trie, kept verbatim (modulo the
 memoised bit extraction) as the always-obviously-correct twin of the
 path-compressed :class:`repro.bgp.trie.PrefixTrie`.  The fuzz suite in
 ``tests/test_trie_fuzz.py`` drives both implementations through identical
-operation sequences and asserts identical answers, and the ``parity-pair``
-static-analysis rule pins the two public surfaces together.
+operation sequences and asserts identical answers, and
+``tests/test_contracts.py`` pins the two public surfaces together.
 
 Do not optimise this module: a /24 costs ~25 nodes here by design, which is
 exactly why it cannot host an internet-scale table (and why the compressed

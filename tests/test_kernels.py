@@ -7,13 +7,17 @@ run, single-row run, all-withdrawal run, repeated identical timestamps, a
 burst window ending exactly on the last row, a lone withdrawal long after a
 burst, a burst followed only by announcements) and on randomized fuzz
 traces split into runs at random rows.  The trigger-location and run-segmentation kernels are
-checked against linear-scan definitions on the same fuzz traces.  The
+checked against linear-scan definitions on the same fuzz traces.  Every
+kernel call in those checks goes through :data:`CHECKED`, which asserts
+that the kernel left its column arguments unchanged: kernels read columns,
+and only the detector's ``window`` deque is theirs to change.  The
 backend-selection seam the benchmarks rely on is pinned here too, at every
 entry point that takes a backend name or module.
 """
 
 import random
 from itertools import groupby
+from types import SimpleNamespace
 
 import pytest
 
@@ -31,6 +35,28 @@ from repro.traces.columnar import ColumnarTrace
 
 PREFIXES = prefix_block("10.0.0.0/24", 64)
 ATTRS = PathAttributes(as_path=ASPath([2, 5, 6]), next_hop=2, local_pref=100)
+
+
+def _column_checked(kernel, columns):
+    """``kernel``, asserting that its first ``columns`` arguments survive."""
+
+    def checked(*args):
+        before = [list(column) for column in args[:columns]]
+        result = kernel(*args)
+        assert [list(column) for column in args[:columns]] == before, kernel.__name__
+        return result
+
+    return checked
+
+
+_BACKEND = kernels.default_backend()
+#: The kernels, each asserting that no call writes a column argument.
+CHECKED = SimpleNamespace(
+    detector_scan=_column_checked(_BACKEND.detector_scan, 3),
+    find_crossing=_column_checked(_BACKEND.find_crossing, 1),
+    next_positive_row=_column_checked(_BACKEND.next_positive_row, 1),
+    run_boundaries=_column_checked(_BACKEND.run_boundaries, 1),
+)
 
 
 def _trace(messages):
@@ -134,7 +160,7 @@ def _reference_detector_feed(messages, config):
     return detector, events
 
 
-def _run_detector(trace, config, splits, kernel=None):
+def _run_detector(trace, config, splits, kernel=CHECKED):
     detector = BurstDetector(config, kernel=kernel)
     events = []
     position = 0
@@ -229,12 +255,12 @@ def test_trigger_kernels_match_linear_scan(count):
                 base = cumulative[lo - 1] if lo else 0
                 span = (cumulative[hi - 1] - base) if hi > lo else 0
                 for value in {base, base + 1, base + span, base + span + 5}:
-                    assert kernels.get_backend().find_crossing(
+                    assert CHECKED.find_crossing(
                         cumulative, value, lo, hi
                     ) == _first_row(cumulative, lo, hi, lambda c: c >= value), (
                         count, seed, lo, hi, value
                     )
-                    assert kernels.get_backend().next_positive_row(
+                    assert CHECKED.next_positive_row(
                         cumulative, value, lo, hi
                     ) == _first_row(cumulative, lo, hi, lambda c: c > value), (
                         count, seed, lo, hi, value
@@ -273,7 +299,7 @@ def test_run_boundaries_match_linear_split(count):
         peers = _trace(messages).msg_peer
         total = len(peers)
         for max_run in (None, 1, 7, 1000):
-            assert kernels.get_backend().run_boundaries(peers, total, max_run) == (
+            assert CHECKED.run_boundaries(peers, total, max_run) == (
                 _linear_split(list(peers), max_run)
             ), (count, seed, max_run)
 

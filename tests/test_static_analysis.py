@@ -2,7 +2,7 @@
 
 Three layers:
 
-* **the gate** — the shipped tree (src + tests + benchmarks) must be
+* **the gate** — the shipped tree (src + tests + benchmarks + bench) must be
   clean under every registered rule, with no stale baseline entries, in
   well under the ~5 s budget;
 * **the rules** — each checker fires exactly once on its ``*_bad.py``
@@ -32,7 +32,6 @@ from repro.analysis.core import (
     load_module,
 )
 from repro.analysis.fault_sites import FaultSiteChecker, known_sites_from_module
-from repro.analysis.parity import ClassPair, ParityChecker
 from repro.testing import faults
 
 pytestmark = pytest.mark.analysis
@@ -41,14 +40,7 @@ TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
 REPO_ROOT = os.path.dirname(TESTS_DIR)
 FIXTURES = os.path.join(TESTS_DIR, "analysis_fixtures")
 
-EXPECTED_RULES = {
-    "async-safety",
-    "bench-schema",
-    "durability-ordering",
-    "fault-site-registry",
-    "kernel-purity",
-    "parity-pair",
-}
+EXPECTED_RULES = {"async-safety", "durability-ordering", "fault-site-registry"}
 
 
 def _fixture(name):
@@ -72,7 +64,7 @@ def _checker(rule):
 def test_shipped_tree_is_clean_within_budget():
     started = time.monotonic()
     report = run_analysis(
-        paths=["src", "tests", "benchmarks"], root=REPO_ROOT
+        paths=["src", "tests", "benchmarks", "bench"], root=REPO_ROOT
     )
     elapsed = time.monotonic() - started
     assert set(report.rules) == EXPECTED_RULES
@@ -86,88 +78,6 @@ def test_every_baseline_entry_is_justified():
     baseline = load_baseline()
     for entry in baseline.entries:
         assert len(entry["justification"].split()) >= 5
-
-
-# -- kernel-purity ------------------------------------------------------------
-
-
-def test_kernel_purity_fires_on_numpy_in_package():
-    findings = _scan_fixture(
-        "kernel_purity_bad.py",
-        "src/repro/core/fit_score.py",
-        _checker("kernel-purity"),
-    )
-    assert [f.anchor for f in findings] == ["numpy:numpy"]
-
-
-def test_kernel_purity_fires_on_interning_import_in_kernels():
-    findings = _scan_fixture(
-        "kernel_purity_import_bad.py",
-        "src/repro/core/kernels/fancy.py",
-        _checker("kernel-purity"),
-    )
-    assert [f.anchor for f in findings] == ["kernel-import:repro.traces.columnar"]
-
-
-def test_kernel_purity_fires_on_column_mutation():
-    findings = _scan_fixture(
-        "kernel_purity_mutation_bad.py",
-        "src/repro/core/kernels/fancy.py",
-        _checker("kernel-purity"),
-    )
-    assert [f.anchor for f in findings] == ["mutation:rewrite_times:times"]
-
-
-def test_kernel_purity_quiet_on_stdlib_kernel():
-    findings = _scan_fixture(
-        "kernel_purity_ok.py",
-        "src/repro/core/kernels/fancy.py",
-        _checker("kernel-purity"),
-    )
-    assert findings == []
-
-
-# -- parity-pair --------------------------------------------------------------
-
-
-def _parity_checker(twin_fixture):
-    pair = ClassPair(
-        "tests/analysis_fixtures/parity_ref.py",
-        "Reference",
-        "tests/analysis_fixtures/" + twin_fixture,
-        "Twin",
-    )
-    return ParityChecker(class_pairs=(pair,), method_pairs=())
-
-
-def _run_parity(twin_fixture):
-    ref = load_module(
-        _fixture("parity_ref.py"), relpath="tests/analysis_fixtures/parity_ref.py"
-    )
-    twin = load_module(
-        _fixture(twin_fixture), relpath="tests/analysis_fixtures/" + twin_fixture
-    )
-    project = Project(REPO_ROOT, [ref, twin])
-    return analyze_project(project, [_parity_checker(twin_fixture)])
-
-
-def test_parity_fires_on_signature_drift():
-    findings = _run_parity("parity_twin_bad.py")
-    assert [f.anchor for f in findings] == ["signature:Twin.find_crossing"]
-
-
-def test_parity_fires_on_missing_public_method():
-    findings = _run_parity("parity_twin_missing_bad.py")
-    assert [f.anchor for f in findings] == ["missing-method:Twin.run_lengths"]
-
-
-def test_parity_quiet_on_compatible_twin():
-    assert _run_parity("parity_twin_ok.py") == []
-
-
-def test_parity_defaults_hold_on_real_tree():
-    project = Project(REPO_ROOT, [])
-    assert list(ParityChecker().finalize(project)) == []
 
 
 # -- async-safety -------------------------------------------------------------
@@ -237,27 +147,6 @@ def test_known_sites_constant_matches_parsed_registry():
     for site, (key_shape, kinds) in faults.KNOWN_SITES.items():
         assert key_shape
         assert kinds and set(kinds) <= set(faults.KINDS), site
-
-
-# -- bench-schema -------------------------------------------------------------
-
-
-def test_bench_schema_fires_without_bench_env():
-    findings = _scan_fixture(
-        "bench_schema_bad.py",
-        "benchmarks/test_bench_fixture.py",
-        _checker("bench-schema"),
-    )
-    assert [f.anchor for f in findings] == ["missing-bench-env-call"]
-
-
-def test_bench_schema_quiet_with_bench_env():
-    findings = _scan_fixture(
-        "bench_schema_ok.py",
-        "benchmarks/test_bench_fixture.py",
-        _checker("bench-schema"),
-    )
-    assert findings == []
 
 
 # -- suppressions -------------------------------------------------------------
@@ -364,3 +253,18 @@ def test_cli_exits_zero_on_clean_tree_and_nonzero_on_findings(tmp_path):
     )
     assert dirty.returncode == 1, dirty.stdout + dirty.stderr
     assert "durability-ordering" in dirty.stdout
+
+
+def test_cli_lists_only_the_kept_rules_and_refuses_retired_ones():
+    listed = _run_cli(["--list-rules"], cwd=REPO_ROOT)
+    assert listed.returncode == 0, listed.stderr
+    listed_rules = [line.split(":")[0] for line in listed.stdout.splitlines()]
+    assert listed_rules == sorted(EXPECTED_RULES)
+
+    retired = _run_cli(["--rule", "parity-pair"], cwd=REPO_ROOT)
+    assert retired.returncode == 2
+    assert (
+        "unknown rule(s): parity-pair (registered: "
+        + ", ".join(sorted(EXPECTED_RULES))
+        + ")"
+    ) in retired.stderr

@@ -15,8 +15,8 @@ every batch that
 * a fresh ``build_from_sorted`` of the surviving entries is structurally
   indistinguishable from the incrementally-built trie.
 
-The ``parity-pair`` static-analysis rule pins the two classes' public
-surfaces together; this suite pins their behaviour.
+``tests/test_contracts.py`` pins the two classes' public surfaces
+together; this suite pins their behaviour.
 """
 
 import random
