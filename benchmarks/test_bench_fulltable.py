@@ -12,9 +12,9 @@ with the DFZ-shaped synthetic table from :mod:`repro.traces.fulltable`:
   reference twin on a sparse sample (sampling keeps the reference's node
   explosion honest — a per-bit trie over a *dense* table shares almost every
   path, which real, registry-scattered tables do not allow);
-* **backup aggregation** — profile-grouped backup computation and the
-  covering-prefix aggregated table, asserting the >=10x entry reduction and
-  byte-identical expansion parity against ``compute_table_reference`` at a
+* **backup profiles** — profile-grouped backup computation into the
+  router's backup-profile index, asserting the >=10x entry reduction of
+  interned profiles and parity against ``compute_table_reference`` at a
   30k sub-table (the reference is per-prefix and would take minutes at 1M);
 * **burst replay** — a 200k-prefix withdrawal burst from one feed replayed
   through the fully-loaded speaker, plus what *acting* on it costs per
@@ -29,7 +29,6 @@ repository root through :func:`conftest.record`.
 """
 
 import os
-import pickle
 import random
 import statistics
 import time
@@ -55,7 +54,7 @@ _PREFIX_COUNT = int(os.environ.get("REPRO_FULLTABLE_PREFIXES", "1000000"))
 _LOCAL_AS = 65000
 
 #: Reference-parity scale: ``compute_table_reference`` ranks per prefix (no
-#: profile grouping), so byte-parity is asserted on a 30k sub-table.
+#: profile grouping), so parity is asserted on a 30k sub-table.
 _PARITY_PREFIX_COUNT = min(30_000, _PREFIX_COUNT)
 
 #: Trie-comparison sample: ~3% of the table (30k at the 1M default), so the
@@ -178,62 +177,63 @@ def test_bench_fulltable_build_and_lpm(built):
     )
 
 
-def test_bench_fulltable_backup_aggregation(built):
+def test_bench_fulltable_backup_profiles(built):
     computer = BackupComputer()
     speaker = built.speaker
-    candidate_map = speaker.loc_rib.candidate_map
 
+    index = BackupProfileIndex()
     started = time.perf_counter()
-    grouped = computer.compute_table(
-        _LOCAL_AS, built.best, speaker.alternate_routes, candidate_map
+    view = computer.compute_table(
+        built.best, speaker.alternate_routes, speaker.loc_rib.candidate_map, index=index
     )
     grouped_seconds = time.perf_counter() - started
-    grouped_entries = sum(len(per_link) for per_link in grouped.values())
-
-    started = time.perf_counter()
-    aggregated = computer.compute_table_aggregated(
-        _LOCAL_AS, built.best, speaker.alternate_routes, candidate_map
+    profiles = set(index.profile_of.values())
+    stored_entries = sum(len(profile.winners) for profile in profiles)
+    source_entries = sum(
+        len(profile.winners) * profile.prefix_count for profile in profiles
     )
-    aggregated_seconds = time.perf_counter() - started
 
-    # The aggregated table must describe exactly the grouped fan-out ...
-    assert aggregated.protected_prefix_count == len(built.best)
-    assert aggregated.source_entry_count == grouped_entries
-    # ... answer per-prefix queries identically ...
+    # The index holds every protected prefix's backups ...
+    assert len(index.profile_of) == len(view)
+    # ... answers per-prefix queries as the ungrouped table would ...
     rng = random.Random(5)
     spot_prefixes = rng.sample(list(built.best), min(2000, len(built.best)))
     for prefix in spot_prefixes:
-        assert aggregated.selections_for(prefix) == grouped.get(prefix, {})
-    # ... and collapse the nested table by an order of magnitude.
-    reduction = aggregated.reduction()
+        per_link = computer.select_all(
+            prefix, built.best[prefix].as_path, speaker.alternate_routes(prefix)
+        )
+        assert view.get(prefix, {}) == per_link
+    # ... and shares profiles across the nested table by an order of magnitude.
+    reduction = source_entries / stored_entries
     assert reduction >= 10.0, (
-        f"covering-prefix aggregation must shrink the nested full table "
-        f">=10x, got {reduction:.2f}x"
+        f"backup profiles must shrink the nested full table >=10x, "
+        f"got {reduction:.2f}x"
     )
 
-    # Byte-identical parity with the per-prefix reference at 30k scale.
+    # Parity with the per-prefix reference at 30k scale.
     parity = _BuiltTable(_PARITY_PREFIX_COUNT)
-    parity_aggregated = computer.compute_table_aggregated(
-        _LOCAL_AS, parity.best, parity.speaker.alternate_routes,
-        parity.speaker.loc_rib.candidate_map,
+    parity_index = BackupProfileIndex()
+    parity_view = computer.compute_table(
+        parity.best, parity.speaker.alternate_routes,
+        parity.speaker.loc_rib.candidate_map, index=parity_index,
     )
     parity_reference = computer.compute_table_reference(
-        _LOCAL_AS, parity.best, parity.speaker.alternate_routes
+        parity.best, parity.speaker.alternate_routes
     )
-    assert pickle.dumps(parity_aggregated.expand(parity.best)) == pickle.dumps(
-        parity_reference
-    ), "aggregated expansion must be byte-identical to the reference"
+    assert dict(parity_view) == parity_reference, (
+        "the profile index must hold the reference's backups"
+    )
 
     record(
         RESULTS_PATH,
-        "fulltable.backup_aggregation",
+        "fulltable.backup_profiles",
         {
-            "protected_prefixes": aggregated.protected_prefix_count,
+            "protected_prefixes": len(index.profile_of),
             "grouped_seconds": round(grouped_seconds, 3),
-            "aggregated_seconds": round(aggregated_seconds, 3),
-            "source_entries": aggregated.source_entry_count,
-            "aggregated_entries": aggregated.entry_count,
-            "aggregated_prefixes": aggregated.aggregated_prefix_count,
+            "source_entries": source_entries,
+            "profiles": len(profiles),
+            "profile_entries": stored_entries,
+            "protected_links": len(index.by_link),
             "reduction": round(reduction, 2),
             "parity_prefixes": _PARITY_PREFIX_COUNT,
         },
@@ -252,7 +252,7 @@ def test_bench_fulltable_burst_replay(built):
     # the walk over the predicted (here: the withdrawn) prefixes.
     index = BackupProfileIndex()
     backup_table = BackupComputer().compute_table(
-        _LOCAL_AS, built.best, built.speaker.alternate_routes,
+        built.best, built.speaker.alternate_routes,
         built.speaker.loc_rib.candidate_map, index=index,
     )
     weight = {

@@ -8,8 +8,9 @@ Walks the whole full-table pipeline at a configurable scale:
    :class:`repro.bgp.speaker.BGPSpeaker`,
 3. bulk-build the path-compressed Loc-RIB trie and answer longest-prefix-match
    queries from it,
-4. compute the covering-prefix *aggregated* backup table, which stores one
-   entry per profile-change point instead of one per prefix.
+4. fill the router's backup-profile index, which interns one profile per
+   distinct tuple of per-link backups instead of one entry per
+   (prefix, link).
 
 Usage::
 
@@ -28,7 +29,7 @@ sys.path.insert(0, "src")
 
 from repro.bgp.prefix import random_addresses
 from repro.bgp.speaker import BGPSpeaker
-from repro.core.backup import BackupComputer
+from repro.core.backup import BackupComputer, BackupProfileIndex
 from repro.traces.fulltable import FullTableConfig, FullTableGenerator
 
 LOCAL_AS = 65000
@@ -75,26 +76,29 @@ def main() -> None:
     print(f"LPM over the full table: {rate:,.0f} lookups/s")
 
     best = {entry.prefix: entry for entry in speaker.loc_rib.best_entries()}
-    computer = BackupComputer()
+    index = BackupProfileIndex()
     started = time.perf_counter()
-    aggregated = computer.compute_table_aggregated(
-        LOCAL_AS, best, speaker.alternate_routes, speaker.loc_rib.candidate_map
+    BackupComputer().compute_table(
+        best, speaker.alternate_routes, speaker.loc_rib.candidate_map, index=index
     )
+    profiles = set(index.profile_of.values())
+    entries = sum(len(profile.winners) * profile.prefix_count for profile in profiles)
     print(
-        f"aggregated backup table in {time.perf_counter() - started:.2f}s: "
-        f"{aggregated.source_entry_count:,} per-prefix entries collapsed to "
-        f"{aggregated.entry_count:,} ({aggregated.reduction():.1f}x reduction)"
+        f"backup profile index in {time.perf_counter() - started:.2f}s: "
+        f"{entries:,} (prefix, link) backups held by {len(profiles):,} profiles "
+        f"over {len(index.by_link):,} protected links"
     )
     example = table.prefixes[len(table) // 2]
-    selections = aggregated.selections_for(example)
+    profile = index.profile_of.get(example)
     print(
         f"backups for {example}: "
         + (
             ", ".join(
-                f"link {link} -> via AS{selection.next_hop}"
-                for link, selection in sorted(selections.items())
+                f"link {link} -> via AS{next_hop}"
+                for link, next_hop in sorted(profile.next_hops.items())
             )
-            or "(none)"
+            if profile is not None
+            else "(none)"
         )
     )
 

@@ -71,14 +71,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"{name}: {REGISTRY[name]().description}")
         return 0
 
-    if args.rules:
-        unknown = sorted(set(args.rules) - set(REGISTRY))
-        if unknown:
-            parser.error(
-                f"unknown rule(s): {', '.join(unknown)} "
-                f"(registered: {', '.join(sorted(REGISTRY))})"
-            )
-
     try:
         report = run_analysis(
             paths=args.paths or ["src", "tests", "benchmarks", "bench"],

@@ -263,8 +263,8 @@ def default_checkers(rules: Optional[Sequence[str]] = None) -> List[Checker]:
         unknown = sorted(set(rules) - set(REGISTRY))
         if unknown:
             raise AnalysisError(
-                f"unknown rule(s) {', '.join(unknown)} "
-                f"(known: {', '.join(sorted(REGISTRY))})"
+                f"unknown rule(s): {', '.join(unknown)} "
+                f"(registered: {', '.join(sorted(REGISTRY))})"
             )
         names = list(dict.fromkeys(rules))
     return [REGISTRY[name]() for name in names]
@@ -363,7 +363,11 @@ def run_analysis(
     use_baseline: bool = True,
 ) -> AnalysisReport:
     """Scan ``paths`` (default: ``src`` under the repo root) with the
-    registered checkers and split findings against the committed baseline."""
+    registered checkers and split findings against the committed baseline.
+
+    A baseline entry is stale only when this run could have matched it —
+    its path lies under a scanned path and its rule ran — and nothing did.
+    """
     from repro.analysis.baseline import Baseline, load_baseline
 
     if root is None:
@@ -373,8 +377,13 @@ def run_analysis(
         paths = ["src"]
     files: List[str] = []
     seen: Set[str] = set()
+    scopes: List[str] = []
     for path in paths:
         absolute = path if os.path.isabs(path) else os.path.join(root, path)
+        # With a trailing "/" on both sides, "src" covers "src/x.py" (and a
+        # scanned file covers itself) but not "src2/x.py".
+        scope = os.path.relpath(absolute, root).replace(os.sep, "/")
+        scopes.append("" if scope == "." else scope.rstrip("/") + "/")
         for file_path in iter_source_files(absolute):
             if file_path not in seen:
                 seen.add(file_path)
@@ -393,7 +402,14 @@ def run_analysis(
             matched_keys.add(finding.key)
         else:
             new.append(finding)
-    stale = [entry for entry in baseline.entries if entry_key(entry) not in matched_keys]
+    ran = {checker.name for checker in checkers}
+    stale = [
+        entry
+        for entry in baseline.entries
+        if entry.get("rule") in ran
+        and any((entry.get("path", "") + "/").startswith(scope) for scope in scopes)
+        and entry_key(entry) not in matched_keys
+    ]
     return AnalysisReport(
         root=root,
         files_scanned=len(files),

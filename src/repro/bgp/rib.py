@@ -123,10 +123,9 @@ class AdjRibIn:
     """Per-peer RIB holding the routes announced on one session.
 
     Mirrors the RIB a border router maintains per eBGP neighbor: the route
-    table is the only state kept current on announce/withdraw (plus the LPM
-    trie once something asks for it).  The link queries
-    (:meth:`prefixes_via_link`, :meth:`link_prefix_counts`, ...) scan that
-    table — they serve tests and tooling.  SWIFT's Path Share metric
+    table is the only state kept current on announce/withdraw.  The link
+    queries (:meth:`prefixes_via_link`, :meth:`link_prefix_counts`, ...)
+    scan that table — they serve tests and tooling.  SWIFT's Path Share metric
     P(l, t) is *not* answered from here: the inference engine maintains its
     own burst-aware :class:`~repro.core.fit_score.LinkPrefixIndex`, which
     interns the session's routes by AS path (one group of prefixes per
@@ -136,11 +135,6 @@ class AdjRibIn:
     def __init__(self, peer_as: int) -> None:
         self.peer_as = peer_as
         self._routes: Dict[Prefix, RibEntry] = {}
-        # LPM view over _routes, built lazily on the first longest-prefix
-        # query (bulk-loaded from the sorted route table) and maintained
-        # incrementally afterwards.  ``None`` means "not materialised yet"
-        # so sessions that never ask LPM questions pay nothing.
-        self._prefix_trie: Optional[PrefixTrie[RibEntry]] = None
 
     # -- mutation ---------------------------------------------------------
 
@@ -156,8 +150,6 @@ class AdjRibIn:
             learned_at=timestamp,
         )
         self._routes[prefix] = entry
-        if self._prefix_trie is not None:
-            self._prefix_trie.insert(prefix, entry)
         kind = RouteChangeKind.UPDATED if old is not None else RouteChangeKind.NEW
         return RouteChange(kind=kind, prefix=prefix, old=old, new=entry)
 
@@ -166,8 +158,6 @@ class AdjRibIn:
         old = self._routes.pop(prefix, None)
         if old is None:
             return RouteChange(kind=RouteChangeKind.UNCHANGED, prefix=prefix)
-        if self._prefix_trie is not None:
-            self._prefix_trie.remove(prefix)
         return RouteChange(kind=RouteChangeKind.WITHDRAWN, prefix=prefix, old=old)
 
     def withdraw_all(self) -> List[RouteChange]:
@@ -178,7 +168,6 @@ class AdjRibIn:
         ]
         # In place, never rebound: the speaker's Loc-RIB reads this dict.
         self._routes.clear()
-        self._prefix_trie = None
         return changes
 
     # -- queries ----------------------------------------------------------
@@ -203,29 +192,6 @@ class AdjRibIn:
     def entries(self) -> Iterator[RibEntry]:
         """Iterate over all stored routes."""
         return iter(self._routes.values())
-
-    def prefix_trie(self) -> PrefixTrie[RibEntry]:
-        """The LPM view over this session's routes (built lazily, kept live).
-
-        First call bulk-loads the compressed trie from the sorted route
-        table; afterwards announce/withdraw keep it incrementally in sync,
-        so holding on to the returned trie across updates is safe.
-        """
-        trie = self._prefix_trie
-        if trie is None:
-            trie = PrefixTrie()
-            trie.build_from_sorted(sorted(self._routes.items()))
-            self._prefix_trie = trie
-        return trie
-
-    def lookup(self, address: int) -> Optional[RibEntry]:
-        """Longest-prefix-match route for a 32-bit destination address."""
-        match = self.prefix_trie().lookup(address)
-        return match[1] if match is not None else None
-
-    def covered_routes(self, prefix: Prefix) -> Iterator[Tuple[Prefix, RibEntry]]:
-        """Yield routes equal to or more specific than ``prefix``, sorted."""
-        return self.prefix_trie().covered_by(prefix)
 
     def prefixes_via_link(self, link: Tuple[int, int]) -> frozenset:
         """Prefixes whose current AS path traverses the (undirected) link."""
@@ -272,9 +238,10 @@ class LocRib:
         self._tables: Dict[int, Dict[Prefix, RibEntry]] = {}
         # Their ``get`` methods, in the same order: one probe per session.
         self._getters: List[Callable[[Prefix], Optional[RibEntry]]] = []
-        # Lazily-built LPM view over _best; same contract as
-        # ``AdjRibIn._prefix_trie`` (None until first longest-prefix query,
-        # incrementally maintained afterwards).
+        # LPM view over _best, built lazily on the first longest-prefix
+        # query (bulk-loaded from the sorted best table) and maintained
+        # incrementally afterwards; None until then, so a router that never
+        # asks LPM questions pays nothing.
         self._best_trie: Optional[PrefixTrie[RibEntry]] = None
 
     # -- mutation ---------------------------------------------------------
@@ -357,7 +324,3 @@ class LocRib:
         """Longest-prefix-match best route for a 32-bit destination address."""
         match = self.best_trie().lookup(address)
         return match[1] if match is not None else None
-
-    def covered_best(self, prefix: Prefix) -> Iterator[Tuple[Prefix, RibEntry]]:
-        """Yield best routes equal to or more specific than ``prefix``, sorted."""
-        return self.best_trie().covered_by(prefix)

@@ -469,7 +469,7 @@ class SpeakerBatch:
         """The column walk: one pass over rows ``[start, stop)``.
 
         A single-prefix row runs :meth:`_absorb`'s single-change branch
-        inline — Adj-RIB-In (and trie), pending
+        inline — Adj-RIB-In, pending
         reachability, transition — with no ``RouteChange``;
         a multi-prefix row builds its change list and takes :meth:`_absorb`.
         OPEN / NOTIFICATION rows move the session state as ``process_batch``
@@ -495,7 +495,6 @@ class SpeakerBatch:
         routes = rib_in._routes
         routes_get = routes.get
         routes_pop = routes.pop
-        trie = rib_in._prefix_trie
         speaker = self._speaker
         others = speaker._other_probes(peer_as)
         best = speaker.loc_rib._best
@@ -523,7 +522,6 @@ class SpeakerBatch:
                         session.state = SessionState.ESTABLISHED
                     elif kind == 3:
                         changes = session._reset()
-                        trie = None
                         changed.extend(change.prefix for change in changes)
                         self._absorb(peer_as, (changes,))
                     continue
@@ -537,8 +535,6 @@ class SpeakerBatch:
                     a = a_high
                     old = routes_get(prefix)
                     routes[prefix] = entry
-                    if trie is not None:
-                        trie.insert(prefix, entry)
                     add_changed(prefix)
                     before = pending_get(prefix)
                     if before is None:
@@ -562,8 +558,6 @@ class SpeakerBatch:
                 old = routes_pop(prefix, None)
                 if old is None:
                     continue
-                if trie is not None:
-                    trie.remove(prefix)
                 add_changed(prefix)
                 before = pending_get(prefix)
                 if before is None:

@@ -1,8 +1,7 @@
 """Path-compressed (Patricia) prefix trie with longest-prefix-match lookup.
 
-The data-plane models (two-stage forwarding table, vanilla-router FIB), the
-RIBs and the covering-prefix backup aggregation all need longest-prefix-match
-semantics.  The original per-bit trie (kept as the test oracle
+The two-stage forwarding table's stage 1 and the Loc-RIB's best-route view
+need longest-prefix-match semantics.  The original per-bit trie (kept as the test oracle
 ``tests/oracles/trie_reference.py``) allocates one node per
 significant bit and walks per-prefix bit tuples — at DFZ scale that is
 several nodes per route plus a memoised bit decomposition per prefix, which
@@ -23,17 +22,13 @@ per-bit hops, no bit tuples.  Structural invariants:
   by 32 levels.
 
 Beyond the reference surface it adds bulk :meth:`PrefixTrie.build_from_sorted`
-construction (one linear pass over a sorted table, the full-table load path)
-and subtree-aggregate queries (:meth:`PrefixTrie.covering_entry`,
-:meth:`PrefixTrie.subtree_agg`) used by the covering-prefix backup
-aggregation in :mod:`repro.core.backup`.
+construction (one linear pass over a sorted table, the full-table load path).
 """
 
 from __future__ import annotations
 
 from sys import getsizeof
 from typing import (
-    Callable,
     Dict,
     Generic,
     Iterable,
@@ -48,7 +43,6 @@ from repro.bgp.prefix import Prefix
 __all__ = ["PrefixTrie"]
 
 V = TypeVar("V")
-A = TypeVar("A")
 
 #: ``_MASKS[l]`` keeps the top ``l`` bits of a 32-bit address.
 _MASKS = tuple(
@@ -340,81 +334,6 @@ class PrefixTrie(Generic[V]):
                 return best
             node = child
 
-    def lookup_prefix(self, prefix: Prefix) -> Optional[Tuple[Prefix, V]]:
-        """Return the most specific entry covering ``prefix`` (possibly itself)."""
-        return self.covering_entry(prefix)
-
-    def covering_entry(
-        self, prefix: Prefix, strict: bool = False
-    ) -> Optional[Tuple[Prefix, V]]:
-        """The most specific stored entry whose prefix covers ``prefix``.
-
-        With ``strict=True`` the entry stored under ``prefix`` itself is
-        excluded, so the answer is the nearest *proper* covering entry —
-        what the backup aggregation asks when deciding whether a prefix's
-        subtree collapses into its parent's entry.
-        """
-        net = prefix.network
-        plen = prefix.length
-        masks = _MASKS
-        best: Optional[Tuple[Prefix, V]] = None
-        node = self._root
-        while True:
-            node_len = node.key & 63
-            if node.prefix is not None and not (strict and node_len == plen):
-                best = (node.prefix, node.value)  # type: ignore[assignment]
-            if node_len >= plen:
-                return best
-            bit = (net >> (31 - node_len)) & 1
-            child = node.one if bit else node.zero
-            if child is None:
-                return best
-            child_len = child.key & 63
-            if child_len > plen or (net ^ (child.key >> 6)) & masks[child_len]:
-                return best
-            node = child
-
-    def covered_by(self, prefix: Prefix) -> Iterator[Tuple[Prefix, V]]:
-        """Yield every stored entry equal to or more specific than ``prefix``.
-
-        Entries come out in sorted prefix order (the subtree is walked
-        shorter-prefix-first, zero branch before one branch).
-        """
-        node = self._subtree_root(prefix)
-        if node is not None:
-            yield from self._walk(node)
-
-    def subtree_agg(
-        self,
-        prefix: Prefix,
-        reducer: Callable[[A, Prefix, V], A],
-        initial: A,
-    ) -> A:
-        """Fold ``reducer`` over every stored entry covered by ``prefix``.
-
-        ``reducer(acc, entry_prefix, value)`` is applied in sorted prefix
-        order starting from ``initial``.  One subtree descent plus a walk of
-        the covered entries — no per-entry trie lookups — which is what the
-        covering-prefix aggregation uses to ask "does every entry under this
-        prefix share one candidate profile?" without materialising lists.
-        """
-        acc = initial
-        node = self._subtree_root(prefix)
-        if node is None:
-            return acc
-        stack = [node]
-        while stack:
-            current = stack.pop()
-            if current.prefix is not None:
-                acc = reducer(acc, current.prefix, current.value)
-            # No ordering guarantee is needed for a fold, but keep the
-            # sorted walk anyway so order-sensitive reducers behave.
-            if current.one is not None:
-                stack.append(current.one)
-            if current.zero is not None:
-                stack.append(current.zero)
-        return acc
-
     # -- iteration --------------------------------------------------------
 
     def items(self) -> Iterator[Tuple[Prefix, V]]:
@@ -484,24 +403,6 @@ class PrefixTrie(Generic[V]):
             node = child
         if node.key != (net << 6) | plen:
             return None
-        return node
-
-    def _subtree_root(self, prefix: Prefix) -> Optional[_Node[V]]:
-        """The shallowest node whose key is covered by ``prefix`` (or None)."""
-        net = prefix.network
-        plen = prefix.length
-        masks = _MASKS
-        node = self._root
-        while node.key & 63 < plen:
-            bit = (net >> (31 - (node.key & 63))) & 1
-            child = node.one if bit else node.zero
-            if child is None:
-                return None
-            child_len = child.key & 63
-            limit = child_len if child_len < plen else plen
-            if (net ^ (child.key >> 6)) & masks[limit]:
-                return None
-            node = child
         return node
 
     def _walk(self, node: _Node[V]) -> Iterator[Tuple[Prefix, V]]:

@@ -19,8 +19,8 @@
 """
 
 from repro.core.backup import (
-    AggregatedBackupTable,
     BackupComputer,
+    BackupProfileIndex,
     BackupSelection,
     ReroutingPolicy,
 )
@@ -38,8 +38,8 @@ from repro.core.loop_guard import LoopAlert, LoopGuard
 from repro.core.swifted_router import SwiftConfig, SwiftedRouter, RerouteAction
 
 __all__ = [
-    "AggregatedBackupTable",
     "BackupComputer",
+    "BackupProfileIndex",
     "BackupSelection",
     "BurstDetector",
     "BurstDetectorConfig",

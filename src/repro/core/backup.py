@@ -1,12 +1,13 @@
 """Backup next-hop computation and rerouting policies (§3.2, §5).
 
-Before any outage, a SWIFTED router continuously pre-computes, for every
-prefix and for every AS link on the prefix's primary path, the next-hop to
-use should that link fail.  A valid backup next-hop for (prefix, link) is a
-neighbor offering an alternate route for the prefix whose AS path avoids
-*both endpoints* of the link (§4.2, footnote: avoiding both endpoints keeps
-the choice safe whichever side of the link turns out to be the failure's
-common endpoint, and also when whole ASes rather than single links fail).
+Before any outage, a SWIFTED router pre-computes, for every prefix and for
+every AS link at positions 1 to ``max_depth`` of the prefix's primary path,
+the next-hop to use should that link fail.  A valid backup next-hop for
+(prefix, link) is a neighbor offering an alternate route for the prefix
+whose AS path does not traverse the link (the Fig. 3 / §5 rule).  The
+prefix's tag carries exactly these backups, one per protected depth, and a
+reroute installs one rule per (encoded position, backup next-hop) of the
+inferred link: the backup a rule installs is the backup the tag carries.
 
 The selection among valid candidates honours operator *rerouting policies*
 (§3.2): preferences between neighbor classes (customer / peer / provider),
@@ -19,16 +20,14 @@ from __future__ import annotations
 from collections import abc
 from dataclasses import dataclass, field
 from typing import (
-    Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple,
+    Callable, Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Set, Tuple,
 )
 
 from repro.bgp.attributes import ASPath
 from repro.bgp.prefix import Prefix
 from repro.bgp.rib import RibEntry
-from repro.bgp.trie import PrefixTrie
 
 __all__ = [
-    "AggregatedBackupTable",
     "BackupComputer",
     "BackupProfile",
     "BackupProfileIndex",
@@ -88,11 +87,10 @@ class ReroutingPolicy:
 class BackupSelection:
     """The backup chosen for one (prefix, protected link) pair.
 
-    The entry type of the per-prefix tables :meth:`BackupComputer.compute_table`,
-    :meth:`~BackupComputer.compute_table_reference` and
-    :class:`AggregatedBackupTable` hand out; a router keeps its backups in a
-    :class:`BackupProfileIndex` and builds none.  Slotted: such a table holds
-    one selection per (prefix, link).
+    The entry type of the per-prefix tables :meth:`BackupComputer.compute_table`
+    and :meth:`~BackupComputer.compute_table_reference` hand out; a router
+    keeps its backups in a :class:`BackupProfileIndex` and builds none.
+    Slotted: such a table holds one selection per (prefix, link).
     """
 
     prefix: Prefix
@@ -147,7 +145,8 @@ class BackupProfile:
     """One distinct tuple of per-link backups, shared by ``prefix_count`` prefixes.
 
     ``next_hops`` (protected link -> backup next hop) is what the tag encoder
-    reads for every prefix holding the profile.
+    writes for every prefix holding the profile, and what a reroute of the
+    link installs for them.
     """
 
     __slots__ = ("winners", "next_hops", "prefix_count")
@@ -156,19 +155,6 @@ class BackupProfile:
         self.winners = winners
         self.next_hops: Dict[Link, int] = {link: hop for link, hop, _ in winners}
         self.prefix_count = 0
-
-    def next_hop_for(self, link: Link, shared_endpoints: FrozenSet[int]) -> int:
-        """The backup next-hop for traffic crossing the protected ``link``.
-
-        ``shared_endpoints`` are the ASes common to all links of an aggregated
-        inference: the first backup of the profile whose path avoids them is
-        preferred (§4.2 safety rule) over the one provisioned for ``link``.
-        """
-        if shared_endpoints:
-            for _, hop, path in self.winners:
-                if shared_endpoints.isdisjoint(path.asns):
-                    return hop
-        return self.next_hops[link]
 
 
 class BackupProfileIndex:
@@ -219,14 +205,12 @@ class BackupProfileIndex:
             for link in profile.next_hops:
                 self.by_link.setdefault(link, set()).add(profile)
 
-    def next_hops(
-        self, link: Link, shared_endpoints: FrozenSet[int] = frozenset()
-    ) -> Dict[int, int]:
+    def next_hops(self, link: Link) -> Dict[int, int]:
         """Backup next-hop -> number of prefixes protecting ``link`` with it."""
         link = _canonical(link)
         counts: Dict[int, int] = {}
         for profile in self.by_link.get(link, ()):
-            hop = profile.next_hop_for(link, shared_endpoints)
+            hop = profile.next_hops[link]
             counts[hop] = counts.get(hop, 0) + profile.prefix_count
         return counts
 
@@ -259,118 +243,6 @@ class BackupTableView(abc.Mapping):
         return len(self._index.profile_of)
 
 
-class AggregatedBackupTable:
-    """A backup table collapsed onto covering prefixes, queried by LPM.
-
-    Built by :meth:`BackupComputer.compute_table_aggregated`.  Instead of one
-    entry per protected prefix, the table keeps an entry only where the
-    candidate profile *changes* along the prefix tree: a covering prefix's
-    entry protects its whole subtree, and descendants whose profile matches
-    their nearest stored ancestor are elided.  Queries resolve through a
-    compressed LPM trie, so :meth:`selections_for` on any protected prefix
-    returns exactly what the per-prefix table would have held.
-
-    Invariants (what makes LPM resolution exact):
-
-    * stored keys are a subset of the protected prefixes;
-    * a protected prefix was elided only when its nearest protected ancestor
-      carries the *same* profile, so profile equality chains down to the
-      nearest stored ancestor;
-    * protected prefixes with no valid backups are stored as *empty* entries
-      when their profile differs from their ancestor's — boundary markers
-      that stop descendants from matching a farther (wrong-profile)
-      ancestor.
-    """
-
-    def __init__(
-        self,
-        entries: Dict[Prefix, Dict[Link, "BackupSelection"]],
-        protected_prefix_count: int,
-        source_entry_count: int,
-    ) -> None:
-        self._entries = entries
-        #: Number of prefixes the source best-route table protected.
-        self.protected_prefix_count = protected_prefix_count
-        #: (prefix, link) selections the expanded per-prefix table holds.
-        self.source_entry_count = source_entry_count
-        #: (prefix, link) selections actually stored after aggregation.
-        self.entry_count = sum(len(per_link) for per_link in entries.values())
-        self._trie: PrefixTrie[Dict[Link, BackupSelection]] = PrefixTrie()
-        self._trie.build_from_sorted(sorted(entries.items()))
-
-    @property
-    def aggregated_prefix_count(self) -> int:
-        """Number of stored prefixes (including empty boundary markers)."""
-        return len(self._entries)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def reduction(self) -> float:
-        """How many expanded (prefix, link) entries one stored entry covers."""
-        if self.entry_count == 0:
-            return 1.0 if self.source_entry_count == 0 else float("inf")
-        return self.source_entry_count / self.entry_count
-
-    def items(self) -> Iterable[Tuple[Prefix, Dict[Link, "BackupSelection"]]]:
-        """The stored ``(prefix, per-link template)`` pairs, sorted."""
-        return self._entries.items()
-
-    def lookup(self, prefix: Prefix) -> Optional[Dict[Link, "BackupSelection"]]:
-        """The stored per-link template covering ``prefix`` (do not mutate).
-
-        Selections in the template carry the *stored* (covering) prefix;
-        use :meth:`selections_for` to get them rewritten onto the query
-        prefix.
-        """
-        match = self._trie.covering_entry(prefix)
-        return match[1] if match is not None else None
-
-    def selections_for(self, prefix: Prefix) -> Dict[Link, "BackupSelection"]:
-        """Per-link backup selections for ``prefix`` (empty when unprotected)."""
-        template = self.lookup(prefix)
-        if not template:
-            return {}
-        # Fresh link tuples (not the template's, which are shared across the
-        # covered subtree): the expanded table must be byte-identical under
-        # pickle to the per-prefix reference, whose link objects are built
-        # per prefix, so the object-sharing graph has to match too.
-        result: Dict[Link, BackupSelection] = {}
-        for link, selection in template.items():
-            fresh: Link = (link[0], link[1])
-            result[fresh] = _make_selection(
-                prefix, fresh, selection.next_hop, selection.as_path
-            )
-        return result
-
-    def backup_for(self, prefix: Prefix, link: Link) -> Optional["BackupSelection"]:
-        """The backup selection protecting ``(prefix, link)``, if any."""
-        template = self.lookup(prefix)
-        if not template:
-            return None
-        selection = template.get(_canonical(link))
-        if selection is None:
-            return None
-        return _make_selection(prefix, selection.protected_link, selection.next_hop, selection.as_path)
-
-    def expand(
-        self, prefixes: Iterable[Prefix]
-    ) -> Dict[Prefix, Dict[Link, "BackupSelection"]]:
-        """Materialise the per-prefix table for the given prefixes.
-
-        Over the protected prefixes this reproduces
-        :meth:`BackupComputer.compute_table_reference` exactly (prefixes
-        without selections are omitted, like the reference) — the parity
-        suite asserts byte-identical pickles.
-        """
-        table: Dict[Prefix, Dict[Link, BackupSelection]] = {}
-        for prefix in prefixes:
-            per_link = self.selections_for(prefix)
-            if per_link:
-                table[prefix] = per_link
-        return table
-
-
 class BackupComputer:
     """Computes per-prefix, per-link backup next-hops from alternate routes.
 
@@ -379,40 +251,33 @@ class BackupComputer:
     policy:
         The operator's rerouting policy; defaults to "anything goes".
     max_depth:
-        Only links up to this position in the primary AS path are protected
-        (the paper encodes up to depth 4-5; farther links rarely cause large
-        bursts because intermediate ASes usually know a backup, §5).
+        Only the links at positions 1 to ``max_depth`` of the primary AS path
+        are protected: one per backup group of the tag, so a router passes
+        its :attr:`~repro.core.encoding.EncoderConfig.backup_depth` (the
+        paper encodes up to depth 4; farther links rarely cause large bursts
+        because intermediate ASes usually know a backup, §5).
     """
 
     def __init__(
         self,
         policy: Optional[ReroutingPolicy] = None,
         max_depth: int = 4,
-        avoid_both_endpoints: bool = False,
     ) -> None:
         if max_depth < 1:
             raise ValueError("max_depth must be at least 1")
         self.policy = policy or ReroutingPolicy()
         self.max_depth = max_depth
-        self.avoid_both_endpoints = avoid_both_endpoints
 
     # -- per-prefix computation -------------------------------------------------
 
-    def protected_links(self, primary_path: ASPath, local_as: int) -> List[Link]:
+    def protected_links(self, primary_path: ASPath) -> List[Link]:
         """The AS links of the primary path to protect, nearest first.
 
-        Includes the link between the local AS and the primary next-hop
-        (depth 1) and then the links along the path up to ``max_depth``.
-        The tuples are fresh, not the path's cached ones: they become the
-        keys of a per-prefix table whose pickle must not depend on which
-        prefixes share a path object.
+        Position 1 is the link between the primary next-hop and the
+        following AS, as in the tag's part 1; the session link to the
+        neighbor is implied by the primary next-hop and never protected.
         """
-        if len(primary_path) == 0:
-            return []
-        links: List[Link] = [_canonical((local_as, primary_path.first_hop))]
-        for a, b in primary_path.links()[: self.max_depth - 1]:
-            links.append((a, b))
-        return links
+        return list(primary_path.links()[: self.max_depth])
 
     def rank(self, prefix: Prefix, alternates: Sequence[RibEntry]) -> RankedAlternates:
         """The alternates of ``prefix`` the policy allows, most preferred first.
@@ -456,12 +321,7 @@ class BackupComputer:
         and has capacity left.  A candidate is
         valid when its AS path does not traverse the protected link (the
         Fig. 3 / §5 rule: "only AS 3 can be used as a backup next-hop, since
-        the AS paths received from AS 4 also use (5, 6)").  When the computer
-        was built with ``avoid_both_endpoints=True`` the stricter rule of the
-        §4.2 footnote is applied instead: the candidate must avoid *both*
-        endpoints of the link, which keeps rerouting safe even when the
-        inference can only localise the failure to a set of links sharing an
-        endpoint.
+        the AS paths received from AS 4 also use (5, 6)").
 
         ``usage`` tracks how many prefixes have already been assigned to each
         neighbor during this computation; it is consulted (and updated) to
@@ -470,17 +330,10 @@ class BackupComputer:
         protected_link = _canonical(protected_link)
         if type(alternates) is not RankedAlternates:
             alternates = self.rank(prefix, alternates)
-        a, b = protected_link
-        avoid_both = self.avoid_both_endpoints
         capacity_limits = self.policy.capacity_limits
         for entry in alternates:
             attributes = entry.attributes
-            path = attributes.as_path
-            if avoid_both:
-                asns = path.asns
-                if a in asns or b in asns:
-                    continue
-            elif protected_link in path.links():
+            if protected_link in attributes.as_path.links():
                 continue
             if usage is not None:
                 next_hop = attributes.next_hop
@@ -493,7 +346,6 @@ class BackupComputer:
 
     def select_winners(
         self,
-        local_as: int,
         prefix: Prefix,
         primary_path: ASPath,
         alternates: Sequence[RibEntry],
@@ -509,7 +361,7 @@ class BackupComputer:
         ranked = self.rank(prefix, alternates)
         select = self.select
         winners = []
-        for link in self.protected_links(primary_path, local_as):
+        for link in self.protected_links(primary_path):
             entry = select(prefix, link, ranked, usage)
             if entry is not None:
                 attributes = entry.attributes
@@ -518,7 +370,6 @@ class BackupComputer:
 
     def select_all(
         self,
-        local_as: int,
         prefix: Prefix,
         primary_path: ASPath,
         alternates: Sequence[RibEntry],
@@ -528,7 +379,7 @@ class BackupComputer:
         return {
             link: _make_selection(prefix, link, next_hop, path)
             for link, next_hop, path in self.select_winners(
-                local_as, prefix, primary_path, alternates, usage
+                prefix, primary_path, alternates, usage
             )
         }
 
@@ -536,7 +387,6 @@ class BackupComputer:
 
     def compute_table(
         self,
-        local_as: int,
         best_routes: Mapping[Prefix, RibEntry],
         alternates_of: Callable[[Prefix], Sequence[RibEntry]],
         candidates_of: Optional[Callable[[Prefix], Mapping[int, RibEntry]]] = None,
@@ -562,8 +412,6 @@ class BackupComputer:
 
         Parameters
         ----------
-        local_as:
-            The SWIFTED router's AS number.
         best_routes:
             The Loc-RIB best route of each prefix.
         alternates_of:
@@ -584,7 +432,7 @@ class BackupComputer:
             :class:`BackupSelection` is made until the table is read.
         """
         if self.policy.capacity_limits:
-            table = self.compute_table_reference(local_as, best_routes, alternates_of)
+            table = self.compute_table_reference(best_routes, alternates_of)
             if index is None:
                 return table
             for prefix, per_link in table.items():
@@ -602,7 +450,7 @@ class BackupComputer:
             if group is None:
                 if alternates is None:
                     alternates = alternates_of(prefix)
-                winners = self.select_winners(local_as, prefix, best.as_path, alternates)
+                winners = self.select_winners(prefix, best.as_path, alternates)
                 profile = index.profile_for(winners) if index is not None else None
                 group = groups[key] = (winners, profile)
             winners, profile = group
@@ -637,84 +485,8 @@ class BackupComputer:
         profile = tuple((peer, id(entry.attributes)) for peer, entry in members)
         return (best.peer_as, id(best.attributes), profile), alternates
 
-    def compute_table_aggregated(
-        self,
-        local_as: int,
-        best_routes: Mapping[Prefix, RibEntry],
-        alternates_of: Callable[[Prefix], Sequence[RibEntry]],
-        candidates_of: Optional[Callable[[Prefix], Mapping[int, RibEntry]]] = None,
-    ) -> AggregatedBackupTable:
-        """Covering-prefix aggregated backup table (queried by LPM).
-
-        Runs the same profile-grouped ranking as :meth:`compute_table`, then
-        collapses the per-prefix fan-out instead of materialising it: a
-        prefix is stored only when its candidate profile differs from its
-        nearest stored ancestor's, so one entry protects a whole subtree of
-        same-profile descendants.  On a DFZ-shaped table — where nested
-        more-specifics overwhelmingly inherit the covering block's paths —
-        this shrinks the table by an order of magnitude while
-        :meth:`AggregatedBackupTable.selections_for` answers every protected
-        prefix exactly as the per-prefix table would (see the invariants on
-        :class:`AggregatedBackupTable`).
-
-        Capacity-limited policies fall back to storing the (inherently
-        ungroupable) :meth:`compute_table_reference` result per prefix —
-        every protected prefix becomes its own exact key, so LPM never
-        crosses prefixes and the order-dependent usage accounting is
-        preserved verbatim.
-        """
-        if self.policy.capacity_limits:
-            reference = self.compute_table_reference(local_as, best_routes, alternates_of)
-            entries: Dict[Prefix, Dict[Link, BackupSelection]] = {}
-            source = 0
-            for prefix in sorted(best_routes):
-                per_link = reference.get(prefix)
-                if per_link is None:
-                    entries[prefix] = {}
-                else:
-                    entries[prefix] = per_link
-                    source += len(per_link)
-            return AggregatedBackupTable(entries, len(best_routes), source)
-        # Pass 1: profile-grouped ranking, identical to compute_table, but
-        # record each prefix's profile id instead of fanning selections out.
-        pid_of_key: Dict[Tuple, int] = {}
-        winners_of: List[Winners] = []
-        profile_of: Dict[Prefix, int] = {}
-        for prefix, best in best_routes.items():
-            key, alternates = self._profile_key(prefix, best, alternates_of, candidates_of)
-            pid = pid_of_key.get(key)
-            if pid is None:
-                if alternates is None:
-                    alternates = alternates_of(prefix)
-                pid = pid_of_key[key] = len(winners_of)
-                winners_of.append(
-                    self.select_winners(local_as, prefix, best.as_path, alternates)
-                )
-            profile_of[prefix] = pid
-        # Pass 2: subtree collapse.  Walking the prefixes in sorted order
-        # means every ancestor is seen before its descendants, so a stack of
-        # not-yet-closed ancestors gives the nearest protected ancestor in
-        # O(1) amortised; a prefix whose profile matches it is elided
-        # (profile equality chains down through elided intermediates).
-        entries = {}
-        source = 0
-        stack: List[Tuple[Prefix, int]] = []
-        for prefix in sorted(profile_of):
-            pid = profile_of[prefix]
-            while stack and not stack[-1][0].contains(prefix):
-                stack.pop()
-            source += len(winners_of[pid])
-            if not (stack and stack[-1][1] == pid):
-                entries[prefix] = {
-                    link: _make_selection(prefix, link, next_hop, as_path)
-                    for link, next_hop, as_path in winners_of[pid]
-                }
-            stack.append((prefix, pid))
-        return AggregatedBackupTable(entries, len(best_routes), source)
-
     def compute_table_reference(
         self,
-        local_as: int,
         best_routes: Mapping[Prefix, RibEntry],
         alternates_of: Callable[[Prefix], Sequence[RibEntry]],
     ) -> Dict[Prefix, Dict[Link, BackupSelection]]:
@@ -729,7 +501,7 @@ class BackupComputer:
         table: Dict[Prefix, Dict[Link, BackupSelection]] = {}
         for prefix, best in best_routes.items():
             per_link = self.select_all(
-                local_as, prefix, best.as_path, alternates_of(prefix), usage
+                prefix, best.as_path, alternates_of(prefix), usage
             )
             if per_link:
                 table[prefix] = per_link

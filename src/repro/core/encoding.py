@@ -9,21 +9,24 @@ default, carried in the destination MAC).  The tag has two parts:
   by the primary next-hop), a dedicated group of bits identifies which AS
   link the packet's current best path crosses at that position.  Only links
   carrying at least ``prefix_threshold`` prefixes (1,500 in the paper) and
-  appearing within ``max_path_depth`` positions are encoded; the encoder
-  allocates identifiers greedily, heaviest links first, until the part-1 bit
-  budget is exhausted.
+  appearing within the first ``backup_depth`` positions are encoded; the
+  encoder allocates identifiers greedily, heaviest links first, until the
+  part-1 bit budget is exhausted.
 
-* **Part 2 — next-hops.**  One group identifies the primary next-hop and one
-  group per protected depth identifies the backup next-hop to use if the
-  link at that depth fails.  With 48-bit tags, 18 bits of part 1 and depth 4
+* **Part 2 — next-hops.**  One group identifies the primary next-hop and
+  group ``d`` (1 to ``backup_depth``) the backup next-hop of the path's
+  position-``d`` link.  With 48-bit tags, 18 bits of part 1 and depth 4
   this yields 30 / 5 = 6 bits per group, i.e. 64 distinct next-hops (§5,
   "Partitioning bits").
 
-Upon an inference "link ``l`` failed at position ``d``", the router installs
-a single wildcard rule per backup next-hop: match packets whose position-``d``
-group equals the identifier of ``l`` *and* whose depth-``d`` backup group
-equals that next-hop, and forward them to it — rerouting every affected
-prefix at once, regardless of how many there are.
+``backup_depth`` is the one protection depth: part 1 encodes the positions
+part 2 carries a backup for, and the router protects exactly those links
+(:class:`~repro.core.backup.BackupComputer`).  Upon an inference "link ``l``
+failed at position ``d``", the router installs a single wildcard rule per
+backup next-hop: match packets whose position-``d`` group equals the
+identifier of ``l`` *and* whose depth-``d`` backup group equals that
+next-hop, and forward them to it — rerouting every affected prefix at once,
+regardless of how many there are.
 """
 
 from __future__ import annotations
@@ -50,7 +53,6 @@ class EncoderConfig:
 
     total_bits: int = 48
     path_bits: int = 18
-    max_path_depth: int = 5
     backup_depth: int = 4
     prefix_threshold: int = 1500
 
@@ -59,8 +61,6 @@ class EncoderConfig:
             raise ValueError("total_bits must be positive")
         if not 0 < self.path_bits < self.total_bits:
             raise ValueError("path_bits must be positive and below total_bits")
-        if self.max_path_depth < 1:
-            raise ValueError("max_path_depth must be at least 1")
         if self.backup_depth < 1:
             raise ValueError("backup_depth must be at least 1")
         if self.prefix_threshold < 0:
@@ -279,7 +279,7 @@ class TagEncoder:
         forwarding table.  The cost is O(changed prefixes) plus the
         allocation checks; nothing table-sized is copied, sorted or scanned.
         """
-        depth = self.config.max_path_depth
+        depth = self.config.backup_depth
         load_delta: Dict[Tuple[Link, int], int] = {}
         count_delta: Dict[int, int] = {}
         for _, old_path, new_path, old_backups, new_backups in changes:
@@ -373,7 +373,8 @@ class TagEncoder:
         protecting ``link`` through it at provision time
         (:meth:`~repro.core.backup.BackupProfileIndex.next_hops`; the count
         only feeds the rule descriptions).  One rule is emitted per (position
-        where the link is encoded, backup next-hop), as in §6.5.
+        where the link is encoded, backup next-hop), as in §6.5; it matches
+        the tags whose backup group at that position names the next-hop.
         """
         link = _canonical(link)
         rules: List[WildcardRule] = []
@@ -382,8 +383,7 @@ class TagEncoder:
             if identifier is None:
                 continue
             shift, width = encoded.layout.position_groups[position]
-            depth = min(position, self.config.backup_depth)
-            backup_shift, backup_width = encoded.layout.backup_groups[depth]
+            backup_shift, backup_width = encoded.layout.backup_groups[position]
             for next_hop, count in sorted(backups_by_next_hop.items()):
                 next_hop_id = encoded.next_hop_ids.get(next_hop)
                 if next_hop_id is None:
@@ -439,7 +439,7 @@ class TagEncoder:
         self, best_paths: Mapping[Prefix, ASPath]
     ) -> Dict[Tuple[Link, int], int]:
         """Number of prefixes crossing each (link, position) pair."""
-        depth = self.config.max_path_depth
+        depth = self.config.backup_depth
         loads: Dict[Tuple[Link, int], int] = {}
         for path in best_paths.values():
             for position, link in enumerate(path.links()[:depth], 1):
@@ -553,17 +553,16 @@ class TagEncoder:
         next_hop_ids: Mapping[int, int],
         layout: TagLayout,
     ) -> Tuple[int, bool]:
-        config = self.config
         tag = 0
         fully_encoded = True
-        links = path.links()
+        links = path.links()[: self.config.backup_depth]
 
         # Part 1: the link identifier of every encoded position of the path.
         position_groups = layout.position_groups
         if not position_groups:
             fully_encoded = not links
         else:
-            for position, link in enumerate(links[: config.max_path_depth], 1):
+            for position, link in enumerate(links, 1):
                 group = position_groups.get(position)
                 if group is None:
                     fully_encoded = False
@@ -584,23 +583,14 @@ class TagEncoder:
                 fully_encoded = False
 
         # Depth d carries the backup of the path's position-d link (the
-        # backups are keyed by link); depths past config.backup_depth have no
-        # group.
+        # backups are keyed by link).
         if prefix_backups:
             backup_hop = prefix_backups.get
-            link_count = len(links)
-            for depth, (shift, _) in layout.backup_groups.items():
-                hop = backup_hop(links[depth - 1]) if depth <= link_count else None
-                if hop is None and depth == 1 and primary is not None:
-                    # Depth 1 may instead protect the (local, neighbor)
-                    # session link: the first backed-up link naming the
-                    # neighbor (its position is 1 as well).
-                    hop = next(
-                        (backup for link, backup in prefix_backups.items() if primary in link),
-                        None,
-                    )
+            for depth, link in enumerate(links, 1):
+                hop = backup_hop(link)
                 if hop is None:
                     continue
+                shift = layout.backup_groups[depth][0]
                 backup_id = next_hop_ids.get(hop)
                 if backup_id is None:
                     fully_encoded = False

@@ -116,16 +116,6 @@ class InferenceResult:
         """Seconds elapsed between the burst start and this inference."""
         return max(0.0, self.timestamp - self.burst_start)
 
-    @property
-    def shared_endpoints(self) -> FrozenSet[int]:
-        """AS numbers appearing in every inferred link (aggregation endpoints)."""
-        if not self.inferred_links:
-            return frozenset()
-        common: Set[int] = set(self.inferred_links[0])
-        for link in self.inferred_links[1:]:
-            common &= set(link)
-        return frozenset(common)
-
 
 class InferenceEngine:
     """Per-session SWIFT inference.

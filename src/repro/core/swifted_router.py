@@ -20,8 +20,11 @@ update latency from the ``receive*`` call that fed the burst; the router keeps
 no log of past actions.  A link's backup next-hops come from a provision-time
 :class:`~repro.core.backup.BackupProfileIndex`, not from the predicted
 prefixes — the tags carry the per-prefix state (§5) — so a reroute costs
-O(rules).  When BGP has re-converged (the burst ends), the SWIFT rules are
-withdrawn and forwarding falls back to the BGP-derived state (§3).
+O(rules).  The backup a rule installs is the one the tag carries: both read
+the profile's per-link next hop, at the one protection depth
+:attr:`~repro.core.encoding.EncoderConfig.backup_depth`.  When BGP has
+re-converged (the burst ends), the SWIFT rules are withdrawn and forwarding
+falls back to the BGP-derived state (§3).
 
 Message streams should be fed through :meth:`SwiftedRouter.receive_batch`
 (or, for columnar traces, :meth:`SwiftedRouter.receive_columnar`) where
@@ -44,7 +47,7 @@ period.  The cost model, per dirty prefix: one Loc-RIB lookup and a read of
 its candidate map (the speaker's decision-process sort is skipped, see
 :meth:`SwiftedRouter._alternates`), one ranking of its alternates
 (:meth:`~repro.core.backup.BackupComputer.rank`), at most
-``max_backup_depth`` walks of that ranking for the first backup valid for a
+``backup_depth`` walks of that ranking for the first backup valid for a
 protected link, one interning of the resulting backups as a profile.  A
 prefix that kept its best path object and its profile stops there
 (``last_provision_stats["unchanged"]``); any other moves between
@@ -98,7 +101,6 @@ class SwiftConfig:
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
     policy: ReroutingPolicy = field(default_factory=ReroutingPolicy)
     timing: FibUpdateTimingModel = field(default_factory=FibUpdateTimingModel)
-    max_backup_depth: int = 4
 
 
 @dataclass(frozen=True)
@@ -132,7 +134,7 @@ class SwiftedRouter:
         self.speaker = BGPSpeaker(local_as)
         self.forwarding = TwoStageForwardingTable()
         self.backup_computer = BackupComputer(
-            policy=self.config.policy, max_depth=self.config.max_backup_depth
+            policy=self.config.policy, max_depth=self.config.encoder.backup_depth
         )
         self.encoder = TagEncoder(self.config.encoder)
         self._history = history
@@ -283,7 +285,7 @@ class SwiftedRouter:
                     else:
                         new_path = encoded_paths[prefix] = best.as_path
                         profile = index.profile_for(
-                            select_winners(self.local_as, prefix, new_path, alternates_of(prefix))
+                            select_winners(prefix, new_path, alternates_of(prefix))
                         )
                     if new_path is old_path and profile is old_profile:
                         unchanged += 1
@@ -315,7 +317,6 @@ class SwiftedRouter:
             self.last_provision_stats = {"mode": 0, "dirty_prefixes": len(best_routes)}
             self._backup_index = BackupProfileIndex()
             self.backup_computer.compute_table(
-                self.local_as,
                 best_routes,
                 self._alternates,
                 candidates_of=loc_rib.candidate_map,
@@ -529,13 +530,13 @@ class SwiftedRouter:
 
         Each inferred link's backup next-hops come from the backup index, at
         a cost independent of how many prefixes were predicted.  A link no
-        provisioned prefix protects (e.g. deeper than ``max_backup_depth``)
-        has no entry: nothing is installed and no action returned.
+        provisioned prefix protects (e.g. deeper than ``backup_depth``) has
+        no entry: nothing is installed and no action returned.
         """
         assert self._encoded is not None
         rules: List[WildcardRule] = []
         for link in result.inferred_links:
-            backups = self._backup_index.next_hops(link, result.shared_endpoints)
+            backups = self._backup_index.next_hops(link)
             if backups:
                 rules.extend(self.encoder.reroute_rules(self._encoded, link, backups))
         if not rules:

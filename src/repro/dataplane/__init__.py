@@ -8,15 +8,14 @@ the granularity the evaluation needs:
 
 * :mod:`repro.dataplane.packet` — packets with a destination address and the
   tag stamped by stage 1,
-* :mod:`repro.dataplane.fib` — the classic per-prefix FIB (used by the
-  vanilla router model) and the two-stage table (used by SWIFTED routers),
+* :mod:`repro.dataplane.fib` — the two-stage table (used by SWIFTED
+  routers),
 * :mod:`repro.dataplane.timing` — per-prefix and per-rule update latencies
   taken from the measurements the paper cites (128–282 µs per prefix).
 """
 
 from repro.dataplane.fib import (
     ForwardingDecision,
-    PerPrefixFib,
     TwoStageForwardingTable,
 )
 from repro.dataplane.packet import Packet
@@ -26,6 +25,5 @@ __all__ = [
     "FibUpdateTimingModel",
     "ForwardingDecision",
     "Packet",
-    "PerPrefixFib",
     "TwoStageForwardingTable",
 ]

@@ -1,23 +1,24 @@
-"""Forwarding tables: classic per-prefix FIB and the SWIFT two-stage table.
+"""The SWIFT two-stage forwarding table.
 
 The vanilla router of §2.1.2 forwards with a longest-prefix-match FIB whose
 entries are installed one prefix at a time (hence the tens of seconds of
-downtime for large bursts).  A SWIFTED router keeps that first stage for
-tagging and adds a second stage matching on the tag; rerouting a whole burst
-is then a handful of high-priority wildcard rule insertions (§3.2).
+downtime for large bursts; :mod:`repro.casestudy.vanilla` models its
+timing).  A SWIFTED router keeps that first stage for tagging and adds a
+second stage matching on the tag; rerouting a whole burst is then a handful
+of high-priority wildcard rule insertions (§3.2).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.bgp.prefix import Prefix
 from repro.bgp.trie import PrefixTrie
 from repro.core.encoding import WildcardRule
 from repro.dataplane.packet import Packet
 
-__all__ = ["ForwardingDecision", "PerPrefixFib", "TwoStageForwardingTable"]
+__all__ = ["ForwardingDecision", "TwoStageForwardingTable"]
 
 
 @dataclass(frozen=True)
@@ -33,52 +34,6 @@ class ForwardingDecision:
     def dropped(self) -> bool:
         """True when no entry matched (blackhole)."""
         return self.next_hop is None
-
-
-class PerPrefixFib:
-    """A longest-prefix-match forwarding table with per-prefix next-hops."""
-
-    def __init__(self) -> None:
-        self._trie: PrefixTrie[int] = PrefixTrie()
-        self.updates_applied = 0
-
-    def install(self, prefix: Prefix, next_hop: int) -> None:
-        """Install (or replace) the next-hop of ``prefix``."""
-        self._trie.insert(prefix, next_hop)
-        self.updates_applied += 1
-
-    def withdraw(self, prefix: Prefix) -> bool:
-        """Remove the entry for ``prefix``; returns False when absent."""
-        try:
-            self._trie.remove(prefix)
-        except KeyError:
-            return False
-        self.updates_applied += 1
-        return True
-
-    def next_hop_of(self, destination: int) -> Optional[int]:
-        """Longest-prefix-match lookup of a destination address."""
-        match = self._trie.lookup(destination)
-        return match[1] if match is not None else None
-
-    def forward(self, packet: Packet) -> ForwardingDecision:
-        """Forward one packet."""
-        match = self._trie.lookup(packet.destination)
-        if match is None:
-            return ForwardingDecision(next_hop=None)
-        prefix, next_hop = match
-        packet.egress_next_hop = next_hop
-        return ForwardingDecision(next_hop=next_hop, matched_prefix=prefix)
-
-    def __len__(self) -> int:
-        return len(self._trie)
-
-    def __contains__(self, prefix: Prefix) -> bool:
-        return prefix in self._trie
-
-    def entries(self) -> Iterable[Tuple[Prefix, int]]:
-        """Iterate over ``(prefix, next_hop)`` pairs."""
-        return self._trie.items()
 
 
 def _matching_order(item: Tuple[int, int, WildcardRule]) -> Tuple[int, int]:

@@ -168,29 +168,6 @@ class ReferencePrefixTrie(Generic[V]):
                 best = (node.prefix, node.value)  # type: ignore[assignment]
         return best
 
-    def lookup_prefix(self, prefix: Prefix) -> Optional[Tuple[Prefix, V]]:
-        """Return the most specific entry covering ``prefix`` (possibly itself)."""
-        best: Optional[Tuple[Prefix, V]] = None
-        node = self._root
-        if node.has_value:
-            best = (node.prefix, node.value)  # type: ignore[assignment]
-        for bit in self._bits_of(prefix):
-            node = node.one if bit else node.zero
-            if node is None:
-                break
-            if node.has_value:
-                best = (node.prefix, node.value)  # type: ignore[assignment]
-        return best
-
-    def covered_by(self, prefix: Prefix) -> Iterator[Tuple[Prefix, V]]:
-        """Yield every stored entry equal to or more specific than ``prefix``."""
-        node = self._root
-        for bit in self._bits_of(prefix):
-            node = node.one if bit else node.zero
-            if node is None:
-                return
-        yield from self._walk(node)
-
     # -- iteration --------------------------------------------------------
 
     def items(self) -> Iterator[Tuple[Prefix, V]]:

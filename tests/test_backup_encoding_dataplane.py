@@ -10,8 +10,7 @@ from repro.core.backup import (
     BackupComputer, BackupProfileIndex, BackupTableView, ReroutingPolicy,
 )
 from repro.core.encoding import EncoderConfig, TagEncoder, WildcardRule
-from repro.dataplane.fib import PerPrefixFib, TwoStageForwardingTable
-from repro.dataplane.packet import Packet
+from repro.dataplane.fib import TwoStageForwardingTable
 from repro.dataplane.timing import FibUpdateTimingModel
 
 PFX = prefix_block("60.0.0.0/24", 2000)
@@ -52,13 +51,13 @@ class TestBackupComputer:
         selection = computer.select(prefix, (5, 6), alternates)
         assert selection is not None and selection.next_hop == 3
 
-    def test_strict_mode_avoids_endpoints(self):
-        computer = BackupComputer(avoid_both_endpoints=True)
+    def test_backup_may_visit_an_endpoint_of_the_link(self):
+        computer = BackupComputer()
         prefix = PFX[0]
         alternates = [_entry(prefix, [3, 6]), _entry(prefix, [4, 9, 10])]
         selection = computer.select(prefix, (5, 6), alternates)
-        # (3, 6) visits endpoint 6 and is rejected in strict mode.
-        assert selection is not None and selection.next_hop == 4
+        # (3, 6) visits endpoint 6 but not the link: valid, and shorter.
+        assert selection is not None and selection.next_hop == 3
 
     def test_policy_preference_wins(self):
         policy = ReroutingPolicy(preferences={4: 0, 3: 5})
@@ -86,8 +85,9 @@ class TestBackupComputer:
 
     def test_protected_links_depth_limit(self):
         computer = BackupComputer(max_depth=2)
-        links = computer.protected_links(ASPath([2, 5, 6, 7, 8]), local_as=1)
-        assert links == [(1, 2), (2, 5)]
+        links = computer.protected_links(ASPath([2, 5, 6, 7, 8]))
+        assert links == [(2, 5), (5, 6)]
+        assert computer.protected_links(ASPath([2])) == []
 
     def test_compute_table(self):
         computer = BackupComputer()
@@ -99,11 +99,11 @@ class TestBackupComputer:
             PFX[0]: [_entry(PFX[0], [3, 6])],
             PFX[1]: [_entry(PFX[1], [3, 6])],
         }
-        table = computer.compute_table(1, best, lambda p: alternates[p])
+        table = computer.compute_table(best, lambda p: alternates[p])
         assert (5, 6) in table[PFX[0]]
         # Filling an index returns the same table, read through the index.
         index = BackupProfileIndex()
-        view = computer.compute_table(1, best, lambda p: alternates[p], index=index)
+        view = computer.compute_table(best, lambda p: alternates[p], index=index)
         assert isinstance(view, BackupTableView)
         assert view == table and dict(view) == table
         assert index.next_hops((5, 6)) == {3: 2}
@@ -112,11 +112,11 @@ class TestBackupComputer:
         }
         # Capacity limits take the reference walk, index or not.
         capped = BackupComputer(policy=ReroutingPolicy(capacity_limits={3: 1}))
-        reference = capped.compute_table_reference(1, best, lambda p: alternates[p])
+        reference = capped.compute_table_reference(best, lambda p: alternates[p])
         assert list(reference) == [PFX[0]]
         index = BackupProfileIndex()
-        assert capped.compute_table(1, best, lambda p: alternates[p], index=index) == reference
-        assert index.next_hops((1, 2)) == {3: 1}
+        assert capped.compute_table(best, lambda p: alternates[p], index=index) == reference
+        assert index.next_hops((2, 5)) == {3: 1}
 
 
 def _fig1_paths(count=2000):
@@ -162,6 +162,37 @@ class TestTagEncoder:
         # match; others never match.
         assert not any(rule.matches(encoded.tags[p]) for p in unaffected)
 
+    def test_backup_group_d_carries_the_position_d_backup(self):
+        paths = {PFX[0]: ASPath([2, 5, 6, 7]), PFX[1]: ASPath([2, 5, 6])}
+        backups = {
+            PFX[0]: {(2, 5): 3, (6, 7): 4},
+            # A session-link backup names no path position: no group carries it.
+            PFX[1]: {(1, 2): 4},
+        }
+        encoder = TagEncoder(EncoderConfig(prefix_threshold=1))
+        encoded = encoder.encode(paths, backups, neighbors=[2, 3, 4])
+        ids = encoded.next_hop_ids
+
+        def groups(prefix):
+            tag = encoded.tags[prefix]
+            return [
+                encoded.layout.extract(tag, *encoded.layout.backup_groups[depth])
+                for depth in range(1, 5)
+            ]
+
+        assert groups(PFX[0]) == [ids[3], 0, ids[4], 0]
+        assert groups(PFX[1]) == [0, 0, 0, 0]
+
+    def test_part_one_encodes_only_the_protected_positions(self):
+        path = ASPath([2, 5, 6, 7, 8, 9, 10])
+        encoder = TagEncoder(EncoderConfig(prefix_threshold=1, backup_depth=3))
+        encoded = encoder.encode({PFX[0]: path})
+        assert set(encoded.link_ids) == set(encoded.layout.position_groups) == {1, 2, 3}
+        assert {position for _, position in encoded.link_loads} == {1, 2, 3}
+        assert set(encoded.layout.backup_groups) == {1, 2, 3}
+        # Positions past the protected depth need no identifier.
+        assert PFX[0] in encoded.fully_encoded
+
     def test_coverage_metric(self):
         paths = _fig1_paths()
         encoder = TagEncoder(EncoderConfig(prefix_threshold=100))
@@ -193,24 +224,6 @@ class TestWildcardRule:
     def test_match_is_mask_consistent(self, tag, mask):
         rule = WildcardRule(value=tag & mask, mask=mask, next_hop=1)
         assert rule.matches(tag)
-
-
-class TestPerPrefixFib:
-    def test_lpm_forwarding(self):
-        fib = PerPrefixFib()
-        fib.install(Prefix.from_string("10.0.0.0/8"), 2)
-        fib.install(Prefix.from_string("10.1.0.0/16"), 3)
-        assert fib.next_hop_of(Prefix.from_string("10.1.2.3/32").network) == 3
-        assert fib.next_hop_of(Prefix.from_string("10.9.2.3/32").network) == 2
-        packet = Packet(destination=Prefix.from_string("11.0.0.1/32").network)
-        assert fib.forward(packet).dropped
-
-    def test_update_counter(self):
-        fib = PerPrefixFib()
-        fib.install(PFX[0], 2)
-        fib.withdraw(PFX[0])
-        assert not fib.withdraw(PFX[0])
-        assert fib.updates_applied == 2
 
 
 class TestTwoStageTable:

@@ -560,14 +560,13 @@ class TestGroupedBackupParity:
             for entry in router.speaker.loc_rib.best_entries()
         }
         grouped = computer.compute_table(
-            1,
             best,
             router.speaker.alternate_routes,
             candidates_of=router.speaker.loc_rib.candidate_map,
         )
-        keyless = computer.compute_table(1, best, router.speaker.alternate_routes)
+        keyless = computer.compute_table(best, router.speaker.alternate_routes)
         reference = computer.compute_table_reference(
-            1, best, router.speaker.alternate_routes
+            best, router.speaker.alternate_routes
         )
         assert grouped == reference
         assert keyless == reference
@@ -587,9 +586,10 @@ class TestGroupedBackupParity:
         router = self._router(policy=policy)
         self._parity(BackupComputer(policy=policy), router)
 
-    def test_grouped_matches_reference_avoiding_both_endpoints(self):
+    def test_grouped_matches_reference_at_depth_one(self):
         router = self._router()
-        self._parity(BackupComputer(avoid_both_endpoints=True), router)
+        reference = self._parity(BackupComputer(max_depth=1), router)
+        assert {link for per_link in reference.values() for link in per_link} == {(2, 5)}
 
     def test_capacity_limits_take_the_reference_path(self):
         policy = ReroutingPolicy(capacity_limits={3: 100})
@@ -600,13 +600,12 @@ class TestGroupedBackupParity:
             for entry in router.speaker.loc_rib.best_entries()
         }
         grouped = computer.compute_table(
-            1,
             best,
             router.speaker.alternate_routes,
             candidates_of=router.speaker.loc_rib.candidate_map,
         )
         reference = computer.compute_table_reference(
-            1, best, router.speaker.alternate_routes
+            best, router.speaker.alternate_routes
         )
         assert grouped == reference
         # The cap bites: at most 100 prefixes rerouted onto AS 3 per link.

@@ -321,4 +321,4 @@ class TestInferenceEngine:
         assert result is not None
         links = set(result.inferred_links)
         assert (6, 7) in links and (6, 8) in links
-        assert 6 in result.shared_endpoints
+        assert all(6 in link for link in result.inferred_links)

@@ -3,16 +3,16 @@
 ``SwiftedRouter._apply_inference`` used to walk every predicted prefix per
 inferred link; it now asks a ``link -> backup profiles`` index built by
 ``provision()``.  The deleted walk lives on as ``tests/oracles/reroute_walk``
-and these tests hold the index to it: same rules wherever the walk's rules
-could match a tag, same ``forward()`` answers where they could not, and an
-index that a warm ``provision()`` keeps equal to a from-scratch one.
+and these tests hold the index to it: the same rules for every inferred link
+set, and an index that a warm ``provision()`` keeps equal to a from-scratch
+one.
 """
 
 import random
 from collections import Counter
 
 
-from oracles.reroute_walk import backup_table, backups_for_link, walk_rules
+from oracles.reroute_walk import backup_table, walk_rules
 
 from repro.bgp.attributes import ASPath, PathAttributes
 from repro.bgp.messages import Update
@@ -20,7 +20,7 @@ from repro.bgp.prefix import prefix_block
 from repro.core import SwiftConfig, SwiftedRouter
 from repro.core.backup import ReroutingPolicy
 from repro.core.burst_detection import BurstDetectorConfig
-from repro.core.encoding import EncoderConfig, WildcardRule
+from repro.core.encoding import EncoderConfig
 from repro.core.history import TriggeringSchedule
 from repro.core.inference import InferenceConfig, InferenceResult, PrefixPrediction
 from repro.core.swifted_router import SWIFT_RULE_PRIORITY
@@ -85,7 +85,7 @@ def _table_snapshot(router):
     table computed from scratch over the router's Loc-RIB."""
     best = {entry.prefix: entry for entry in router.speaker.loc_rib.best_entries()}
     reference = router.backup_computer.compute_table_reference(
-        LOCAL_AS, best, router.speaker.alternate_routes
+        best, router.speaker.alternate_routes
     )
     snapshot = {}
     for per_link in reference.values():
@@ -140,22 +140,12 @@ def _take_swift_rules(router):
     )
 
 
-def _check(router, table, links, predicted, exact=True):
-    """Fire one inference; compare what the FIB received with the walk.
+def _check(router, table, links, predicted):
+    """Fire one inference; the FIB must receive exactly the walk's rules.
 
-    ``table`` is ``backup_table(router)``, read once by the caller.
-
+    ``table`` is ``backup_table(router)``, read once by the caller, and
     ``predicted`` must cover every prefix protecting each link (what an
-    inference predicts when it is right).  With ``exact`` the rule multisets
-    are equal.  Without it the walk may also have emitted rules for predicted
-    prefixes that do *not* protect the link (its "any backup avoiding the
-    link" fallback).  Such a rule names next hop X for tags whose backup at
-    the link's depth is X; only a prefix protecting the link carries a backup
-    there, and were X the walk's own choice for it the index would hold X
-    too.  So the rule matches nothing — or, where the shared-endpoint
-    override moved a prefix off the hop in its tag, a prefix the walk itself
-    had decided to send elsewhere and caught only through a stranger's
-    fallback.
+    inference predicts when it is right).
     """
     result = _result(links, predicted)
     action = router._apply_inference(PEERS[0], result)
@@ -166,7 +156,6 @@ def _check(router, table, links, predicted, exact=True):
         table,
         result.inferred_links,
         predicted,
-        result.shared_endpoints,
         SWIFT_RULE_PRIORITY,
     )
     if action is None:
@@ -177,21 +166,7 @@ def _check(router, table, links, predicted, exact=True):
             (rule.value, rule.mask, rule.next_hop, SWIFT_RULE_PRIORITY)
             for rule in action.rules
         )
-    if exact:
-        assert installed == expected, (links, installed - expected, expected - installed)
-        return
-    assert not installed - expected, (links, installed - expected)
-    encoded, shared = router.encoded_tags, result.shared_endpoints
-    for link in links:
-        backups = backups_for_link(table, link, predicted, shared)
-        for rule in router.encoder.reroute_rules(encoded, link, backups):
-            if (rule.value, rule.mask, rule.next_hop, SWIFT_RULE_PRIORITY) in installed:
-                continue
-            for prefix, tag in encoded.tags.items():
-                if rule.matches(tag):
-                    assert shared and link in table[prefix], (link, prefix, rule)
-                    own = backups_for_link(table, link, [prefix], shared)
-                    assert rule.next_hop not in own, (link, prefix, rule)
+    assert installed == expected, (links, installed - expected, expected - installed)
 
 
 def _check_all_links(router, rng, aggregates=6):
@@ -208,7 +183,7 @@ def _check_all_links(router, rng, aggregates=6):
             if pool:
                 pair = [first, rng.choice(pool)]
                 predicted = _protecting(table, pair[0]) | _protecting(table, pair[1])
-                _check(router, table, pair, predicted, exact=False)
+                _check(router, table, pair, predicted)
 
 
 # -- cold, warm and capacity-limited provisions --------------------------------
@@ -265,6 +240,38 @@ def test_warm_provisions_keep_the_index_equal_to_a_full_rebuild():
     assert _index_snapshot(router) == warm
 
 
+def _assert_tags_carry_the_index_backups(router):
+    """Backup group d of every tag names the profile's backup for the
+    prefix's position-d link, and is empty where the profile has none."""
+    encoded = router.encoded_tags
+    layout = encoded.layout
+    ids = encoded.next_hop_ids
+    depth = router.config.encoder.backup_depth
+    profile_of = router.backup_index.profile_of
+    for entry in router.speaker.loc_rib.best_entries():
+        profile = profile_of.get(entry.prefix)
+        backups = {} if profile is None else profile.next_hops
+        tag = encoded.tags[entry.prefix]
+        links = entry.as_path.links()
+        for position in range(1, depth + 1):
+            hop = backups.get(links[position - 1]) if position <= len(links) else None
+            group = layout.extract(tag, *layout.backup_groups[position])
+            assert group == (0 if hop is None else ids[hop]), (entry.prefix, position)
+
+
+def test_tags_carry_the_index_backups_cold_and_warm():
+    prefixes, routes = _random_topology(seed=17)
+    router = _router(routes)
+    _assert_tags_carry_the_index_backups(router)
+    rng = random.Random(17)
+    clock = 100.0
+    for _ in range(6):
+        clock = _churn_round(router, rng, prefixes, routes, clock)
+        router.provision()
+        assert router.last_provision_stats["mode"] == 1
+        _assert_tags_carry_the_index_backups(router)
+
+
 def test_capacity_limited_policy_rebuilds_the_index_every_time():
     prefixes, routes = _random_topology(seed=5)
     policy = ReroutingPolicy(capacity_limits={3: 150, 4: 400})
@@ -297,9 +304,8 @@ def _aggregate_topology():
         return frozenset(block)
 
     groups = {
-        # Backup via 3 crosses AS 5 (valid for (1,2) and (2,5) only), so the
-        # profile is (1,2)->3, (2,5)->3, (5,6)->4: a shared endpoint 5 moves
-        # every one of its reroutes to 4.
+        # Backup via 3 crosses (5,6) (valid for (2,5) only), so the profile
+        # is (2,5)->3, (5,6)->4.
         "a": group([2, 5, 6], {3: [3, 5, 6], 4: [4, 9, 6]}),
         "a3": group([2, 5, 6], {3: [3, 11, 6]}),
         "b": group([2, 5, 7], {4: [4, 9, 7]}),
@@ -325,9 +331,8 @@ def test_aggregated_inference_with_a_shared_endpoint():
     router, groups = _aggregate_topology()
     predicted = groups["a"] | groups["a3"] | groups["b"] | groups["b3"]
     _check(router, backup_table(router), [(5, 6), (5, 7)], predicted)
-    # Group "a" reaches 6 over [3, 5, 6] for its first two links; with AS 5
-    # suspect its whole profile moves to the backup that avoids 5.
-    assert router.backup_index.next_hops((2, 5), frozenset({5})) == {4: 200, 3: 200}
+    # Each group takes the backup its tag carries for the link it crosses:
+    # group "a" the (5, 6) backup via 4, not its (2, 5) one via 3.
     router._apply_inference(2, _result([(5, 6), (5, 7)], predicted))
     assert {router.forward(prefix.network) for prefix in groups["a"]} == {4}
     assert {router.forward(prefix.network) for prefix in groups["b3"]} == {3}
@@ -345,8 +350,8 @@ def test_aggregated_inference_without_a_common_endpoint():
 
 def _deep_topology(with_shallow_group):
     """Origins 9 and 11 sit five AS hops out behind link (7, 8); the router
-    protects four (the session link plus path positions 1-3), so nothing
-    holds a backup for (8, 9) — unless a third group reaches 9 over [2, 8, 9]."""
+    protects path positions 1-4 (``backup_depth``), so nothing holds a backup
+    for (8, 9) at position 5 — unless a third group reaches 9 over [2, 8, 9]."""
     prefixes = prefix_block("80.0.0.0/24", 900)
     deep, other, shallow = prefixes[:300], prefixes[300:600], prefixes[600:]
     routes = {2: {}, 3: {}, 4: {}}
@@ -366,8 +371,9 @@ def _deep_topology(with_shallow_group):
 
 def test_reroute_for_an_unprotected_deep_link_returns_no_action():
     router, deep, other, _ = _deep_topology(with_shallow_group=False)
-    assert router.encoded_tags.is_encoded((8, 9), 5), "the tags do name the link"
+    assert not router.encoded_tags.layout.position_groups.keys() - {1, 2, 3, 4}
     assert (8, 9) not in router.backup_index.by_link
+    assert (7, 8) in router.backup_index.by_link, "position 4 is protected"
     before = [router.forward(prefix.network) for prefix in deep + other]
     assert set(before) == {2}
     # The real thing: origin 9 goes away, the engine blames (8, 9) alone.
@@ -381,41 +387,19 @@ def test_reroute_for_an_unprotected_deep_link_returns_no_action():
     assert actions == []
     assert router.forwarding.clear_rules(min_priority=SWIFT_RULE_PRIORITY) == 0
     assert [router.forward(prefix.network) for prefix in deep + other] == before
-    # The walk answered this inference with rules that match no tag.
-    _check(router, backup_table(router), [(8, 9)], frozenset(deep), exact=False)
+    _check(router, backup_table(router), [(8, 9)], frozenset(deep))
 
 
 def test_predicted_prefix_not_crossing_the_link_at_a_protected_depth():
-    """Where index and walk differ, the data plane does not.
-
-    The walk gave a predicted prefix that holds no backup for the inferred
-    link "any backup avoiding the link" (here: 3, from the deep group), and
-    emitted a rule matching *tags whose backup at that link's depth is 3*.
-    Only a prefix protecting the link carries a backup at that depth, and
-    those are exactly the prefixes the index counts — so the extra rule
-    reroutes nothing and ``forward()`` agrees prefix by prefix.
-    """
+    """A predicted prefix that crosses the link past ``backup_depth`` holds
+    no backup for it: the reroute moves only the prefixes that do."""
     router, deep, other, shallow = _deep_topology(with_shallow_group=True)
     predicted = frozenset(deep + shallow)
-    result = _result([(8, 9)], predicted)
-    expected = walk_rules(
-        router.encoder, router.encoded_tags, backup_table(router),
-        [(8, 9)], predicted, frozenset(), SWIFT_RULE_PRIORITY,
-    )
-    action = router._apply_inference(2, result)
-    by_index = {prefix: router.forward(prefix.network) for prefix in predicted}
-    installed = _take_swift_rules(router)
-    assert {key[2] for key in installed} == {4}
-    assert {key[2] for key in expected} == {3, 4}, "the constructed case must differ"
-    assert action is not None and not installed - expected
-    router.forwarding.install_rules(
-        [WildcardRule(value, mask, next_hop) for value, mask, next_hop, _ in expected],
-        priority=SWIFT_RULE_PRIORITY,
-    )
-    by_walk = {prefix: router.forward(prefix.network) for prefix in predicted}
-    assert by_index == by_walk
-    assert {by_index[prefix] for prefix in shallow} == {4}
-    assert {by_index[prefix] for prefix in deep} == {2}
+    _check(router, backup_table(router), [(8, 9)], predicted)
+    action = router._apply_inference(2, _result([(8, 9)], predicted))
+    assert action is not None and {rule.next_hop for rule in action.rules} == {4}
+    assert {router.forward(prefix.network) for prefix in shallow} == {4}
+    assert {router.forward(prefix.network) for prefix in deep + other} == {2}
 
 
 # -- a real burst, end to end --------------------------------------------------
@@ -437,7 +421,7 @@ def test_engine_driven_reroute_installs_the_walks_rules():
         expected = walk_rules(
             router.encoder, router.encoded_tags, backup_table(router),
             result.inferred_links, result.prediction.predicted_prefixes,
-            result.shared_endpoints, SWIFT_RULE_PRIORITY,
+            SWIFT_RULE_PRIORITY,
         )
         assert expected == Counter(
             (rule.value, rule.mask, rule.next_hop, SWIFT_RULE_PRIORITY)

@@ -213,6 +213,46 @@ def test_baseline_grandfathers_and_reports_staleness(tmp_path):
     assert [f.anchor for f in unbaselined.findings] == ["save_state:open"]
 
 
+def test_baseline_entries_the_scan_could_not_match_are_not_stale(tmp_path):
+    root = _tmp_tree_with_violation(tmp_path)
+    baseline_path = tmp_path / "baseline.json"
+    entries = [
+        ("durability-ordering", "src/repro/state.py", "save_state:open"),
+        ("durability-ordering", "bench/unscanned.py", "elsewhere:open"),
+        ("async-safety", "src/repro/state.py", "other_rule:call"),
+    ]
+    baseline_path.write_text(json.dumps([
+        {"rule": rule, "path": path, "anchor": anchor,
+         "justification": "fixture entry used by the analyzer test suite"}
+        for rule, path, anchor in entries
+    ]))
+    report = run_analysis(
+        paths=["src"],
+        rules=["durability-ordering"],
+        root=str(root),
+        baseline_path=str(baseline_path),
+    )
+    assert report.ok
+    assert [f.anchor for f in report.baselined] == ["save_state:open"]
+    assert report.stale_baseline == []
+    # Every rule over src: the async-safety entry could have fired and did
+    # not; the bench/ one still could not.
+    every_rule = run_analysis(
+        paths=["src"], root=str(root), baseline_path=str(baseline_path)
+    )
+    assert [e["anchor"] for e in every_rule.stale_baseline] == ["other_rule:call"]
+
+
+def test_unknown_rules_are_refused_by_the_engine():
+    with pytest.raises(AnalysisError) as refused:
+        run_analysis(paths=["src"], rules=["parity-pair"], root=REPO_ROOT)
+    assert str(refused.value) == (
+        "unknown rule(s): parity-pair (registered: "
+        + ", ".join(sorted(EXPECTED_RULES))
+        + ")"
+    )
+
+
 def test_malformed_baseline_is_rejected(tmp_path):
     baseline_path = tmp_path / "baseline.json"
     baseline_path.write_text(

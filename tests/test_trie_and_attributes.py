@@ -33,13 +33,6 @@ class TestPrefixTrie:
         assert match is not None and match[1] == "short"
         assert trie.lookup(Prefix.from_string("11.0.0.1/32").network) is None
 
-    def test_covered_by(self):
-        trie = PrefixTrie()
-        for text in ("10.0.0.0/24", "10.0.1.0/24", "11.0.0.0/24"):
-            trie.insert(Prefix.from_string(text), text)
-        covered = dict(trie.covered_by(Prefix.from_string("10.0.0.0/16")))
-        assert len(covered) == 2
-
     def test_iteration_sorted(self):
         trie = PrefixTrie()
         block = prefix_block("10.0.0.0/24", 20)

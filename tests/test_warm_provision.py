@@ -549,15 +549,11 @@ class TestSessionReset:
 def _per_link_select(computer, prefix, link, alternates, usage):
     """The selection as it was before ranking moved out of the link loop:
     filter the alternates valid for *this* link, sort them, walk capacity."""
-    a, b = link
     candidates = []
     for entry in alternates:
         if entry.prefix != prefix or not computer.policy.allows(entry.next_hop):
             continue
-        if computer.avoid_both_endpoints:
-            if a in entry.as_path.asns or b in entry.as_path.asns:
-                continue
-        elif link in entry.as_path.links():
+        if link in entry.as_path.links():
             continue
         candidates.append(entry)
     candidates.sort(
@@ -590,11 +586,7 @@ def _selection_cases(draw):
         capacity_limits=draw(st.dictionaries(st.sampled_from(_NEIGHBORS), st.integers(0, 4))),
         default_preference=draw(st.integers(0, 3)),
     )
-    computer = BackupComputer(
-        policy=policy,
-        max_depth=draw(st.integers(1, 5)),
-        avoid_both_endpoints=draw(st.booleans()),
-    )
+    computer = BackupComputer(policy=policy, max_depth=draw(st.integers(1, 5)))
     prefixes = prefix_block("60.0.0.0/24", draw(st.integers(1, 5)))
     cases = []
     for prefix in prefixes:
@@ -656,7 +648,7 @@ def _walked_backups(router):
         prefix = best.prefix
         alternates = router.speaker.alternate_routes(prefix)
         per_link = {}
-        for link in computer.protected_links(best.as_path, LOCAL_AS):
+        for link in computer.protected_links(best.as_path):
             selection = _per_link_select(computer, prefix, link, alternates, None)
             if selection is not None:
                 per_link[link] = selection
@@ -673,8 +665,8 @@ class TestRankOnceSelection:
         usage = {} if with_usage else None
         reference_usage = {} if with_usage else None
         for prefix, primary, alternates in cases:
-            got = computer.select_all(LOCAL_AS, prefix, primary, alternates, usage)
-            links = computer.protected_links(primary, LOCAL_AS)
+            got = computer.select_all(prefix, primary, alternates, usage)
+            links = computer.protected_links(primary)
             expected = {}
             for link in links:
                 selection = _per_link_select(computer, prefix, link, alternates, reference_usage)
@@ -745,16 +737,17 @@ class TestRankOnceSelection:
             assert backup_table(cold) == expected
             best = {entry.prefix: entry for entry in cold.speaker.loc_rib.best_entries()}
             assert cold.backup_computer.compute_table_reference(
-                LOCAL_AS, best, cold.speaker.alternate_routes
+                best, cold.speaker.alternate_routes
             ) == expected
             assert _state(warm) == _state(cold)
 
-    def test_protected_links_are_fresh_tuples(self):
-        path = ASPath([2, 10, 100])
-        links = BackupComputer().protected_links(path, LOCAL_AS)
-        assert links == [(1, 2), (2, 10), (10, 100)]
-        for mine, cached in zip(links[1:], path.links()):
-            assert mine == cached and mine is not cached
+    def test_protected_links_are_the_first_path_links(self):
+        path = ASPath([2, 10, 11, 12, 13, 100])
+        assert BackupComputer().protected_links(path) == [
+            (2, 10), (10, 11), (11, 12), (12, 13)
+        ]
+        assert BackupComputer(max_depth=2).protected_links(path) == [(2, 10), (10, 11)]
+        assert BackupComputer().protected_links(ASPath([2, 100])) == [(2, 100)]
 
 
 class TestBackupSelectionRecord:
