@@ -31,7 +31,6 @@ for _path in (os.path.join(_ROOT, "tests"), os.path.join(_ROOT, "src")):
     if _path not in sys.path:
         sys.path.insert(0, _path)
 
-from repro.core import kernels  # noqa: E402
 from repro.experiments import cached_corpus  # noqa: E402
 from repro.traces.synthetic import SyntheticTraceConfig, cached_trace  # noqa: E402
 
@@ -51,15 +50,11 @@ def available_cpus() -> int:
 def bench_env():
     """Environment fields merged into every ``BENCH_*.json`` payload.
 
-    Records the affinity-aware CPU count, the kernel backend and the numpy
-    version the kernels report (``"absent"``), so recorded numbers can be
-    compared across environments and with older artifacts.
+    Records the affinity-aware CPU count, so recorded numbers can be
+    compared across environments.  There is one kernel backend and no
+    numpy, so neither is stamped.
     """
-    return {
-        "cpus": available_cpus(),
-        "kernel_backend": kernels.default_backend().NAME,
-        "numpy_version": kernels.numpy_version(),
-    }
+    return {"cpus": available_cpus()}
 
 
 def record(path, key, payload):

@@ -29,12 +29,21 @@ Columnar runs are read here, not by the session:
 columns to the batch state in one loop iteration, building no
 :class:`~repro.bgp.rib.RouteChange`.  :meth:`SpeakerBatch.commit` re-selects
 in one loop, in first-touch (per-message emission) order.
+
+A batch reports only to a reader.  The speaker's own entry points
+(:meth:`BGPSpeaker.receive_batch`, :meth:`BGPSpeaker.receive_columnar`,
+:meth:`BGPSpeaker.begin_batch`) return the change list, so their batches
+report.  :meth:`BGPSpeaker.begin_listener_batch`, which the SWIFTED router
+opens, reports only when a best-route listener is registered; otherwise the
+batch is *silent*: it tracks no reachability transition, builds no
+:class:`BestRouteChange`, and its ``commit()`` returns the number of best
+routes it changed.
 """
 
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.bgp.decision import DecisionProcess, default_decision_process
 from repro.bgp.messages import BGPMessage
@@ -252,6 +261,11 @@ class BGPSpeaker:
         """
         return SpeakerBatch(self)
 
+    def begin_listener_batch(self) -> "SpeakerBatch":
+        """A batch whose only readers are the best-route listeners: silent
+        (see :class:`SpeakerBatch`) while none is registered."""
+        return SpeakerBatch(self, report=bool(self._best_route_listeners))
+
     def receive_columnar(self, source, kernel=None) -> List[BestRouteChange]:
         """Process a columnar trace (or an iterable of columnar runs).
 
@@ -324,7 +338,8 @@ class BGPSpeaker:
         self,
         prefixes: Sequence[Prefix],
         winners: Optional[Dict[Tuple, Optional[int]]] = None,
-    ) -> List[BestRouteChange]:
+        report: bool = True,
+    ) -> List:
         """Re-select the best route of each prefix, in the order given.
 
         A prefix left with at most one candidate needs no decision-process
@@ -335,6 +350,9 @@ class BGPSpeaker:
         three feeds carry each prefix.  Any other prefix takes one
         ``select`` — or, given a ``winners`` memo
         (:meth:`_reselect_batch`), one per distinct candidate profile.
+
+        Returns a :class:`BestRouteChange` per installed change or, when not
+        reporting, just its prefix.
         """
         loc_rib = self.loc_rib
         probes = loc_rib._getters
@@ -346,7 +364,7 @@ class BGPSpeaker:
         select = self.decision_process.select
         attributes_of = _attrgetter_attributes
         peer_of = _attrgetter_peer_as
-        changes: List[BestRouteChange] = []
+        changes: List = []
         append_change = changes.append
         for prefix in prefixes:
             # One probe per session; a plain loop beats a comprehension here.
@@ -390,10 +408,10 @@ class BGPSpeaker:
                 del best[prefix]
             else:
                 best[prefix] = new
-            append_change(BestRouteChange(prefix, old, new))
+            append_change(BestRouteChange(prefix, old, new) if report else prefix)
         return changes
 
-    def _reselect_batch(self, prefixes: Sequence[Prefix]) -> List[BestRouteChange]:
+    def _reselect_batch(self, prefixes: Sequence[Prefix], report: bool = True) -> List:
         """Batched re-selection: :meth:`_reselect` with a per-profile winner memo.
 
         Two prefixes whose candidate sets consist of the *same attribute
@@ -411,7 +429,7 @@ class BGPSpeaker:
         batch's first-touch order, which is per-message emission order.
         """
         prefix_independent = self.decision_process.prefix_independent
-        return self._reselect(prefixes, {} if prefix_independent else None)
+        return self._reselect(prefixes, {} if prefix_independent else None, report)
 
 
 class SpeakerBatch:
@@ -432,15 +450,23 @@ class SpeakerBatch:
     condition under which ``select()`` installs a route), and synthesises
     the loss / recovery events for prefixes that transiently lost every
     usable route mid-batch.
+
+    A batch opened with ``report=False`` is *silent*: nobody reads its
+    events, so it keeps only the first-touch order of the prefixes to
+    re-select (and feeds the change observers as usual), skips the
+    reachability tracking, installs the same best routes without building a
+    :class:`BestRouteChange`, and :meth:`commit` returns how many best routes
+    changed.
     """
 
-    def __init__(self, speaker: BGPSpeaker) -> None:
+    def __init__(self, speaker: BGPSpeaker, report: bool = True) -> None:
         self._speaker = speaker
+        self._report = report
         # Touched prefixes awaiting re-selection, in first-touch order
-        # (matching the per-message emission order).  The value doubles as
-        # the candidate-set emptiness tracker: True when the prefix had at
-        # least one candidate after the last message that touched it
-        # (initialised from the pre-batch best on first touch).
+        # (matching the per-message emission order).  In a reporting batch
+        # the value doubles as the candidate-set emptiness tracker: True when
+        # the prefix had at least one candidate after the last message that
+        # touched it (initialised from the pre-batch best on first touch).
         self._pending: Dict[Prefix, bool] = {}
         # Mid-batch reachability transitions, in observation order:
         # (prefix, went_down, entry) — entry is the candidate removed by a
@@ -475,7 +501,9 @@ class SpeakerBatch:
         OPEN / NOTIFICATION rows move the session state as ``process_batch``
         does; a NOTIFICATION's withdrawal of every route the peer held takes
         :meth:`_absorb` like a multi-prefix row.  Statistics fold in, and
-        change observers fire, once per run.
+        change observers fire, once per run.  A silent batch does only the
+        Adj-RIB-In part per row and queues the run's changed prefixes at the
+        end.
         """
         peer_as = session.peer_as
         trace = run.trace
@@ -500,6 +528,7 @@ class SpeakerBatch:
         best = speaker.loc_rib._best
         pending = self._pending
         pending_get = pending.get
+        report = self._report
         add_transition = self._transitions.append
         changed: List[Prefix] = []
         add_changed = changed.append
@@ -523,7 +552,8 @@ class SpeakerBatch:
                     elif kind == 3:
                         changes = session._reset()
                         changed.extend(change.prefix for change in changes)
-                        self._absorb(peer_as, (changes,))
+                        if report:
+                            self._absorb(peer_as, (changes,))
                     continue
                 if a_high == a + 1:
                     # One announcement.
@@ -536,6 +566,8 @@ class SpeakerBatch:
                     old = routes_get(prefix)
                     routes[prefix] = entry
                     add_changed(prefix)
+                    if not report:
+                        continue
                     before = pending_get(prefix)
                     if before is None:
                         before = prefix in best
@@ -559,6 +591,8 @@ class SpeakerBatch:
                 if old is None:
                     continue
                 add_changed(prefix)
+                if not report:
+                    continue
                 before = pending_get(prefix)
                 if before is None:
                     before = prefix in best
@@ -585,7 +619,8 @@ class SpeakerBatch:
             changed.extend(
                 change.prefix for change in changes if change.kind is not unchanged
             )
-            self._absorb(peer_as, (changes,))
+            if report:
+                self._absorb(peer_as, (changes,))
 
         if stop > start:
             stats = session.stats
@@ -593,6 +628,8 @@ class SpeakerBatch:
             stats.withdrawals_received += w - w_first
             stats.announcements_received += a - a_first
             stats.last_message_at = msg_time[stop - 1]
+        if not report:
+            pending.update(dict.fromkeys(changed))
         session._notify_change_observers(changed)
 
     def _session_for(self, peer_as: Optional[int]):
@@ -611,12 +648,17 @@ class SpeakerBatch:
         The Adj-RIB-In may already hold the state at the *end* of the run
         (``process_batch`` applies a whole run first), so reachability after
         a message is read from the message's own change plus the other
-        sessions' routes, which no same-peer run moves.
+        sessions' routes, which no same-peer run moves.  A silent batch only
+        queues the changed prefixes.
         """
+        pending = self._pending
+        if not self._report:
+            for changes in per_message_changes:
+                pending.update(dict.fromkeys(_changed_prefixes(changes)))
+            return
         speaker = self._speaker
         others = speaker._other_probes(peer_as)
         best = speaker.loc_rib._best
-        pending = self._pending
         transitions = self._transitions
         unchanged = RouteChangeKind.UNCHANGED
 
@@ -678,7 +720,7 @@ class SpeakerBatch:
                     transitions.append((prefix, True, replaced))
                 pending[prefix] = now
 
-    def commit(self) -> List[BestRouteChange]:
+    def commit(self) -> Union[List[BestRouteChange], int]:
         """Run the deferred selection and return the batch's changes.
 
         The returned list contains the synthesised transient loss / recovery
@@ -687,13 +729,16 @@ class SpeakerBatch:
         together they carry the same multiset of loss-of-reachability and
         recovery events as the per-message path.  The final changes are in
         first-touch order — the order the per-message path emits them.  The
-        best-route listeners fire once with the combined list.
+        best-route listeners fire once with the combined list.  A silent
+        batch returns the number of best routes it changed.
         """
         if self._committed:
             raise RuntimeError("batch already committed")
         self._committed = True
         speaker = self._speaker
-        final_changes = speaker._reselect_batch(list(self._pending))
+        final_changes = speaker._reselect_batch(list(self._pending), self._report)
+        if not self._report:
+            return len(final_changes)
         changes = self._reconcile_transitions(final_changes)
         changes.extend(final_changes)
         speaker._notify_listeners(changes)

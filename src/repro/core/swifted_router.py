@@ -34,7 +34,11 @@ to the session's inference engine in bulk, keeping per-message Python
 overhead off the burst hot path.
 
 The router learns what changed from session *change observers*, fed
-prefixes rather than messages.  Re-provisioning is *incremental*:
+prefixes rather than messages, and discards the speaker's best-route
+changes: its batches
+(:meth:`~repro.bgp.speaker.BGPSpeaker.begin_listener_batch`) are silent —
+no reachability tracking, no change record — unless a best-route listener
+is registered.  Re-provisioning is *incremental*:
 :meth:`SwiftedRouter.provision` keeps the per-session
 :class:`~repro.core.inference.InferenceEngine`\\ s (and their link/prefix
 indexes) alive, patching them for the prefixes that changed out of band with
@@ -451,7 +455,7 @@ class SwiftedRouter:
         actions: List[RerouteAction] = []
         run: List[BGPMessage] = []
         run_peer: Optional[int] = None
-        batch = self.speaker.begin_batch()
+        batch = self.speaker.begin_listener_batch()
 
         def flush() -> None:
             if not run:
@@ -504,7 +508,7 @@ class SwiftedRouter:
         iter_batches = getattr(source, "iter_batches", None)
         runs = iter_batches(kernel=kernel) if iter_batches is not None else source
         actions: List[RerouteAction] = []
-        batch = self.speaker.begin_batch()
+        batch = self.speaker.begin_listener_batch()
         self._feeding_engines = True
         try:
             for run in runs:
