@@ -28,22 +28,21 @@ Columnar runs are read here, not by the session:
 :meth:`SpeakerBatch.add_columnar_run` takes a single-prefix row from the
 columns to the batch state in one loop iteration, building no
 :class:`~repro.bgp.rib.RouteChange`.  :meth:`SpeakerBatch.commit` re-selects
-in one loop, in first-touch (per-message emission) order.
+in one loop, in first-touch (per-message emission) order.  A table dump
+(:func:`~repro.traces.columnar.table_dump`) enters this way too.
 
-A batch reports only to a reader.  The speaker's own entry points
-(:meth:`BGPSpeaker.receive_batch`, :meth:`BGPSpeaker.receive_columnar`,
-:meth:`BGPSpeaker.begin_batch`) return the change list, so their batches
-report.  :meth:`BGPSpeaker.begin_listener_batch`, which the SWIFTED router
-opens, reports only when a best-route listener is registered; otherwise the
-batch is *silent*: it tracks no reachability transition, builds no
-:class:`BestRouteChange`, and its ``commit()`` returns the number of best
+One rule: the speaker builds change records if and only if a best-route
+listener, their only reader, is registered.  Without one it is *silent*: it
+tracks no reachability transition and builds no :class:`BestRouteChange`.
+Every entry point — ``receive``, ``receive_batch``, ``receive_columnar``,
+``begin_batch().commit()`` and ``remove_peer`` — returns the number of best
 routes it changed.
 """
 
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.bgp.decision import DecisionProcess, default_decision_process
 from repro.bgp.messages import BGPMessage
@@ -173,16 +172,14 @@ class BGPSpeaker:
         self.loc_rib.add_source(session.rib_in)
         return session
 
-    def remove_peer(self, peer_as: int) -> List[BestRouteChange]:
+    def remove_peer(self, peer_as: int) -> int:
         """Tear down the session with ``peer_as`` and withdraw its routes."""
         session = self._sessions.pop(peer_as, None)
         if session is None:
             raise KeyError(peer_as)
         changes = session.close()
         self.loc_rib.remove_source(peer_as)
-        best_changes = self._reselect(_changed_prefixes(changes))
-        self._notify_listeners(best_changes)
-        return best_changes
+        return self._reselect_now(_changed_prefixes(changes))
 
     def session(self, peer_as: int) -> PeeringSession:
         """Return the session with ``peer_as`` (KeyError if unknown)."""
@@ -211,16 +208,14 @@ class BGPSpeaker:
 
     # -- message handling -------------------------------------------------
 
-    def receive(self, message: BGPMessage) -> List[BestRouteChange]:
+    def receive(self, message: BGPMessage) -> int:
         """Process one message from the peer it names and update best routes."""
         session = self._sessions.get(message.peer_as)
         if session is None:
             raise KeyError(f"no session with AS {message.peer_as}")
-        best_changes = self._reselect(_changed_prefixes(session.process(message)))
-        self._notify_listeners(best_changes)
-        return best_changes
+        return self._reselect_now(_changed_prefixes(session.process(message)))
 
-    def receive_batch(self, messages: Iterable[BGPMessage]) -> List[BestRouteChange]:
+    def receive_batch(self, messages: Iterable[BGPMessage]) -> int:
         """Process a batch of messages, running best-path selection per prefix.
 
         All Adj-RIB-In changes are applied first (in
@@ -261,19 +256,14 @@ class BGPSpeaker:
         """
         return SpeakerBatch(self)
 
-    def begin_listener_batch(self) -> "SpeakerBatch":
-        """A batch whose only readers are the best-route listeners: silent
-        (see :class:`SpeakerBatch`) while none is registered."""
-        return SpeakerBatch(self, report=bool(self._best_route_listeners))
-
-    def receive_columnar(self, source, kernel=None) -> List[BestRouteChange]:
+    def receive_columnar(self, source, kernel=None) -> int:
         """Process a columnar trace (or an iterable of columnar runs).
 
         The preferred replay entry point for array-backed traces: each
         same-peer run is applied straight from its columns
         (:meth:`SpeakerBatch.add_columnar_run`), building no message
         object.  Semantics match :meth:`receive_batch` over the
-        materialised message stream exactly (same final Loc-RIB, same
+        materialised message stream exactly (same final Loc-RIB, count and
         loss-of-reachability / recovery multiset).
 
         ``source`` is either an object exposing ``iter_batches()`` (a
@@ -334,11 +324,14 @@ class BGPSpeaker:
             routes.get for peer, routes in self.loc_rib._tables.items() if peer != peer_as
         ]
 
+    def _reselect_now(self, prefixes: Sequence[Prefix]) -> int:
+        """Re-select for one message or teardown; report to the listeners."""
+        best_changes = self._reselect(prefixes, bool(self._best_route_listeners))
+        self._notify_listeners(best_changes)
+        return len(best_changes)
+
     def _reselect(
-        self,
-        prefixes: Sequence[Prefix],
-        winners: Optional[Dict[Tuple, Optional[int]]] = None,
-        report: bool = True,
+        self, prefixes: Sequence[Prefix], report: bool, memo: bool = False
     ) -> List:
         """Re-select the best route of each prefix, in the order given.
 
@@ -348,12 +341,20 @@ class BGPSpeaker:
         withdrawal that leaves one other session's route is such a prefix:
         half of what a two-session failure burst touches, nothing where
         three feeds carry each prefix.  Any other prefix takes one
-        ``select`` — or, given a ``winners`` memo
-        (:meth:`_reselect_batch`), one per distinct candidate profile.
+        ``select`` — or, for a batch (``memo``) under a prefix-independent
+        ranking, one per distinct candidate profile: the candidate peers in
+        session order plus the identity of each one's attribute object
+        (path-sharing prefix groups change together).  The first prefix of a
+        profile calls ``select`` and every later one reuses the winner's
+        position; a memoised ``None`` means every candidate loops.
 
-        Returns a :class:`BestRouteChange` per installed change or, when not
-        reporting, just its prefix.
+        Returns a :class:`BestRouteChange` per installed change when
+        ``report``, else just its prefix, in the order given — for a batch
+        its first-touch order, which is per-message emission order.
         """
+        winners: Optional[Dict[Tuple, Optional[int]]] = (
+            {} if memo and self.decision_process.prefix_independent else None
+        )
         loc_rib = self.loc_rib
         probes = loc_rib._getters
         best = loc_rib._best
@@ -411,26 +412,6 @@ class BGPSpeaker:
             append_change(BestRouteChange(prefix, old, new) if report else prefix)
         return changes
 
-    def _reselect_batch(self, prefixes: Sequence[Prefix], report: bool = True) -> List:
-        """Batched re-selection: :meth:`_reselect` with a per-profile winner memo.
-
-        Two prefixes whose candidate sets consist of the *same attribute
-        objects from the same peers* (whole path-sharing prefix groups
-        change together) rank identically under a prefix-independent
-        decision process, so the winner's position is memoised per distinct
-        profile: the first prefix of a profile calls ``select`` and every
-        later one reuses its winner.  The profile key is the candidate peers
-        (in session order) plus the identity of each candidate's attribute
-        object, built with C-level tuple/map calls; a memoised ``None`` means
-        every candidate loops.  Rankings that are not prefix-independent
-        select per prefix.
-
-        The changes come back in the order ``prefixes`` are given — the
-        batch's first-touch order, which is per-message emission order.
-        """
-        prefix_independent = self.decision_process.prefix_independent
-        return self._reselect(prefixes, {} if prefix_independent else None, report)
-
 
 class SpeakerBatch:
     """An in-progress batch of messages on a :class:`BGPSpeaker`.
@@ -451,17 +432,15 @@ class SpeakerBatch:
     the loss / recovery events for prefixes that transiently lost every
     usable route mid-batch.
 
-    A batch opened with ``report=False`` is *silent*: nobody reads its
-    events, so it keeps only the first-touch order of the prefixes to
-    re-select (and feeds the change observers as usual), skips the
-    reachability tracking, installs the same best routes without building a
-    :class:`BestRouteChange`, and :meth:`commit` returns how many best routes
-    changed.
+    A batch reports if and only if a best-route listener is registered when
+    it opens.  A silent one keeps only the first-touch order of the prefixes
+    to re-select (and feeds the change observers as usual), and installs the
+    same best routes without building a :class:`BestRouteChange`.
     """
 
-    def __init__(self, speaker: BGPSpeaker, report: bool = True) -> None:
+    def __init__(self, speaker: BGPSpeaker) -> None:
         self._speaker = speaker
-        self._report = report
+        self._report = bool(speaker._best_route_listeners)
         # Touched prefixes awaiting re-selection, in first-touch order
         # (matching the per-message emission order).  In a reporting batch
         # the value doubles as the candidate-set emptiness tracker: True when
@@ -720,29 +699,28 @@ class SpeakerBatch:
                     transitions.append((prefix, True, replaced))
                 pending[prefix] = now
 
-    def commit(self) -> Union[List[BestRouteChange], int]:
-        """Run the deferred selection and return the batch's changes.
+    def commit(self) -> int:
+        """Run the deferred selection; return how many best routes changed.
 
-        The returned list contains the synthesised transient loss / recovery
-        events (for prefixes that flapped through unreachability mid-batch)
-        followed by the coalesced ``pre-batch -> final`` best-route changes;
-        together they carry the same multiset of loss-of-reachability and
-        recovery events as the per-message path.  The final changes are in
-        first-touch order — the order the per-message path emits them.  The
-        best-route listeners fire once with the combined list.  A silent
-        batch returns the number of best routes it changed.
+        A reporting batch fires the best-route listeners once with the
+        synthesised transient loss / recovery events (for prefixes that
+        flapped through unreachability mid-batch) followed by the coalesced
+        ``pre-batch -> final`` best-route changes; together they carry the
+        same multiset of loss-of-reachability and recovery events as the
+        per-message path.  The final changes are in first-touch order — the
+        order the per-message path emits them.  The count is of the final
+        changes only.
         """
         if self._committed:
             raise RuntimeError("batch already committed")
         self._committed = True
         speaker = self._speaker
-        final_changes = speaker._reselect_batch(list(self._pending), self._report)
-        if not self._report:
-            return len(final_changes)
-        changes = self._reconcile_transitions(final_changes)
-        changes.extend(final_changes)
-        speaker._notify_listeners(changes)
-        return changes
+        final_changes = speaker._reselect(list(self._pending), self._report, memo=True)
+        if self._report:
+            changes = self._reconcile_transitions(final_changes)
+            changes.extend(final_changes)
+            speaker._notify_listeners(changes)
+        return len(final_changes)
 
     def _reconcile_transitions(
         self, final_changes: List[BestRouteChange]

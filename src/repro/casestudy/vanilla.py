@@ -14,15 +14,15 @@ position for it, using the per-prefix costs of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
 
-from repro.bgp.attributes import PathAttributes
 from repro.bgp.messages import BGPMessage, Update
 from repro.bgp.prefix import Prefix
-from repro.bgp.speaker import BGPSpeaker
+from repro.bgp.speaker import BestRouteChange, BGPSpeaker
 from repro.casestudy.testbed import Fig1Scenario
 from repro.dataplane.timing import FibUpdateTimingModel
+from repro.traces.columnar import table_dump
 
 __all__ = ["VanillaRouterModel", "VanillaConvergenceResult"]
 
@@ -117,8 +117,9 @@ class VanillaRouterModel:
 
         Where :meth:`converge_scenario` assumes every preferred-session
         withdrawal frees its prefix to fall back, this variant actually runs
-        the BGP decision process: the speaker ingests the scenario's per-peer
-        tables and the whole burst through the batched path
+        the BGP decision process: the speaker loads the scenario's per-peer
+        tables as table dumps (:func:`~repro.traces.columnar.table_dump`) and
+        ingests the whole burst through the batched path
         (:meth:`~repro.bgp.speaker.BGPSpeaker.receive_batch`, one best-path
         selection per touched prefix), and only the prefixes whose best route
         genuinely moved to a surviving neighbor go through the per-prefix
@@ -129,17 +130,7 @@ class VanillaRouterModel:
             speaker.add_peer(peer_as)
         for peer_as, routes in scenario.routes_via_peer.items():
             local_pref = scenario.local_pref_of_peer.get(peer_as, 100)
-            speaker.receive_batch(
-                Update.announce(
-                    0.0,
-                    peer_as,
-                    prefix,
-                    PathAttributes(
-                        as_path=routes[prefix], next_hop=peer_as, local_pref=local_pref
-                    ),
-                )
-                for prefix in sorted(routes)
-            )
+            speaker.receive_columnar(table_dump(routes, peer_as, local_pref=local_pref))
 
         # First withdrawal arrival per prefix: gates when the router can even
         # start re-converging that prefix.
@@ -151,7 +142,9 @@ class VanillaRouterModel:
                 if prefix not in arrival_of:
                     arrival_of[prefix] = message.timestamp
 
-        changes = speaker.receive_batch(scenario.burst_messages)
+        changes: List[BestRouteChange] = []
+        speaker.add_best_route_listener(changes.extend)
+        speaker.receive_batch(scenario.burst_messages)
         # A prefix that transiently blackholed yields both a synthetic
         # recovery and the coalesced final change; count it once.
         seen = set()

@@ -34,14 +34,14 @@ to the session's inference engine in bulk, keeping per-message Python
 overhead off the burst hot path.
 
 The router learns what changed from session *change observers*, fed
-prefixes rather than messages, and discards the speaker's best-route
-changes: its batches
-(:meth:`~repro.bgp.speaker.BGPSpeaker.begin_listener_batch`) are silent —
-no reachability tracking, no change record — unless a best-route listener
-is registered.  Re-provisioning is *incremental*:
-:meth:`SwiftedRouter.provision` keeps the per-session
-:class:`~repro.core.inference.InferenceEngine`\\ s (and their link/prefix
-indexes) alive, patching them for the prefixes that changed out of band with
+prefixes rather than messages, and reads no best-route change, so its
+speaker calls — table loads (:meth:`load_initial_routes`, one column walk
+per table dump) included — are silent, no reachability tracking and no
+change record, unless a best-route listener is registered.
+Re-provisioning is *incremental*: :meth:`SwiftedRouter.provision` keeps
+the per-session :class:`~repro.core.inference.InferenceEngine`\\ s (and
+their link/prefix indexes) alive, patching them for the prefixes that
+changed out of band with
 the routes the Adj-RIB-Ins hold at that point, and only looks up, recomputes
 and re-indexes the prefixes whose candidate routes changed since the last
 call.  A warm re-provision costs
@@ -76,7 +76,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.bgp.attributes import ASPath
-from repro.bgp.messages import BGPMessage, Update
+from repro.bgp.messages import BGPMessage
 from repro.bgp.prefix import Prefix
 from repro.bgp.rib import RibEntry
 from repro.bgp.speaker import BGPSpeaker
@@ -87,6 +87,7 @@ from repro.core.history import HistoryModel
 from repro.core.inference import InferenceConfig, InferenceEngine, InferenceResult
 from repro.dataplane.fib import TwoStageForwardingTable
 from repro.dataplane.timing import FibUpdateTimingModel
+from repro.traces.columnar import table_dump
 
 __all__ = ["RerouteAction", "SwiftConfig", "SwiftedRouter"]
 
@@ -181,32 +182,15 @@ class SwiftedRouter:
 
         ``local_pref`` lets the caller express the operator's preference
         between neighbors (e.g. the paper's Fig. 1 router prefers its path
-        through AS 2 even though AS 3 offers a shorter one).  The routes are
-        fed through the speaker's batched path, so best-path selection runs
-        once per prefix regardless of the table size; path attributes are
-        interned per distinct (AS path, LOCAL_PREF) so path-sharing prefix
-        groups share one attribute object — real tables repeat a few
-        thousand attribute sets across hundreds of thousands of prefixes,
-        and the sharing is what lets the batched decision path collapse a
-        group into a single selection.
+        through AS 2 even though AS 3 offers a shorter one).  The table
+        enters as a :func:`~repro.traces.columnar.table_dump` through the
+        speaker's column walk, building no message, with one attribute
+        object per distinct path: real tables repeat a few thousand
+        attribute sets across hundreds of thousands of prefixes, and the
+        sharing lets the batched decision path select once per group.
         """
-        from repro.bgp.attributes import PathAttributes  # local import to avoid cycle
-
-        interned: Dict[Tuple[Tuple[int, ...], int], PathAttributes] = {}
-
-        def attributes_for(prefix: Prefix) -> PathAttributes:
-            path = routes[prefix]
-            key = (path.asns, local_pref)
-            attributes = interned.get(key)
-            if attributes is None:
-                attributes = interned[key] = PathAttributes(
-                    as_path=path, next_hop=peer_as, local_pref=local_pref
-                )
-            return attributes
-
-        self.speaker.receive_batch(
-            Update.announce(timestamp, peer_as, prefix, attributes_for(prefix))
-            for prefix in sorted(routes)
+        self.speaker.receive_columnar(
+            table_dump(routes, peer_as, local_pref=local_pref, timestamp=timestamp)
         )
 
     # -- change tracking ------------------------------------------------------
@@ -455,7 +439,7 @@ class SwiftedRouter:
         actions: List[RerouteAction] = []
         run: List[BGPMessage] = []
         run_peer: Optional[int] = None
-        batch = self.speaker.begin_listener_batch()
+        batch = self.speaker.begin_batch()
 
         def flush() -> None:
             if not run:
@@ -508,7 +492,7 @@ class SwiftedRouter:
         iter_batches = getattr(source, "iter_batches", None)
         runs = iter_batches(kernel=kernel) if iter_batches is not None else source
         actions: List[RerouteAction] = []
-        batch = self.speaker.begin_listener_batch()
+        batch = self.speaker.begin_batch()
         self._feeding_engines = True
         try:
             for run in runs:

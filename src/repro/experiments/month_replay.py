@@ -42,7 +42,7 @@ from typing import Iterator, List, Optional, Tuple
 from repro.bgp.speaker import BGPSpeaker
 from repro.core import kernels
 from repro.core.swifted_router import SwiftConfig, SwiftedRouter
-from repro.traces.columnar import ColumnarRun, ColumnarTrace
+from repro.traces.columnar import ColumnarRun, ColumnarTrace, table_dump
 
 __all__ = [
     "BACKUP_ORIGIN_AS",
@@ -279,23 +279,7 @@ class StreamReplayer:
         else:
             speaker = BGPSpeaker(local_as)
             speaker.add_peer(peer_as)
-            from repro.bgp.attributes import PathAttributes
-            from repro.bgp.messages import Update
-
-            interned = {}
-
-            def attributes_for(path):
-                attributes = interned.get(path.asns)
-                if attributes is None:
-                    attributes = interned[path.asns] = PathAttributes(
-                        as_path=path, next_hop=peer_as, local_pref=local_pref
-                    )
-                return attributes
-
-            speaker.receive_batch(
-                Update.announce(0.0, peer_as, prefix, attributes_for(path))
-                for prefix, path in sorted(rib.items())
-            )
+            speaker.receive_columnar(table_dump(rib, peer_as, local_pref=local_pref))
             speaker.add_best_route_listener(count_events)
             self.router = None
         self.speaker = speaker

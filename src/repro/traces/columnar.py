@@ -75,6 +75,7 @@ __all__ = [
     "InternPool",
     "decode_rib",
     "encode_rib",
+    "table_dump",
 ]
 
 #: Bump whenever the column schema changes; embedded in every payload and
@@ -842,6 +843,45 @@ def encode_rib(
         prefix_column.append(intern_prefix(prefix))
         path_column.append(intern_path(path))
     return prefix_column, path_column
+
+
+def table_dump(
+    routes: Mapping[Prefix, ASPath],
+    peer_as: int,
+    local_pref: int = 100,
+    timestamp: float = 0.0,
+) -> ColumnarTrace:
+    """A session's table dump as single-prefix announcement rows.
+
+    One row per route, in sorted prefix order, every row from ``peer_as`` at
+    ``timestamp``, its attributes the route's AS path with ``next_hop`` the
+    peer and the given ``local_pref``.  One :class:`PathAttributes` is
+    interned per distinct path, so prefixes that share a path share one
+    attribute object (the identity the batched decision path groups by);
+    rows look the path up by its AS numbers and never hash an attribute set.
+    """
+    trace = ColumnarTrace()
+    pool = trace.pool
+    intern_prefix = pool.intern_prefix
+    attribute_ids: Dict[Tuple[int, ...], int] = {}
+    ann_prefix = trace.ann_prefix
+    ann_attr = trace.ann_attr
+    for prefix in sorted(routes):
+        path = routes[prefix]
+        index = attribute_ids.get(path.asns)
+        if index is None:
+            index = attribute_ids[path.asns] = pool.intern_attributes(
+                PathAttributes(as_path=path, next_hop=peer_as, local_pref=local_pref)
+            )
+        ann_prefix.append(intern_prefix(prefix))
+        ann_attr.append(index)
+    rows = len(ann_prefix)
+    trace.msg_time = array("d", (timestamp,)) * rows
+    trace.msg_peer = array("q", (peer_as,)) * rows
+    trace.msg_kind = array("B", (KIND_UPDATE,)) * rows
+    trace.wd_end = array("I", (0,)) * rows
+    trace.ann_end = array("I", range(1, rows + 1))
+    return trace
 
 
 def decode_rib(

@@ -2,8 +2,8 @@
 
 The synthetic burst traces top out around 30k prefixes; a real default-free
 zone table is ~1M routes.  This module synthesises a table of that shape so
-the trie RIB, the covering-prefix backup aggregation and the provisioning
-pipeline can be driven at internet scale (`benchmarks/test_bench_fulltable.py`
+the trie RIB and its longest-prefix match, the backup profile index and the
+provisioning pipeline can be driven at internet scale (`benchmarks/test_bench_fulltable.py`
 → ``BENCH_fulltable.json``):
 
 * **Length mix** — covering blocks between /11 and /20 with /21–/24
@@ -14,9 +14,11 @@ pipeline can be driven at internet scale (`benchmarks/test_bench_fulltable.py`
   *blocks*: one covering prefix plus more-specific children scattered under
   it that overwhelmingly inherit the block's origin (a small
   ``divergent_fraction`` originates elsewhere, e.g. anycast or customer
-  carve-outs).  This nesting is what the covering-prefix backup aggregation
-  collapses — children sharing the cover's candidate profile cost no extra
-  backup entries.
+  carve-outs).  The nesting gives the trie RIB covering prefixes to choose
+  among on a longest-prefix match, and children that share the cover's
+  origin share its candidate profile, so they land on one interned profile
+  of the :class:`~repro.core.backup.BackupProfileIndex` instead of adding
+  their own.
 * **Power-law origins** — origin ASes are drawn with a heavily skewed
   distribution (a few hypergiants originate thousands of prefixes, a long
   tail originates one or two), which keeps the distinct-profile count far
@@ -24,8 +26,9 @@ pipeline can be driven at internet scale (`benchmarks/test_bench_fulltable.py`
 
 Per ``(peer, origin)`` the announced :class:`PathAttributes` are interned in
 the table object, so every prefix sharing an origin shares attribute
-*objects* — the invariant the profile-grouped and aggregated backup
-computations key on.
+*objects* — the identity the speaker's batched decision path memoises its
+winner on, once per candidate profile, and the profile-grouped backup
+computation groups by.
 
 Generation is deterministic per seed and streams straight into the columnar
 substrate (:meth:`FullTable.columnar_table`); nothing quadratic, so the 1M

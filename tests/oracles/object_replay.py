@@ -1,4 +1,4 @@
-"""Test oracle: month replay through the materialising object path.
+"""Test oracles: month replay and table loads through the object path.
 
 Production replay is column-native end to end
 (:class:`~repro.experiments.month_replay.StreamReplayer` hands every chunk
@@ -6,8 +6,15 @@ of runs to ``receive_columnar``).  The comparator the columnar parity matrix
 and the inference benchmarks measure against lives here: the same replayer,
 same chunking, same counters, but every chunk's runs are expanded into
 ``BGPMessage`` objects and fed to ``receive_batch``.
+
+Production table loads write the dump as columns
+(:func:`~repro.traces.columnar.table_dump`) for ``receive_columnar``.  The
+reference they are held to, :func:`load_table_messages`, builds one
+``Update`` per route and feeds the stream to ``receive_batch``.
 """
 
+from repro.bgp.attributes import PathAttributes
+from repro.bgp.messages import Update
 from repro.experiments.month_replay import MonthReplayResult, StreamReplayer
 from repro.traces.columnar import ColumnarTrace
 
@@ -27,3 +34,25 @@ def replay_stream_objects(
     replayer = ObjectPathReplayer(rib, peer_as, **options)
     replayer.feed(stream)
     return replayer.result()
+
+
+def load_table_messages(speaker, peer_as, routes, timestamp=0.0, local_pref=100):
+    """A table dump as messages: one single-prefix ``Update`` per route, in
+    sorted prefix order, with one attribute object per distinct
+    (AS path, LOCAL_PREF), through ``speaker.receive_batch``."""
+    interned = {}
+
+    def attributes_for(prefix):
+        path = routes[prefix]
+        key = (path.asns, local_pref)
+        attributes = interned.get(key)
+        if attributes is None:
+            attributes = interned[key] = PathAttributes(
+                as_path=path, next_hop=peer_as, local_pref=local_pref
+            )
+        return attributes
+
+    return speaker.receive_batch(
+        Update.announce(timestamp, peer_as, prefix, attributes_for(prefix))
+        for prefix in sorted(routes)
+    )

@@ -270,15 +270,20 @@ class TestColumnarReplayParity:
         trace = ColumnarTrace.from_messages(messages)
 
         object_speaker = _speaker()
-        object_changes = object_speaker.receive_batch(messages)
+        object_changes = []
+        object_speaker.add_best_route_listener(object_changes.extend)
+        object_speaker.receive_batch(messages)
 
         columnar_speaker = _speaker()
-        columnar_changes = columnar_speaker.receive_columnar(trace)
+        columnar_changes = []
+        columnar_speaker.add_best_route_listener(columnar_changes.extend)
+        columnar_speaker.receive_columnar(trace)
 
         sequential = _speaker()
         sequential_changes = []
+        sequential.add_best_route_listener(sequential_changes.extend)
         for message in messages:
-            sequential_changes.extend(sequential.receive(message))
+            sequential.receive(message)
 
         assert _loc_rib_snapshot(columnar_speaker) == _loc_rib_snapshot(object_speaker)
         assert _loc_rib_snapshot(columnar_speaker) == _loc_rib_snapshot(sequential)

@@ -205,13 +205,15 @@ class TestColumnarEnginePathParityMatrix:
             speaker = BGPSpeaker(65000)
             for peer_as in table.peers:
                 speaker.add_peer(peer_as)
-            return speaker
+            changes = []
+            speaker.add_best_route_listener(changes.extend)
+            return speaker, changes
 
-        reference = build()
-        reference_changes = reference.receive_batch(messages)
-        speaker = build()
+        reference, reference_changes = build()
+        reference.receive_batch(messages)
+        speaker, changes = build()
         calls = _count_message_at(monkeypatch)
-        changes = speaker.receive_columnar(trace)
+        speaker.receive_columnar(trace)
         assert calls == []
         assert _outcome(speaker, changes) == _outcome(reference, reference_changes)
 

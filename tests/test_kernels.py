@@ -358,7 +358,9 @@ def _seam_speaker(name):
         _trace([_announce(1.0, prefix) for prefix in _SEAM_PREFIXES])
     )
     kernel = kernels.get_backend(name) if name else None
-    changes = speaker.receive_columnar(_seam_burst(), kernel=kernel)
+    changes = []
+    speaker.add_best_route_listener(changes.extend)
+    speaker.receive_columnar(_seam_burst(), kernel=kernel)
     return [(change.prefix, change.is_loss_of_reachability) for change in changes]
 
 

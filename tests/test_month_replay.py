@@ -107,14 +107,20 @@ class TestSpeakerFailureParity:
     def test_empty_batch_is_a_no_op(self):
         speaker = BGPSpeaker(1)
         speaker.add_peer(2)
-        assert speaker.receive_batch([]) == []
-        assert speaker.begin_batch().commit() == []
+        heard = []
+        speaker.add_best_route_listener(heard.extend)
+        assert speaker.receive_batch([]) == 0
+        assert speaker.begin_batch().commit() == 0
+        assert heard == []
 
     def test_empty_columnar_source_is_a_no_op(self):
         speaker = BGPSpeaker(1)
         speaker.add_peer(2)
-        assert speaker.receive_columnar([]) == []
-        assert speaker.receive_columnar(ColumnarTrace()) == []
+        heard = []
+        speaker.add_best_route_listener(heard.extend)
+        assert speaker.receive_columnar([]) == 0
+        assert speaker.receive_columnar(ColumnarTrace()) == 0
+        assert heard == []
 
 
 class TestChunkedRuns:

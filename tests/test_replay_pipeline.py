@@ -45,6 +45,13 @@ def _speaker(peers=(2, 3, 4)):
     return speaker
 
 
+def _heard(speaker):
+    """Register a collecting best-route listener; return the list it fills."""
+    heard = []
+    speaker.add_best_route_listener(heard.extend)
+    return heard
+
+
 def _loc_rib_snapshot(speaker):
     """(best routes, candidate routes) snapshot for state comparison."""
     best = {
@@ -99,12 +106,13 @@ class TestSpeakerBatchParity:
         messages = _random_messages(prefixes, rng)
 
         sequential = _speaker()
-        per_message_changes = []
+        per_message_changes = _heard(sequential)
         for message in messages:
-            per_message_changes.extend(sequential.receive(message))
+            sequential.receive(message)
 
         batched = _speaker()
-        batched_changes = batched.receive_batch(messages)
+        batched_changes = _heard(batched)
+        batched.receive_batch(messages)
 
         assert _loc_rib_snapshot(batched) == _loc_rib_snapshot(sequential)
         assert _event_sets(batched_changes) == _event_sets(per_message_changes)
@@ -119,7 +127,8 @@ class TestSpeakerBatchParity:
             Update.withdraw(1.0, 2, prefix),
             Update.announce(2.0, 2, prefix, _attrs([2, 7, 6], 2)),
         ]
-        changes = speaker.receive_batch(batch)
+        changes = _heard(speaker)
+        speaker.receive_batch(batch)
         losses, recoveries = _event_sets(changes)
         assert losses == [prefix]
         assert recoveries == [prefix]
@@ -139,9 +148,11 @@ class TestSpeakerBatchParity:
                     Update.announce(1.0, 2, prefix, _attrs([2, 7, 6], 2)).announcements[0]
                 ,),
             )
-            changes = (
-                speaker.receive_batch([update]) if batched else speaker.receive(update)
-            )
+            changes = _heard(speaker)
+            if batched:
+                speaker.receive_batch([update])
+            else:
+                speaker.receive(update)
             losses, recoveries = _event_sets(changes)
             assert losses == [] and recoveries == []
 
@@ -158,11 +169,12 @@ class TestSpeakerBatchParity:
                 Update.withdraw(1.0, 2, prefix),
                 Update.announce(2.0, 3, prefix, _attrs([3, 7, 3], 3)),
             ]
-            changes = (
+            changes = _heard(speaker)
+            if batched:
                 speaker.receive_batch(batch)
-                if batched
-                else [c for m in batch for c in speaker.receive(m)]
-            )
+            else:
+                for message in batch:
+                    speaker.receive(message)
             losses, recoveries = _event_sets(changes)
             assert losses == [prefix], (batched, losses)
             assert recoveries == [], (batched, recoveries)
@@ -174,11 +186,11 @@ class TestSpeakerBatchParity:
             speaker.receive(Update.announce(0.0, 2, prefix, _attrs([2, 6], 2)))
             speaker.receive(Update.announce(0.5, 3, prefix, _attrs([3, 7, 3], 3)))
             withdraw = Update.withdraw(1.0, 2, prefix)
-            changes = (
+            changes = _heard(speaker)
+            if batched:
                 speaker.receive_batch([withdraw])
-                if batched
-                else speaker.receive(withdraw)
-            )
+            else:
+                speaker.receive(withdraw)
             losses, _ = _event_sets(changes)
             assert losses == [prefix], (batched, losses)
 
@@ -188,10 +200,20 @@ class TestSpeakerBatchParity:
         messages = _random_messages(prefixes, rng, count=150)
 
         speaker = _speaker()
-        heard = []
-        speaker.add_best_route_listener(heard.extend)
+        calls = []
+        speaker.add_best_route_listener(calls.append)
         returned = speaker.receive_batch(messages)
-        assert heard == returned
+        (heard,) = calls  # once per batch
+        # The returned count is of the final changes, which close the list:
+        # one per prefix whose best route moved, here every routed prefix.
+        assert returned == len(speaker.loc_rib._best)
+        final = heard[len(heard) - returned:]
+        assert {change.prefix: change.new for change in final} == speaker.loc_rib._best
+        sequential = _speaker()
+        per_message = _heard(sequential)
+        for message in messages:
+            sequential.receive(message)
+        assert _event_sets(heard) == _event_sets(per_message)
 
     def test_batch_decision_runs_once_per_touched_prefix(self):
         """Distinct prefixes in one batch yield exactly one change each."""
@@ -201,7 +223,8 @@ class TestSpeakerBatchParity:
             Update.announce(float(i), 2, prefix, _attrs([2, 6], 2))
             for i, prefix in enumerate(prefixes)
         ]
-        changes = speaker.receive_batch(batch)
+        changes = _heard(speaker)
+        assert speaker.receive_batch(batch) == len(prefixes)
         assert len(changes) == len(prefixes)
         assert sorted(c.prefix for c in changes) == sorted(prefixes)
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from test_inference_regressions import index_view
-from test_replay_pipeline import _event_sets
+from test_replay_pipeline import _event_sets, _heard
 from test_reroute_index import PEERS, _random_topology, _router
 
 from repro.bgp.attributes import ASPath, PathAttributes
@@ -187,7 +187,8 @@ class TestBGPSpeaker:
         speaker.receive(Update.announce(0.0, 2, PFX[0], _attrs([2, 5, 6], local_pref=200)))
         speaker.receive(Update.announce(0.0, 3, PFX[0], _attrs([3, 6])))
         assert speaker.best_route(PFX[0]).peer_as == 2
-        changes = speaker.receive(Update.withdraw(1.0, 2, PFX[0]))
+        changes = _heard(speaker)
+        assert speaker.receive(Update.withdraw(1.0, 2, PFX[0])) == 1
         assert len(changes) == 1
         assert changes[0].new.peer_as == 3
         assert speaker.best_route(PFX[0]).peer_as == 3
@@ -196,7 +197,8 @@ class TestBGPSpeaker:
         speaker = BGPSpeaker(1)
         speaker.add_peer(2)
         speaker.receive(Update.announce(0.0, 2, PFX[0], _attrs([2, 6])))
-        changes = speaker.receive(Update.withdraw(1.0, 2, PFX[0]))
+        changes = _heard(speaker)
+        speaker.receive(Update.withdraw(1.0, 2, PFX[0]))
         assert changes[0].is_loss_of_reachability
         assert speaker.best_route(PFX[0]) is None
 
@@ -219,7 +221,8 @@ class TestBGPSpeaker:
         speaker = BGPSpeaker(1)
         speaker.add_peer(2)
         speaker.receive(Update.announce(0.0, 2, PFX[0], _attrs([2, 6])))
-        changes = speaker.remove_peer(2)
+        changes = _heard(speaker)
+        assert speaker.remove_peer(2) == 1
         assert changes and changes[0].new is None
 
     @pytest.mark.parametrize("teardown", ["remove_peer", "notification"])
@@ -230,11 +233,12 @@ class TestBGPSpeaker:
         heard = []
         speaker.add_best_route_listener(heard.append)
         if teardown == "remove_peer":
-            changes = speaker.remove_peer(2)
+            changed = speaker.remove_peer(2)
         else:
-            changes = speaker.receive(Notification(timestamp=1.0, peer_as=2))
+            changed = speaker.receive(Notification(timestamp=1.0, peer_as=2))
+        assert changed == 1
+        (changes,) = heard
         assert len(changes) == 1 and changes[0].is_loss_of_reachability
-        assert heard == [changes]
 
     def test_removing_a_peer_without_routes_tells_no_listener(self):
         speaker = BGPSpeaker(1)
@@ -243,7 +247,7 @@ class TestBGPSpeaker:
         speaker.receive(Update.announce(0.0, 3, PFX[0], _attrs([3, 6])))
         heard = []
         speaker.add_best_route_listener(heard.append)
-        assert speaker.remove_peer(2) == []
+        assert speaker.remove_peer(2) == 0
         assert heard == []
         assert speaker.peer_ases == [3]
         assert speaker.best_route(PFX[0]).peer_as == 3
@@ -256,10 +260,10 @@ class TestBGPSpeaker:
         speaker.receive(Update.announce(0.0, 3, PFX[0], _attrs([3, 5, 6])))
         heard = []
         speaker.add_best_route_listener(heard.append)
-        changes = speaker.remove_peer(2)
+        assert speaker.remove_peer(2) == 1
+        (changes,) = heard
         assert [(c.old.peer_as, c.new.peer_as) for c in changes] == [(2, 3)]
         assert not changes[0].is_loss_of_reachability
-        assert heard == [changes]
         assert speaker.alternate_routes(PFX[0]) == []
 
     def test_peer_set_is_checked(self):
@@ -432,15 +436,12 @@ class TestBatchedReselectionParity:
         for speaker in speakers.values():
             for message in head:
                 speaker.receive(message)
-        changes = {
-            "receive": [
-                change for message in tail for change in speakers["receive"].receive(message)
-            ],
-            "receive_batch": speakers["receive_batch"].receive_batch(tail),
-            "receive_columnar": speakers["receive_columnar"].receive_columnar(
-                ColumnarTrace.from_messages(tail)
-            ),
-        }
+        changes = {name: _heard(speaker) for name, speaker in speakers.items()}
+        for message in tail:
+            speakers["receive"].receive(message)
+        assert speakers["receive_batch"].receive_batch(tail) == speakers[
+            "receive_columnar"
+        ].receive_columnar(ColumnarTrace.from_messages(tail))
         expected_state = _parity_state(speakers["receive"])
         expected_events = _event_sets(changes["receive"])
         for name in ("receive_batch", "receive_columnar"):
@@ -454,7 +455,8 @@ class TestBatchedReselectionParity:
         speaker = _parity_speaker((2, 3), prefix_independent)
         speaker.receive(Update.announce(0.0, 2, PFX[0], _attrs([2, 6])))
         speaker.receive(Update.announce(0.0, 3, PFX[0], _attrs([3, 7, 3])))
-        changes = speaker.receive_batch([Update.withdraw(1.0, 2, PFX[0])])
+        changes = _heard(speaker)
+        assert speaker.receive_batch([Update.withdraw(1.0, 2, PFX[0])]) == 1
         assert [(c.prefix, c.new) for c in changes] == [(PFX[0], None)]
         assert changes[0].is_loss_of_reachability
         assert speaker.best_route(PFX[0]) is None
@@ -481,14 +483,17 @@ class TestBatchedReselectionParity:
             ),
         ]
         reference = _parity_speaker((2,), prefix_independent)
-        expected = [change for message in batch for change in reference.receive(message)]
+        expected = _heard(reference)
+        for message in batch:
+            reference.receive(message)
         assert _event_sets(expected) == ([PFX[0]], [PFX[0]])
 
         speaker = _parity_speaker((2,), prefix_independent)
+        changes = _heard(speaker)
         if entry_point == "receive_batch":
-            changes = speaker.receive_batch(batch)
+            speaker.receive_batch(batch)
         else:
-            changes = speaker.receive_columnar(ColumnarTrace.from_messages(batch))
+            speaker.receive_columnar(ColumnarTrace.from_messages(batch))
         assert _event_sets(changes) == _event_sets(expected)
         assert _parity_state(speaker) == _parity_state(reference)
         assert speaker.best_route(PFX[0]) is None
@@ -500,10 +505,13 @@ class TestBatchedReselectionParity:
         speaker = _parity_speaker((2,), prefix_independent)
         speaker.receive(Update.announce(5.0, 2, PFX[0], _attrs([2, 6])))
         before = speaker.best_route(PFX[0])
-        assert speaker.receive_batch([Update.announce(5.0, 2, PFX[0], _attrs([2, 6]))]) == []
+        heard = _heard(speaker)
+        assert speaker.receive_batch([Update.announce(5.0, 2, PFX[0], _attrs([2, 6]))]) == 0
+        assert heard == []
         assert speaker.best_route(PFX[0]) == before
         # A later timestamp is a different route: same next hop, one change.
-        (change,) = speaker.receive_batch([Update.announce(6.0, 2, PFX[0], _attrs([2, 6]))])
+        assert speaker.receive_batch([Update.announce(6.0, 2, PFX[0], _attrs([2, 6]))]) == 1
+        (change,) = heard
         assert change == BestRouteChange(PFX[0], before, speaker.best_route(PFX[0]))
         assert not change.next_hop_changed and hash(change) == hash(
             BestRouteChange(prefix=PFX[0], old=change.old, new=change.new)
@@ -650,13 +658,13 @@ class TestColumnWalkMatchesPerMessage:
             session.add_change_observer(lambda _, prefixes: walked.extend(prefixes))
         before = dict(speakers["columns"].loc_rib._best)
 
-        oracle = [
-            change
-            for message in tail_messages
-            for change in speakers["receive"].receive(message)
-        ]
-        batched = speakers["receive_batch"].receive_batch(tail_messages)
-        changes = speakers["columns"].receive_columnar(
+        oracle, batched, changes = (
+            _heard(speakers[name]) for name in ("receive", "receive_batch", "columns")
+        )
+        for message in tail_messages:
+            speakers["receive"].receive(message)
+        batch_count = speakers["receive_batch"].receive_batch(tail_messages)
+        count = speakers["columns"].receive_columnar(
             ColumnarTrace.from_messages(tail_messages)
         )
 
@@ -680,6 +688,7 @@ class TestColumnWalkMatchesPerMessage:
             for prefix in dict.fromkeys(touched)
             if not _same_route(before.get(prefix), after.get(prefix))
         ]
+        assert count == batch_count == len(final)
         tail_changes = changes[len(changes) - len(final):]
         assert [change.prefix for change in tail_changes] == final
         for change in tail_changes:
@@ -771,7 +780,8 @@ class TestWinnerMemo:
             Update.announce(1.0, 2, prefix, shared[2][3 if number % 4 == 3 else 2])
             for number, prefix in enumerate(PFX[:40])
         ]
-        changes = speaker.receive_columnar(ColumnarTrace.from_messages(batch))
+        changes = _heard(speaker)
+        speaker.receive_columnar(ColumnarTrace.from_messages(batch))
         profiles = {
             (
                 tuple(speaker.loc_rib.candidate_map(prefix)),
@@ -849,7 +859,7 @@ class TestWinnerMemo:
                 batch.add_run(message.peer_as, [message])
             pending.append(list(batch._pending))
         assert pending[0] == pending[1]
-        memo_changes = memo._reselect_batch(pending[0])
+        memo_changes = memo._reselect(pending[0], report=True, memo=True)
         grouped_changes = _grouped_reselect(grouped, pending[1])
         assert Counter(memo_changes) == Counter(grouped_changes)
         assert dict(memo.loc_rib._best) == dict(grouped.loc_rib._best)

@@ -1,13 +1,15 @@
-"""A router batch reports only to a reader.
+"""A speaker reports only to a reader.
 
-``SwiftedRouter.receive_batch`` / ``receive_columnar`` discard the speaker's
-best-route changes, so without a best-route listener their speaker batch is
+Best-route change records are for the best-route listeners, so without one
+every speaker entry point — ``receive``, ``receive_batch``,
+``receive_columnar``, ``begin_batch().commit()`` and ``remove_peer`` — is
 silent: it tracks no reachability transition and builds no
-``BestRouteChange``.  These tests hold the silent batch to that (no change
-record is constructed) and to the reporting one it replaces: the same best
-routes, forwarding answers and reroute actions, and — once a listener is
-registered — the same loss / recovery events a bare
-``BGPSpeaker.receive_batch`` returns.
+``BestRouteChange``, and returns the number of best routes it changed.  The
+router's ``receive_batch`` / ``receive_columnar`` read no change either.
+These tests hold the silent path to that (no change record is constructed)
+and to the reporting one: the same best routes, counts, forwarding answers
+and reroute actions, and — once a listener is registered — the same loss /
+recovery events a per-message speaker reports.
 """
 
 from collections import Counter
@@ -15,7 +17,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from test_replay_pipeline import _event_sets
+from test_replay_pipeline import _event_sets, _heard
 from test_reroute_index import PEERS, _random_topology, _router
 from test_rib_session_speaker import _burst_and_reconvergence
 
@@ -31,6 +33,13 @@ from repro.core.inference import InferenceConfig
 from repro.traces.columnar import ColumnarTrace
 
 ENTRY_POINTS = ("receive_columnar", "receive_batch")
+SPEAKER_ENTRY_POINTS = (
+    "receive",
+    "receive_batch",
+    "receive_columnar",
+    "commit",
+    "remove_peer",
+)
 
 
 def _feed(router, entry_point, messages):
@@ -200,12 +209,11 @@ class TestSilentBatchProperty:
         peers = _PEERS[:session_count]
         messages = _stream_messages(rows, peers)
         silent, listened, bare = (_provisioned(peers) for _ in range(3))
-        heard = []
-        listened.speaker.add_best_route_listener(heard.extend)
+        heard, expected = _heard(listened.speaker), _heard(bare.speaker)
 
         actions = _feed(silent, entry_point, messages)
         assert _feed(listened, entry_point, messages) == actions
-        expected = bare.speaker.receive_batch(messages)
+        bare.speaker.receive_batch(messages)
 
         best = silent.speaker.loc_rib._best
         assert best == listened.speaker.loc_rib._best == bare.speaker.loc_rib._best
@@ -213,3 +221,66 @@ class TestSilentBatchProperty:
             listened.forward(address) for address in _ADDRESSES
         ]
         assert _event_sets(heard) == _event_sets(expected)
+
+
+# -- every speaker entry point ------------------------------------------------
+
+
+def _speaker_feed(speaker, entry_point, messages, peers):
+    """Apply ``messages`` through one speaker entry point; return its count."""
+    if entry_point == "receive":
+        return sum(speaker.receive(message) for message in messages)
+    if entry_point == "receive_batch":
+        return speaker.receive_batch(messages)
+    if entry_point == "receive_columnar":
+        return speaker.receive_columnar(ColumnarTrace.from_messages(messages))
+    if entry_point == "commit":
+        batch = speaker.begin_batch()
+        for message in messages:
+            batch.add_run(message.peer_as, [message])
+        return batch.commit()
+    # remove_peer: the messages as one batch, then the first session goes.
+    speaker.receive_batch(messages)
+    return speaker.remove_peer(peers[0])
+
+
+def _moved(before, after):
+    """How many prefixes' best routes differ between two Loc-RIB snapshots."""
+    return sum(before.get(prefix) != after.get(prefix) for prefix in {*before, *after})
+
+
+class TestEverySpeakerEntryPoint:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        session_count=st.integers(2, 3),
+        rows=_STREAM,
+        entry_point=st.sampled_from(SPEAKER_ENTRY_POINTS),
+    )
+    def test_a_listener_changes_nothing_but_what_it_hears(
+        self, session_count, rows, entry_point
+    ):
+        peers = _PEERS[:session_count]
+        messages = _stream_messages(rows, peers)
+        silent, listened, reference = (_provisioned(peers).speaker for _ in range(3))
+        heard, expected = _heard(listened), _heard(reference)
+        before = dict(silent.loc_rib._best)
+
+        with pytest.MonkeyPatch.context() as patch:
+            built = _count_change_records(patch)
+            count = _speaker_feed(silent, entry_point, messages, peers)
+        assert built["records"] == 0
+        assert _speaker_feed(listened, entry_point, messages, peers) == count
+        reference_count = sum(reference.receive(message) for message in messages)
+        if entry_point == "remove_peer":
+            reference_count = reference.remove_peer(peers[0])
+
+        best = silent.loc_rib._best
+        assert best == listened.loc_rib._best == reference.loc_rib._best
+        assert _event_sets(heard) == _event_sets(expected)
+        if entry_point in ("receive", "remove_peer"):
+            assert count == reference_count
+        else:
+            # A batch counts its final changes, not its transient events.
+            assert count == _moved(before, best)
+        if entry_point == "receive":
+            assert count == len(heard)
