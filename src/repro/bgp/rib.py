@@ -10,7 +10,7 @@ Fig. 5 of the paper).
 from __future__ import annotations
 
 from enum import Enum
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.bgp.attributes import ASPath, PathAttributes
 from repro.bgp.prefix import Prefix
@@ -229,10 +229,24 @@ class LocRib:
     backup next-hops: "the AS paths received from AS 4 also uses (5, 6)"
     reasoning in §5 requires knowing all the alternatives, not only the best
     one.
+
+    Best routes are selected on read.  A speaker with no best-route listener
+    only marks the prefixes its calls touched (:meth:`mark_stale`); every read
+    of the best table — :meth:`best`, :meth:`best_entries`, :meth:`prefixes`,
+    ``len()``, ``in``, :meth:`best_trie` and :meth:`best_lookup` — first
+    settles the whole stale set with one call of ``select``, the owning
+    speaker's re-selection.  So a read answers what an eagerly selecting
+    speaker would, and a prefix touched by many calls between two reads is
+    selected once.  The candidate reads (:meth:`candidates`,
+    :meth:`candidate_map`) read the sessions' tables and never settle.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, select: Callable[[List[Prefix]], None]) -> None:
         self._best: Dict[Prefix, RibEntry] = {}
+        # Prefixes whose best route may be out of date, in first-touch order
+        # (a dict as an ordered set), and the selection that settles them.
+        self._stale: Dict[Prefix, None] = {}
+        self._select = select
         # peer -> that session's AdjRibIn._routes, in session order.  The
         # tables are shared, not copied: AdjRibIn keeps one dict for its life.
         self._tables: Dict[int, Dict[Prefix, RibEntry]] = {}
@@ -269,10 +283,23 @@ class LocRib:
             if self._best_trie is not None:
                 self._best_trie.insert(entry.prefix, entry)
 
+    def mark_stale(self, prefixes: Iterable[Prefix]) -> None:
+        """Leave the best routes of ``prefixes`` to be selected on the next read."""
+        self._stale.update(dict.fromkeys(prefixes))
+
+    def settle(self) -> None:
+        """Select the best route of every stale prefix, in first-touch order."""
+        stale = self._stale
+        if stale:
+            self._stale = {}
+            self._select(list(stale))
+
     # -- queries ----------------------------------------------------------
 
     def best(self, prefix: Prefix) -> Optional[RibEntry]:
         """Return the best route for ``prefix`` or ``None``."""
+        if self._stale:
+            self.settle()
         return self._best.get(prefix)
 
     def candidates(self, prefix: Prefix) -> List[RibEntry]:
@@ -295,16 +322,21 @@ class LocRib:
 
     def best_entries(self) -> Iterator[RibEntry]:
         """Iterate over all best routes."""
+        self.settle()
         return iter(self._best.values())
 
     def prefixes(self) -> Iterator[Prefix]:
         """Iterate over prefixes that have a best route."""
+        self.settle()
         return iter(self._best)
 
     def __len__(self) -> int:
+        self.settle()
         return len(self._best)
 
     def __contains__(self, prefix: Prefix) -> bool:
+        if self._stale:
+            self.settle()
         return prefix in self._best
 
     def best_trie(self) -> PrefixTrie[RibEntry]:
@@ -313,6 +345,7 @@ class LocRib:
         First call bulk-loads the compressed trie from the sorted best
         table; :meth:`set_best` keeps it incrementally in sync afterwards.
         """
+        self.settle()
         trie = self._best_trie
         if trie is None:
             trie = PrefixTrie()

@@ -22,7 +22,7 @@ from typing import Callable, Iterable, List, Optional
 
 from repro.bgp.messages import BGPMessage, MessageType, Update
 from repro.bgp.prefix import Prefix
-from repro.bgp.rib import AdjRibIn, RouteChange, RouteChangeKind
+from repro.bgp.rib import AdjRibIn, RibEntry, RouteChange, RouteChangeKind
 
 __all__ = ["PeeringSession", "SessionState", "SessionStats"]
 
@@ -124,12 +124,15 @@ class PeeringSession:
 
     # -- message processing -----------------------------------------------
 
-    def process(self, message: BGPMessage) -> List[RouteChange]:
-        """Apply a message to the session state and return resulting changes.
+    def process(self, message: BGPMessage) -> List[Prefix]:
+        """Apply a message to the session state; return the changed prefixes.
 
-        OPEN establishes, NOTIFICATION closes (withdrawing every route: the
-        changes returned), KEEPALIVE only refreshes statistics and UPDATE
-        mutates the Adj-RIB-In.
+        OPEN establishes, NOTIFICATION closes (withdrawing every route),
+        KEEPALIVE only refreshes statistics and UPDATE mutates the
+        Adj-RIB-In.  The prefixes are the ones the change observers get: of
+        every announcement and of every withdrawal that removed a route, in
+        message order.  Like the speaker's column walk, the per-message path
+        builds no :class:`~repro.bgp.rib.RouteChange` for an UPDATE.
         """
         stats = self.stats
         timestamp = message.timestamp
@@ -138,29 +141,29 @@ class PeeringSession:
 
         if not isinstance(message, Update):
             if message.type == MessageType.NOTIFICATION:
-                changes = self._reset()
-                self._notify_change_observers([change.prefix for change in changes])
-                return changes
+                changed = [change.prefix for change in self._reset()]
+                self._notify_change_observers(changed)
+                return changed
             if message.type == MessageType.OPEN:
                 self.state = SessionState.ESTABLISHED
             return []
 
-        rib_in = self.rib_in
+        peer_as = self.peer_as
+        routes = self.rib_in._routes
+        pop = routes.pop
         withdrawals = message.withdrawals
         announcements = message.announcements
-        changes: List[RouteChange] = [rib_in.withdraw(p, timestamp) for p in withdrawals]
+        changed = [prefix for prefix in withdrawals if pop(prefix, None) is not None]
         for announcement in announcements:
-            changes.append(
-                rib_in.announce(announcement.prefix, announcement.attributes, timestamp)
-            )
+            prefix = announcement.prefix
+            routes[prefix] = RibEntry(prefix, announcement.attributes, peer_as, timestamp)
+            changed.append(prefix)
         stats.withdrawals_received += len(withdrawals)
         stats.announcements_received += len(announcements)
 
         if self._change_observers:
-            self._notify_change_observers(
-                [change.prefix for change in changes if change.kind is not _UNCHANGED]
-            )
-        return changes
+            self._notify_change_observers(changed)
+        return changed
 
     def process_batch(
         self, messages: Iterable[BGPMessage]

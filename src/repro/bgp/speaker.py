@@ -2,7 +2,9 @@
 
 The :class:`BGPSpeaker` glues sessions, the decision process and the Loc-RIB
 together: it accepts messages from any of its peering sessions, re-runs best
-path selection for the touched prefixes, and reports best-route changes.
+path selection for the touched prefixes — at the call when a best-route
+listener is registered, at the next read of the Loc-RIB when none is — and
+reports best-route changes to the listeners.
 Route state has one owner, each session's Adj-RIB-In: the Loc-RIB keeps only
 the best routes and reads a prefix's candidates through the sessions' route
 tables, one probe per session, in session order.
@@ -27,16 +29,24 @@ per-message decision pass.
 Columnar runs are read here, not by the session:
 :meth:`SpeakerBatch.add_columnar_run` takes a single-prefix row from the
 columns to the batch state in one loop iteration, building no
-:class:`~repro.bgp.rib.RouteChange`.  :meth:`SpeakerBatch.commit` re-selects
-in one loop, in first-touch (per-message emission) order.  A table dump
-(:func:`~repro.traces.columnar.table_dump`) enters this way too.
+:class:`~repro.bgp.rib.RouteChange`.  A reporting :meth:`SpeakerBatch.commit`
+re-selects in one loop, in first-touch (per-message emission) order.  A table
+dump (:func:`~repro.traces.columnar.table_dump`) enters this way too.
 
-One rule: the speaker builds change records if and only if a best-route
-listener, their only reader, is registered.  Without one it is *silent*: it
-tracks no reachability transition and builds no :class:`BestRouteChange`.
-Every entry point — ``receive``, ``receive_batch``, ``receive_columnar``,
-``begin_batch().commit()`` and ``remove_peer`` — returns the number of best
-routes it changed.
+One rule: the speaker selects at a call, and builds change records, if and
+only if a best-route listener, their only reader, is registered.  Without one
+it is *silent*: it tracks no reachability transition, builds no
+:class:`BestRouteChange` and selects nothing.  A silent call marks the
+prefixes it touched stale in the Loc-RIB, and the first read of the best
+table selects them all, once per prefix however many calls touched it
+(:class:`~repro.bgp.rib.LocRib`): a SWIFTED router reads best routes only
+when it provisions, so its burst replay selects nothing.
+:meth:`BGPSpeaker.add_best_route_listener` settles the table before it
+registers, so a listener never starts from a stale one.  Every entry point —
+``receive``, ``receive_batch``, ``receive_columnar``,
+``begin_batch().commit()`` and ``remove_peer`` — returns ``None``: a silent
+call cannot count the best routes it changed without selecting them, and
+the listeners hear every change, so they can count.
 """
 
 from __future__ import annotations
@@ -156,7 +166,7 @@ class BGPSpeaker:
     ) -> None:
         self.local_as = local_as
         self.decision_process = decision_process or default_decision_process()
-        self.loc_rib = LocRib()
+        self.loc_rib = LocRib(self._select_stale)
         self._sessions: Dict[int, PeeringSession] = {}
         self._best_route_listeners: List[Callable[[List[BestRouteChange]], None]] = []
 
@@ -172,14 +182,14 @@ class BGPSpeaker:
         self.loc_rib.add_source(session.rib_in)
         return session
 
-    def remove_peer(self, peer_as: int) -> int:
+    def remove_peer(self, peer_as: int) -> None:
         """Tear down the session with ``peer_as`` and withdraw its routes."""
         session = self._sessions.pop(peer_as, None)
         if session is None:
             raise KeyError(peer_as)
         changes = session.close()
         self.loc_rib.remove_source(peer_as)
-        return self._reselect_now(_changed_prefixes(changes))
+        self._reselect_now(_changed_prefixes(changes))
 
     def session(self, peer_as: int) -> PeeringSession:
         """Return the session with ``peer_as`` (KeyError if unknown)."""
@@ -197,7 +207,15 @@ class BGPSpeaker:
     def add_best_route_listener(
         self, callback: Callable[[List[BestRouteChange]], None]
     ) -> None:
-        """Register a callback invoked with the best-route changes of each batch."""
+        """Register a callback invoked with the best-route changes of each batch.
+
+        Settles the Loc-RIB first, so the listener's first changes are
+        against the best routes an eagerly selecting speaker would hold.  A
+        batch decides when it opens whether it reports: one opened silent
+        and still open here commits unheard, and selects its prefixes at
+        commit, so no prefix is stale while a listener is registered.
+        """
+        self.loc_rib.settle()
         self._best_route_listeners.append(callback)
 
     def _notify_listeners(self, best_changes: List[BestRouteChange]) -> None:
@@ -208,14 +226,14 @@ class BGPSpeaker:
 
     # -- message handling -------------------------------------------------
 
-    def receive(self, message: BGPMessage) -> int:
+    def receive(self, message: BGPMessage) -> None:
         """Process one message from the peer it names and update best routes."""
         session = self._sessions.get(message.peer_as)
         if session is None:
             raise KeyError(f"no session with AS {message.peer_as}")
-        return self._reselect_now(_changed_prefixes(session.process(message)))
+        self._reselect_now(session.process(message))
 
-    def receive_batch(self, messages: Iterable[BGPMessage]) -> int:
+    def receive_batch(self, messages: Iterable[BGPMessage]) -> None:
         """Process a batch of messages, running best-path selection per prefix.
 
         All Adj-RIB-In changes are applied first (in
@@ -245,7 +263,7 @@ class BGPSpeaker:
             run.append(message)
         if run:
             batch.add_run(run_peer, run)
-        return batch.commit()
+        batch.commit()
 
     def begin_batch(self) -> "SpeakerBatch":
         """Start an explicit batch; see :class:`SpeakerBatch`.
@@ -256,14 +274,14 @@ class BGPSpeaker:
         """
         return SpeakerBatch(self)
 
-    def receive_columnar(self, source, kernel=None) -> int:
+    def receive_columnar(self, source, kernel=None) -> None:
         """Process a columnar trace (or an iterable of columnar runs).
 
         The preferred replay entry point for array-backed traces: each
         same-peer run is applied straight from its columns
         (:meth:`SpeakerBatch.add_columnar_run`), building no message
         object.  Semantics match :meth:`receive_batch` over the
-        materialised message stream exactly (same final Loc-RIB, count and
+        materialised message stream exactly (same final Loc-RIB and
         loss-of-reachability / recovery multiset).
 
         ``source`` is either an object exposing ``iter_batches()`` (a
@@ -281,7 +299,7 @@ class BGPSpeaker:
         batch = self.begin_batch()
         for run in runs:
             batch.add_columnar_run(run)
-        return batch.commit()
+        batch.commit()
 
     # -- queries ----------------------------------------------------------
 
@@ -324,11 +342,16 @@ class BGPSpeaker:
             routes.get for peer, routes in self.loc_rib._tables.items() if peer != peer_as
         ]
 
-    def _reselect_now(self, prefixes: Sequence[Prefix]) -> int:
-        """Re-select for one message or teardown; report to the listeners."""
-        best_changes = self._reselect(prefixes, bool(self._best_route_listeners))
-        self._notify_listeners(best_changes)
-        return len(best_changes)
+    def _reselect_now(self, prefixes: Sequence[Prefix]) -> None:
+        """Re-select for one message or teardown and report, or mark it stale."""
+        if self._best_route_listeners:
+            self._notify_listeners(self._reselect(prefixes, True))
+        else:
+            self.loc_rib.mark_stale(prefixes)
+
+    def _select_stale(self, prefixes: List[Prefix]) -> None:
+        """The Loc-RIB's settle: select its stale prefixes, reporting nothing."""
+        self._reselect(prefixes, False, memo=True)
 
     def _reselect(
         self, prefixes: Sequence[Prefix], report: bool, memo: bool = False
@@ -349,8 +372,9 @@ class BGPSpeaker:
         position; a memoised ``None`` means every candidate loops.
 
         Returns a :class:`BestRouteChange` per installed change when
-        ``report``, else just its prefix, in the order given — for a batch
-        its first-touch order, which is per-message emission order.
+        ``report`` (else nothing), in the order given — for a batch its
+        first-touch order, which is per-message emission order.  Reads and
+        writes the best table raw: the Loc-RIB's settle calls it.
         """
         winners: Optional[Dict[Tuple, Optional[int]]] = (
             {} if memo and self.decision_process.prefix_independent else None
@@ -409,7 +433,8 @@ class BGPSpeaker:
                 del best[prefix]
             else:
                 best[prefix] = new
-            append_change(BestRouteChange(prefix, old, new) if report else prefix)
+            if report:
+                append_change(BestRouteChange(prefix, old, new))
         return changes
 
 
@@ -421,9 +446,9 @@ class SpeakerBatch:
     deferred to :meth:`commit`, where it runs once per touched prefix —
     skipped for sole candidates and once per candidate profile when the
     decision process declares itself prefix-independent.  Between those points
-    ``loc_rib.best()`` intentionally still answers with the pre-batch best
-    route, which is what lets the deferred selection reconstruct the same
-    ``old -> new`` transitions the per-message path would have reported.
+    the best table still holds the pre-batch best routes, which is what lets
+    the deferred selection reconstruct the same ``old -> new`` transitions
+    the per-message path would have reported.
 
     Loss-of-reachability parity with the per-message path is preserved
     without per-message selection: the batch tracks, at message boundaries,
@@ -434,18 +459,23 @@ class SpeakerBatch:
 
     A batch reports if and only if a best-route listener is registered when
     it opens.  A silent one keeps only the first-touch order of the prefixes
-    to re-select (and feeds the change observers as usual), and installs the
-    same best routes without building a :class:`BestRouteChange`.
+    it touched (and feeds the change observers as usual), builds no
+    :class:`BestRouteChange`, and at commit hands those prefixes to the
+    Loc-RIB's stale set, selecting nothing: the next read of the best table
+    selects them.  A read while a silent batch is open settles earlier
+    calls' prefixes against the Adj-RIB-Ins as they stand mid-batch; the
+    batch's own prefixes are marked at commit, so the settled table after it
+    is the same.
     """
 
     def __init__(self, speaker: BGPSpeaker) -> None:
         self._speaker = speaker
         self._report = bool(speaker._best_route_listeners)
-        # Touched prefixes awaiting re-selection, in first-touch order
-        # (matching the per-message emission order).  In a reporting batch
-        # the value doubles as the candidate-set emptiness tracker: True when
-        # the prefix had at least one candidate after the last message that
-        # touched it (initialised from the pre-batch best on first touch).
+        # Touched prefixes, in first-touch order (matching the per-message
+        # emission order).  In a reporting batch the value doubles as the
+        # candidate-set emptiness tracker: True when the prefix had at least
+        # one candidate after the last message that touched it (initialised
+        # from the pre-batch best on first touch).
         self._pending: Dict[Prefix, bool] = {}
         # Mid-batch reachability transitions, in observation order:
         # (prefix, went_down, entry) — entry is the candidate removed by a
@@ -482,7 +512,7 @@ class SpeakerBatch:
         :meth:`_absorb` like a multi-prefix row.  Statistics fold in, and
         change observers fire, once per run.  A silent batch does only the
         Adj-RIB-In part per row and queues the run's changed prefixes at the
-        end.
+        end, for :meth:`commit` to mark stale.
         """
         peer_as = session.peer_as
         trace = run.trace
@@ -699,28 +729,36 @@ class SpeakerBatch:
                     transitions.append((prefix, True, replaced))
                 pending[prefix] = now
 
-    def commit(self) -> int:
-        """Run the deferred selection; return how many best routes changed.
+    def commit(self) -> None:
+        """Close the batch: run the deferred selection, or mark it stale.
 
-        A reporting batch fires the best-route listeners once with the
-        synthesised transient loss / recovery events (for prefixes that
-        flapped through unreachability mid-batch) followed by the coalesced
-        ``pre-batch -> final`` best-route changes; together they carry the
-        same multiset of loss-of-reachability and recovery events as the
-        per-message path.  The final changes are in first-touch order — the
-        order the per-message path emits them.  The count is of the final
-        changes only.
+        A reporting batch selects its touched prefixes and fires the
+        best-route listeners once with the synthesised transient loss /
+        recovery events (for prefixes that flapped through unreachability
+        mid-batch) followed by the coalesced ``pre-batch -> final``
+        best-route changes; together they carry the same multiset of
+        loss-of-reachability and recovery events as the per-message path.
+        The final changes are in first-touch order — the order the
+        per-message path emits them.
+
+        A silent batch marks its touched prefixes stale and selects nothing —
+        unless a listener registered while it was open: it then settles the
+        Loc-RIB, unheard, so no listener ever reads a stale table.
         """
         if self._committed:
             raise RuntimeError("batch already committed")
         self._committed = True
         speaker = self._speaker
-        final_changes = speaker._reselect(list(self._pending), self._report, memo=True)
-        if self._report:
-            changes = self._reconcile_transitions(final_changes)
-            changes.extend(final_changes)
-            speaker._notify_listeners(changes)
-        return len(final_changes)
+        if not self._report:
+            loc_rib = speaker.loc_rib
+            loc_rib.mark_stale(self._pending)
+            if speaker._best_route_listeners:
+                loc_rib.settle()
+            return
+        final_changes = speaker._reselect(list(self._pending), True, memo=True)
+        changes = self._reconcile_transitions(final_changes)
+        changes.extend(final_changes)
+        speaker._notify_listeners(changes)
 
     def _reconcile_transitions(
         self, final_changes: List[BestRouteChange]

@@ -28,16 +28,20 @@ falls back to the BGP-derived state (§3).
 
 Message streams should be fed through :meth:`SwiftedRouter.receive_batch`
 (or, for columnar traces, :meth:`SwiftedRouter.receive_columnar`) where
-possible: the speaker applies the whole batch before running best-path
-selection once per touched prefix, and consecutive same-peer runs are handed
-to the session's inference engine in bulk, keeping per-message Python
-overhead off the burst hot path.
+possible: the speaker applies the whole batch in bulk, and consecutive
+same-peer runs are handed to the session's inference engine in bulk, keeping
+per-message Python overhead off the burst hot path.
 
 The router learns what changed from session *change observers*, fed
 prefixes rather than messages, and reads no best-route change, so its
 speaker calls — table loads (:meth:`load_initial_routes`, one column walk
-per table dump) included — are silent, no reachability tracking and no
-change record, unless a best-route listener is registered.
+per table dump) included — are silent, no reachability tracking, no change
+record and no best-path selection, unless a best-route listener is
+registered.  Like SWIFT itself, which reroutes in the data plane before BGP
+converges and reads best paths only to provision backups and tags, the
+router reads the Loc-RIB only in :meth:`provision`, and the first read
+selects every prefix touched since the last one, once (best routes on read,
+``repro/bgp/README.md``): a burst streams in without a decision pass.
 Re-provisioning is *incremental*: :meth:`SwiftedRouter.provision` keeps
 the per-session :class:`~repro.core.inference.InferenceEngine`\\ s (and
 their link/prefix indexes) alive, patching them for the prefixes that
@@ -47,7 +51,9 @@ and re-indexes the prefixes whose candidate routes changed since the last
 call.  A warm re-provision costs
 O(changes), not O(RIB) — the paper's "re-runs it periodically / upon
 significant RIB changes" loop becomes cheap enough to run after every quiet
-period.  The cost model, per dirty prefix: one Loc-RIB lookup and a read of
+period.  The cost model, per dirty prefix: the best-path selection the
+drive deferred (one ``select`` per candidate profile, none for a sole
+candidate, paid by the first Loc-RIB read), one Loc-RIB lookup and a read of
 its candidate map (the speaker's decision-process sort is skipped, see
 :meth:`SwiftedRouter._alternates`), one ranking of its alternates
 (:meth:`~repro.core.backup.BackupComputer.rank`), at most
@@ -426,13 +432,15 @@ class SwiftedRouter:
         """Process a batch of messages; returns every reroute action.
 
         The speaker applies the whole batch's Adj-RIB-In changes as messages
-        stream in and runs best-path selection once per touched
-        prefix at the end (:class:`~repro.bgp.speaker.SpeakerBatch`), while
-        each session's inference engine receives consecutive same-peer runs
-        via :meth:`~repro.core.inference.InferenceEngine.process_batch` —
+        stream in and, with no best-route listener, marks the touched
+        prefixes stale for the next read of the Loc-RIB (the next
+        :meth:`provision`) to select (:class:`~repro.bgp.speaker.SpeakerBatch`),
+        while each session's inference engine receives consecutive same-peer
+        runs via :meth:`~repro.core.inference.InferenceEngine.process_batch` —
         per-message Python overhead stays off the burst hot path on both
         sides.  Reroute application only reads the provision-time tables, so
-        batching does not change the resulting actions.
+        neither batching nor deferring selection changes the resulting
+        actions.
         """
         if not self._provisioned:
             raise RuntimeError("provision() must be called before receiving updates")

@@ -12,8 +12,12 @@
   itself, so interning tables and message objects stay on the caller's
   side of the kernel seam (``src/repro/core/README.md``).
 
-The kernels' other clause — they never write a column argument — is a
-dynamic check in ``tests/test_kernels.py``.
+  The kernels' other clause — they never write a column argument — is a
+  dynamic check in ``tests/test_kernels.py``.
+* **Best routes on read.** Nothing under ``src/repro/`` but the speaker
+  and the Loc-RIB reads ``LocRib._best``: a speaker with no listener leaves
+  it stale until a read settles it, so a raw read can see routes the
+  accessors (``best``, ``best_entries``, ...) would have re-selected.
 """
 
 import ast
@@ -233,3 +237,37 @@ def test_package_imports_are_stdlib_only():
 )
 def test_import_scan_fires(source, package, expected):
     assert import_violations(source, package) == expected
+
+
+# -- best routes on read --------------------------------------------------------
+
+_BEST_TABLE_OWNERS = (
+    os.path.join("repro", "bgp", "rib.py"),
+    os.path.join("repro", "bgp", "speaker.py"),
+)
+
+
+def raw_best_reads(source):
+    """Line numbers of the ``._best`` attribute reads in ``source``."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr == "_best"
+    ]
+
+
+def test_only_the_speaker_and_the_loc_rib_read_the_raw_best_table():
+    readers = {}
+    for path, _package in _package_sources():
+        if os.path.relpath(path, SRC) in _BEST_TABLE_OWNERS:
+            continue
+        with open(path, encoding="utf-8") as handle:
+            found = raw_best_reads(handle.read())
+        if found:
+            readers[path] = found
+    assert readers == {}
+
+
+def test_raw_best_read_scan_fires():
+    source = "best = router.speaker.loc_rib._best\nother = rib._best_trie\n"
+    assert raw_best_reads(source) == [1]

@@ -6,7 +6,10 @@ and the Loc-RIB's best routes.  The rest of the router's bytes are the
 stage-1 tag trie, the backup index and the tag encoding.  These tests hold
 each store to a byte budget
 per route after a cold ``provision()`` of a ``FullTableGenerator`` table, and
-hold a long-lived index to the live RIB under path churn.  Run the 64k × 3
+hold a long-lived index to the live RIB under path churn.  The speaker is
+also held after a drive, before any read: its Loc-RIB then keeps a stale
+set of every prefix the drive touched, and the best routes the drive
+replaced stay alive until the next read selects.  Run the 64k × 3
 table, which prints the per-line breakdown ``src/repro/core/README.md``
 publishes, with ``pytest -m slow tests/test_engine_memory.py -s``.
 """
@@ -30,11 +33,33 @@ SPEAKER_FILES = ("bgp/speaker.py", "bgp/rib.py", "bgp/session.py")
 PEERS = 3
 
 
-def _provisioned_snapshot(prefix_count):
-    """A tracemalloc snapshot of a cold-provisioned ``prefix_count`` × 3 router."""
-    table = FullTableGenerator(
+def _generate(prefix_count):
+    return FullTableGenerator(
         FullTableConfig(prefix_count=prefix_count, peer_count=PEERS, seed=1)
     ).generate()
+
+
+def _provisioned_snapshot(prefix_count):
+    """A tracemalloc snapshot of a cold-provisioned ``prefix_count`` × 3 router."""
+    snapshot, routes, _ = _snapshot_after(_generate(prefix_count), drive=None)
+    return snapshot, routes
+
+
+def _burst_and_heal(table):
+    """Every prefix of the first feed withdrawn, then re-announced a minute on."""
+    peer_as = table.peers[0]
+    trace = table.burst(peer_as, len(table), start_time=10.0)
+    for prefix, attributes in table.entries(peer_as):
+        trace.announce(70.0, peer_as, prefix, attributes)
+    return trace
+
+
+def _snapshot_after(table, drive):
+    """Snapshot a cold-provisioned router over ``table``, after ``drive`` if any.
+
+    ``drive`` is a columnar trace the provisioned router receives before the
+    snapshot, with no read of its Loc-RIB in between.
+    """
     initial = table.columnar_table()
     gc.collect()
     tracemalloc.start()
@@ -44,13 +69,15 @@ def _provisioned_snapshot(prefix_count):
             router.add_peer(peer_as)
         router.speaker.receive_columnar(initial)
         router.provision()
+        if drive is not None:
+            router.receive_columnar(drive)
         gc.collect()
         snapshot = tracemalloc.take_snapshot()
     finally:
         tracemalloc.stop()
-    routes = sum(len(router.engine_for(peer_as).current_rib()) for peer_as in table.peers)
-    assert routes == prefix_count * PEERS
-    return snapshot, routes
+    routes = sum(len(router.speaker.session(peer_as).rib_in) for peer_as in table.peers)
+    assert routes == len(table) * PEERS
+    return snapshot, routes, router
 
 
 def _bytes(snapshot, files):
@@ -78,6 +105,24 @@ def test_speaker_bytes_per_route_at_16k(snapshot_16k):
     snapshot, routes = snapshot_16k
     per_route = _bytes(snapshot, SPEAKER_FILES) / routes
     assert per_route <= 125, f"{per_route:.1f} B per route"
+
+
+def test_speaker_bytes_per_route_at_16k_with_the_stale_set_at_its_largest():
+    """A burst and heal of a whole 16k feed (16k x 2 rows), before any read.
+
+    The drive leaves every prefix stale and selects nothing; a
+    ``provision()`` settles the whole set.  About 5 % above the 132.8 B per
+    route measured at 16k x 3: the provisioned 113.3, the stale set's 12.3
+    and 7.2 for the replaced best routes (``src/repro/core/README.md``).
+    """
+    table = _generate(16_000)
+    snapshot, routes, router = _snapshot_after(table, _burst_and_heal(table))
+    loc_rib = router.speaker.loc_rib
+    assert len(loc_rib._stale) == len(table)
+    per_route = _bytes(snapshot, SPEAKER_FILES) / routes
+    assert per_route <= 140, f"{per_route:.1f} B per route"
+    router.provision()
+    assert not loc_rib._stale
 
 
 @pytest.mark.parametrize(

@@ -109,18 +109,20 @@ class TestSpeakerFailureParity:
         speaker.add_peer(2)
         heard = []
         speaker.add_best_route_listener(heard.extend)
-        assert speaker.receive_batch([]) == 0
-        assert speaker.begin_batch().commit() == 0
+        assert speaker.receive_batch([]) is None
+        assert speaker.begin_batch().commit() is None
         assert heard == []
+        assert speaker.routed_prefixes() == frozenset()
 
     def test_empty_columnar_source_is_a_no_op(self):
         speaker = BGPSpeaker(1)
         speaker.add_peer(2)
         heard = []
         speaker.add_best_route_listener(heard.extend)
-        assert speaker.receive_columnar([]) == 0
-        assert speaker.receive_columnar(ColumnarTrace()) == 0
+        assert speaker.receive_columnar([]) is None
+        assert speaker.receive_columnar(ColumnarTrace()) is None
         assert heard == []
+        assert speaker.routed_prefixes() == frozenset()
 
 
 class TestChunkedRuns:

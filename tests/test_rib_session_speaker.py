@@ -169,7 +169,11 @@ class TestPeeringSession:
         ]
         single, batched = PeeringSession(1, 2), PeeringSession(1, 2)
         per_message = [single.process(message) for message in messages]
-        assert batched.process_batch(messages) == per_message
+        moved = [
+            [change.prefix for change in changes if change.kind is not RouteChangeKind.UNCHANGED]
+            for changes in batched.process_batch(messages)
+        ]
+        assert moved == per_message
         assert batched.stats == single.stats
         assert batched.state == single.state == SessionState.ESTABLISHED
         assert {p: batched.rib_in.get(p) for p in batched.rib_in} == {
@@ -188,7 +192,7 @@ class TestBGPSpeaker:
         speaker.receive(Update.announce(0.0, 3, PFX[0], _attrs([3, 6])))
         assert speaker.best_route(PFX[0]).peer_as == 2
         changes = _heard(speaker)
-        assert speaker.receive(Update.withdraw(1.0, 2, PFX[0])) == 1
+        speaker.receive(Update.withdraw(1.0, 2, PFX[0]))
         assert len(changes) == 1
         assert changes[0].new.peer_as == 3
         assert speaker.best_route(PFX[0]).peer_as == 3
@@ -222,8 +226,8 @@ class TestBGPSpeaker:
         speaker.add_peer(2)
         speaker.receive(Update.announce(0.0, 2, PFX[0], _attrs([2, 6])))
         changes = _heard(speaker)
-        assert speaker.remove_peer(2) == 1
-        assert changes and changes[0].new is None
+        speaker.remove_peer(2)
+        assert len(changes) == 1 and changes[0].new is None
 
     @pytest.mark.parametrize("teardown", ["remove_peer", "notification"])
     def test_teardown_tells_the_best_route_listeners(self, teardown):
@@ -233,10 +237,9 @@ class TestBGPSpeaker:
         heard = []
         speaker.add_best_route_listener(heard.append)
         if teardown == "remove_peer":
-            changed = speaker.remove_peer(2)
+            speaker.remove_peer(2)
         else:
-            changed = speaker.receive(Notification(timestamp=1.0, peer_as=2))
-        assert changed == 1
+            speaker.receive(Notification(timestamp=1.0, peer_as=2))
         (changes,) = heard
         assert len(changes) == 1 and changes[0].is_loss_of_reachability
 
@@ -247,7 +250,7 @@ class TestBGPSpeaker:
         speaker.receive(Update.announce(0.0, 3, PFX[0], _attrs([3, 6])))
         heard = []
         speaker.add_best_route_listener(heard.append)
-        assert speaker.remove_peer(2) == 0
+        speaker.remove_peer(2)
         assert heard == []
         assert speaker.peer_ases == [3]
         assert speaker.best_route(PFX[0]).peer_as == 3
@@ -260,7 +263,7 @@ class TestBGPSpeaker:
         speaker.receive(Update.announce(0.0, 3, PFX[0], _attrs([3, 5, 6])))
         heard = []
         speaker.add_best_route_listener(heard.append)
-        assert speaker.remove_peer(2) == 1
+        speaker.remove_peer(2)
         (changes,) = heard
         assert [(c.old.peer_as, c.new.peer_as) for c in changes] == [(2, 3)]
         assert not changes[0].is_loss_of_reachability
@@ -439,9 +442,8 @@ class TestBatchedReselectionParity:
         changes = {name: _heard(speaker) for name, speaker in speakers.items()}
         for message in tail:
             speakers["receive"].receive(message)
-        assert speakers["receive_batch"].receive_batch(tail) == speakers[
-            "receive_columnar"
-        ].receive_columnar(ColumnarTrace.from_messages(tail))
+        speakers["receive_batch"].receive_batch(tail)
+        speakers["receive_columnar"].receive_columnar(ColumnarTrace.from_messages(tail))
         expected_state = _parity_state(speakers["receive"])
         expected_events = _event_sets(changes["receive"])
         for name in ("receive_batch", "receive_columnar"):
@@ -456,7 +458,7 @@ class TestBatchedReselectionParity:
         speaker.receive(Update.announce(0.0, 2, PFX[0], _attrs([2, 6])))
         speaker.receive(Update.announce(0.0, 3, PFX[0], _attrs([3, 7, 3])))
         changes = _heard(speaker)
-        assert speaker.receive_batch([Update.withdraw(1.0, 2, PFX[0])]) == 1
+        speaker.receive_batch([Update.withdraw(1.0, 2, PFX[0])])
         assert [(c.prefix, c.new) for c in changes] == [(PFX[0], None)]
         assert changes[0].is_loss_of_reachability
         assert speaker.best_route(PFX[0]) is None
@@ -506,11 +508,11 @@ class TestBatchedReselectionParity:
         speaker.receive(Update.announce(5.0, 2, PFX[0], _attrs([2, 6])))
         before = speaker.best_route(PFX[0])
         heard = _heard(speaker)
-        assert speaker.receive_batch([Update.announce(5.0, 2, PFX[0], _attrs([2, 6]))]) == 0
+        speaker.receive_batch([Update.announce(5.0, 2, PFX[0], _attrs([2, 6]))])
         assert heard == []
         assert speaker.best_route(PFX[0]) == before
         # A later timestamp is a different route: same next hop, one change.
-        assert speaker.receive_batch([Update.announce(6.0, 2, PFX[0], _attrs([2, 6]))]) == 1
+        speaker.receive_batch([Update.announce(6.0, 2, PFX[0], _attrs([2, 6]))])
         (change,) = heard
         assert change == BestRouteChange(PFX[0], before, speaker.best_route(PFX[0]))
         assert not change.next_hop_changed and hash(change) == hash(
@@ -600,6 +602,11 @@ def _same_route(old, new):
     return old is new or (old is not None and new is not None and old == new)
 
 
+def _best_table(speaker):
+    """The settled best-route table, read through the Loc-RIB's accessor."""
+    return {entry.prefix: entry for entry in speaker.loc_rib.best_entries()}
+
+
 class TestColumnWalkMatchesPerMessage:
     """``receive_columnar`` walks the columns; ``receive`` is the oracle."""
 
@@ -656,17 +663,15 @@ class TestColumnWalkMatchesPerMessage:
         walked = []
         for session in speakers["columns"].sessions():
             session.add_change_observer(lambda _, prefixes: walked.extend(prefixes))
-        before = dict(speakers["columns"].loc_rib._best)
+        before = _best_table(speakers["columns"])
 
         oracle, batched, changes = (
             _heard(speakers[name]) for name in ("receive", "receive_batch", "columns")
         )
         for message in tail_messages:
             speakers["receive"].receive(message)
-        batch_count = speakers["receive_batch"].receive_batch(tail_messages)
-        count = speakers["columns"].receive_columnar(
-            ColumnarTrace.from_messages(tail_messages)
-        )
+        speakers["receive_batch"].receive_batch(tail_messages)
+        speakers["columns"].receive_columnar(ColumnarTrace.from_messages(tail_messages))
 
         columns = speakers["columns"]
         for name in ("receive", "receive_batch"):
@@ -675,25 +680,27 @@ class TestColumnWalkMatchesPerMessage:
             assert columns.loc_rib.candidates(prefix) == speakers[
                 "receive"
             ].loc_rib.candidates(prefix)
-        assert dict(columns.loc_rib._best) == dict(speakers["receive"].loc_rib._best)
+        assert _best_table(columns) == _best_table(speakers["receive"])
         assert _lpm_answers(columns) == _lpm_answers(speakers["receive"])
         assert _event_sets(changes) == _event_sets(batched)
         assert _event_sets(changes) == _event_sets(oracle)
         assert sorted(walked) == sorted(touched)
 
-        # The final changes close the list, in first-touch order.
-        after = columns.loc_rib._best
+        # The final changes close the list, in first-touch order, behind
+        # the synthetic transient losses and recoveries.
+        after = _best_table(columns)
         final = [
             prefix
             for prefix in dict.fromkeys(touched)
             if not _same_route(before.get(prefix), after.get(prefix))
         ]
-        assert count == batch_count == len(final)
-        tail_changes = changes[len(changes) - len(final):]
-        assert [change.prefix for change in tail_changes] == final
-        for change in tail_changes:
-            assert _same_route(change.old, before.get(change.prefix))
-            assert _same_route(change.new, after.get(change.prefix))
+        for heard in (changes, batched):
+            transient, tail_changes = heard[:len(heard) - len(final)], heard[len(heard) - len(final):]
+            assert all(c.is_loss_of_reachability or c.is_recovery for c in transient)
+            assert [change.prefix for change in tail_changes] == final
+            for change in tail_changes:
+                assert _same_route(change.old, before.get(change.prefix))
+                assert _same_route(change.new, after.get(change.prefix))
 
 
 # -- the winner memo: one selection per candidate profile ----------------------
@@ -773,6 +780,8 @@ class TestWinnerMemo:
     def test_select_runs_once_per_candidate_profile(self):
         speaker, shared = _profile_table()
         spy = speaker.decision_process
+        # The listener settles the table load; a reporting batch selects.
+        changes = _heard(speaker)
         spy.selected.clear()
         # Every prefix gets a new route from AS 2: profiles 0-2 keep their
         # other candidates, profile 3 is left with a sole (looped) one.
@@ -780,7 +789,6 @@ class TestWinnerMemo:
             Update.announce(1.0, 2, prefix, shared[2][3 if number % 4 == 3 else 2])
             for number, prefix in enumerate(PFX[:40])
         ]
-        changes = _heard(speaker)
         speaker.receive_columnar(ColumnarTrace.from_messages(batch))
         profiles = {
             (
@@ -811,24 +819,26 @@ class TestWinnerMemo:
             ]
         )
         spy = speaker.decision_process
+        speaker.loc_rib.settle()
         spy.ranked = 0
         spy.selected.clear()
         # Two candidates left per prefix: one selection each, all of one
-        # profile, and no ranking.
+        # profile, and no ranking — at the first read, not at the commit.
         speaker.receive_columnar(
             ColumnarTrace.from_messages([Update.withdraw_many(1.0, 2, PFX[:10])])
         )
+        assert spy.selected == []
+        assert all(speaker.best_route(prefix).peer_as == 3 for prefix in PFX[:10])
         assert len(spy.selected) == 10
         assert spy.ranked == 0
-        assert all(speaker.best_route(prefix).peer_as == 3 for prefix in PFX[:10])
         # Sole candidates left: no decision-process call at all.
         spy.selected.clear()
         speaker.receive_columnar(
             ColumnarTrace.from_messages([Update.withdraw_many(2.0, 3, PFX[:10])])
         )
+        assert all(speaker.best_route(prefix).peer_as == 4 for prefix in PFX[:10])
         assert spy.selected == []
         assert spy.ranked == 0
-        assert all(speaker.best_route(prefix).peer_as == 4 for prefix in PFX[:10])
 
     @settings(max_examples=100, deadline=None)
     @given(updates=_UPDATES, split=st.integers(0, 30))
@@ -854,6 +864,7 @@ class TestWinnerMemo:
         pending = []
         for speaker in (memo, grouped):
             speaker.receive_batch(messages[:split])
+            speaker.loc_rib.settle()
             batch = speaker.begin_batch()
             for message in messages[split:]:
                 batch.add_run(message.peer_as, [message])
@@ -862,7 +873,7 @@ class TestWinnerMemo:
         memo_changes = memo._reselect(pending[0], report=True, memo=True)
         grouped_changes = _grouped_reselect(grouped, pending[1])
         assert Counter(memo_changes) == Counter(grouped_changes)
-        assert dict(memo.loc_rib._best) == dict(grouped.loc_rib._best)
+        assert _best_table(memo) == _best_table(grouped)
         order = {prefix: number for number, prefix in enumerate(pending[0])}
         assert [order[change.prefix] for change in memo_changes] == sorted(
             order[change.prefix] for change in memo_changes
@@ -898,9 +909,10 @@ class TestPerMessageDecision:
     def test_an_announcement_leaving_two_candidates_selects_once(self):
         router, spy = _relay_router()
         router.receive(Update.announce(1.0, 3, PFX[2], _attrs([3, 6], local_pref=300)))
+        assert spy.selected == []  # a router's speaker selects on read
+        assert router.speaker.best_route(PFX[2]).peer_as == 3
         assert len(spy.selected) == 1
         assert spy.ranked == 0
-        assert router.speaker.best_route(PFX[2]).peer_as == 3
         # A sole candidate's replacement is decided without a call.
         router.receive(Update.announce(2.0, 2, PFX[3], _attrs([2, 8, 6])))
         assert len(spy.selected) == 1

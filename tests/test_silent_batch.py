@@ -3,13 +3,13 @@
 Best-route change records are for the best-route listeners, so without one
 every speaker entry point — ``receive``, ``receive_batch``,
 ``receive_columnar``, ``begin_batch().commit()`` and ``remove_peer`` — is
-silent: it tracks no reachability transition and builds no
-``BestRouteChange``, and returns the number of best routes it changed.  The
-router's ``receive_batch`` / ``receive_columnar`` read no change either.
-These tests hold the silent path to that (no change record is constructed)
-and to the reporting one: the same best routes, counts, forwarding answers
-and reroute actions, and — once a listener is registered — the same loss /
-recovery events a per-message speaker reports.
+silent: it tracks no reachability transition, builds no ``BestRouteChange``
+and leaves selection to the next read of the Loc-RIB.  Every entry point
+returns ``None``.  The router's ``receive_batch`` / ``receive_columnar``
+read no change either.  These tests hold the silent path to that (no change
+record is constructed) and to the reporting one: the same settled best
+routes, forwarding answers and reroute actions, and — once a listener is
+registered — the same loss / recovery events a per-message speaker reports.
 """
 
 from collections import Counter
@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from test_replay_pipeline import _event_sets, _heard
 from test_reroute_index import PEERS, _random_topology, _router
-from test_rib_session_speaker import _burst_and_reconvergence
+from test_rib_session_speaker import _best_table, _burst_and_reconvergence
 
 from repro.bgp.attributes import ASPath, PathAttributes
 from repro.bgp.messages import Announcement, Notification, OpenMessage, Update
@@ -90,9 +90,9 @@ def test_a_router_without_a_listener_builds_no_change_record(monkeypatch, entry_
 
     built = _count_change_records(monkeypatch)
     actions = _feed(router, entry_point, messages)
-    assert built["records"] == 0
     assert actions == expected
-    assert router.speaker.loc_rib._best == reference.speaker.loc_rib._best
+    assert _best_table(router.speaker) == _best_table(reference.speaker)
+    assert built["records"] == 0  # the read's settle builds none either
 
     # A listener turns the reports back on, from the next batch.
     again = []
@@ -215,8 +215,8 @@ class TestSilentBatchProperty:
         assert _feed(listened, entry_point, messages) == actions
         bare.speaker.receive_batch(messages)
 
-        best = silent.speaker.loc_rib._best
-        assert best == listened.speaker.loc_rib._best == bare.speaker.loc_rib._best
+        best = _best_table(silent.speaker)
+        assert best == _best_table(listened.speaker) == _best_table(bare.speaker)
         assert [silent.forward(address) for address in _ADDRESSES] == [
             listened.forward(address) for address in _ADDRESSES
         ]
@@ -227,26 +227,25 @@ class TestSilentBatchProperty:
 
 
 def _speaker_feed(speaker, entry_point, messages, peers):
-    """Apply ``messages`` through one speaker entry point; return its count."""
+    """Apply ``messages`` through one speaker entry point; return its returns."""
     if entry_point == "receive":
-        return sum(speaker.receive(message) for message in messages)
+        return {speaker.receive(message) for message in messages}
     if entry_point == "receive_batch":
-        return speaker.receive_batch(messages)
+        return {speaker.receive_batch(messages)}
     if entry_point == "receive_columnar":
-        return speaker.receive_columnar(ColumnarTrace.from_messages(messages))
+        return {speaker.receive_columnar(ColumnarTrace.from_messages(messages))}
     if entry_point == "commit":
         batch = speaker.begin_batch()
         for message in messages:
             batch.add_run(message.peer_as, [message])
-        return batch.commit()
+        return {batch.commit()}
     # remove_peer: the messages as one batch, then the first session goes.
-    speaker.receive_batch(messages)
-    return speaker.remove_peer(peers[0])
+    return {speaker.receive_batch(messages), speaker.remove_peer(peers[0])}
 
 
 def _moved(before, after):
-    """How many prefixes' best routes differ between two Loc-RIB snapshots."""
-    return sum(before.get(prefix) != after.get(prefix) for prefix in {*before, *after})
+    """The prefixes whose best routes differ between two Loc-RIB snapshots."""
+    return {prefix for prefix in {*before, *after} if before.get(prefix) != after.get(prefix)}
 
 
 class TestEverySpeakerEntryPoint:
@@ -263,24 +262,28 @@ class TestEverySpeakerEntryPoint:
         messages = _stream_messages(rows, peers)
         silent, listened, reference = (_provisioned(peers).speaker for _ in range(3))
         heard, expected = _heard(listened), _heard(reference)
-        before = dict(silent.loc_rib._best)
+        before = _best_table(silent)
 
         with pytest.MonkeyPatch.context() as patch:
             built = _count_change_records(patch)
-            count = _speaker_feed(silent, entry_point, messages, peers)
+            assert _speaker_feed(silent, entry_point, messages, peers) == {None}
+            best = _best_table(silent)
         assert built["records"] == 0
-        assert _speaker_feed(listened, entry_point, messages, peers) == count
-        reference_count = sum(reference.receive(message) for message in messages)
+        assert _speaker_feed(listened, entry_point, messages, peers) == {None}
+        for message in messages:
+            reference.receive(message)
         if entry_point == "remove_peer":
-            reference_count = reference.remove_peer(peers[0])
+            reference.remove_peer(peers[0])
 
-        best = silent.loc_rib._best
-        assert best == listened.loc_rib._best == reference.loc_rib._best
+        assert best == _best_table(listened) == _best_table(reference)
         assert _event_sets(heard) == _event_sets(expected)
-        if entry_point in ("receive", "remove_peer"):
-            assert count == reference_count
-        else:
-            # A batch counts its final changes, not its transient events.
-            assert count == _moved(before, best)
         if entry_point == "receive":
-            assert count == len(heard)
+            assert heard == expected
+        elif entry_point != "remove_peer":
+            # A batch's final changes close what it reports: one per prefix
+            # whose best route moved, after the transient events.
+            moved = _moved(before, best)
+            final = heard[len(heard) - len(moved):]
+            assert {change.prefix: change.new for change in final} == {
+                prefix: best.get(prefix) for prefix in moved
+            }
