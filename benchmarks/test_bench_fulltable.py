@@ -8,10 +8,13 @@ with the DFZ-shaped synthetic table from :mod:`repro.traces.fulltable`:
 * **build + LPM** — generate ~1M prefixes, stream three full feeds through
   the columnar substrate into a :class:`~repro.bgp.speaker.BGPSpeaker`,
   bulk-build the Loc-RIB best trie, and measure longest-prefix-match
-  throughput; also measures the path-compressed trie against the per-bit
-  reference twin on a sparse sample (sampling keeps the reference's node
-  explosion honest — a per-bit trie over a *dense* table shares almost every
-  path, which real, registry-scattered tables do not allow);
+  throughput; loads the two-stage FIB's stage 1 with one tag per best
+  prefix and holds its longest-present-length-first probe to the trie's
+  answers at a DFZ length spread; also measures the path-compressed trie
+  against the per-bit reference twin on a sparse sample (sampling keeps the
+  reference's node explosion honest — a per-bit trie over a *dense* table
+  shares almost every path, which real, registry-scattered tables do not
+  allow);
 * **backup profiles** — profile-grouped backup computation into the
   router's backup-profile index, asserting the >=10x entry reduction of
   interned profiles and parity against ``compute_table_reference`` at a
@@ -43,6 +46,7 @@ from repro.bgp.prefix import random_addresses
 from repro.bgp.speaker import BGPSpeaker
 from repro.bgp.trie import PrefixTrie
 from repro.core.backup import BackupComputer, BackupProfileIndex
+from repro.dataplane.fib import TwoStageForwardingTable
 from repro.traces.fulltable import FullTableConfig, FullTableGenerator
 
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -117,6 +121,22 @@ def test_bench_fulltable_build_and_lpm(built):
     lookup_seconds = time.perf_counter() - started
     lookups_per_second = len(addresses) / lookup_seconds
 
+    # FIB stage 1 over the same table: one tag per best prefix, then the
+    # same probe addresses, answered as the best trie answers them.
+    tags = {prefix: number for number, prefix in enumerate(built.best)}
+    fib = TwoStageForwardingTable()
+    started = time.perf_counter()
+    fib.load_tags(tags)
+    stage1_load_seconds = time.perf_counter() - started
+    tag_of = fib.tag_of
+    started = time.perf_counter()
+    for address in addresses:
+        tag_of(address)
+    stage1_lookup_seconds = time.perf_counter() - started
+    for address in addresses:
+        match = lookup(address)
+        assert tag_of(address) == (None if match is None else tags[match[0]]), address
+
     # Compressed vs per-bit reference on a sparse sample: identical answers,
     # then the node/memory comparison the compressed trie exists for.
     rng = random.Random(7)
@@ -170,6 +190,8 @@ def test_bench_fulltable_build_and_lpm(built):
             "trie_nodes": best_trie.node_count(),
             "trie_memory_mb": round(best_trie.memory_bytes() / 1e6, 1),
             "lpm_lookups_per_second": round(lookups_per_second),
+            "stage1_load_seconds": round(stage1_load_seconds, 3),
+            "stage1_lookups_per_second": round(len(addresses) / stage1_lookup_seconds),
             "sample_size": _TRIE_SAMPLE,
             "sample_node_ratio_vs_reference": round(node_ratio, 2),
             "sample_memory_ratio_vs_reference": round(memory_ratio, 2),

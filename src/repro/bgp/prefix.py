@@ -24,6 +24,7 @@ from operator import itemgetter
 from typing import Iterable, List, Sequence, Tuple
 
 __all__ = [
+    "NETMASKS",
     "Prefix",
     "PrefixError",
     "parse_prefix",
@@ -32,6 +33,9 @@ __all__ = [
 ]
 
 _MAX_IPV4 = (1 << 32) - 1
+
+#: ``NETMASKS[length]`` keeps the top ``length`` bits of a 32-bit address.
+NETMASKS = tuple((_MAX_IPV4 << (32 - length)) & _MAX_IPV4 for length in range(33))
 
 
 class PrefixError(ValueError):
@@ -87,7 +91,7 @@ class Prefix(tuple):
             raise PrefixError(f"prefix length {length} out of range [0, 32]")
         if not 0 <= network <= _MAX_IPV4:
             raise PrefixError(f"network {network:#x} out of IPv4 range")
-        return tuple.__new__(cls, (network & _mask_for(length), length))
+        return tuple.__new__(cls, (network & NETMASKS[length], length))
 
     # -- constructors -----------------------------------------------------
 
@@ -112,7 +116,7 @@ class Prefix(tuple):
     @property
     def netmask(self) -> int:
         """Netmask as a 32-bit integer."""
-        return _mask_for(self[1])
+        return NETMASKS[self[1]]
 
     @property
     def num_addresses(self) -> int:
@@ -171,13 +175,6 @@ class Prefix(tuple):
 def _restore_prefix(network: int, length: int) -> "Prefix":
     """Unpickle fast path: rebuild a prefix from already-validated fields."""
     return tuple.__new__(Prefix, (network, length))
-
-
-def _mask_for(length: int) -> int:
-    """Return the netmask integer for a prefix length."""
-    if length == 0:
-        return 0
-    return (_MAX_IPV4 << (32 - length)) & _MAX_IPV4
 
 
 def parse_prefix(text: str) -> Prefix:

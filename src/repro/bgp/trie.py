@@ -1,9 +1,9 @@
 """Path-compressed (Patricia) prefix trie with longest-prefix-match lookup.
 
-The two-stage forwarding table's stage 1 and the Loc-RIB's best-route view
-need longest-prefix-match semantics.  The original per-bit trie (kept as the test oracle
-``tests/oracles/trie_reference.py``) allocates one node per
-significant bit and walks per-prefix bit tuples — at DFZ scale that is
+The Loc-RIB's best-route view needs longest-prefix-match semantics
+(``LocRib.best_trie`` / ``best_lookup``).  The original per-bit trie (kept
+as the test oracle ``tests/oracles/trie_reference.py``) allocates one node
+per significant bit and walks per-prefix bit tuples — at DFZ scale that is
 several nodes per route plus a memoised bit decomposition per prefix, which
 makes the trie itself the first casualty of internet scale.
 
@@ -38,17 +38,11 @@ from typing import (
     TypeVar,
 )
 
-from repro.bgp.prefix import Prefix
+from repro.bgp.prefix import NETMASKS, Prefix
 
 __all__ = ["PrefixTrie"]
 
 V = TypeVar("V")
-
-#: ``_MASKS[l]`` keeps the top ``l`` bits of a 32-bit address.
-_MASKS = tuple(
-    0 if length == 0 else (0xFFFFFFFF << (32 - length)) & 0xFFFFFFFF
-    for length in range(33)
-)
 
 
 class _Node(Generic[V]):
@@ -74,7 +68,7 @@ class _Node(Generic[V]):
 def _common_length(net_a: int, len_a: int, net_b: int, len_b: int) -> int:
     """Length of the longest common prefix of two ``(network, length)`` keys."""
     limit = len_a if len_a < len_b else len_b
-    diff = (net_a ^ net_b) & _MASKS[limit]
+    diff = (net_a ^ net_b) & NETMASKS[limit]
     if diff == 0:
         return limit
     return 32 - diff.bit_length()
@@ -99,7 +93,7 @@ class PrefixTrie(Generic[V]):
         """Insert or replace the value stored under ``prefix``."""
         net = prefix.network
         plen = prefix.length
-        masks = _MASKS
+        masks = NETMASKS
         node = self._root
         while True:
             # Invariant: node's key covers (net, plen).
@@ -169,7 +163,7 @@ class PrefixTrie(Generic[V]):
         """
         if self._size:
             raise ValueError("build_from_sorted requires an empty trie")
-        masks = _MASKS
+        masks = NETMASKS
         spine = [self._root]
         size = 0
         previous = (-1, -1)
@@ -232,7 +226,7 @@ class PrefixTrie(Generic[V]):
         """Remove ``prefix`` and return its value; raise ``KeyError`` if absent."""
         net = prefix.network
         plen = prefix.length
-        masks = _MASKS
+        masks = NETMASKS
         path = []
         node = self._root
         while node.key & 63 < plen:
@@ -316,7 +310,7 @@ class PrefixTrie(Generic[V]):
         Returns the ``(prefix, value)`` pair of the most specific matching
         entry, or ``None`` when no entry covers the address.
         """
-        masks = _MASKS
+        masks = NETMASKS
         best: Optional[Tuple[Prefix, V]] = None
         node = self._root
         while True:

@@ -62,7 +62,7 @@ protected link, one interning of the resulting backups as a profile.  A
 prefix that kept its best path object and its profile stops there
 (``last_provision_stats["unchanged"]``); any other moves between
 backup-index profiles and gets one tag and, when the tag changed, one
-stage-1 trie update.  The backup index is the router's only backup table:
+stage-1 dict store.  The backup index is the router's only backup table:
 no per-(prefix, link) record is built.  Per call: the encoder's two allocation
 checks — over the threshold-eligible links and only when one of them moved,
 over the neighbors when a next-hop count moved

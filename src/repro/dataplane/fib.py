@@ -6,15 +6,23 @@ downtime for large bursts; :mod:`repro.casestudy.vanilla` models its
 timing).  A SWIFTED router keeps that first stage for tagging and adds a
 second stage matching on the tag; rerouting a whole burst is then a handful
 of high-priority wildcard rule insertions (§3.2).
+
+Stage 1 is an exact-match dict from prefix to tag.  A longest-prefix match
+probes it once per prefix length present, longest first, with the bare
+``(address & mask, length)`` tuple: a :class:`Prefix` *is* that tuple, so the
+probe hashes and compares in C.  ``table_churn``'s table carries 13 lengths
+and a DFZ table mostly the 17 from /8 to /24, so a lookup is at most that
+many dict probes, and an update is one dict store or pop.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.bgp.prefix import Prefix
-from repro.bgp.trie import PrefixTrie
+from repro.bgp.prefix import NETMASKS, Prefix
 from repro.core.encoding import WildcardRule
 from repro.dataplane.packet import Packet
 
@@ -46,7 +54,10 @@ class TwoStageForwardingTable:
     """The SWIFT two-stage table.
 
     Stage 1 maps a destination prefix to a tag (and is *not* touched when
-    SWIFT reroutes).  Stage 2 holds forwarding rules matched against the tag:
+    SWIFT reroutes): a dict keyed by prefix, a count of stored prefixes per
+    length, and the ``(mask, length)`` probes of the present lengths, longest
+    first, rebuilt only when a length appears or disappears.  Stage 2 holds
+    forwarding rules matched against the tag:
     low-priority default rules forward on the primary next-hop encoded in the
     tag, and SWIFT inserts high-priority wildcard rules to reroute affected
     traffic.  Priorities are integers, higher wins; insertion order breaks
@@ -54,7 +65,9 @@ class TwoStageForwardingTable:
     """
 
     def __init__(self) -> None:
-        self._stage1: PrefixTrie[int] = PrefixTrie()
+        self._stage1: Dict[Prefix, int] = {}
+        self._length_counts: List[int] = [0] * 33
+        self._probes: Tuple[Tuple[int, int], ...] = ()
         self._rules: List[Tuple[int, int, WildcardRule]] = []  # (priority, seq, rule)
         self._sequence = 0
         self.stage1_updates = 0
@@ -62,18 +75,27 @@ class TwoStageForwardingTable:
 
     # -- stage 1 -----------------------------------------------------------
 
+    def _reprobe(self) -> None:
+        """Rebuild the probes from the per-length counts, longest first."""
+        counts = self._length_counts
+        self._probes = tuple(
+            (NETMASKS[length], length) for length in range(32, -1, -1) if counts[length]
+        )
+
     def set_tag(self, prefix: Prefix, tag: int) -> None:
         """Associate ``tag`` with ``prefix`` in the tagging stage."""
-        self._stage1.insert(prefix, tag)
-        self.stage1_updates += 1
+        self.update_tags({prefix: tag})
 
     def load_tags(self, tags: Dict[Prefix, int]) -> None:
-        """Bulk-load stage 1 (initial provisioning, not a reroute operation)."""
-        if not self._stage1:
-            self._stage1.build_from_sorted(sorted(tags.items()))
-        else:
-            for prefix, tag in tags.items():
-                self._stage1.insert(prefix, tag)
+        """Replace stage 1 with ``tags`` (provisioning, not a reroute operation).
+
+        A prefix absent from ``tags`` leaves the table: its old tag was
+        encoded under an identifier allocation that no longer holds.
+        """
+        self._stage1 = dict(tags)
+        lengths = Counter(map(itemgetter(1), self._stage1))
+        self._length_counts = [lengths[length] for length in range(33)]
+        self._reprobe()
         self.stage1_updates += len(tags)
 
     def update_tags(self, patch: Dict[Prefix, Optional[int]]) -> None:
@@ -83,20 +105,33 @@ class TwoStageForwardingTable:
         every tag, so a warm provision's forwarding update is proportional
         to the number of changed prefixes.
         """
+        stage1 = self._stage1
+        counts = self._length_counts
+        reprobe = False
         for prefix, tag in patch.items():
             if tag is None:
-                try:
-                    self._stage1.remove(prefix)
-                except KeyError:
-                    pass
+                if stage1.pop(prefix, None) is not None:
+                    length = prefix[1]
+                    counts[length] -= 1
+                    reprobe = reprobe or not counts[length]
             else:
-                self._stage1.insert(prefix, tag)
+                if prefix not in stage1:
+                    length = prefix[1]
+                    counts[length] += 1
+                    reprobe = reprobe or counts[length] == 1
+                stage1[prefix] = tag
+        if reprobe:
+            self._reprobe()
         self.stage1_updates += len(patch)
 
     def tag_of(self, destination: int) -> Optional[int]:
         """Tag that stage 1 would stamp on a packet for ``destination``."""
-        match = self._stage1.lookup(destination)
-        return match[1] if match is not None else None
+        get = self._stage1.get
+        for mask, length in self._probes:
+            tag = get((destination & mask, length))
+            if tag is not None:
+                return tag
+        return None
 
     # -- stage 2 -----------------------------------------------------------
 
@@ -161,8 +196,8 @@ class TwoStageForwardingTable:
     def forward_address(self, destination: int) -> Optional[int]:
         """Next-hop for a bare destination address: :meth:`forward`'s answer
         without a :class:`Packet` or a :class:`ForwardingDecision`."""
-        match = self._stage1.lookup(destination)
-        if match is None:
+        tag = self.tag_of(destination)
+        if tag is None:
             return None
-        rule = self._matching_rule(match[1])
+        rule = self._matching_rule(tag)
         return rule.next_hop if rule is not None else None

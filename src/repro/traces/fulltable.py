@@ -2,8 +2,9 @@
 
 The synthetic burst traces top out around 30k prefixes; a real default-free
 zone table is ~1M routes.  This module synthesises a table of that shape so
-the trie RIB and its longest-prefix match, the backup profile index and the
-provisioning pipeline can be driven at internet scale (`benchmarks/test_bench_fulltable.py`
+the Loc-RIB's best trie and the FIB's stage 1 (two longest-prefix matches),
+the backup profile index and the provisioning pipeline can be driven at
+internet scale (`benchmarks/test_bench_fulltable.py`
 → ``BENCH_fulltable.json``):
 
 * **Length mix** — covering blocks between /11 and /20 with /21–/24

@@ -3,7 +3,7 @@
 The engines are the router's per-session view of the Adj-RIB-In, interned by
 AS path (``LinkPrefixIndex``).  The speaker holds the Adj-RIB-Ins themselves
 and the Loc-RIB's best routes.  The rest of the router's bytes are the
-stage-1 tag trie, the backup index and the tag encoding.  These tests hold
+FIB's stage-1 tag dict, the backup index and the tag encoding.  These tests hold
 each store to a byte budget
 per route after a cold ``provision()`` of a ``FullTableGenerator`` table, and
 hold a long-lived index to the live RIB under path churn.  The speaker is
@@ -127,10 +127,10 @@ def test_speaker_bytes_per_route_at_16k_with_the_stale_set_at_its_largest():
 
 @pytest.mark.parametrize(
     "source, budget",
-    [("bgp/trie.py", 71), ("core/backup.py", 32), ("core/encoding.py", 28)],
+    [("dataplane/fib.py", 13), ("core/backup.py", 32), ("core/encoding.py", 28)],
 )
 def test_the_rest_of_the_router_bytes_per_route_at_16k(snapshot_16k, source, budget):
-    """About 5 % above 67.2 / 30.6 / 26.4 B per route, measured at 16k x 3."""
+    """About 5 % above 12.3 / 30.6 / 26.4 B per route, measured at 16k x 3."""
     snapshot, routes = snapshot_16k
     per_route = _bytes(snapshot, (source,)) / routes
     assert per_route <= budget, f"{source}: {per_route:.1f} B per route"

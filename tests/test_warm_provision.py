@@ -38,7 +38,7 @@ LOCAL_AS = 1
 LOCAL_PREF = {2: 200, 3: 150, 4: 100, 5: 100}
 
 
-def _config(prefix_threshold, path_bits):
+def _config(prefix_threshold, path_bits, policy=None):
     return SwiftConfig(
         inference=InferenceConfig(
             # Churn in these tests must never look like a burst.
@@ -46,6 +46,7 @@ def _config(prefix_threshold, path_bits):
             schedule=TriggeringSchedule(steps=((10 ** 6, 10 ** 6),), unconditional_after=10 ** 6),
         ),
         encoder=EncoderConfig(prefix_threshold=prefix_threshold, path_bits=path_bits),
+        policy=policy or ReroutingPolicy(),
     )
 
 
@@ -53,9 +54,9 @@ def _attributes(peer, hops):
     return PathAttributes(as_path=ASPath(hops), next_hop=peer, local_pref=LOCAL_PREF[peer])
 
 
-def _router(routes_by_peer, prefix_threshold, provision=True, path_bits=18):
+def _router(routes_by_peer, prefix_threshold, provision=True, path_bits=18, policy=None):
     """A router with one session per peer, loaded from ``{peer: {prefix: hops}}``."""
-    router = SwiftedRouter(LOCAL_AS, _config(prefix_threshold, path_bits))
+    router = SwiftedRouter(LOCAL_AS, _config(prefix_threshold, path_bits, policy))
     for peer, routes in routes_by_peer.items():
         router.add_peer(peer)
         router.load_initial_routes(
@@ -806,6 +807,44 @@ class TestObjectFreeLookup:
         table.clear_rules()
         _assert_lookups_agree(table, addresses)
         assert table.forward_address(prefixes[1].network) is None
+
+    @pytest.mark.parametrize(
+        "path", ["full_rebuild", "capacity_limits", "peer_removed", "allocation_moved"]
+    )
+    def test_a_full_path_provision_replaces_stage_1(self, path):
+        """Every non-incremental provision reloads stage 1 whole: a prefix that
+        left every session loses its tag, instead of keeping one encoded under
+        the identifier allocation the re-encode replaced."""
+        prefixes, routes = _two_feed_routes(heavy=30, light=22)
+        gone, carrier = prefixes[40], 2
+        if path == "peer_removed":
+            # Only AS 3 carries it, and AS 3 holds next-hop identifier 1, which
+            # AS 2 inherits once AS 3 leaves.
+            gone, carrier = Prefix.from_string("10.1.0.0/24"), 3
+            routes[3][gone] = [3, 12, 300]
+        policy = ReroutingPolicy(capacity_limits={3: 100}) if path == "capacity_limits" else None
+        router = _router(routes, prefix_threshold=20, policy=policy)
+        assert router.forward(gone.network) == carrier
+        if path == "peer_removed":
+            assert router.encoded_tags.next_hop_ids == {3: 1, 2: 2}
+            router.speaker.remove_peer(3)
+        else:
+            withdrawn = [(2, gone), (3, gone)]
+            if path == "allocation_moved":
+                # (2, 11) drops below the threshold, so the patch falls back.
+                withdrawn += [(2, prefix) for prefix in prefixes[30:34]]
+            router.receive_batch([
+                Update.withdraw(100.0 + i, peer, prefix)
+                for i, (peer, prefix) in enumerate(withdrawn)
+            ])
+        router.provision(full_rebuild=path == "full_rebuild")
+        assert router.last_provision_stats["mode"] == (path == "allocation_moved")
+        if path == "allocation_moved":
+            assert router.last_provision_stats["full_reencode"] == 1
+        for address in [prefix.network for prefix in prefixes] + [gone.network]:
+            best = router.speaker.lpm_route(address)
+            assert router.forward(address) == (best.next_hop if best else None), address
+        assert router.forward(gone.network) is None
 
     def test_install_rules_orders_like_repeated_install_rule(self):
         rules = [WildcardRule(value=i, mask=0xF, next_hop=i) for i in range(6)]
