@@ -45,7 +45,7 @@ from oracles.trie_reference import ReferencePrefixTrie
 from repro.bgp.prefix import random_addresses
 from repro.bgp.speaker import BGPSpeaker
 from repro.bgp.trie import PrefixTrie
-from repro.core.backup import BackupComputer, BackupProfileIndex
+from repro.core.backup import BackupComputer
 from repro.dataplane.fib import TwoStageForwardingTable
 from repro.traces.fulltable import FullTableConfig, FullTableGenerator
 
@@ -203,10 +203,9 @@ def test_bench_fulltable_backup_profiles(built):
     computer = BackupComputer()
     speaker = built.speaker
 
-    index = BackupProfileIndex()
     started = time.perf_counter()
-    view = computer.compute_table(
-        built.best, speaker.alternate_routes, speaker.loc_rib.candidate_map, index=index
+    index = computer.compute_table(
+        built.best, speaker.alternate_routes, speaker.loc_rib.candidate_map
     )
     grouped_seconds = time.perf_counter() - started
     profiles = set(index.profile_of.values())
@@ -215,16 +214,15 @@ def test_bench_fulltable_backup_profiles(built):
         len(profile.winners) * profile.prefix_count for profile in profiles
     )
 
-    # The index holds every protected prefix's backups ...
-    assert len(index.profile_of) == len(view)
-    # ... answers per-prefix queries as the ungrouped table would ...
+    # The index answers per-prefix queries as the ungrouped selection would ...
     rng = random.Random(5)
     spot_prefixes = rng.sample(list(built.best), min(2000, len(built.best)))
     for prefix in spot_prefixes:
-        per_link = computer.select_all(
+        winners = computer.select_winners(
             prefix, built.best[prefix].as_path, speaker.alternate_routes(prefix)
         )
-        assert view.get(prefix, {}) == per_link
+        profile = index.profile_of.get(prefix)
+        assert (() if profile is None else profile.winners) == winners
     # ... and shares profiles across the nested table by an order of magnitude.
     reduction = source_entries / stored_entries
     assert reduction >= 10.0, (
@@ -234,17 +232,16 @@ def test_bench_fulltable_backup_profiles(built):
 
     # Parity with the per-prefix reference at 30k scale.
     parity = _BuiltTable(_PARITY_PREFIX_COUNT)
-    parity_index = BackupProfileIndex()
-    parity_view = computer.compute_table(
+    parity_index = computer.compute_table(
         parity.best, parity.speaker.alternate_routes,
-        parity.speaker.loc_rib.candidate_map, index=parity_index,
+        parity.speaker.loc_rib.candidate_map,
     )
     parity_reference = computer.compute_table_reference(
         parity.best, parity.speaker.alternate_routes
     )
-    assert dict(parity_view) == parity_reference, (
-        "the profile index must hold the reference's backups"
-    )
+    assert {
+        prefix: profile.winners for prefix, profile in parity_index.profile_of.items()
+    } == parity_reference, "the profile index must hold the reference's backups"
 
     record(
         RESULTS_PATH,
@@ -272,11 +269,13 @@ def test_bench_fulltable_burst_replay(built):
     # What a reroute for this burst reads, built from the pre-burst table as
     # provision() would: per inferred link, the index lookup that replaced
     # the walk over the predicted (here: the withdrawn) prefixes.
-    index = BackupProfileIndex()
-    backup_table = BackupComputer().compute_table(
-        built.best, built.speaker.alternate_routes,
-        built.speaker.loc_rib.candidate_map, index=index,
+    index = BackupComputer().compute_table(
+        built.best, built.speaker.alternate_routes, built.speaker.loc_rib.candidate_map
     )
+    # The per-prefix table the walk read: prefix -> link -> backup next hop.
+    backup_table = {
+        prefix: profile.next_hops for prefix, profile in index.profile_of.items()
+    }
     weight = {
         link: sum(profile.prefix_count for profile in profiles)
         for link, profiles in index.by_link.items()

@@ -29,7 +29,7 @@ sys.path.insert(0, "src")
 
 from repro.bgp.prefix import random_addresses
 from repro.bgp.speaker import BGPSpeaker
-from repro.core.backup import BackupComputer, BackupProfileIndex
+from repro.core.backup import BackupComputer
 from repro.traces.fulltable import FullTableConfig, FullTableGenerator
 
 LOCAL_AS = 65000
@@ -76,10 +76,9 @@ def main() -> None:
     print(f"LPM over the full table: {rate:,.0f} lookups/s")
 
     best = {entry.prefix: entry for entry in speaker.loc_rib.best_entries()}
-    index = BackupProfileIndex()
     started = time.perf_counter()
-    BackupComputer().compute_table(
-        best, speaker.alternate_routes, speaker.loc_rib.candidate_map, index=index
+    index = BackupComputer().compute_table(
+        best, speaker.alternate_routes, speaker.loc_rib.candidate_map
     )
     profiles = set(index.profile_of.values())
     entries = sum(len(profile.winners) * profile.prefix_count for profile in profiles)

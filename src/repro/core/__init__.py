@@ -18,12 +18,7 @@
   plus the SWIFT engine plus a two-stage forwarding table (§3).
 """
 
-from repro.core.backup import (
-    BackupComputer,
-    BackupProfileIndex,
-    BackupSelection,
-    ReroutingPolicy,
-)
+from repro.core.backup import BackupComputer, BackupProfileIndex, ReroutingPolicy
 from repro.core.burst_detection import BurstDetector, BurstDetectorConfig, BurstState
 from repro.core.encoding import EncodedTags, EncoderConfig, TagEncoder
 from repro.core.fit_score import FitScoreCalculator, FitScoreConfig, LinkPrefixIndex, LinkScore
@@ -40,7 +35,6 @@ from repro.core.swifted_router import SwiftConfig, SwiftedRouter, RerouteAction
 __all__ = [
     "BackupComputer",
     "BackupProfileIndex",
-    "BackupSelection",
     "BurstDetector",
     "BurstDetectorConfig",
     "BurstState",

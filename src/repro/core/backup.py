@@ -9,6 +9,11 @@ prefix's tag carries exactly these backups, one per protected depth, and a
 reroute installs one rule per (encoded position, backup next-hop) of the
 inferred link: the backup a rule installs is the backup the tag carries.
 
+A backup is therefore its next hop: the data plane never reads the backup
+route's AS path.  A prefix's backups are the tuple of ``(link, next_hop)``
+per protected link, and a :class:`BackupProfileIndex` interns each distinct
+tuple once, however many prefixes hold it.
+
 The selection among valid candidates honours operator *rerouting policies*
 (§3.2): preferences between neighbor classes (customer / peer / provider),
 per-neighbor bans, and capacity caps preventing large traffic volumes from
@@ -17,11 +22,8 @@ being shifted onto low-bandwidth or nearly-saturated links.
 
 from __future__ import annotations
 
-from collections import abc
 from dataclasses import dataclass, field
-from typing import (
-    Callable, Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Set, Tuple,
-)
+from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.bgp.attributes import ASPath
 from repro.bgp.prefix import Prefix
@@ -31,8 +33,6 @@ __all__ = [
     "BackupComputer",
     "BackupProfile",
     "BackupProfileIndex",
-    "BackupSelection",
-    "BackupTableView",
     "RankedAlternates",
     "ReroutingPolicy",
 ]
@@ -83,52 +83,6 @@ class ReroutingPolicy:
         return self.capacity_limits.get(neighbor)
 
 
-@dataclass(frozen=True, slots=True)
-class BackupSelection:
-    """The backup chosen for one (prefix, protected link) pair.
-
-    The entry type of the per-prefix tables :meth:`BackupComputer.compute_table`
-    and :meth:`~BackupComputer.compute_table_reference` hand out; a router
-    keeps its backups in a :class:`BackupProfileIndex` and builds none.
-    Slotted: such a table holds one selection per (prefix, link).
-    """
-
-    prefix: Prefix
-    protected_link: Link
-    next_hop: int
-    as_path: ASPath
-
-    @property
-    def depth(self) -> int:
-        """Length of the backup AS path."""
-        return len(self.as_path)
-
-
-_object_new = object.__new__
-_set_prefix = BackupSelection.prefix.__set__
-_set_protected_link = BackupSelection.protected_link.__set__
-_set_next_hop = BackupSelection.next_hop.__set__
-_set_as_path = BackupSelection.as_path.__set__
-
-
-def _make_selection(
-    prefix: Prefix, protected_link: Link, next_hop: int, as_path: ASPath
-) -> BackupSelection:
-    """Build a BackupSelection without the frozen-dataclass ``__setattr__`` tax.
-
-    The profile-grouped fan-out constructs one selection per (prefix, link)
-    over whole tables; filling the slots through their descriptors keeps that
-    loop cheap while remaining indistinguishable from constructor-built
-    instances (same equality, hashing, pickling).
-    """
-    selection = _object_new(BackupSelection)
-    _set_prefix(selection, prefix)
-    _set_protected_link(selection, protected_link)
-    _set_next_hop(selection, next_hop)
-    _set_as_path(selection, as_path)
-    return selection
-
-
 class RankedAlternates(list):
     """What :meth:`BackupComputer.rank` returns: one prefix's policy-allowed
     alternates, most preferred first.  :meth:`BackupComputer.select` takes
@@ -137,12 +91,13 @@ class RankedAlternates(list):
     __slots__ = ()
 
 
-#: One backup per protected link, in link order: ``(link, next_hop, path)``.
-Winners = Tuple[Tuple[Link, int, ASPath], ...]
+#: One backup next hop per protected link, in link order: ``(link, next_hop)``.
+Winners = Tuple[Tuple[Link, int], ...]
 
 
 class BackupProfile:
-    """One distinct tuple of per-link backups, shared by ``prefix_count`` prefixes.
+    """One distinct tuple of per-link backup next hops, shared by
+    ``prefix_count`` prefixes.
 
     ``next_hops`` (protected link -> backup next hop) is what the tag encoder
     writes for every prefix holding the profile, and what a reroute of the
@@ -153,7 +108,7 @@ class BackupProfile:
 
     def __init__(self, winners: Winners) -> None:
         self.winners = winners
-        self.next_hops: Dict[Link, int] = {link: hop for link, hop, _ in winners}
+        self.next_hops: Dict[Link, int] = dict(winners)
         self.prefix_count = 0
 
 
@@ -213,34 +168,6 @@ class BackupProfileIndex:
             hop = profile.next_hops[link]
             counts[hop] = counts.get(hop, 0) + profile.prefix_count
         return counts
-
-
-class BackupTableView(abc.Mapping):
-    """A :class:`BackupProfileIndex` read as a per-prefix backup table.
-
-    What :meth:`BackupComputer.compute_table` returns when it fills an index:
-    ``prefix -> protected link -> BackupSelection``, equal to the dict it
-    returns otherwise, but a prefix's selections are built when it is read,
-    so filling the index builds none.  A live view: later moves in the
-    index show through it.
-    """
-
-    __slots__ = ("_index",)
-
-    def __init__(self, index: BackupProfileIndex) -> None:
-        self._index = index
-
-    def __getitem__(self, prefix: Prefix) -> Dict[Link, BackupSelection]:
-        return {
-            link: _make_selection(prefix, link, next_hop, as_path)
-            for link, next_hop, as_path in self._index.profile_of[prefix].winners
-        }
-
-    def __iter__(self) -> Iterator[Prefix]:
-        return iter(self._index.profile_of)
-
-    def __len__(self) -> int:
-        return len(self._index.profile_of)
 
 
 class BackupComputer:
@@ -314,8 +241,8 @@ class BackupComputer:
     ) -> Optional[RibEntry]:
         """Choose the best backup for one (prefix, link) pair.
 
-        Returns the winning alternate itself — its ``next_hop`` and
-        ``as_path`` are the backup — or ``None``: the first entry of the
+        Returns the winning alternate itself — its ``next_hop`` is the
+        backup — or ``None``: the first entry of the
         prefix's ranking (:meth:`rank`; ``alternates`` is ranked here unless
         it already is a :class:`RankedAlternates`) that is valid for the link
         and has capacity left.  A candidate is
@@ -351,12 +278,14 @@ class BackupComputer:
         alternates: Sequence[RibEntry],
         usage: Optional[Dict[int, int]] = None,
     ) -> Winners:
-        """The backup of every protected link of one prefix that has one.
+        """The backup next hop of every protected link of one prefix that has one.
 
-        ``(link, next_hop, path)`` per link, nearest first — the value a
+        ``(link, next_hop)`` per link, nearest first — the value a
         :class:`BackupProfile` interns.  The alternates are ranked once;
         each link's :meth:`select` walks that ranking for its first valid
-        entry.
+        entry.  Which of several equally ranked entries wins cannot change
+        the hop: the ranking key ends with the next hop, so entries that
+        tie on it share one.
         """
         ranked = self.rank(prefix, alternates)
         select = self.select
@@ -364,24 +293,8 @@ class BackupComputer:
         for link in self.protected_links(primary_path):
             entry = select(prefix, link, ranked, usage)
             if entry is not None:
-                attributes = entry.attributes
-                winners.append((link, attributes.next_hop, attributes.as_path))
+                winners.append((link, entry.attributes.next_hop))
         return tuple(winners)
-
-    def select_all(
-        self,
-        prefix: Prefix,
-        primary_path: ASPath,
-        alternates: Sequence[RibEntry],
-        usage: Optional[Dict[int, int]] = None,
-    ) -> Dict[Link, BackupSelection]:
-        """:meth:`select_winners` as a per-link table of :class:`BackupSelection`."""
-        return {
-            link: _make_selection(prefix, link, next_hop, path)
-            for link, next_hop, path in self.select_winners(
-                prefix, primary_path, alternates, usage
-            )
-        }
 
     # -- table-wide computation -------------------------------------------------
 
@@ -391,8 +304,9 @@ class BackupComputer:
         alternates_of: Callable[[Prefix], Sequence[RibEntry]],
         candidates_of: Optional[Callable[[Prefix], Mapping[int, RibEntry]]] = None,
         index: Optional[BackupProfileIndex] = None,
-    ) -> Mapping[Prefix, Dict[Link, BackupSelection]]:
-        """Backups for every prefix and every protected link of its best path.
+    ) -> BackupProfileIndex:
+        """Fill ``index`` with the backups of every prefix and every protected
+        link of its best path, and return it.
 
         The selection is *profile-grouped*: prefixes whose best route and
         candidates are built from the same attribute objects (the common
@@ -402,9 +316,9 @@ class BackupComputer:
         paths and next hops.  Each distinct (best profile, candidates
         profile) is therefore ranked once — ``alternates_of`` is called for
         one representative prefix per profile when ``candidates_of`` is
-        given — and the winning (next hop, backup path) fanned out to all
-        member prefixes.  The dominant cost of a cold ``provision()`` drops
-        from one ranking per (prefix, link) to one per (profile, link).
+        given — and its interned :class:`BackupProfile` assigned to all
+        member prefixes.  A cold ``provision()`` costs O(profiles x links)
+        selections plus one index store per prefix.
 
         Policies with capacity limits keep the per-prefix
         :meth:`compute_table_reference` path: their global usage accounting
@@ -425,43 +339,32 @@ class BackupComputer:
             prefix; selections are unchanged because members of a profile
             share their candidate objects, listed in session order.
         index:
-            Optional fresh :class:`BackupProfileIndex` to fill: each prefix
-            is assigned its group's interned profile and the table comes back
-            as a :class:`BackupTableView` of the index, so the build costs
-            O(profiles x links) plus one dict store per prefix and no
-            :class:`BackupSelection` is made until the table is read.
+            The fresh :class:`BackupProfileIndex` to fill (a new one when
+            omitted).
         """
+        if index is None:
+            index = BackupProfileIndex()
         if self.policy.capacity_limits:
-            table = self.compute_table_reference(best_routes, alternates_of)
-            if index is None:
-                return table
-            for prefix, per_link in table.items():
-                index.assign(prefix, index.profile_for(tuple(
-                    (link, selection.next_hop, selection.as_path)
-                    for link, selection in per_link.items()
-                )))
-            return BackupTableView(index)
-        # profile key -> (winners, their interned backup profile)
-        groups: Dict[Tuple, Tuple[Winners, Optional[BackupProfile]]] = {}
-        table = {}
+            for prefix, winners in self.compute_table_reference(
+                best_routes, alternates_of
+            ).items():
+                index.assign(prefix, index.profile_for(winners))
+            return index
+        # profile key -> the interned backup profile (None: no backups)
+        groups: Dict[Tuple, Optional[BackupProfile]] = {}
+        assign = index.assign
         for prefix, best in best_routes.items():
             key, alternates = self._profile_key(prefix, best, alternates_of, candidates_of)
-            group = groups.get(key)
-            if group is None:
+            if key in groups:
+                profile = groups[key]
+            else:
                 if alternates is None:
                     alternates = alternates_of(prefix)
-                winners = self.select_winners(prefix, best.as_path, alternates)
-                profile = index.profile_for(winners) if index is not None else None
-                group = groups[key] = (winners, profile)
-            winners, profile = group
-            if profile is not None:
-                index.assign(prefix, profile)
-            elif winners and index is None:
-                table[prefix] = {
-                    link: _make_selection(prefix, link, next_hop, as_path)
-                    for link, next_hop, as_path in winners
-                }
-        return table if index is None else BackupTableView(index)
+                profile = groups[key] = index.profile_for(
+                    self.select_winners(prefix, best.as_path, alternates)
+                )
+            assign(prefix, profile)
+        return index
 
     @staticmethod
     def _profile_key(
@@ -489,20 +392,20 @@ class BackupComputer:
         self,
         best_routes: Mapping[Prefix, RibEntry],
         alternates_of: Callable[[Prefix], Sequence[RibEntry]],
-    ) -> Dict[Prefix, Dict[Link, BackupSelection]]:
-        """Ungrouped per-prefix selection (the pre-grouping reference).
+    ) -> Dict[Prefix, Winners]:
+        """Ungrouped per-prefix selection (the pre-grouping reference):
+        prefix -> its :meth:`select_winners`, for every prefix that has a
+        backup.
 
         Kept as the always-correct path: capacity-limited policies require
         it (usage accounting is global and order-dependent), and the parity
-        suite asserts :meth:`compute_table` matches it exactly on
+        suite asserts :meth:`compute_table` interns exactly these tuples on
         capacity-free policies.
         """
         usage: Dict[int, int] = {}
-        table: Dict[Prefix, Dict[Link, BackupSelection]] = {}
+        table: Dict[Prefix, Winners] = {}
         for prefix, best in best_routes.items():
-            per_link = self.select_all(
-                prefix, best.as_path, alternates_of(prefix), usage
-            )
-            if per_link:
-                table[prefix] = per_link
+            winners = self.select_winners(prefix, best.as_path, alternates_of(prefix), usage)
+            if winners:
+                table[prefix] = winners
         return table

@@ -129,8 +129,14 @@ class EncodedTags:
     ``fully_encoded`` carry the encoder's working state forward so that a
     later :meth:`TagEncoder.encode_delta` can re-encode only the prefixes
     whose routes changed.  That call patches this object *in place* — the
-    same ``tags`` and ``link_loads`` dicts, a few entries changed — so a
-    warm re-provision never copies a table-sized structure.
+    same ``link_loads`` dict, a few entries changed — so a warm
+    re-provision never copies a table-sized structure.
+
+    ``tags`` is the forwarding table's stage 1 itself:
+    :meth:`~repro.dataplane.fib.TwoStageForwardingTable.load_tags` adopts
+    the dict :meth:`TagEncoder.encode` built, and ``encode_delta`` only
+    computes the stage-1 patch, which
+    :meth:`~repro.dataplane.fib.TwoStageForwardingTable.update_tags` writes.
 
     ``eligible_loads`` is the subset of ``link_loads`` at or above
     ``config.prefix_threshold``: the only entries the identifier allocation
@@ -173,10 +179,6 @@ class EncodedTags:
     def is_encoded(self, link: Link, position: int) -> bool:
         """Whether ``link`` at ``position`` can be matched by a tag rule."""
         return _canonical(link) in self.link_ids.get(position, {})
-
-    def tag_of(self, prefix: Prefix) -> Optional[int]:
-        """The tag assigned to ``prefix`` (None when the prefix has no tag)."""
-        return self.tags.get(prefix)
 
 
 class TagEncoder:
@@ -273,10 +275,12 @@ class TagEncoder:
         would land elsewhere the result is ``None``, ``previous`` is exactly
         as it was, and the caller must run a full :meth:`encode`.  Otherwise
         the deltas are committed to ``previous.link_loads`` /
-        ``eligible_loads`` / ``next_hop_counts``, the changed prefixes' tags
-        are rebuilt into ``previous.tags`` / ``fully_encoded``, and the
-        result is ``{prefix: new tag or None}`` — the stage-1 patch for the
-        forwarding table.  The cost is O(changed prefixes) plus the
+        ``eligible_loads`` / ``next_hop_counts`` / ``fully_encoded``, and the
+        result is ``{prefix: new tag or None}`` for the prefixes whose tag
+        changed — the stage-1 patch.  ``previous.tags`` is left to the
+        patch's one writer, the forwarding table's
+        :meth:`~repro.dataplane.fib.TwoStageForwardingTable.update_tags`
+        (stage 1 *is* that dict).  The cost is O(changed prefixes) plus the
         allocation checks; nothing table-sized is copied, sorted or scanned.
         """
         depth = self.config.backup_depth
@@ -345,7 +349,7 @@ class TagEncoder:
         tag_patch: Dict[Prefix, Optional[int]] = {}
         for prefix, _, new_path, _, new_backups in changes:
             if new_path is None:
-                if tags.pop(prefix, None) is not None:
+                if prefix in tags:
                     tag_patch[prefix] = None
                 fully.discard(prefix)
                 continue
@@ -353,7 +357,7 @@ class TagEncoder:
                 new_path, new_backups, link_ids, next_hop_ids, layout
             )
             if tags.get(prefix) != tag:
-                tags[prefix] = tag_patch[prefix] = tag
+                tag_patch[prefix] = tag
             if fully_encoded:
                 fully.add(prefix)
             else:

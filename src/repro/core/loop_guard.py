@@ -102,10 +102,6 @@ class LoopGuard:
             count += 1
         return count
 
-    def release(self, prefix: Prefix) -> None:
-        """Stop monitoring one prefix (e.g. BGP re-converged for it)."""
-        self._guards.pop(prefix, None)
-
     def release_all(self) -> None:
         """Stop monitoring everything (SWIFT rules removed)."""
         self._guards.clear()

@@ -9,7 +9,7 @@
 * a :class:`~repro.core.encoding.TagEncoder` producing the two-part tags and
   the wildcard reroute rules,
 * a :class:`~repro.dataplane.fib.TwoStageForwardingTable` holding the tags
-  (stage 1) and the forwarding rules (stage 2),
+  (stage 1, the encoding's own tag dict) and the forwarding rules (stage 2),
 * one :class:`~repro.core.inference.InferenceEngine` per peering session,
   watching the incoming streams for bursts.
 
@@ -58,8 +58,8 @@ its candidate map (the speaker's decision-process sort is skipped, see
 :meth:`SwiftedRouter._alternates`), one ranking of its alternates
 (:meth:`~repro.core.backup.BackupComputer.rank`), at most
 ``backup_depth`` walks of that ranking for the first backup valid for a
-protected link, one interning of the resulting backups as a profile.  A
-prefix that kept its best path object and its profile stops there
+protected link, one interning of the resulting backup next hops as a
+profile.  A prefix that kept its best path object and its profile stops there
 (``last_provision_stats["unchanged"]``); any other moves between
 backup-index profiles and gets one tag and, when the tag changed, one
 stage-1 dict store.  The backup index is the router's only backup table:
@@ -304,17 +304,14 @@ class SwiftedRouter:
                     self._reencode({entry.prefix: entry for entry in loc_rib.best_entries()})
                     self.last_provision_stats["full_reencode"] = 1
                 else:
+                    # Stage 1 is the encoding's tag dict: this writes both.
                     self.forwarding.update_tags(tag_patch)
                     self.last_provision_stats["tag_patch"] = len(tag_patch)
         else:
             best_routes = {entry.prefix: entry for entry in loc_rib.best_entries()}
             self.last_provision_stats = {"mode": 0, "dirty_prefixes": len(best_routes)}
-            self._backup_index = BackupProfileIndex()
-            self.backup_computer.compute_table(
-                best_routes,
-                self._alternates,
-                candidates_of=loc_rib.candidate_map,
-                index=self._backup_index,
+            self._backup_index = self.backup_computer.compute_table(
+                best_routes, self._alternates, candidates_of=loc_rib.candidate_map
             )
             self._reencode(best_routes)
 
@@ -332,24 +329,16 @@ class SwiftedRouter:
         The Loc-RIB candidates other than the best route's peer, minus looped
         paths, in session order — ``speaker.alternate_routes`` without its
         decision-process sort.  ``rank`` re-sorts on (preference, path
-        length, next hop), and while the next hops are distinct that key is
-        a total order, so the input order cannot matter.  Two alternates
-        sharing a next hop may tie, and a tie keeps the input order: only
-        then is the speaker's ranking taken, so every selection is the one
-        ``alternate_routes`` would give.
+        length, next hop), and alternates that tie on that key share their
+        next hop, so the input order cannot change a backup next hop.
         """
         best = self.speaker.loc_rib.best(prefix)
         best_peer = None if best is None else best.peer_as
-        alternates = [
+        return [
             entry
             for entry in self.speaker.loc_rib.candidates(prefix)
             if entry.peer_as != best_peer and not entry.attributes.as_path.has_loop()
         ]
-        if len(alternates) > 1 and len(
-            {entry.attributes.next_hop for entry in alternates}
-        ) < len(alternates):
-            return self.speaker.alternate_routes(prefix)
-        return alternates
 
     def _reencode(self, best_routes: Mapping[Prefix, RibEntry]) -> None:
         """Re-run the full tag encoding and reload the forwarding state."""

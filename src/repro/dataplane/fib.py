@@ -12,7 +12,9 @@ probes it once per prefix length present, longest first, with the bare
 ``(address & mask, length)`` tuple: a :class:`Prefix` *is* that tuple, so the
 probe hashes and compares in C.  ``table_churn``'s table carries 13 lengths
 and a DFZ table mostly the 17 from /8 to /24, so a lookup is at most that
-many dict probes, and an update is one dict store or pop.
+many dict probes, and an update is one dict store or pop.  A router's stage 1
+is its encoding's tag dict itself (:meth:`TwoStageForwardingTable.load_tags`
+adopts it), so the tags are held once.
 """
 
 from __future__ import annotations
@@ -87,13 +89,16 @@ class TwoStageForwardingTable:
         self.update_tags({prefix: tag})
 
     def load_tags(self, tags: Dict[Prefix, int]) -> None:
-        """Replace stage 1 with ``tags`` (provisioning, not a reroute operation).
+        """Make ``tags`` stage 1 (provisioning, not a reroute operation).
 
+        The table adopts the dict, copying nothing: a router hands it
+        :attr:`EncodedTags.tags <repro.core.encoding.EncodedTags.tags>`, and
+        from then on :meth:`update_tags` and :meth:`set_tag` write into it.
         A prefix absent from ``tags`` leaves the table: its old tag was
         encoded under an identifier allocation that no longer holds.
         """
-        self._stage1 = dict(tags)
-        lengths = Counter(map(itemgetter(1), self._stage1))
+        self._stage1 = tags
+        lengths = Counter(map(itemgetter(1), tags))
         self._length_counts = [lengths[length] for length in range(33)]
         self._reprobe()
         self.stage1_updates += len(tags)
@@ -103,7 +108,10 @@ class TwoStageForwardingTable:
 
         The incremental re-provisioning path uses this instead of reloading
         every tag, so a warm provision's forwarding update is proportional
-        to the number of changed prefixes.
+        to the number of changed prefixes.  It is the one writer of a
+        router's tags (:meth:`~repro.core.encoding.TagEncoder.encode_delta`
+        only computes ``patch``), so it sees each prefix's prior presence
+        and keeps the per-length counts right.
         """
         stage1 = self._stage1
         counts = self._length_counts

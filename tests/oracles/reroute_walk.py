@@ -9,14 +9,13 @@ backup each predicted prefix holds for that link — the one its tag carries —
 and nothing else: a prefix without a backup for the link adds no rule.
 
 The router keeps no per-prefix table any more; :func:`backup_table` is the
-one test-side view of it, read off the index.
+one test-side view of it, read off the index: a backup is its next hop.
 """
 
 from collections import Counter
 from typing import Dict, Iterable, Mapping, Tuple
 
 from repro.bgp.prefix import Prefix
-from repro.core.backup import BackupSelection, BackupTableView
 from repro.core.encoding import EncodedTags, TagEncoder
 
 Link = Tuple[int, int]
@@ -24,35 +23,36 @@ Link = Tuple[int, int]
 RuleKey = Tuple[int, int, int, int]
 
 
-def backup_table(router) -> Dict[Prefix, Dict[Link, BackupSelection]]:
-    """``prefix -> protected link -> selection``, from ``router.backup_index``.
-
-    The shape ``BackupComputer.compute_table`` returns, as a snapshot; a
-    prefix without backups has no entry.
-    """
-    return dict(BackupTableView(router.backup_index))
+def backup_table(router) -> Dict[Prefix, Dict[Link, int]]:
+    """``prefix -> protected link -> backup next hop``, from
+    ``router.backup_index``, as a snapshot; a prefix without backups has no
+    entry."""
+    return {
+        prefix: dict(profile.next_hops)
+        for prefix, profile in router.backup_index.profile_of.items()
+    }
 
 
 def backups_for_link(
-    backup_table: Mapping[Prefix, Mapping[Link, BackupSelection]],
+    backup_table: Mapping[Prefix, Mapping[Link, int]],
     link: Link,
     prefixes: Iterable[Prefix],
 ) -> Dict[int, int]:
     """Backup next-hops (and prefix counts) for traffic crossing ``link``:
-    the selection each of ``prefixes`` holds for ``link``, where it holds one."""
+    the backup each of ``prefixes`` holds for ``link``, where it holds one."""
     link = link if link[0] <= link[1] else (link[1], link[0])
     counts: Dict[int, int] = {}
     for prefix in prefixes:
-        selection = backup_table.get(prefix, {}).get(link)
-        if selection is not None:
-            counts[selection.next_hop] = counts.get(selection.next_hop, 0) + 1
+        hop = backup_table.get(prefix, {}).get(link)
+        if hop is not None:
+            counts[hop] = counts.get(hop, 0) + 1
     return counts
 
 
 def walk_rules(
     encoder: TagEncoder,
     encoded: EncodedTags,
-    backup_table: Mapping[Prefix, Mapping[Link, BackupSelection]],
+    backup_table: Mapping[Prefix, Mapping[Link, int]],
     inferred_links: Iterable[Link],
     predicted_prefixes: Iterable[Prefix],
     priority: int,

@@ -6,9 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.bgp.attributes import ASPath, PathAttributes
 from repro.bgp.prefix import Prefix, prefix_block
 from repro.bgp.rib import RibEntry
-from repro.core.backup import (
-    BackupComputer, BackupProfileIndex, BackupTableView, ReroutingPolicy,
-)
+from repro.core.backup import BackupComputer, BackupProfileIndex, ReroutingPolicy
 from repro.core.encoding import EncoderConfig, TagEncoder, WildcardRule
 from repro.dataplane.fib import TwoStageForwardingTable
 from repro.dataplane.timing import FibUpdateTimingModel
@@ -99,23 +97,21 @@ class TestBackupComputer:
             PFX[0]: [_entry(PFX[0], [3, 6])],
             PFX[1]: [_entry(PFX[1], [3, 6])],
         }
-        table = computer.compute_table(best, lambda p: alternates[p])
-        assert (5, 6) in table[PFX[0]]
-        # Filling an index returns the same table, read through the index.
         index = BackupProfileIndex()
-        view = computer.compute_table(best, lambda p: alternates[p], index=index)
-        assert isinstance(view, BackupTableView)
-        assert view == table and dict(view) == table
+        assert computer.compute_table(best, lambda p: alternates[p], index=index) is index
+        # One interned profile of per-link backup next hops for both prefixes.
+        profile = index.profile_of[PFX[0]]
+        assert index.profile_of[PFX[1]] is profile and profile.prefix_count == 2
+        assert profile.next_hops == {(2, 5): 3, (5, 6): 3}
         assert index.next_hops((5, 6)) == {3: 2}
-        assert index.profile_of[PFX[0]].next_hops == {
-            link: selection.next_hop for link, selection in table[PFX[0]].items()
-        }
-        # Capacity limits take the reference walk, index or not.
+        reference = computer.compute_table_reference(best, lambda p: alternates[p])
+        assert reference == {prefix: profile.winners for prefix in PFX[:2]}
+        # Capacity limits take the reference walk.
         capped = BackupComputer(policy=ReroutingPolicy(capacity_limits={3: 1}))
         reference = capped.compute_table_reference(best, lambda p: alternates[p])
         assert list(reference) == [PFX[0]]
-        index = BackupProfileIndex()
-        assert capped.compute_table(best, lambda p: alternates[p], index=index) == reference
+        index = capped.compute_table(best, lambda p: alternates[p])
+        assert {prefix: p.winners for prefix, p in index.profile_of.items()} == reference
         assert index.next_hops((2, 5)) == {3: 1}
 
 

@@ -3,8 +3,9 @@
 The engines are the router's per-session view of the Adj-RIB-In, interned by
 AS path (``LinkPrefixIndex``).  The speaker holds the Adj-RIB-Ins themselves
 and the Loc-RIB's best routes.  The rest of the router's bytes are the
-FIB's stage-1 tag dict, the backup index and the tag encoding.  These tests hold
-each store to a byte budget
+backup index and the tag encoding, whose tag dict is the FIB's stage 1 (the
+FIB allocates no copy of it, which is checked by identity).  These tests
+hold each store to a byte budget
 per route after a cold ``provision()`` of a ``FullTableGenerator`` table, and
 hold a long-lived index to the live RIB under path churn.  The speaker is
 also held after a drive, before any read: its Loc-RIB then keeps a stale
@@ -22,7 +23,10 @@ import tracemalloc
 
 import pytest
 
+from test_warm_provision import _router, _two_feed_routes
+
 from repro.bgp.attributes import ASPath
+from repro.bgp.messages import Update
 from repro.bgp.prefix import prefix_block
 from repro.core.fit_score import LinkPrefixIndex
 from repro.core.swifted_router import SwiftedRouter
@@ -126,14 +130,39 @@ def test_speaker_bytes_per_route_at_16k_with_the_stale_set_at_its_largest():
 
 
 @pytest.mark.parametrize(
-    "source, budget",
-    [("dataplane/fib.py", 13), ("core/backup.py", 32), ("core/encoding.py", 28)],
+    "source, budget", [("core/backup.py", 32), ("core/encoding.py", 28)]
 )
 def test_the_rest_of_the_router_bytes_per_route_at_16k(snapshot_16k, source, budget):
-    """About 5 % above 12.3 / 30.6 / 26.4 B per route, measured at 16k x 3."""
+    """About 5 % above 30.6 / 26.4 B per route, measured at 16k x 3."""
     snapshot, routes = snapshot_16k
     per_route = _bytes(snapshot, (source,)) / routes
     assert per_route <= budget, f"{source}: {per_route:.1f} B per route"
+
+
+def test_stage_1_is_the_encodings_tag_dict():
+    """The FIB's stage 1 is the dict ``encode()`` built, after every kind of
+    provision: its bytes are the encoding's, and the FIB holds no copy."""
+    prefixes, routes = _two_feed_routes(heavy=30, light=22)
+    router = _router(routes, prefix_threshold=20)
+    tags = router.encoded_tags.tags
+    assert router.forwarding._stage1 is tags
+
+    def withdraw(clock, batch):
+        router.receive_batch(
+            [Update.withdraw(clock + i, 2, prefix) for i, prefix in enumerate(batch)]
+        )
+        router.provision()
+
+    withdraw(100.0, prefixes[:1])
+    assert router.last_provision_stats["tag_patch"] == 1
+    assert router.encoded_tags.tags is tags and router.forwarding._stage1 is tags
+    # (2, 11) drops below the threshold: the patch falls back to a re-encode.
+    withdraw(200.0, prefixes[30:34])
+    assert router.last_provision_stats["full_reencode"] == 1
+    assert router.forwarding._stage1 is router.encoded_tags.tags is not tags
+    router.provision(full_rebuild=True)
+    assert router.last_provision_stats["mode"] == 0
+    assert router.forwarding._stage1 is router.encoded_tags.tags
 
 
 def _print_lines(snapshot, routes, label, files):

@@ -250,11 +250,6 @@ def _loaded_router(prefix_count=800):
     return router, s6
 
 
-def _backup_snapshot(router):
-    return {
-        prefix: {link: sel.next_hop for link, sel in per_link.items()}
-        for prefix, per_link in backup_table(router).items()
-    }
 
 
 def _engine_snapshot(router):
@@ -303,7 +298,7 @@ class TestIncrementalProvisionParity:
 
         assert warm.encoded_tags.tags == cold.encoded_tags.tags
         assert warm.encoded_tags.next_hop_ids == cold.encoded_tags.next_hop_ids
-        assert _backup_snapshot(warm) == _backup_snapshot(cold)
+        assert backup_table(warm) == backup_table(cold)
         assert _engine_snapshot(warm) == _engine_snapshot(cold)
 
         # The engines produce identical inferences on a subsequent burst.

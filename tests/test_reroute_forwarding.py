@@ -226,14 +226,11 @@ def test_every_rerouted_prefix_takes_its_tag_backup(scenario):
             assert after[number] == before[number], (number, links)
             continue
         profile = router.backup_index.profile_of.get(prefix)
-        winners = {} if profile is None else {
-            link: (hop, path.asns) for link, hop, path in profile.winners
-        }
-        taken = [
-            link for link in crossed
-            if link in winners and winners[link][0] == after[number]
-        ]
-        assert taken, (number, links, after[number], winners)
+        backups = {} if profile is None else profile.next_hops
+        taken = [link for link in crossed if backups.get(link) == after[number]]
+        assert taken, (number, links, after[number], backups)
         for link in taken:
-            assert winners[link] in alternates
-            assert link not in ASPath(winners[link][1]).links()
+            # The backup's path is the group's alternate at that next hop.
+            hop = backups[link]
+            assert (hop, group.get(hop)) in alternates
+            assert link not in ASPath(group[hop]).links()

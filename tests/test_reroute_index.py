@@ -88,12 +88,8 @@ def _table_snapshot(router):
         best, router.speaker.alternate_routes
     )
     snapshot = {}
-    for per_link in reference.values():
-        winners = tuple(
-            (link, selection.next_hop, selection.as_path)
-            for link, selection in per_link.items()
-        )
-        for link in per_link:
+    for winners in reference.values():
+        for link, _ in winners:
             snapshot.setdefault(link, Counter())[winners] += 1
     return snapshot
 

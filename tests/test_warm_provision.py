@@ -9,9 +9,8 @@ stopwatch, that a warm provision's allocations do not grow with the table.
 """
 
 import copy
-import pickle
 import tracemalloc
-from dataclasses import FrozenInstanceError
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -23,8 +22,8 @@ from repro.bgp.attributes import ASPath, PathAttributes
 from repro.bgp.messages import Notification, OpenMessage, Update
 from repro.bgp.prefix import Prefix, prefix_block
 from repro.bgp.rib import RibEntry
-from repro.core import SwiftConfig, SwiftedRouter, backup
-from repro.core.backup import BackupComputer, BackupSelection, ReroutingPolicy
+from repro.core import SwiftConfig, SwiftedRouter
+from repro.core.backup import BackupComputer, ReroutingPolicy
 from repro.core.burst_detection import BurstDetectorConfig
 from repro.core.encoding import EncoderConfig, WildcardRule
 from repro.core.history import TriggeringSchedule
@@ -71,6 +70,7 @@ def _state(router):
     """Everything a warm provision maintains, in comparable form."""
     encoded = router.encoded_tags
     table = backup_table(router)
+    index = router.backup_index
     prefixes = set(encoded.tags) | set(table)
     return {
         "tags": dict(encoded.tags),
@@ -84,10 +84,8 @@ def _state(router):
         # Equal loads tie in insertion order, which a warm table need not share.
         "skipped_links": sorted(encoded.skipped_links),
         "layout": encoded.layout,
-        "backups": {
-            prefix: {link: (sel.next_hop, sel.as_path) for link, sel in per_link.items()}
-            for prefix, per_link in table.items()
-        },
+        "backups": table,
+        "next_hops": {link: index.next_hops(link) for link in index.by_link},
         "forward": {prefix: router.forward(prefix.network) for prefix in prefixes},
     }
 
@@ -295,6 +293,14 @@ def _scenarios(draw):
     return peers, count + spare, threshold, path_bits, initial, rounds
 
 
+def _assert_one_profile_per_next_hops(router):
+    """Prefixes whose per-link backup next hops are equal hold one profile,
+    whatever the AS paths of their backup routes."""
+    profiles = set(router.backup_index.profile_of.values())
+    values = [tuple(profile.next_hops.items()) for profile in profiles]
+    assert len(values) == len(set(values)), sorted(values)
+
+
 class TestWarmEqualsCold:
     @settings(
         max_examples=100,
@@ -302,6 +308,19 @@ class TestWarmEqualsCold:
         suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
     )
     @given(_scenarios())
+    @example(
+        # Both prefixes cross (2, 10) and (10, 100) and are backed up by AS 3
+        # on both, over different AS paths; the round moves prefix 0's backup
+        # path and keeps its next hops.
+        scenario=(
+            [2, 3],
+            2,
+            10 ** 6,
+            18,
+            {2: {0: [2, 10, 100], 1: [2, 10, 100]}, 3: {0: [3, 11, 100], 1: [3, 12, 20, 100]}},
+            [[(3, 0, [3, 12, 21, 100])]],
+        )
+    )
     def test_every_warm_provision_equals_a_cold_twin(self, scenario):
         peers, total, threshold, path_bits, initial, rounds = scenario
         prefixes = prefix_block("60.0.0.0/24", total)
@@ -333,6 +352,8 @@ class TestWarmEqualsCold:
             assert cold.last_provision_stats["mode"] == 0
             assert _state(warm) == _state(cold)
             _assert_eligible_is_the_threshold_subset(warm)
+            _assert_one_profile_per_next_hops(warm)
+            _assert_one_profile_per_next_hops(cold)
             assert actions == []
 
 
@@ -362,38 +383,26 @@ class TestWarmProvisionSkips:
                 for i, prefix in enumerate(prefixes[10:20])
             ]
         )
-        ranked, built = [], []
+        ranked = []
         process = router.speaker.decision_process
-        real_rank, real_make, real_init = (
-            process.rank, backup._make_selection, BackupSelection.__init__
-        )
+        real_rank = process.rank
 
         def rank(candidates):
             ranked.append(candidates)
             return real_rank(candidates)
 
-        def make_selection(*fields):
-            built.append(fields)
-            return real_make(*fields)
-
-        def init(selection, *fields):
-            built.append(fields)
-            real_init(selection, *fields)
-
+        # The backups are interned next hops: there is no per-(prefix, link)
+        # record type left to count, only the decision-process sort.
         monkeypatch.setattr(process, "rank", rank)
-        monkeypatch.setattr(backup, "_make_selection", make_selection)
-        monkeypatch.setattr(BackupSelection, "__init__", init)
         router.provision()
         assert router.last_provision_stats["mode"] == 1
         assert router.last_provision_stats["dirty_prefixes"] == 20
-        assert ranked == [] and built == []
+        assert ranked == []
         warm = _state(router)
-        # The cold path fills the index through compute_table and builds no
-        # selection either: the table it returns is read through the index.
-        built.clear()
+        # The cold path fills the index through compute_table, unsorted too.
         router.provision(full_rebuild=True)
         assert router.last_provision_stats["mode"] == 0
-        assert built == []
+        assert ranked == []
         monkeypatch.undo()
         assert warm == _state(router)
 
@@ -413,6 +422,42 @@ class TestWarmProvisionSkips:
         warm = _state(router)
         router.provision(full_rebuild=True)
         assert warm == _state(router)
+
+
+    def test_encode_delta_leaves_the_tags_to_update_tags(self):
+        """The encoder only computes the stage-1 patch; ``update_tags`` is the
+        one writer of the tags (stage 1 is that dict), so it sees each
+        prefix's prior presence and keeps the per-length counts right while
+        a prefix length comes and goes."""
+        _, routes = _two_feed_routes(heavy=30, light=25)
+        router = _router(routes, prefix_threshold=20)
+        tags = router.encoded_tags.tags
+        patches = []
+        real = router.encoder.encode_delta
+
+        def encode_delta(previous, changes, neighbors=None):
+            before = dict(previous.tags)
+            patch = real(previous, changes, neighbors=neighbors)
+            assert previous.tags == before, "encode_delta wrote the tags"
+            patches.append(patch)
+            return patch
+
+        router.encoder.encode_delta = encode_delta
+        wide = Prefix.from_string("61.0.0.0/16")
+        fib = router.forwarding
+        for message in (
+            Update.announce(100.0, 2, wide, _attributes(2, [2, 10, 100])),
+            Update.withdraw(200.0, 2, wide),
+        ):
+            router.receive_batch([message])
+            router.provision()
+            assert "full_reencode" not in router.last_provision_stats
+            assert fib._stage1 is router.encoded_tags.tags is tags
+            lengths = Counter(prefix[1] for prefix in tags)
+            assert fib._length_counts == [lengths[length] for length in range(33)]
+            assert [length for _, length in fib._probes] == sorted(lengths, reverse=True)
+        assert patches == [{wide: patches[0][wide]}, {wide: None}]
+        assert wide not in tags
 
 
 # -- a session reset withdraws the peer's routes everywhere ------------------------
@@ -548,8 +593,9 @@ class TestSessionReset:
 
 
 def _per_link_select(computer, prefix, link, alternates, usage):
-    """The selection as it was before ranking moved out of the link loop:
-    filter the alternates valid for *this* link, sort them, walk capacity."""
+    """The backup next hop as selected before ranking moved out of the link
+    loop: filter the alternates valid for *this* link, sort them, walk
+    capacity."""
     candidates = []
     for entry in alternates:
         if entry.prefix != prefix or not computer.policy.allows(entry.next_hop):
@@ -571,7 +617,7 @@ def _per_link_select(computer, prefix, link, alternates, usage):
                 continue
         if usage is not None:
             usage[entry.next_hop] = usage.get(entry.next_hop, 0) + 1
-        return BackupSelection(prefix, link, entry.next_hop, entry.as_path)
+        return entry.next_hop
     return None
 
 
@@ -650,9 +696,9 @@ def _walked_backups(router):
         alternates = router.speaker.alternate_routes(prefix)
         per_link = {}
         for link in computer.protected_links(best.as_path):
-            selection = _per_link_select(computer, prefix, link, alternates, None)
-            if selection is not None:
-                per_link[link] = selection
+            hop = _per_link_select(computer, prefix, link, alternates, None)
+            if hop is not None:
+                per_link[link] = hop
         if per_link:
             table[prefix] = per_link
     return table
@@ -661,18 +707,18 @@ def _walked_backups(router):
 class TestRankOnceSelection:
     @settings(max_examples=200, deadline=None)
     @given(_selection_cases(), st.booleans())
-    def test_select_all_equals_the_per_link_loop(self, case, with_usage):
+    def test_select_winners_equals_the_per_link_loop(self, case, with_usage):
         computer, cases = case
         usage = {} if with_usage else None
         reference_usage = {} if with_usage else None
         for prefix, primary, alternates in cases:
-            got = computer.select_all(prefix, primary, alternates, usage)
+            got = dict(computer.select_winners(prefix, primary, alternates, usage))
             links = computer.protected_links(primary)
             expected = {}
             for link in links:
-                selection = _per_link_select(computer, prefix, link, alternates, reference_usage)
-                if selection is not None:
-                    expected[link] = selection
+                hop = _per_link_select(computer, prefix, link, alternates, reference_usage)
+                if hop is not None:
+                    expected[link] = hop
             assert got == expected
             assert list(got) == list(expected)
             # select() on raw alternates is select() on their ranking.
@@ -692,6 +738,7 @@ class TestRankOnceSelection:
     @example(
         # AS 4's and AS 3's backups tie under rank's key; the decision
         # process puts AS 3 first (lower MED), the candidate order AS 4.
+        # Both name next hop 7, so either order selects the same backup.
         scenario=(
             1,
             [[
@@ -737,9 +784,10 @@ class TestRankOnceSelection:
             assert backup_table(warm) == expected
             assert backup_table(cold) == expected
             best = {entry.prefix: entry for entry in cold.speaker.loc_rib.best_entries()}
-            assert cold.backup_computer.compute_table_reference(
+            reference = cold.backup_computer.compute_table_reference(
                 best, cold.speaker.alternate_routes
-            ) == expected
+            )
+            assert {prefix: dict(winners) for prefix, winners in reference.items()} == expected
             assert _state(warm) == _state(cold)
 
     def test_protected_links_are_the_first_path_links(self):
@@ -749,27 +797,6 @@ class TestRankOnceSelection:
         ]
         assert BackupComputer(max_depth=2).protected_links(path) == [(2, 10), (10, 11)]
         assert BackupComputer().protected_links(ASPath([2, 100])) == [(2, 100)]
-
-
-class TestBackupSelectionRecord:
-    def test_value_semantics_without_an_instance_dict(self):
-        prefix = Prefix.from_string("60.0.0.0/24")
-        path = ASPath([3, 100])
-        routes = {2: {prefix: [2, 10, 100]}, 3: {prefix: [3, 100]}}
-        built = backup_table(_router(routes, prefix_threshold=1))[prefix][(2, 10)]
-        declared = BackupSelection(prefix, (2, 10), 3, path)
-        assert built == declared and hash(built) == hash(declared)
-        assert {built: 1}[declared] == 1
-        assert built.depth == 2
-        for selection in (built, declared):
-            assert not hasattr(selection, "__dict__")
-            clone = pickle.loads(pickle.dumps(selection))
-            assert clone == selection and hash(clone) == hash(selection)
-            with pytest.raises(FrozenInstanceError):
-                selection.next_hop = 9
-            with pytest.raises((FrozenInstanceError, AttributeError, TypeError)):
-                selection.extra = 1
-        assert built != BackupSelection(prefix, (2, 10), 4, path)
 
 
 # -- the lookup that builds no objects, the install that sorts once ---------------
