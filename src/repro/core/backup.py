@@ -303,10 +303,9 @@ class BackupComputer:
         best_routes: Mapping[Prefix, RibEntry],
         alternates_of: Callable[[Prefix], Sequence[RibEntry]],
         candidates_of: Optional[Callable[[Prefix], Mapping[int, RibEntry]]] = None,
-        index: Optional[BackupProfileIndex] = None,
     ) -> BackupProfileIndex:
-        """Fill ``index`` with the backups of every prefix and every protected
-        link of its best path, and return it.
+        """Return a new :class:`BackupProfileIndex` holding the backups of every
+        prefix and every protected link of its best path.
 
         The selection is *profile-grouped*: prefixes whose best route and
         candidates are built from the same attribute objects (the common
@@ -338,12 +337,8 @@ class BackupComputer:
             ``alternates_of`` runs once per profile instead of once per
             prefix; selections are unchanged because members of a profile
             share their candidate objects, listed in session order.
-        index:
-            The fresh :class:`BackupProfileIndex` to fill (a new one when
-            omitted).
         """
-        if index is None:
-            index = BackupProfileIndex()
+        index = BackupProfileIndex()
         if self.policy.capacity_limits:
             for prefix, winners in self.compute_table_reference(
                 best_routes, alternates_of

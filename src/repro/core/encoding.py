@@ -134,9 +134,13 @@ class EncodedTags:
 
     ``tags`` is the forwarding table's stage 1 itself:
     :meth:`~repro.dataplane.fib.TwoStageForwardingTable.load_tags` adopts
-    the dict :meth:`TagEncoder.encode` built, and ``encode_delta`` only
-    computes the stage-1 patch, which
-    :meth:`~repro.dataplane.fib.TwoStageForwardingTable.update_tags` writes.
+    the dict :meth:`TagEncoder.encode` built, and from then on that table's
+    :meth:`~repro.dataplane.fib.TwoStageForwardingTable.update_tags` is its
+    only writer.  ``encode_delta`` does not write ``tags``; it returns the
+    stage-1 patch for ``update_tags`` to apply, so a caller that runs it
+    without a forwarding table must apply the patch itself to keep ``tags``
+    current.  Do not write ``tags`` directly once a table holds it: the
+    table's per-length counts and probes follow ``update_tags`` alone.
 
     ``eligible_loads`` is the subset of ``link_loads`` at or above
     ``config.prefix_threshold``: the only entries the identifier allocation
@@ -259,7 +263,10 @@ class TagEncoder:
         ],
         neighbors: Optional[Sequence[int]] = None,
     ) -> Optional[Dict[Prefix, Optional[int]]]:
-        """Patch ``previous`` in place for the changed prefixes only.
+        """Re-encode the changed prefixes only and return the stage-1 patch.
+
+        ``previous``'s encoder state is patched in place; its ``tags`` are
+        not (see :class:`EncodedTags`).
 
         ``changes`` carries one entry per prefix whose best route or backups
         changed since ``previous`` was produced: ``(prefix, old_path,

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.bgp.attributes import ASPath, PathAttributes
 from repro.bgp.prefix import Prefix, prefix_block
 from repro.bgp.rib import RibEntry
-from repro.core.backup import BackupComputer, BackupProfileIndex, ReroutingPolicy
+from repro.core.backup import BackupComputer, ReroutingPolicy
 from repro.core.encoding import EncoderConfig, TagEncoder, WildcardRule
 from repro.dataplane.fib import TwoStageForwardingTable
 from repro.dataplane.timing import FibUpdateTimingModel
@@ -97,8 +97,7 @@ class TestBackupComputer:
             PFX[0]: [_entry(PFX[0], [3, 6])],
             PFX[1]: [_entry(PFX[1], [3, 6])],
         }
-        index = BackupProfileIndex()
-        assert computer.compute_table(best, lambda p: alternates[p], index=index) is index
+        index = computer.compute_table(best, lambda p: alternates[p])
         # One interned profile of per-link backup next hops for both prefixes.
         profile = index.profile_of[PFX[0]]
         assert index.profile_of[PFX[1]] is profile and profile.prefix_count == 2

@@ -250,8 +250,6 @@ def _loaded_router(prefix_count=800):
     return router, s6
 
 
-
-
 def _engine_snapshot(router):
     return {
         peer: dict(router.engine_for(peer).current_rib())

@@ -373,7 +373,7 @@ def _three_feed_routes(count=40):
 
 
 class TestWarmProvisionSkips:
-    def test_no_decision_sort_and_no_selection_records(self, monkeypatch):
+    def test_no_decision_sort_on_warm_or_cold_provision(self, monkeypatch):
         prefixes, routes = _three_feed_routes()
         router = _router(routes, prefix_threshold=10 ** 6)
         router.receive_batch(
