@@ -5,9 +5,10 @@ the whole suite completes in minutes) and print the reproduced rows next to
 the paper's numbers; ``ablations``, ``simulation`` and ``fulltable``
 complete the tree.  Layer-by-layer performance is measured by
 ``bench/run.py`` (see ``bench/README.md``), not here.  The burst corpus and
-the synthetic trace are built once per session, shared, and memoised on
-disk (``.trace_cache/``, see :mod:`repro.traces.trace_cache`): the first
-session pays the full generation, later sessions reload in seconds.  Set
+the month trace are built once per session and shared.  Both are read from
+a synthetic trace memoised on disk (``.trace_cache/``, see
+:mod:`repro.traces.trace_cache`): the first session pays the full
+generation, later sessions reload in seconds.  Set
 ``REPRO_TRACE_CACHE=off`` to force regeneration.
 
 One module, ``test_bench_fulltable``, merges its numbers into a tracked
@@ -88,7 +89,11 @@ def gc_paused():
 
 @pytest.fixture(scope="session")
 def corpus():
-    """Burst corpus standing in for the paper's 1,802 real-trace bursts."""
+    """Burst corpus standing in for the paper's 1,802 real-trace bursts.
+
+    The bursts of at least 2,500 withdrawals of one cached trace, each a
+    view of its session's rows.
+    """
     return cached_corpus(
         peer_count=10,
         duration_days=20,

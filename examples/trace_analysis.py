@@ -38,12 +38,12 @@ def main() -> None:
         noise_rate_per_second=0.02,
         seed=17,
     )
-    trace = SyntheticTraceGenerator(config).generate()
-    print(f"generated {trace.burst_count} bursts across {len(trace.peers)} sessions")
+    trace = SyntheticTraceGenerator(config).stream()
+    print(f"generated {len(trace.bursts)} bursts across {len(trace.peers)} sessions")
 
     # Pick the busiest session and round-trip its stream through the trace format.
     peer = max(trace.peers, key=lambda p: len(trace.bursts_of(p.peer_as)))
-    messages = trace.messages_of(peer.peer_as)
+    messages = trace.messages_of(peer.peer_as).iter_messages()
     with tempfile.NamedTemporaryFile("w", suffix=".trace", delete=False) as handle:
         path = handle.name
         TraceWriter(handle).write_all(messages_to_records(messages))

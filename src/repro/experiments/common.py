@@ -4,19 +4,19 @@ The real-trace experiments (Fig. 6, Table 2, Fig. 7, Fig. 8) all follow the
 same recipe: take a burst and the pre-burst RIB of its session, run the SWIFT
 inference engine over the burst's message stream, and score the accepted
 inference against what the full burst eventually withdrew.  This module
-factors that recipe out, plus the construction of a reusable burst corpus
-from the synthetic trace generator.
+factors that recipe out.  Its burst corpus is a filter of a synthetic
+trace's bursts: :func:`burst_corpus` generates the trace,
+:func:`cached_corpus` reads it through the trace cache, and each burst's
+messages are a view of its session's rows.
 """
 
 from __future__ import annotations
 
 import inspect
-from array import array
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import FrozenSet, List, Mapping, Optional, Tuple
 
 from repro.bgp.attributes import ASPath
-from repro.bgp.messages import BGPMessage, Update
 from repro.bgp.prefix import Prefix
 from repro.core.history import HistoryModel
 from repro.core.inference import InferenceConfig, InferenceEngine, InferenceResult
@@ -25,17 +25,12 @@ from repro.metrics.classification import (
     classify_inference,
     classify_prediction,
 )
-from repro.traces.columnar import (
-    COLUMNAR_FORMAT_VERSION,
-    ColumnarTrace,
-    decode_rib,
-    encode_rib,
-)
+from repro.traces.columnar import ColumnarMessageView
 from repro.traces.synthetic import (
-    SyntheticBurst,
     SyntheticTrace,
     SyntheticTraceConfig,
     SyntheticTraceGenerator,
+    cached_trace,
 )
 
 __all__ = [
@@ -49,35 +44,27 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CorpusBurst:
-    """One burst of the evaluation corpus, with its session RIB."""
+    """One burst of the evaluation corpus, with its session RIB.
+
+    ``messages`` is the burst's view of its session's rows.
+    """
 
     peer_as: int
-    messages: Tuple[BGPMessage, ...]
+    messages: ColumnarMessageView
     rib: Mapping[Prefix, ASPath]
     withdrawn_prefixes: FrozenSet[Prefix]
     failed_link: Optional[Tuple[int, int]] = None
 
     @property
     def size(self) -> int:
-        """Burst size in withdrawals.
-
-        Columnar-cached corpora answer from the withdrawal bounds without
-        materialising messages.
-        """
-        counter = getattr(self.messages, "withdrawal_count", None)
-        if counter is not None:
-            return counter()
-        return sum(
-            len(m.withdrawals) for m in self.messages if isinstance(m, Update)
-        )
+        """Burst size in withdrawals (from the withdrawal bounds)."""
+        return self.messages.withdrawal_count()
 
     @property
     def start_time(self) -> float:
         """Timestamp of the first burst message."""
-        if not len(self.messages):
-            return 0.0
-        first = getattr(self.messages, "first_timestamp", None)
-        return first if first is not None else self.messages[0].timestamp
+        first = self.messages.first_timestamp
+        return first if first is not None else 0.0
 
 
 @dataclass
@@ -125,6 +112,8 @@ def burst_corpus(
     bursts above 1,500 withdrawals from 213 sessions): fewer sessions and
     smaller tables, same structural properties.  Background noise is disabled
     by default because the corpus carries each burst's messages individually.
+    Every other argument is the :class:`SyntheticTraceConfig` field of the
+    same name.
     """
     config = SyntheticTraceConfig(
         peer_count=peer_count,
@@ -134,97 +123,42 @@ def burst_corpus(
         noise_rate_per_second=noise_rate_per_second,
         seed=seed,
     )
-    trace = SyntheticTraceGenerator(config).generate()
-    corpus: List[CorpusBurst] = []
-    for burst in trace.bursts:
-        if burst.size < min_burst_size:
-            continue
-        rib = trace.rib_of(burst.peer.peer_as)
-        corpus.append(
-            CorpusBurst(
-                peer_as=burst.peer.peer_as,
-                messages=tuple(burst.messages),
-                rib=rib,
-                withdrawn_prefixes=burst.withdrawn_prefixes | burst.noise_prefixes,
-                failed_link=burst.failed_link,
-            )
-        )
-    return corpus
-
-
-def _encode_corpus(corpus: Sequence[CorpusBurst]) -> dict:
-    """Encode a burst corpus as a columnar payload (see :func:`cached_corpus`)."""
-    columns = ColumnarTrace()
-    intern_prefix = columns.pool.intern_prefix
-    ribs: Dict[int, Tuple] = {}
-    rows = []
-    for burst in corpus:
-        if burst.peer_as not in ribs:
-            ribs[burst.peer_as] = encode_rib(burst.rib, columns.pool)
-        start = columns.message_count
-        columns.extend(burst.messages)
-        rows.append(
-            (
-                burst.peer_as,
-                start,
-                columns.message_count,
-                array("I", map(intern_prefix, burst.withdrawn_prefixes)),
-                burst.failed_link,
-            )
-        )
-    return {"columns": columns.to_payload(), "ribs": ribs, "bursts": rows}
-
-
-def _decode_corpus(payload: dict) -> List[CorpusBurst]:
-    """Rebuild a corpus from columns: lazy message views, shared RIB dicts.
-
-    Bursts of the same session share one decoded RIB dict *by identity*,
-    which downstream per-RIB caches (e.g. the rerouting-speed encoder
-    memo) rely on.
-    """
-    columns = ColumnarTrace.from_payload(payload["columns"])
-    pool = columns.pool
-    prefix_at = pool.prefix_at
-    rib_of = {
-        peer_as: decode_rib(prefix_column, path_column, pool)
-        for peer_as, (prefix_column, path_column) in payload["ribs"].items()
-    }
-    return [
-        CorpusBurst(
-            peer_as=peer_as,
-            messages=columns.view(range(start, stop)),
-            rib=rib_of[peer_as],
-            withdrawn_prefixes=frozenset(map(prefix_at, withdrawn)),
-            failed_link=failed_link,
-        )
-        for peer_as, start, stop, withdrawn, failed_link in payload["bursts"]
-    ]
+    return _corpus(SyntheticTraceGenerator(config).stream(), min_burst_size)
 
 
 def cached_corpus(**kwargs) -> List[CorpusBurst]:
-    """Memoised :func:`burst_corpus`: generated once, reloaded from disk after.
+    """:func:`burst_corpus` over :func:`~repro.traces.synthetic.cached_trace`.
 
-    Accepts the same keyword arguments; the cache key is the *fully bound*
-    parameter fingerprint — defaults included, so changing a default misses
-    cleanly — plus the trace-cache and columnar format versions.  The
-    persisted form is a columnar payload: reloads restore arrays and hand
-    out lazy message views instead of unpickling the burst object graph.
-    Used by the benchmark fixtures, where regenerating the corpus dominated
-    session start-up time.
+    Accepts the same keyword arguments.  The bursts are those of the cached
+    trace of the same configuration, so a corpus is generated once and
+    reloaded from its trace's cache entry after.  Used by the benchmark
+    fixtures, where regenerating the corpus dominated session start-up time.
     """
-    from repro.traces.trace_cache import fingerprint, load_or_build
-
     bound = inspect.signature(burst_corpus).bind(**kwargs)
     bound.apply_defaults()
-    spec = fingerprint(dict(bound.arguments))
-    return load_or_build(
-        "corpus",
-        spec,
-        lambda: burst_corpus(**kwargs),
-        format_version=COLUMNAR_FORMAT_VERSION,
-        encode=_encode_corpus,
-        decode=_decode_corpus,
-    )
+    arguments = dict(bound.arguments)
+    min_burst_size = arguments.pop("min_burst_size")
+    return _corpus(cached_trace(SyntheticTraceConfig(**arguments)), min_burst_size)
+
+
+def _corpus(trace: SyntheticTrace, min_burst_size: int) -> List[CorpusBurst]:
+    """The trace's bursts of at least ``min_burst_size`` withdrawals.
+
+    Bursts of the same session share one RIB dict *by identity*, which
+    downstream per-RIB caches (e.g. the rerouting-speed encoder memo) rely
+    on.
+    """
+    return [
+        CorpusBurst(
+            peer_as=burst.peer.peer_as,
+            messages=burst.messages,
+            rib=trace.rib_of(burst.peer.peer_as),
+            withdrawn_prefixes=burst.withdrawn_prefixes | burst.noise_prefixes,
+            failed_link=burst.failed_link,
+        )
+        for burst in trace.bursts
+        if burst.size >= min_burst_size
+    ]
 
 
 def evaluate_burst(

@@ -23,7 +23,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.burst_detection import extract_bursts
 from repro.metrics.distributions import DistributionSummary, fraction_above, summarize
 from repro.metrics.tables import format_table
-from repro.traces.columnar import ColumnarTrace
 from repro.traces.synthetic import SyntheticTrace, SyntheticTraceConfig, SyntheticTraceGenerator
 
 __all__ = ["Fig2Result", "run", "format_result"]
@@ -78,14 +77,13 @@ def run(
             noise_rate_per_second=0.0,
             seed=seed,
         )
-        trace = SyntheticTraceGenerator(config).generate()
+        trace = SyntheticTraceGenerator(config).stream()
 
     rng = random.Random(seed)
     per_peer_sizes: Dict[int, List[int]] = {}
     durations: List[Tuple[int, float]] = []
     for peer in trace.peers:
-        session = ColumnarTrace.from_messages(trace.messages_of(peer.peer_as))
-        for burst in extract_bursts(session):
+        for burst in extract_bursts(trace.messages_of(peer.peer_as)):
             per_peer_sizes.setdefault(peer.peer_as, []).append(burst.size)
             durations.append((burst.size, burst.duration))
 

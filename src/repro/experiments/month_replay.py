@@ -3,9 +3,10 @@
 The paper's evaluation replays months of real BGP update streams; this
 driver is the scaled equivalent over the synthetic substrate, built
 end-to-end on the columnar trace format: the session's month-long stream
-arrives as columns (callers memoise it on disk with
-:func:`repro.traces.synthetic.cached_columnar_stream`, reloading at array
-speed), and replay consumes
+arrives as columns (a synthetic session's is
+:meth:`~repro.traces.synthetic.SyntheticTrace.messages_of`, which
+:func:`repro.traces.synthetic.cached_trace` memoises on disk and reloads
+at array speed), and replay consumes
 :meth:`~repro.traces.columnar.ColumnarTrace.iter_batches` — same-peer runs
 applied through the batched speaker path, with the inference engines
 reading the same column windows
@@ -174,9 +175,11 @@ class StreamReplayer:
     offline replay window for window.
 
     ``rib`` is the session's pre-trace Adj-RIB-In snapshot (prefix -> AS
-    path).  The replay is zero-object: speaker *and* inference engines
-    consume the raw columns, no ``BGPMessage`` is built anywhere, and no
-    session retains the messages it processed.
+    path): for a synthetic session, the trace's ``rib_of(peer_as)`` beside
+    the ``messages_of(peer_as)`` columns it feeds.  The replay is
+    zero-object: speaker *and* inference engines consume the raw columns,
+    no ``BGPMessage`` is built anywhere, and no session retains the
+    messages it processed.
 
     Every chunk reaches the router (or bare speaker) through
     :meth:`_receive`; the parity matrix's object-path comparator

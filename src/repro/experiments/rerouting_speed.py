@@ -6,14 +6,15 @@ next-hops, a median of 64 data-plane rule updates — installable within
 ~130 ms given per-rule update times of 128–282 µs per entry.  This harness
 measures, over a burst corpus, the number of inferred links, the number of
 wildcard rules a SWIFTED router would install, and the modelled data-plane
-update latency.
+update latency.  An accepted inference whose inferred links give no rule
+installs nothing, as in :class:`~repro.core.swifted_router.SwiftedRouter`:
+it is counted in :attr:`ReroutingSpeedResult.unencoded`, and the rule and
+latency distributions cover only the bursts that install a rule.
 
-Cache-reloaded corpora arrive in columnar form
-(:func:`repro.experiments.common.cached_corpus`): each burst's ``messages``
-is a lazy view over shared columns — materialised once here, as the
-inference engine consumes it — and bursts of a session share their decoded
-RIB dict by identity, which is what the per-RIB encoding memo below keys
-on.
+Corpus bursts (:mod:`repro.experiments.common`) are views of their
+session's columns — materialised once here, as the inference engine
+consumes them — and bursts of a session share their RIB dict by identity,
+which is what the per-RIB encoding memo below keys on.
 """
 
 from __future__ import annotations
@@ -33,12 +34,19 @@ __all__ = ["ReroutingSpeedResult", "run", "format_result"]
 
 @dataclass
 class ReroutingSpeedResult:
-    """Distributions of inferred-link counts, rule counts and update times."""
+    """Distributions of inferred-link counts, rule counts and update times.
+
+    ``bursts`` counts accepted inferences; ``rule_counts`` and
+    ``update_seconds`` cover those that install a rule, and ``unencoded``
+    those that install none (no inferred link is encoded at a position
+    with a backup next-hop identifier).
+    """
 
     inferred_link_counts: List[int]
     rule_counts: List[int]
     update_seconds: List[float]
     bursts: int
+    unencoded: int
 
     def median_links(self) -> float:
         """Median number of inferred links per accepted inference."""
@@ -64,7 +72,9 @@ def run(
 
     ``backup_next_hops`` models how many distinct backup next-hops the
     rerouted traffic is spread over (the paper's §6.5 uses 16); each inferred
-    link contributes one rule per backup next-hop and per encoded position.
+    link contributes one rule per backup next-hop and per encoded position
+    (:meth:`~repro.core.encoding.TagEncoder.reroute_rules`).  A burst whose
+    links contribute none is counted in ``unencoded``, with no rule count.
     """
     inference_config = inference_config or InferenceConfig()
     encoder = TagEncoder(encoder_config or EncoderConfig())
@@ -74,6 +84,8 @@ def run(
     link_counts: List[int] = []
     rule_counts: List[int] = []
     update_seconds: List[float] = []
+    unencoded = 0
+    synthetic_backups = {64500 + i: 1 for i in range(backup_next_hops)}
     # The encoding depends only on the session RIB, which corpus bursts of
     # the same session share by identity — encode each RIB once instead of
     # once per burst (ROADMAP perf idea #4).
@@ -90,14 +102,13 @@ def run(
         if encoded is None:
             encoded = encoded_of_rib[rib_key] = encoder.encode(dict(burst.rib))
         # One rule per (encoded position of the link, backup next-hop).
-        rules = 0
-        synthetic_backups = {64500 + i: 1 for i in range(backup_next_hops)}
-        for link in result.inferred_links:
-            rules += len(encoder.reroute_rules(encoded, link, synthetic_backups))
+        rules = sum(
+            len(encoder.reroute_rules(encoded, link, synthetic_backups))
+            for link in result.inferred_links
+        )
         if rules == 0:
-            # Links not encoded at all (e.g. below threshold): SWIFT falls
-            # back to one rule per backup next-hop on the session link.
-            rules = backup_next_hops
+            unencoded += 1
+            continue
         rule_counts.append(rules)
         update_seconds.append(timing.rule_update_time(rules))
 
@@ -106,6 +117,7 @@ def run(
         rule_counts=rule_counts,
         update_seconds=update_seconds,
         bursts=len(link_counts),
+        unencoded=unencoded,
     )
 
 
@@ -139,4 +151,4 @@ def format_result(result: ReroutingSpeedResult) -> str:
         rows,
         title=f"Rerouting speed over {result.bursts} accepted inferences",
     )
-    return table
+    return f"{table}\naccepted inferences installing no rule: {result.unencoded}"

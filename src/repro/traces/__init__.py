@@ -41,13 +41,10 @@ from repro.traces.popularity import POPULAR_ORGANIZATIONS, PopularOrigin, is_pop
 from repro.traces.session_topology import SessionTopology, SessionTopologyConfig
 from repro.traces.synthetic import (
     BurstPlan,
-    ColumnarSyntheticTrace,
     SyntheticBurst,
     SyntheticTrace,
     SyntheticTraceConfig,
     SyntheticTraceGenerator,
-    SyntheticTraceStream,
-    cached_columnar_stream,
     cached_trace,
 )
 
@@ -58,7 +55,6 @@ __all__ = [
     "CollectorPeer",
     "ColumnarMessageView",
     "ColumnarRun",
-    "ColumnarSyntheticTrace",
     "ColumnarTrace",
     "CorruptColumnStoreError",
     "FullTable",
@@ -74,14 +70,12 @@ __all__ = [
     "SyntheticTrace",
     "SyntheticTraceConfig",
     "SyntheticTraceGenerator",
-    "SyntheticTraceStream",
     "TraceReader",
     "TraceRecord",
     "TraceValidationError",
     "TraceWriter",
     "ValidationReport",
     "build_collector_fleet",
-    "cached_columnar_stream",
     "cached_trace",
     "decode_rib",
     "encode_rib",

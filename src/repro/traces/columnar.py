@@ -749,6 +749,11 @@ class ColumnarMessageView(SequenceABC):
     def __repr__(self) -> str:
         return f"<{type(self).__name__} of {len(self)} messages>"
 
+    @property
+    def indices(self) -> Union[range, Sequence[int]]:
+        """The trace rows the view selects, in view order."""
+        return self._indices
+
     # -- aggregates --------------------------------------------------------
 
     def withdrawal_count(self) -> int:

@@ -15,17 +15,19 @@ link in the session's AS-path structure, withdrawing (most of) the prefixes
 routed across that link and re-announcing some of them over alternate paths —
 which is exactly the structure the SWIFT inference algorithm exploits.
 
-Generation is *streaming-first*: :meth:`SyntheticTraceGenerator.stream`
-returns a :class:`SyntheticTraceStream` whose per-session message iterators
-materialise bursts and background noise lazily, in timestamp order — a cheap
+A generated trace has one form, :class:`SyntheticTrace`, returned by
+:meth:`SyntheticTraceGenerator.stream`.  It is lazy per session: a cheap
 planning pass fixes every burst's size, start time and private RNG seed, and
-the (expensive) message lists are only built when the replay clock reaches
-each burst.  The eager API is a thin wrapper: ``generate()`` simply drains
-the stream (:meth:`SyntheticTraceStream.materialise`) into a
-:class:`SyntheticTrace`, so the two paths produce identical traces.  For the
-benchmark corpus, :mod:`repro.traces.trace_cache` adds an on-disk
-memoisation layer so month-long traces are generated once and reloaded in
-seconds.
+the (expensive) message lists are only built when a session is read.
+:meth:`SyntheticTrace.iter_messages` merges a session's bursts and
+background noise in timestamp order, materialising a burst only once the
+merged clock reaches its planned start; :meth:`SyntheticTrace.messages_of`
+drains that merge into one :class:`~repro.traces.columnar.ColumnarTrace`
+per session (all sessions share one interning pool), and every burst's
+``messages`` is a :class:`~repro.traces.columnar.ColumnarMessageView` of the
+session rows it contributed.  :func:`cached_trace` persists those columns
+with each burst's ground truth, so month-long traces are generated once and
+reloaded in seconds, as the same type with the same contents.
 """
 
 from __future__ import annotations
@@ -36,15 +38,16 @@ import math
 import random
 from array import array
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from repro.bgp.attributes import ASPath, PathAttributes
 from repro.bgp.messages import BGPMessage, Update
 from repro.bgp.prefix import Prefix
-from repro.traces.collectors import Collector, CollectorPeer, build_collector_fleet
+from repro.traces.collectors import CollectorPeer, build_collector_fleet
 from repro.traces.columnar import (
     COLUMNAR_FORMAT_VERSION,
+    TRACE_COLUMNS,
     ColumnarMessageView,
     ColumnarTrace,
     InternPool,
@@ -55,13 +58,10 @@ from repro.traces.session_topology import SessionTopology, SessionTopologyConfig
 
 __all__ = [
     "BurstPlan",
-    "ColumnarSyntheticTrace",
     "SyntheticBurst",
     "SyntheticTrace",
     "SyntheticTraceConfig",
     "SyntheticTraceGenerator",
-    "SyntheticTraceStream",
-    "cached_columnar_stream",
     "cached_trace",
 ]
 
@@ -90,7 +90,6 @@ class SyntheticTraceConfig:
     throughput_sigma: float = 1.2
     head_skew: float = 2.2
     noise_rate_per_second: float = 0.05
-    reannounce_delay: float = 300.0
     flapping_peers: int = 0
     seed: int = 7
 
@@ -127,12 +126,18 @@ class SyntheticTraceConfig:
 
 @dataclass
 class SyntheticBurst:
-    """One generated burst with its ground truth."""
+    """One generated burst with its ground truth.
+
+    ``messages`` is a :class:`~repro.traces.columnar.ColumnarMessageView` of
+    the session rows the burst contributed when it belongs to a
+    :class:`SyntheticTrace`, and the built message list when it comes from
+    :meth:`SyntheticTraceGenerator.generate_burst`.
+    """
 
     peer: CollectorPeer
     start_time: float
     failed_link: Tuple[int, int]
-    messages: List[BGPMessage]
+    messages: Sequence[BGPMessage]
     withdrawn_prefixes: FrozenSet[Prefix]
     updated_prefixes: FrozenSet[Prefix]
     noise_prefixes: FrozenSet[Prefix]
@@ -142,8 +147,8 @@ class SyntheticBurst:
     def withdrawal_count(self) -> int:
         """Number of withdrawn prefixes (including noise withdrawals).
 
-        Column-backed bursts (cache reloads) answer from the withdrawal
-        bounds without materialising a single message object.
+        A burst of a trace answers from the withdrawal bounds without
+        materialising a single message object.
         """
         counter = getattr(self.messages, "withdrawal_count", None)
         if counter is not None:
@@ -176,41 +181,6 @@ class SyntheticBurst:
         return last if last is not None else self.messages[-1].timestamp
 
 
-@dataclass
-class SyntheticTrace:
-    """A generated multi-session trace."""
-
-    config: SyntheticTraceConfig
-    peers: List[CollectorPeer]
-    topologies: Dict[int, SessionTopology]
-    bursts: List[SyntheticBurst]
-    background: Dict[int, List[BGPMessage]] = field(default_factory=dict)
-
-    def rib_of(self, peer_as: int) -> Dict[Prefix, ASPath]:
-        """Pre-trace RIB snapshot of a session."""
-        return self.topologies[peer_as].rib
-
-    def bursts_of(self, peer_as: int) -> List[SyntheticBurst]:
-        """All bursts generated on one session, in time order."""
-        return sorted(
-            (burst for burst in self.bursts if burst.peer.peer_as == peer_as),
-            key=lambda burst: burst.start_time,
-        )
-
-    def messages_of(self, peer_as: int) -> List[BGPMessage]:
-        """The full message stream of one session (bursts + noise), sorted."""
-        messages: List[BGPMessage] = list(self.background.get(peer_as, []))
-        for burst in self.bursts_of(peer_as):
-            messages.extend(burst.messages)
-        messages.sort(key=lambda m: m.timestamp)
-        return messages
-
-    @property
-    def burst_count(self) -> int:
-        """Total number of generated bursts."""
-        return len(self.bursts)
-
-
 @dataclass(frozen=True)
 class BurstPlan:
     """The cheap, pre-drawn parameters of one burst.
@@ -229,7 +199,7 @@ class BurstPlan:
 
 
 class SyntheticTraceGenerator:
-    """Generates :class:`SyntheticTrace` / :class:`SyntheticTraceStream` objects."""
+    """Generates :class:`SyntheticTrace` objects and single bursts."""
 
     def __init__(self, config: Optional[SyntheticTraceConfig] = None) -> None:
         self.config = config or SyntheticTraceConfig()
@@ -237,8 +207,8 @@ class SyntheticTraceGenerator:
 
     # -- public API ----------------------------------------------------------
 
-    def stream(self) -> "SyntheticTraceStream":
-        """Return a lazy, per-session view of the trace (streaming-first API)."""
+    def stream(self) -> "SyntheticTrace":
+        """Return the trace; every session is built on first access."""
         config = self.config
         collectors = build_collector_fleet(
             peer_count=config.peer_count,
@@ -248,16 +218,7 @@ class SyntheticTraceGenerator:
             flapping_peers=config.flapping_peers,
         )
         peers = [peer for collector in collectors for peer in collector.peers]
-        return SyntheticTraceStream(self, peers)
-
-    def generate(self) -> SyntheticTrace:
-        """Generate the full multi-session trace eagerly.
-
-        Thin wrapper over the streaming path: equivalent to
-        ``self.stream().materialise()``, kept as the convenient API for
-        callers that want every burst and message in memory.
-        """
-        return self.stream().materialise()
+        return SyntheticTrace(self, peers)
 
     def generate_burst(
         self,
@@ -497,20 +458,18 @@ class SyntheticTraceGenerator:
             emitted += 1
 
 
-class SyntheticTraceStream:
-    """A lazy, per-session view of a synthetic trace.
+class SyntheticTrace:
+    """A generated multi-session trace: one columnar stream per session.
 
-    Topologies and burst plans are built per session on first access; the
-    message iterators merge each session's bursts and background noise in
-    timestamp order, materialising a burst's messages only once the replay
-    clock reaches its planned start.  Replaying a month of one session
-    therefore starts yielding messages immediately and keeps at most a few
-    in-flight bursts in memory, instead of paying the full eager generation
-    (~minutes for the benchmark corpus) upfront.
-
-    :meth:`materialise` drains the stream into the eager
-    :class:`SyntheticTrace`; both paths draw from the same per-burst RNG
-    seeds, so they produce identical traces.
+    Built by :meth:`SyntheticTraceGenerator.stream` and lazy per session:
+    a session's topology, burst plans and rows are built on first access.
+    :meth:`iter_messages` is the object merge of the session's bursts and
+    background noise in timestamp order; :meth:`messages_of` drains it once
+    into a :class:`~repro.traces.columnar.ColumnarTrace` over the pool every
+    session shares, and each burst of :meth:`bursts_of` keeps its ground
+    truth with a view of the rows it contributed.  :meth:`to_payload` /
+    :meth:`from_payload` carry the drained form through the trace cache
+    (:func:`cached_trace`).
     """
 
     def __init__(
@@ -520,10 +479,15 @@ class SyntheticTraceStream:
         self.config = generator.config
         self.peers = peers
         self._index_of = {peer.peer_as: index for index, peer in enumerate(peers)}
+        self._pool = InternPool()
         self._topologies: Dict[int, SessionTopology] = {}
         self._plans: Dict[int, List[BurstPlan]] = {}
+        self._ribs: Dict[int, Dict[Prefix, ASPath]] = {}
+        #: RIB columns of a reloaded trace, decoded by :meth:`rib_of`.
+        self._rib_columns: Dict[int, Tuple[array, array]] = {}
+        self._sessions: Dict[int, Tuple[ColumnarTrace, List[SyntheticBurst]]] = {}
 
-    # -- lazy per-session state ----------------------------------------------
+    # -- per-session state ---------------------------------------------------
 
     def topology_of(self, peer_as: int) -> SessionTopology:
         """The session's AS-path topology (built on first access)."""
@@ -535,8 +499,16 @@ class SyntheticTraceStream:
         return topology
 
     def rib_of(self, peer_as: int) -> Dict[Prefix, ASPath]:
-        """Pre-trace RIB snapshot of a session."""
-        return self.topology_of(peer_as).rib
+        """Pre-trace RIB snapshot of a session (one dict per session)."""
+        rib = self._ribs.get(peer_as)
+        if rib is None:
+            columns = self._rib_columns.pop(peer_as, None)
+            if columns is None:
+                rib = self.topology_of(peer_as).rib
+            else:
+                rib = decode_rib(columns[0], columns[1], self._pool)
+            self._ribs[peer_as] = rib
+        return rib
 
     def plans_of(self, peer_as: int) -> List[BurstPlan]:
         """The session's burst plans, sorted by start time (cheap to draw)."""
@@ -547,15 +519,24 @@ class SyntheticTraceStream:
             self._plans[peer_as] = plans
         return plans
 
-    # -- streaming ------------------------------------------------------------
+    def messages_of(self, peer_as: int) -> ColumnarTrace:
+        """The session's full message stream (bursts + noise) as columns."""
+        return self._session(peer_as)[0]
 
-    def iter_bursts(self, peer_as: int) -> Iterator[SyntheticBurst]:
-        """Materialise the session's bursts one at a time, in start order."""
-        topology = self.topology_of(peer_as)
-        for plan in self.plans_of(peer_as):
-            burst = self._generator._materialise_burst(plan, topology)
-            if burst is not None:
-                yield burst
+    def bursts_of(self, peer_as: int) -> List[SyntheticBurst]:
+        """All bursts generated on one session, in start order."""
+        return list(self._session(peer_as)[1])
+
+    @property
+    def bursts(self) -> List[SyntheticBurst]:
+        """Every session's bursts, in start order."""
+        bursts = [
+            burst for peer in self.peers for burst in self._session(peer.peer_as)[1]
+        ]
+        bursts.sort(key=lambda burst: burst.start_time)
+        return bursts
+
+    # -- the merge -------------------------------------------------------------
 
     def iter_messages(self, peer_as: int) -> Iterator[BGPMessage]:
         """The session's full message stream (bursts + noise), lazily merged.
@@ -564,207 +545,162 @@ class SyntheticTraceStream:
         when the merged clock reaches its planned start time, so consuming
         the head of a month-long stream does not pay for its tail.
         """
+        for message, _ in self._merge(peer_as):
+            yield message
+
+    def _merge(
+        self, peer_as: int
+    ) -> Iterator[Tuple[BGPMessage, Optional[SyntheticBurst]]]:
+        """:meth:`iter_messages`, each message with its burst (``None`` for noise)."""
         index = self._index_of[peer_as]
-        peer = self.peers[index]
         topology = self.topology_of(peer_as)
+        generator = self._generator
         pending = deque(self.plans_of(peer_as))
-        heap: List[Tuple[float, int, BGPMessage, Iterator[BGPMessage]]] = []
+        heap: List[
+            Tuple[float, int, BGPMessage, Iterator[BGPMessage], Optional[SyntheticBurst]]
+        ] = []
         counter = itertools.count()
 
-        def push(iterator: Iterator[BGPMessage]) -> None:
+        def push(iterator: Iterator[BGPMessage], burst: Optional[SyntheticBurst]) -> None:
             for message in iterator:
                 heapq.heappush(
-                    heap, (message.timestamp, next(counter), message, iterator)
+                    heap, (message.timestamp, next(counter), message, iterator, burst)
                 )
                 return
 
-        push(self._generator._background_stream(peer, topology, index))
+        push(generator._background_stream(self.peers[index], topology, index), None)
         while heap or pending:
             # Materialise every burst that could out-date the earliest
             # queued message (burst messages never precede their start).
             while pending and (not heap or pending[0].start_time <= heap[0][0]):
-                burst = self._generator._materialise_burst(
-                    pending.popleft(), topology
-                )
-                if burst is not None and burst.messages:
-                    push(iter(burst.messages))
+                burst = generator._materialise_burst(pending.popleft(), topology)
+                if burst is not None:
+                    push(iter(burst.messages), burst)
             if not heap:
                 continue
-            _, _, message, iterator = heapq.heappop(heap)
-            yield message
-            push(iterator)
+            _, _, message, iterator, burst = heapq.heappop(heap)
+            yield message, burst
+            push(iterator, burst)
 
-    def columnar_messages(
-        self, peer_as: int, pool: Optional[InternPool] = None
-    ) -> ColumnarTrace:
-        """Drain one session's full stream straight into a columnar writer.
+    def _session(self, peer_as: int) -> Tuple[ColumnarTrace, List[SyntheticBurst]]:
+        """Drain the session's merge into columns, once.
 
-        The per-burst message lists are materialised one at a time by
-        :meth:`iter_messages` and appended to the columns immediately, so at
-        no point does the month-long object stream exist in memory — this is
-        the builder behind :func:`cached_columnar_stream`.
+        A burst's message list lives only in the merge: the burst itself
+        holds a view of the rows it contributed from its first message on,
+        a range when no other message came between them.
         """
-        trace = ColumnarTrace(pool=pool)
-        append = trace.append
-        for message in self.iter_messages(peer_as):
-            append(message)
-        return trace
-
-    # -- eager drain -----------------------------------------------------------
-
-    def materialise(self) -> SyntheticTrace:
-        """Drain the whole stream into an eager :class:`SyntheticTrace`."""
-        topologies: Dict[int, SessionTopology] = {}
+        session = self._sessions.get(peer_as)
+        if session is not None:
+            return session
+        columns = ColumnarTrace(pool=self._pool)
+        append = columns.append
+        rows_of: Dict[int, array] = {}
         bursts: List[SyntheticBurst] = []
-        background: Dict[int, List[BGPMessage]] = {}
-        for index, peer in enumerate(self.peers):
-            topology = self.topology_of(peer.peer_as)
-            topologies[peer.peer_as] = topology
-            bursts.extend(self.iter_bursts(peer.peer_as))
-            background[peer.peer_as] = list(
-                self._generator._background_stream(peer, topology, index)
-            )
+        for message, burst in self._merge(peer_as):
+            if burst is not None:
+                rows = rows_of.get(id(burst))
+                if rows is None:
+                    rows = rows_of[id(burst)] = array("I")
+                    burst.messages = ColumnarMessageView(columns, rows)
+                    bursts.append(burst)
+                rows.append(len(columns))
+            append(message)
+        for burst in bursts:
+            rows = burst.messages.indices
+            if rows[-1] - rows[0] + 1 == len(rows):
+                burst.messages = ColumnarMessageView(columns, range(rows[0], rows[-1] + 1))
         bursts.sort(key=lambda burst: burst.start_time)
-        return SyntheticTrace(
-            config=self.config,
-            peers=self.peers,
-            topologies=topologies,
-            bursts=bursts,
-            background=background,
-        )
+        session = self._sessions[peer_as] = (columns, bursts)
+        return session
 
+    # -- the cache entry -------------------------------------------------------
 
-class ColumnarSyntheticTrace(SyntheticTrace):
-    """A cache-reloaded trace whose heavy state lives in columns.
+    def to_payload(self) -> dict:
+        """Drain every session and export it as plain buffers.
 
-    Behaves like :class:`SyntheticTrace` — same bursts, RIBs and message
-    streams — but burst/background message lists are lazy
-    :class:`~repro.traces.columnar.ColumnarMessageView`\\ s over shared
-    columns and per-session RIBs decode on first access.  ``topologies`` is
-    intentionally empty: the cache stores RIB columns, not the generator's
-    internal tree structures.
-    """
+        One pool for all sessions; per session its column buffers, its RIB
+        as (prefix, path) index columns and each burst's ground truth with
+        its rows (a ``range``, or an index array when noise or another
+        burst came between them).
+        """
+        pool = self._pool
+        intern_prefix = pool.intern_prefix
 
-    def __init__(
-        self,
-        config: SyntheticTraceConfig,
-        peers: List[CollectorPeer],
-        bursts: List[SyntheticBurst],
-        background: Dict[int, List[BGPMessage]],
-        pool: InternPool,
-        rib_columns: Dict[int, Tuple],
-    ) -> None:
-        super().__init__(
-            config=config,
-            peers=peers,
-            topologies={},
-            bursts=bursts,
-            background=background,
-        )
-        self._pool = pool
-        self._rib_columns = rib_columns
-        self._rib_cache: Dict[int, Dict[Prefix, ASPath]] = {}
+        def prefixes(values: FrozenSet[Prefix]) -> bytes:
+            return array("I", map(intern_prefix, values)).tobytes()
 
-    def rib_of(self, peer_as: int) -> Dict[Prefix, ASPath]:
-        """Pre-trace RIB snapshot of a session (decoded once, then memoised)."""
-        rib = self._rib_cache.get(peer_as)
-        if rib is None:
-            prefix_column, path_column = self._rib_columns[peer_as]
-            rib = self._rib_cache[peer_as] = decode_rib(
-                prefix_column, path_column, self._pool
+        drained = [self._session(peer.peer_as) for peer in self.peers]
+        sessions = []
+        for peer, (columns, bursts) in zip(self.peers, drained):
+            rib_prefixes, rib_paths = encode_rib(self.rib_of(peer.peer_as), pool)
+            sessions.append(
+                (
+                    {name: getattr(columns, name).tobytes() for name, _ in TRACE_COLUMNS},
+                    dict(columns.extras),
+                    rib_prefixes.tobytes(),
+                    rib_paths.tobytes(),
+                    [
+                        (
+                            burst.start_time,
+                            burst.failed_link,
+                            burst.messages.indices,
+                            prefixes(burst.withdrawn_prefixes),
+                            prefixes(burst.updated_prefixes),
+                            prefixes(burst.noise_prefixes),
+                            burst.popular,
+                        )
+                        for burst in bursts
+                    ],
+                )
             )
-        return rib
+        return {
+            "config": self.config,
+            "peers": self.peers,
+            "pool": pool.to_payload(),
+            "sessions": sessions,
+        }
 
+    @classmethod
+    def from_payload(cls, payload: dict) -> "SyntheticTrace":
+        """Rebuild a drained trace from :meth:`to_payload` buffers."""
+        pool = InternPool.from_payload(payload["pool"])
+        prefix_at = pool.prefix_at
 
-def _encode_trace(trace: SyntheticTrace) -> dict:
-    """Encode an eager trace as a columnar payload (see ``cached_trace``).
+        def column(buffer: bytes, typecode: str = "I") -> array:
+            values = array(typecode)
+            values.frombytes(buffer)
+            return values
 
-    Bursts and every session's background stream share one
-    :class:`ColumnarTrace` (and so one pool, which also interns the RIBs);
-    the payload holds its :meth:`~ColumnarTrace.to_payload` buffers plus
-    row ranges into it.
-    """
-    columns = ColumnarTrace()
-    intern_prefix = columns.pool.intern_prefix
-    burst_rows = []
-    for burst in trace.bursts:
-        start = columns.message_count
-        columns.extend(burst.messages)
-        burst_rows.append(
-            (
-                burst.peer,
-                burst.start_time,
-                burst.failed_link,
-                start,
-                columns.message_count,
-                array("I", map(intern_prefix, burst.withdrawn_prefixes)),
-                array("I", map(intern_prefix, burst.updated_prefixes)),
-                array("I", map(intern_prefix, burst.noise_prefixes)),
-                burst.popular,
+        def prefixes(buffer: bytes) -> FrozenSet[Prefix]:
+            return frozenset(map(prefix_at, column(buffer)))
+
+        trace = cls(SyntheticTraceGenerator(payload["config"]), payload["peers"])
+        trace._pool = pool
+        for peer, (buffers, extras, rib_prefixes, rib_paths, bursts) in zip(
+            trace.peers, payload["sessions"]
+        ):
+            columns = ColumnarTrace(pool=pool)
+            for name, typecode in TRACE_COLUMNS:
+                setattr(columns, name, column(buffers[name], typecode))
+            columns.extras = extras
+            trace._rib_columns[peer.peer_as] = (column(rib_prefixes), column(rib_paths))
+            trace._sessions[peer.peer_as] = (
+                columns,
+                [
+                    SyntheticBurst(
+                        peer=peer,
+                        start_time=start_time,
+                        failed_link=failed_link,
+                        messages=ColumnarMessageView(columns, rows),
+                        withdrawn_prefixes=prefixes(withdrawn),
+                        updated_prefixes=prefixes(updated),
+                        noise_prefixes=prefixes(noise),
+                        popular=popular,
+                    )
+                    for start_time, failed_link, rows, withdrawn, updated, noise, popular in bursts
+                ],
             )
-        )
-    background = {}
-    for peer_as, messages in trace.background.items():
-        if messages:
-            start = columns.message_count
-            columns.extend(messages)
-            background[peer_as] = (start, columns.message_count)
-    ribs = {
-        peer.peer_as: encode_rib(trace.rib_of(peer.peer_as), columns.pool)
-        for peer in trace.peers
-    }
-    return {
-        "config": trace.config,
-        "peers": trace.peers,
-        "columns": columns.to_payload(),
-        "bursts": burst_rows,
-        "background": background,
-        "ribs": ribs,
-    }
-
-
-def _decode_trace(payload: dict) -> ColumnarSyntheticTrace:
-    """Rebuild a (lazy) trace from its columnar payload."""
-    columns = ColumnarTrace.from_payload(payload["columns"])
-    prefix_at = columns.pool.prefix_at
-    bursts: List[SyntheticBurst] = []
-    for (
-        peer,
-        start_time,
-        failed_link,
-        message_start,
-        message_stop,
-        withdrawn,
-        updated,
-        noise,
-        popular,
-    ) in payload["bursts"]:
-        bursts.append(
-            SyntheticBurst(
-                peer=peer,
-                start_time=start_time,
-                failed_link=failed_link,
-                messages=ColumnarMessageView(
-                    columns, range(message_start, message_stop)
-                ),
-                withdrawn_prefixes=frozenset(map(prefix_at, withdrawn)),
-                updated_prefixes=frozenset(map(prefix_at, updated)),
-                noise_prefixes=frozenset(map(prefix_at, noise)),
-                popular=popular,
-            )
-        )
-    background = {
-        peer_as: columns.view(range(start, stop))
-        for peer_as, (start, stop) in payload["background"].items()
-    }
-    return ColumnarSyntheticTrace(
-        config=payload["config"],
-        peers=payload["peers"],
-        bursts=bursts,
-        background=background,
-        pool=columns.pool,
-        rib_columns=payload["ribs"],
-    )
+        return trace
 
 
 def cached_trace(config: Optional[SyntheticTraceConfig] = None) -> SyntheticTrace:
@@ -773,12 +709,10 @@ def cached_trace(config: Optional[SyntheticTraceConfig] = None) -> SyntheticTrac
     The trace is a pure function of its configuration, so the entry under
     ``.trace_cache/`` — keyed by the config's full fingerprint plus the
     cache and columnar format versions — is always valid for the running
-    code; see :mod:`repro.traces.trace_cache`.  The persisted form is a
-    columnar payload (arrays of primitives restoring at memcpy speed), so a
-    reload costs array restores plus lazy decoding instead of unpickling
-    millions of message objects; the first call pays the full generation
-    and returns the eager trace, later sessions get an equivalent
-    :class:`ColumnarSyntheticTrace`.
+    code; see :mod:`repro.traces.trace_cache`.  The entry is
+    :meth:`SyntheticTrace.to_payload`: a miss drains every session to write
+    it, a hit restores the columns at memcpy cost.  Both return a
+    :class:`SyntheticTrace` with the same contents.
     """
     from repro.traces.trace_cache import fingerprint, load_or_build
 
@@ -786,33 +720,10 @@ def cached_trace(config: Optional[SyntheticTraceConfig] = None) -> SyntheticTrac
     return load_or_build(
         "trace",
         fingerprint(config),
-        lambda: SyntheticTraceGenerator(config).generate(),
+        SyntheticTraceGenerator(config).stream,
         format_version=COLUMNAR_FORMAT_VERSION,
-        encode=_encode_trace,
-        decode=_decode_trace,
-    )
-
-
-def cached_columnar_stream(
-    config: SyntheticTraceConfig, peer_as: int
-) -> ColumnarTrace:
-    """The full columnar message stream of one session, memoised on disk.
-
-    The natural input of the month-replay drivers.  The entry is the
-    stream's :meth:`~repro.traces.columnar.ColumnarTrace.to_payload`
-    buffers, so a reload is one ``frombytes`` per column and replay
-    consumes :meth:`~repro.traces.columnar.ColumnarTrace.iter_batches`
-    without ever materialising the object stream.
-    """
-    from repro.traces.trace_cache import fingerprint, load_or_build
-
-    return load_or_build(
-        "stream",
-        f"{fingerprint(config)}|peer={peer_as}",
-        lambda: SyntheticTraceGenerator(config).stream().columnar_messages(peer_as),
-        format_version=COLUMNAR_FORMAT_VERSION,
-        encode=ColumnarTrace.to_payload,
-        decode=ColumnarTrace.from_payload,
+        encode=SyntheticTrace.to_payload,
+        decode=SyntheticTrace.from_payload,
     )
 
 

@@ -1,10 +1,12 @@
-"""On-disk memoisation for generated traces and burst corpora.
+"""On-disk memoisation for generated traces.
 
 The synthetic month traces behind the benchmark suite take minutes to
 generate but are pure functions of their configuration, so they are perfect
 memoisation targets: :func:`load_or_build` persists the built value under a
 key derived from the configuration's fingerprint, and later sessions reload
-it in seconds instead of regenerating.
+it in seconds instead of regenerating.  A synthetic trace has one entry
+kind, ``trace`` (:func:`repro.traces.synthetic.cached_trace`); the burst
+corpora of :mod:`repro.experiments.common` are read from it.
 
 Cache keys are *hardened* on two axes:
 
@@ -24,11 +26,12 @@ the ingest append log (:class:`~repro.traces.columnar_store.SegmentAppendLog`
 and read by :func:`~repro.traces.columnar_store.write_frame` /
 :func:`~repro.traces.columnar_store.read_frame`.  Callers pass the
 encode/decode pair that turns their value into plain buffers and back —
-:meth:`~repro.traces.columnar.ColumnarTrace.to_payload` /
-:meth:`~repro.traces.columnar.ColumnarTrace.from_payload` for a stream,
-payload dicts of the same buffers for a trace or a corpus — so a hit is a
-CRC check, an unpickle of a few large ``bytes`` objects and one
-``frombytes`` per column, never an object-graph restore.
+:meth:`~repro.traces.synthetic.SyntheticTrace.to_payload` /
+:meth:`~repro.traces.synthetic.SyntheticTrace.from_payload` for a trace:
+one interning pool, then per session its column buffers, RIB columns and
+each burst's ground truth and rows — so a hit is a CRC check, an unpickle
+of a few large ``bytes`` objects and one ``frombytes`` per column, never an
+object-graph restore.
 
 The cache lives in ``.trace_cache/`` at the repository root by default;
 set ``REPRO_TRACE_CACHE`` to relocate it or ``REPRO_TRACE_CACHE=off`` to
@@ -70,8 +73,10 @@ __all__ = [
 #: Bump when the generators' output for a given configuration changes, so
 #: stale entries from older code are never served.  v5: trace payloads moved
 #: from pickled object graphs to columnar blobs.  v6: every entry is one
-#: CRC-checked append-log frame of plain buffers.
-CACHE_VERSION = 6
+#: CRC-checked append-log frame of plain buffers.  v7: a synthetic trace is
+#: one entry of per-session columns over one pool, with each burst's rows
+#: (the ``stream`` and ``corpus`` kinds are gone).
+CACHE_VERSION = 7
 
 _ENV_VAR = "REPRO_TRACE_CACHE"
 

@@ -42,9 +42,9 @@ from repro.traces.columnar import (
     encode_rib,
 )
 from repro.traces.mrt import TraceReader, TraceWriter, messages_to_records, records_to_columnar
-from repro.experiments.common import cached_corpus
+from repro.experiments.common import burst_corpus, cached_corpus
 from repro.traces.synthetic import (
-    ColumnarSyntheticTrace,
+    SyntheticTrace,
     SyntheticTraceConfig,
     SyntheticTraceGenerator,
     cached_trace,
@@ -387,7 +387,7 @@ class TestSwiftedColumnarParity:
             noise_rate_per_second=0.0,
             seed=23,
         )
-        trace = SyntheticTraceGenerator(config).generate()
+        trace = SyntheticTraceGenerator(config).stream()
         checked = 0
         for burst in trace.bursts[:4]:
             rib = trace.rib_of(burst.peer.peer_as)
@@ -478,49 +478,39 @@ class TestTraceCacheHardening:
         assert value == "rebuilt"
         assert not os.path.exists(path + ".corrupt"), "stale is not corrupt"
 
-    def test_cached_corpus_and_trace_reload_like_their_generation(
-        self, tmp_path, monkeypatch
-    ):
-        """A hit decodes to what the miss generated: the corpus's bursts,
-        RIBs and ground truth, and the trace's bursts, background and RIBs."""
+    def test_cached_trace_reloads_like_its_generation(self, tmp_path, monkeypatch):
+        """A hit decodes to what the miss generated, as the same type: every
+        session's rows, RIB and bursts (ground truth and rows), and the
+        corpus read from it."""
         monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))
+
+        def trace_view(trace):
+            return [
+                (
+                    trace.messages_of(peer.peer_as).to_payload(),
+                    trace.rib_of(peer.peer_as),
+                    [
+                        (
+                            b.peer,
+                            b.start_time,
+                            b.failed_link,
+                            list(b.messages.indices),
+                            b.withdrawn_prefixes,
+                            b.updated_prefixes,
+                            b.noise_prefixes,
+                            b.popular,
+                        )
+                        for b in trace.bursts_of(peer.peer_as)
+                    ],
+                )
+                for peer in trace.peers
+            ]
 
         def corpus_view(corpus):
             return [
                 (b.peer_as, list(b.messages), b.rib, b.withdrawn_prefixes, b.failed_link)
                 for b in corpus
             ]
-
-        kwargs = dict(
-            peer_count=3,
-            duration_days=6,
-            min_table_size=2000,
-            max_table_size=4000,
-            min_burst_size=200,
-            seed=5,
-        )
-        generated = cached_corpus(**kwargs)
-        assert generated
-        assert corpus_view(cached_corpus(**kwargs)) == corpus_view(generated)
-
-        def trace_view(trace):
-            return (
-                [
-                    (
-                        b.peer,
-                        b.start_time,
-                        b.failed_link,
-                        list(b.messages),
-                        b.withdrawn_prefixes,
-                        b.updated_prefixes,
-                        b.noise_prefixes,
-                        b.popular,
-                    )
-                    for b in trace.bursts
-                ],
-                {peer: list(m) for peer, m in trace.background.items() if m},
-                {peer.peer_as: trace.rib_of(peer.peer_as) for peer in trace.peers},
-            )
 
         config = SyntheticTraceConfig(
             peer_count=3,
@@ -533,14 +523,27 @@ class TestTraceCacheHardening:
         fresh = cached_trace(config)
         assert fresh.bursts
         reloaded = cached_trace(config)
-        assert isinstance(reloaded, ColumnarSyntheticTrace)
+        assert type(reloaded) is type(fresh) is SyntheticTrace
         assert trace_view(reloaded) == trace_view(fresh)
+
+        kwargs = dict(
+            peer_count=3,
+            duration_days=6,
+            min_table_size=2000,
+            max_table_size=4000,
+            min_burst_size=200,
+            seed=5,
+        )
+        generated = cached_corpus(**kwargs)
+        assert generated
+        assert corpus_view(cached_corpus(**kwargs)) == corpus_view(generated)
+        assert corpus_view(burst_corpus(**kwargs)) == corpus_view(generated)
 
     def test_fingerprint_includes_defaults(self):
         base = SyntheticTraceConfig()
-        tweaked = SyntheticTraceConfig(reannounce_delay=301.0)
+        tweaked = SyntheticTraceConfig(head_skew=2.3)
         assert trace_cache.fingerprint(base) != trace_cache.fingerprint(tweaked)
-        assert "reannounce_delay" in trace_cache.fingerprint(base)
+        assert "head_skew" in trace_cache.fingerprint(base)
 
 
 def _interned(index):

@@ -35,11 +35,7 @@ from repro.experiments.month_replay import BACKUP_PEER_AS, backup_alternates, re
 from repro.traces import columnar
 from repro.traces.columnar import ColumnarTrace
 from repro.traces.fulltable import FullTableConfig, FullTableGenerator
-from repro.traces.synthetic import (
-    SyntheticTraceConfig,
-    SyntheticTraceGenerator,
-    cached_columnar_stream,
-)
+from repro.traces.synthetic import SyntheticTraceConfig, cached_trace
 
 #: Small enough for tier-1, bursty enough that SWIFT demonstrably fires:
 #: seed 17 places real bursts on 3 of the 4 peers, so the SWIFTED half of
@@ -63,14 +59,10 @@ _SWIFT = SwiftConfig(
 
 def _sessions():
     """``(peer AS, stream, pre-trace RIB)`` for every peer of the corpus."""
-    generator_stream = SyntheticTraceGenerator(_CORPUS).stream()
+    trace = cached_trace(_CORPUS)
     return [
-        (
-            peer.peer_as,
-            cached_columnar_stream(_CORPUS, peer.peer_as),
-            generator_stream.rib_of(peer.peer_as),
-        )
-        for peer in generator_stream.peers
+        (peer.peer_as, trace.messages_of(peer.peer_as), trace.rib_of(peer.peer_as))
+        for peer in trace.peers
     ]
 
 
@@ -78,16 +70,16 @@ def _sessions():
 def session_matrix(tmp_path_factory):
     """(cold sessions, warm sessions) over a private trace cache.
 
-    The first build generates every stream into columns; the second runs
-    against the now-populated cache, so its streams come off the cached
-    entries — the warm half of the matrix.
+    The first build generates the trace, every session into columns; the
+    second runs against the now-populated cache, so its streams come off
+    the cached entry — the warm half of the matrix.
     """
     previous = os.environ.get("REPRO_TRACE_CACHE")
     cache_dir = str(tmp_path_factory.mktemp("columnar_matrix_cache"))
     os.environ["REPRO_TRACE_CACHE"] = cache_dir
     try:
         cold = _sessions()
-        assert any(name.startswith("stream-") for name in os.listdir(cache_dir))
+        assert any(name.startswith("trace-") for name in os.listdir(cache_dir))
         warm = _sessions()
         return cold, warm
     finally:

@@ -9,8 +9,8 @@ The contracts under test:
   shared pool) equal to slicing the message stream;
 * a sealed segment is one append-log frame of that payload and reloads
   into an identical trace;
-* ``cached_columnar_stream`` memoises a stream as one cache entry and
-  rebuilds cleanly from a corrupt one.
+* ``cached_trace`` memoises a synthetic trace as one cache entry, serves
+  its sessions' columns from it, and rebuilds cleanly from a corrupt one.
 """
 
 import os
@@ -29,7 +29,7 @@ from repro.traces.trace_cache import load_or_build
 from repro.traces.synthetic import (
     SyntheticTraceConfig,
     SyntheticTraceGenerator,
-    cached_columnar_stream,
+    cached_trace,
 )
 
 
@@ -233,33 +233,32 @@ class TestColumnarCacheLayout:
             seed=23,
         )
 
-    def test_cached_columnar_stream_roundtrip(self, cache_dir, config):
-        peer_as = SyntheticTraceGenerator(config).stream().peers[0].peer_as
-        generated = cached_columnar_stream(config, peer_as)  # miss: generates
-        reloaded = cached_columnar_stream(config, peer_as)  # hit: frame load
-        assert reloaded.to_messages() == generated.to_messages()
+    @staticmethod
+    def _sessions(trace):
+        return [trace.messages_of(peer.peer_as).to_messages() for peer in trace.peers]
+
+    def test_cached_trace_roundtrip(self, cache_dir, config):
+        generated = cached_trace(config)  # miss: generates
+        reloaded = cached_trace(config)  # hit: frame load
+        assert self._sessions(reloaded) == self._sessions(generated)
         names = os.listdir(cache_dir)
         assert len(names) == 1 and names[0].endswith(".pkl")
 
     def test_hit_does_not_regenerate(self, cache_dir, config, monkeypatch):
-        peer_as = SyntheticTraceGenerator(config).stream().peers[0].peer_as
-        generated = cached_columnar_stream(config, peer_as)
+        generated = cached_trace(config)
 
         def regenerate(*args, **kwargs):
             pytest.fail("a cache hit must not run the generator")
 
         monkeypatch.setattr(SyntheticTraceGenerator, "stream", regenerate)
-        assert cached_columnar_stream(config, peer_as).to_messages() == (
-            generated.to_messages()
-        )
+        assert self._sessions(cached_trace(config)) == self._sessions(generated)
 
     def test_corrupt_entry_rebuilds(self, cache_dir, config):
-        peer_as = SyntheticTraceGenerator(config).stream().peers[0].peer_as
-        generated = cached_columnar_stream(config, peer_as)
+        generated = cached_trace(config)
         (entry,) = cache_dir.iterdir()
         entry.write_bytes(b"garbage")
-        rebuilt = cached_columnar_stream(config, peer_as)
-        assert rebuilt.to_messages() == generated.to_messages()
+        rebuilt = cached_trace(config)
+        assert self._sessions(rebuilt) == self._sessions(generated)
 
 
 # -- one serialisation: every durable form is the payload ----------------------

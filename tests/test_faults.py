@@ -508,56 +508,51 @@ class TestCacheQuarantine:
         path = trace_cache.cache_path_for("faults-test", "spec", format_version=1)
         assert not os.path.exists(path)
 
-
-    def test_flipped_byte_in_a_corpus_array_buffer_is_quarantined(
+    def test_flipped_byte_in_a_trace_timestamp_column_is_quarantined(
         self, tmp_path, monkeypatch, caplog
     ):
-        # A cached corpus entry holds its columns as raw array buffers; one
-        # flipped byte inside the timestamp column must fail the entry's
-        # checksum — not reload as a corpus with one wrong timestamp.
-        import functools
-        from array import array
-
-        from repro.experiments import common
+        # A cached trace entry holds each session's columns as raw array
+        # buffers; one flipped byte inside a timestamp column must fail the
+        # entry's checksum — not reload as a trace with one wrong timestamp.
+        from repro.traces import synthetic
 
         monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "cache"))
         builds = []
+        stream = synthetic.SyntheticTraceGenerator.stream
 
-        @functools.wraps(common.burst_corpus)
-        def counting(**kwargs):
+        def counting(generator):
             builds.append(1)
-            return _burst_corpus(**kwargs)
+            return stream(generator)
 
-        _burst_corpus = common.burst_corpus
-        monkeypatch.setattr(common, "burst_corpus", counting)
-        kwargs = dict(
+        monkeypatch.setattr(synthetic.SyntheticTraceGenerator, "stream", counting)
+        config = synthetic.SyntheticTraceConfig(
             peer_count=3,
             duration_days=6,
             min_table_size=2000,
             max_table_size=4000,
-            min_burst_size=200,
+            noise_rate_per_second=0.01,
             seed=5,
         )
-        generated = common.cached_corpus(**kwargs)
-        assert generated and builds == [1]
+
+        def sessions(trace):
+            return [trace.messages_of(peer.peer_as).to_messages() for peer in trace.peers]
+
+        generated = synthetic.cached_trace(config)
+        assert builds == [1]
         (entry,) = (tmp_path / "cache").iterdir()
-        times = array(
-            "d", [m.timestamp for burst in generated for m in burst.messages]
-        ).tobytes()
+        times = generated.messages_of(generated.peers[0].peer_as).msg_time.tobytes()
         data = entry.read_bytes()
         start = data.find(times)
         assert start >= 0, "the timestamp column is stored as one raw buffer"
         corrupt_file(str(entry), offset=start + len(times) // 2)
 
         with caplog.at_level(logging.WARNING, logger="repro.traces.trace_cache"):
-            reloaded = common.cached_corpus(**kwargs)
+            reloaded = synthetic.cached_trace(config)
         assert builds == [1, 1], "a damaged entry is rebuilt, not served"
         assert os.path.exists(str(entry) + ".corrupt")
-        assert [list(burst.messages) for burst in reloaded] == [
-            list(burst.messages) for burst in generated
-        ]
+        assert sessions(reloaded) == sessions(generated)
         assert any("quarantined" in r.getMessage() for r in caplog.records)
-        common.cached_corpus(**kwargs)
+        synthetic.cached_trace(config)
         assert builds == [1, 1], "the rebuilt entry serves as a hit"
 
 

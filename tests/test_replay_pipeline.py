@@ -1,6 +1,6 @@
 """Parity tests for the batch-first replay pipeline.
 
-Four equivalences underpin the batched/incremental fast paths:
+Three equivalences underpin the batched/incremental fast paths:
 
 * ``BGPSpeaker.receive_batch`` == per-message ``receive`` (final Loc-RIB and
   the set of loss-of-reachability / recovery events), including batches where
@@ -9,8 +9,7 @@ Four equivalences underpin the batched/incremental fast paths:
   backup table, engine RIB views, and the inference results of a subsequent
   burst);
 * the incremental running-sum aggregation == the reference ``score_set``
-  re-summation;
-* the streaming trace generator == its eager materialisation.
+  re-summation.
 """
 
 import random
@@ -31,7 +30,6 @@ from repro.core.encoding import EncoderConfig
 from repro.core.fit_score import FitScoreCalculator
 from repro.core.history import TriggeringSchedule
 from repro.core.inference import InferenceConfig
-from repro.traces.synthetic import SyntheticTraceConfig, SyntheticTraceGenerator
 
 
 def _attrs(path, next_hop, local_pref=100):
@@ -382,57 +380,6 @@ class TestIncrementalAggregateParity:
             running_p = sum(calculator.still_routed_count(l) for l in subset)
             incremental = calculator.score_from_counts(subset, running_w, running_p)
             assert incremental == reference
-
-
-class TestStreamingTraceParity:
-    @pytest.fixture(scope="class")
-    def config(self):
-        return SyntheticTraceConfig(
-            peer_count=3,
-            duration_days=4,
-            min_table_size=2000,
-            max_table_size=5000,
-            noise_rate_per_second=0.02,
-            seed=17,
-        )
-
-    def test_stream_messages_match_materialised_trace(self, config):
-        stream = SyntheticTraceGenerator(config).stream()
-        trace = SyntheticTraceGenerator(config).generate()
-        for peer in trace.peers:
-            streamed = list(stream.iter_messages(peer.peer_as))
-            eager = trace.messages_of(peer.peer_as)
-            # Same multiset of messages, both in timestamp order (the merge
-            # may order equal timestamps differently than the eager sort).
-            assert len(streamed) == len(eager)
-            assert sorted(m.timestamp for m in streamed) == [
-                m.timestamp for m in streamed
-            ]
-            key = lambda m: (m.timestamp, repr(m))
-            assert sorted(streamed, key=key) == sorted(eager, key=key)
-
-    def test_stream_bursts_match_materialised_bursts(self, config):
-        stream = SyntheticTraceGenerator(config).stream()
-        trace = SyntheticTraceGenerator(config).generate()
-        for peer in trace.peers:
-            streamed = list(stream.iter_bursts(peer.peer_as))
-            eager = trace.bursts_of(peer.peer_as)
-            assert [b.failed_link for b in streamed] == [b.failed_link for b in eager]
-            assert [b.withdrawn_prefixes for b in streamed] == [
-                b.withdrawn_prefixes for b in eager
-            ]
-            assert [b.size for b in streamed] == [b.size for b in eager]
-
-    def test_lazy_head_consumption_does_not_build_everything(self, config):
-        generator = SyntheticTraceGenerator(config)
-        stream = generator.stream()
-        peer_as = stream.peers[0].peer_as
-        iterator = stream.iter_messages(peer_as)
-        head = [next(iterator) for _ in range(5)]
-        assert len(head) == 5
-        assert all(
-            head[i].timestamp <= head[i + 1].timestamp for i in range(len(head) - 1)
-        )
 
 
 class TestVanillaSpeakerReplay:

@@ -1,15 +1,18 @@
 """Tests for the trace substrate: MRT format, topologies, generator."""
 
 import io
+import os
 import random
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.bgp.attributes import ASPath
 from repro.bgp.messages import Update
 from repro.bgp.prefix import Prefix
 from repro.traces.collectors import build_collector_fleet
-from repro.traces.columnar import ColumnarTrace
+from repro.traces.columnar import ColumnarTrace, InternPool
 from repro.traces.mrt import (
     RowParser,
     TraceReader,
@@ -19,7 +22,12 @@ from repro.traces.mrt import (
 )
 from repro.traces.popularity import POPULAR_ORGANIZATIONS, all_popular_asns, is_popular_asn, organization_of
 from repro.traces.session_topology import SessionTopology, SessionTopologyConfig
-from repro.traces.synthetic import SyntheticTraceConfig, SyntheticTraceGenerator
+from repro.traces.synthetic import (
+    SyntheticTrace,
+    SyntheticTraceConfig,
+    SyntheticTraceGenerator,
+    cached_trace,
+)
 from repro.traces.validation import TraceValidationError, ValidationReport
 
 
@@ -191,7 +199,7 @@ class TestSyntheticTrace:
             peer_count=3, duration_days=5, min_table_size=2000, max_table_size=6000,
             noise_rate_per_second=0.0, seed=5,
         )
-        trace = SyntheticTraceGenerator(config).generate()
+        trace = SyntheticTraceGenerator(config).stream()
         assert len(trace.peers) == 3
         for burst in trace.bursts:
             assert burst.size >= config.burst_size_minimum
@@ -216,8 +224,8 @@ class TestSyntheticTrace:
             peer_count=2, duration_days=3, min_table_size=2000, max_table_size=4000,
             noise_rate_per_second=0.0, seed=11,
         )
-        first = SyntheticTraceGenerator(config).generate()
-        second = SyntheticTraceGenerator(config).generate()
+        first = SyntheticTraceGenerator(config).stream()
+        second = SyntheticTraceGenerator(config).stream()
         assert [b.size for b in first.bursts] == [b.size for b in second.bursts]
 
     def test_config_validation(self):
@@ -225,3 +233,94 @@ class TestSyntheticTrace:
             SyntheticTraceConfig(peer_count=0)
         with pytest.raises(ValueError):
             SyntheticTraceConfig(withdrawal_fraction=0.0)
+
+
+
+def _burst_truth(burst):
+    return (
+        burst.start_time,
+        burst.failed_link,
+        list(burst.messages),
+        burst.withdrawn_prefixes,
+        burst.updated_prefixes,
+        burst.noise_prefixes,
+        burst.popular,
+    )
+
+
+class TestOneTraceForm:
+    """A session is the columns drained from its merged stream, a burst is
+    a view of the rows it contributed, and a cache hit equals its miss."""
+
+    @settings(
+        max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    @given(
+        peer_count=st.integers(1, 3),
+        low=st.integers(400, 800),
+        high=st.integers(400, 800),
+        noise=st.booleans(),
+        seed=st.integers(0, 2**31),
+    )
+    def test_one_form_of_a_trace(self, peer_count, low, high, noise, seed):
+        config = SyntheticTraceConfig(
+            peer_count=peer_count,
+            duration_days=2.0,
+            bursts_per_session_month=60.0,
+            burst_size_minimum=50,
+            min_table_size=min(low, high),
+            max_table_size=max(low, high),
+            noise_rate_per_second=0.01 if noise else 0.0,
+            seed=seed,
+        )
+        trace = SyntheticTraceGenerator(config).stream()
+        merged = SyntheticTraceGenerator(config).stream()
+        generator = SyntheticTraceGenerator(config)
+        pool = InternPool()
+        for peer in trace.peers:
+            peer_as = peer.peer_as
+            expected = ColumnarTrace.from_messages(
+                list(merged.iter_messages(peer_as)), pool=pool
+            )
+            assert trace.messages_of(peer_as).to_payload() == expected.to_payload()
+            topology = trace.topology_of(peer_as)
+            built = [
+                generator.generate_burst(
+                    topology, plan.target_size, plan.start_time, random.Random(plan.seed)
+                )
+                for plan in trace.plans_of(peer_as)
+            ]
+            assert [_burst_truth(burst) for burst in trace.bursts_of(peer_as)] == [
+                _burst_truth(burst) for burst in built if burst is not None
+            ]
+
+        with tempfile.TemporaryDirectory() as directory, pytest.MonkeyPatch.context() as patch:
+            patch.setenv("REPRO_TRACE_CACHE", directory)
+            miss, hit = cached_trace(config), cached_trace(config)
+            assert type(miss) is type(hit) is SyntheticTrace
+            for peer in trace.peers:
+                peer_as = peer.peer_as
+                assert hit.messages_of(peer_as).to_payload() == (
+                    miss.messages_of(peer_as).to_payload()
+                )
+                assert hit.rib_of(peer_as) == miss.rib_of(peer_as)
+                assert [_burst_truth(b) for b in hit.bursts_of(peer_as)] == [
+                    _burst_truth(b) for b in miss.bursts_of(peer_as)
+                ]
+
+    def test_lazy_head_consumption_does_not_build_everything(self):
+        config = SyntheticTraceConfig(
+            peer_count=3,
+            duration_days=4,
+            min_table_size=2000,
+            max_table_size=5000,
+            noise_rate_per_second=0.02,
+            seed=17,
+        )
+        stream = SyntheticTraceGenerator(config).stream()
+        iterator = stream.iter_messages(stream.peers[0].peer_as)
+        head = [next(iterator) for _ in range(5)]
+        assert len(head) == 5
+        assert all(
+            head[i].timestamp <= head[i + 1].timestamp for i in range(len(head) - 1)
+        )
