@@ -90,9 +90,7 @@ class _BuiltTable:
         self.speaker.receive_columnar(trace)
         self.speaker_seconds = time.perf_counter() - started
 
-        self.best = {
-            entry.prefix: entry for entry in self.speaker.loc_rib.best_entries()
-        }
+        self.best = dict(self.speaker.loc_rib.best_entries())
 
 
 @pytest.fixture(scope="module")
@@ -219,7 +217,7 @@ def test_bench_fulltable_backup_profiles(built):
     spot_prefixes = rng.sample(list(built.best), min(2000, len(built.best)))
     for prefix in spot_prefixes:
         winners = computer.select_winners(
-            prefix, built.best[prefix].as_path, speaker.alternate_routes(prefix)
+            built.best[prefix].as_path, speaker.alternate_routes(prefix)
         )
         profile = index.profile_of.get(prefix)
         assert (() if profile is None else profile.winners) == winners

@@ -75,7 +75,7 @@ def main() -> None:
     rate = len(addresses) / (time.perf_counter() - started)
     print(f"LPM over the full table: {rate:,.0f} lookups/s")
 
-    best = {entry.prefix: entry for entry in speaker.loc_rib.best_entries()}
+    best = dict(speaker.loc_rib.best_entries())
     started = time.perf_counter()
     index = BackupComputer().compute_table(
         best, speaker.alternate_routes, speaker.loc_rib.candidate_map

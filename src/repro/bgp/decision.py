@@ -36,24 +36,15 @@ class DecisionProcess:
     ----------
     ranking:
         Callable mapping a :class:`RibEntry` to a tuple; the candidate with
-        the smallest tuple wins.  Defaults to the standard BGP ranking.
-    prefix_independent:
-        Declares that the ranking depends only on the candidate's path
-        attributes and peer AS — true for every standard BGP step (and for
-        Gao–Rexford preference), and the property that lets the batched
-        speaker path run one selection per *distinct candidate profile*
-        instead of one per prefix.  Set to ``False`` for exotic rankings
-        that read ``entry.prefix`` or ``entry.learned_at``; the batched
-        path then falls back to per-prefix selection.
+        the smallest tuple wins.  Defaults to the standard BGP ranking.  A
+        stored route is an attribute object and a peer AS, nothing else, so
+        every ranking depends only on those — the property that lets the
+        batched speaker path run one selection per *distinct candidate
+        profile* instead of one per prefix.
     """
 
-    def __init__(
-        self,
-        ranking: Optional[RankingFunction] = None,
-        prefix_independent: bool = True,
-    ) -> None:
+    def __init__(self, ranking: Optional[RankingFunction] = None) -> None:
         self._ranking = ranking or standard_ranking
-        self.prefix_independent = prefix_independent
 
     def select(self, candidates: Iterable[RibEntry]) -> Optional[RibEntry]:
         """Return the preferred candidate, or ``None`` if there are none.

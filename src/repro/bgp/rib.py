@@ -20,46 +20,27 @@ __all__ = ["AdjRibIn", "LocRib", "RibEntry", "RouteChange", "RouteChangeKind"]
 
 
 class RibEntry:
-    """A route stored in a RIB: a prefix with its attributes and source peer.
+    """A stored route: an attribute object and the peer that announced it.
 
-    A plain ``__slots__`` class rather than a dataclass: one entry is built
-    per announcement on the replay hot path, and a frozen dataclass pays an
-    ``object.__setattr__`` per field per construction.  Treat instances as
-    immutable all the same.
+    Each :class:`AdjRibIn` keeps one route per attribute object and shares it
+    among every prefix the peer announced with those attributes, so a route
+    carries no prefix: ``prefix_count`` counts the prefixes that point at it,
+    and the route leaves its session's intern table with the last one.
+    Within a session identity is equality — two routes of one peer with the
+    same attribute object are the same object — so the class defines no
+    value ``__eq__`` or ``__hash__``.  A plain ``__slots__`` class; treat
+    ``attributes`` and ``peer_as`` as immutable.
     """
 
-    __slots__ = ("prefix", "attributes", "peer_as", "learned_at")
+    __slots__ = ("attributes", "peer_as", "prefix_count")
 
-    def __init__(
-        self,
-        prefix: Prefix,
-        attributes: PathAttributes,
-        peer_as: int,
-        learned_at: float = 0.0,
-    ) -> None:
-        self.prefix = prefix
+    def __init__(self, attributes: PathAttributes, peer_as: int) -> None:
         self.attributes = attributes
         self.peer_as = peer_as
-        self.learned_at = learned_at
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RibEntry):
-            return NotImplemented
-        return (
-            self.prefix == other.prefix
-            and self.attributes == other.attributes
-            and self.peer_as == other.peer_as
-            and self.learned_at == other.learned_at
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.prefix, self.attributes, self.peer_as, self.learned_at))
+        self.prefix_count = 0
 
     def __repr__(self) -> str:
-        return (
-            f"RibEntry(prefix={self.prefix!r}, attributes={self.attributes!r}, "
-            f"peer_as={self.peer_as}, learned_at={self.learned_at})"
-        )
+        return f"RibEntry(attributes={self.attributes!r}, peer_as={self.peer_as})"
 
     @property
     def as_path(self) -> ASPath:
@@ -84,8 +65,8 @@ class RouteChangeKind(Enum):
 class RouteChange:
     """Result of feeding one announcement/withdrawal through a RIB.
 
-    Like :class:`RibEntry`, a ``__slots__`` class for construction speed on
-    the replay hot path; treat instances as immutable.
+    A ``__slots__`` class for construction speed on the replay hot path,
+    compared by identity; treat instances as immutable.
     """
 
     __slots__ = ("kind", "prefix", "old", "new")
@@ -102,16 +83,6 @@ class RouteChange:
         self.old = old
         self.new = new
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RouteChange):
-            return NotImplemented
-        return (
-            self.kind == other.kind
-            and self.prefix == other.prefix
-            and self.old == other.old
-            and self.new == other.new
-        )
-
     def __repr__(self) -> str:
         return (
             f"RouteChange(kind={self.kind!r}, prefix={self.prefix!r}, "
@@ -123,7 +94,12 @@ class AdjRibIn:
     """Per-peer RIB holding the routes announced on one session.
 
     Mirrors the RIB a border router maintains per eBGP neighbor: the route
-    table is the only state kept current on announce/withdraw.  The link
+    table is the only state kept current on announce/withdraw.  It maps
+    prefix -> a route shared by every prefix announced with the same
+    attribute object: the table interns one :class:`RibEntry` per attribute
+    object (by identity — both parse paths intern attribute objects, so
+    path-sharing prefixes share one), counts its prefixes, and forgets it
+    with its last prefix.  The link
     queries (:meth:`prefixes_via_link`, :meth:`link_prefix_counts`, ...)
     scan that table — they serve tests and tooling.  SWIFT's Path Share metric
     P(l, t) is *not* answered from here: the inference engine maintains its
@@ -135,30 +111,54 @@ class AdjRibIn:
     def __init__(self, peer_as: int) -> None:
         self.peer_as = peer_as
         self._routes: Dict[Prefix, RibEntry] = {}
+        # id(attributes) -> the route of those attributes, while a prefix
+        # holds it (the route keeps the attribute object, so its id is not
+        # reused in the meantime).
+        self._interned: Dict[int, RibEntry] = {}
 
     # -- mutation ---------------------------------------------------------
 
-    def announce(
-        self, prefix: Prefix, attributes: PathAttributes, timestamp: float = 0.0
-    ) -> RouteChange:
-        """Install or replace the route for ``prefix``."""
-        old = self._routes.get(prefix)
-        entry = RibEntry(
-            prefix=prefix,
-            attributes=attributes,
-            peer_as=self.peer_as,
-            learned_at=timestamp,
-        )
-        self._routes[prefix] = entry
-        kind = RouteChangeKind.UPDATED if old is not None else RouteChangeKind.NEW
-        return RouteChange(kind=kind, prefix=prefix, old=old, new=entry)
+    def _store(self, prefix: Prefix, attributes: PathAttributes) -> Optional[RibEntry]:
+        """Point ``prefix`` at the shared route of ``attributes``.
 
-    def withdraw(self, prefix: Prefix, timestamp: float = 0.0) -> RouteChange:
-        """Remove the route for ``prefix`` if present."""
+        Returns the route the prefix held before, or ``None``.  Every entry
+        family stores through here: :meth:`announce`, the session's
+        per-message path and the speaker's column walk.
+        """
+        route = self._interned.get(id(attributes))
+        if route is None:
+            route = self._interned[id(attributes)] = RibEntry(attributes, self.peer_as)
+        route.prefix_count += 1
+        routes = self._routes
+        old = routes.get(prefix)
+        routes[prefix] = route
+        if old is not None:
+            old.prefix_count -= 1
+            if not old.prefix_count:
+                del self._interned[id(old.attributes)]
+        return old
+
+    def _drop(self, prefix: Prefix) -> Optional[RibEntry]:
+        """Remove the route of ``prefix``; return it, or ``None`` if it had none."""
         old = self._routes.pop(prefix, None)
+        if old is not None:
+            old.prefix_count -= 1
+            if not old.prefix_count:
+                del self._interned[id(old.attributes)]
+        return old
+
+    def announce(self, prefix: Prefix, attributes: PathAttributes) -> RouteChange:
+        """Install or replace the route for ``prefix``."""
+        old = self._store(prefix, attributes)
+        kind = RouteChangeKind.UPDATED if old is not None else RouteChangeKind.NEW
+        return RouteChange(kind, prefix, old, self._routes[prefix])
+
+    def withdraw(self, prefix: Prefix) -> RouteChange:
+        """Remove the route for ``prefix`` if present."""
+        old = self._drop(prefix)
         if old is None:
-            return RouteChange(kind=RouteChangeKind.UNCHANGED, prefix=prefix)
-        return RouteChange(kind=RouteChangeKind.WITHDRAWN, prefix=prefix, old=old)
+            return RouteChange(RouteChangeKind.UNCHANGED, prefix)
+        return RouteChange(RouteChangeKind.WITHDRAWN, prefix, old)
 
     def withdraw_all(self) -> List[RouteChange]:
         """Remove every route (session reset), each reported as withdrawn."""
@@ -168,6 +168,7 @@ class AdjRibIn:
         ]
         # In place, never rebound: the speaker's Loc-RIB reads this dict.
         self._routes.clear()
+        self._interned.clear()
         return changes
 
     # -- queries ----------------------------------------------------------
@@ -189,9 +190,9 @@ class AdjRibIn:
         """Iterate over all prefixes with a route."""
         return iter(self._routes)
 
-    def entries(self) -> Iterator[RibEntry]:
-        """Iterate over all stored routes."""
-        return iter(self._routes.values())
+    def items(self) -> Iterator[Tuple[Prefix, RibEntry]]:
+        """Iterate over ``(prefix, route)`` pairs; a shared route repeats."""
+        return iter(self._routes.items())
 
     def prefixes_via_link(self, link: Tuple[int, int]) -> frozenset:
         """Prefixes whose current AS path traverses the (undirected) link."""
@@ -270,18 +271,16 @@ class LocRib:
         del self._tables[peer_as]
         self._getters = [routes.get for routes in self._tables.values()]
 
-    def set_best(self, entry: Optional[RibEntry], prefix: Optional[Prefix] = None) -> None:
-        """Install ``entry`` as best route (or clear it when ``entry`` is None)."""
-        if entry is None:
-            if prefix is None:
-                raise ValueError("prefix required when clearing a best route")
+    def set_best(self, prefix: Prefix, route: Optional[RibEntry]) -> None:
+        """Install ``route`` as the best route of ``prefix`` (clear it on ``None``)."""
+        if route is None:
             removed = self._best.pop(prefix, None)
             if removed is not None and self._best_trie is not None:
                 self._best_trie.remove(prefix)
         else:
-            self._best[entry.prefix] = entry
+            self._best[prefix] = route
             if self._best_trie is not None:
-                self._best_trie.insert(entry.prefix, entry)
+                self._best_trie.insert(prefix, route)
 
     def mark_stale(self, prefixes: Iterable[Prefix]) -> None:
         """Leave the best routes of ``prefixes`` to be selected on the next read."""
@@ -320,10 +319,10 @@ class LocRib:
                 found[peer] = entry
         return found
 
-    def best_entries(self) -> Iterator[RibEntry]:
-        """Iterate over all best routes."""
+    def best_entries(self) -> Iterator[Tuple[Prefix, RibEntry]]:
+        """Iterate over ``(prefix, best route)`` pairs."""
         self.settle()
-        return iter(self._best.values())
+        return iter(self._best.items())
 
     def prefixes(self) -> Iterator[Prefix]:
         """Iterate over prefixes that have a best route."""

@@ -22,7 +22,7 @@ from typing import Callable, Iterable, List, Optional
 
 from repro.bgp.messages import BGPMessage, MessageType, Update
 from repro.bgp.prefix import Prefix
-from repro.bgp.rib import AdjRibIn, RibEntry, RouteChange, RouteChangeKind
+from repro.bgp.rib import AdjRibIn, RouteChange, RouteChangeKind
 
 __all__ = ["PeeringSession", "SessionState", "SessionStats"]
 
@@ -135,9 +135,8 @@ class PeeringSession:
         builds no :class:`~repro.bgp.rib.RouteChange` for an UPDATE.
         """
         stats = self.stats
-        timestamp = message.timestamp
         stats.messages_received += 1
-        stats.last_message_at = timestamp
+        stats.last_message_at = message.timestamp
 
         if not isinstance(message, Update):
             if message.type == MessageType.NOTIFICATION:
@@ -148,15 +147,15 @@ class PeeringSession:
                 self.state = SessionState.ESTABLISHED
             return []
 
-        peer_as = self.peer_as
-        routes = self.rib_in._routes
-        pop = routes.pop
+        rib_in = self.rib_in
+        drop = rib_in._drop
+        store = rib_in._store
         withdrawals = message.withdrawals
         announcements = message.announcements
-        changed = [prefix for prefix in withdrawals if pop(prefix, None) is not None]
+        changed = [prefix for prefix in withdrawals if drop(prefix) is not None]
         for announcement in announcements:
             prefix = announcement.prefix
-            routes[prefix] = RibEntry(prefix, announcement.attributes, peer_as, timestamp)
+            store(prefix, announcement.attributes)
             changed.append(prefix)
         stats.withdrawals_received += len(withdrawals)
         stats.announcements_received += len(announcements)
@@ -189,8 +188,7 @@ class PeeringSession:
         append_result = per_message.append
         for message in messages:
             count += 1
-            timestamp = message.timestamp
-            last_at = timestamp
+            last_at = message.timestamp
             if not isinstance(message, Update):
                 if message.type == MessageType.NOTIFICATION:
                     append_result(self._reset())
@@ -202,12 +200,10 @@ class PeeringSession:
             changes: List[RouteChange] = []
             changes_append = changes.append
             for prefix in message.withdrawals:
-                changes_append(rib_withdraw(prefix, timestamp))
+                changes_append(rib_withdraw(prefix))
                 withdrawals += 1
             for announcement in message.announcements:
-                changes_append(
-                    rib_announce(announcement.prefix, announcement.attributes, timestamp)
-                )
+                changes_append(rib_announce(announcement.prefix, announcement.attributes))
                 announcements += 1
             append_result(changes)
         stats.messages_received += count

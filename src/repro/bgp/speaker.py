@@ -16,10 +16,11 @@ Replay workloads should prefer the batched path: :meth:`BGPSpeaker.receive_batch
 applies every Adj-RIB-In change of a batch first and then
 runs the decision process **once per touched prefix** instead of once per
 message — not at all for a prefix left with a single candidate (every
-withdrawal of a failure burst), and, because the standard ranking depends
-only on a candidate's attributes and peer AS, once per *distinct candidate
-profile* when prefixes share their candidate sets (as table dumps and
-re-convergence overwhelmingly do).  The batched path matches per-message
+withdrawal of a failure burst), and, because a stored route is only an
+attribute object and a peer AS, shared by every prefix the peer announced
+with those attributes, once per *distinct candidate profile* when prefixes
+share their candidate routes (as table dumps and re-convergence
+overwhelmingly do).  The batched path matches per-message
 :meth:`BGPSpeaker.receive` in the final Loc-RIB and in the multiset of
 loss-of-reachability / recovery events: candidate-set emptiness is tracked at
 message boundaries, so a prefix that transiently loses every route mid-batch
@@ -51,7 +52,6 @@ the listeners hear every change, so they can count.
 
 from __future__ import annotations
 
-from operator import attrgetter
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.bgp.decision import DecisionProcess, default_decision_process
@@ -61,11 +61,6 @@ from repro.bgp.rib import LocRib, RibEntry, RouteChange, RouteChangeKind
 from repro.bgp.session import PeeringSession, SessionState
 
 __all__ = ["BGPSpeaker", "BestRouteChange", "SpeakerBatch"]
-
-#: Module-level so the batched re-selection builds its profile keys with
-#: C-level ``map`` calls instead of a Python-level lambda per candidate.
-_attrgetter_attributes = attrgetter("attributes")
-_attrgetter_peer_as = attrgetter("peer_as")
 
 #: Winner-memo miss marker (a memoised ``None`` means every candidate loops).
 _UNSELECTED = object()
@@ -96,7 +91,7 @@ def _changed_prefixes(changes: List[RouteChange]) -> List[Prefix]:
 class BestRouteChange:
     """A change of the best route for a prefix after processing messages.
 
-    Like :class:`~repro.bgp.rib.RibEntry`, a ``__slots__`` class for
+    Like :class:`~repro.bgp.rib.RouteChange`, a ``__slots__`` class for
     construction speed (one per re-selected prefix on the replay hot path);
     treat instances as immutable.
     """
@@ -238,10 +233,10 @@ class BGPSpeaker:
 
         All Adj-RIB-In changes are applied first (in
         bulk per consecutive same-peer run); the decision process then runs
-        once per *touched prefix* — once per candidate profile when the
-        ranking allows it — rather than once per message, which is the
-        difference between O(messages x touched) and O(touched) selection
-        work on withdrawal bursts and path-exploration storms.  The
+        once per *touched prefix* — once per candidate profile — rather
+        than once per message, which is the difference between
+        O(messages x touched) and O(touched) selection work on withdrawal
+        bursts and path-exploration storms.  The
         best-route listeners fire once with the coalesced change list.
 
         Matches calling :meth:`receive` per message in the final Loc-RIB and
@@ -311,9 +306,8 @@ class BGPSpeaker:
         """Candidate routes other than the current best, most preferred first.
 
         Ranks the prefix's candidates on demand; nothing is memoised.  The
-        callers — the router's shared-next-hop backup fallback, backup
-        computations handed it as ``alternates_of`` (once per prefix or
-        profile), tests — read a prefix once between changes.
+        callers — backup computations handed it as ``alternates_of`` (once
+        per prefix or profile), tests — read a prefix once between changes.
         """
         ranked = self.decision_process.rank(self.loc_rib.candidates(prefix))
         best = self.loc_rib.best(prefix)
@@ -364,21 +358,24 @@ class BGPSpeaker:
         withdrawal that leaves one other session's route is such a prefix:
         half of what a two-session failure burst touches, nothing where
         three feeds carry each prefix.  Any other prefix takes one
-        ``select`` — or, for a batch (``memo``) under a prefix-independent
-        ranking, one per distinct candidate profile: the candidate peers in
-        session order plus the identity of each one's attribute object
-        (path-sharing prefix groups change together).  The first prefix of a
-        profile calls ``select`` and every later one reuses the winner's
-        position; a memoised ``None`` means every candidate loops.
+        ``select`` — or, for a batch (``memo``), one per distinct candidate
+        profile: the tuple of its candidate routes, which the sessions share
+        among every prefix with the same attributes from the same peer (so
+        path-sharing prefix groups change together).  The first prefix of a
+        profile calls ``select`` and every later one reuses its winner; a
+        memoised ``None`` means every candidate loops.
+
+        The best table always holds the sessions' shared routes: a route
+        replaced by one of the same peer with equal attributes (interned
+        anew after its last prefix left, or from an equal attribute object)
+        is installed, but reports nothing.
 
         Returns a :class:`BestRouteChange` per installed change when
         ``report`` (else nothing), in the order given — for a batch its
         first-touch order, which is per-message emission order.  Reads and
         writes the best table raw: the Loc-RIB's settle calls it.
         """
-        winners: Optional[Dict[Tuple, Optional[int]]] = (
-            {} if memo and self.decision_process.prefix_independent else None
-        )
+        winners: Optional[Dict[Tuple, Optional[RibEntry]]] = {} if memo else None
         loc_rib = self.loc_rib
         probes = loc_rib._getters
         best = loc_rib._best
@@ -387,8 +384,6 @@ class BGPSpeaker:
         # dict write; with one, set_best keeps the trie in sync.
         set_best = None if loc_rib._best_trie is None else loc_rib.set_best
         select = self.decision_process.select
-        attributes_of = _attrgetter_attributes
-        peer_of = _attrgetter_peer_as
         changes: List = []
         append_change = changes.append
         for prefix in prefixes:
@@ -407,33 +402,27 @@ class BGPSpeaker:
             elif winners is None:
                 new = select(found)
             else:
-                peers = tuple(map(peer_of, found))
-                key = (peers, tuple(map(id, map(attributes_of, found))))
-                winner = winners.get(key, _UNSELECTED)
-                if winner is _UNSELECTED:
-                    chosen = select(found)
-                    winner = winners[key] = (
-                        None if chosen is None else peers.index(chosen.peer_as)
-                    )
-                new = None if winner is None else found[winner]
+                key = tuple(found)
+                new = winners.get(key, _UNSELECTED)
+                if new is _UNSELECTED:
+                    new = winners[key] = select(found)
             old = best_of(prefix)
             if old is new:
                 continue
-            # Peers first: spares RibEntry.__eq__ when a backup replaced the primary.
-            if (
-                old is not None
-                and new is not None
-                and old.peer_as == new.peer_as
-                and old == new
-            ):
-                continue
             if set_best is not None:
-                set_best(new, prefix)
+                set_best(prefix, new)
             elif new is None:
                 del best[prefix]
             else:
                 best[prefix] = new
-            if report:
+            # Peers first: spares the attribute comparison when a backup
+            # replaced the primary.
+            if report and not (
+                old is not None
+                and new is not None
+                and old.peer_as == new.peer_as
+                and old.attributes == new.attributes
+            ):
                 append_change(BestRouteChange(prefix, old, new))
         return changes
 
@@ -444,11 +433,10 @@ class SpeakerBatch:
     Adj-RIB-In state, which the Loc-RIB's candidates read, is kept current as
     messages are added (it is order-sensitive), but best-path selection is
     deferred to :meth:`commit`, where it runs once per touched prefix —
-    skipped for sole candidates and once per candidate profile when the
-    decision process declares itself prefix-independent.  Between those points
-    the best table still holds the pre-batch best routes, which is what lets
-    the deferred selection reconstruct the same ``old -> new`` transitions
-    the per-message path would have reported.
+    skipped for sole candidates and once per candidate profile.  Between
+    those points the best table still holds the pre-batch best routes, which
+    is what lets the deferred selection reconstruct the same ``old -> new``
+    transitions the per-message path would have reported.
 
     Loss-of-reachability parity with the per-message path is preserved
     without per-message selection: the batch tracks, at message boundaries,
@@ -530,8 +518,8 @@ class SpeakerBatch:
 
         rib_in = session.rib_in
         routes = rib_in._routes
-        routes_get = routes.get
-        routes_pop = routes.pop
+        store = rib_in._store
+        drop = rib_in._drop
         speaker = self._speaker
         others = speaker._other_probes(peer_as)
         best = speaker.loc_rib._best
@@ -542,8 +530,6 @@ class SpeakerBatch:
         changed: List[Prefix] = []
         add_changed = changed.append
         unchanged = RouteChangeKind.UNCHANGED
-        # Reused while equal, so a table load (every row at 0.0) shares one float.
-        stamp = None
 
         # Row i owns wd_prefix[w:wd_end[i]] and ann_prefix[a:ann_end[i]]
         # (cumulative bounds; kind byte 0 = UPDATE, 1 = OPEN,
@@ -567,16 +553,12 @@ class SpeakerBatch:
                 if a_high == a + 1:
                     # One announcement.
                     prefix = prefix_at(ann_prefix[a])
-                    at = msg_time[index]
-                    if at != stamp:
-                        stamp = at
-                    entry = RibEntry(prefix, attributes_at(ann_attr[a]), peer_as, stamp)
+                    old = store(prefix, attributes_at(ann_attr[a]))
                     a = a_high
-                    old = routes_get(prefix)
-                    routes[prefix] = entry
                     add_changed(prefix)
                     if not report:
                         continue
+                    entry = routes[prefix]
                     before = pending_get(prefix)
                     if before is None:
                         before = prefix in best
@@ -596,7 +578,7 @@ class SpeakerBatch:
                 # One withdrawal.
                 prefix = prefix_at(wd_prefix[w])
                 w = w_high
-                old = routes_pop(prefix, None)
+                old = drop(prefix)
                 if old is None:
                     continue
                 add_changed(prefix)
@@ -611,18 +593,13 @@ class SpeakerBatch:
                 pending[prefix] = now
                 continue
             # Several prefixes: the per-message change list.
-            at = msg_time[index]
-            if at != stamp:
-                stamp = at
             changes: List[RouteChange] = []
             while w < w_high:
-                changes.append(rib_in.withdraw(prefix_at(wd_prefix[w]), stamp))
+                changes.append(rib_in.withdraw(prefix_at(wd_prefix[w])))
                 w += 1
             while a < a_high:
                 changes.append(
-                    rib_in.announce(
-                        prefix_at(ann_prefix[a]), attributes_at(ann_attr[a]), stamp
-                    )
+                    rib_in.announce(prefix_at(ann_prefix[a]), attributes_at(ann_attr[a]))
                 )
                 a += 1
             changed.extend(

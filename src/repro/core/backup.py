@@ -206,8 +206,8 @@ class BackupComputer:
         """
         return list(primary_path.links()[: self.max_depth])
 
-    def rank(self, prefix: Prefix, alternates: Sequence[RibEntry]) -> RankedAlternates:
-        """The alternates of ``prefix`` the policy allows, most preferred first.
+    def rank(self, alternates: Sequence[RibEntry]) -> RankedAlternates:
+        """The alternates of one prefix the policy allows, most preferred first.
 
         The order — (preference, path length, next hop), ties in input order
         — does not depend on the protected link, so one ranking serves every
@@ -217,9 +217,7 @@ class BackupComputer:
         policy = self.policy
         forbidden = policy.forbidden_next_hops
         ranked = RankedAlternates(
-            entry
-            for entry in alternates
-            if entry.prefix == prefix and entry.attributes.next_hop not in forbidden
+            entry for entry in alternates if entry.attributes.next_hop not in forbidden
         )
         if len(ranked) > 1:
             preference_of = policy.preference_of
@@ -234,12 +232,11 @@ class BackupComputer:
 
     def select(
         self,
-        prefix: Prefix,
         protected_link: Link,
         alternates: Sequence[RibEntry],
         usage: Optional[Dict[int, int]] = None,
     ) -> Optional[RibEntry]:
-        """Choose the best backup for one (prefix, link) pair.
+        """Choose the best backup of one prefix for one protected link.
 
         Returns the winning alternate itself — its ``next_hop`` is the
         backup — or ``None``: the first entry of the
@@ -256,7 +253,7 @@ class BackupComputer:
         """
         protected_link = _canonical(protected_link)
         if type(alternates) is not RankedAlternates:
-            alternates = self.rank(prefix, alternates)
+            alternates = self.rank(alternates)
         capacity_limits = self.policy.capacity_limits
         for entry in alternates:
             attributes = entry.attributes
@@ -273,7 +270,6 @@ class BackupComputer:
 
     def select_winners(
         self,
-        prefix: Prefix,
         primary_path: ASPath,
         alternates: Sequence[RibEntry],
         usage: Optional[Dict[int, int]] = None,
@@ -287,11 +283,11 @@ class BackupComputer:
         the hop: the ranking key ends with the next hop, so entries that
         tie on it share one.
         """
-        ranked = self.rank(prefix, alternates)
+        ranked = self.rank(alternates)
         select = self.select
         winners = []
         for link in self.protected_links(primary_path):
-            entry = select(prefix, link, ranked, usage)
+            entry = select(link, ranked, usage)
             if entry is not None:
                 winners.append((link, entry.attributes.next_hop))
         return tuple(winners)
@@ -328,8 +324,10 @@ class BackupComputer:
         best_routes:
             The Loc-RIB best route of each prefix.
         alternates_of:
-            Callable returning the alternate candidate routes of a prefix
-            (typically :meth:`repro.bgp.speaker.BGPSpeaker.alternate_routes`).
+            Callable returning the alternate candidate routes of a prefix.
+            The router passes :meth:`repro.core.swifted_router.SwiftedRouter._alternates`:
+            the loop-free candidates of the peers other than the best
+            route's, in session order.
         candidates_of:
             Optional cheap accessor for the prefix's raw peer -> candidate
             mapping (:meth:`repro.bgp.rib.LocRib.candidate_map`).  When
@@ -356,7 +354,7 @@ class BackupComputer:
                 if alternates is None:
                     alternates = alternates_of(prefix)
                 profile = groups[key] = index.profile_for(
-                    self.select_winners(prefix, best.as_path, alternates)
+                    self.select_winners(best.as_path, alternates)
                 )
             assign(prefix, profile)
         return index
@@ -369,19 +367,20 @@ class BackupComputer:
         candidates_of: Optional[Callable[[Prefix], Mapping[int, RibEntry]]],
     ) -> Tuple[Tuple, Optional[Sequence[RibEntry]]]:
         """Grouping key of a prefix's candidate profile (and its alternates,
-        when the key had to fetch them): the *identity* of the attribute
-        objects, not their values.  Profiles sharing attribute objects are
-        exactly the groups the speaker's interned table loads produce, and
-        identity keys in O(1) where structural comparison would re-walk paths.
+        when the key had to fetch them): the best route and the candidate
+        routes themselves, by identity.  A session shares one route among
+        every prefix its peer announced with the same attribute object, so
+        profiles sharing routes are exactly the groups interned table loads
+        produce, and identity keys in O(1) where structural comparison would
+        re-walk paths.
         """
         if candidates_of is not None:
             alternates = None
-            members = candidates_of(prefix).items()
+            profile = tuple(candidates_of(prefix).values())
         else:
             alternates = alternates_of(prefix)
-            members = [(entry.peer_as, entry) for entry in alternates]
-        profile = tuple((peer, id(entry.attributes)) for peer, entry in members)
-        return (best.peer_as, id(best.attributes), profile), alternates
+            profile = tuple(alternates)
+        return (best, profile), alternates
 
     def compute_table_reference(
         self,
@@ -400,7 +399,7 @@ class BackupComputer:
         usage: Dict[int, int] = {}
         table: Dict[Prefix, Winners] = {}
         for prefix, best in best_routes.items():
-            winners = self.select_winners(prefix, best.as_path, alternates_of(prefix), usage)
+            winners = self.select_winners(best.as_path, alternates_of(prefix), usage)
             if winners:
                 table[prefix] = winners
         return table

@@ -279,7 +279,7 @@ class SwiftedRouter:
                     else:
                         new_path = encoded_paths[prefix] = best.as_path
                         profile = index.profile_for(
-                            select_winners(prefix, new_path, alternates_of(prefix))
+                            select_winners(new_path, alternates_of(prefix))
                         )
                     if new_path is old_path and profile is old_profile:
                         unchanged += 1
@@ -301,14 +301,14 @@ class SwiftedRouter:
                     # The identifier allocation moved (and the encoding was
                     # left untouched): fall back to a full re-encode (backups
                     # above are already patched).
-                    self._reencode({entry.prefix: entry for entry in loc_rib.best_entries()})
+                    self._reencode(dict(loc_rib.best_entries()))
                     self.last_provision_stats["full_reencode"] = 1
                 else:
                     # Stage 1 is the encoding's tag dict: this writes both.
                     self.forwarding.update_tags(tag_patch)
                     self.last_provision_stats["tag_patch"] = len(tag_patch)
         else:
-            best_routes = {entry.prefix: entry for entry in loc_rib.best_entries()}
+            best_routes = dict(loc_rib.best_entries())
             self.last_provision_stats = {"mode": 0, "dirty_prefixes": len(best_routes)}
             self._backup_index = self.backup_computer.compute_table(
                 best_routes, self._alternates, candidates_of=loc_rib.candidate_map
@@ -362,9 +362,7 @@ class SwiftedRouter:
             live_peers.add(session.peer_as)
             engine = self._engines.get(session.peer_as)
             if engine is None or rebuild:
-                rib = {
-                    entry.prefix: entry.as_path for entry in session.rib_in.entries()
-                }
+                rib = {prefix: route.as_path for prefix, route in session.rib_in.items()}
                 self._engines[session.peer_as] = InferenceEngine(
                     rib,
                     config=self.config.inference,

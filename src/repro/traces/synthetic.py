@@ -35,6 +35,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import operator
 import random
 from array import array
 from collections import deque
@@ -54,6 +55,7 @@ from repro.traces.columnar import (
     decode_rib,
     encode_rib,
 )
+from repro.traces.columnar_store import CorruptColumnStoreError
 from repro.traces.session_topology import SessionTopology, SessionTopologyConfig
 
 __all__ = [
@@ -662,7 +664,13 @@ class SyntheticTrace:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "SyntheticTrace":
-        """Rebuild a drained trace from :meth:`to_payload` buffers."""
+        """Rebuild a drained trace from :meth:`to_payload` buffers.
+
+        Raises :class:`~repro.traces.columnar_store.CorruptColumnStoreError`
+        for a payload whose bursts do not fit their session
+        (:func:`_check_burst_rows`), so the cache quarantines the entry and
+        rebuilds it.
+        """
         pool = InternPool.from_payload(payload["pool"])
         prefix_at = pool.prefix_at
 
@@ -683,6 +691,10 @@ class SyntheticTrace:
             for name, typecode in TRACE_COLUMNS:
                 setattr(columns, name, column(buffers[name], typecode))
             columns.extras = extras
+            for number, (_, _, rows, withdrawn, _, noise, _) in enumerate(bursts):
+                _check_burst_rows(
+                    columns, rows, column(withdrawn) + column(noise), f"{peer.peer_as}/{number}"
+                )
             trace._rib_columns[peer.peer_as] = (column(rib_prefixes), column(rib_paths))
             trace._sessions[peer.peer_as] = (
                 columns,
@@ -701,6 +713,30 @@ class SyntheticTrace:
                 ],
             )
         return trace
+
+
+def _check_burst_rows(
+    columns: ColumnarTrace, rows: Sequence[int], withdrawn: array, name: str
+) -> None:
+    """Refuse a burst whose rows are not an increasing run of its session's
+    rows, or whose withdrawal rows withdraw other prefixes than its
+    withdrawn and noise prefixes (``withdrawn``, as pool indices)."""
+    if not rows or rows[0] < 0 or rows[-1] >= len(columns):
+        raise CorruptColumnStoreError(f"burst {name}: rows outside its session")
+    # Row i withdraws wd_prefix[wd_end[i - 1]:wd_end[i]].
+    wd_end, wd_prefix = columns.wd_end, columns.wd_prefix
+    if type(rows) is range and rows.step == 1:
+        # Contiguous rows (every burst no other row interleaved): one slice.
+        first = rows[0]
+        seen = set(wd_prefix[wd_end[first - 1] if first else 0 : wd_end[rows[-1]]])
+    else:
+        if not all(map(operator.lt, rows, itertools.islice(rows, 1, None))):
+            raise CorruptColumnStoreError(f"burst {name}: rows not increasing")
+        seen = set()
+        for row in rows:
+            seen.update(wd_prefix[wd_end[row - 1] if row else 0 : wd_end[row]])
+    if seen != set(withdrawn):
+        raise CorruptColumnStoreError(f"burst {name}: withdrawals differ from its prefixes")
 
 
 def cached_trace(config: Optional[SyntheticTraceConfig] = None) -> SyntheticTrace:

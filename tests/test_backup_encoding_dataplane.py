@@ -14,10 +14,9 @@ from repro.dataplane.timing import FibUpdateTimingModel
 PFX = prefix_block("60.0.0.0/24", 2000)
 
 
-def _entry(prefix, path, peer=None, local_pref=100):
+def _entry(path, peer=None, local_pref=100):
     as_path = ASPath(path)
     return RibEntry(
-        prefix=prefix,
         attributes=PathAttributes(
             as_path=as_path, next_hop=as_path.first_hop, local_pref=local_pref
         ),
@@ -44,42 +43,39 @@ class TestReroutingPolicy:
 class TestBackupComputer:
     def test_avoids_protected_link(self):
         computer = BackupComputer()
-        prefix = PFX[0]
-        alternates = [_entry(prefix, [3, 6]), _entry(prefix, [4, 5, 6])]
-        selection = computer.select(prefix, (5, 6), alternates)
+        alternates = [_entry([3, 6]), _entry([4, 5, 6])]
+        selection = computer.select((5, 6), alternates)
         assert selection is not None and selection.next_hop == 3
 
     def test_backup_may_visit_an_endpoint_of_the_link(self):
         computer = BackupComputer()
-        prefix = PFX[0]
-        alternates = [_entry(prefix, [3, 6]), _entry(prefix, [4, 9, 10])]
-        selection = computer.select(prefix, (5, 6), alternates)
+        alternates = [_entry([3, 6]), _entry([4, 9, 10])]
+        selection = computer.select((5, 6), alternates)
         # (3, 6) visits endpoint 6 but not the link: valid, and shorter.
         assert selection is not None and selection.next_hop == 3
 
     def test_policy_preference_wins(self):
         policy = ReroutingPolicy(preferences={4: 0, 3: 5})
         computer = BackupComputer(policy=policy)
-        prefix = PFX[0]
-        alternates = [_entry(prefix, [3, 9, 6]), _entry(prefix, [4, 8, 6])]
-        selection = computer.select(prefix, (5, 6), alternates)
+        alternates = [_entry([3, 9, 6]), _entry([4, 8, 6])]
+        selection = computer.select((5, 6), alternates)
         assert selection.next_hop == 4
 
     def test_capacity_limit_spills_to_next_choice(self):
         policy = ReroutingPolicy(preferences={3: 0, 4: 1}, capacity_limits={3: 1})
         computer = BackupComputer(policy=policy)
         usage = {}
-        alternates = lambda prefix: [_entry(prefix, [3, 6]), _entry(prefix, [4, 8, 6])]
-        first = computer.select(PFX[0], (5, 6), alternates(PFX[0]), usage)
-        second = computer.select(PFX[1], (5, 6), alternates(PFX[1]), usage)
+        alternates = [_entry([3, 6]), _entry([4, 8, 6])]
+        first = computer.select((5, 6), alternates, usage)
+        second = computer.select((5, 6), alternates, usage)
         assert first.next_hop == 3
         assert second.next_hop == 4
 
     def test_forbidden_next_hop_excluded(self):
         policy = ReroutingPolicy(forbidden_next_hops=frozenset({3}))
         computer = BackupComputer(policy=policy)
-        alternates = [_entry(PFX[0], [3, 6])]
-        assert computer.select(PFX[0], (5, 6), alternates) is None
+        alternates = [_entry([3, 6])]
+        assert computer.select((5, 6), alternates) is None
 
     def test_protected_links_depth_limit(self):
         computer = BackupComputer(max_depth=2)
@@ -90,12 +86,12 @@ class TestBackupComputer:
     def test_compute_table(self):
         computer = BackupComputer()
         best = {
-            PFX[0]: _entry(PFX[0], [2, 5, 6], local_pref=200),
-            PFX[1]: _entry(PFX[1], [2, 5, 6], local_pref=200),
+            PFX[0]: _entry([2, 5, 6], local_pref=200),
+            PFX[1]: _entry([2, 5, 6], local_pref=200),
         }
         alternates = {
-            PFX[0]: [_entry(PFX[0], [3, 6])],
-            PFX[1]: [_entry(PFX[1], [3, 6])],
+            PFX[0]: [_entry([3, 6])],
+            PFX[1]: [_entry([3, 6])],
         }
         index = computer.compute_table(best, lambda p: alternates[p])
         # One interned profile of per-link backup next hops for both prefixes.

@@ -242,8 +242,8 @@ def _speaker(peers=(2, 3, 4)):
 
 def _loc_rib_snapshot(speaker):
     best = {
-        entry.prefix: (entry.peer_as, entry.as_path.asns)
-        for entry in speaker.loc_rib.best_entries()
+        prefix: (entry.peer_as, entry.as_path.asns)
+        for prefix, entry in speaker.loc_rib.best_entries()
     }
     candidates = {
         prefix: sorted(
@@ -568,10 +568,7 @@ class TestGroupedBackupParity:
         return router
 
     def _parity(self, computer, router):
-        best = {
-            entry.prefix: entry
-            for entry in router.speaker.loc_rib.best_entries()
-        }
+        best = dict(router.speaker.loc_rib.best_entries())
         grouped = computer.compute_table(
             best,
             router.speaker.alternate_routes,
@@ -608,10 +605,7 @@ class TestGroupedBackupParity:
         policy = ReroutingPolicy(capacity_limits={3: 100})
         router = self._router(policy=policy)
         computer = BackupComputer(policy=policy)
-        best = {
-            entry.prefix: entry
-            for entry in router.speaker.loc_rib.best_entries()
-        }
+        best = dict(router.speaker.loc_rib.best_entries())
         grouped = computer.compute_table(
             best,
             router.speaker.alternate_routes,

@@ -240,7 +240,7 @@ def _outcome(speaker, changes):
     def route(entry):
         return None if entry is None else (entry.peer_as, entry.next_hop, entry.as_path.asns)
 
-    loc_rib = {entry.prefix: route(entry) for entry in speaker.loc_rib.best_entries()}
+    loc_rib = {prefix: route(entry) for prefix, entry in speaker.loc_rib.best_entries()}
     multiset = Counter((change.prefix, route(change.old), route(change.new)) for change in changes)
     sessions = [(session.peer_as, session.state, session.stats) for session in speaker.sessions()]
     return loc_rib, multiset, sessions

@@ -15,6 +15,7 @@ The contracts under test:
 
 import os
 import pickle
+from array import array
 import tempfile
 
 import pytest
@@ -24,7 +25,7 @@ from repro.bgp.attributes import ASPath, Community, Origin, PathAttributes
 from repro.bgp.messages import KeepAlive, Notification, OpenMessage, Update
 from repro.bgp.prefix import prefix_block
 from repro.traces.columnar import ColumnarTrace, InternPool
-from repro.traces.columnar_store import read_trace, write_trace
+from repro.traces.columnar_store import read_frame, read_trace, write_frame, write_trace
 from repro.traces.trace_cache import load_or_build
 from repro.traces.synthetic import (
     SyntheticTraceConfig,
@@ -259,6 +260,94 @@ class TestColumnarCacheLayout:
         entry.write_bytes(b"garbage")
         rebuilt = cached_trace(config)
         assert self._sessions(rebuilt) == self._sessions(generated)
+
+
+def _bursts_view(trace):
+    return [
+        [
+            (b.start_time, list(b.messages.indices), b.withdrawn_prefixes, b.noise_prefixes)
+            for b in trace.bursts_of(peer.peer_as)
+        ]
+        for peer in trace.peers
+    ]
+
+
+def _with_rows(burst, rows=None, withdrawn=None):
+    start_time, link, old_rows, old_withdrawn, updated, noise, popular = burst
+    return (
+        start_time,
+        link,
+        old_rows if rows is None else rows,
+        old_withdrawn if withdrawn is None else withdrawn,
+        updated,
+        noise,
+        popular,
+    )
+
+
+#: An entry of another shape under the current key: each edit keeps the
+#: frame valid and the payload decodable.
+_RESHAPES = {
+    "rows not increasing": lambda burst, rows, total: _with_rows(
+        burst, rows=array("I", reversed(rows))
+    ),
+    "rows outside the session": lambda burst, rows, total: _with_rows(
+        burst, rows=range(total, total + len(rows))
+    ),
+    "withdrawals of other prefixes": lambda burst, rows, total: _with_rows(
+        burst, withdrawn=burst[3][4:]
+    ),
+}
+
+
+class TestCacheEntryShape:
+    """A trace-cache entry whose bursts do not fit their sessions is
+    quarantined and rebuilt, like a checksum failure."""
+
+    @pytest.fixture
+    def config(self):
+        return SyntheticTraceConfig(
+            peer_count=1,
+            duration_days=4.0,
+            min_table_size=1000,
+            max_table_size=1500,
+            burst_size_minimum=200,
+            noise_rate_per_second=0.05,
+            seed=5,
+        )
+
+    @staticmethod
+    def _rewrite(entry, reshape):
+        payload = read_frame(str(entry))
+        buffers, extras, rib_prefixes, rib_paths, bursts = payload["sessions"][0]
+        total = len(buffers["msg_time"]) // array("d").itemsize
+        bursts = list(bursts)
+        bursts[1] = reshape(bursts[1], bursts[1][2], total)
+        payload["sessions"][0] = (buffers, extras, rib_prefixes, rib_paths, bursts)
+        write_frame(str(entry), payload)
+
+    @pytest.mark.parametrize("reshape", sorted(_RESHAPES))
+    def test_an_entry_of_another_shape_is_rebuilt(self, tmp_path, monkeypatch, config, reshape):
+        monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))
+        generated = cached_trace(config)
+        assert len(generated.bursts_of(generated.peers[0].peer_as)) > 1
+        (entry,) = tmp_path.iterdir()
+        self._rewrite(entry, _RESHAPES[reshape])
+        rebuilt = cached_trace(config)
+        assert _bursts_view(rebuilt) == _bursts_view(generated)
+        assert os.path.exists(str(entry) + ".corrupt")
+        # The rebuilt entry is a hit that equals the miss.
+        monkeypatch.setattr(SyntheticTraceGenerator, "stream", None)
+        assert _bursts_view(cached_trace(config)) == _bursts_view(generated)
+
+    def test_rows_as_an_index_array_load_as_the_range(self, tmp_path, monkeypatch, config):
+        monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))
+        generated = cached_trace(config)
+        (entry,) = tmp_path.iterdir()
+        self._rewrite(entry, lambda burst, rows, total: _with_rows(burst, rows=array("I", rows)))
+        monkeypatch.setattr(SyntheticTraceGenerator, "stream", None)
+        assert _bursts_view(cached_trace(config)) == _bursts_view(generated)
+        assert not os.path.exists(str(entry) + ".corrupt")
 
 
 # -- one serialisation: every durable form is the payload ----------------------

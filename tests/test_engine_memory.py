@@ -1,18 +1,20 @@
 """Bytes per route held by the router's stores, without a stopwatch.
 
 The engines are the router's per-session view of the Adj-RIB-In, interned by
-AS path (``LinkPrefixIndex``).  The speaker holds the Adj-RIB-Ins themselves
-and the Loc-RIB's best routes.  The rest of the router's bytes are the
+AS path (``LinkPrefixIndex``).  The speaker holds the Adj-RIB-Ins themselves,
+each interning one route per attribute object, and the Loc-RIB's best
+routes.  The rest of the router's bytes are the
 backup index and the tag encoding, whose tag dict is the FIB's stage 1 (the
 FIB allocates no copy of it, which is checked by identity).  These tests
 hold each store to a byte budget
 per route after a cold ``provision()`` of a ``FullTableGenerator`` table, and
-hold a long-lived index to the live RIB under path churn.  The speaker is
-also held after a drive, before any read: its Loc-RIB then keeps a stale
-set of every prefix the drive touched, and the best routes the drive
-replaced stay alive until the next read selects.  Run the 64k × 3
-table, which prints the per-line breakdown ``src/repro/core/README.md``
-publishes, with ``pytest -m slow tests/test_engine_memory.py -s``.
+hold a long-lived index and a long-lived Adj-RIB-In to their live RIB under
+path churn.  The speaker is also held after a drive, before any read: its
+Loc-RIB then keeps a stale set of every prefix the drive touched, and the
+shared routes the drive replaced stay alive until the next read selects.
+Run the 64k × 3 table, which prints the per-line breakdown and the route
+table that ``src/repro/core/README.md`` publishes, with
+``pytest -m slow tests/test_engine_memory.py -s``.
 """
 
 from __future__ import annotations
@@ -25,9 +27,10 @@ import pytest
 
 from test_warm_provision import _router, _two_feed_routes
 
-from repro.bgp.attributes import ASPath
+from repro.bgp.attributes import ASPath, PathAttributes
 from repro.bgp.messages import Update
 from repro.bgp.prefix import prefix_block
+from repro.bgp.rib import AdjRibIn
 from repro.core.fit_score import LinkPrefixIndex
 from repro.core.swifted_router import SwiftedRouter
 from repro.traces.fulltable import FullTableConfig, FullTableGenerator
@@ -105,26 +108,31 @@ def test_engine_bytes_per_route_at_16k(snapshot_16k):
 
 
 def test_speaker_bytes_per_route_at_16k(snapshot_16k):
-    """The Adj-RIB-Ins are the only copy of a route: the Loc-RIB reads them."""
+    """The Adj-RIB-Ins are the only copy of a route: the Loc-RIB reads them.
+
+    A route is shared by every prefix its peer announced with the same
+    attribute object, so a prefix costs its Adj-RIB-In slot and its best
+    route slot.  About 5 % above the 56.6 B per route measured at 16k x 3.
+    """
     snapshot, routes = snapshot_16k
     per_route = _bytes(snapshot, SPEAKER_FILES) / routes
-    assert per_route <= 125, f"{per_route:.1f} B per route"
+    assert per_route <= 60, f"{per_route:.1f} B per route"
 
 
 def test_speaker_bytes_per_route_at_16k_with_the_stale_set_at_its_largest():
     """A burst and heal of a whole 16k feed (16k x 2 rows), before any read.
 
     The drive leaves every prefix stale and selects nothing; a
-    ``provision()`` settles the whole set.  About 5 % above the 132.8 B per
-    route measured at 16k x 3: the provisioned 113.3, the stale set's 12.3
-    and 7.2 for the replaced best routes (``src/repro/core/README.md``).
+    ``provision()`` settles the whole set.  About 5 % above the 69.3 B per
+    route measured at 16k x 3: the provisioned 56.6, the stale set's 12.3
+    and the routes interned anew by the heal (``src/repro/core/README.md``).
     """
     table = _generate(16_000)
     snapshot, routes, router = _snapshot_after(table, _burst_and_heal(table))
     loc_rib = router.speaker.loc_rib
     assert len(loc_rib._stale) == len(table)
     per_route = _bytes(snapshot, SPEAKER_FILES) / routes
-    assert per_route <= 140, f"{per_route:.1f} B per route"
+    assert per_route <= 73, f"{per_route:.1f} B per route"
     router.provision()
     assert not loc_rib._stale
 
@@ -180,15 +188,19 @@ def _print_lines(snapshot, routes, label, files):
 
 @pytest.mark.slow
 def test_bytes_per_route_at_64k_by_structure():
-    snapshot, routes = _provisioned_snapshot(64_000)
+    snapshot, routes, router = _snapshot_after(_generate(64_000), drive=None)
     print(f"\n64k x {PEERS}: {routes} routes, bytes per route by allocating file")
     for stat in snapshot.statistics("filename")[:8]:
         name = stat.traceback[0].filename.split("src/repro/")[-1]
         print(f"  {name:32s} {stat.size / routes:7.1f}")
     engine = _print_lines(snapshot, routes, "engine", ENGINE_FILES)
     speaker = _print_lines(snapshot, routes, "speaker", SPEAKER_FILES)
+    shared = sum(
+        len(router.speaker.session(peer_as).rib_in._interned) for peer_as in router.speaker.peer_ases
+    )
+    print(f"route table: {shared} shared routes for {routes} routes ({routes / shared:.1f} each)")
     assert engine <= 143, f"engine {engine:.1f} B per route"
-    assert speaker <= 125, f"speaker {speaker:.1f} B per route"
+    assert speaker <= 65, f"speaker {speaker:.1f} B per route"
 
 
 def _index_bytes(snapshot):
@@ -221,3 +233,44 @@ def test_index_forgets_dead_paths():
     assert len(index._groups) == len({id(group) for group in index.group_of.values()}) == 20
     assert set(index.routed_for_link) == set(index.groups_of_link)
     assert not any(1_000 <= asn for link in index.routed_for_link for asn in link)
+
+
+def _rib_bytes(snapshot):
+    return sum(
+        trace.size
+        for trace in snapshot.traces
+        if trace.traceback[0].filename.endswith("bgp/rib.py")
+    )
+
+
+def test_session_forgets_dead_routes():
+    """An always-on Adj-RIB-In under path churn stays the size of its live
+    RIB: a route leaves the intern table with its last prefix."""
+    prefixes = prefix_block("10.0.0.0/24", 1_000)
+    attributes = [
+        PathAttributes(as_path=ASPath([2, 5, 6 + number]), next_hop=2) for number in range(20)
+    ]
+    churned = prefixes[0]
+    tracemalloc.start()
+    try:
+        rib = AdjRibIn(peer_as=2)
+        for number, prefix in enumerate(prefixes):
+            rib.announce(prefix, attributes[number % 20])
+        start = _rib_bytes(tracemalloc.take_snapshot())
+        for hop in range(20_000):
+            rib.announce(
+                churned, PathAttributes(as_path=ASPath([2, 1_000 + hop, 6]), next_hop=2)
+            )
+        rib.announce(churned, attributes[0])
+        gc.collect()
+        end = _rib_bytes(tracemalloc.take_snapshot())
+    finally:
+        tracemalloc.stop()
+    assert abs(end - start) <= 0.1 * start, (start, end)
+    # One shared route per live attribute object, each counting its prefixes.
+    assert len(rib._interned) == 20
+    assert sorted(route.prefix_count for route in rib._interned.values()) == [50] * 20
+    assert {id(route) for route in rib._routes.values()} == {
+        id(route) for route in rib._interned.values()
+    }
+    assert all(rib.get(prefix).attributes is attributes[n % 20] for n, prefix in enumerate(prefixes))

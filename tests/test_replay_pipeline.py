@@ -53,8 +53,8 @@ def _heard(speaker):
 def _loc_rib_snapshot(speaker):
     """(best routes, candidate routes) snapshot for state comparison."""
     best = {
-        entry.prefix: (entry.peer_as, entry.as_path.asns)
-        for entry in speaker.loc_rib.best_entries()
+        prefix: (entry.peer_as, entry.as_path.asns)
+        for prefix, entry in speaker.loc_rib.best_entries()
     }
     candidates = {
         prefix: sorted(
@@ -204,7 +204,7 @@ class TestSpeakerBatchParity:
         (heard,) = calls  # once per batch
         # The final changes close the list: one per prefix whose best route
         # moved, here every routed prefix.
-        routed = {entry.prefix: entry for entry in speaker.loc_rib.best_entries()}
+        routed = dict(speaker.loc_rib.best_entries())
         final = heard[len(heard) - len(routed):]
         assert {change.prefix: change.new for change in final} == routed
         sequential = _speaker()

@@ -83,7 +83,7 @@ def _protecting(table, link):
 def _table_snapshot(router):
     """``link -> {profile value: prefix count}`` of the per-prefix reference
     table computed from scratch over the router's Loc-RIB."""
-    best = {entry.prefix: entry for entry in router.speaker.loc_rib.best_entries()}
+    best = dict(router.speaker.loc_rib.best_entries())
     reference = router.backup_computer.compute_table_reference(
         best, router.speaker.alternate_routes
     )
@@ -244,15 +244,15 @@ def _assert_tags_carry_the_index_backups(router):
     ids = encoded.next_hop_ids
     depth = router.config.encoder.backup_depth
     profile_of = router.backup_index.profile_of
-    for entry in router.speaker.loc_rib.best_entries():
-        profile = profile_of.get(entry.prefix)
+    for prefix, entry in router.speaker.loc_rib.best_entries():
+        profile = profile_of.get(prefix)
         backups = {} if profile is None else profile.next_hops
-        tag = encoded.tags[entry.prefix]
+        tag = encoded.tags[prefix]
         links = entry.as_path.links()
         for position in range(1, depth + 1):
             hop = backups.get(links[position - 1]) if position <= len(links) else None
             group = layout.extract(tag, *layout.backup_groups[position])
-            assert group == (0 if hop is None else ids[hop]), (entry.prefix, position)
+            assert group == (0 if hop is None else ids[hop]), (prefix, position)
 
 
 def test_tags_carry_the_index_backups_cold_and_warm():

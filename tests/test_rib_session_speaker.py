@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from oracles.route_table import route_value
 from test_inference_regressions import index_view
 from test_replay_pipeline import _event_sets, _heard
 from test_reroute_index import PEERS, _random_topology, _router
@@ -68,26 +69,26 @@ class TestDecisionProcess:
     def test_prefers_local_pref_then_length(self):
         process = DecisionProcess()
         entries = [
-            RibEntry(PFX[0], _attrs([2, 5, 6], local_pref=100), 2),
-            RibEntry(PFX[0], _attrs([3, 6], local_pref=100), 3),
-            RibEntry(PFX[0], _attrs([4, 5, 9, 6], local_pref=200), 4),
+            RibEntry(_attrs([2, 5, 6], local_pref=100), 2),
+            RibEntry(_attrs([3, 6], local_pref=100), 3),
+            RibEntry(_attrs([4, 5, 9, 6], local_pref=200), 4),
         ]
         assert process.select(entries).peer_as == 4
         # Without the local-pref boost the shortest path wins.
-        entries[2] = RibEntry(PFX[0], _attrs([4, 5, 6], local_pref=100), 4)
+        entries[2] = RibEntry(_attrs([4, 5, 6], local_pref=100), 4)
         assert process.select(entries).peer_as == 3
 
     def test_discards_looped_paths(self):
         process = DecisionProcess()
-        looped = RibEntry(PFX[0], _attrs([2, 5, 2]), 2)
+        looped = RibEntry(_attrs([2, 5, 2]), 2)
         assert process.select([looped]) is None
 
     def test_gao_rexford_ranking_prefers_customer(self):
         relationships = {2: 2, 3: 0}  # 2 = provider, 3 = customer
         process = DecisionProcess(gao_rexford_ranking(lambda asn: relationships[asn]))
         entries = [
-            RibEntry(PFX[0], _attrs([2, 6]), 2),
-            RibEntry(PFX[0], _attrs([3, 5, 6]), 3),
+            RibEntry(_attrs([2, 6]), 2),
+            RibEntry(_attrs([3, 5, 6]), 3),
         ]
         assert process.select(entries).peer_as == 3
 
@@ -176,8 +177,8 @@ class TestPeeringSession:
         assert moved == per_message
         assert batched.stats == single.stats
         assert batched.state == single.state == SessionState.ESTABLISHED
-        assert {p: batched.rib_in.get(p) for p in batched.rib_in} == {
-            p: single.rib_in.get(p) for p in single.rib_in
+        assert {p: route_value(route) for p, route in batched.rib_in.items()} == {
+            p: route_value(route) for p, route in single.rib_in.items()
         }
         assert batched.stats.session_resets == 1
         assert batched.stats.withdrawals_received == 2
@@ -334,7 +335,7 @@ def test_derived_link_view_agrees_with_the_engine_index(entry_point):
     index = engine.index
     local_link = (router.local_as, peer)
     derived = Counter(
-        link for entry in rib.entries() for link in set(entry.as_path.links())
+        link for _, route in rib.items() for link in set(route.as_path.links())
     )
     assert rib.link_prefix_counts() == dict(derived)
     assert sorted(rib.links()) == sorted(derived)
@@ -382,33 +383,35 @@ _UPDATES = st.lists(
 )
 
 
-def _parity_speaker(peers, prefix_independent):
-    speaker = BGPSpeaker(1, DecisionProcess(prefix_independent=prefix_independent))
+def _parity_speaker(peers):
+    speaker = BGPSpeaker(1)
     for peer in peers:
         speaker.add_peer(peer)
     return speaker
 
 
+def _candidates(speaker, prefix):
+    return [route_value(entry) for entry in speaker.loc_rib.candidates(prefix)]
+
+
+def _change_value(change):
+    return change.prefix, route_value(change.old), route_value(change.new)
+
+
 def _parity_state(speaker):
-    loc_rib = speaker.loc_rib
-    best = {entry.prefix: entry for entry in loc_rib.best_entries()}
-    candidates = {
-        prefix: sorted(loc_rib.candidates(prefix), key=lambda entry: entry.peer_as)
-        for prefix in _POOL
-    }
-    return best, candidates
+    best = {prefix: route_value(route) for prefix, route in speaker.loc_rib.best_entries()}
+    return best, {prefix: _candidates(speaker, prefix) for prefix in _POOL}
 
 
 class TestBatchedReselectionParity:
     @settings(max_examples=150, deadline=None)
     @given(
         peer_count=st.integers(1, 3),
-        prefix_independent=st.booleans(),
         updates=_UPDATES,
         split=st.integers(0, 30),
     )
     def test_batch_and_columnar_match_per_message(
-        self, peer_count, prefix_independent, updates, split
+        self, peer_count, updates, split
     ):
         peers = _PARITY_PEERS[:peer_count]
         paths = {peer: _path_pool(peer) for peer in peers}
@@ -433,7 +436,7 @@ class TestBatchedReselectionParity:
         # behind a looped sole candidate.
         head, tail = messages[:split], messages[split:]
         speakers = {
-            name: _parity_speaker(peers, prefix_independent)
+            name: _parity_speaker(peers)
             for name in ("receive", "receive_batch", "receive_columnar")
         }
         for speaker in speakers.values():
@@ -449,12 +452,11 @@ class TestBatchedReselectionParity:
         for name in ("receive_batch", "receive_columnar"):
             assert _parity_state(speakers[name]) == expected_state, name
             assert _event_sets(changes[name]) == expected_events, name
-        for prefix, entry in expected_state[0].items():
-            assert not entry.as_path.has_loop(), prefix
+        for prefix, (attributes, _) in expected_state[0].items():
+            assert not attributes.as_path.has_loop(), prefix
 
-    @pytest.mark.parametrize("prefix_independent", [True, False])
-    def test_sole_looped_candidate_ends_unrouted(self, prefix_independent):
-        speaker = _parity_speaker((2, 3), prefix_independent)
+    def test_sole_looped_candidate_ends_unrouted(self):
+        speaker = _parity_speaker((2, 3))
         speaker.receive(Update.announce(0.0, 2, PFX[0], _attrs([2, 6])))
         speaker.receive(Update.announce(0.0, 3, PFX[0], _attrs([3, 7, 3])))
         changes = _heard(speaker)
@@ -465,10 +467,7 @@ class TestBatchedReselectionParity:
         assert len(speaker.loc_rib.candidates(PFX[0])) == 1
 
     @pytest.mark.parametrize("entry_point", ["receive_batch", "receive_columnar"])
-    @pytest.mark.parametrize("prefix_independent", [True, False])
-    def test_looped_reannounce_of_a_route_from_the_same_batch_is_a_loss(
-        self, prefix_independent, entry_point
-    ):
+    def test_looped_reannounce_of_a_route_from_the_same_batch_is_a_loss(self, entry_point):
         """One UPDATE withdraws a prefix and re-announces it over a loop.
 
         The prefix's only route arrived earlier in the same batch, so the
@@ -484,13 +483,13 @@ class TestBatchedReselectionParity:
                 withdrawals=(PFX[0],),
             ),
         ]
-        reference = _parity_speaker((2,), prefix_independent)
+        reference = _parity_speaker((2,))
         expected = _heard(reference)
         for message in batch:
             reference.receive(message)
         assert _event_sets(expected) == ([PFX[0]], [PFX[0]])
 
-        speaker = _parity_speaker((2,), prefix_independent)
+        speaker = _parity_speaker((2,))
         changes = _heard(speaker)
         if entry_point == "receive_batch":
             speaker.receive_batch(batch)
@@ -500,21 +499,39 @@ class TestBatchedReselectionParity:
         assert _parity_state(speaker) == _parity_state(reference)
         assert speaker.best_route(PFX[0]) is None
 
-    @pytest.mark.parametrize("prefix_independent", [True, False])
-    def test_sole_candidate_replaced_by_an_equal_one_emits_nothing(
-        self, prefix_independent
-    ):
-        speaker = _parity_speaker((2,), prefix_independent)
-        speaker.receive(Update.announce(5.0, 2, PFX[0], _attrs([2, 6])))
+    @pytest.mark.parametrize("entry_point", ["receive", "receive_batch", "receive_columnar"])
+    def test_an_equal_reannouncement_emits_nothing(self, entry_point):
+        """A route replaced by an equal one of the same peer is no change,
+        whatever the timestamp and whether the attribute object is the
+        same: a stored route is its attributes and its peer, nothing else.
+        The best table then holds the session's shared route."""
+        speaker = _parity_speaker((2,))
+        attributes = _attrs([2, 6])
+        speaker.receive(Update.announce(5.0, 2, PFX[0], attributes))
         before = speaker.best_route(PFX[0])
         heard = _heard(speaker)
-        speaker.receive_batch([Update.announce(5.0, 2, PFX[0], _attrs([2, 6]))])
+
+        def feed(messages):
+            if entry_point == "receive":
+                for message in messages:
+                    speaker.receive(message)
+            elif entry_point == "receive_batch":
+                speaker.receive_batch(messages)
+            else:
+                speaker.receive_columnar(ColumnarTrace.from_messages(messages))
+
+        feed([Update.announce(5.0, 2, PFX[0], attributes)])
+        assert speaker.best_route(PFX[0]) is before
+        feed([Update.announce(6.0, 2, PFX[0], _attrs([2, 6]))])
+        feed([Update.announce(7.0, 2, PFX[0], _attrs([2, 6]))])
         assert heard == []
-        assert speaker.best_route(PFX[0]) == before
-        # A later timestamp is a different route: same next hop, one change.
-        speaker.receive_batch([Update.announce(6.0, 2, PFX[0], _attrs([2, 6]))])
+        route = speaker.session(2).rib_in.get(PFX[0])
+        assert speaker.best_route(PFX[0]) is route
+        assert route_value(route) == route_value(before)
+        # Other attributes from the same peer are a change.
+        feed([Update.announce(8.0, 2, PFX[0], _attrs([2, 7, 6]))])
         (change,) = heard
-        assert change == BestRouteChange(PFX[0], before, speaker.best_route(PFX[0]))
+        assert change == BestRouteChange(PFX[0], route, speaker.best_route(PFX[0]))
         assert not change.next_hop_changed and hash(change) == hash(
             BestRouteChange(prefix=PFX[0], old=change.old, new=change.new)
         )
@@ -585,7 +602,7 @@ def _session_state(speaker):
         session.peer_as: (
             session.state,
             vars(session.stats),
-            dict(session.rib_in._routes),
+            {prefix: route_value(route) for prefix, route in session.rib_in.items()},
         )
         for session in speaker.sessions()
     }
@@ -593,18 +610,14 @@ def _session_state(speaker):
 
 def _lpm_answers(speaker):
     return [
-        [speaker.lpm_route(address) for address in _WALK_ADDRESSES],
-        list(speaker.loc_rib.best_trie().items()),
+        [route_value(speaker.lpm_route(address)) for address in _WALK_ADDRESSES],
+        [(prefix, route_value(route)) for prefix, route in speaker.loc_rib.best_trie().items()],
     ]
 
 
-def _same_route(old, new):
-    return old is new or (old is not None and new is not None and old == new)
-
-
 def _best_table(speaker):
-    """The settled best-route table, read through the Loc-RIB's accessor."""
-    return {entry.prefix: entry for entry in speaker.loc_rib.best_entries()}
+    """The settled best-route table by value, read through the Loc-RIB's accessor."""
+    return {prefix: route_value(route) for prefix, route in speaker.loc_rib.best_entries()}
 
 
 class TestColumnWalkMatchesPerMessage:
@@ -646,7 +659,7 @@ class TestColumnWalkMatchesPerMessage:
         head_messages = _walk_messages(head)
         tail_messages = _walk_messages(tail, start=1000.0)
         speakers = {
-            name: _parity_speaker(_WALK_PEERS, True)
+            name: _parity_speaker(_WALK_PEERS)
             for name in ("receive", "receive_batch", "columns")
         }
         for speaker in speakers.values():
@@ -677,9 +690,7 @@ class TestColumnWalkMatchesPerMessage:
         for name in ("receive", "receive_batch"):
             assert _session_state(columns) == _session_state(speakers[name]), name
         for prefix in _WALK_POOL:
-            assert columns.loc_rib.candidates(prefix) == speakers[
-                "receive"
-            ].loc_rib.candidates(prefix)
+            assert _candidates(columns, prefix) == _candidates(speakers["receive"], prefix)
         assert _best_table(columns) == _best_table(speakers["receive"])
         assert _lpm_answers(columns) == _lpm_answers(speakers["receive"])
         assert _event_sets(changes) == _event_sets(batched)
@@ -692,23 +703,23 @@ class TestColumnWalkMatchesPerMessage:
         final = [
             prefix
             for prefix in dict.fromkeys(touched)
-            if not _same_route(before.get(prefix), after.get(prefix))
+            if before.get(prefix) != after.get(prefix)
         ]
         for heard in (changes, batched):
             transient, tail_changes = heard[:len(heard) - len(final)], heard[len(heard) - len(final):]
             assert all(c.is_loss_of_reachability or c.is_recovery for c in transient)
             assert [change.prefix for change in tail_changes] == final
             for change in tail_changes:
-                assert _same_route(change.old, before.get(change.prefix))
-                assert _same_route(change.new, after.get(change.prefix))
+                assert route_value(change.old) == before.get(change.prefix)
+                assert route_value(change.new) == after.get(change.prefix)
 
 
 # -- the winner memo: one selection per candidate profile ----------------------
 
 
 class _SpyDecisionProcess(DecisionProcess):
-    def __init__(self, prefix_independent=True):
-        super().__init__(prefix_independent=prefix_independent)
+    def __init__(self):
+        super().__init__()
         self.selected = []
         self.ranked = 0
 
@@ -735,10 +746,11 @@ def _grouped_reselect(speaker, prefixes):
 
     def install(prefix, new):
         old = loc_rib.best(prefix)
-        if _same_route(old, new):
+        if old is new:
             return
-        loc_rib.set_best(new, prefix)
-        changes.append(BestRouteChange(prefix, old, new))
+        loc_rib.set_best(prefix, new)
+        if route_value(old) != route_value(new):
+            changes.append(BestRouteChange(prefix, old, new))
 
     groups = {}
     for prefix in prefixes:
@@ -807,39 +819,6 @@ class TestWinnerMemo:
         lost = [change.prefix for change in changes if change.is_loss_of_reachability]
         assert lost == PFX[3:40:4]
 
-    def test_prefix_dependent_rankings_reselect_per_prefix(self):
-        speaker = BGPSpeaker(1, _SpyDecisionProcess(prefix_independent=False))
-        for peer in (2, 3, 4):
-            speaker.add_peer(peer)
-        speaker.receive_batch(
-            [
-                Update.announce(0.0, peer, prefix, _attrs([peer, 6]))
-                for peer in (2, 3, 4)
-                for prefix in PFX[:10]
-            ]
-        )
-        spy = speaker.decision_process
-        speaker.loc_rib.settle()
-        spy.ranked = 0
-        spy.selected.clear()
-        # Two candidates left per prefix: one selection each, all of one
-        # profile, and no ranking — at the first read, not at the commit.
-        speaker.receive_columnar(
-            ColumnarTrace.from_messages([Update.withdraw_many(1.0, 2, PFX[:10])])
-        )
-        assert spy.selected == []
-        assert all(speaker.best_route(prefix).peer_as == 3 for prefix in PFX[:10])
-        assert len(spy.selected) == 10
-        assert spy.ranked == 0
-        # Sole candidates left: no decision-process call at all.
-        spy.selected.clear()
-        speaker.receive_columnar(
-            ColumnarTrace.from_messages([Update.withdraw_many(2.0, 3, PFX[:10])])
-        )
-        assert all(speaker.best_route(prefix).peer_as == 4 for prefix in PFX[:10])
-        assert spy.selected == []
-        assert spy.ranked == 0
-
     @settings(max_examples=100, deadline=None)
     @given(updates=_UPDATES, split=st.integers(0, 30))
     def test_memo_equals_the_grouped_loop(self, updates, split):
@@ -860,7 +839,7 @@ class TestWinnerMemo:
                     withdrawals=tuple(_POOL[prefix] for prefix in withdrawn),
                 )
             )
-        memo, grouped = (_parity_speaker(peers, True) for _ in range(2))
+        memo, grouped = (_parity_speaker(peers) for _ in range(2))
         pending = []
         for speaker in (memo, grouped):
             speaker.receive_batch(messages[:split])
@@ -872,7 +851,9 @@ class TestWinnerMemo:
         assert pending[0] == pending[1]
         memo_changes = memo._reselect(pending[0], report=True, memo=True)
         grouped_changes = _grouped_reselect(grouped, pending[1])
-        assert Counter(memo_changes) == Counter(grouped_changes)
+        assert Counter(map(_change_value, memo_changes)) == Counter(
+            map(_change_value, grouped_changes)
+        )
         assert _best_table(memo) == _best_table(grouped)
         order = {prefix: number for number, prefix in enumerate(pending[0])}
         assert [order[change.prefix] for change in memo_changes] == sorted(
@@ -920,20 +901,11 @@ class TestPerMessageDecision:
 
 
 def _length_ranking(entry):
-    """Prefix-independent, and peers with equally long paths tie."""
+    """Peers with equally long paths tie."""
     return (len(entry.as_path),)
 
 
-def _prefix_ranking(entry):
-    """Reads the prefix (so not prefix-independent), with ties across peers."""
-    return ((entry.prefix.network >> 8) % 2 * entry.peer_as % 3, len(entry.as_path))
-
-
-_RANKINGS = {
-    "standard": (standard_ranking, True),
-    "length": (_length_ranking, True),
-    "prefix": (_prefix_ranking, False),
-}
+_RANKINGS = {"standard": standard_ranking, "length": _length_ranking}
 
 _DECISION_MESSAGES = st.lists(
     st.one_of(
@@ -968,11 +940,9 @@ class TestPerMessageDecisionProperty:
     def test_best_and_alternates_follow_the_ranking_after_every_message(
         self, peer_count, ranking, rows
     ):
-        key, prefix_independent = _RANKINGS[ranking]
+        key = _RANKINGS[ranking]
         peers = (2, 3, 4, 5)[:peer_count]
-        speaker = BGPSpeaker(
-            1, DecisionProcess(key, prefix_independent=prefix_independent)
-        )
+        speaker = BGPSpeaker(1, DecisionProcess(key))
         for peer in peers:
             speaker.add_peer(peer)
         for number, row in enumerate(rows):
@@ -1096,8 +1066,7 @@ class TestLocRibIsAView:
         steps=_ORACLE_STEPS,
     )
     def test_candidates_and_best_follow_the_adj_ribs_in(self, family, ranking, steps):
-        key, prefix_independent = _RANKINGS[ranking]
-        speaker = BGPSpeaker(1, DecisionProcess(key, prefix_independent=prefix_independent))
+        speaker = BGPSpeaker(1, DecisionProcess(_RANKINGS[ranking]))
         for peer in _PARITY_PEERS:
             speaker.add_peer(peer)
         for clock, (kind, *step) in enumerate(steps):
@@ -1116,7 +1085,7 @@ class TestLocRibIsAView:
 
     @pytest.mark.parametrize("family", _FAMILIES)
     def test_a_notification_empties_the_view(self, family):
-        speaker = _parity_speaker(_PARITY_PEERS, True)
+        speaker = _parity_speaker(_PARITY_PEERS)
         speaker.receive_batch(
             [
                 Update.announce(0.0, peer, prefix, _path_pool(peer)[0])

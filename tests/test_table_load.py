@@ -14,6 +14,7 @@ from collections import Counter
 from hypothesis import given, settings, strategies as st
 
 from oracles.object_replay import load_table_messages
+from oracles.route_table import route_value
 from test_rib_session_speaker import _best_table
 
 from repro.bgp.attributes import ASPath, PathAttributes
@@ -66,14 +67,17 @@ def _routes(drawn, peer):
 
 
 def _entries(router, peer):
-    return dict(router.speaker.session(peer).rib_in._routes)
+    return {
+        prefix: route_value(route)
+        for prefix, route in router.speaker.session(peer).rib_in.items()
+    }
 
 
-def _attribute_groups(router, peer):
-    """Prefixes grouped by attribute object identity."""
+def _route_groups(router, peer):
+    """Prefixes grouped by the route they share, one per attribute object."""
     groups = {}
-    for prefix, entry in _entries(router, peer).items():
-        groups.setdefault(id(entry.attributes), set()).add(prefix)
+    for prefix, route in router.speaker.session(peer).rib_in.items():
+        groups.setdefault(id(route), set()).add(prefix)
     return sorted(sorted(group) for group in groups.values())
 
 
@@ -103,11 +107,10 @@ class TestTableLoadParity:
             )
 
         for peer in column.speaker.peer_ases:
-            # RibEntry equality includes learned_at.
             assert _entries(column, peer) == _entries(reference, peer)
-            groups = _attribute_groups(column, peer)
-            assert groups == _attribute_groups(reference, peer)
-            distinct = {entry.as_path for entry in _entries(column, peer).values()}
+            groups = _route_groups(column, peer)
+            assert groups == _route_groups(reference, peer)
+            distinct = {attributes.as_path for attributes, _ in _entries(column, peer).values()}
             assert len(groups) == len(distinct)
         assert _best_table(column.speaker) == _best_table(reference.speaker)
 

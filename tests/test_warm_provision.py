@@ -592,13 +592,13 @@ class TestSessionReset:
 # -- rank once per prefix == rank once per link ----------------------------------
 
 
-def _per_link_select(computer, prefix, link, alternates, usage):
+def _per_link_select(computer, link, alternates, usage):
     """The backup next hop as selected before ranking moved out of the link
     loop: filter the alternates valid for *this* link, sort them, walk
     capacity."""
     candidates = []
     for entry in alternates:
-        if entry.prefix != prefix or not computer.policy.allows(entry.next_hop):
+        if not computer.policy.allows(entry.next_hop):
             continue
         if link in entry.as_path.links():
             continue
@@ -634,19 +634,17 @@ def _selection_cases(draw):
         default_preference=draw(st.integers(0, 3)),
     )
     computer = BackupComputer(policy=policy, max_depth=draw(st.integers(1, 5)))
-    prefixes = prefix_block("60.0.0.0/24", draw(st.integers(1, 5)))
     cases = []
-    for prefix in prefixes:
+    for _ in range(draw(st.integers(1, 5))):
         primary = ASPath([draw(st.sampled_from(_NEIGHBORS))] + draw(_PATH_ASNS))
         alternates = []
         for _ in range(draw(st.integers(0, 5))):
             neighbor = draw(st.sampled_from(_NEIGHBORS))
-            owner = draw(st.sampled_from(prefixes))  # sometimes another prefix's route
             attributes = PathAttributes(
                 as_path=ASPath([neighbor] + draw(_PATH_ASNS)), next_hop=neighbor
             )
-            alternates.append(RibEntry(owner, attributes, neighbor))
-        cases.append((prefix, primary, alternates))
+            alternates.append(RibEntry(attributes, neighbor))
+        cases.append((primary, alternates))
     return computer, cases
 
 
@@ -691,12 +689,11 @@ def _walked_backups(router):
     speaker's decision-ordered ``alternate_routes`` (the reference)."""
     computer = router.backup_computer
     table = {}
-    for best in router.speaker.loc_rib.best_entries():
-        prefix = best.prefix
+    for prefix, best in router.speaker.loc_rib.best_entries():
         alternates = router.speaker.alternate_routes(prefix)
         per_link = {}
         for link in computer.protected_links(best.as_path):
-            hop = _per_link_select(computer, prefix, link, alternates, None)
+            hop = _per_link_select(computer, link, alternates, None)
             if hop is not None:
                 per_link[link] = hop
         if per_link:
@@ -711,22 +708,20 @@ class TestRankOnceSelection:
         computer, cases = case
         usage = {} if with_usage else None
         reference_usage = {} if with_usage else None
-        for prefix, primary, alternates in cases:
-            got = dict(computer.select_winners(prefix, primary, alternates, usage))
+        for primary, alternates in cases:
+            got = dict(computer.select_winners(primary, alternates, usage))
             links = computer.protected_links(primary)
             expected = {}
             for link in links:
-                hop = _per_link_select(computer, prefix, link, alternates, reference_usage)
+                hop = _per_link_select(computer, link, alternates, reference_usage)
                 if hop is not None:
                     expected[link] = hop
             assert got == expected
             assert list(got) == list(expected)
             # select() on raw alternates is select() on their ranking.
-            ranked = computer.rank(prefix, alternates)
+            ranked = computer.rank(alternates)
             for link in links:
-                assert computer.select(prefix, link, alternates) == computer.select(
-                    prefix, link, ranked
-                )
+                assert computer.select(link, alternates) is computer.select(link, ranked)
         assert usage == reference_usage
 
     @settings(
@@ -783,7 +778,7 @@ class TestRankOnceSelection:
             expected = _walked_backups(cold)
             assert backup_table(warm) == expected
             assert backup_table(cold) == expected
-            best = {entry.prefix: entry for entry in cold.speaker.loc_rib.best_entries()}
+            best = dict(cold.speaker.loc_rib.best_entries())
             reference = cold.backup_computer.compute_table_reference(
                 best, cold.speaker.alternate_routes
             )
