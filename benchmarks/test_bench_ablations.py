@@ -10,12 +10,17 @@ import pytest
 
 from repro.core.fit_score import FitScoreConfig
 from repro.core.inference import InferenceConfig
-from repro.experiments import fig6, fig7
-from repro.metrics.quadrants import Quadrant
+from repro.core.swifted_router import SwiftConfig
+from repro.experiments import fig7, replay_corpus
+from repro.metrics.quadrants import Quadrant, quadrant_shares
 
 
-def _config_with_weights(ws_weight: float, ps_weight: float) -> InferenceConfig:
-    return InferenceConfig(fit_score=FitScoreConfig(ws_weight=ws_weight, ps_weight=ps_weight))
+def _config_with_weights(ws_weight: float, ps_weight: float) -> SwiftConfig:
+    return SwiftConfig(
+        inference=InferenceConfig(
+            fit_score=FitScoreConfig(ws_weight=ws_weight, ps_weight=ps_weight)
+        )
+    )
 
 
 @pytest.mark.slow
@@ -23,17 +28,9 @@ def test_bench_ablation_fit_score_weights(benchmark, corpus):
     def run_ablation():
         results = {}
         for label, (ws, ps) in {"1:1": (1.0, 1.0), "3:1": (3.0, 1.0), "9:1": (9.0, 1.0)}.items():
-            config = _config_with_weights(ws, ps)
-            from repro.experiments.common import evaluate_burst
-
-            points = []
-            for burst in corpus:
-                evaluation = evaluate_burst(burst, config=config)
-                if evaluation.made_prediction:
-                    points.append((evaluation.tpr, evaluation.fpr))
-            from repro.metrics.quadrants import quadrant_shares
-
-            results[label] = quadrant_shares(points)
+            records, _ = replay_corpus(corpus, _config_with_weights(ws, ps))
+            localisations = [record.localisation() for record in records]
+            results[label] = quadrant_shares([(c.tpr, c.fpr) for c in localisations])
         return results
 
     results = benchmark.pedantic(run_ablation, rounds=1, iterations=1)

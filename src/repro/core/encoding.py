@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.bgp.attributes import ASPath
 from repro.bgp.prefix import Prefix
@@ -415,34 +415,6 @@ class TagEncoder:
                     )
                 )
         return rules
-
-    def coverage(
-        self,
-        encoded: EncodedTags,
-        best_paths: Mapping[Prefix, ASPath],
-        prefixes: Iterable[Prefix],
-        links: Iterable[Link],
-    ) -> float:
-        """Fraction of ``prefixes`` reroutable by tag rules for ``links``.
-
-        This is the paper's *encoding performance* (Fig. 7): among the
-        prefixes predicted by the inference, how many cross one of the
-        inferred links at an encoded position.
-        """
-        wanted = {_canonical(link) for link in links}
-        prefixes = list(prefixes)
-        if not prefixes:
-            return 1.0
-        covered = 0
-        for prefix in prefixes:
-            path = best_paths.get(prefix)
-            if path is None:
-                continue
-            for position, link in enumerate(path.links(), 1):
-                if link in wanted and encoded.is_encoded(link, position):
-                    covered += 1
-                    break
-        return covered / len(prefixes)
 
     # -- internals ---------------------------------------------------------------
 

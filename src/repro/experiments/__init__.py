@@ -4,7 +4,9 @@ Every figure / table module exposes a ``run(...)`` function returning a
 result dataclass and a ``format_result(...)`` helper printing the same rows /
 series the paper reports, so the benchmarks can regenerate each artefact;
 ``month_replay`` is the replay driver (``replay_stream``,
-``StreamReplayer``) the benchmarks and the live ingest path call.  Fig. 2
+``StreamReplayer``) the benchmarks and the live ingest path call, and
+Fig. 6, 7, 8, Table 2 and §6.5 read its router replay of a burst corpus
+(:func:`~repro.experiments.common.replay_corpus`).  Fig. 2
 measures bursts from each session's stream with
 :func:`repro.core.burst_detection.extract_bursts`, not from the generator's
 records:
@@ -26,10 +28,10 @@ Fig. 9(a) (case-study speedup)  :mod:`repro.experiments.fig9`
 """
 
 from repro.experiments.common import (
-    BurstEvaluation,
     burst_corpus,
     cached_corpus,
-    evaluate_burst,
+    replay_corpus,
+    session_replays,
 )
 
-__all__ = ["BurstEvaluation", "burst_corpus", "cached_corpus", "evaluate_burst"]
+__all__ = ["burst_corpus", "cached_corpus", "replay_corpus", "session_replays"]

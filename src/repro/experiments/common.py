@@ -1,25 +1,28 @@
-"""Shared plumbing for the experiment harnesses.
+"""Shared plumbing for the experiment harnesses: one router replay.
 
-The real-trace experiments (Fig. 6, Table 2, Fig. 7, Fig. 8) all follow the
-same recipe: take a burst and the pre-burst RIB of its session, run the SWIFT
-inference engine over the burst's message stream, and score the accepted
-inference against what the full burst eventually withdrew.  This module
-factors that recipe out.  Its burst corpus is a filter of a synthetic
-trace's bursts: :func:`burst_corpus` generates the trace,
-:func:`cached_corpus` reads it through the trace cache, and each burst's
-messages are a view of its session's rows.
+Fig. 6, Table 2, Fig. 7, Fig. 8 and §6.5 are views over one replay of a
+burst corpus: :func:`session_replays` feeds each distinct session once
+through :class:`~repro.experiments.month_replay.StreamReplayer` (table load,
+backup session, ``provision()``, ``receive_columnar`` with the detector in
+the loop) and records every accepted inference with the reroute it
+installed.  A record belongs to the corpus burst whose rows contain its
+detected start; ground truth only scores it.  The corpus is a filter of a
+synthetic trace's bursts (:func:`burst_corpus`, or :func:`cached_corpus`
+through the trace cache), each a view of its session's rows, so
+``burst.messages.trace`` and ``burst.rib`` are the session a replay feeds.
 """
 
 from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass
-from typing import FrozenSet, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.bgp.attributes import ASPath
 from repro.bgp.prefix import Prefix
-from repro.core.history import HistoryModel
-from repro.core.inference import InferenceConfig, InferenceEngine, InferenceResult
+from repro.core.inference import InferenceResult
+from repro.core.swifted_router import RerouteAction, SwiftConfig, SwiftedRouter
+from repro.experiments.month_replay import StreamReplayer
 from repro.metrics.classification import (
     ClassificationCounts,
     classify_inference,
@@ -34,11 +37,13 @@ from repro.traces.synthetic import (
 )
 
 __all__ = [
-    "BurstEvaluation",
     "CorpusBurst",
+    "ReplayRecord",
     "burst_corpus",
     "cached_corpus",
-    "evaluate_burst",
+    "replay_corpus",
+    "session_replays",
+    "trace_corpus",
 ]
 
 
@@ -67,34 +72,95 @@ class CorpusBurst:
         return first if first is not None else 0.0
 
 
-@dataclass
-class BurstEvaluation:
-    """The outcome of running SWIFT over one burst."""
+@dataclass(frozen=True)
+class ReplayRecord:
+    """One accepted inference of a replay: the reroute it installed
+    (``None`` when no rule), the corpus burst whose rows contain its
+    detected start (``None`` when none does) and the router's stage-1 tags."""
 
-    burst: CorpusBurst
-    inference: Optional[InferenceResult]
-    localisation: Optional[ClassificationCounts]
-    prediction: Optional[ClassificationCounts]
+    inference: InferenceResult
+    action: Optional[RerouteAction]
+    burst: Optional[CorpusBurst]
+    stage1: Mapping[Prefix, int]
 
-    @property
-    def made_prediction(self) -> bool:
-        """Whether SWIFT accepted an inference for this burst."""
-        return self.inference is not None
+    def localisation(self) -> ClassificationCounts:
+        """The prediction scored against the whole burst (Fig. 6)."""
+        return classify_inference(
+            predicted=self.inference.prediction.predicted_prefixes,
+            withdrawn_in_burst=self.burst.withdrawn_prefixes,
+            session_prefixes=self.burst.rib.keys(),
+        )
 
-    @property
-    def tpr(self) -> float:
-        """Localisation TPR (0 when no inference was made)."""
-        return self.localisation.tpr if self.localisation else 0.0
+    def prediction(self) -> ClassificationCounts:
+        """The prediction scored against the later withdrawals (Table 2)."""
+        prediction = self.inference.prediction
+        return classify_prediction(
+            predicted=prediction.predicted_prefixes,
+            withdrawn_before_inference=prediction.already_withdrawn,
+            withdrawn_in_burst=self.burst.withdrawn_prefixes,
+            session_prefixes=self.burst.rib.keys(),
+        )
 
-    @property
-    def fpr(self) -> float:
-        """Localisation FPR (0 when no inference was made)."""
-        return self.localisation.fpr if self.localisation else 0.0
+    def rerouted_share(self) -> float:
+        """Share of the predicted prefixes whose stage-1 tag matches one of
+        the action's rules, the ones ``forward()`` moves (Fig. 7); an empty
+        prediction misses nothing."""
+        predicted = self.inference.prediction.predicted_prefixes
+        if not predicted:
+            return 1.0
+        if self.action is None:
+            return 0.0
+        rules, tags = self.action.rules, self.stage1
+        moved = sum(
+            1
+            for prefix in predicted
+            if prefix in tags and any(rule.matches(tags[prefix]) for rule in rules)
+        )
+        return moved / len(predicted)
 
-    @property
-    def cpr(self) -> float:
-        """Correctly Predicted Rate of future withdrawals."""
-        return self.prediction.tpr if self.prediction else 0.0
+
+def session_replays(
+    corpus: Sequence[CorpusBurst], swift_config: Optional[SwiftConfig] = None
+) -> Iterator[Tuple[SwiftedRouter, List[ReplayRecord]]]:
+    """Replay each distinct session of ``corpus`` once; yield its router
+    and its records in arrival order."""
+    sessions: Dict[int, List[CorpusBurst]] = {}
+    for burst in corpus:
+        sessions.setdefault(id(burst.messages.trace), []).append(burst)
+    for bursts in sessions.values():
+        first = bursts[0]
+        replayer = StreamReplayer(first.rib, first.peer_as, swift_config=swift_config)
+        # An accepted inference installs at most one action, at its own
+        # timestamp and for its own links.
+        actions = {
+            (action.timestamp, action.inferred_links): action
+            for action in replayer.feed(first.messages.trace)
+        }
+        router = replayer.router
+        yield router, [
+            ReplayRecord(
+                result,
+                actions.get((result.timestamp, result.inferred_links)),
+                next((b for b in bursts if _contains(b, result.burst_start)), None),
+                router.encoded_tags.tags,
+            )
+            for result in router.engine_for(first.peer_as).results
+            if result.accepted
+        ]
+
+
+def _contains(burst: CorpusBurst, timestamp: float) -> bool:
+    return burst.start_time <= timestamp <= burst.messages.last_timestamp
+
+
+def replay_corpus(
+    corpus: Sequence[CorpusBurst], swift_config: Optional[SwiftConfig] = None
+) -> Tuple[List[ReplayRecord], int]:
+    """The records of :func:`session_replays` a corpus burst contains, and
+    the number no corpus burst contains (counted, never dropped)."""
+    records = [record for _, session in session_replays(corpus, swift_config) for record in session]
+    matched = [record for record in records if record.burst is not None]
+    return matched, len(records) - len(matched)
 
 
 def burst_corpus(
@@ -123,7 +189,7 @@ def burst_corpus(
         noise_rate_per_second=noise_rate_per_second,
         seed=seed,
     )
-    return _corpus(SyntheticTraceGenerator(config).stream(), min_burst_size)
+    return trace_corpus(SyntheticTraceGenerator(config).stream(), min_burst_size)
 
 
 def cached_corpus(**kwargs) -> List[CorpusBurst]:
@@ -138,15 +204,15 @@ def cached_corpus(**kwargs) -> List[CorpusBurst]:
     bound.apply_defaults()
     arguments = dict(bound.arguments)
     min_burst_size = arguments.pop("min_burst_size")
-    return _corpus(cached_trace(SyntheticTraceConfig(**arguments)), min_burst_size)
+    return trace_corpus(cached_trace(SyntheticTraceConfig(**arguments)), min_burst_size)
 
 
-def _corpus(trace: SyntheticTrace, min_burst_size: int) -> List[CorpusBurst]:
+def trace_corpus(trace: SyntheticTrace, min_burst_size: int) -> List[CorpusBurst]:
     """The trace's bursts of at least ``min_burst_size`` withdrawals.
 
-    Bursts of the same session share one RIB dict *by identity*, which
-    downstream per-RIB caches (e.g. the rerouting-speed encoder memo) rely
-    on.
+    Bursts of the same session share its RIB dict and its row columns *by
+    identity*, which is how :func:`session_replays` finds a corpus's
+    sessions.
     """
     return [
         CorpusBurst(
@@ -159,36 +225,3 @@ def _corpus(trace: SyntheticTrace, min_burst_size: int) -> List[CorpusBurst]:
         for burst in trace.bursts
         if burst.size >= min_burst_size
     ]
-
-
-def evaluate_burst(
-    burst: CorpusBurst,
-    config: Optional[InferenceConfig] = None,
-    history: Optional[HistoryModel] = None,
-) -> BurstEvaluation:
-    """Run the inference engine over one burst and score the result."""
-    engine = InferenceEngine(burst.rib, config=config, history=history)
-    engine.process_batch(burst.messages)
-    result = engine.accepted_inference
-    if result is None:
-        return BurstEvaluation(
-            burst=burst, inference=None, localisation=None, prediction=None
-        )
-    session_prefixes = list(burst.rib.keys())
-    localisation = classify_inference(
-        predicted=result.prediction.predicted_prefixes,
-        withdrawn_in_burst=burst.withdrawn_prefixes,
-        session_prefixes=session_prefixes,
-    )
-    prediction = classify_prediction(
-        predicted=result.prediction.predicted_prefixes,
-        withdrawn_before_inference=result.prediction.already_withdrawn,
-        withdrawn_in_burst=burst.withdrawn_prefixes,
-        session_prefixes=session_prefixes,
-    )
-    return BurstEvaluation(
-        burst=burst,
-        inference=result,
-        localisation=localisation,
-        prediction=prediction,
-    )

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.casestudy.controller import SwiftedDeployment
-from repro.casestudy.testbed import Fig1Scenario, build_fig1_scenario
+from repro.casestudy.testbed import build_fig1_scenario
 from repro.casestudy.vanilla import VanillaRouterModel
 from repro.core.swifted_router import SwiftConfig
 from repro.core.encoding import EncoderConfig

@@ -42,7 +42,7 @@ from typing import Iterator, List, Optional, Tuple
 
 from repro.bgp.speaker import BGPSpeaker
 from repro.core import kernels
-from repro.core.swifted_router import SwiftConfig, SwiftedRouter
+from repro.core.swifted_router import RerouteAction, SwiftConfig, SwiftedRouter
 from repro.traces.columnar import ColumnarRun, ColumnarTrace, table_dump
 
 __all__ = [
@@ -292,30 +292,27 @@ class StreamReplayer:
         sink = self.router if self.swifted else self.speaker
         return sink.receive_columnar(chunk, kernel=self._kernel)
 
-    def feed(self, stream: ColumnarTrace) -> None:
-        """Replay one columnar stream (or stream window) through the router."""
+    def feed(self, stream: ColumnarTrace) -> List[RerouteAction]:
+        """Replay one columnar stream (or stream window) through the router;
+        returns its reroute actions (none for a bare speaker)."""
+        actions: List[RerouteAction] = []
         self._message_count += stream.message_count
         self._withdrawal_count += stream.withdrawal_total
         self._announcement_count += stream.announcement_total
-        reroute_counter = self._reroute_counter
         begin = time.perf_counter()
         for chunk in _chunked_runs(stream, self._chunk_messages, kernel=self._kernel):
             self._chunks += 1
             result = self._receive(chunk)
             if self.swifted:
-                self._reroutes += len(result)
-                if reroute_counter is not None:
-                    for action in result:
-                        reroute_counter[
-                            (
-                                action.timestamp,
-                                action.peer_as,
-                                action.inferred_links,
-                                len(action.rerouted_prefixes),
-                                len(action.rules),
-                            )
-                        ] += 1
+                actions.extend(result)
         self._wall_seconds += time.perf_counter() - begin
+        self._reroutes += len(actions)
+        if self._reroute_counter is not None:
+            self._reroute_counter.update(
+                (a.timestamp, a.peer_as, a.inferred_links, len(a.rerouted_prefixes), len(a.rules))
+                for a in actions
+            )
+        return actions
 
     def result(self) -> MonthReplayResult:
         """Snapshot the accumulated counters as a :class:`MonthReplayResult`."""

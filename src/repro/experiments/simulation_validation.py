@@ -18,15 +18,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from repro.bgp.messages import Update
 from repro.core.fit_score import FitScoreCalculator, FitScoreConfig
-from repro.core.inference import InferenceConfig, InferenceEngine
 from repro.metrics.tables import format_table
-from repro.simulation.events import LinkFailure
 from repro.simulation.noise import NoiseConfig, inject_noise
-from repro.simulation.propagation import PropagationSimulator, SimulatedBurst, VantagePoint
+from repro.simulation.propagation import PropagationSimulator, VantagePoint
 from repro.topology.as_graph import ASGraph
 from repro.topology.generator import TopologyConfig, generate_topology
 

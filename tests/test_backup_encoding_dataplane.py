@@ -3,6 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles.encoding_coverage import coverage
+
 from repro.bgp.attributes import ASPath, PathAttributes
 from repro.bgp.prefix import Prefix, prefix_block
 from repro.bgp.rib import RibEntry
@@ -188,10 +190,8 @@ class TestTagEncoder:
         paths = _fig1_paths()
         encoder = TagEncoder(EncoderConfig(prefix_threshold=100))
         encoded = encoder.encode(paths)
-        coverage = encoder.coverage(encoded, paths, list(paths), [(5, 6)])
-        assert coverage == pytest.approx(1.0)
-        coverage_none = encoder.coverage(encoded, paths, list(paths), [(42, 43)])
-        assert coverage_none == 0.0
+        assert coverage(encoded, paths, list(paths), [(5, 6)]) == pytest.approx(1.0)
+        assert coverage(encoded, paths, list(paths), [(42, 43)]) == 0.0
 
     def test_next_hop_capacity_limited_by_bits(self):
         config = EncoderConfig(total_bits=16, path_bits=6, backup_depth=1)

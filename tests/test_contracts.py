@@ -18,6 +18,12 @@
   and the Loc-RIB reads ``LocRib._best``: a speaker with no listener leaves
   it stale until a read settles it, so a raw read can see routes the
   accessors (``best``, ``best_entries``, ...) would have re-selected.
+* **One SWIFT pipeline.** No module under ``src/repro/experiments/``
+  builds an ``InferenceEngine``, ``FitScoreCalculator`` or ``TagEncoder``:
+  the figures read a router replay, so detector, inference and encoding run
+  as the router runs them.  ``simulation_validation.py`` still scores
+  simulated bursts with its own calculator, until §6.2.2 and §6.3.2 run
+  through the router (ROADMAP item 14).
 """
 
 import ast
@@ -271,3 +277,58 @@ def test_only_the_speaker_and_the_loc_rib_read_the_raw_best_table():
 def test_raw_best_read_scan_fires():
     source = "best = router.speaker.loc_rib._best\nother = rib._best_trie\n"
     assert raw_best_reads(source) == [1]
+
+
+# -- one SWIFT pipeline ---------------------------------------------------------
+
+#: The pipeline pieces the router builds for itself.
+_ROUTER_BUILT = frozenset({"InferenceEngine", "FitScoreCalculator", "TagEncoder"})
+_PIPELINE_EXCEPTIONS = (
+    os.path.join("repro", "experiments", "simulation_validation.py"),
+)
+
+
+def pipeline_builds(source):
+    """``(line, class)`` of each call to a router-built class or to one of
+    its class-level constructors (``FitScoreCalculator.from_index(...)``)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+            if func.value.id in _ROUTER_BUILT:
+                func = func.value
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name in _ROUTER_BUILT:
+            found.append((node.lineno, name))
+    return sorted(found)
+
+
+def test_experiments_build_no_pipeline_of_their_own():
+    builders = {}
+    for path, package in _package_sources():
+        if not package.startswith("repro.experiments"):
+            continue
+        if os.path.relpath(path, SRC) in _PIPELINE_EXCEPTIONS:
+            continue
+        with open(path, encoding="utf-8") as handle:
+            found = pipeline_builds(handle.read())
+        if found:
+            builders[path] = found
+    assert builders == {}
+
+
+def test_pipeline_build_scan_fires():
+    source = (
+        "engine = InferenceEngine(rib, config=config)\n"
+        "calculator = FitScoreCalculator.from_index(index)\n"
+        "encoder = encoding.TagEncoder()\n"
+        "router = SwiftedRouter(1)\n"
+        "tags = encoder.encode(paths)\n"
+    )
+    assert pipeline_builds(source) == [
+        (1, "InferenceEngine"),
+        (2, "FitScoreCalculator"),
+        (3, "TagEncoder"),
+    ]

@@ -1,8 +1,12 @@
 """Tests for the experiment harnesses (scaled-down runs)."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.experiments import burst_corpus, evaluate_burst
+from oracles.encoding_coverage import coverage
+
+from repro.experiments import cached_corpus, replay_corpus, session_replays
+from repro.experiments.common import trace_corpus
 from repro.experiments import (
     fig2,
     fig6,
@@ -14,19 +18,31 @@ from repro.experiments import (
     table1,
     table2,
 )
-from repro.core.burst_detection import extract_bursts
-from repro.core.encoding import EncoderConfig, TagEncoder
+from repro.core.burst_detection import BurstDetectorConfig, extract_bursts
+from repro.core.encoding import EncoderConfig
+from repro.core.history import TriggeringSchedule
+from repro.core.inference import InferenceConfig
+from repro.core.swifted_router import SwiftConfig
+from repro.experiments.month_replay import StreamReplayer
 from repro.metrics.quadrants import Quadrant
 from repro.traces.synthetic import SyntheticTraceConfig, SyntheticTraceGenerator
 
 
 @pytest.fixture(scope="module")
 def corpus():
-    bursts = burst_corpus(
+    bursts = cached_corpus(
         peer_count=5, duration_days=8, min_table_size=3000, max_table_size=12000, seed=3
     )
     assert bursts, "the corpus fixture must generate at least one burst"
     return bursts
+
+
+@pytest.fixture(scope="module")
+def records(corpus):
+    """The corpus replayed once with the default configuration."""
+    records, unmatched = replay_corpus(corpus)
+    assert records and not unmatched
+    return records
 
 
 @pytest.fixture(scope="module")
@@ -46,12 +62,24 @@ class TestCommon:
         assert burst.failed_link is not None
         assert set(burst.withdrawn_prefixes) <= set(burst.rib)
 
-    def test_evaluate_burst_produces_scores(self, corpus):
-        evaluation = evaluate_burst(corpus[0])
-        if evaluation.made_prediction:
-            assert 0.0 <= evaluation.tpr <= 1.0
-            assert 0.0 <= evaluation.fpr <= 1.0
-            assert evaluation.prediction is not None
+    def test_replay_records_carry_scores(self, corpus, records):
+        assert {id(record.burst) for record in records} == {id(burst) for burst in corpus}
+        for record in records:
+            burst, start = record.burst, record.inference.burst_start
+            assert burst.start_time <= start <= burst.messages.last_timestamp
+            localisation = record.localisation()
+            assert 0.0 <= localisation.tpr <= 1.0
+            assert 0.0 <= localisation.fpr <= 1.0
+            assert 0.0 <= record.prediction().tpr <= 1.0
+
+    def test_a_record_outside_the_corpus_is_counted_not_dropped(self, corpus, records):
+        # The session's stream still carries the burst left out of the
+        # corpus: its inference is reported as unmatched.
+        assert sum(record.burst is corpus[0] for record in records) == 1
+        result = table2.run(corpus[1:])
+        assert result.unmatched == 1
+        assert result.small_count + result.large_count == len(records) - 1
+        assert "outside every corpus burst: 1" in table2.format_result(result)
 
 
 class TestTable1:
@@ -150,12 +178,77 @@ class TestFig7:
         assert "Fig. 7" in fig7.format_result(result)
 
 
+#: Drawn sessions are small: bursts of a few hundred withdrawals, which the
+#: paper's 1,500-withdrawal detector and 2,500-withdrawal trigger never see.
+#: The property scales the generator's burst floor, the detector and the
+#: trigger down together.
+_SMALL_WORLD_INFERENCE = InferenceConfig(
+    detector=BurstDetectorConfig(start_threshold=60),
+    schedule=TriggeringSchedule(steps=((100, 1_000_000),), unconditional_after=100),
+)
+
+
+@settings(max_examples=5, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    peers=st.integers(1, 2),
+    table_size=st.integers(400, 3000),
+    prefix_threshold=st.sampled_from([1, 100, 500]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rerouted_share_is_the_coverage_oracle(peers, table_size, prefix_threshold, seed):
+    trace = SyntheticTraceGenerator(
+        SyntheticTraceConfig(
+            peer_count=peers,
+            duration_days=2,
+            bursts_per_session_month=150,
+            burst_size_minimum=100,
+            min_table_size=400,
+            max_table_size=table_size,
+            noise_rate_per_second=0.0,
+            seed=seed,
+        )
+    ).stream()
+    corpus = trace_corpus(trace, min_burst_size=1)
+    config = SwiftConfig(
+        inference=_SMALL_WORLD_INFERENCE,
+        encoder=EncoderConfig(prefix_threshold=prefix_threshold),
+    )
+    # The replay loads each session's RIB over a less preferred backup
+    # session: the RIB is what the router encoded at provision time.
+    ribs = {id(burst.messages.trace): burst.rib for burst in corpus}.values()
+    for best_paths, (router, records) in zip(ribs, session_replays(corpus, config)):
+        profile_of = router.backup_index.profile_of
+        for record in records:
+            if record.action is None:
+                continue
+            inference = record.inference
+            predicted = inference.prediction.predicted_prefixes
+            assert record.rerouted_share() == coverage(
+                router.encoded_tags, best_paths, predicted, inference.inferred_links
+            )
+            for prefix in predicted:
+                tag = router.encoded_tags.tags.get(prefix)
+                matching = [
+                    rule for rule in record.action.rules
+                    if tag is not None and rule.matches(tag)
+                ]
+                if not matching:
+                    continue
+                backups = profile_of[prefix].next_hops
+                crossed = set(best_paths[prefix].links()) & set(inference.inferred_links)
+                for rule in matching:
+                    assert any(backups.get(link) == rule.next_hop for link in crossed)
+
+
 class TestFig8:
     def test_swift_learns_faster_than_bgp(self, corpus):
         result = fig8.run(corpus)
         assert result.swift_seconds and result.bgp_seconds
         assert result.median(swift=True) <= result.median(swift=False)
-        assert "Fig. 8" in fig8.format_result(result)
+        # The detector fires on each burst's first rows.
+        assert result.detection_delays == [0.0] * result.bursts_with_prediction
+        text = fig8.format_result(result)
+        assert "Fig. 8" in text and "median detection delay" in text
 
 
 class TestFig9:
@@ -167,46 +260,40 @@ class TestFig9:
         assert "speed-up" in fig9.format_result(result)
 
 
-class TestReroutingSpeed:
-    def test_rule_counts_and_latency(self, corpus):
-        result = rerouting_speed.run(corpus[:6], backup_next_hops=16)
-        assert result.bursts > 0
-        assert result.median_update_seconds() < 0.5
-        assert "Rerouting speed" in rerouting_speed.format_result(result)
+@pytest.fixture(scope="module")
+def rerouting(corpus):
+    return rerouting_speed.run(corpus)
 
-    def test_no_rule_is_reported_where_none_is_installed(self, corpus):
-        # No inferred link of this corpus yields a reroute rule, so every
-        # accepted inference installs nothing: no modelled fallback count.
-        result = rerouting_speed.run(corpus, backup_next_hops=16)
-        assert result.bursts > 0
-        assert result.unencoded == result.bursts
-        assert result.rule_counts == [] and result.update_seconds == []
-        assert f"installing no rule: {result.bursts}" in (
-            rerouting_speed.format_result(result)
+
+class TestReroutingSpeed:
+    def test_rule_counts_and_latency(self, rerouting):
+        assert rerouting.bursts > 0
+        assert rerouting.median_update_seconds() < 0.5
+        assert "Rerouting speed" in rerouting_speed.format_result(rerouting)
+
+    def test_unencoded_counts_inferences_that_installed_nothing(self, records, rerouting):
+        assert rerouting.bursts == len(records)
+        assert rerouting.unencoded == sum(r.action is None for r in records)
+        assert len(rerouting.rule_counts) == rerouting.bursts - rerouting.unencoded
+        assert f"installing no rule: {rerouting.unencoded}" in (
+            rerouting_speed.format_result(rerouting)
         )
 
     @pytest.mark.parametrize("prefix_threshold", [1500, 500])
     def test_rule_counts_are_the_encoders_rules(self, corpus, prefix_threshold):
+        # The tier-1 corpus is one session: its replay's actions are all of
+        # the corpus's reroutes, installed from the encoder's rules.
         encoder_config = EncoderConfig(prefix_threshold=prefix_threshold)
-        result = rerouting_speed.run(
-            corpus, backup_next_hops=16, encoder_config=encoder_config
+        result = rerouting_speed.run(corpus, encoder_config=encoder_config)
+        (session,) = {id(burst.messages.trace): burst for burst in corpus}.values()
+        replayer = StreamReplayer(
+            session.rib,
+            session.peer_as,
+            swift_config=SwiftConfig(encoder=encoder_config),
         )
-        encoder = TagEncoder(encoder_config)
-        backups = {64500 + i: 1 for i in range(16)}
-        expected = []
-        for burst in corpus:
-            evaluation = evaluate_burst(burst)
-            if evaluation.made_prediction:
-                encoded = encoder.encode(dict(burst.rib))
-                expected.append(
-                    sum(
-                        len(encoder.reroute_rules(encoded, link, backups))
-                        for link in evaluation.inference.inferred_links
-                    )
-                )
-        assert result.bursts == len(expected)
-        assert result.rule_counts == [rules for rules in expected if rules]
-        assert result.unencoded == expected.count(0)
+        installed = [action.rule_count for action in replayer.feed(session.messages.trace)]
+        assert result.rule_counts == installed
+        assert max(result.rule_counts) > 0
 
 
 class TestSimulationValidation:
