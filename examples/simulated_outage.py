@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
-"""Simulated Internet outage: generate an AS-level topology, fail a link and
-watch SWIFT localise the failure from a vantage point — the §6.1/§6.2.2
-C-BGP-style pipeline.
+"""Simulated Internet outage: generate an AS-level topology, fail links and
+watch a SWIFTED router at a vantage AS localise each failure and reroute
+around it — the §6.1/§6.2.2 C-BGP-style pipeline.
 
 The script builds a tiered, power-law AS topology (the paper uses 1,000 ASes
-with 20 prefixes each), computes valley-free routing, picks a vantage session
-and injects random link failures.  For each resulting burst it runs the
-inference at the end of the burst and after the first 200 withdrawals, and
-reports whether the inferred links contain (or neighbour) the true failure.
+with 20 prefixes each) and runs the simulation validation over it
+(:mod:`repro.experiments.simulation_validation`): for each random link
+failure it replays the vantage session's burst through a router peering
+with every neighbour, then prints whether the end-of-burst inference
+contains (or neighbours) the failed link and where the router moved the
+prefixes it forwarded through the failing peer.
 
 Run with:  python examples/simulated_outage.py [as_count]
 
@@ -20,80 +22,32 @@ import sys
 
 sys.path.insert(0, "src")
 
-from repro.core.fit_score import FitScoreCalculator
-from repro.bgp.messages import Update
-from repro.simulation import LinkFailure, PropagationSimulator, VantagePoint
+from repro.experiments import simulation_validation
 from repro.topology.generator import TopologyConfig, generate_topology
 
 
 def main() -> None:
     as_count = int(sys.argv[1]) if len(sys.argv) > 1 else 300
-    config = TopologyConfig(as_count=as_count, prefixes_per_as=10, seed=42)
-    graph = generate_topology(config)
+    graph = generate_topology(TopologyConfig(as_count=as_count, prefixes_per_as=10, seed=42))
     print(f"generated topology: {graph.as_count} ASes, {graph.link_count} links, "
           f"average degree {graph.average_degree:.1f}, "
           f"{graph.total_prefix_count()} prefixes")
 
-    simulator = PropagationSimulator(graph, seed=42)
-
-    # Vantage point: a peering (p2p) session of a well-connected AS — the peer
-    # only exports its customer cone, so cone failures become withdrawals.
-    vantage = None
-    best_degree = -1
-    for link in graph.links():
-        if link.relationship.value != "p2p":
-            continue
-        a, b = link.endpoints
-        if graph.degree(b) > best_degree:
-            best_degree = graph.degree(b)
-            vantage = VantagePoint(local_as=a, peer_as=b)
-    assert vantage is not None
-    print(f"vantage point: AS {vantage.local_as} observing its peer AS {vantage.peer_as} "
-          f"(degree {best_degree})\n")
-
-    min_withdrawals = 40 if as_count >= 200 else 10
-    failures = simulator.random_failures(
-        vantage, count=5, min_withdrawals=min_withdrawals, seed=1
+    result = simulation_validation.run(
+        failures=5, min_burst=40 if as_count >= 200 else 10, seed=42, graph=graph
     )
-    for failure in failures:
-        burst = simulator.simulate(failure, vantage)
-        if burst.withdrawal_count < min(20, min_withdrawals):
-            continue
-        rib = {p: a.as_path for p, a in burst.initial_rib.items()}
-        calculator = FitScoreCalculator(rib)
-        early_links = None
-        seen = 0
-        for message in burst.messages:
-            if isinstance(message, Update):
-                for prefix in message.withdrawals:
-                    calculator.record_withdrawal(prefix)
-                    seen += 1
-                    if seen == 200 and early_links is None:
-                        scores = calculator.all_scores()
-                        top = scores[0].fit_score
-                        early_links = [s.links[0] for s in scores if s.fit_score >= top - 1e-9]
-                for announcement in message.announcements:
-                    calculator.record_update(
-                        announcement.prefix, announcement.attributes.as_path
-                    )
-        scores = calculator.all_scores()
-        top = scores[0].fit_score
-        final_links = [s.links[0] for s in scores if s.fit_score >= top - 1e-9]
-        failed = burst.ground_truth.failed_links[0]
-        contains = failed in final_links
-        adjacent = any(set(failed) & set(link) for link in final_links)
-        print(f"failure of link {failed}: "
-              f"{burst.withdrawal_count} withdrawals, {burst.update_count} path updates, "
-              f"{burst.duration:.1f} s")
-        print(f"    end-of-burst inference: {final_links[:4]}"
-              f"{' ...' if len(final_links) > 4 else ''} "
-              f"-> {'contains' if contains else ('adjacent to' if adjacent else 'misses')} "
-              "the failed link")
-        if early_links is not None:
-            early_adjacent = any(set(failed) & set(link) for link in early_links)
-            print(f"    after 200 withdrawals: {len(early_links)} candidate link(s), "
-                  f"{'safe' if early_adjacent else 'unsafe'} to reroute around")
-        print()
+    vantage = result.vantage
+    print(f"vantage point: AS {vantage.local_as} observing its peer AS {vantage.peer_as}\n")
+    for outcome in result.outcomes:
+        links = outcome.inferred_links or ()
+        print(f"failure of link {outcome.failed_link}: {outcome.withdrawals} withdrawals")
+        print(f"    end-of-burst inference: {list(links[:4])}"
+              f"{' ...' if len(links) > 4 else ''} -> {outcome.verdict}")
+        print(f"    prefixes forwarded through AS {vantage.peer_as}: "
+              f"{outcome.touched} affected, {outcome.moved_safe} moved safely, "
+              f"{outcome.moved_unsafe} moved unsafely, {outcome.stranded} withdrawn "
+              "and left in place with a safe alternate\n")
+    print(simulation_validation.format_result(result))
 
 
 if __name__ == "__main__":

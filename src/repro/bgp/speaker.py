@@ -52,6 +52,7 @@ the listeners hear every change, so they can count.
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.bgp.decision import DecisionProcess, default_decision_process
@@ -161,7 +162,9 @@ class BGPSpeaker:
     ) -> None:
         self.local_as = local_as
         self.decision_process = decision_process or default_decision_process()
-        self.loc_rib = LocRib(self._select_stale)
+        # A weak reference back: a dropped speaker is freed by refcounting.
+        select_stale = weakref.WeakMethod(self._select_stale)
+        self.loc_rib = LocRib(lambda prefixes: select_stale()(prefixes))
         self._sessions: Dict[int, PeeringSession] = {}
         self._best_route_listeners: List[Callable[[List[BestRouteChange]], None]] = []
 

@@ -32,8 +32,8 @@ Two classes implement the bookkeeping:
   burst footprint (links with at least one withdrawal), not to the RIB size.
 
 Constructing ``FitScoreCalculator(rib)`` directly still works for standalone
-use (e.g. the simulation-validation harness): it simply builds a private
-index from the RIB first.
+use (the tests score hand-built bursts so): it simply builds a private index
+from the RIB first.  Every experiment scores through a router's engines.
 """
 
 from __future__ import annotations

@@ -344,12 +344,9 @@ class InferenceEngine:
             self._index.remove_prefix(prefix)
 
     def force_inference(self, timestamp: float) -> Optional[InferenceResult]:
-        """Run an inference immediately, bypassing the triggering schedule.
-
-        Used by the evaluation to score the algorithm at arbitrary points
-        (e.g. "after 200 withdrawals", §6.2.2) and at the end of a burst.
-        Returns ``None`` when no burst is being tracked.
-        """
+        """Run an inference now, bypassing the triggering schedule: the
+        end-of-burst inference the simulation validation scores (§6.2.2).
+        Returns ``None`` when no burst is being tracked."""
         if not self._in_burst:
             return None
         return self._run_inference(timestamp, accept_always=True)

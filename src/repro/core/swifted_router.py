@@ -131,6 +131,34 @@ class RerouteAction:
         return len(self.rules)
 
 
+class _SessionChanges:
+    """The sessions' change observer (:meth:`note`) and what it records:
+    ``dirty``, the prefixes whose candidate routes changed since the last
+    provision (an alternate appearing or vanishing also invalidates backup
+    selections), and ``per_peer``, those whose Adj-RIB-In route changed while
+    the router was not ``feeding`` its engines (table loads, direct speaker
+    use).  It holds no router: a dropped router is freed by refcounting.
+    """
+
+    __slots__ = ("dirty", "per_peer", "feeding")
+
+    def __init__(self) -> None:
+        self.dirty: Set[Prefix] = set()
+        self.per_peer: Dict[int, Dict[Prefix, None]] = {}
+        self.feeding = False
+
+    def note(self, session, prefixes: List[Prefix]) -> None:
+        """Record changed prefixes; :meth:`SwiftedRouter.provision` patches
+        the engines with the routes the Adj-RIB-Ins hold *then*."""
+        self.dirty.update(prefixes)
+        if not self.feeding:
+            # A dict as an ordered set: the engine is patched in first-change
+            # order, as the changes happened.
+            self.per_peer.setdefault(session.peer_as, {}).update(
+                dict.fromkeys(prefixes)
+            )
+
+
 class SwiftedRouter:
     """A border router running SWIFT."""
 
@@ -158,16 +186,8 @@ class SwiftedRouter:
         # re-encoding on warm provisions.
         self._encoded_paths: Dict[Prefix, ASPath] = {}
         self._provisioned = False
-        # Incremental-provision bookkeeping: prefixes whose candidate routes
-        # changed since the last provision (a superset of best-route changes —
-        # an alternate appearing or vanishing also invalidates the prefix's
-        # backup selections), and per peer the prefixes whose Adj-RIB-In
-        # route changed without the inference engine seeing it (routes
-        # loaded out-of-band, i.e. not through the receive* methods).
-        self._provision_dirty: Set[Prefix] = set()
-        self._engine_dirty: Dict[int, Dict[Prefix, None]] = {}
+        self._changes = _SessionChanges()
         self._provisioned_peers: FrozenSet[int] = frozenset()
-        self._feeding_engines = False
         self.last_provision_stats: Dict[str, int] = {}
 
     # -- session management --------------------------------------------------
@@ -175,7 +195,7 @@ class SwiftedRouter:
     def add_peer(self, peer_as: int, name: Optional[str] = None) -> None:
         """Create a peering session with ``peer_as``."""
         session = self.speaker.add_peer(peer_as, name=name)
-        session.add_change_observer(self._note_session_changes)
+        session.add_change_observer(self._changes.note)
 
     def load_initial_routes(
         self,
@@ -198,26 +218,6 @@ class SwiftedRouter:
         self.speaker.receive_columnar(
             table_dump(routes, peer_as, local_pref=local_pref, timestamp=timestamp)
         )
-
-    # -- change tracking ------------------------------------------------------
-
-    def _note_session_changes(self, session, prefixes: List[Prefix]) -> None:
-        """Session change observer: the changed prefixes are dirty.
-
-        Messages through the ``receive*`` methods reach the session's
-        inference engine directly.  For everything else — table loads,
-        direct speaker use — the prefixes are also recorded per peer, and the
-        next :meth:`provision` patches the engine with the route the
-        Adj-RIB-In holds *then*: a later change the engine did see may have
-        replaced the one recorded here.
-        """
-        self._provision_dirty.update(prefixes)
-        if not self._feeding_engines:
-            # A dict as an ordered set: the engine is patched in first-change
-            # order, as the changes happened.
-            self._engine_dirty.setdefault(session.peer_as, {}).update(
-                dict.fromkeys(prefixes)
-            )
 
     # -- provisioning -----------------------------------------------------------
 
@@ -246,11 +246,11 @@ class SwiftedRouter:
         )
         loc_rib = self.speaker.loc_rib
         if incremental:
-            dirty = self._provision_dirty
+            dirty = self._changes.dirty
             self.last_provision_stats = {
                 "mode": 1,
                 "dirty_prefixes": len(dirty),
-                "engine_deltas": sum(len(d) for d in self._engine_dirty.values()),
+                "engine_deltas": sum(len(d) for d in self._changes.per_peer.values()),
             }
             # Provisioning restores BGP-derived forwarding: any SWIFT rules
             # still installed are dropped, exactly as the full rebuild's
@@ -316,8 +316,8 @@ class SwiftedRouter:
             self._reencode(best_routes)
 
         self._refresh_engines(rebuild=not incremental)
-        self._provision_dirty.clear()
-        self._engine_dirty.clear()
+        self._changes.dirty.clear()
+        self._changes.per_peer.clear()
         self._provisioned_peers = peers
         self._provisioned = True
         assert self._encoded is not None
@@ -372,7 +372,7 @@ class SwiftedRouter:
                 )
             else:
                 engine.flush_quiet_state()
-                touched = self._engine_dirty.get(session.peer_as)
+                touched = self._changes.per_peer.get(session.peer_as)
                 if touched:
                     delta: Dict[Prefix, Optional[ASPath]] = {}
                     for prefix in touched:
@@ -402,7 +402,7 @@ class SwiftedRouter:
         """Process one BGP message; returns a reroute action if SWIFT fires."""
         if not self._provisioned:
             raise RuntimeError("provision() must be called before receiving updates")
-        self._feeding_engines = True
+        self._changes.feeding = True
         try:
             self.speaker.receive(message)
             engine = self._engines.get(message.peer_as)
@@ -410,7 +410,7 @@ class SwiftedRouter:
                 return None
             result = engine.process_message(message)
         finally:
-            self._feeding_engines = False
+            self._changes.feeding = False
         if result is None:
             return None
         return self._apply_inference(message.peer_as, result)
@@ -448,7 +448,7 @@ class SwiftedRouter:
                         actions.append(action)
             run.clear()
 
-        self._feeding_engines = True
+        self._changes.feeding = True
         try:
             for message in messages:
                 if message.peer_as != run_peer:
@@ -458,7 +458,7 @@ class SwiftedRouter:
             flush()
             batch.commit()
         finally:
-            self._feeding_engines = False
+            self._changes.feeding = False
         return actions
 
     def receive_columnar(self, source, kernel=None) -> List[RerouteAction]:
@@ -488,7 +488,7 @@ class SwiftedRouter:
         runs = iter_batches(kernel=kernel) if iter_batches is not None else source
         actions: List[RerouteAction] = []
         batch = self.speaker.begin_batch()
-        self._feeding_engines = True
+        self._changes.feeding = True
         try:
             for run in runs:
                 batch.add_columnar_run(run)
@@ -501,7 +501,7 @@ class SwiftedRouter:
                         actions.append(action)
             batch.commit()
         finally:
-            self._feeding_engines = False
+            self._changes.feeding = False
         return actions
 
     # -- rerouting ---------------------------------------------------------------

@@ -6,7 +6,9 @@ series the paper reports, so the benchmarks can regenerate each artefact;
 ``month_replay`` is the replay driver (``replay_stream``,
 ``StreamReplayer``) the benchmarks and the live ingest path call, and
 Fig. 6, 7, 8, Table 2 and §6.5 read its router replay of a burst corpus
-(:func:`~repro.experiments.common.replay_corpus`).  Fig. 2
+(:func:`~repro.experiments.common.replay_corpus`); §6.2.2/§6.3.2 replays
+each simulated burst through a router at the vantage AS: no experiment
+builds an inference engine or an encoder of its own.  Fig. 2
 measures bursts from each session's stream with
 :func:`repro.core.burst_detection.extract_bursts`, not from the generator's
 records:

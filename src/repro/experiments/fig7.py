@@ -28,17 +28,19 @@ __all__ = ["Fig7Result", "run", "format_result"]
 
 @dataclass
 class Fig7Result:
-    """Encoding-performance distributions per bit budget."""
+    """Encoding-performance distributions per bit budget; ``None`` for a
+    class with no burst."""
 
-    all_bursts: Dict[int, DistributionSummary]
-    large_bursts: Dict[int, DistributionSummary]
+    all_bursts: Dict[int, Optional[DistributionSummary]]
+    large_bursts: Dict[int, Optional[DistributionSummary]]
     burst_count: int
     #: Accepted inferences no corpus burst contains (alike in every replay).
     unmatched: int
 
-    def median_at(self, bits: int) -> float:
+    def median_at(self, bits: int) -> Optional[float]:
         """Median encoding performance (all bursts) for a bit budget."""
-        return self.all_bursts[bits].median
+        summary = self.all_bursts[bits]
+        return None if summary is None else summary.median
 
 
 def run(
@@ -65,36 +67,33 @@ def run(
             if record.burst.size >= large_burst_size:
                 per_bits_large[bits].append(share)
 
-    all_summary = {
-        bits: summarize(values) if values else summarize([0.0])
-        for bits, values in per_bits_all.items()
-    }
-    large_summary = {
-        bits: summarize(values) if values else summarize([0.0])
-        for bits, values in per_bits_large.items()
-    }
     return Fig7Result(
-        all_bursts=all_summary,
-        large_bursts=large_summary,
+        all_bursts=_summaries(per_bits_all),
+        large_bursts=_summaries(per_bits_large),
         burst_count=len(records),
         unmatched=unmatched,
     )
 
 
+def _summaries(per_bits: Dict[int, List[float]]) -> Dict[int, Optional[DistributionSummary]]:
+    return {bits: summarize(values) if values else None for bits, values in per_bits.items()}
+
+
 def format_result(result: Fig7Result) -> str:
-    """Render the encoding-performance sweep."""
-    rows = []
-    for bits in sorted(result.all_bursts):
-        stats = result.all_bursts[bits]
-        large = result.large_bursts[bits]
-        rows.append(
-            (
-                bits,
-                round(100 * stats.median, 1),
-                round(100 * stats.mean, 1),
-                round(100 * large.mean, 1),
-            )
+    """Render the encoding-performance sweep; an empty class reads n=0."""
+
+    def percent(summary: Optional[DistributionSummary], stat: str):
+        return "n=0" if summary is None else round(100 * getattr(summary, stat), 1)
+
+    rows = [
+        (
+            bits,
+            percent(result.all_bursts[bits], "median"),
+            percent(result.all_bursts[bits], "mean"),
+            percent(result.large_bursts[bits], "mean"),
         )
+        for bits in sorted(result.all_bursts)
+    ]
     table = format_table(
         ["Path bits", "median % (all)", "mean % (all)", "mean % (>=10k)"],
         rows,

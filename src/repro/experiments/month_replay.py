@@ -38,7 +38,7 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Mapping, Optional, Tuple
 
 from repro.bgp.speaker import BGPSpeaker
 from repro.core import kernels
@@ -163,9 +163,9 @@ class StreamReplayer:
     """An incrementally-fed month replay — the engine behind
     :func:`replay_stream`.
 
-    Construction performs the full router setup (initial table load, backup
-    session, provisioning); :meth:`feed` then replays any number of columnar
-    streams *in arrival order* through the same live router, and
+    Construction performs the full router setup (the replayed and the quiet
+    sessions' table loads, provisioning); :meth:`feed` then replays any
+    number of columnar streams *in arrival order* through the same router, and
     :meth:`result` snapshots the accumulated counters.  Feeding one whole
     stream and calling :meth:`result` is exactly :func:`replay_stream`;
     feeding the same rows split across several calls produces a
@@ -186,11 +186,14 @@ class StreamReplayer:
     (``tests/oracles/object_replay.py``) overrides that one method to feed
     the chunk's materialised messages to ``receive_batch`` instead.
 
-    In SWIFTED mode a second, quiet session (``backup_session``) announces
-    a surviving two-hop alternate for every prefix at a lower LOCAL_PREF —
-    the Fig. 1 structure where AS 3 survives the (5, 6) failure.  Synthetic
-    per-session prefix spaces are disjoint, so without it the router would
-    have no backup next-hops and inferences could never install a rule.
+    The router runs at ``local_as``, the replayed session's routes at
+    ``local_pref``.  In SWIFTED mode the router also peers with the quiet
+    ``sessions``, peer AS -> ``(routes, LOCAL_PREF)``: the simulation
+    validation passes every other neighbour of the vantage AS.  By default
+    one synthetic session (:data:`BACKUP_PEER_AS`) announces a surviving
+    two-hop alternate for every prefix at half the LOCAL_PREF — the Fig. 1
+    structure where AS 3 survives the (5, 6) failure: synthetic prefix
+    spaces are disjoint, so without it inferences could never install a rule.
 
     With ``collect_events=True`` the result also carries the canonical
     loss / recovery / reroute multisets (see
@@ -213,7 +216,7 @@ class StreamReplayer:
         chunk_messages: int = 50000,
         swifted: bool = True,
         local_pref: int = 100,
-        backup_session: bool = True,
+        sessions: Optional[Mapping[int, Tuple[Mapping, int]]] = None,
         collect_events: bool = False,
         kernel_backend: Optional[str] = None,
     ) -> None:
@@ -221,8 +224,6 @@ class StreamReplayer:
         self.swifted = swifted
         self._chunk_messages = chunk_messages
         self._kernel = kernels.get_backend(kernel_backend)
-        self._losses = 0
-        self._recoveries = 0
         self._reroutes = 0
         self._message_count = 0
         self._withdrawal_count = 0
@@ -237,18 +238,21 @@ class StreamReplayer:
             Counter() if collect_events else None
         )
 
+        # The listener closes over counters, not ``self``: a dropped replay
+        # is freed by reference counting.
+        tally = self._tally = Counter()
         loss_counter = self._loss_counter
         recovery_counter = self._recovery_counter
 
         def count_events(changes) -> None:
             for change in changes:
                 if change.is_loss_of_reachability:
-                    self._losses += 1
+                    tally["losses"] += 1
                     if loss_counter is not None:
                         prefix = change.prefix
                         loss_counter[(prefix.network, prefix.length)] += 1
                 elif change.is_recovery:
-                    self._recoveries += 1
+                    tally["recoveries"] += 1
                     if recovery_counter is not None:
                         prefix = change.prefix
                         recovery_counter[(prefix.network, prefix.length)] += 1
@@ -268,13 +272,13 @@ class StreamReplayer:
             router = SwiftedRouter(local_as, config=swift_config)
             router.add_peer(peer_as)
             router.load_initial_routes(peer_as, rib, local_pref=local_pref)
-            if backup_session:
-                router.add_peer(BACKUP_PEER_AS)
-                router.load_initial_routes(
-                    BACKUP_PEER_AS,
-                    backup_alternates(rib),
-                    local_pref=max(1, local_pref // 2),
-                )
+            if sessions is None:
+                sessions = {
+                    BACKUP_PEER_AS: (backup_alternates(rib), max(1, local_pref // 2))
+                }
+            for other_as, (routes, other_pref) in sessions.items():
+                router.add_peer(other_as)
+                router.load_initial_routes(other_as, routes, local_pref=other_pref)
             speaker = router.speaker
             speaker.add_best_route_listener(count_events)
             router.provision()
@@ -322,8 +326,8 @@ class StreamReplayer:
             withdrawal_count=self._withdrawal_count,
             announcement_count=self._announcement_count,
             reroutes=self._reroutes,
-            losses=self._losses,
-            recoveries=self._recoveries,
+            losses=self._tally["losses"],
+            recoveries=self._tally["recoveries"],
             chunks=self._chunks,
             wall_seconds=self._wall_seconds,
             loss_events=(
@@ -353,15 +357,16 @@ def replay_stream(
     chunk_messages: int = 50000,
     swifted: bool = True,
     local_pref: int = 100,
-    backup_session: bool = True,
+    sessions: Optional[Mapping[int, Tuple[Mapping, int]]] = None,
     collect_events: bool = False,
     kernel_backend: Optional[str] = None,
 ) -> MonthReplayResult:
     """Replay one session's columnar stream through a router.
 
     The one-shot form of :class:`StreamReplayer` (which carries the full
-    parameter documentation): set up the router, feed the whole stream,
-    return the result.
+    parameter documentation): set up the router — the replayed session and
+    the quiet ``sessions``, by default the synthetic backup session — feed
+    the whole stream, return the result.
     """
     replayer = StreamReplayer(
         rib,
@@ -371,7 +376,7 @@ def replay_stream(
         chunk_messages=chunk_messages,
         swifted=swifted,
         local_pref=local_pref,
-        backup_session=backup_session,
+        sessions=sessions,
         collect_events=collect_events,
         kernel_backend=kernel_backend,
     )

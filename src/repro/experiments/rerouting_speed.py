@@ -45,10 +45,6 @@ class ReroutingSpeedResult:
     unencoded: int
     unmatched: int
 
-    def median_links(self) -> float:
-        """Median number of inferred links per accepted inference."""
-        return _quantile(self.inferred_link_counts, 0.5)
-
     def median_rules(self) -> float:
         """Median number of installed rules per reroute."""
         return _quantile(self.rule_counts, 0.5)

@@ -30,7 +30,8 @@ _PERCENTILES = (0.10, 0.20, 0.30, 0.50, 0.70, 0.80, 0.90)
 
 @dataclass
 class Table2Result:
-    """Per-percentile prediction statistics for small and large bursts."""
+    """Per-percentile prediction statistics for small and large bursts; a
+    class with no burst has empty percentile dicts."""
 
     small_cpr: Dict[float, float]
     small_fpr: Dict[float, float]
@@ -45,9 +46,10 @@ class Table2Result:
     #: Accepted inferences no corpus burst contains.
     unmatched: int
 
-    def median_cpr(self, large: bool = False) -> float:
-        """Median CPR for the requested burst class."""
-        return (self.large_cpr if large else self.small_cpr).get(0.50, 0.0)
+    def median_cpr(self, large: bool = False) -> Optional[float]:
+        """Median CPR for the requested burst class; ``None`` when the class
+        has no burst (its percentile dicts are empty)."""
+        return (self.large_cpr if large else self.small_cpr).get(0.50)
 
 
 def run(
@@ -71,7 +73,7 @@ def run(
         cps = [float(c.true_positives) for c in counts]
         fps = [float(c.false_positives) for c in counts]
         def per(values: List[float]) -> Dict[float, float]:
-            return {p: percentile(values, p) if values else 0.0 for p in _PERCENTILES}
+            return {p: percentile(values, p) for p in _PERCENTILES} if values else {}
         return per(cprs), per(fprs), per(cps), per(fps)
 
     small_cpr, small_fpr, small_cp, small_fp = collect(small)
@@ -103,16 +105,16 @@ def format_result(result: Table2Result) -> str:
             ["FP"] + [int(fp[p]) for p in _PERCENTILES],
         ]
 
-    small_table = format_table(
-        headers,
-        rows_for(result.small_cpr, result.small_fpr, result.small_cp, result.small_fp),
-        title=f"Table 2 - small bursts (2.5k-15k), n={result.small_count}",
-    )
-    large_table = format_table(
-        headers,
-        rows_for(result.large_cpr, result.large_fpr, result.large_cp, result.large_fp),
-        title=f"Table 2 - large bursts (>15k), n={result.large_count}",
-    )
+    def table(size: str, title: str) -> str:
+        count = getattr(result, f"{size}_count")
+        title = f"Table 2 - {title}, n={count}"
+        if not count:
+            return f"{title}: no burst in this class"
+        stats = (getattr(result, f"{size}_{stat}") for stat in ("cpr", "fpr", "cp", "fp"))
+        return format_table(headers, rows_for(*stats), title=title)
+
+    small_table = table("small", "small bursts (2.5k-15k)")
+    large_table = table("large", "large bursts (>15k)")
     return (
         f"{small_table}\n\n{large_table}\n"
         "paper medians: CPR 89.5% (small) / 93.0% (large), FPR 0.22% / 0.60%\n"

@@ -4,15 +4,15 @@ Real BGP sessions carry a steady trickle of messages unrelated to any given
 outage (misconfigurations, route flaps, router bugs).  The paper quantifies
 the noise floor at ~9 withdrawals per 10 s at the 90th percentile (§2.2.1)
 and stresses the inference algorithm by adding 1,000 unrelated withdrawals
-per simulated burst (§6.2.2).  This module injects both kinds of noise into
-a message stream.
+per simulated burst (§6.2.2).  This module injects the latter into a
+message stream.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
 from repro.bgp.messages import BGPMessage, Update
 from repro.bgp.prefix import Prefix
@@ -25,21 +25,15 @@ class NoiseConfig:
     """Parameters of the injected noise.
 
     ``burst_noise_withdrawals`` unrelated withdrawals are spread uniformly
-    over the burst window (the §6.2.2 stress test); ``background_rate`` adds
-    a Poisson-like trickle of withdrawals per second outside and inside the
-    burst (the §2.2.1 noise floor).
+    over the burst window (the §6.2.2 stress test).
     """
 
     burst_noise_withdrawals: int = 0
-    background_rate: float = 0.0
-    reannounce: bool = True
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.burst_noise_withdrawals < 0:
             raise ValueError("burst_noise_withdrawals must be non-negative")
-        if self.background_rate < 0:
-            raise ValueError("background_rate must be non-negative")
 
 
 def inject_noise(
@@ -47,7 +41,6 @@ def inject_noise(
     unaffected_prefixes: Sequence[Prefix],
     peer_as: int,
     config: NoiseConfig,
-    window: Optional[Tuple[float, float]] = None,
 ) -> List[BGPMessage]:
     """Return a new message list with noise withdrawals mixed in.
 
@@ -62,15 +55,14 @@ def inject_noise(
         The session peer the noise appears to come from.
     config:
         Noise parameters.
-    window:
-        Optional ``(start, end)`` time window for the noise; defaults to the
-        span of ``messages``.
+
+    The noise spans the messages' time window.
     """
     if not messages:
         return list(messages)
     rng = random.Random(config.seed)
-    start = window[0] if window else messages[0].timestamp
-    end = window[1] if window else messages[-1].timestamp
+    start = messages[0].timestamp
+    end = messages[-1].timestamp
     if end <= start:
         end = start + 1.0
 
@@ -82,16 +74,6 @@ def inject_noise(
     for index in range(count):
         timestamp = rng.uniform(start, end)
         noise.append(Update.withdraw(timestamp, peer_as, pool[index]))
-
-    if config.background_rate > 0 and pool:
-        expected = config.background_rate * (end - start)
-        background_count = int(expected)
-        if rng.random() < (expected - background_count):
-            background_count += 1
-        for _ in range(background_count):
-            prefix = pool[rng.randrange(len(pool))]
-            timestamp = rng.uniform(start, end)
-            noise.append(Update.withdraw(timestamp, peer_as, prefix))
 
     merged = sorted(list(messages) + noise, key=lambda m: m.timestamp)
     return merged

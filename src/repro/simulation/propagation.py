@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.bgp.attributes import ASPath, PathAttributes
 from repro.bgp.messages import BGPMessage, Update
@@ -57,7 +57,6 @@ class BurstGroundTruth:
     failed_links: Tuple[Tuple[int, int], ...]
     withdrawn_prefixes: FrozenSet[Prefix]
     updated_prefixes: FrozenSet[Prefix]
-    announced_prefixes: FrozenSet[Prefix]
 
     @property
     def affected_prefixes(self) -> FrozenSet[Prefix]:
@@ -69,7 +68,6 @@ class BurstGroundTruth:
 class SimulatedBurst:
     """A burst as observed on one vantage session, with its ground truth."""
 
-    vantage: VantagePoint
     messages: List[BGPMessage]
     ground_truth: BurstGroundTruth
     initial_rib: Dict[Prefix, PathAttributes] = field(default_factory=dict)
@@ -80,20 +78,6 @@ class SimulatedBurst:
         return sum(
             len(m.withdrawals) for m in self.messages if isinstance(m, Update)
         )
-
-    @property
-    def update_count(self) -> int:
-        """Number of announced (path-update) prefixes in the burst."""
-        return sum(
-            len(m.announcements) for m in self.messages if isinstance(m, Update)
-        )
-
-    @property
-    def duration(self) -> float:
-        """Wall-clock duration of the burst in seconds."""
-        if len(self.messages) < 2:
-            return 0.0
-        return self.messages[-1].timestamp - self.messages[0].timestamp
 
 
 class PropagationSimulator:
@@ -133,17 +117,12 @@ class PropagationSimulator:
             self._baseline[origin] = computation
         return computation
 
-    def ensure_baseline(self, origins: Optional[Iterable[int]] = None) -> None:
-        """Pre-compute (and cache) baseline routing for the given origins."""
-        for origin in origins if origins is not None else self.graph.ases():
-            self.baseline(origin)
-
     def _origins_using_link(self, link: Tuple[int, int]) -> Set[int]:
         """Origins for which at least one AS's best path traverses ``link``."""
         if self._link_origin_index is None:
-            self.ensure_baseline()
             index: Dict[Tuple[int, int], Set[int]] = {}
-            for origin, computation in self._baseline.items():
+            for origin in self.graph.ases():
+                computation = self.baseline(origin)
                 seen: Set[Tuple[int, int]] = set()
                 for asn in computation.best_path:
                     for used in computation.links_used_by(asn):
@@ -197,14 +176,13 @@ class PropagationSimulator:
         self,
         event: RoutingEvent,
         vantage: VantagePoint,
-        shuffle: bool = True,
     ) -> SimulatedBurst:
         """Simulate ``event`` and return the burst observed at ``vantage``.
 
         The burst contains one withdrawal per prefix that loses its exported
         path on the session and one announcement per prefix whose exported
         path changes (implicit withdrawal), paced by the simulator's pacing
-        model and (optionally) interleaved in random order, as observed in
+        model and interleaved in random order, as observed in
         real traces.
         """
         failed = [canonical_link(a, b) for a, b in event.failed_links(self.graph)]
@@ -245,16 +223,14 @@ class PropagationSimulator:
                     updated.append((prefix, new_path))
 
         messages = self._pace_messages(
-            vantage, withdrawn, updated + announced, event.at, shuffle
+            vantage, withdrawn, updated + announced, event.at
         )
         ground_truth = BurstGroundTruth(
             failed_links=tuple(sorted(failed)),
             withdrawn_prefixes=frozenset(withdrawn),
             updated_prefixes=frozenset(prefix for prefix, _ in updated),
-            announced_prefixes=frozenset(prefix for prefix, _ in announced),
         )
         return SimulatedBurst(
-            vantage=vantage,
             messages=messages,
             ground_truth=ground_truth,
             initial_rib=pre_rib,
@@ -266,15 +242,13 @@ class PropagationSimulator:
         withdrawn: Sequence[Prefix],
         updated: Sequence[Tuple[Prefix, Tuple[int, ...]]],
         start: float,
-        shuffle: bool,
     ) -> List[BGPMessage]:
         rng = random.Random(
             (self.seed, vantage.local_as, vantage.peer_as, len(withdrawn)).__hash__()
         )
         events: List[Tuple[str, object]] = [("withdraw", p) for p in withdrawn]
         events.extend(("update", item) for item in updated)
-        if shuffle:
-            rng.shuffle(events)
+        rng.shuffle(events)
         offsets = self.pacing.offsets(len(events), rng)
         messages: List[BGPMessage] = []
         for offset, (kind, payload) in zip(offsets, events):
@@ -300,15 +274,15 @@ class PropagationSimulator:
         self,
         vantage: VantagePoint,
         min_withdrawals: int = 1000,
-        exclude_session_link: bool = True,
     ) -> List[Tuple[int, int]]:
         """Links whose failure would withdraw at least ``min_withdrawals`` prefixes.
 
         The estimate counts the prefixes whose pre-failure exported path on
         the vantage session traverses the link (an upper bound on the
-        withdrawal count, tight when no post-failure path exists).  Used by
-        the benchmark harnesses to pick interesting failures, mirroring the
-        paper's focus on bursts of at least 1k-2.5k withdrawals.
+        withdrawal count, tight when no post-failure path exists); the
+        session link itself is no candidate.  Used by the benchmark harnesses
+        to pick interesting failures, mirroring the paper's focus on bursts
+        of at least 1k-2.5k withdrawals.
         """
         pre_rib = self.vantage_rib(vantage)
         counts: Dict[Tuple[int, int], int] = {}
@@ -321,7 +295,7 @@ class PropagationSimulator:
             link
             for link, count in counts.items()
             if count >= min_withdrawals
-            and (not exclude_session_link or link != session_link)
+            and link != session_link
         ]
         return sorted(candidates, key=lambda link: (-counts[link], link))
 

@@ -21,9 +21,7 @@
 * **One SWIFT pipeline.** No module under ``src/repro/experiments/``
   builds an ``InferenceEngine``, ``FitScoreCalculator`` or ``TagEncoder``:
   the figures read a router replay, so detector, inference and encoding run
-  as the router runs them.  ``simulation_validation.py`` still scores
-  simulated bursts with its own calculator, until §6.2.2 and §6.3.2 run
-  through the router (ROADMAP item 14).
+  as the router runs them.
 """
 
 import ast
@@ -283,9 +281,6 @@ def test_raw_best_read_scan_fires():
 
 #: The pipeline pieces the router builds for itself.
 _ROUTER_BUILT = frozenset({"InferenceEngine", "FitScoreCalculator", "TagEncoder"})
-_PIPELINE_EXCEPTIONS = (
-    os.path.join("repro", "experiments", "simulation_validation.py"),
-)
 
 
 def pipeline_builds(source):
@@ -309,8 +304,6 @@ def test_experiments_build_no_pipeline_of_their_own():
     builders = {}
     for path, package in _package_sources():
         if not package.startswith("repro.experiments"):
-            continue
-        if os.path.relpath(path, SRC) in _PIPELINE_EXCEPTIONS:
             continue
         with open(path, encoding="utf-8") as handle:
             found = pipeline_builds(handle.read())

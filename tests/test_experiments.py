@@ -169,6 +169,19 @@ class TestTable2:
         assert "Table 2" in table2.format_result(result)
 
 
+class TestEmptyClasses:
+    def test_a_class_with_no_burst_reads_n0(self, corpus):
+        # No tier-1 corpus burst reaches Fig. 7's 10k or Table 2's 15k class.
+        assert max(burst.size for burst in corpus) < 10000
+        figure = fig7.run(corpus, bit_budgets=(18,))
+        assert figure.large_bursts == {18: None}
+        assert "n=0" in fig7.format_result(figure)
+        table = table2.run(corpus)
+        assert table.large_count == 0 and table.large_cpr == {}
+        assert table.median_cpr(large=True) is None
+        assert "n=0: no burst" in table2.format_result(table)
+
+
 class TestFig7:
     def test_more_bits_never_hurt(self, corpus):
         result = fig7.run(corpus[:6], bit_budgets=(13, 18, 28), prefix_threshold=500)
@@ -305,3 +318,19 @@ class TestSimulationValidation:
         assert result.end_wrong <= result.bursts * 0.2
         assert result.end_contains_failed_share + (result.end_adjacent / result.bursts) >= 0.8
         assert "Simulation validation" in simulation_validation.format_result(result)
+        # Every prefix the router moved still has a route on its new next
+        # hop after the failure.
+        assert result.moved_safe > 0
+        assert result.moved_unsafe == 0
+
+
+@settings(max_examples=5, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(as_count=st.integers(60, 150), seed=st.integers(0, 2**16))
+def test_end_of_burst_inference_contains_the_failed_link(as_count, seed):
+    """Theorem 4.1 through the router: with no noise, every simulated
+    burst's end-of-burst inference contains the failed link."""
+    result = simulation_validation.run(
+        as_count=as_count, prefixes_per_as=10, failures=4, min_burst=20, seed=seed
+    )
+    verdicts = {outcome.verdict for outcome in result.outcomes}
+    assert verdicts <= {"exact", "superset"}

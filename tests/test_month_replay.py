@@ -3,8 +3,12 @@
 The looped backup-alternate path for colliding origin ASes, RIB interning
 across a payload round trip, unknown-peer failure parity between the
 object and columnar speaker paths, empty-batch edges, and run chunking
-smaller than one run.
+smaller than one run, and a dropped router or replay freed by reference
+counting.
 """
+
+import gc
+import weakref
 
 import pytest
 
@@ -12,9 +16,11 @@ from repro.bgp.attributes import ASPath, PathAttributes
 from repro.bgp.messages import Update
 from repro.bgp.prefix import Prefix, prefix_block
 from repro.bgp.speaker import BGPSpeaker
+from repro.core.swifted_router import SwiftedRouter
 from repro.experiments.month_replay import (
     BACKUP_ORIGIN_AS,
     BACKUP_PEER_AS,
+    StreamReplayer,
     _chunked_runs,
     backup_alternates,
     replay_stream,
@@ -73,6 +79,36 @@ class TestBackupAlternates:
         # The withdrawal must NOT be a loss of reachability: the backup
         # session still announces a loop-free alternate for the prefix.
         assert result.losses == 0
+
+
+class TestReferenceCycles:
+    """Nothing a router or a replay owns refers back to it, so dropping one
+    frees it at once: one router is built per replayed session and per
+    simulated burst, and none may wait for a full collection."""
+
+    def test_dropped_router_and_replays_are_freed_without_the_collector(self):
+        rib = {p: ASPath([2, 5, 6]) for p in prefix_block("10.0.0.0/24", 4)}
+        gc.disable()
+        try:
+            router = SwiftedRouter(1)
+            router.add_peer(2)
+            router.add_peer(3)
+            router.load_initial_routes(2, rib)
+            router.load_initial_routes(3, {p: ASPath([3, 6]) for p in rib}, local_pref=50)
+            router.provision()
+            replayer = StreamReplayer(rib, 2, collect_events=True)
+            bare = StreamReplayer(rib, 2, swifted=False)
+            stream = ColumnarTrace()
+            stream.withdraw(1.0, 2, min(rib))
+            replayer.feed(stream)
+            bare.feed(stream)
+            owners = (router, router.speaker, replayer, replayer.router, bare, bare.speaker)
+            refs = [weakref.ref(owner) for owner in owners]
+            del owners
+            del router, replayer, bare
+            assert [ref() for ref in refs] == [None] * len(refs)
+        finally:
+            gc.enable()
 
 
 class TestSpeakerFailureParity:
