@@ -5,6 +5,10 @@ announcements (prefix + attributes) and/or withdrawals (prefix only).  We
 also model OPEN / KEEPALIVE / NOTIFICATION so that session lifecycle can be
 exercised by the session and speaker modules, and so the synthetic trace
 generator can emit session resets (a common real-world cause of bursts).
+
+Every message type is a frozen, slotted dataclass: an instance holds its
+fields and no ``__dict__``, because a controller relaying every UPDATE of
+every session keeps many of them in flight at once.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ class MessageType(Enum):
     NOTIFICATION = "notification"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BGPMessage:
     """Base class for all messages.
 
@@ -54,7 +58,7 @@ class BGPMessage:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OpenMessage(BGPMessage):
     """Session establishment message."""
 
@@ -65,7 +69,7 @@ class OpenMessage(BGPMessage):
         return MessageType.OPEN
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KeepAlive(BGPMessage):
     """Session keepalive."""
 
@@ -74,7 +78,7 @@ class KeepAlive(BGPMessage):
         return MessageType.KEEPALIVE
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Notification(BGPMessage):
     """Session teardown / error notification."""
 
@@ -87,7 +91,7 @@ class Notification(BGPMessage):
         return MessageType.NOTIFICATION
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Announcement:
     """A single (prefix, attributes) announcement inside an UPDATE."""
 
@@ -96,11 +100,12 @@ class Announcement:
 
     def __reduce__(self):
         # Constructor-call pickling: traces serialise millions of these and
-        # the dataclass state-dict path is several times slower to restore.
+        # the dataclass ``__setstate__`` path is several times slower to
+        # restore.
         return (Announcement, (self.prefix, self.attributes))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Update(BGPMessage):
     """A BGP UPDATE message.
 

@@ -121,6 +121,11 @@ class ASGraph:
         self._nodes: Dict[int, ASNode] = {}
         self._links: Dict[Tuple[int, int], ASLink] = {}
         self._adjacency: Dict[int, Set[int]] = {}
+        # Each AS's neighbours by what they are to it ("customer",
+        # "provider", "peer"), in ``_adjacency`` iteration order: re-derived
+        # for both endpoints whenever a link comes or goes, so the
+        # relationship queries of a routing computation are list copies.
+        self._neighbours: Dict[int, Dict[str, List[int]]] = {}
 
     # -- construction ------------------------------------------------------
 
@@ -131,6 +136,7 @@ class ASGraph:
             node = ASNode(asn=asn)
             self._nodes[asn] = node
             self._adjacency[asn] = set()
+            self._neighbours[asn] = {"customer": [], "provider": [], "peer": []}
         if prefixes:
             node.prefixes.extend(prefixes)
         return node
@@ -152,6 +158,8 @@ class ASGraph:
         self._links[key] = link
         self._adjacency[a].add(b)
         self._adjacency[b].add(a)
+        self._sort_neighbours(a)
+        self._sort_neighbours(b)
         return link
 
     def add_customer_provider(self, customer: int, provider: int) -> ASLink:
@@ -172,6 +180,8 @@ class ASGraph:
             raise KeyError(key)
         self._adjacency[a].discard(b)
         self._adjacency[b].discard(a)
+        self._sort_neighbours(a)
+        self._sort_neighbours(b)
         return link
 
     def restore_link(self, link: ASLink) -> None:
@@ -182,6 +192,16 @@ class ASGraph:
         self._links[key] = link
         self._adjacency[link.a].add(link.b)
         self._adjacency[link.b].add(link.a)
+        self._sort_neighbours(link.a)
+        self._sort_neighbours(link.b)
+
+    def _sort_neighbours(self, asn: int) -> None:
+        """Re-derive ``asn``'s neighbours by relationship from its links."""
+        by_relationship = self._neighbours[asn]
+        for neighbours in by_relationship.values():
+            neighbours.clear()
+        for other in self._adjacency[asn]:
+            by_relationship[self.link(asn, other).relationship_from(asn)].append(other)
 
     # -- queries -----------------------------------------------------------
 
@@ -211,27 +231,19 @@ class ASGraph:
 
     def customers_of(self, asn: int) -> List[int]:
         """Neighboring ASes that are customers of ``asn``."""
-        return [
-            other
-            for other in self._adjacency.get(asn, ())
-            if self.link(asn, other).relationship_from(asn) == "customer"
-        ]
+        return self._neighbours_of(asn, "customer")
 
     def providers_of(self, asn: int) -> List[int]:
         """Neighboring ASes that are providers of ``asn``."""
-        return [
-            other
-            for other in self._adjacency.get(asn, ())
-            if self.link(asn, other).relationship_from(asn) == "provider"
-        ]
+        return self._neighbours_of(asn, "provider")
 
     def peers_of(self, asn: int) -> List[int]:
         """Neighboring ASes in a settlement-free peering with ``asn``."""
-        return [
-            other
-            for other in self._adjacency.get(asn, ())
-            if self.link(asn, other).relationship_from(asn) == "peer"
-        ]
+        return self._neighbours_of(asn, "peer")
+
+    def _neighbours_of(self, asn: int, relationship: str) -> List[int]:
+        by_relationship = self._neighbours.get(asn)
+        return list(by_relationship[relationship]) if by_relationship else []
 
     def ases(self) -> List[int]:
         """All AS numbers, sorted."""

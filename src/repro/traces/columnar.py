@@ -127,6 +127,16 @@ _KIND_OF_TYPE = {
 _object_new = object.__new__
 _EMPTY_TUPLE: Tuple = ()
 
+# The slot descriptors of the two message types the materialisation path
+# builds; ``descriptor.__set__`` writes a slot past the frozen
+# ``__setattr__``.
+_set_timestamp = Update.timestamp.__set__
+_set_peer_as = Update.peer_as.__set__
+_set_announcements = Update.announcements.__set__
+_set_withdrawals = Update.withdrawals.__set__
+_set_prefix = Announcement.prefix.__set__
+_set_attributes = Announcement.attributes.__set__
+
 
 def _make_update(
     timestamp: float,
@@ -136,17 +146,25 @@ def _make_update(
 ) -> Update:
     """Build an Update without the frozen-dataclass ``__setattr__`` tax.
 
-    The fields land directly in the instance ``__dict__``; equality, hashing
-    and pickling behave exactly as for a constructor-built message.  Used on
-    the lazy materialisation path, where millions of messages may be built.
+    The fields are written straight into the instance's slots; equality,
+    hashing and pickling behave exactly as for a constructor-built message.
+    Used on the lazy materialisation path, where millions of messages may
+    be built.
     """
     update = _object_new(Update)
-    fields = update.__dict__
-    fields["timestamp"] = timestamp
-    fields["peer_as"] = peer_as
-    fields["announcements"] = announcements
-    fields["withdrawals"] = withdrawals
+    _set_timestamp(update, timestamp)
+    _set_peer_as(update, peer_as)
+    _set_announcements(update, announcements)
+    _set_withdrawals(update, withdrawals)
     return update
+
+
+def _make_announcement(prefix: Prefix, attributes: PathAttributes) -> Announcement:
+    """Build an Announcement the way :func:`_make_update` builds an Update."""
+    announcement = _object_new(Announcement)
+    _set_prefix(announcement, prefix)
+    _set_attributes(announcement, attributes)
+    return announcement
 
 
 def _rebased(column: array, base: int) -> array:
@@ -404,6 +422,10 @@ class ColumnarTrace:
     :meth:`announce` / :meth:`withdraw` fast paths) grow the columns in
     place, which is how the synthetic generator and the MRT reader emit
     straight into columnar form without an intermediate object stream.
+
+    A trace holds its pool, its columns and ``extras``, nothing else: a
+    materialised message is built fresh over the pool's interned prefixes
+    and attributes and is never kept by the trace.
     """
 
     __slots__ = (
@@ -417,7 +439,6 @@ class ColumnarTrace:
         "ann_prefix",
         "ann_attr",
         "extras",
-        "_announcement_cache",
     )
 
     def __init__(self, pool: Optional[InternPool] = None) -> None:
@@ -435,8 +456,6 @@ class ColumnarTrace:
         # Rare non-UPDATE payloads, keyed by message index:
         # OPEN -> (hold_time,), NOTIFICATION -> (error_code, subcode, reason).
         self.extras: Dict[int, tuple] = {}
-        # (prefix index, attribute index) -> shared Announcement object.
-        self._announcement_cache: Dict[Tuple[int, int], Announcement] = {}
 
     # -- write path --------------------------------------------------------
 
@@ -547,14 +566,11 @@ class ColumnarTrace:
     # -- materialisation ---------------------------------------------------
 
     def _announcement_at(self, index: int) -> Announcement:
-        key = (self.ann_prefix[index], self.ann_attr[index])
-        announcement = self._announcement_cache.get(key)
-        if announcement is None:
-            pool = self.pool
-            announcement = self._announcement_cache[key] = Announcement(
-                pool.prefix_at(key[0]), pool.attributes_at(key[1])
-            )
-        return announcement
+        pool = self.pool
+        return _make_announcement(
+            pool.prefix_at(self.ann_prefix[index]),
+            pool.attributes_at(self.ann_attr[index]),
+        )
 
     def message_at(self, index: int) -> BGPMessage:
         """Materialise the message at ``index``."""
@@ -676,7 +692,6 @@ class ColumnarTrace:
             column.frombytes(payload[name])
             setattr(trace, name, column)
         trace.extras = dict(payload.get("extras") or {})
-        trace._announcement_cache = {}
         return trace
 
     # -- slices --------------------------------------------------------------
@@ -715,7 +730,6 @@ class ColumnarTrace:
             for index, extra in self.extras.items()
             if start <= index < stop
         }
-        trace._announcement_cache = {}
         return trace
 
 

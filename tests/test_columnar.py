@@ -5,6 +5,8 @@ The contracts under test:
 
 * object stream -> columns -> object stream is the identity (all message
   kinds, update packing, implicit withdraws, AS-path edge cases);
+* a materialised message holds only its fields (slotted, no ``__dict__``)
+  and the trace keeps none of the messages it built;
 * replaying a stream via ``iter_batches()`` through the speaker / SWIFTED
   router produces the same Loc-RIB, loss/recovery events, inference results
   and reroute actions as the object-based paths;
@@ -15,14 +17,24 @@ The contracts under test:
   reference exactly (and capacity-limited policies fall back to it).
 """
 
+import copy
+import gc
 import os
 import pickle
 import random
+import tracemalloc
 
 import pytest
 
 from repro.bgp.attributes import ASPath, Community, Origin, PathAttributes
-from repro.bgp.messages import KeepAlive, Notification, OpenMessage, Update
+from repro.bgp.messages import (
+    Announcement,
+    BGPMessage,
+    KeepAlive,
+    Notification,
+    OpenMessage,
+    Update,
+)
 from repro.bgp.prefix import Prefix, prefix_block
 from repro.bgp.speaker import BGPSpeaker
 from repro.core import SwiftConfig, SwiftedRouter
@@ -113,7 +125,7 @@ class TestColumnarRoundTrip:
         messages = _mixed_stream()
         back = ColumnarTrace.from_messages(messages).to_messages()
         first, again = back[1], back[-1]
-        assert first.announcements[0] is again.announcements[0]
+        assert first.announcements[0].prefix is again.announcements[0].prefix
         assert first.announcements[0].attributes is again.announcements[0].attributes
 
     def test_aggregates_match_object_counts(self):
@@ -194,6 +206,96 @@ class TestColumnarRoundTrip:
         assert trace.withdrawal_total == sum(
             len(m.withdrawals) for m in messages if isinstance(m, Update)
         )
+
+
+def _message_of_each_type():
+    rich = _attrs([2, 5, 6], 2)
+    prefix, other = prefix_block("10.0.0.0/24", 2)
+    return [
+        BGPMessage(0.5, 2),
+        OpenMessage(0.0, 2, hold_time=30.0),
+        KeepAlive(4.0, 2),
+        Notification(5.0, 3, error_code=4, error_subcode=1, reason="reset"),
+        Announcement(prefix, rich),
+        Update(
+            timestamp=3.0,
+            peer_as=3,
+            announcements=(Announcement(prefix, rich),),
+            withdrawals=(other,),
+        ),
+    ]
+
+
+def _half_announcement_trace(rows):
+    """``rows`` single-prefix UPDATEs from one peer, every other one an
+    announcement over one of 50 attribute sets."""
+    trace = ColumnarTrace()
+    attributes = [_attrs([2, 100 + i], 2) for i in range(50)]
+    for row in range(rows):
+        prefix = Prefix((10 << 24) + ((row // 2) << 8), 24)
+        if row % 2:
+            trace.withdraw(float(row), 2, prefix)
+        else:
+            trace.announce(float(row), 2, prefix, attributes[row % 50])
+    return trace
+
+
+def _traced_bytes(function):
+    """Bytes still allocated after ``function()`` returns (and what it
+    returned, kept alive until the count is read)."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        result = function()
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0] - before, result
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+class TestMaterialisedMessages:
+    """A materialised message costs its fields, and a trace keeps none.
+
+    A controller relays every UPDATE of every session, so the bytes of a
+    message object and the bytes left once it has been handled bound how
+    many sessions one host serves.  Identity sharing lives in the
+    ``InternPool`` (prefixes and attribute sets), not in a memo of built
+    messages.
+    """
+
+    ROWS = 40_000
+
+    def test_no_message_type_has_an_instance_dict(self):
+        for message in _message_of_each_type():
+            cls = type(message)
+            assert not hasattr(message, "__dict__"), cls.__name__
+            assert "__slots__" in vars(cls), cls.__name__
+
+    def test_pickle_and_copy_round_trip_every_type(self):
+        for message in _message_of_each_type():
+            for again in (
+                pickle.loads(pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)),
+                copy.copy(message),
+                copy.deepcopy(message),
+            ):
+                assert type(again) is type(message)
+                assert again == message
+                assert hash(again) == hash(message)
+
+    def test_materialised_messages_hold_only_their_fields(self):
+        trace = _half_announcement_trace(self.ROWS)
+        held, messages = _traced_bytes(trace.to_messages)
+        assert len(messages) == self.ROWS
+        assert held / self.ROWS <= 200, f"{held / self.ROWS:.1f} B per message"
+
+    def test_the_trace_keeps_no_materialised_message(self):
+        trace = _half_announcement_trace(self.ROWS)
+        left, _ = _traced_bytes(lambda: len(trace.to_messages()))
+        assert left < 64 * 1024, f"{left / 1024:.1f} KiB left in the trace"
 
 
 class TestIterBatches:

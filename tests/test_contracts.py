@@ -22,6 +22,11 @@
   builds an ``InferenceEngine``, ``FitScoreCalculator`` or ``TagEncoder``:
   the figures read a router replay, so detector, inference and encoding run
   as the router runs them.
+* **A trace keeps only columns.** ``ColumnarTrace``'s state is its pool,
+  its ``extras`` and its ``TRACE_COLUMNS``: no slot for a memo of
+  materialised objects and no instance ``__dict__``.  Materialised messages
+  are fresh objects over the pool's interned prefixes and attributes, so
+  they leave with their last reference.
 """
 
 import ast
@@ -37,6 +42,7 @@ from oracles.trie_reference import ReferencePrefixTrie
 from repro.bgp.trie import PrefixTrie
 from repro.core.backup import BackupComputer
 from repro.core.fit_score import FitScoreCalculator
+from repro.traces.columnar import TRACE_COLUMNS, ColumnarTrace
 
 pytestmark = pytest.mark.analysis
 
@@ -325,3 +331,35 @@ def test_pipeline_build_scan_fires():
         (2, "FitScoreCalculator"),
         (3, "TagEncoder"),
     ]
+
+
+# -- a trace keeps only columns ----------------------------------------------
+
+#: All a ``ColumnarTrace`` may hold.
+_TRACE_STATE = frozenset({"pool", "extras", *(name for name, _ in TRACE_COLUMNS)})
+
+
+def trace_state_beyond_columns(cls):
+    """The slots of ``cls`` (through its bases) that are neither its pool,
+    its ``extras`` nor a column, plus ``"__dict__"`` if instances have one."""
+    slots = {slot for klass in cls.__mro__ for slot in vars(klass).get("__slots__", ())}
+    found = sorted(slots - _TRACE_STATE)
+    if cls.__dictoffset__:
+        found.append("__dict__")
+    return found
+
+
+def test_a_trace_keeps_only_its_pool_extras_and_columns():
+    assert sorted(ColumnarTrace.__slots__) == sorted(_TRACE_STATE)
+    assert trace_state_beyond_columns(ColumnarTrace) == []
+
+
+def test_trace_state_scan_fires():
+    class Memoised(ColumnarTrace):
+        __slots__ = ("_announcement_cache",)
+
+    class Unslotted(ColumnarTrace):
+        pass
+
+    assert trace_state_beyond_columns(Memoised) == ["_announcement_cache"]
+    assert trace_state_beyond_columns(Unslotted) == ["__dict__"]
