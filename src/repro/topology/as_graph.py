@@ -122,9 +122,10 @@ class ASGraph:
         self._links: Dict[Tuple[int, int], ASLink] = {}
         self._adjacency: Dict[int, Set[int]] = {}
         # Each AS's neighbours by what they are to it ("customer",
-        # "provider", "peer"), in ``_adjacency`` iteration order: re-derived
-        # for both endpoints whenever a link comes or goes, so the
-        # relationship queries of a routing computation are list copies.
+        # "provider", "peer"), in ``_adjacency`` iteration order: derived on
+        # the first query and dropped for both endpoints whenever a link
+        # comes or goes, so the relationship queries of a routing
+        # computation are list copies.
         self._neighbours: Dict[int, Dict[str, List[int]]] = {}
 
     # -- construction ------------------------------------------------------
@@ -136,7 +137,6 @@ class ASGraph:
             node = ASNode(asn=asn)
             self._nodes[asn] = node
             self._adjacency[asn] = set()
-            self._neighbours[asn] = {"customer": [], "provider": [], "peer": []}
         if prefixes:
             node.prefixes.extend(prefixes)
         return node
@@ -158,8 +158,7 @@ class ASGraph:
         self._links[key] = link
         self._adjacency[a].add(b)
         self._adjacency[b].add(a)
-        self._sort_neighbours(a)
-        self._sort_neighbours(b)
+        self._forget_neighbours(a, b)
         return link
 
     def add_customer_provider(self, customer: int, provider: int) -> ASLink:
@@ -180,8 +179,7 @@ class ASGraph:
             raise KeyError(key)
         self._adjacency[a].discard(b)
         self._adjacency[b].discard(a)
-        self._sort_neighbours(a)
-        self._sort_neighbours(b)
+        self._forget_neighbours(a, b)
         return link
 
     def restore_link(self, link: ASLink) -> None:
@@ -192,16 +190,11 @@ class ASGraph:
         self._links[key] = link
         self._adjacency[link.a].add(link.b)
         self._adjacency[link.b].add(link.a)
-        self._sort_neighbours(link.a)
-        self._sort_neighbours(link.b)
+        self._forget_neighbours(link.a, link.b)
 
-    def _sort_neighbours(self, asn: int) -> None:
-        """Re-derive ``asn``'s neighbours by relationship from its links."""
-        by_relationship = self._neighbours[asn]
-        for neighbours in by_relationship.values():
-            neighbours.clear()
-        for other in self._adjacency[asn]:
-            by_relationship[self.link(asn, other).relationship_from(asn)].append(other)
+    def _forget_neighbours(self, a: int, b: int) -> None:
+        self._neighbours.pop(a, None)
+        self._neighbours.pop(b, None)
 
     # -- queries -----------------------------------------------------------
 
@@ -243,7 +236,12 @@ class ASGraph:
 
     def _neighbours_of(self, asn: int, relationship: str) -> List[int]:
         by_relationship = self._neighbours.get(asn)
-        return list(by_relationship[relationship]) if by_relationship else []
+        if by_relationship is None:
+            by_relationship = {"customer": [], "provider": [], "peer": []}
+            for other in self._adjacency.get(asn, ()):
+                by_relationship[self.link(asn, other).relationship_from(asn)].append(other)
+            self._neighbours[asn] = by_relationship
+        return list(by_relationship[relationship])
 
     def ases(self) -> List[int]:
         """All AS numbers, sorted."""

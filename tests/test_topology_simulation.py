@@ -44,10 +44,19 @@ class TestASGraph:
     def test_remove_and_restore_link(self):
         graph = ASGraph()
         link = graph.add_peering(1, 2)
+        assert graph.peers_of(1) == [2]
         graph.remove_link(1, 2)
         assert not graph.has_link(1, 2)
+        assert graph.peers_of(1) == [] and graph.peers_of(2) == []
         graph.restore_link(link)
         assert graph.has_link(1, 2)
+        assert graph.peers_of(2) == [1]
+        # The relationship queries follow every link change, and a caller
+        # editing a returned list leaves the graph's own untouched.
+        graph.add_customer_provider(customer=3, provider=1)
+        graph.customers_of(1).append(99)
+        assert graph.customers_of(1) == [3] and graph.providers_of(3) == [1]
+        assert graph.peers_of(1) == [2]
 
     def test_connectivity_and_degree(self):
         graph = ASGraph()
